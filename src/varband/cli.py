@@ -52,6 +52,14 @@ def _profile(cfg):
     return profile_from_config(_require(cfg, "profile"))
 
 
+def _smooth_profile(cfg, what):
+    prof = _profile(cfg)
+    if not prof.is_smooth:
+        raise ConfigError(f"{what} needs a smooth profile (kind 'smooth_blend'), "
+                          f"not {cfg['profile'].get('kind')!r}")
+    return prof
+
+
 def _model(cfg, x_max=None):
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
@@ -62,9 +70,9 @@ def _model(cfg, x_max=None):
         p = _require(cfg, "profile")
         return ToyModel(p["values"][0], p["values"][-1], sset, x_max=x_max)
     if kind == "liouville":
-        return LiouvilleModel(_profile(cfg), sset, x_max=x_max)
+        return LiouvilleModel(_smooth_profile(cfg, "model 'liouville'"), sset, x_max=x_max)
     if kind == "schrodinger":
-        prof = _profile(cfg)
+        prof = _smooth_profile(cfg, "model 'schrodinger'")
         return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
                                 sset, x_max=x_max)
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -108,7 +116,7 @@ def cmd_kernel(cfg, out_dir, rng, tol_scale):
 
 def cmd_scatter(cfg, out_dir, rng, tol_scale):
     t0 = time.time()
-    prof = _profile(cfg)
+    prof = _smooth_profile(cfg, "scatter")
     om = cfg.get("omega_grid", {})
     omegas = np.linspace(om.get("lo", 0.05), om.get("hi", 5.0), om.get("n", 200))
     sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
@@ -116,19 +124,24 @@ def cmd_scatter(cfg, out_dir, rng, tol_scale):
     sweep.to_csv(Path(out_dir) / "scattering.csv")
     defect = sweep.unitarity_defect()
     _write_report(out_dir, cfg, {"subcommand": "scatter",
-                                 "max_unitarity_defect": defect}, t0)
+                                 "max_unitarity_defect": defect,
+                                 "support_radius": sweep.a,
+                                 "rk4_step": sweep.step,
+                                 "rk4_steps": sweep.n_steps}, t0)
     return 0 if defect < 1e-7 * tol_scale else 1
 
 
 def cmd_reconstruct(cfg, out_dir, rng, tol_scale, samples_path=None):
     t0 = time.time()
+    kind = cfg.get("model", "free")
+    if kind not in ("toy", "free"):
+        raise ConfigError(f"reconstruct supports model kinds 'toy' and 'free', not {kind!r}")
     prof = _profile(cfg)
     sset = _sset(cfg)
     omega_max = sset.lambda_max
     window = tuple(_require(cfg, "window"))
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
     quad = uniform_quadrature(sset, np.pi / wz)
-    kind = cfg.get("model", "free")
     if kind == "toy":
         p = _require(cfg, "profile")
         model = ToyModel(p["values"][0], p["values"][-1], sset, quad=quad)
@@ -306,23 +319,22 @@ def main(argv=None):
     ap.add_argument("--config", type=Path, default=None)
     ap.add_argument("--out", type=Path, default=Path("."))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--tolerance-scale", type=float, default=1.0)
     ap.add_argument("--samples", type=Path, default=None,
                     help="sample CSV for the reconstruct subcommand")
     args = ap.parse_args(argv)
-    cfg = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    args.out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     try:
+        cfg = {}
+        if args.config is not None:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "reconstruct":
             return cmd_reconstruct(cfg, args.out, rng, args.tolerance_scale,
                                    samples_path=args.samples)
         return COMMANDS[args.subcommand](cfg, args.out, rng, args.tolerance_scale)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

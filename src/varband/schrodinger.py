@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .sturm import IntegrationError, rk4_final, rk4_path
+from .sturm import IntegrationError, rk4_linear, rk4_segments
 
 
 class MatchingError(RuntimeError):
@@ -48,7 +48,10 @@ class ScatteringSweep:
 
     Phi1 is e^{i omega x} + R1 e^{-i omega x} left of the support and
     T e^{i omega x} right of it; Phi2 is the mirrored solution.  ``q = None``
-    means the free particle and everything collapses to plane waves.
+    means the free particle and everything collapses to plane waves.  ``q``
+    must be vectorised: it is tabulated once per direction at every RK4 stage
+    abscissa.  ``step`` and ``n_steps`` record the RK4 step taken across
+    [-a, a] and the step count over both directions (0 in the free case).
     """
 
     def __init__(self, q, support_radius, omegas, step=1e-3, store_interior=True):
@@ -65,23 +68,29 @@ class ScatteringSweep:
             self.R1 = np.zeros(n, dtype=complex)
             self.R2 = np.zeros(n, dtype=complex)
             self._spline1 = self._spline2 = None
+            self.step, self.n_steps = 0.0, 0
             return
         w = self.omegas
         h = _interior_step(w, step)
+        [(_, _, n_dir)] = rk4_segments(self.a, -self.a, h)
+        self.step, self.n_steps = 2 * self.a / n_dir, 2 * n_dir
 
-        def rhs(x, u):
+        def q_support(x):
             # clip stage abscissae into the support: rounding can push them an
             # epsilon past +-a where a compactly supported q drops to zero
-            xc = np.clip(x, -self.a, self.a)
-            return np.stack([u[1], (np.asarray(self.q(xc), dtype=float) - w**2) * u[0]])
+            return q(np.clip(x, -self.a, self.a))
+
+        def integrate(x0, x1, y0):
+            return rk4_linear(np.ones_like, q_support, w**2, x0, x1, y0, h,
+                              path=store_interior)
 
         # Phi1 candidate: pure transmitted wave at +a, integrated leftward
         y0 = np.stack([np.exp(1j * w * self.a), 1j * w * np.exp(1j * w * self.a)])
         if store_interior:
-            g1, s1 = rk4_path(rhs, self.a, -self.a, y0, h)
+            g1, s1 = integrate(self.a, -self.a, y0)
             y, dy = s1[-1, 0], s1[-1, 1]
         else:
-            y, dy = rk4_final(rhs, self.a, -self.a, y0, h)
+            y, dy = integrate(self.a, -self.a, y0)
         alpha = 0.5 * (y + dy / (1j * w)) * np.exp(1j * w * self.a)
         beta = 0.5 * (y - dy / (1j * w)) * np.exp(-1j * w * self.a)
         if np.any(np.abs(alpha) < 1e-12):
@@ -92,10 +101,10 @@ class ScatteringSweep:
         # Phi2 candidate: pure transmitted wave at -a, integrated rightward
         z0 = np.stack([np.exp(1j * w * self.a), -1j * w * np.exp(1j * w * self.a)])
         if store_interior:
-            g2, s2 = rk4_path(rhs, -self.a, self.a, z0, h)
+            g2, s2 = integrate(-self.a, self.a, z0)
             z, dz = s2[-1, 0], s2[-1, 1]
         else:
-            z, dz = rk4_final(rhs, -self.a, self.a, z0, h)
+            z, dz = integrate(-self.a, self.a, z0)
         delta = 0.5 * (z + dz / (1j * w)) * np.exp(-1j * w * self.a)
         gamma = 0.5 * (z - dz / (1j * w)) * np.exp(1j * w * self.a)
         if np.any(np.abs(gamma) < 1e-12):
@@ -112,7 +121,6 @@ class ScatteringSweep:
             self._spline2 = CubicHermiteSpline(g2, s2[:, 0, :], s2[:, 1, :])
         else:
             self._spline1 = self._spline2 = None
-            self._interior_available = False
 
     def __len__(self):
         return self.omegas.size

@@ -2,8 +2,9 @@
 
 The first-order system used throughout is u = (phi, p phi'); both components
 are continuous across jumps of p, so carrying the state vector through a
-breakpoint IS the matching condition.  A generic fixed-step RK4 driver with
-mandatory breakpoint nodes is shared with the scattering module.
+breakpoint IS the matching condition.  One fixed-step RK4 integrator for linear
+2x2 systems, with mandatory breakpoint nodes and coefficients tabulated once
+per segment, is shared with the scattering module.
 """
 
 from __future__ import annotations
@@ -23,75 +24,68 @@ class SpectralDensityError(ValueError):
     pass
 
 
-def rk4_path(f, x0, x1, y0, step, breakpoints=()):
-    """Classical RK4 for y' = f(x, y) from x0 to x1 (either direction).
+def rk4_segments(x0, x1, step, breakpoints=()):
+    """Segments (start, end, n_steps) of a fixed-step run from x0 to x1.
 
-    y0 has shape (2, ...) and f must broadcast over the trailing axes, so a
-    whole frequency sweep integrates in one pass.  Points of `breakpoints`
-    strictly between x0 and x1 become mandatory grid nodes, so no step
-    straddles a coefficient discontinuity.  Returns (grid, states) with grid
-    ascending in integration order and states of shape (len(grid), 2, ...).
+    Points of `breakpoints` strictly between x0 and x1 become segment edges,
+    so no step straddles a coefficient discontinuity; each segment takes the
+    fewest equal steps no longer than `step`.
     """
     if step <= 0:
         raise IntegrationError("step must be positive")
-    y0 = np.asarray(y0, dtype=complex)
-    if x1 == x0:
-        return np.array([x0]), y0[None, ...]
     lo, hi = min(x0, x1), max(x0, x1)
     inner = sorted(b for b in breakpoints if lo < b < hi)
     edges = [x0] + (inner if x1 > x0 else inner[::-1]) + [x1]
-    xs = [np.array([x0])]
-    ys = [y0[None, ...]]
-    y = y0
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, int(np.ceil(abs(b - a) / step)))
-        h = (b - a) / n
-        seg = a + h * np.arange(1, n + 1)
-        seg[-1] = b
-        # evaluate coefficients strictly inside the open segment so stages at
-        # a breakpoint never pick the wrong one-sided limit
-        slo, shi = (a, b) if b > a else (b, a)
-        eps = 1e-9 * abs(h)
-        cl = lambda t: min(max(t, slo + eps), shi - eps)
-        out = np.empty((n,) + y.shape, dtype=complex)
-        x = a
-        for i in range(n):
-            k1 = f(cl(x), y)
-            k2 = f(cl(x + h / 2), y + (h / 2) * k1)
-            k3 = f(cl(x + h / 2), y + (h / 2) * k2)
-            k4 = f(cl(x + h), y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = a + (i + 1) * h
-            out[i] = y
-        xs.append(seg)
-        ys.append(out)
-    return np.concatenate(xs), np.concatenate(ys)
+    return [(a, b, max(1, int(np.ceil(abs(b - a) / step))))
+            for a, b in zip(edges[:-1], edges[1:])]
 
 
-def rk4_final(f, x0, x1, y0, step, breakpoints=()):
-    """Like `rk4_path` but keeps only the final state (O(1) memory)."""
-    if step <= 0:
-        raise IntegrationError("step must be positive")
+def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
+    """Classical RK4 for u0' = a(x) u1, u1' = (b(x) - c) u0 from x0 to x1.
+
+    y0 has shape (2, ...) and c broadcasts over the trailing axes, so a whole
+    frequency sweep (c = omega^2) or a single eigenvalue (c = lambda)
+    integrates in one pass.  The stage abscissae do not depend on c: per
+    segment of `rk4_segments`, the coefficients a and b are tabulated at all
+    nodes, half-steps and end-steps by one vectorised call each, strictly
+    inside the open segment so that stages at a breakpoint never pick the
+    wrong one-sided limit.  Returns the final state, or with ``path=True``
+    (grid, states) with grid in integration order and states of shape
+    (len(grid), 2, ...).
+    """
+    segments = rk4_segments(x0, x1, step, breakpoints)
     y = np.asarray(y0, dtype=complex)
+    xs, ys = [np.array([x0])], [y[None, ...]]
     if x1 == x0:
-        return y
-    lo, hi = min(x0, x1), max(x0, x1)
-    inner = sorted(b for b in breakpoints if lo < b < hi)
-    edges = [x0] + (inner if x1 > x0 else inner[::-1]) + [x1]
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, int(np.ceil(abs(b - a) / step)))
-        h = (b - a) / n
-        slo, shi = (a, b) if b > a else (b, a)
+        return (xs[0], ys[0]) if path else y
+    for start, end, n in segments:
+        h = (end - start) / n
+        nodes = start + h * np.arange(n)
         eps = 1e-9 * abs(h)
-        cl = lambda t: min(max(t, slo + eps), shi - eps)
+        stages = np.clip(np.stack([nodes, nodes + h / 2, nodes + h]),
+                         min(start, end) + eps, max(start, end) - eps)
+        A = np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape)
+        B = np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape)
+        out = np.empty((n,) + y.shape, dtype=complex) if path else None
+        u, v = y
         for i in range(n):
-            x = a + i * h
-            k1 = f(cl(x), y)
-            k2 = f(cl(x + h / 2), y + (h / 2) * k1)
-            k3 = f(cl(x + h / 2), y + (h / 2) * k2)
-            k4 = f(cl(x + h), y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+            a1, a2, a4 = A[0, i], A[1, i], A[2, i]
+            g1, g2, g4 = B[0, i] - c, B[1, i] - c, B[2, i] - c
+            k1u, k1v = a1 * v, g1 * u
+            k2u, k2v = a2 * (v + (h / 2) * k1v), g2 * (u + (h / 2) * k1u)
+            k3u, k3v = a2 * (v + (h / 2) * k2v), g2 * (u + (h / 2) * k2u)
+            k4u, k4v = a4 * (v + h * k3v), g4 * (u + h * k3u)
+            u = u + (h / 6) * (k1u + 2 * k2u + 2 * k3u + k4u)
+            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if path:
+                out[i, 0], out[i, 1] = u, v
+        y = np.stack([u, v])
+        if path:
+            seg = start + h * np.arange(1, n + 1)
+            seg[-1] = end
+            xs.append(seg)
+            ys.append(out)
+    return (np.concatenate(xs), np.concatenate(ys)) if path else y
 
 
 def _default_step(profile, lam, step):
@@ -187,15 +181,14 @@ def solve_eigen(profile, lam, init, x0, span, step=1e-3):
     h = _default_step(profile, lam, step)
     bp = np.atleast_1d(getattr(profile, "breakpoints", np.array([])))
 
-    def rhs(x, u):
-        p = profile.eval_p(x)
-        return np.stack([u[1] / p, -lam * u[0]])
+    def inv_p(x):
+        return 1.0 / np.asarray(profile.eval_p(x), dtype=float)
 
     grids, states = [], []
     for target in (a, b):
         if target == x0:
             continue
-        g, s = rk4_path(rhs, x0, target, np.asarray(init, dtype=complex), h, bp)
+        g, s = rk4_linear(inv_p, np.zeros_like, lam, x0, target, init, h, bp, path=True)
         grids.append(g)
         states.append(s)
     if not grids:

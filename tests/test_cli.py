@@ -68,6 +68,29 @@ class TestScatter:
         lines = (out / "scattering.csv").read_text().splitlines()
         assert len(lines) == 41
 
+    def test_report_records_rk4_grid(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0,
+                        "R": 0.5},
+            "omega_grid": {"lo": 0.5, "hi": 2.0, "n": 4},
+        })
+        out = tmp_path / "out"
+        assert run(["scatter", "--config", cfg, "--out", out]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        a, h, n = rep["support_radius"], rep["rk4_step"], rep["rk4_steps"]
+        assert a > 0 and h > 0 and n % 2 == 0
+        # n / 2 steps of h cross [-a, a] in each direction, none of them overshooting
+        assert h * (n // 2) == pytest.approx(2 * a, rel=1e-12)
+        assert h <= 2 * np.pi / (50.0 * 2.0)
+
+    def test_piecewise_profile_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
+            "omega_grid": {"lo": 0.1, "hi": 3.0, "n": 5},
+        })
+        assert run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: scatter needs a smooth profile" in capsys.readouterr().err
+
 
 class TestShannon:
     def test_gram_report(self, tmp_path):
@@ -116,6 +139,20 @@ class TestReconstruct:
         })
         assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("kind", ["liouville", "schrodinger"])
+    def test_unsupported_model_rejected(self, tmp_path, capsys, kind):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": kind, "spectral_set": [[0.0, 1.0]],
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0},
+            "window": [-10.0, 10.0],
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.0, 9.0, 40), np.zeros(40))
+        assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o",
+                    "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert "'toy'" in err and "'free'" in err and repr(kind) in err
+
 
 class TestDensity:
     def test_quasi_uniform(self, tmp_path):
@@ -152,6 +189,25 @@ class TestErrors:
     def test_bad_config_field(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"model": "free"})
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run(["kernel", "--config", missing, "--out", tmp_path / "o"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_schrodinger_model_needs_smooth_profile(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "schrodinger", "spectral_set": [[0.0, 1.0]],
+            "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
+        })
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "smooth profile" in capsys.readouterr().err
 
     def test_unknown_model(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {

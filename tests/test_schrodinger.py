@@ -98,6 +98,22 @@ class TestSmoothPotential:
             lean.phi(0.3)
 
 
+class TestSweepCost:
+    @pytest.mark.parametrize("store_interior", [True, False])
+    def test_potential_tabulated_per_direction(self, store_interior):
+        calls = []
+
+        def q(x):
+            calls.append(np.size(x))
+            return np.exp(-4.0 * np.asarray(x, float) ** 2)
+
+        sweep = ScatteringSweep(q, 1.0, np.linspace(0.1, 5.0, 50),
+                                store_interior=store_interior)
+        # at most two array calls per direction, never one per RK4 stage
+        assert len(calls) <= 4
+        assert sum(calls) >= 3 * sweep.n_steps
+
+
 class TestLiouvilleConsistency:
     def test_profile_potential_scattering(self):
         # the warped potential of a smooth blend is an admissible q and the

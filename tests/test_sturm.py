@@ -5,8 +5,7 @@ from varband.profile import constant_profile, toy_profile
 from varband.sturm import (
     IntegrationError,
     SpectralDensityError,
-    rk4_final,
-    rk4_path,
+    rk4_linear,
     solve_eigen,
     toy_fundamental,
     toy_spectral_density,
@@ -124,23 +123,60 @@ class TestSpectralDensity:
             toy_spectral_density(1.0, 4.0, 0.0)
 
 
-class TestIntegratorCore:
-    def test_path_and_final_agree(self):
-        def f(x, y):
-            return np.stack([y[1], -2.0 * y[0]])
+def rk4_reference(f, x0, x1, y0, n):
+    """Textbook RK4 for y' = f(x, y), one call of f per stage."""
+    h = (x1 - x0) / n
+    y = np.asarray(y0, dtype=complex)
+    for i in range(n):
+        x = x0 + i * h
+        k1 = f(x, y)
+        k2 = f(x + h / 2, y + (h / 2) * k1)
+        k3 = f(x + h / 2, y + (h / 2) * k2)
+        k4 = f(x + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
+
+class TestIntegratorCore:
+    def test_matches_stagewise_reference(self):
+        # tabulated coefficients must sit at the textbook stage abscissae
+        a = lambda x: 1.0 + 0.5 * np.sin(x)
+        b = lambda x: np.exp(-np.asarray(x) ** 2)
+        cs = np.array([0.3, 2.0, 7.5])
+        y0 = np.stack([np.ones(3), 1j * np.sqrt(cs)])
+        got = rk4_linear(a, b, cs, 1.5, -1.5, y0, 0.01)
+        ref = rk4_reference(lambda x, y: np.stack([a(x) * y[1], (b(x) - cs) * y[0]]),
+                            1.5, -1.5, y0, 300)
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_path_and_final_agree(self):
+        # u'' = -2 u as u0' = u1, u1' = (0 - 2) u0
         y0 = np.array([1.0, 0.0], dtype=complex)
-        _, path = rk4_path(f, 0.0, 3.0, y0, 1e-3)
-        final = rk4_final(f, 0.0, 3.0, y0, 1e-3)
+        _, path = rk4_linear(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3, path=True)
+        final = rk4_linear(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3)
         assert np.max(np.abs(path[-1] - final)) == 0.0
+        assert abs(final[0] - np.cos(np.sqrt(2.0) * 3.0)) < 1e-10
 
     def test_breakpoint_nodes_present(self):
-        def f(x, y):
-            return np.zeros_like(y)
-
-        g, _ = rk4_path(f, 0.0, 1.0, np.array([1.0, 0.0]), 0.3, breakpoints=(0.5,))
+        g, _ = rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]),
+                          0.3, breakpoints=(0.5,), path=True)
         assert np.min(np.abs(g - 0.5)) < 1e-14
+
+    def test_coefficients_tabulated_once_per_segment(self):
+        seen = []
+
+        def a(x):
+            seen.append(np.array(x))
+            return np.ones_like(x)
+
+        rk4_linear(a, np.zeros_like, 0.0, 1.0, -1.0, np.array([1.0, 0.0]), 0.1,
+                   breakpoints=(0.0,))
+        # one call per segment, at its nodes, half-steps and end-steps, all
+        # strictly inside the open segment
+        assert [x.shape for x in seen] == [(3, 10), (3, 10)]
+        for x, (lo, hi) in zip(seen, [(0.0, 1.0), (-1.0, 0.0)]):
+            assert lo < x.min() and x.max() < hi
 
     def test_step_validation(self):
         with pytest.raises(IntegrationError):
-            rk4_path(lambda x, y: y, 0.0, 1.0, np.array([1.0, 0.0]), -1.0)
+            rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]), -1.0)
