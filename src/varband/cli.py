@@ -27,11 +27,12 @@ from .density import (beurling_density, gap_density_bound, landau_sweep,
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                      toy_kernel)
 from .paleywiener import random_smooth_function
-from .profile import blend_profile, constant_profile, profile_from_config
+from .profile import (PiecewiseConstantProfile, ProfileError, blend_profile,
+                      constant_profile, profile_from_config)
 from .sampling import (frame_bounds_estimate, reconstruct_iterative,
                        samples_from_csv, shannon_basis_toy)
 from .schrodinger import ScatteringSweep
-from .spectral import SpectralSet, uniform_quadrature
+from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
 
 
 class ConfigError(ValueError):
@@ -60,6 +61,16 @@ def _smooth_profile(cfg, what):
     return prof
 
 
+def _step_values(cfg, what):
+    """(p_minus, p_plus) of a piecewise profile with its one jump at 0."""
+    prof = _profile(cfg)
+    if (not isinstance(prof, PiecewiseConstantProfile)
+            or prof.breakpoints.tolist() != [0.0]):
+        raise ConfigError(f"{what} needs a piecewise profile with exactly one "
+                          f"breakpoint, at 0, and two values")
+    return prof.p_minus, prof.p_plus
+
+
 def _model(cfg, x_max=None):
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
@@ -67,8 +78,7 @@ def _model(cfg, x_max=None):
     if kind == "free":
         return free_model(sset, x_max=x_max)
     if kind == "toy":
-        p = _require(cfg, "profile")
-        return ToyModel(p["values"][0], p["values"][-1], sset, x_max=x_max)
+        return ToyModel(*_step_values(cfg, "model 'toy'"), sset, x_max=x_max)
     if kind == "liouville":
         return LiouvilleModel(_smooth_profile(cfg, "model 'liouville'"), sset, x_max=x_max)
     if kind == "schrodinger":
@@ -107,10 +117,12 @@ def cmd_kernel(cfg, out_dir, rng, tol_scale):
         w.writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
         for i, x in enumerate(xs):
             w.writerow([f"{x:.12g}"] + [f"{K[i, j].real:.12g}" for j in range(n)])
-    model.dump_csv(Path(out_dir) / "kernel_pairs.csv", xs[:: max(1, n // 20)],
-                   xs[:: max(1, n // 20)])
+    coarse = xs[:: max(1, n // 20)]
+    model.dump_csv(Path(out_dir) / "kernel_pairs.csv", coarse, coarse)
     _write_report(out_dir, cfg, {"subcommand": "kernel",
-                                 "diagonal_max": float(np.max(np.diag(K).real))}, t0)
+                                 "diagonal_max": float(np.max(np.diag(K).real)),
+                                 "n_nodes": len(model.quad),
+                                 "covered_measure": model.quad.covered_measure}, t0)
     return 0
 
 
@@ -118,7 +130,11 @@ def cmd_scatter(cfg, out_dir, rng, tol_scale):
     t0 = time.time()
     prof = _smooth_profile(cfg, "scatter")
     om = cfg.get("omega_grid", {})
-    omegas = np.linspace(om.get("lo", 0.05), om.get("hi", 5.0), om.get("n", 200))
+    lo, hi, n = om.get("lo", 0.05), om.get("hi", 5.0), om.get("n", 200)
+    if not (lo > 0 and hi >= lo and isinstance(n, int) and n >= 1):
+        raise ConfigError(f"omega_grid needs 0 < lo <= hi and an integer n >= 1, "
+                          f"got lo={lo}, hi={hi}, n={n}")
+    omegas = np.linspace(lo, hi, n)
     sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
                             omegas, store_interior=False)
     sweep.to_csv(Path(out_dir) / "scattering.csv")
@@ -143,8 +159,7 @@ def cmd_reconstruct(cfg, out_dir, rng, tol_scale, samples_path=None):
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
     quad = uniform_quadrature(sset, np.pi / wz)
     if kind == "toy":
-        p = _require(cfg, "profile")
-        model = ToyModel(p["values"][0], p["values"][-1], sset, quad=quad)
+        model = ToyModel(*_step_values(cfg, "model 'toy'"), sset, quad=quad)
     else:
         model = free_model(sset, quad=quad)
     if samples_path:
@@ -167,8 +182,7 @@ def cmd_reconstruct(cfg, out_dir, rng, tol_scale, samples_path=None):
 
 def cmd_shannon(cfg, out_dir, rng, tol_scale):
     t0 = time.time()
-    p = _require(cfg, "profile")
-    pm, pp = p["values"][0], p["values"][-1]
+    pm, pp = _step_values(cfg, "shannon")
     omega_max = _sset(cfg).lambda_max
     j_max = cfg.get("j_max", 20)
     nodes, wts = shannon_basis_toy(pm, pp, omega_max, j_max)
@@ -334,7 +348,8 @@ def main(argv=None):
             return cmd_reconstruct(cfg, args.out, rng, args.tolerance_scale,
                                    samples_path=args.samples)
         return COMMANDS[args.subcommand](cfg, args.out, rng, args.tolerance_scale)
-    except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ConfigError, ProfileError, SpectralSetError, FileNotFoundError, KeyError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,6 +44,17 @@ def _realize(z, tol=1e-9):
     return z.real if z.ndim else float(z.real)
 
 
+def _as_matrix(stack):
+    """A (2, n_nodes, ...) spectral stack as a (2 * n_nodes, m) matrix.
+
+    Merging the component and node axes turns every sum over them, and every
+    sum over the points of a table, into one BLAS product (GEMM, or GEMV
+    against a vector). For a contiguous stack the result is a view: no table
+    is copied.
+    """
+    return stack.reshape(stack.shape[0] * stack.shape[1], -1)
+
+
 def _sinc(z):
     """sin(z)/z with the removable singularity filled."""
     return np.sinc(np.asarray(z, dtype=float) / np.pi)
@@ -126,7 +137,11 @@ class SpectralModel:
         return self.quad.nodes
 
     def phi(self, x):
-        """Phi_c(omega_l, x), shape (2, n_nodes, n_x)."""
+        """Phi_c(omega_l, x), shape (2, n_nodes, n_x), in a fresh array.
+
+        The kernel methods overwrite the result in place, so an override must
+        not return an array it keeps.
+        """
         raise NotImplementedError
 
     def cell_integral(self, lo, hi):
@@ -138,19 +153,32 @@ class SpectralModel:
     def _weights(self):
         return self.quad.weights[None, :] * self.rho
 
+    def _factors(self, x, y):
+        """w rho Phi(x) and conj Phi(y); Phi is evaluated once when y is x."""
+        px = self.phi(x)
+        if y is x:
+            py = px.conj()
+        else:
+            py = self.phi(y)
+            np.conjugate(py, out=py)
+        px *= self._weights()[:, :, None]
+        return px, py
+
     def kernel_pairs(self, x, y, keep_complex=False):
         """k(x_i, y_i) elementwise over two equal-length arrays."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        px, py = self.phi(x), self.phi(y)
-        vals = np.einsum("cl,cli,cli->i", self._weights(), px, py.conj())
+        wx, cy = self._factors(x, y)
+        wx *= cy
+        vals = wx.sum(axis=(0, 1))
         return vals if keep_complex else _realize(vals)
 
     def kernel_matrix(self, xs, ys, keep_complex=False):
+        """k(x_i, y_j) on the grid xs by ys; pass one array twice to evaluate Phi once."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        px, py = self.phi(xs), self.phi(ys)
-        vals = np.einsum("cl,cli,clj->ij", self._weights(), px, py.conj())
+        wx, cy = self._factors(xs, ys)
+        vals = _as_matrix(wx).T @ _as_matrix(cy)
         return vals if keep_complex else _realize(vals)
 
     def kernel(self, x, y):
@@ -354,20 +382,12 @@ class LiouvilleModel(SpectralModel):
         for a, b in zip(edges[:-1], edges[1:]):
             half = 0.5 * (b - a)
             pts = 0.5 * (a + b) + half * gx
-            out += half * np.einsum("clk,k->cl", self.phi(pts), gw)
+            out += half * (_as_matrix(self.phi(pts)) @ gw).reshape(out.shape)
         return out
 
 
 # ---------------------------------------------------------------------------
 # convenience wrappers
-
-
-def schrodinger_kernel(model, x, y):
-    return model.kernel(x, y)
-
-
-def sl_kernel(model, x, y):
-    return model.kernel(x, y)
 
 
 def toy_quadrature_kernel(p_minus, p_plus, sset, x, y, x_max=25.0):

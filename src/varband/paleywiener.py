@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import _as_matrix
+
 
 class FunctionError(ValueError):
     pass
@@ -39,8 +41,7 @@ class VarBandFunction:
     def evaluate(self, x):
         scalar = not np.ndim(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        phi = self.model.phi(xs)
-        vals = np.einsum("cl,cl,clk->k", self._synth(), self.F, phi)
+        vals = (self._synth() * self.F).ravel() @ _as_matrix(self.model.phi(xs))
         return complex(vals[0]) if scalar else vals
 
     __call__ = evaluate
@@ -155,13 +156,13 @@ def transform(model, f, window, n_panels=None):
         n_panels = max(8, int(np.ceil((b - a) * wmax / np.pi)) * 2)
     gx, gw = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(a, b, n_panels + 1)
-    F = np.zeros((2, len(model.quad)), dtype=complex)
+    F = np.zeros(2 * len(model.quad), dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         pts = 0.5 * (lo + hi) + half * gx
         fv = np.asarray(f(pts), dtype=complex)
-        F += half * np.einsum("clk,k,k->cl", model.phi(pts).conj(), fv, gw)
-    return VarBandFunction(model, model.transform_prefactor * F)
+        F += half * (_as_matrix(model.phi(pts).conj()) @ (fv * gw))
+    return VarBandFunction(model, model.transform_prefactor * F.reshape(2, -1))
 
 
 def project_step(model, breakpoints, values):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import toy_kernel, halfline_kernel, _sinc
+from .kernel import _as_matrix, _sinc, halfline_kernel, toy_kernel
 from .paleywiener import VarBandFunction, zero_function
 
 
@@ -120,11 +120,11 @@ class ReconstructionOperator:
         )
 
     def sample(self, f):
-        return np.einsum("cl,cl,cli->i", self._synth, f.F, self.phiX)
+        return (self._synth * f.F).ravel() @ _as_matrix(self.phiX)
 
     def from_values(self, values):
-        F = np.einsum("cli,i->cl", self.C, np.asarray(values, dtype=complex))
-        return VarBandFunction(self.model, F)
+        F = _as_matrix(self.C) @ np.asarray(values, dtype=complex)
+        return VarBandFunction(self.model, F.reshape(self.C.shape[:2]))
 
     def apply(self, f):
         return self.from_values(self.sample(f))

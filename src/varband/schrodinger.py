@@ -233,24 +233,3 @@ def scattering_solution(q, support_radius, omega, x, step=1e-3):
     sweep = ScatteringSweep(q, support_radius, [omega], step=step)
     out = sweep.phi(x)
     return out[:, 0, :] if np.ndim(x) else out[:, 0, 0]
-
-
-def spectral_transform(sweep, f, window, n_panels=None):
-    """F(omega) = (2 pi)^{-1/2} int f(x) conj(Phi(omega, x)) dx, shape (2, n).
-
-    `f` is a callable on the truncation window (Interval or pair); composite
-    Gauss-Legendre in space with panels fine enough for the top frequency.
-    """
-    a, b = (window.a, window.b) if hasattr(window, "a") else window
-    wmax = float(np.max(sweep.omegas))
-    if n_panels is None:
-        n_panels = max(8, int(np.ceil((b - a) * wmax / np.pi)) * 2)
-    gx, gw = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(a, b, n_panels + 1)
-    F = np.zeros((2, sweep.omegas.size), dtype=complex)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        pts = 0.5 * (lo + hi) + half * gx
-        fv = np.asarray(f(pts), dtype=complex)
-        F += half * np.einsum("cnk,k,k->cn", sweep.phi(pts).conj(), fv, gw)
-    return F / np.sqrt(2 * np.pi)

@@ -43,6 +43,19 @@ class TestKernel:
         assert rep["subcommand"] == "kernel"
         assert rep["diagonal_max"] == pytest.approx(1.0 / np.pi, rel=1e-6)
 
+    def test_report_records_quadrature(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 4.0,
+            "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
+            "grid": {"lo": -3.0, "hi": 3.0, "n": 7},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        # 8-point Gauss-Legendre panels of width at most pi / (8 x_max) on [0, sqrt 2]
+        assert rep["n_nodes"] == 8 * int(np.ceil(np.sqrt(2.0) / (np.pi / 32.0)))
+        assert rep["covered_measure"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
     def test_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": "free", "spectral_set": [[0.0, 2.0]],
@@ -90,6 +103,16 @@ class TestScatter:
         })
         assert run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: scatter needs a smooth profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [{"lo": 0.0}, {"lo": -0.5}, {"lo": 2.0, "hi": 1.0},
+                                      {"n": 0}])
+    def test_bad_omega_grid_rejected(self, tmp_path, capsys, grid):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0},
+            "omega_grid": {"lo": 0.1, "hi": 3.0, "n": 5, **grid},
+        })
+        assert run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: omega_grid needs 0 < lo <= hi" in capsys.readouterr().err
 
 
 class TestShannon:
@@ -185,6 +208,46 @@ class TestLandau:
         assert rep["last_degenerating"] <= rep["critical_density"] <= rep["first_stabilizing"]
 
 
+THREE_PLATEAUS = {"kind": "piecewise", "breakpoints": [-1.0, 2.0], "values": [1.0, 3.0, 4.0]}
+
+
+class TestToyProfile:
+    """The toy model is the two-plateau step at 0; other profiles are refused."""
+
+    def test_kernel_rejects_three_plateaus(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 1.0]], "profile": THREE_PLATEAUS,
+        })
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "exactly one breakpoint, at 0" in capsys.readouterr().err
+
+    def test_kernel_rejects_jump_off_origin(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 1.0]],
+            "profile": {"kind": "piecewise", "breakpoints": [0.5], "values": [1.0, 4.0]},
+        })
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "exactly one breakpoint, at 0" in capsys.readouterr().err
+
+    def test_shannon_rejects_three_plateaus(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "spectral_set": [[0.0, 2.0]], "j_max": 5, "profile": THREE_PLATEAUS,
+        })
+        assert run(["shannon", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "exactly one breakpoint, at 0" in capsys.readouterr().err
+
+    def test_reconstruct_rejects_three_plateaus(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 1.0]], "profile": THREE_PLATEAUS,
+            "window": [-10.0, 10.0],
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.0, 9.0, 40), np.zeros(40))
+        assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o",
+                    "--samples", samples]) == 2
+        assert "exactly one breakpoint, at 0" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_bad_config_field(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"model": "free"})
@@ -214,3 +277,17 @@ class TestErrors:
             "model": "mystery", "spectral_set": [[0.0, 1.0]],
         })
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_unknown_profile_kind(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "bogus"}, "window": [-10.0, 10.0],
+        })
+        assert run(["density", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: unknown profile kind 'bogus'" in capsys.readouterr().err
+
+    def test_reversed_spectral_interval(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "free", "spectral_set": [[2.0, 1.0]],
+        })
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: interval [2.0, 1.0] is reversed" in capsys.readouterr().err

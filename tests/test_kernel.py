@@ -14,6 +14,7 @@ from varband.kernel import (
     toy_kernel,
     toy_quadrature_kernel,
 )
+from varband.paleywiener import random_function, transform
 from varband.profile import blend_profile
 from varband.spectral import SpectralSet
 
@@ -185,3 +186,103 @@ class TestLiouville:
 
         with pytest.raises(KernelError):
             LiouvilleModel(toy_profile(1.0, 4.0), SpectralSet([(0.0, 1.0)]))
+
+
+# -- the BLAS contractions against the three-operand einsums they replaced --
+
+
+def _close(got, ref, rel=1e-12):
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def ref_kernel_matrix(model, xs, ys):
+    w = model.quad.weights[None, :] * model.rho
+    return np.einsum("cl,cli,clj->ij", w, model.phi(xs), model.phi(ys).conj())
+
+
+def ref_kernel_pairs(model, x, y):
+    w = model.quad.weights[None, :] * model.rho
+    return np.einsum("cl,cli,cli->i", w, model.phi(x), model.phi(y).conj())
+
+
+def ref_evaluate(f, xs):
+    synth = f.model.quad.weights[None, :] * f.model.rho / f.model.transform_prefactor
+    return np.einsum("cl,cl,clk->k", synth, f.F, f.model.phi(xs))
+
+
+def ref_transform(model, f, window, n_panels):
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(*window, n_panels + 1)
+    F = np.zeros((2, len(model.quad)), dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        pts = 0.5 * (lo + hi) + half * gx
+        fv = np.asarray(f(pts), dtype=complex)
+        F += half * np.einsum("clk,k,k->cl", model.phi(pts).conj(), fv, gw)
+    return model.transform_prefactor * F
+
+
+@pytest.fixture(scope="module", params=["toy", "schrodinger"])
+def small_model(request):
+    sset = SpectralSet([(0.0, 2.0)])
+    if request.param == "toy":
+        return ToyModel(1.0, 4.0, sset, x_max=4.0)
+    q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
+    return SchrodingerModel(q, 1.0, sset, x_max=4.0)
+
+
+class TestBlasContractions:
+    # points on both sides of the jump and inside and outside the support
+    xs = np.linspace(-3.1, 2.9, 23)
+    ys = np.linspace(-2.4, 3.3, 17)
+
+    def test_kernel_matrix_distinct(self, small_model):
+        got = small_model.kernel_matrix(self.xs, self.ys, keep_complex=True)
+        assert _close(got, ref_kernel_matrix(small_model, self.xs, self.ys))
+
+    def test_kernel_matrix_same_grid(self, small_model):
+        got = small_model.kernel_matrix(self.xs, self.xs, keep_complex=True)
+        assert _close(got, ref_kernel_matrix(small_model, self.xs, self.xs))
+
+    def test_kernel_matrix_evaluates_phi_once(self, small_model, monkeypatch):
+        calls = []
+
+        def counting_phi(x):
+            calls.append(np.size(x))
+            return type(small_model).phi(small_model, x)
+
+        monkeypatch.setattr(small_model, "phi", counting_phi)
+        small_model.kernel_matrix(self.xs, self.xs)
+        assert calls == [self.xs.size]
+
+    def test_kernel_pairs(self, small_model):
+        y = self.ys[: self.xs.size - 6]
+        x = self.xs[: y.size]
+        got = small_model.kernel_pairs(x, y, keep_complex=True)
+        assert _close(got, ref_kernel_pairs(small_model, x, y))
+        diag = small_model.kernel_pairs(x, x, keep_complex=True)
+        assert _close(diag, ref_kernel_pairs(small_model, x, x))
+
+    def test_evaluate(self, small_model):
+        f = random_function(small_model, rng=5)
+        assert _close(f.evaluate(self.xs), ref_evaluate(f, self.xs))
+
+    def test_transform(self, small_model):
+        g = lambda x: np.exp(-np.asarray(x, float) ** 2 / 2) * (1 + 0.3j * np.asarray(x))
+        got = transform(small_model, g, (-6.0, 6.0), n_panels=12).F
+        assert _close(got, ref_transform(small_model, g, (-6.0, 6.0), 12))
+
+    def test_liouville_cell_integral(self):
+        prof = blend_profile(1.0, 2.0, R=1.0, kind="quintic")
+        model = LiouvilleModel(prof, SpectralSet([(0.0, 1.0)]), x_max=3.0)
+        lo, hi = -1.7, 2.2
+        # the panel layout of LiouvilleModel.cell_integral
+        wmax = float(np.max(model.quad.nodes))
+        panel = np.pi / (4 * wmax * np.sqrt(prof.lower))
+        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / panel)) + 1)
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        ref = np.zeros((2, len(model.quad)), dtype=complex)
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            ref += half * np.einsum("clk,k->cl", model.phi(0.5 * (a + b) + half * gx), gw)
+        assert _close(model.cell_integral(lo, hi), ref)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from varband.kernel import ToyModel, free_model, halfline_kernel, toy_kernel
-from varband.paleywiener import random_smooth_function
+from varband.kernel import SchrodingerModel, ToyModel, free_model, halfline_kernel, toy_kernel
+from varband.paleywiener import random_function, random_smooth_function
 from varband.profile import constant_profile, toy_profile
 from varband.sampling import (
     ReconstructionOperator,
@@ -253,6 +253,35 @@ class TestHalflineExpansion:
 
     def test_vanishes_at_origin(self):
         assert abs(halfline_expansion(1.0, np.ones(20), 0.0)) < 1e-12
+
+
+class TestOperatorContractions:
+    """sample and from_values against the einsums they replaced, to 1e-12 relative."""
+
+    @pytest.fixture(scope="class", params=["toy", "schrodinger"])
+    def operator(self, request):
+        sset = SpectralSet([(0.0, 2.0)])
+        quad = uniform_quadrature(sset, np.pi / 6.0)
+        if request.param == "toy":
+            model = ToyModel(1.0, 4.0, sset, quad=quad)
+        else:
+            q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
+            model = SchrodingerModel(q, 1.0, sset, quad=quad)
+        X = np.linspace(-5.5, 5.5, 31)
+        return ReconstructionOperator(model, SampleSet(X), (-6.0, 6.0))
+
+    def test_sample(self, operator):
+        f = random_function(operator.model, rng=8)
+        ref = np.einsum("cl,cl,cli->i", operator._synth, f.F, operator.phiX)
+        got = operator.sample(f)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_from_values(self, operator):
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal(operator.points.size) + 1j * rng.standard_normal(operator.points.size)
+        ref = np.einsum("cli,i->cl", operator.C, v)
+        got = operator.from_values(v).F
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestFrameBounds:

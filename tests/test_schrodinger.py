@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from varband.kernel import SchrodingerModel
+from varband.paleywiener import transform
 from varband.profile import blend_profile
 from varband.schrodinger import (
     MatchingError,
     ScatteringSweep,
     scattering_coeffs,
     scattering_solution,
-    spectral_transform,
 )
+from varband.spectral import SpectralQuadrature, SpectralSet
 
 
 def square_well_T(q0, a, omega):
@@ -128,10 +130,13 @@ class TestLiouvilleConsistency:
 class TestSpectralTransform:
     def test_free_gaussian(self):
         # for q = 0 the transform is the ordinary Fourier transform at +-omega
-        sweep = ScatteringSweep(None, 0.0, [0.7, 1.4])
+        sset = SpectralSet([(0.0, 4.0)])
+        omegas = np.array([0.7, 1.4])
+        quad = SpectralQuadrature(sset, omegas, np.ones(2), 1, 2.0)
+        model = SchrodingerModel(None, 0.0, sset, quad=quad)
         f = lambda x: np.exp(-np.asarray(x, float) ** 2 / 2)
-        F = spectral_transform(sweep, f, (-12.0, 12.0))
-        expected = np.exp(-sweep.omegas**2 / 2)  # hat of the unit gaussian
+        F = transform(model, f, (-12.0, 12.0)).F
+        expected = np.exp(-omegas**2 / 2)  # hat of the unit gaussian
         assert np.max(np.abs(F[0] - expected)) < 1e-10
         assert np.max(np.abs(F[1] - expected)) < 1e-10
 
