@@ -113,10 +113,9 @@ def cmd_kernel(cfg, out_dir, rng, tol_scale):
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs, keep_complex=True)
     with open(Path(out_dir) / "kernel_grid.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
-        for i, x in enumerate(xs):
-            w.writerow([f"{x:.12g}"] + [f"{K[i, j].real:.12g}" for j in range(n)])
+        csv.writer(fh).writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
+        # the csv module's row format: comma-separated, CRLF line ends
+        np.savetxt(fh, np.column_stack([xs, K.real]), fmt="%.12g", delimiter=",", newline="\r\n")
     coarse = xs[:: max(1, n // 20)]
     model.dump_csv(Path(out_dir) / "kernel_pairs.csv", coarse, coarse)
     _write_report(out_dir, cfg, {"subcommand": "kernel",
@@ -227,19 +226,21 @@ def cmd_density(cfg, out_dir, rng, tol_scale):
 
 def cmd_landau(cfg, out_dir, rng, tol_scale):
     t0 = time.time()
-    prof_cfg = cfg.get("profile", {"kind": "piecewise", "breakpoints": [], "values": [1.0]})
+    prof = profile_from_config(cfg.get("profile", {"kind": "piecewise", "breakpoints": [],
+                                                   "values": [1.0]}))
     sset = _sset(cfg)
     crit = sset.sqrt_measure / np.pi
     grid = cfg.get("density_grid") or list(crit * np.arange(0.65, 1.4, 0.1))
     windows = cfg.get("window_halfwidths", [40.0, 80.0, 160.0])
-    if prof_cfg.get("kind") == "smooth_blend":
-        prof = profile_from_config(prof_cfg)
-
+    if prof.is_smooth:
         def builder(wz):
             return LiouvilleModel(prof, sset, quad=uniform_quadrature(sset, np.pi / wz))
-    else:
+    elif prof.breakpoints.size == 0 and prof.p_minus == 1.0:
         prof = constant_profile(1.0)
         builder = matched_free_model_builder(sset)
+    else:
+        raise ConfigError("landau needs a 'smooth_blend' profile or the constant "
+                          "piecewise profile with value 1.0")
     res = landau_sweep(builder, prof, sset, grid, windows)
     res.to_csv(Path(out_dir) / "landau_sweep.csv")
     bracketed = bool(res.threshold_low <= res.critical <= res.threshold_high

@@ -215,22 +215,17 @@ class ToyModel(SpectralModel):
         self.transform_prefactor = 1.0
 
     def phi(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        w = self.quad.nodes[:, None]
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
-        km, kp = w / sm, w / sp
         right = x > 0
-        out = np.empty((2, w.size, x.size), dtype=complex)
-        out[0] = np.where(
-            right,
-            np.exp(1j * kp * x),
-            np.cos(km * x) + 1j * (sp / sm) * np.sin(km * x),
-        )
-        out[1] = np.where(
-            right,
-            np.cos(kp * x) - 1j * (sm / sp) * np.sin(kp * x),
-            np.exp(-1j * km * x),
-        )
+        # one table E = exp(i omega x / sqrt(p)), p taken on x's side of the jump.
+        # Each Phi_c is a E + b conj(E) with real a, b, i.e. Re E + i v_c Im E:
+        # v = +-1 where Phi_c is a pure wave, +-(ratio of sqrt(p)) where it is cos + i v sin
+        E = np.exp(1j * ((self.quad.nodes[:, None] / np.where(right, sp, sm)) * x))
+        v = np.where(right, [[1.0], [-sm / sp]], [[sp / sm], [-1.0]])
+        out = np.empty((2,) + E.shape, dtype=complex)
+        out.real = E.real
+        out.imag = v[:, None, :] * E.imag
         return out
 
     def cell_integral(self, lo, hi):

@@ -68,17 +68,25 @@ class BandwidthProfile:
 
     # -- warped coordinates -------------------------------------------------
 
-    def zeta(self, x):
+    def _warp(self, x, power):
+        """int_0^x p**power."""
         raise NotImplementedError
+
+    def _warp_inv(self, z, power):
+        """The x with _warp(x, power) = z."""
+        raise NotImplementedError
+
+    def zeta(self, x):
+        return self._warp(x, -0.5)
 
     def zeta_inv(self, z):
-        raise NotImplementedError
+        return self._warp_inv(z, -0.5)
 
     def eta(self, x):
-        raise NotImplementedError
+        return self._warp(x, -1.0)
 
     def eta_inv(self, t):
-        raise NotImplementedError
+        return self._warp_inv(t, -1.0)
 
     def mu(self, interval):
         """mu_p of an `Interval` (or (a, b) pair)."""
@@ -88,7 +96,7 @@ class BandwidthProfile:
     # -- gap statistics -----------------------------------------------------
 
     def inf_p(self, a, b):
-        """Essential infimum of p over (a, b)."""
+        """Essential infimum of p over each gap (a, b); a and b may be arrays."""
         raise NotImplementedError
 
     def max_gap_delta(self, points):
@@ -98,10 +106,7 @@ class BandwidthProfile:
             raise ProfileError("need at least two sample points")
         if np.any(np.diff(x) <= 0):
             raise ProfileError("sample points must be strictly increasing")
-        delta = 0.0
-        for lo, hi in zip(x[:-1], x[1:]):
-            delta = max(delta, (hi - lo) / np.sqrt(self.inf_p(lo, hi)))
-        return delta
+        return float(np.max(np.diff(x) / np.sqrt(self.inf_p(x[:-1], x[1:]))))
 
 
 class PiecewiseConstantProfile(BandwidthProfile):
@@ -121,31 +126,17 @@ class PiecewiseConstantProfile(BandwidthProfile):
         self.p_minus = float(self.values[0])
         self.p_plus = float(self.values[-1])
         self.plateau_radius = float(np.abs(self.breakpoints).max()) if self.breakpoints.size else 0.0
-        # cumulative warps anchored at 0, one entry per breakpoint
-        self._zeta_at_bp = self._cumulative(-0.5)
-        self._eta_at_bp = self._cumulative(-1.0)
+        # knot table of the warps: int_0^k p**power at each knot k, so that
+        # zeta = int p^{-1/2} and eta = int 1/p are its linear interpolants
+        self._knots = np.union1d(self.breakpoints, [0.0])
+        self._warp_at_knots = {power: self._integrals(power) for power in (-0.5, -1.0)}
 
-    def _cumulative(self, power):
-        w = self.values**power
-        bp = self.breakpoints
-        out = np.zeros(bp.size)
-        if bp.size == 0:
-            return out
-        # integrate piecewise from 0 to each breakpoint
-        for i, b in enumerate(bp):
-            out[i] = self._warp_scalar(b, w)
-        return out
-
-    def _warp_scalar(self, x, w):
-        bp = self.breakpoints
-        lo, hi = (0.0, x) if x >= 0 else (x, 0.0)
-        sgn = 1.0 if x >= 0 else -1.0
-        total = 0.0
-        edges = np.concatenate(([lo], bp[(bp > lo) & (bp < hi)], [hi]))
-        for a, b in zip(edges[:-1], edges[1:]):
-            idx = np.searchsorted(bp, 0.5 * (a + b), side="right")
-            total += (b - a) * w[idx]
-        return sgn * total
+    def _integrals(self, power):
+        k = self._knots
+        piece = np.diff(k) * self.eval_p(k[:-1]) ** power
+        i0 = np.searchsorted(k, 0.0)
+        # summed outward from 0, so every entry keeps its relative precision
+        return np.concatenate((-np.cumsum(piece[:i0][::-1])[::-1], [0.0], np.cumsum(piece[i0:])))
 
     def eval_p(self, x):
         x = np.asarray(x, dtype=float)
@@ -154,48 +145,21 @@ class PiecewiseConstantProfile(BandwidthProfile):
         return out if out.ndim else float(out)
 
     def _warp(self, x, power):
-        w = self.values**power
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self._warp_scalar(v, w) for v in xs])
-        return out if np.ndim(x) else float(out[0])
+        return _extended_interp(x, self._knots, self._warp_at_knots[power], self.values[[0, -1]] ** power)
 
-    def zeta(self, x):
-        return self._warp(x, -0.5)
-
-    def eta(self, x):
-        return self._warp(x, -1.0)
-
-    def _warp_inv(self, z, power, cum_at_bp):
-        w = self.values**power
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(zs)
-        bp = self.breakpoints
-        for k, zv in enumerate(zs):
-            if bp.size == 0:
-                out[k] = zv / w[0]
-                continue
-            idx = np.searchsorted(cum_at_bp, zv, side="left")
-            if idx == 0:
-                out[k] = bp[0] + (zv - cum_at_bp[0]) / w[0]
-            elif idx == bp.size:
-                out[k] = bp[-1] + (zv - cum_at_bp[-1]) / w[-1]
-            else:
-                out[k] = bp[idx - 1] + (zv - cum_at_bp[idx - 1]) / w[idx]
-        return out if np.ndim(z) else float(out[0])
-
-    def zeta_inv(self, z):
-        return self._warp_inv(z, -0.5, self._zeta_at_bp)
-
-    def eta_inv(self, t):
-        return self._warp_inv(t, -1.0, self._eta_at_bp)
+    def _warp_inv(self, z, power):
+        return _extended_interp(z, self._warp_at_knots[power], self._knots, self.values[[0, -1]] ** -power)
 
     def inf_p(self, a, b):
-        if b <= a:
-            raise ProfileError("empty gap")
+        a, b = _gap_ends(a, b)
         bp = self.breakpoints
-        i_lo = np.searchsorted(bp, a, side="right")
-        i_hi = np.searchsorted(bp, b, side="left")
-        return float(self.values[i_lo : i_hi + 1].min())
+        # the open gap (a, b) meets the plateaus first..last; one padding entry
+        # keeps last + 1 a valid reduceat index when last is the final plateau
+        first = np.searchsorted(bp, a, side="right")
+        last = np.searchsorted(bp, b, side="left")
+        bounds = np.column_stack((first.ravel(), last.ravel() + 1)).ravel()
+        out = np.minimum.reduceat(np.append(self.values, np.inf), bounds)[::2].reshape(a.shape)
+        return out if out.ndim else float(out)
 
     def potential_q(self, x):
         raise UnsupportedProfileError(
@@ -295,7 +259,7 @@ class SmoothProfile(BandwidthProfile):
         fwd, inv, zlo, zhi = self._warp_pair(power)
         z = np.asarray(z, dtype=float)
         inside = inv(np.clip(z, zlo, zhi))
-        # one Newton pass against the forward spline tightens the inverse
+        # two Newton passes against the forward spline tighten the inverse
         for _ in range(2):
             w = self.eval_p(np.clip(inside, -self.R, self.R)) ** power
             inside = np.clip(inside - (fwd(np.clip(inside, -self.R, self.R)) - np.clip(z, zlo, zhi)) / w,
@@ -305,18 +269,6 @@ class SmoothProfile(BandwidthProfile):
             np.where(z > zhi, self.R + (z - zhi) / self.p_plus**power, inside),
         )
         return out if out.ndim else float(out)
-
-    def zeta(self, x):
-        return self._warp(x, -0.5)
-
-    def zeta_inv(self, z):
-        return self._warp_inv(z, -0.5)
-
-    def eta(self, x):
-        return self._warp(x, -1.0)
-
-    def eta_inv(self, t):
-        return self._warp_inv(t, -1.0)
 
     def mu(self, interval):
         """Adaptive-quadrature mu_p (Gauss-Kronrod on the blend region)."""
@@ -339,17 +291,16 @@ class SmoothProfile(BandwidthProfile):
         return float(total)
 
     def inf_p(self, a, b):
-        if b <= a:
-            raise ProfileError("empty gap")
-        cands = [self.eval_p(a), self.eval_p(b)]
-        lo, hi = max(a, -self.R), min(b, self.R)
-        if hi > lo:
-            cands.append(float(np.min(self.eval_p(np.linspace(lo, hi, 129)))))
-        if a < -self.R:
-            cands.append(self.p_minus)
-        if b > self.R:
-            cands.append(self.p_plus)
-        return float(min(cands))
+        a, b = _gap_ends(a, b)
+        out = np.minimum(self.eval_p(a), self.eval_p(b))
+        out = np.where(a < -self.R, np.minimum(out, self.p_minus), out)
+        out = np.where(b > self.R, np.minimum(out, self.p_plus), out)
+        # 129 samples of p over each gap's part of the blend region [-R, R]
+        lo, hi = np.maximum(a, -self.R), np.minimum(b, self.R)
+        blend = hi > lo
+        samples = self.eval_p(np.linspace(lo[blend], hi[blend], 129, axis=-1))
+        out[blend] = np.minimum(out[blend], samples.min(axis=-1))
+        return out if out.ndim else float(out)
 
     def potential_q(self, x):
         """Liouville potential evaluated at the warped point zeta(x)."""
@@ -426,30 +377,6 @@ def admissibility_check(profile):
     return AdmissibilityReport(not reasons, reasons, profile.lower, profile.upper)
 
 
-def max_gap_delta(profile, points):
-    return profile.max_gap_delta(points)
-
-
-def mu_p(profile, interval):
-    return profile.mu(interval)
-
-
-def eval_p(profile, x):
-    return profile.eval_p(x)
-
-
-def zeta(profile, x):
-    return profile.zeta(x)
-
-
-def zeta_inv(profile, z):
-    return profile.zeta_inv(z)
-
-
-def potential_q(profile, x):
-    return profile.potential_q(x)
-
-
 def profile_from_config(cfg):
     """Build a profile from the experiment-config block.
 
@@ -472,3 +399,26 @@ def _unpack(interval):
         return interval.a, interval.b
     a, b = interval
     return float(a), float(b)
+
+
+def _gap_ends(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(b <= a):
+        raise ProfileError("empty gap")
+    return a, b
+
+
+def _extended_interp(x, xp, fp, end_slopes):
+    """Linear interpolant through (xp, fp), extended past both ends with the given slopes.
+
+    The table passes through (0, 0). Points left of 0 are interpolated on the
+    mirrored table, so that every point is reached from the knot nearer to 0
+    and a value near 0 keeps its relative precision.
+    """
+    x = np.asarray(x, dtype=float)
+    inner = np.where(x < 0, -np.interp(-x, -xp[::-1], -fp[::-1]), np.interp(x, xp, fp))
+    out = np.where(
+        x < xp[0], fp[0] + (x - xp[0]) * end_slopes[0],
+        np.where(x > xp[-1], fp[-1] + (x - xp[-1]) * end_slopes[1], inner),
+    )
+    return out if out.ndim else float(out)

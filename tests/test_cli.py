@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from varband.cli import main
-from varband.kernel import free_model
+from varband.kernel import ToyModel, free_model
 from varband.paleywiener import random_smooth_function
 from varband.sampling import ReconstructionOperator, SampleSet, samples_to_csv
 from varband.spectral import SpectralSet, uniform_quadrature
@@ -65,6 +67,24 @@ class TestKernel:
         run(["kernel", "--config", cfg, "--out", o1, "--seed", 7])
         run(["kernel", "--config", cfg, "--out", o2, "--seed", 7])
         assert (o1 / "kernel_grid.csv").read_bytes() == (o2 / "kernel_grid.csv").read_bytes()
+
+    def test_grid_matches_csv_writer_rendering(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 6.0,
+            "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
+            "grid": {"lo": -5.0, "hi": 5.0, "n": 41},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        xs = np.linspace(-5.0, 5.0, 41)
+        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=6.0).kernel_matrix(
+            xs, xs, keep_complex=True)
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
+        for i, x in enumerate(xs):
+            w.writerow([f"{x:.12g}"] + [f"{K[i, j].real:.12g}" for j in range(xs.size)])
+        assert (out / "kernel_grid.csv").read_bytes() == ref.getvalue().encode()
 
 
 class TestScatter:
@@ -206,6 +226,27 @@ class TestLandau:
         rep = json.loads((out / "report.json").read_text())
         assert rep["brackets_critical"]
         assert rep["last_degenerating"] <= rep["critical_density"] <= rep["first_stabilizing"]
+
+    def test_constant_piecewise_profile_accepted(self, tmp_path):
+        # the default profile, written out
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "piecewise", "breakpoints": [], "values": [1.0]},
+            "spectral_set": [[0.0, 1.0]],
+            "density_grid": [0.8 / np.pi, 1.2 / np.pi],
+            "window_halfwidths": [30.0, 60.0],
+        })
+        assert run(["landau", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
+        {"kind": "piecewise", "breakpoints": [], "values": [2.0]},
+    ])
+    def test_other_profiles_rejected(self, tmp_path, capsys, profile):
+        cfg = write_cfg(tmp_path, "cfg.json", {"profile": profile, "spectral_set": [[0.0, 1.0]]})
+        assert run(["landau", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "smooth_blend" in err
+        assert not (tmp_path / "out" / "landau_sweep.csv").exists()
 
 
 THREE_PLATEAUS = {"kind": "piecewise", "breakpoints": [-1.0, 2.0], "values": [1.0, 3.0, 4.0]}

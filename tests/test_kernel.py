@@ -17,6 +17,7 @@ from varband.kernel import (
 from varband.paleywiener import random_function, transform
 from varband.profile import blend_profile
 from varband.spectral import SpectralSet
+from varband.sturm import toy_fundamental
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +187,18 @@ class TestLiouville:
 
         with pytest.raises(KernelError):
             LiouvilleModel(toy_profile(1.0, 4.0), SpectralSet([(0.0, 1.0)]))
+
+
+class TestToyPhi:
+    @pytest.mark.parametrize("pm, pp", [(1.0, 4.0), (3.0, 0.5)])
+    def test_matches_closed_form_fundamentals(self, pm, pp):
+        model = ToyModel(pm, pp, SpectralSet([(0.0, 2.0)]), x_max=6.0)
+        xs = np.concatenate(([0.0, -1e-300, 1e-300], np.linspace(-4000.0, 4000.0, 801)))
+        phi = model.phi(xs)
+        for l, w in enumerate(model.quad.nodes):
+            plus, minus = toy_fundamental(pm, pp, w**2, xs)
+            assert np.max(np.abs(phi[0, l] - plus)) < 1e-11
+            assert np.max(np.abs(phi[1, l] - minus)) < 1e-11
 
 
 # -- the BLAS contractions against the three-operand einsums they replaced --

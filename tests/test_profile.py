@@ -11,7 +11,6 @@ from varband.profile import (
     admissibility_check,
     blend_profile,
     constant_profile,
-    max_gap_delta,
     profile_from_config,
     toy_profile,
 )
@@ -169,22 +168,147 @@ class TestPotential:
 class TestMaxGap:
     def test_unit_lattice(self):
         p = constant_profile(1.0)
-        assert max_gap_delta(p, np.arange(-5, 6, dtype=float)) == pytest.approx(1.0)
+        assert p.max_gap_delta(np.arange(-5, 6, dtype=float)) == pytest.approx(1.0)
 
     def test_step_uses_open_gap_infimum(self, step14):
         # the gap (0, 1) lies in the fast plateau, so it weighs half
-        assert max_gap_delta(step14, np.array([-1.0, 0.0, 1.0])) == pytest.approx(1.0)
-        assert max_gap_delta(step14, np.array([0.0, 1.0])) == pytest.approx(0.5)
+        assert step14.max_gap_delta(np.array([-1.0, 0.0, 1.0])) == pytest.approx(1.0)
+        assert step14.max_gap_delta(np.array([0.0, 1.0])) == pytest.approx(0.5)
 
     def test_pass_example(self):
         p = constant_profile(1.0)
-        delta = max_gap_delta(p, np.array([0.0, np.pi / 2]))
+        delta = p.max_gap_delta(np.array([0.0, np.pi / 2]))
         assert delta == pytest.approx(np.pi / 2)
         assert delta < np.pi
 
     def test_needs_two_points(self, step14):
         with pytest.raises(ProfileError):
-            max_gap_delta(step14, np.array([1.0]))
+            step14.max_gap_delta(np.array([1.0]))
+
+
+def reference_warp(profile, x, power):
+    """int_0^x p**power, summed piece by piece from 0 for one point."""
+    bp, w = profile.breakpoints, profile.values**power
+    lo, hi = (0.0, x) if x >= 0 else (x, 0.0)
+    edges = np.concatenate(([lo], bp[(bp > lo) & (bp < hi)], [hi]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += (b - a) * w[np.searchsorted(bp, 0.5 * (a + b), side="right")]
+    return total if x >= 0 else -total
+
+
+def reference_inf_p(profile, a, b):
+    """Infimum of p over the open gap (a, b), one gap at a time."""
+    if isinstance(profile, PiecewiseConstantProfile):
+        i_lo = np.searchsorted(profile.breakpoints, a, side="right")
+        i_hi = np.searchsorted(profile.breakpoints, b, side="left")
+        return float(profile.values[i_lo : i_hi + 1].min())
+    R = profile.R
+    cands = [profile.eval_p(a), profile.eval_p(b)]
+    lo, hi = max(a, -R), min(b, R)
+    if hi > lo:
+        cands.append(float(np.min(profile.eval_p(np.linspace(lo, hi, 129)))))
+    if a < -R:
+        cands.append(profile.p_minus)
+    if b > R:
+        cands.append(profile.p_plus)
+    return float(min(cands))
+
+
+def reference_max_gap_delta(profile, x):
+    return max((hi - lo) / np.sqrt(reference_inf_p(profile, lo, hi)) for lo, hi in zip(x[:-1], x[1:]))
+
+
+def seeded_profile(n_breakpoints, inner, seed):
+    """n random breakpoints; the one nearest 0 moves to ``inner`` unless it is None."""
+    rng = np.random.default_rng(seed)
+    bp = np.sort(rng.uniform(-30.0, 30.0, n_breakpoints))
+    if inner is not None:
+        bp[np.argmin(np.abs(bp))] = inner
+        bp = np.sort(bp)
+    return PiecewiseConstantProfile(bp, rng.uniform(0.3, 6.0, bp.size + 1))
+
+
+# a breakpoint at 0, or none; 1e-5 puts a knot next to the one at 0
+KNOT_PROFILES = [(0, None), (1, None), (1, 0.0), (40, None), (40, 0.0), (40, 1e-5)]
+
+
+def probe_points(profile):
+    bp = profile.breakpoints
+    outer = max(1.0, float(np.abs(bp).max())) if bp.size else 1.0
+    near_zero = np.geomspace(1e-12, 1e-2, 6)
+    return np.concatenate((bp, [0.0], near_zero, -near_zero, np.linspace(-2 * outer, 2 * outer, 397)))
+
+
+def relative_error(got, want):
+    want = np.asarray(want)
+    return np.max(np.abs(got - want) / np.where(want == 0.0, 1.0, np.abs(want)))
+
+
+class TestKnotTableWarps:
+    @pytest.fixture(params=KNOT_PROFILES, ids=lambda c: f"{c[0]}bp-inner{c[1]}")
+    def prof(self, request):
+        n, inner = request.param
+        return seeded_profile(n, inner, seed=100 + n)
+
+    @pytest.mark.parametrize("power", [-0.5, -1.0])
+    def test_matches_per_piece_sum(self, prof, power):
+        xs = probe_points(prof)
+        want = np.array([reference_warp(prof, x, power) for x in xs])
+        got = prof.zeta(xs) if power == -0.5 else prof.eta(xs)
+        assert relative_error(got, want) < 1e-12
+
+    @pytest.mark.parametrize("power", [-0.5, -1.0])
+    def test_inverse_maps_reference_back(self, prof, power):
+        xs = probe_points(prof)
+        ws = np.array([reference_warp(prof, x, power) for x in xs])
+        back = prof.zeta_inv(ws) if power == -0.5 else prof.eta_inv(ws)
+        assert relative_error(back, xs) < 1e-12
+
+    def test_zero_is_exact(self, prof):
+        assert prof.zeta(0.0) == 0.0
+        assert prof.eta(0.0) == 0.0
+
+    def test_scalar_returns_float(self, prof):
+        for fn in (prof.zeta, prof.eta, prof.zeta_inv, prof.eta_inv):
+            assert type(fn(0.7)) is float
+        assert type(prof.inf_p(-0.5, 0.5)) is float
+
+
+class TestVectorGaps:
+    def test_piecewise_matches_per_gap_loop(self):
+        rng = np.random.default_rng(7)
+        for n, inner in KNOT_PROFILES:
+            prof = seeded_profile(n, inner, seed=200 + n)
+            bp = prof.breakpoints
+            # gaps that start or end exactly on a breakpoint, and gaps that straddle one
+            x = np.unique(np.concatenate((bp[::2], bp[1::2] - 1e-3, bp[1::2] + 1e-3,
+                                          rng.uniform(-70.0, 70.0, 60))))
+            want = [reference_inf_p(prof, lo, hi) for lo, hi in zip(x[:-1], x[1:])]
+            assert np.array_equal(prof.inf_p(x[:-1], x[1:]), want)
+            assert prof.max_gap_delta(x) == reference_max_gap_delta(prof, x)
+
+    def test_piecewise_open_gap_convention(self, step14):
+        # (0, 1) sees only the right plateau, (-1, 0) only the left one
+        got = step14.inf_p(np.array([-1.0, 0.0, -1.0]), np.array([0.0, 1.0, 1.0]))
+        assert got.tolist() == [1.0, 4.0, 1.0]
+
+    @pytest.mark.parametrize("kind", ["cubic", "quintic"])
+    def test_smooth_matches_per_gap_loop(self, kind):
+        prof = blend_profile(3.0, 1.5, R=1.5, kind=kind)
+        rng = np.random.default_rng(11)
+        x = np.unique(np.concatenate(([-1.5, 1.5, 0.0], rng.uniform(-4.0, 4.0, 40))))
+        want = [reference_inf_p(prof, lo, hi) for lo, hi in zip(x[:-1], x[1:])]
+        # p is evaluated on one (n_gaps, 129) table instead of row by row, and
+        # numpy's vector loops may round a sample differently in the last bit
+        rtol = 8 * np.finfo(float).eps
+        np.testing.assert_allclose(prof.inf_p(x[:-1], x[1:]), want, rtol=rtol, atol=0)
+        assert prof.max_gap_delta(x) == pytest.approx(reference_max_gap_delta(prof, x), rel=rtol)
+
+    def test_empty_gap_rejected(self, step14, smooth12):
+        for prof in (step14, smooth12):
+            with pytest.raises(ProfileError):
+                prof.inf_p(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
 class TestAdmissibility:
