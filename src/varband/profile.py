@@ -9,6 +9,9 @@ against ``sqrt(p)``.
 Two families are supported: piecewise-constant profiles (all integrals in
 closed form) and smooth eventually-constant profiles given by evaluators for
 (p, p', p'') that are exactly constant outside ``[-R, R]``.
+
+`CubicHermite`, the cubic Hermite interpolant behind the smooth warps, lives
+here so that the scattering and eigen-solution layers can share it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicHermiteSpline
 
 
 class ProfileError(ValueError):
@@ -56,6 +57,40 @@ class AdmissibilityReport:
     reasons: list
     lower: float
     upper: float
+
+
+class CubicHermite:
+    """Piecewise cubic through knots x (strictly increasing) with values y and slopes dydx.
+
+    y and dydx have shape (len(x), ...); the trailing axes are carried through,
+    so a call at points of shape s returns shape s + y.shape[1:]. Each interval
+    holds power-basis coefficients in (t - x_i); points outside [x_0, x_-1]
+    continue the end pieces.
+    """
+
+    def __init__(self, x, y, dydx):
+        self.x = np.asarray(x, dtype=float)
+        y, dydx = np.asarray(y), np.asarray(dydx)
+        h = np.diff(self.x).reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / h
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / h
+        # cubic, quadratic, linear and constant coefficients of each interval
+        self.c = (t / h, (slope - dydx[:-1]) / h - t, dydx[:-1], y[:-1])
+
+    def _local(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        s = (t - self.x[i]).reshape(t.shape + (1,) * (self.c[0].ndim - 1))
+        return s, [c[i] for c in self.c]
+
+    def __call__(self, t):
+        s, (c3, c2, c1, c0) = self._local(t)
+        return ((c3 * s + c2) * s + c1) * s + c0
+
+    def derivative(self, t):
+        """First derivative at t."""
+        s, (c3, c2, c1, _) = self._local(t)
+        return (3 * c3 * s + 2 * c2) * s + c1
 
 
 class BandwidthProfile:
@@ -236,8 +271,8 @@ class SmoothProfile(BandwidthProfile):
         # anchor at x = 0
         i0 = (n - 1) // 2
         cum -= cum[i0] if edges[i0] == 0.0 else np.interp(0.0, edges, cum)
-        fwd = CubicHermiteSpline(edges, cum, w)
-        inv = CubicHermiteSpline(cum, edges, 1.0 / w)
+        fwd = CubicHermite(edges, cum, w)
+        inv = CubicHermite(cum, edges, 1.0 / w)
         return fwd, inv, cum[0], cum[-1]
 
     def _warp_pair(self, power):
@@ -282,6 +317,8 @@ class SmoothProfile(BandwidthProfile):
         if b > self.R:
             total += (b - max(a, self.R)) / np.sqrt(self.p_plus)
         if hi > lo:
+            from scipy import integrate
+
             val, err = integrate.quad(
                 lambda u: self.eval_p(u) ** -0.5, lo, hi, epsabs=1e-10, epsrel=1e-8, limit=200,
             )

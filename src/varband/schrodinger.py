@@ -13,8 +13,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
+from .profile import CubicHermite
 from .sturm import IntegrationError, rk4_linear, rk4_segments
 
 
@@ -117,8 +117,8 @@ class ScatteringSweep:
 
         if store_interior:
             o1 = np.argsort(g1)
-            self._spline1 = CubicHermiteSpline(g1[o1], s1[o1, 0, :], s1[o1, 1, :])
-            self._spline2 = CubicHermiteSpline(g2, s2[:, 0, :], s2[:, 1, :])
+            self._spline1 = CubicHermite(g1[o1], s1[o1, 0, :], s1[o1, 1, :])
+            self._spline2 = CubicHermite(g2, s2[:, 0, :], s2[:, 1, :])
         else:
             self._spline1 = self._spline2 = None
 

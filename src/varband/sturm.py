@@ -13,7 +13,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
+
+from .profile import CubicHermite
 
 
 class IntegrationError(RuntimeError):
@@ -134,7 +135,7 @@ class EigenSolution:
                 # picking up the wrong one-sided limit at the edges
                 p_here = np.full(x.size, float(self.profile.eval_p(0.5 * (a + b))))
             dphi = self.states[sel, 1] / p_here
-            splines.append((a, b, CubicHermiteSpline(x, self.states[sel, 0], dphi)))
+            splines.append((a, b, CubicHermite(x, self.states[sel, 0], dphi)))
         return splines
 
     def phi(self, x):
@@ -159,7 +160,7 @@ class EigenSolution:
                 continue
             sel = (flat_x >= a) & (flat_x <= b)
             pv = np.atleast_1d(np.asarray(self.profile.eval_p(flat_x[sel]), dtype=float))
-            flat_o[sel] = sp.derivative()(flat_x[sel]) * pv
+            flat_o[sel] = sp.derivative(flat_x[sel]) * pv
         return flat_o.reshape(x.shape) if x.ndim else complex(flat_o[0])
 
     def to_csv(self, path):

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +69,14 @@ class TestKernel:
         o1, o2 = tmp_path / "a", tmp_path / "b"
         run(["kernel", "--config", cfg, "--out", o1, "--seed", 7])
         run(["kernel", "--config", cfg, "--out", o2, "--seed", 7])
-        assert (o1 / "kernel_grid.csv").read_bytes() == (o2 / "kernel_grid.csv").read_bytes()
+        for name in ("kernel_grid.csv", "kernel_pairs.csv"):
+            assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+        reports = [json.loads((o / "report.json").read_text()) for o in (o1, o2)]
+        for rep in reports:
+            assert set(rep.pop("timings")) == {"elapsed_seconds"}
+        # with the timings removed, the reports render to the same bytes
+        assert json.dumps(reports[0], indent=2, sort_keys=True) == json.dumps(
+            reports[1], indent=2, sort_keys=True)
 
     def test_grid_matches_csv_writer_rendering(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -332,3 +342,32 @@ class TestErrors:
         })
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: interval [2.0, 1.0] is reversed" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.special", "scipy.optimize",
+               "scipy.linalg", "scipy.sparse")
+
+
+def heavy_scipy_loaded(code):
+    """The modules of HEAVY_SCIPY that a fresh interpreter holds after running code."""
+    prog = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+            f"print(' '.join(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", prog], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_heavy_scipy(self):
+        assert heavy_scipy_loaded("import varband.cli") == []
+
+    def test_scatter_run_needs_no_interpolate(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0},
+            "omega_grid": {"lo": 0.5, "hi": 2.0, "n": 4},
+        })
+        args = ["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        loaded = heavy_scipy_loaded(f"import varband.cli\nassert varband.cli.main({args!r}) == 0")
+        assert "scipy.interpolate" not in loaded

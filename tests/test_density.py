@@ -11,7 +11,7 @@ from varband.density import (
     separation,
     sliding_counts,
 )
-from varband.profile import blend_profile, constant_profile, toy_profile
+from varband.profile import PiecewiseConstantProfile, blend_profile, constant_profile, toy_profile
 from varband.spectral import SpectralSet
 
 
@@ -78,6 +78,23 @@ class TestSeparation:
     def test_needs_two(self):
         with pytest.raises(DensityError):
             separation(constant_profile(1.0), np.array([0.0]))
+
+    def test_window_between_grid_positions(self):
+        # [0.5013, 1.5013) holds three points; a grid of window starts can miss it
+        _, n0 = separation(constant_profile(1.0), np.array([0.0, 0.5013, 1.0, 1.5012]))
+        assert n0 == 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        prof = [PiecewiseConstantProfile([], [1.0]), toy_profile(1.0, 4.0)][seed % 2]
+        pts = np.unique(rng.uniform(-6.0, 6.0, rng.integers(2, 120)))
+        z = np.sort(prof.zeta(pts))
+        # #(z in [t, t+1)) only changes where t crosses some z_j or z_j - 1, and it
+        # is constant on each (c_k, c_k+1] between those values: try them all
+        starts = np.concatenate((z, z - 1.0))
+        brute = max(int(np.sum((t <= z) & (z < t + 1.0))) for t in starts)
+        assert separation(prof, pts)[1] == brute
 
 
 class TestEquivariance:
