@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .density import (beurling_density, gap_density_bound, landau_sweep,
-                      matched_free_model_builder, quasi_uniform_set, separation)
+                      quasi_uniform_set, separation)
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                      toy_kernel)
 from .paleywiener import random_smooth_function
@@ -71,20 +71,22 @@ def _step_values(cfg, what):
     return prof.p_minus, prof.p_plus
 
 
-def _model(cfg, x_max=None):
+def _model(cfg, quad=None):
+    """The spectral model the config names; ``quad`` replaces its Gauss rule."""
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
-    x_max = x_max or cfg.get("x_max", 25.0)
+    x_max = cfg.get("x_max", 25.0)
     if kind == "free":
-        return free_model(sset, x_max=x_max)
+        return free_model(sset, quad=quad, x_max=x_max)
     if kind == "toy":
-        return ToyModel(*_step_values(cfg, "model 'toy'"), sset, x_max=x_max)
+        return ToyModel(*_step_values(cfg, "model 'toy'"), sset, quad=quad, x_max=x_max)
     if kind == "liouville":
-        return LiouvilleModel(_smooth_profile(cfg, "model 'liouville'"), sset, x_max=x_max)
+        return LiouvilleModel(_smooth_profile(cfg, "model 'liouville'"), sset, quad=quad,
+                              x_max=x_max)
     if kind == "schrodinger":
         prof = _smooth_profile(cfg, "model 'schrodinger'")
         return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
-                                sset, x_max=x_max)
+                                sset, quad=quad, x_max=x_max)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -149,19 +151,16 @@ def cmd_scatter(cfg, out_dir, rng, tol_scale):
 
 def cmd_reconstruct(cfg, out_dir, rng, tol_scale, samples_path=None):
     t0 = time.time()
-    kind = cfg.get("model", "free")
-    if kind not in ("toy", "free"):
-        raise ConfigError(f"reconstruct supports model kinds 'toy' and 'free', not {kind!r}")
+    if cfg.get("model") == "schrodinger":
+        # its Phi lives in the warped coordinate, not in the samples' x
+        raise ConfigError("reconstruct supports model kinds 'toy', 'free' and 'liouville', "
+                          "not 'schrodinger'")
     prof = _profile(cfg)
     sset = _sset(cfg)
     omega_max = sset.lambda_max
     window = tuple(_require(cfg, "window"))
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
-    quad = uniform_quadrature(sset, np.pi / wz)
-    if kind == "toy":
-        model = ToyModel(*_step_values(cfg, "model 'toy'"), sset, quad=quad)
-    else:
-        model = free_model(sset, quad=quad)
+    model = _model(cfg, quad=uniform_quadrature(sset, np.pi / wz))
     if samples_path:
         pts, vals = samples_from_csv(samples_path)
     else:
@@ -234,14 +233,17 @@ def cmd_landau(cfg, out_dir, rng, tol_scale):
     grid = cfg.get("density_grid") or list(crit * np.arange(0.65, 1.4, 0.1))
     windows = cfg.get("window_halfwidths", [40.0, 80.0, 160.0])
     if prof.is_smooth:
-        def builder(wz):
-            return LiouvilleModel(prof, sset, quad=uniform_quadrature(sset, np.pi / wz))
+        kind = "liouville"
     elif prof.breakpoints.size == 0 and prof.p_minus == 1.0:
-        prof = constant_profile(1.0)
-        builder = matched_free_model_builder(sset)
+        prof, kind = constant_profile(1.0), "free"
     else:
         raise ConfigError("landau needs a 'smooth_blend' profile or the constant "
                           "piecewise profile with value 1.0")
+
+    def builder(wz):
+        # quadrature matched to the warped window, as `landau_sweep` requires
+        return _model(dict(cfg, model=kind), quad=uniform_quadrature(sset, np.pi / wz))
+
     res = landau_sweep(builder, prof, sset, grid, windows)
     res.to_csv(Path(out_dir) / "landau_sweep.csv")
     bracketed = bool(res.threshold_low <= res.critical <= res.threshold_high

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .profile import _unpack
 from .sampling import SampleSet, frame_bounds_estimate
 from .spectral import SpectralSet, uniform_quadrature
 
@@ -50,29 +51,35 @@ def _warped_points(profile, X):
     return np.sort(np.atleast_1d(profile.zeta(pts)))
 
 
-def sliding_counts(z, window_z, r, step_frac=50):
-    """(min, max) of #(z in [t, t+r)) over positions t inside the window."""
+def sliding_counts(z, window_z, r):
+    """(min, max) of #(z in [t, t+r)) over t in [a, b - r], exact for sorted z.
+
+    The count changes only where t or t + r meets a point, so it is constant
+    between consecutive candidates {a, b - r, z_i, z_i - r}; the candidates
+    inside [a, b - r] and the midpoints between them see every value, the
+    midpoints even where t + r rounds across a point.
+    """
     a, b = window_z
     if b - a < r:
         raise DensityError(f"window of warped length {b - a:g} too small for r={r:g}")
-    positions = np.arange(a, b - r + 1e-12, r / step_frac)
-    lo = np.searchsorted(z, positions, side="left")
-    hi = np.searchsorted(z, positions + r, side="left")
-    counts = hi - lo
+    c = np.concatenate(([a, b - r], z, z - r))
+    c = np.unique(c[(c >= a) & (c <= b - r)])
+    t = np.concatenate((c, 0.5 * (c[:-1] + c[1:])))
+    counts = np.searchsorted(z, t + r, side="left") - np.searchsorted(z, t, side="left")
     return int(counts.min()), int(counts.max())
 
 
-def beurling_density(profile, X, r_list, window, step_frac=50):
+def beurling_density(profile, X, r_list, window):
     """Finite-window estimates of the adapted lower/upper Beurling densities."""
     z = _warped_points(profile, X)
-    a, b = (window.a, window.b) if hasattr(window, "a") else window
+    a, b = _unpack(window)
     wz = (float(profile.zeta(a)), float(profile.zeta(b)))
     r_list = sorted(float(r) for r in r_list)
     if r_list and r_list[-1] > (wz[1] - wz[0]) / 4:
         raise DensityError("largest r exceeds a quarter of the warped window")
     lower, upper = [], []
     for r in r_list:
-        cmin, cmax = sliding_counts(z, wz, r, step_frac)
+        cmin, cmax = sliding_counts(z, wz, r)
         lower.append(cmin / r)
         upper.append(cmax / r)
     trend = all(x <= y + 1e-12 for x, y in zip(lower, lower[1:]))
@@ -106,7 +113,7 @@ def gap_density_bound(profile, X, window=None, r_max=None):
     if window is None:
         wz = (float(z[0]), float(z[-1]))
     else:
-        a, b = (window.a, window.b) if hasattr(window, "a") else window
+        a, b = _unpack(window)
         wz = (float(profile.zeta(a)), float(profile.zeta(b)))
     if r_max is None:
         r_max = (wz[1] - wz[0]) / 4
@@ -118,7 +125,7 @@ def gap_density_bound(profile, X, window=None, r_max=None):
 
 def quasi_uniform_set(profile, density, window):
     """Points with exact mu_p-density: zeta_inv of a uniform lattice."""
-    a, b = (window.a, window.b) if hasattr(window, "a") else window
+    a, b = _unpack(window)
     za, zb = float(profile.zeta(a)), float(profile.zeta(b))
     n = int(np.floor((zb - za) * density))
     if n < 2:

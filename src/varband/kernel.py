@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .profile import SmoothProfile
+from .profile import SmoothProfile, _unpack
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
 
@@ -144,8 +144,13 @@ class SpectralModel:
         """
         raise NotImplementedError
 
-    def cell_integral(self, lo, hi):
-        """int_lo^hi Phi_c(omega_l, y) dy, shape (2, n_nodes)."""
+    def antiderivative(self, x):
+        """int Phi_c(omega_l, y) dy up to x, shape (2, n_nodes, n_x).
+
+        Anchored at a fixed point of the model's choosing, so the integral
+        over a cell [lo, hi] is the entry at hi minus the entry at lo: one
+        table and one ``np.diff`` give every cell between sorted edges.
+        """
         raise NotImplementedError
 
     # -- kernel evaluation ---------------------------------------------------
@@ -214,47 +219,32 @@ class ToyModel(SpectralModel):
         self.rho = np.vstack([np.full(n, sm * c), np.full(n, sp * c)])
         self.transform_prefactor = 1.0
 
-    def phi(self, x):
+    def _waves(self, x):
+        """k = omega / sqrt(p), E = exp(i k x) and v with Phi = Re E + i v Im E.
+
+        p is taken on x's side of the jump. Each Phi_c is a E + b conj(E) with
+        real a, b: v = +-1 for a pure wave, +-(ratio of sqrt(p)) for cos + i v sin.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
         right = x > 0
-        # one table E = exp(i omega x / sqrt(p)), p taken on x's side of the jump.
-        # Each Phi_c is a E + b conj(E) with real a, b, i.e. Re E + i v_c Im E:
-        # v = +-1 where Phi_c is a pure wave, +-(ratio of sqrt(p)) where it is cos + i v sin
-        E = np.exp(1j * ((self.quad.nodes[:, None] / np.where(right, sp, sm)) * x))
+        k = self.quad.nodes[:, None] / np.where(right, sp, sm)
         v = np.where(right, [[1.0], [-sm / sp]], [[sp / sm], [-1.0]])
+        return k, np.exp(1j * (k * x)), v[:, None, :]
+
+    def phi(self, x):
+        E, v = self._waves(x)[1:]
         out = np.empty((2,) + E.shape, dtype=complex)
         out.real = E.real
-        out.imag = v[:, None, :] * E.imag
+        out.imag = v * E.imag
         return out
 
-    def cell_integral(self, lo, hi):
-        w = self.quad.nodes
-        sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
-        km, kp = w / sm, w / sp
-        out = np.zeros((2, w.size), dtype=complex)
-
-        def seg(a, b, side):
-            # antiderivatives of the closed forms on one side of the jump
-            if side == "right":
-                i_plus = (np.exp(1j * kp * b) - np.exp(1j * kp * a)) / (1j * kp)
-                cosdiff = (np.sin(kp * b) - np.sin(kp * a)) / kp
-                sindiff = (np.cos(kp * a) - np.cos(kp * b)) / kp
-                out[0] += i_plus
-                out[1] += cosdiff - 1j * (sm / sp) * sindiff
-            else:
-                cosdiff = (np.sin(km * b) - np.sin(km * a)) / km
-                sindiff = (np.cos(km * a) - np.cos(km * b)) / km
-                out[0] += cosdiff + 1j * (sp / sm) * sindiff
-                out[1] += (np.exp(-1j * km * b) - np.exp(-1j * km * a)) / (-1j * km)
-
-        if hi <= 0:
-            seg(lo, hi, "left")
-        elif lo >= 0:
-            seg(lo, hi, "right")
-        else:
-            seg(lo, 0.0, "left")
-            seg(0.0, hi, "right")
+    def antiderivative(self, x):
+        """int_0^x Phi: Im E / k + i v (1 - Re E) / k, in closed form on both sides."""
+        k, E, v = self._waves(x)
+        out = np.empty((2,) + E.shape, dtype=complex)
+        out.real = E.imag / k
+        out.imag = v * ((1.0 - E.real) / k)
         return out
 
 
@@ -279,8 +269,8 @@ class SchrodingerModel(SpectralModel):
     def phi(self, x):
         return self.sweep.phi(x)
 
-    def cell_integral(self, lo, hi):
-        return self.sweep.cell_integral(lo, hi)
+    def antiderivative(self, x):
+        return self.sweep.antiderivative(x)
 
     # fast evaluation paths from the plane-wave tails -----------------------
 
@@ -365,36 +355,52 @@ class LiouvilleModel(SpectralModel):
         pref = np.asarray(self.profile.eval_p(x), dtype=float) ** -0.25
         return self.inner.phi(self.profile.zeta(x)) * pref[None, None, :]
 
-    def cell_integral(self, lo, hi):
-        # no plane-wave closed form in the original coordinate; composite
-        # Gauss-Legendre with panels resolving the fastest local oscillation
-        wmax = float(np.max(self.quad.nodes))
-        panel = np.pi / (4 * wmax * np.sqrt(max(self.profile.lower, 1e-12)))
-        n_pan = max(1, int(np.ceil((hi - lo) / panel)))
+    def antiderivative(self, x):
+        """int Phi up to x, anchored at the leftmost of x and -R.
+
+        No plane-wave closed form exists in the original coordinate: one
+        composite 10-point Gauss-Legendre pass runs over panels that break at
+        every x and at the blend edges +-R, where Phi has a kink, and are no
+        wider than pi / (4 max(omega) sqrt(inf p)); a cumulative sum chains
+        them. Phi is evaluated in blocks of at most 2**18 node-point values
+        (8 MB, plus the interior spline's temporaries), and only the entries
+        at x are kept, so memory does not grow with the number of panels.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        R, n = self.profile.R, len(self.quad)
+        lo, hi = min(float(x.min()), -R), max(float(x.max()), R)
+        panel = np.pi / (4 * float(np.max(self.quad.nodes)) * np.sqrt(self.profile.lower))
+        grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / panel)) + 1)
+        edges = np.union1d(np.concatenate((x, [-R, R])), grid)
+        # panel k ends at edges[k]; panel 0 has zero width, so the running sum
+        # through panel k is the integral from lo to edges[k]
+        left = np.concatenate(([lo], edges[:-1]))
+        half = 0.5 * (edges - left)
         gx, gw = np.polynomial.legendre.leggauss(10)
-        edges = np.linspace(lo, hi, n_pan + 1)
-        out = np.zeros((2, len(self.quad)), dtype=complex)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            pts = 0.5 * (a + b) + half * gx
-            out += half * (_as_matrix(self.phi(pts)) @ gw).reshape(out.shape)
+        pts = 0.5 * (left + edges)[:, None] + half[:, None] * gx
+        at = np.searchsorted(edges, x)
+        out = np.empty((2, n, x.size), dtype=complex)
+        carry = np.zeros((2, n))
+        rows = max(1, 2**18 // (n * gx.size))
+        for i in range(0, edges.size, rows):
+            run = self.phi(pts[i:i + rows].ravel()).reshape(2, n, -1, gx.size) @ gw
+            run *= half[i:i + rows]
+            run[:, :, 0] += carry
+            np.cumsum(run, axis=-1, out=run)
+            mine = (at >= i) & (at < i + rows)
+            out[:, :, mine], carry = run[:, :, at[mine] - i], run[:, :, -1]
         return out
 
 
 # ---------------------------------------------------------------------------
-# convenience wrappers
-
-
-def toy_quadrature_kernel(p_minus, p_plus, sset, x, y, x_max=25.0):
-    """Direct quadrature of the spectral formula; cross-check for `toy_kernel`."""
-    return ToyModel(p_minus, p_plus, sset, x_max=x_max).kernel(x, y)
+# spatial averages
 
 
 def kernel_tail_mass(kernel_fn, x, b, window, n=4001):
     """int over {|y - x| > b} within `window` of |k(x, y)|^2, composite Simpson."""
     from scipy.integrate import simpson
 
-    a0, a1 = (window.a, window.b) if hasattr(window, "a") else window
+    a0, a1 = _unpack(window)
     total = 0.0
     for lo, hi in ((a0, x - b), (x + b, a1)):
         if hi <= lo:
@@ -408,17 +414,13 @@ def kernel_tail_mass(kernel_fn, x, b, window, n=4001):
 def diagonal_average(model, interval, n=2001):
     """Mean of k(y, y) over an interval, composite Simpson.
 
-    Uses the reflection-ripple closed form when the whole interval sits to
-    the right of the potential support (much cheaper on long windows).
+    Right of a Schrodinger potential's support, `diagonal_tail_average` is
+    exact and cheaper.
     """
     from scipy.integrate import simpson
 
-    a, b = (interval.a, interval.b) if hasattr(interval, "a") else interval
+    a, b = _unpack(interval)
     if b <= a:
         raise KernelError("empty interval")
     ys = np.linspace(a, b, n)
-    if isinstance(model, SchrodingerModel) and a >= model.support_radius:
-        vals = model.diagonal_tail(ys)
-    else:
-        vals = np.asarray(model.diagonal(ys))
-    return float(simpson(vals, x=ys) / (b - a))
+    return float(simpson(np.asarray(model.diagonal(ys)), x=ys) / (b - a))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _as_matrix
+from .profile import _unpack
 
 
 class FunctionError(ValueError):
@@ -71,8 +72,7 @@ class VarBandFunction:
         """L2 norm by Simpson quadrature on a window (Parseval cross-check)."""
         from scipy.integrate import simpson
 
-        a, b = (window.a, window.b) if hasattr(window, "a") else window
-        xs = np.linspace(a, b, n)
+        xs = np.linspace(*_unpack(window), n)
         vals = np.abs(self.evaluate(xs)) ** 2
         return float(np.sqrt(simpson(vals, x=xs)))
 
@@ -90,10 +90,6 @@ class VarBandFunction:
             w.writerow(["omega", "re_F1", "im_F1", "re_F2", "im_F2"])
             for om, f1, f2 in zip(self.model.quad.nodes, self.F[0], self.F[1]):
                 w.writerow([om, f1.real, f1.imag, f2.real, f2.imag])
-
-
-def synthesize(model, F):
-    return VarBandFunction(model, F)
 
 
 def zero_function(model):
@@ -150,7 +146,7 @@ def reproducing_function(model, x0):
 
 def transform(model, f, window, n_panels=None):
     """Spectral coefficients of a spatial callable by windowed quadrature."""
-    a, b = (window.a, window.b) if hasattr(window, "a") else window
+    a, b = _unpack(window)
     wmax = float(np.max(model.quad.nodes))
     if n_panels is None:
         n_panels = max(8, int(np.ceil((b - a) * wmax / np.pi)) * 2)
@@ -169,8 +165,8 @@ def project_step(model, breakpoints, values):
     """Spectral projection of the step function sum_i values[i] on cell i.
 
     breakpoints has one more entry than values; cell i is
-    [breakpoints[i], breakpoints[i+1]].  Interval integrals of the
-    fundamental solutions use closed forms on plane-wave tails.
+    [breakpoints[i], breakpoints[i+1]].  The cell integrals of the
+    fundamental solutions are differences of the model's antiderivative.
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -178,10 +174,7 @@ def project_step(model, breakpoints, values):
         raise FunctionError("need one more breakpoint than cell values")
     if np.any(np.diff(breakpoints) <= 0):
         raise FunctionError("breakpoints must be strictly increasing")
-    F = np.zeros((2, len(model.quad)), dtype=complex)
-    for lo, hi, v in zip(breakpoints[:-1], breakpoints[1:], values):
-        if v != 0:
-            F += v * model.cell_integral(lo, hi).conj()
+    F = np.diff(model.antiderivative(breakpoints), axis=-1).conj() @ values
     return VarBandFunction(model, model.transform_prefactor * F)
 
 

@@ -33,10 +33,6 @@ class QuadratureError(RuntimeError):
     pass
 
 
-class RootFindError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Interval:
     a: float
@@ -81,16 +77,31 @@ class CubicHermite:
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
         s = (t - self.x[i]).reshape(t.shape + (1,) * (self.c[0].ndim - 1))
-        return s, [c[i] for c in self.c]
+        return i, s, [c[i] for c in self.c]
 
     def __call__(self, t):
-        s, (c3, c2, c1, c0) = self._local(t)
+        _, s, (c3, c2, c1, c0) = self._local(t)
         return ((c3 * s + c2) * s + c1) * s + c0
 
     def derivative(self, t):
         """First derivative at t."""
-        s, (c3, c2, c1, _) = self._local(t)
+        _, s, (c3, c2, c1, _) = self._local(t)
         return (3 * c3 * s + 2 * c2) * s + c1
+
+    def antiderivative(self, t):
+        """Integral of the interpolant from the first knot to t, exact.
+
+        Past the ends it integrates the continued end pieces, as the
+        evaluation does.
+        """
+        def integral(s, c3, c2, c1, c0):  # of one piece, from its knot to knot + s
+            return (((c3 * s / 4 + c2 / 3) * s + c1 / 2) * s + c0) * s
+
+        h = np.diff(self.x).reshape((-1,) + (1,) * (self.c[0].ndim - 1))
+        pieces = integral(h, *self.c)
+        at_knots = np.cumsum(np.concatenate((np.zeros_like(pieces[:1]), pieces)), axis=0)
+        i, s, coeffs = self._local(t)
+        return integral(s, *coeffs) + at_knots[i]
 
 
 class BandwidthProfile:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .kernel import _as_matrix, _sinc, halfline_kernel, toy_kernel
 from .paleywiener import VarBandFunction, zero_function
+from .profile import _unpack
 
 
 class SamplingError(ValueError):
@@ -66,7 +67,7 @@ def weighted_sample_sum(values, points):
 def midpoint_partition(points, window):
     """Cell breakpoints: window edge, consecutive midpoints, window edge."""
     pts = np.asarray(points, dtype=float)
-    a, b = (window.a, window.b) if hasattr(window, "a") else window
+    a, b = _unpack(window)
     if pts[0] < a or pts[-1] > b:
         raise SamplingError("sample points escape the window")
     mids = 0.5 * (pts[:-1] + pts[1:])
@@ -109,11 +110,13 @@ class ReconstructionOperator:
     def __init__(self, model, X, window):
         self.model = model
         self.points = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
-        self.window = (window.a, window.b) if hasattr(window, "a") else tuple(window)
+        self.window = _unpack(window)
         edges = midpoint_partition(self.points, self.window)
-        cells = [model.cell_integral(lo, hi).conj() for lo, hi in zip(edges[:-1], edges[1:])]
-        # C maps sample values to spectral coefficients: (2, n_nodes, n_samples)
-        self.C = np.stack(cells, axis=-1) * model.transform_prefactor
+        # C maps sample values to spectral coefficients: (2, n_nodes, n_samples),
+        # the conjugated cell integrals; finished in place to hold one table less
+        self.C = np.diff(model.antiderivative(edges), axis=-1)
+        np.conjugate(self.C, out=self.C)
+        self.C *= model.transform_prefactor
         self.phiX = model.phi(self.points)
         self._synth = (
             model.quad.weights[None, :] * model.rho / model.transform_prefactor

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import CubicHermite
-from .sturm import IntegrationError, rk4_linear, rk4_segments
+from .sturm import rk4_linear, rk4_segments
 
 
 class MatchingError(RuntimeError):
@@ -37,10 +37,6 @@ class ScatteringData:
     def unitarity_defect(self):
         S = self.matrix
         return float(np.max(np.abs(S.conj().T @ S - np.eye(2))))
-
-
-def _interior_step(omegas, step):
-    return min(step, 2 * np.pi / (50.0 * max(np.max(omegas), 1e-6)))
 
 
 class ScatteringSweep:
@@ -71,7 +67,7 @@ class ScatteringSweep:
             self.step, self.n_steps = 0.0, 0
             return
         w = self.omegas
-        h = _interior_step(w, step)
+        h = min(step, 2 * np.pi / (50.0 * max(np.max(w), 1e-6)))  # 50 steps per wavelength
         [(_, _, n_dir)] = rk4_segments(self.a, -self.a, h)
         self.step, self.n_steps = 2 * self.a / n_dir, 2 * n_dir
 
@@ -138,79 +134,68 @@ class ScatteringSweep:
         G = np.einsum("nji,njk->nik", S.conj(), S)
         return float(np.max(np.abs(G - np.eye(2))))
 
+    def _regions(self, x):
+        """Masks left of, inside and right of the support; free: no inside, 0 is right."""
+        mid = (np.abs(x) <= self.a) & (self.q is not None)
+        return (x < 0) & ~mid, mid, (x >= 0) & ~mid
+
+    def _tails(self, e, right):
+        """Phi1 and Phi2 on one tail as combinations of e and conj(e).
+
+        With e = exp(i omega x) this is Phi; with e = exp(i omega x) / (i omega),
+        a primitive of exp(i omega x), it is a primitive of Phi.
+        """
+        T, R1, R2 = self.T[:, None], self.R1[:, None], self.R2[:, None]
+        if right:
+            return np.stack([T * e, e.conj() + R2 * e])
+        return np.stack([e + R1 * e.conj(), T * e.conj()])
+
+    def _interior(self, x, of):
+        """of(spline)(x) for both stored interior solutions, normalised as Phi."""
+        if self._spline1 is None:
+            raise MatchingError(
+                "interior solutions were not stored; rebuild with store_interior=True"
+            )
+        return np.stack([(of(self._spline1)(x) / self._alpha).T,
+                         (of(self._spline2)(x) / self._gamma).T])
+
     def phi(self, x):
         """Phi(omega, x), shape (2, n_omega, n_x)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        w = self.omegas[:, None]
+        left, mid, right = self._regions(x)
+        ex = np.exp(1j * self.omegas[:, None] * x)
         out = np.empty((2, self.omegas.size, x.size), dtype=complex)
-        ex = np.exp(1j * w * x[None, :])
-        if self.q is None:
-            out[0] = ex
-            out[1] = ex.conj()
-            return out
-        left = x < -self.a
-        right = x > self.a
-        mid = ~(left | right)
-        out[0, :, left.nonzero()[0]] = (ex + self.R1[:, None] * ex.conj()).T[left]
-        out[0, :, right.nonzero()[0]] = (self.T[:, None] * ex).T[right]
-        out[1, :, right.nonzero()[0]] = (ex.conj() + self.R2[:, None] * ex).T[right]
-        out[1, :, left.nonzero()[0]] = (self.T[:, None] * ex.conj()).T[left]
+        out[:, :, left] = self._tails(ex[:, left], right=False)
+        out[:, :, right] = self._tails(ex[:, right], right=True)
         if np.any(mid):
-            if self._spline1 is None:
-                raise MatchingError(
-                    "interior solutions were not stored; rebuild with store_interior=True"
-                )
-            xm = x[mid]
-            out[0, :, mid.nonzero()[0]] = (self._spline1(xm) / self._alpha[None, :])
-            out[1, :, mid.nonzero()[0]] = (self._spline2(xm) / self._gamma[None, :])
+            out[:, :, mid] = self._interior(x[mid], lambda spline: spline)
         return out
 
-    def cell_integral(self, lo, hi):
-        """int_lo^hi Phi(omega, y) dy per component, shape (2, n_omega).
+    def antiderivative(self, x):
+        """int_{-a}^x Phi(omega, y) dy, shape (2, n_omega, n_x).
 
-        Closed form on the plane-wave tails, Gauss-Legendre inside the
-        support.  Conjugate externally when building transforms.
+        Plane-wave primitives on the tails; inside the support the exact
+        integral of the stored Hermite interpolant, so any point right of -a
+        needs ``store_interior=True``.
         """
-        lo, hi = float(lo), float(hi)
-        if hi < lo:
-            raise IntegrationError("reversed cell")
-        total = np.zeros((2, self.omegas.size), dtype=complex)
-        pieces = []
-        if self.a > 0:
-            if lo < -self.a:
-                pieces.append(("tail", lo, min(hi, -self.a)))
-            if hi > self.a:
-                pieces.append(("tail", max(lo, self.a), hi))
-            ilo, ihi = max(lo, -self.a), min(hi, self.a)
-            if ihi > ilo:
-                pieces.append(("interior", ilo, ihi))
-        else:
-            pieces.append(("tail", lo, hi))
-        w = self.omegas
-        for kind, a, b in pieces:
-            if b <= a:
-                continue
-            if kind == "interior":
-                gx, gw = np.polynomial.legendre.leggauss(12)
-                n_pan = max(1, int(np.ceil((b - a) / max(_interior_step(w, 1.0) * 50, 1e-9))))
-                edges = np.linspace(a, b, n_pan + 1)
-                for plo, phi_ in zip(edges[:-1], edges[1:]):
-                    half = 0.5 * (phi_ - plo)
-                    pts = 0.5 * (plo + phi_) + half * gx
-                    vals = self.phi(pts)
-                    total += half * np.einsum("cnk,k->cn", vals, gw)
-            else:
-                E = lambda c, u: np.exp(1j * c * w * u)
-                I_plus = (E(1, b) - E(1, a)) / (1j * w)
-                I_minus = (E(-1, b) - E(-1, a)) / (-1j * w)
-                if b <= -self.a or self.a == 0.0:
-                    # left tail (or the whole line in the free case, R = 0, T = 1)
-                    total[0] += I_plus + self.R1 * I_minus
-                    total[1] += self.T * I_minus
-                else:
-                    total[0] += self.T * I_plus
-                    total[1] += I_minus + self.R2 * I_plus
-        return total
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        left, mid, right = self._regions(x)
+        w = self.omegas[:, None]
+
+        def primitive(u):
+            return np.exp(1j * w * u) / (1j * w)
+
+        out = np.empty((2, self.omegas.size, x.size), dtype=complex)
+        out[:, :, left] = (self._tails(primitive(x[left]), right=False)
+                           - self._tails(primitive(-self.a), right=False))
+        across = 0.0
+        if self.q is not None and np.any(mid | right):
+            # the stored interpolants' first knot is -a, where their antiderivatives start
+            inner = self._interior(np.append(x[mid], self.a), lambda spline: spline.antiderivative)
+            out[:, :, mid], across = inner[:, :, :-1], inner[:, :, -1:]
+        out[:, :, right] = (self._tails(primitive(x[right]), right=True)
+                            - self._tails(primitive(self.a), right=True) + across)
+        return out
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -226,10 +211,3 @@ class ScatteringSweep:
 def scattering_coeffs(q, support_radius, omega, step=1e-3):
     """Single-frequency ScatteringData for potential q supported in [-a, a]."""
     return ScatteringSweep(q, support_radius, [omega], step=step).data(0)
-
-
-def scattering_solution(q, support_radius, omega, x, step=1e-3):
-    """Phi(omega, x) as a 2-vector for scalar omega (x may be an array)."""
-    sweep = ScatteringSweep(q, support_radius, [omega], step=step)
-    out = sweep.phi(x)
-    return out[:, 0, :] if np.ndim(x) else out[:, 0, 0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import CubicHermite
+from .profile import CubicHermite, _unpack
 
 
 class IntegrationError(RuntimeError):
@@ -176,7 +176,7 @@ def solve_eigen(profile, lam, init, x0, span, step=1e-3):
 
     x0 must lie in span; integration proceeds to both endpoints.
     """
-    a, b = span if not hasattr(span, "a") else (span.a, span.b)
+    a, b = _unpack(span)
     if not (a <= x0 <= b):
         raise IntegrationError(f"x0={x0} outside span [{a}, {b}]")
     h = _default_step(profile, lam, step)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from varband.cli import main
-from varband.kernel import ToyModel, free_model
+from varband.kernel import LiouvilleModel, ToyModel, free_model
 from varband.paleywiener import random_smooth_function
+from varband.profile import profile_from_config
 from varband.sampling import ReconstructionOperator, SampleSet, samples_to_csv
 from varband.spectral import SpectralSet, uniform_quadrature
 
@@ -192,7 +193,30 @@ class TestReconstruct:
         })
         assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
-    @pytest.mark.parametrize("kind", ["liouville", "schrodinger"])
+    def test_liouville_model(self, tmp_path):
+        prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0}
+        window = [-30.0, 30.0]
+        X = np.linspace(-29.75, 29.75, 120)
+        prof = profile_from_config(prof_cfg)
+        sset = SpectralSet([(0.0, 1.0)])
+        wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
+        model = LiouvilleModel(prof, sset, quad=uniform_quadrature(sset, np.pi / wz))
+        f = random_smooth_function(model, rng=7)
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, X, f(X))
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "liouville", "spectral_set": [[0.0, 1.0]], "profile": prof_cfg,
+            "window": window, "n_max": 20, "output_points": 81,
+        })
+        out = tmp_path / "out"
+        assert run(["reconstruct", "--config", cfg, "--out", out, "--samples", samples]) == 0
+        rep = json.loads((out / "reconstruction_report.json").read_text())
+        assert rep["gap_condition_passes"]
+        assert rep["residuals"][-1] < 1e-6 * rep["residuals"][0]
+        xs, re, im = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1).T
+        assert np.max(np.abs(re + 1j * im - f(xs))) < 1e-8 * np.max(np.abs(f(xs)))
+
+    @pytest.mark.parametrize("kind", ["schrodinger"])
     def test_unsupported_model_rejected(self, tmp_path, capsys, kind):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": kind, "spectral_set": [[0.0, 1.0]],

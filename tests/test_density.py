@@ -31,6 +31,19 @@ class TestSlidingCounts:
         with pytest.raises(DensityError):
             sliding_counts(np.arange(5.0), (0.0, 1.0), 2.0)
 
+    @pytest.mark.parametrize("seed", range(9))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        z = np.sort(rng.uniform(0.0, 40.0, rng.integers(20, 201)))
+        r = (1.0, 2.5, 5.0)[seed % 3]
+        # #(z in [t, t+r)) only changes where t crosses some z_j or z_j - r:
+        # probe both sides of each such place and the ends of [0, 40 - r]
+        c = np.concatenate((z, z - r))
+        starts = np.concatenate(([0.0, 40.0 - r], c - 1e-9, c + 1e-9))
+        starts = starts[(starts >= 0.0) & (starts <= 40.0 - r)]
+        counts = [int(np.sum((t <= z) & (z < t + r))) for t in starts]
+        assert sliding_counts(z, (0.0, 40.0), r) == (min(counts), max(counts))
+
 
 class TestBeurlingDensity:
     def test_unit_lattice(self):

@@ -27,6 +27,9 @@ class ScipyHermite:
     def derivative(self, t):
         return self._spline.derivative()(t)
 
+    def antiderivative(self, t):
+        return self._spline.antiderivative()(t)
+
 
 def rel_dev(got, want):
     got, want = np.asarray(got), np.asarray(want)
@@ -71,6 +74,14 @@ class TestAgainstScipy:
         t = probes(rng, x)
         want = CubicHermiteSpline(x, y, dydx).derivative()(t)
         assert rel_dev(CubicHermite(x, y, dydx).derivative(t), want) < 1e-13
+
+    @pytest.mark.parametrize("trailing,dtype", CASES, ids=lambda c: str(c))
+    def test_antiderivative(self, trailing, dtype):
+        rng = np.random.default_rng(15)
+        x, y, dydx = uneven_data(rng, 60, trailing, dtype)
+        t = probes(rng, x)
+        want = CubicHermiteSpline(x, y, dydx).antiderivative()(t)
+        assert rel_dev(CubicHermite(x, y, dydx).antiderivative(t), want) < 1e-13
 
     def test_interpolates_knot_data_exactly(self):
         rng = np.random.default_rng(13)
@@ -120,6 +131,7 @@ class TestCallSites:
         a = sweep.a
         xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
         assert rel_dev(sweep.phi(xs), ref.phi(xs)) < 1e-12
+        assert rel_dev(sweep.antiderivative(xs), ref.antiderivative(xs)) < 1e-12
 
     @pytest.mark.parametrize("prof", [toy_profile(1.0, 4.0), blend_profile(1.0, 2.0, R=1.0)],
                              ids=["step", "smooth"])

@@ -12,7 +12,6 @@ from varband.kernel import (
     halfline_kernel,
     kernel_tail_mass,
     toy_kernel,
-    toy_quadrature_kernel,
 )
 from varband.paleywiener import random_function, transform
 from varband.profile import blend_profile
@@ -72,9 +71,10 @@ class TestToyQuadratureAgreement:
         K_quad = model.kernel_matrix(xs, xs)
         assert np.max(np.abs(K_closed - K_quad)) < 1e-12
 
-    def test_wrapper(self):
-        v = toy_quadrature_kernel(1.0, 4.0, SpectralSet([(0.0, 1.0)]), 0.5, -0.5,
-                                  x_max=3.0)
+    def test_scalar_points(self):
+        model = ToyModel(1.0, 4.0, SpectralSet([(0.0, 1.0)]), x_max=3.0)
+        v = model.kernel(0.5, -0.5)
+        assert isinstance(v, float)
         assert v == pytest.approx(toy_kernel(1.0, 4.0, 1.0, 0.5, -0.5), abs=1e-12)
 
     def test_multi_band(self):
@@ -189,6 +189,56 @@ class TestLiouville:
             LiouvilleModel(toy_profile(1.0, 4.0), SpectralSet([(0.0, 1.0)]))
 
 
+def ref_toy_cell(model, lo, hi):
+    """int_lo^hi Phi of the step profile, in per-side closed forms."""
+    w = model.quad.nodes
+    sm, sp = np.sqrt(model.p_minus), np.sqrt(model.p_plus)
+    km, kp = w / sm, w / sp
+    out = np.zeros((2, w.size), dtype=complex)
+
+    def seg(a, b, side):
+        if side == "right":
+            out[0] += (np.exp(1j * kp * b) - np.exp(1j * kp * a)) / (1j * kp)
+            cosdiff = (np.sin(kp * b) - np.sin(kp * a)) / kp
+            sindiff = (np.cos(kp * a) - np.cos(kp * b)) / kp
+            out[1] += cosdiff - 1j * (sm / sp) * sindiff
+        else:
+            cosdiff = (np.sin(km * b) - np.sin(km * a)) / km
+            sindiff = (np.cos(km * a) - np.cos(km * b)) / km
+            out[0] += cosdiff + 1j * (sp / sm) * sindiff
+            out[1] += (np.exp(-1j * km * b) - np.exp(-1j * km * a)) / (-1j * km)
+
+    if hi <= 0:
+        seg(lo, hi, "left")
+    elif lo >= 0:
+        seg(lo, hi, "right")
+    else:
+        seg(lo, 0.0, "left")
+        seg(0.0, hi, "right")
+    return out
+
+
+class TestToyAntiderivative:
+    @pytest.mark.parametrize("pm, pp", [(1.0, 4.0), (3.0, 0.5)])
+    @pytest.mark.parametrize("at_zero", [[0.0], []], ids=["edge_at_0", "cell_across_0"])
+    def test_differences_match_cell_closed_forms(self, pm, pp, at_zero):
+        model = ToyModel(pm, pp, SpectralSet([(0.0, 2.0)]), x_max=6.0)
+        rng = np.random.default_rng(11)
+        # long and short cells out to +-8000; with an edge at 0 two cells end
+        # there, without one the cell [-1e-3, 2e-3] straddles it
+        edges = np.unique(np.concatenate((
+            rng.uniform(-8000.0, 8000.0, 30), rng.uniform(-3.0, 3.0, 12),
+            [-8000.0, -1e-3, 2e-3, 8000.0], at_zero)))
+        got = np.diff(model.antiderivative(edges), axis=-1)
+        ref = np.stack([ref_toy_cell(model, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])],
+                       axis=-1)
+        assert _close(got, ref)
+
+    def test_zero_at_origin(self):
+        model = ToyModel(1.0, 4.0, SpectralSet([(0.0, 2.0)]), x_max=6.0)
+        assert np.all(model.antiderivative([0.0]) == 0.0)
+
+
 class TestToyPhi:
     @pytest.mark.parametrize("pm, pp", [(1.0, 4.0), (3.0, 0.5)])
     def test_matches_closed_form_fundamentals(self, pm, pp):
@@ -221,6 +271,23 @@ def ref_kernel_pairs(model, x, y):
 def ref_evaluate(f, xs):
     synth = f.model.quad.weights[None, :] * f.model.rho / f.model.transform_prefactor
     return np.einsum("cl,cl,clk->k", synth, f.F, f.model.phi(xs))
+
+
+def ref_liouville_cell(model, lo, hi):
+    """A cell integral on its own panel layout: split at +-R, where Phi has a
+    kink, then 12-point Gauss-Legendre on panels half as wide as the model's."""
+    R = model.profile.R
+    wmax = float(np.max(model.quad.nodes))
+    panel = np.pi / (8 * wmax * np.sqrt(model.profile.lower))
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    breaks = np.concatenate(([lo], [e for e in (-R, R) if lo < e < hi], [hi]))
+    out = np.zeros((2, len(model.quad)), dtype=complex)
+    for a0, b0 in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(a0, b0, int(np.ceil((b0 - a0) / panel)) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            out += half * np.einsum("clk,k->cl", model.phi(0.5 * (a + b) + half * gx), gw)
+    return out
 
 
 def ref_transform(model, f, window, n_panels):
@@ -288,14 +355,11 @@ class TestBlasContractions:
     def test_liouville_cell_integral(self):
         prof = blend_profile(1.0, 2.0, R=1.0, kind="quintic")
         model = LiouvilleModel(prof, SpectralSet([(0.0, 1.0)]), x_max=3.0)
-        lo, hi = -1.7, 2.2
-        # the panel layout of LiouvilleModel.cell_integral
-        wmax = float(np.max(model.quad.nodes))
-        panel = np.pi / (4 * wmax * np.sqrt(prof.lower))
-        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / panel)) + 1)
-        gx, gw = np.polynomial.legendre.leggauss(10)
-        ref = np.zeros((2, len(model.quad)), dtype=complex)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            ref += half * np.einsum("clk,k->cl", model.phi(0.5 * (a + b) + half * gx), gw)
-        assert _close(model.cell_integral(lo, hi), ref)
+        # [-1.7, 2.2] straddles -R and R, [0.6, 1.4] only R; the two long
+        # cells span more panels than one block of Phi evaluations holds
+        edges = np.array([-260.0, -1.7, -0.4, 0.6, 1.4, 2.2, 250.0])
+        table = model.antiderivative(edges)
+        pairs = [(1, 5)] + [(i, i + 1) for i in range(edges.size - 1)]
+        for i, j in pairs:
+            ref = ref_liouville_cell(model, edges[i], edges[j])
+            assert _close(table[:, :, j] - table[:, :, i], ref)

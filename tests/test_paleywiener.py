@@ -10,7 +10,6 @@ from varband.paleywiener import (
     random_function,
     random_smooth_function,
     reproducing_function,
-    synthesize,
     transform,
     warped_bandlimited_eval,
     zero_function,
@@ -110,6 +109,19 @@ class TestTransform:
         assert np.max(np.abs(f.F[0] - expected)) < 1e-12
         assert np.max(np.abs(f.F[1] - expected)) < 1e-12
 
+    def test_steps_free(self, fmodel):
+        # two cells, off-centre so the integrals are complex, with complex values
+        f = project_step(fmodel, [-1.0, 0.5, 2.0], [1.0, -2j])
+        w = fmodel.quad.nodes
+
+        def box(lo, hi):
+            return (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
+
+        # F_c = (2 pi)^{-1/2} sum_i v_i conj(int_cell_i Phi_c), Phi = (e^{i w y}, e^{-i w y})
+        b1, b2 = box(-1.0, 0.5), box(0.5, 2.0)
+        assert np.max(np.abs(f.F[0] - (b1.conj() - 2j * b2.conj()) / np.sqrt(2 * np.pi))) < 1e-12
+        assert np.max(np.abs(f.F[1] - (b1 - 2j * b2) / np.sqrt(2 * np.pi))) < 1e-12
+
     def test_roundtrip(self, fmodel):
         # window truncation dominates the error; measure it in the space norm
         f = random_smooth_function(fmodel, rng=13)
@@ -142,7 +154,7 @@ class TestBernstein:
         i = int(np.argmin(np.abs(fmodel.quad.nodes - target)))
         F = np.zeros((2, len(fmodel.quad)))
         F[0, i] = 1.0
-        f = synthesize(fmodel, F)
+        f = VarBandFunction(fmodel, F)
         lam = fmodel.quad.nodes[i] ** 2
         assert bernstein_ratio(f, 1, om) == pytest.approx(lam / om, rel=1e-12)
 

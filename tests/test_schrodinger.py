@@ -8,7 +8,6 @@ from varband.schrodinger import (
     MatchingError,
     ScatteringSweep,
     scattering_coeffs,
-    scattering_solution,
 )
 from varband.spectral import SpectralQuadrature, SpectralSet
 
@@ -81,12 +80,22 @@ class TestSmoothPotential:
         assert abs(abs(hi.T) - 1.0) < 1e-3
 
     def test_cell_integral_matches_quadrature(self, sweep):
-        lo, hi = -2.0, 1.5
-        cell = sweep.cell_integral(lo, hi)
-        xs = np.linspace(lo, hi, 4001)
-        vals = sweep.phi(xs)
-        ref = np.trapezoid(vals, xs, axis=2)
-        assert np.max(np.abs(cell - ref)) < 1e-5
+        # cells on each tail, across each support edge and inside the support
+        edges = np.array([-3.0, -2.0, -0.6, 0.4, 1.5, 2.5])
+        cells = np.diff(sweep.antiderivative(edges), axis=-1)
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            xs = np.linspace(lo, hi, 4001)
+            ref = np.trapezoid(sweep.phi(xs), xs, axis=2)
+            assert np.max(np.abs(cells[:, :, i] - ref)) < 1e-5
+
+    def test_antiderivative_free_plane_waves(self):
+        sweep = ScatteringSweep(None, 0.0, [0.5, 2.0])
+        lo, hi = -1.5, 2.5
+        cells = np.diff(sweep.antiderivative([lo, hi]), axis=-1)[:, :, 0]
+        w = sweep.omegas
+        expected = (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
+        assert np.max(np.abs(cells[0] - expected)) < 1e-14
+        assert np.max(np.abs(cells[1] - expected.conj())) < 1e-14
 
     def test_store_interior_false(self):
         q = lambda x: np.cos(np.asarray(x, float)) ** 2 * (np.abs(x) <= 1)
@@ -150,10 +159,11 @@ class TestSpectralTransform:
         sweep = ScatteringSweep(q, 1.0, [2.2])
         assert abs(1.0 / sweep._gamma[0] - sweep.T[0]) < 1e-9
 
-    def test_solution_helper_scalar(self):
-        v = scattering_solution(None, 0.0, 1.0, 0.5)
-        assert v.shape == (2,)
-        assert abs(v[0] - np.exp(0.5j)) < 1e-14
+    def test_phi_at_scalar_point(self):
+        v = ScatteringSweep(None, 0.0, [1.0]).phi(0.5)
+        assert v.shape == (2, 1, 1)
+        assert abs(v[0, 0, 0] - np.exp(0.5j)) < 1e-14
+        assert abs(v[1, 0, 0] - np.exp(-0.5j)) < 1e-14
 
     def test_csv(self, tmp_path):
         sweep = ScatteringSweep(None, 0.0, [1.0, 2.0])
