@@ -71,12 +71,20 @@ def _step_values(cfg, what):
     return prof.p_minus, prof.p_plus
 
 
+def _is_unit(prof):
+    """Whether p is identically 1."""
+    return prof.lower == prof.upper == 1.0
+
+
 def _model(cfg, quad=None):
     """The spectral model the config names; ``quad`` replaces its Gauss rule."""
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
     x_max = cfg.get("x_max", 25.0)
     if kind == "free":
+        if "profile" in cfg and not _is_unit(_profile(cfg)):
+            raise ConfigError("model 'free' is the space of p = 1, but the profile is "
+                              "not identically 1")
         return free_model(sset, quad=quad, x_max=x_max)
     if kind == "toy":
         return ToyModel(*_step_values(cfg, "model 'toy'"), sset, quad=quad, x_max=x_max)
@@ -86,7 +94,8 @@ def _model(cfg, quad=None):
     if kind == "schrodinger":
         prof = _smooth_profile(cfg, "model 'schrodinger'")
         return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
-                                sset, quad=quad, x_max=x_max)
+                                sset, quad=quad, x_max=x_max,
+                                breakpoints=prof.zeta([-prof.R, prof.R]))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -108,7 +117,7 @@ def _write_report(out_dir, cfg, extra, t0):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_kernel(cfg, out_dir, rng, tol_scale):
+def cmd_kernel(cfg, out_dir, rng):
     t0 = time.time()
     model = _model(cfg)
     g = cfg.get("grid", {})
@@ -128,7 +137,7 @@ def cmd_kernel(cfg, out_dir, rng, tol_scale):
     return 0
 
 
-def cmd_scatter(cfg, out_dir, rng, tol_scale):
+def cmd_scatter(cfg, out_dir, rng):
     t0 = time.time()
     prof = _smooth_profile(cfg, "scatter")
     om = cfg.get("omega_grid", {})
@@ -138,7 +147,8 @@ def cmd_scatter(cfg, out_dir, rng, tol_scale):
                           f"got lo={lo}, hi={hi}, n={n}")
     omegas = np.linspace(lo, hi, n)
     sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                            omegas, store_interior=False)
+                            omegas, breakpoints=prof.zeta([-prof.R, prof.R]),
+                            store_interior=False)
     sweep.to_csv(Path(out_dir) / "scattering.csv")
     defect = sweep.unitarity_defect()
     _write_report(out_dir, cfg, {"subcommand": "scatter",
@@ -146,10 +156,10 @@ def cmd_scatter(cfg, out_dir, rng, tol_scale):
                                  "support_radius": sweep.a,
                                  "rk4_step": sweep.step,
                                  "rk4_steps": sweep.n_steps}, t0)
-    return 0 if defect < 1e-7 * tol_scale else 1
+    return 0 if defect < 1e-7 else 1
 
 
-def cmd_reconstruct(cfg, out_dir, rng, tol_scale, samples_path=None):
+def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
     t0 = time.time()
     if cfg.get("model") == "schrodinger":
         # its Phi lives in the warped coordinate, not in the samples' x
@@ -179,7 +189,7 @@ def cmd_reconstruct(cfg, out_dir, rng, tol_scale, samples_path=None):
     return 0 if report.passes else 1
 
 
-def cmd_shannon(cfg, out_dir, rng, tol_scale):
+def cmd_shannon(cfg, out_dir, rng):
     t0 = time.time()
     pm, pp = _step_values(cfg, "shannon")
     omega_max = _sset(cfg).lambda_max
@@ -198,10 +208,10 @@ def cmd_shannon(cfg, out_dir, rng, tol_scale):
     max_offdiag = float(np.max(dev))
     _write_report(out_dir, cfg, {"subcommand": "shannon",
                                  "max_gram_deviation": max_offdiag}, t0)
-    return 0 if max_offdiag < 1e-8 * tol_scale else 1
+    return 0 if max_offdiag < 1e-8 else 1
 
 
-def cmd_density(cfg, out_dir, rng, tol_scale):
+def cmd_density(cfg, out_dir, rng):
     t0 = time.time()
     prof = _profile(cfg)
     window = tuple(_require(cfg, "window"))
@@ -224,7 +234,7 @@ def cmd_density(cfg, out_dir, rng, tol_scale):
     return 0 if holds else 1
 
 
-def cmd_landau(cfg, out_dir, rng, tol_scale):
+def cmd_landau(cfg, out_dir, rng):
     t0 = time.time()
     prof = profile_from_config(cfg.get("profile", {"kind": "piecewise", "breakpoints": [],
                                                    "values": [1.0]}))
@@ -234,7 +244,7 @@ def cmd_landau(cfg, out_dir, rng, tol_scale):
     windows = cfg.get("window_halfwidths", [40.0, 80.0, 160.0])
     if prof.is_smooth:
         kind = "liouville"
-    elif prof.breakpoints.size == 0 and prof.p_minus == 1.0:
+    elif _is_unit(prof):
         prof, kind = constant_profile(1.0), "free"
     else:
         raise ConfigError("landau needs a 'smooth_blend' profile or the constant "
@@ -259,7 +269,7 @@ def cmd_landau(cfg, out_dir, rng, tol_scale):
     return 0 if bracketed else 1
 
 
-def cmd_selftest(cfg, out_dir, rng, tol_scale):
+def cmd_selftest(cfg, out_dir, rng):
     t0 = time.time()
     failures = []
 
@@ -275,15 +285,15 @@ def cmd_selftest(cfg, out_dir, rng, tol_scale):
     fm = free_model(sset, x_max=16)
     ref = toy_kernel(1.0, 1.0, 2.0, xs, ys)
     check("free_reduction_quadrature",
-          float(np.max(np.abs(fm.kernel_pairs(xs, ys) - ref))) < 1e-7 * tol_scale)
+          float(np.max(np.abs(fm.kernel_pairs(xs, ys) - ref))) < 1e-7)
     lm = LiouvilleModel(constant_profile(1.0), sset, x_max=16)
     check("free_reduction_warped",
-          float(np.max(np.abs(lm.kernel_pairs(xs, ys) - ref))) < 1e-7 * tol_scale)
+          float(np.max(np.abs(lm.kernel_pairs(xs, ys) - ref))) < 1e-7)
 
     # step-profile closed form vs quadrature
     tm = ToyModel(1.0, 4.0, sset, x_max=16)
     dev = float(np.max(np.abs(tm.kernel_pairs(xs, ys) - toy_kernel(1.0, 4.0, 2.0, xs, ys))))
-    check("step_kernel_cross_validation", dev < 1e-6 * tol_scale, f"dev={dev:.2e}")
+    check("step_kernel_cross_validation", dev < 1e-6, f"dev={dev:.2e}")
 
     # orthonormal basis
     nodes, wts = shannon_basis_toy(1.0, 4.0, 1.0, 20)
@@ -291,13 +301,14 @@ def cmd_selftest(cfg, out_dir, rng, tol_scale):
     c = np.sqrt(np.pi * wts)
     G = c[:, None] * K * c[None, :]
     check("orthonormal_basis_gram",
-          float(np.max(np.abs(G - np.eye(nodes.size)))) < 1e-8 * tol_scale)
+          float(np.max(np.abs(G - np.eye(nodes.size)))) < 1e-8)
 
     # scattering unitarity
     prof = blend_profile(1.0, 4.0, R=1.0)
     sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                            np.linspace(0.05, 5.0, 50), store_interior=False)
-    check("scattering_unitarity", sweep.unitarity_defect() < 1e-7 * tol_scale)
+                            np.linspace(0.05, 5.0, 50), breakpoints=prof.zeta([-prof.R, prof.R]),
+                            store_interior=False)
+    check("scattering_unitarity", sweep.unitarity_defect() < 1e-7)
 
     # density gap bound on a perturbed lattice
     pts = np.sort(np.arange(-60, 61) * 1.0 + rng.uniform(-0.2, 0.2, 121))
@@ -337,7 +348,6 @@ def main(argv=None):
     ap.add_argument("--config", type=Path, default=None)
     ap.add_argument("--out", type=Path, default=Path("."))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tolerance-scale", type=float, default=1.0)
     ap.add_argument("--samples", type=Path, default=None,
                     help="sample CSV for the reconstruct subcommand")
     args = ap.parse_args(argv)
@@ -349,9 +359,8 @@ def main(argv=None):
                 cfg = json.load(fh)
         args.out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "reconstruct":
-            return cmd_reconstruct(cfg, args.out, rng, args.tolerance_scale,
-                                   samples_path=args.samples)
-        return COMMANDS[args.subcommand](cfg, args.out, rng, args.tolerance_scale)
+            return cmd_reconstruct(cfg, args.out, rng, samples_path=args.samples)
+        return COMMANDS[args.subcommand](cfg, args.out, rng)
     except (ConfigError, ProfileError, SpectralSetError, FileNotFoundError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,17 +155,16 @@ class LandauSweepResult:
                                 self.gram_min_table[i, j]])
 
 
-def landau_sweep(model_builder, profile, sset, density_grid, window_halfwidths,
-                 degeneration_cut=0.2):
+def landau_sweep(model_builder, profile, sset, density_grid, window_halfwidths):
     """Empirical frame-bound sweep over target mu_p-densities.
 
     ``model_builder(warped_halfwidth)`` must return a spectral model whose
     quadrature is matched to the warped window (spacing pi / W keeps the
     degrees of freedom honest).  For each density the sample set is quasi
     uniform in warped coordinates.  A density cell counts as degenerating if
-    A_est / B_est at the largest window has dropped below `degeneration_cut`
-    times its value at the smallest; the reported bracket is the last
-    degenerating and first stabilizing density.  Finite-window estimate only.
+    A_est / B_est at the largest window has dropped below 0.2 times its
+    value at the smallest; the reported bracket is the last degenerating and
+    first stabilizing density.  Finite-window estimate only.
     """
     if not isinstance(sset, SpectralSet):
         sset = SpectralSet(sset)
@@ -191,7 +190,7 @@ def landau_sweep(model_builder, profile, sset, density_grid, window_halfwidths,
     ratios = (A[:, -1] / np.maximum(B[:, -1], 1e-300)) / np.maximum(
         A[:, 0] / np.maximum(B[:, 0], 1e-300), 1e-300
     )
-    degenerating = ratios < degeneration_cut
+    degenerating = ratios < 0.2
     thr_low = max((d for d, bad in zip(densities, degenerating) if bad), default=float("nan"))
     thr_high = min((d for d, bad in zip(densities, degenerating) if not bad), default=float("nan"))
     critical = sset.sqrt_measure / np.pi

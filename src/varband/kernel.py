@@ -251,13 +251,13 @@ class ToyModel(SpectralModel):
 class SchrodingerModel(SpectralModel):
     """Lebesgue spectral representation of -D^2 + q via scattering solutions."""
 
-    def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, step=1e-3,
+    def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, breakpoints=(),
                  store_interior=True):
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
         self.quad = quad or gauss_legendre_quadrature(sset, x_max=x_max)
-        self.sweep = ScatteringSweep(q, support_radius, self.quad.nodes, step=step,
-                                     store_interior=store_interior)
+        self.sweep = ScatteringSweep(q, support_radius, self.quad.nodes,
+                                     breakpoints=breakpoints, store_interior=store_interior)
         n = len(self.quad)
         self.rho = np.full((2, n), 1.0 / (2 * np.pi))
         self.transform_prefactor = 1.0 / np.sqrt(2 * np.pi)
@@ -330,7 +330,7 @@ def free_model(sset, quad=None, x_max=25.0):
 class LiouvilleModel(SpectralModel):
     """Warped pullback: kernel of -(p f')' through the scattering kernel of q."""
 
-    def __init__(self, profile, sset, quad=None, x_max=25.0, step=1e-3):
+    def __init__(self, profile, sset, quad=None, x_max=25.0):
         if not isinstance(profile, SmoothProfile):
             raise KernelError("warped pullback needs a smooth eventually constant profile")
         if not isinstance(sset, SpectralSet):
@@ -345,7 +345,7 @@ class LiouvilleModel(SpectralModel):
             profile.warped_support_radius,
             sset,
             quad=self.quad,
-            step=step,
+            breakpoints=profile.zeta([-profile.R, profile.R]),
         )
         self.rho = self.inner.rho
         self.transform_prefactor = self.inner.transform_prefactor

@@ -96,27 +96,29 @@ def zero_function(model):
     return VarBandFunction(model, np.zeros((2, len(model.quad)), dtype=complex))
 
 
-def random_function(model, rng=None, normalize=True):
-    """Coefficients with independent standard complex Gaussian entries."""
+def _unit(model, F):
+    f = VarBandFunction(model, F)
+    nrm = f.norm()
+    if nrm == 0:
+        raise FunctionError("degenerate random draw")
+    return f * (1.0 / nrm)
+
+
+def random_function(model, rng=None):
+    """Unit-norm coefficients with independent standard complex Gaussian entries."""
     rng = np.random.default_rng(rng)
     n = len(model.quad)
-    F = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    f = VarBandFunction(model, F)
-    if normalize:
-        nrm = f.norm()
-        if nrm == 0:
-            raise FunctionError("degenerate random draw")
-        f = f * (1.0 / nrm)
-    return f
+    return _unit(model, rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
 
 
-def random_smooth_function(model, rng=None, n_modes=8, normalize=True):
+def random_smooth_function(model, rng=None):
     """Random coefficients that sample a smooth function of omega.
 
     Node-wise white noise synthesizes an almost periodic, non-decaying
     function; a random sine polynomial vanishing at the interval endpoints
     gives an honestly square integrable one, which is what Parseval and
-    windowed-transform tests need.
+    windowed-transform tests need.  Eight sine modes per interval and
+    component; the result has unit norm.
     """
     rng = np.random.default_rng(rng)
     w = model.quad.nodes
@@ -126,16 +128,11 @@ def random_smooth_function(model, rng=None, n_modes=8, normalize=True):
         if not np.any(sel):
             continue
         t = (w[sel] - a) / (b - a)
+        modes = np.sin(np.pi * np.outer(np.arange(1, 9), t)).T
         for c in range(2):
-            amp = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-            F[c, sel] += np.sin(np.pi * np.outer(np.arange(1, n_modes + 1), t)).T @ amp
-    f = VarBandFunction(model, F)
-    if normalize:
-        nrm = f.norm()
-        if nrm == 0:
-            raise FunctionError("degenerate random draw")
-        f = f * (1.0 / nrm)
-    return f
+            amp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            F[c, sel] += modes @ amp
+    return _unit(model, F)
 
 
 def reproducing_function(model, x0):

@@ -83,11 +83,6 @@ class CubicHermite:
         _, s, (c3, c2, c1, c0) = self._local(t)
         return ((c3 * s + c2) * s + c1) * s + c0
 
-    def derivative(self, t):
-        """First derivative at t."""
-        _, s, (c3, c2, c1, _) = self._local(t)
-        return (3 * c3 * s + 2 * c2) * s + c1
-
     def antiderivative(self, t):
         """Integral of the interpolant from the first knot to t, exact.
 
@@ -223,7 +218,7 @@ class SmoothProfile(BandwidthProfile):
 
     is_smooth = True
 
-    def __init__(self, p, dp, ddp, R, p_minus, p_plus, check_derivatives=True):
+    def __init__(self, p, dp, ddp, R, p_minus, p_plus):
         if R <= 0:
             raise ProfileError("plateau radius must be positive")
         if p_minus <= 0 or p_plus <= 0:
@@ -241,12 +236,11 @@ class SmoothProfile(BandwidthProfile):
         if not (np.isclose(p(-self.R), p_minus, rtol=1e-10, atol=1e-12)
                 and np.isclose(p(self.R), p_plus, rtol=1e-10, atol=1e-12)):
             raise ProfileError("p does not attain its plateau values at +-R")
-        if check_derivatives:
-            self._check_derivatives()
+        self._verify_derivatives()
         self._zeta_spline = None
         self._eta_spline = None
 
-    def _check_derivatives(self):
+    def _verify_derivatives(self):
         # guard user-supplied derivatives against the evaluator for p
         xs = np.linspace(-0.95 * self.R, 0.95 * self.R, 17)
         h = 1e-5 * max(1.0, self.R)

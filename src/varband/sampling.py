@@ -239,13 +239,13 @@ def halfline_expansion(omega_max, sample_values, x):
     return complex(out[0]) if scalar else out
 
 
-def frame_bounds_estimate(model, X, window=None, weighted=True):
+def frame_bounds_estimate(model, X, window=None):
     """Smallest/largest squared singular values of the sampling map.
 
     Exact frame bounds for the discretized space spanned by the quadrature
     nodes (a finite surrogate for the continuum statement; the estimate is
-    labeled as such in CLI output).  With `weighted`, rows are scaled by the
-    midpoint cell lengths, matching the weighted sample sums.
+    labeled as such in CLI output).  Rows are scaled by the midpoint cell
+    lengths, matching the weighted sample sums.
     """
     pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
     if pts.size == 0:
@@ -253,19 +253,17 @@ def frame_bounds_estimate(model, X, window=None, weighted=True):
     phiX = model.phi(pts)  # (2, n, N)
     col = np.sqrt(model.quad.weights[None, :] * model.rho)  # (2, n)
     M = (phiX * col[:, :, None]).reshape(-1, pts.size).T  # (N, 2n)
-    if weighted:
-        if window is not None:
-            edges = midpoint_partition(pts, window)
-            w = np.diff(edges)
+    if window is not None:
+        w = np.diff(midpoint_partition(pts, window))
+    else:
+        w = np.empty_like(pts)
+        if pts.size > 1:
+            w[1:-1] = 0.5 * (pts[2:] - pts[:-2])
+            w[0] = pts[1] - pts[0]
+            w[-1] = pts[-1] - pts[-2]
         else:
-            w = np.empty_like(pts)
-            if pts.size > 1:
-                w[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-                w[0] = pts[1] - pts[0]
-                w[-1] = pts[-1] - pts[-2]
-            else:
-                w[:] = 1.0
-        M = M * np.sqrt(w)[:, None]
+            w[:] = 1.0
+    M = M * np.sqrt(w)[:, None]
     s = np.linalg.svd(M, compute_uv=False)
     n_dof = M.shape[1]
     smin = s[n_dof - 1] if s.size >= n_dof else 0.0

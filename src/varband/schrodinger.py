@@ -1,9 +1,11 @@
 """Scattering theory for -psi'' + q psi = omega^2 psi with compactly supported q.
 
-Transmission/reflection coefficients are obtained by integrating plane-wave
-data across the support [-a, a] and reading off the incoming/outgoing
-amplitudes on the far side.  A whole frequency sweep is integrated in one
-vectorized RK4 pass and the interior solutions are kept as Hermite splines,
+Transmission/reflection coefficients are obtained by integrating the purely
+transmitted wave across the support [-a, a] and reading off the incoming and
+reflected amplitudes on the far side.  A whole frequency sweep is integrated
+in one vectorized RK4 pass; since q is real, the conjugate of that solution
+is the mirrored one, so a single pass gives both coefficients and both
+fundamental solutions.  The interior solution is kept as one Hermite spline,
 so pointwise evaluation stays cheap inside kernel quadratures.
 """
 
@@ -45,78 +47,66 @@ class ScatteringSweep:
     Phi1 is e^{i omega x} + R1 e^{-i omega x} left of the support and
     T e^{i omega x} right of it; Phi2 is the mirrored solution.  ``q = None``
     means the free particle and everything collapses to plane waves.  ``q``
-    must be vectorised: it is tabulated once per direction at every RK4 stage
-    abscissa.  ``step`` and ``n_steps`` record the RK4 step taken across
-    [-a, a] and the step count over both directions (0 in the free case).
+    must be real and vectorised: it is tabulated once per RK4 segment at every
+    stage abscissa.  ``breakpoints`` are the points of (-a, a) where q is not
+    smooth; RK4 steps end there instead of straddling them.
+
+    One RK4 pass runs leftward from +a with the solution u that is e^{i omega x}
+    right of the support.  For real q and omega > 0, conj(u) is the solution
+    that is e^{-i omega x} there, so Phi1 = T u and Phi2 = conj(u) + R2 u
+    inside the support, from one stored interpolant of u.  Phi2 is there a
+    difference of two solutions of size 1/|T|, so its relative error grows
+    like 1/|T|^2 times the integrator's; the Liouville potential of an
+    admissible profile keeps |T| bounded below.  ``step`` and ``n_steps``
+    record the largest RK4 step taken and the step count of the pass (0 in
+    the free case).
     """
 
-    def __init__(self, q, support_radius, omegas, step=1e-3, store_interior=True):
+    def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True):
         self.omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         if np.any(self.omegas <= 0):
             raise MatchingError("scattering requires omega > 0")
         self.a = float(support_radius)
         self.q = q
         n = self.omegas.size
+        self._spline = None
         if q is None or self.a == 0.0:
             self.q = None
             self.a = 0.0
             self.T = np.ones(n, dtype=complex)
             self.R1 = np.zeros(n, dtype=complex)
             self.R2 = np.zeros(n, dtype=complex)
-            self._spline1 = self._spline2 = None
             self.step, self.n_steps = 0.0, 0
             return
-        w = self.omegas
-        h = min(step, 2 * np.pi / (50.0 * max(np.max(w), 1e-6)))  # 50 steps per wavelength
-        [(_, _, n_dir)] = rk4_segments(self.a, -self.a, h)
-        self.step, self.n_steps = 2 * self.a / n_dir, 2 * n_dir
+        w, a = self.omegas, self.a
+        h = min(1e-3, 2 * np.pi / (50.0 * max(np.max(w), 1e-6)))  # 50 steps per wavelength
+        segments = rk4_segments(a, -a, h, breakpoints)
+        self.step = max(abs(end - start) / k for start, end, k in segments)
+        self.n_steps = sum(k for _, _, k in segments)
 
         def q_support(x):
             # clip stage abscissae into the support: rounding can push them an
             # epsilon past +-a where a compactly supported q drops to zero
-            return q(np.clip(x, -self.a, self.a))
+            return q(np.clip(x, -a, a))
 
-        def integrate(x0, x1, y0):
-            return rk4_linear(np.ones_like, q_support, w**2, x0, x1, y0, h,
-                              path=store_interior)
-
-        # Phi1 candidate: pure transmitted wave at +a, integrated leftward
-        y0 = np.stack([np.exp(1j * w * self.a), 1j * w * np.exp(1j * w * self.a)])
+        # u = e^{i omega x} right of the support, integrated leftward
+        y0 = np.stack([np.exp(1j * w * a), 1j * w * np.exp(1j * w * a)])
+        run = rk4_linear(np.ones_like, q_support, w**2, a, -a, y0, h, breakpoints,
+                         path=store_interior)
         if store_interior:
-            g1, s1 = integrate(self.a, -self.a, y0)
-            y, dy = s1[-1, 0], s1[-1, 1]
+            grid, states = run
+            y, dy = states[-1]
+            self._spline = CubicHermite(grid[::-1], states[::-1, 0], states[::-1, 1])
         else:
-            y, dy = integrate(self.a, -self.a, y0)
-        alpha = 0.5 * (y + dy / (1j * w)) * np.exp(1j * w * self.a)
-        beta = 0.5 * (y - dy / (1j * w)) * np.exp(-1j * w * self.a)
+            y, dy = run
+        # u = alpha e^{i omega x} + beta e^{-i omega x} left of the support
+        alpha = 0.5 * (y + dy / (1j * w)) * np.exp(1j * w * a)
+        beta = 0.5 * (y - dy / (1j * w)) * np.exp(-1j * w * a)
         if np.any(np.abs(alpha) < 1e-12):
             raise MatchingError("ill-conditioned matching system (omega too small?)")
         self.T = 1.0 / alpha
         self.R1 = beta / alpha
-
-        # Phi2 candidate: pure transmitted wave at -a, integrated rightward
-        z0 = np.stack([np.exp(1j * w * self.a), -1j * w * np.exp(1j * w * self.a)])
-        if store_interior:
-            g2, s2 = integrate(-self.a, self.a, z0)
-            z, dz = s2[-1, 0], s2[-1, 1]
-        else:
-            z, dz = integrate(-self.a, self.a, z0)
-        delta = 0.5 * (z + dz / (1j * w)) * np.exp(-1j * w * self.a)
-        gamma = 0.5 * (z - dz / (1j * w)) * np.exp(1j * w * self.a)
-        if np.any(np.abs(gamma) < 1e-12):
-            raise MatchingError("ill-conditioned matching system (omega too small?)")
-        self.R2 = delta / gamma
-        # by construction 1/gamma equals T up to integrator error; keep T from
-        # the first pass and use gamma only for normalizing Phi2
-        self._gamma = gamma
-        self._alpha = alpha
-
-        if store_interior:
-            o1 = np.argsort(g1)
-            self._spline1 = CubicHermite(g1[o1], s1[o1, 0, :], s1[o1, 1, :])
-            self._spline2 = CubicHermite(g2, s2[:, 0, :], s2[:, 1, :])
-        else:
-            self._spline1 = self._spline2 = None
+        self.R2 = -beta.conj() / alpha
 
     def __len__(self):
         return self.omegas.size
@@ -151,13 +141,13 @@ class ScatteringSweep:
         return np.stack([e + R1 * e.conj(), T * e.conj()])
 
     def _interior(self, x, of):
-        """of(spline)(x) for both stored interior solutions, normalised as Phi."""
-        if self._spline1 is None:
+        """Phi1 = T v and Phi2 = conj(v) + R2 v for v = of(spline of u)(x)."""
+        if self._spline is None:
             raise MatchingError(
                 "interior solutions were not stored; rebuild with store_interior=True"
             )
-        return np.stack([(of(self._spline1)(x) / self._alpha).T,
-                         (of(self._spline2)(x) / self._gamma).T])
+        v = of(self._spline)(x).T
+        return np.stack([self.T[:, None] * v, v.conj() + self.R2[:, None] * v])
 
     def phi(self, x):
         """Phi(omega, x), shape (2, n_omega, n_x)."""
@@ -208,6 +198,6 @@ class ScatteringSweep:
                              d.R2.real, d.R2.imag, d.unitarity_defect])
 
 
-def scattering_coeffs(q, support_radius, omega, step=1e-3):
+def scattering_coeffs(q, support_radius, omega):
     """Single-frequency ScatteringData for potential q supported in [-a, a]."""
-    return ScatteringSweep(q, support_radius, [omega], step=step).data(0)
+    return ScatteringSweep(q, support_radius, [omega]).data(0)

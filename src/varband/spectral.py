@@ -79,14 +79,15 @@ class SpectralQuadrature:
         return self.nodes.size
 
 
-def gauss_legendre_quadrature(sset, x_max=10.0, order=8, panel_scale=8.0):
-    """Composite Gauss-Legendre rule on Lambda^{1/2}.
+def gauss_legendre_quadrature(sset, x_max=10.0):
+    """Composite 8-point Gauss-Legendre rule on Lambda^{1/2}.
 
-    Panel width is capped at ``pi / (panel_scale * x_max)`` so that the
-    oscillation of exp(i omega x) is resolved for |x| <= x_max.
+    Panel width is capped at ``pi / (8 x_max)`` so that the oscillation of
+    exp(i omega x) is resolved for |x| <= x_max.
     """
+    order = 8
     gx, gw = np.polynomial.legendre.leggauss(order)
-    max_panel = np.pi / (panel_scale * max(x_max, 1e-9))
+    max_panel = np.pi / (8.0 * max(x_max, 1e-9))
     nodes, weights = [], []
     for a, b in sset.sqrt_intervals:
         if b <= a:

@@ -1,20 +1,18 @@
-"""Fundamental solutions of -(p phi')' = lambda phi and the two-plateau spectral measure.
+"""The RK4 driver for linear 2x2 systems and the two-plateau closed forms.
 
-The first-order system used throughout is u = (phi, p phi'); both components
-are continuous across jumps of p, so carrying the state vector through a
-breakpoint IS the matching condition.  One fixed-step RK4 integrator for linear
-2x2 systems, with mandatory breakpoint nodes and coefficients tabulated once
-per segment, is shared with the scattering module.
+For -(p phi')' = lambda phi the first-order system is u = (phi, p phi');
+both components are continuous across jumps of p, so carrying the state
+vector through a breakpoint IS the matching condition.  `rk4_linear` is the
+package's one fixed-step RK4 integrator, with mandatory breakpoint nodes and
+coefficients tabulated once per segment; the scattering module runs it on
+-psi'' + q psi = omega^2 psi.  The closed forms of the step profile (its
+fundamental pair, Wronskian and spectral density) are the references for
+the quadrature models.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
-
-from .profile import CubicHermite, _unpack
 
 
 class IntegrationError(RuntimeError):
@@ -87,121 +85,6 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
             xs.append(seg)
             ys.append(out)
     return (np.concatenate(xs), np.concatenate(ys)) if path else y
-
-
-def _default_step(profile, lam, step):
-    # resolve the plateau wavelength 2 pi sqrt(p / lambda)
-    if lam > 0:
-        wavelength = 2 * np.pi * np.sqrt(profile.lower / lam)
-        return min(step, wavelength / 50.0)
-    return step
-
-
-@dataclass
-class EigenSolution:
-    """Sampled (phi, p phi') along a grid, with cubic Hermite interpolation."""
-
-    lam: float
-    profile: object
-    grid: np.ndarray
-    states: np.ndarray  # shape (n, 2)
-
-    def __post_init__(self):
-        order = np.argsort(self.grid)
-        self.grid = self.grid[order]
-        self.states = self.states[order]
-        # drop duplicated nodes produced by two-sided integration
-        keep = np.concatenate(([True], np.diff(self.grid) > 0))
-        self.grid = self.grid[keep]
-        self.states = self.states[keep]
-        self._splines = self._build_splines()
-
-    def _build_splines(self):
-        # phi' = (p phi')/p jumps where p jumps, so interpolate per smooth piece
-        bp = getattr(self.profile, "breakpoints", np.array([]))
-        cuts = [b for b in np.atleast_1d(bp) if self.grid[0] < b < self.grid[-1]]
-        edges = np.concatenate(([self.grid[0]], cuts, [self.grid[-1]]))
-        splines = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            sel = (self.grid >= a - 1e-14) & (self.grid <= b + 1e-14)
-            x = self.grid[sel]
-            if x.size < 2:
-                splines.append((a, b, None))
-                continue
-            if getattr(self.profile, "is_smooth", False):
-                p_here = np.atleast_1d(np.asarray(self.profile.eval_p(x), dtype=float))
-            else:
-                # p is constant on the open piece; the midpoint value avoids
-                # picking up the wrong one-sided limit at the edges
-                p_here = np.full(x.size, float(self.profile.eval_p(0.5 * (a + b))))
-            dphi = self.states[sel, 1] / p_here
-            splines.append((a, b, CubicHermite(x, self.states[sel, 0], dphi)))
-        return splines
-
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        flat_x = np.atleast_1d(x)
-        flat_o = np.atleast_1d(out)
-        for a, b, sp in self._splines:
-            if sp is None:
-                continue
-            sel = (flat_x >= a) & (flat_x <= b)
-            flat_o[sel] = sp(flat_x[sel])
-        return flat_o.reshape(x.shape) if x.ndim else complex(flat_o[0])
-
-    def pdphi(self, x):
-        """Interpolated p(x) phi'(x)."""
-        x = np.asarray(x, dtype=float)
-        flat_x = np.atleast_1d(x)
-        flat_o = np.zeros(flat_x.shape, dtype=complex)
-        for a, b, sp in self._splines:
-            if sp is None:
-                continue
-            sel = (flat_x >= a) & (flat_x <= b)
-            pv = np.atleast_1d(np.asarray(self.profile.eval_p(flat_x[sel]), dtype=float))
-            flat_o[sel] = sp.derivative(flat_x[sel]) * pv
-        return flat_o.reshape(x.shape) if x.ndim else complex(flat_o[0])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "re_phi", "im_phi", "re_pdphi", "im_pdphi"])
-            for x, (u, v) in zip(self.grid, self.states):
-                w.writerow([x, u.real, u.imag, v.real, v.imag])
-
-
-def solve_eigen(profile, lam, init, x0, span, step=1e-3):
-    """Integrate (phi, p phi') across `span` from initial data at x0.
-
-    x0 must lie in span; integration proceeds to both endpoints.
-    """
-    a, b = _unpack(span)
-    if not (a <= x0 <= b):
-        raise IntegrationError(f"x0={x0} outside span [{a}, {b}]")
-    h = _default_step(profile, lam, step)
-    bp = np.atleast_1d(getattr(profile, "breakpoints", np.array([])))
-
-    def inv_p(x):
-        return 1.0 / np.asarray(profile.eval_p(x), dtype=float)
-
-    grids, states = [], []
-    for target in (a, b):
-        if target == x0:
-            continue
-        g, s = rk4_linear(inv_p, np.zeros_like, lam, x0, target, init, h, bp, path=True)
-        grids.append(g)
-        states.append(s)
-    if not grids:
-        raise IntegrationError("degenerate span")
-    grid = np.concatenate(grids)
-    st = np.concatenate(states)
-    return EigenSolution(float(lam), profile, grid, st)
-
-
-def wronskian(sol1, sol2, x):
-    """W_p(phi1, phi2)(x) = (p phi1') phi2 - phi1 (p phi2')."""
-    return sol1.pdphi(x) * sol2.phi(x) - sol1.phi(x) * sol2.pdphi(x)
 
 
 def toy_fundamental(p_minus, p_plus, lam, x):

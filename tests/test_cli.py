@@ -14,6 +14,9 @@ from varband.paleywiener import random_smooth_function
 from varband.profile import profile_from_config
 from varband.sampling import ReconstructionOperator, SampleSet, samples_to_csv
 from varband.spectral import SpectralSet, uniform_quadrature
+from varband.sturm import rk4_segments
+
+from test_schrodinger import reference_transmission
 
 
 def run(args):
@@ -122,10 +125,28 @@ class TestScatter:
         assert run(["scatter", "--config", cfg, "--out", out]) == 0
         rep = json.loads((out / "report.json").read_text())
         a, h, n = rep["support_radius"], rep["rk4_step"], rep["rk4_steps"]
-        assert a > 0 and h > 0 and n % 2 == 0
-        # n / 2 steps of h cross [-a, a] in each direction, none of them overshooting
-        assert h * (n // 2) == pytest.approx(2 * a, rel=1e-12)
-        assert h <= 2 * np.pi / (50.0 * 2.0)
+        # one pass from a to -a, its steps broken at the inner edge of the
+        # blend's warped support
+        prof = profile_from_config(json.loads(cfg.read_text())["profile"])
+        h_max = min(1e-3, 2 * np.pi / (50.0 * 2.0))
+        segments = rk4_segments(a, -a, h_max, prof.zeta([-0.5, 0.5]))
+        assert len(segments) == 2
+        assert n == sum(k for _, _, k in segments)
+        assert h == max((start - end) / k for start, end, k in segments)
+        assert 0 < h <= h_max
+
+    def test_cubic_blend_transmission(self, tmp_path):
+        prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5,
+                    "blend": "cubic"}
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": prof_cfg, "omega_grid": {"lo": 0.05, "hi": 5.0, "n": 4},
+        })
+        out = tmp_path / "out"
+        assert run(["scatter", "--config", cfg, "--out", out]) == 0
+        rows = np.loadtxt(out / "scattering.csv", delimiter=",", skiprows=1)
+        prof = profile_from_config(prof_cfg)
+        T_ref = np.array([reference_transmission(prof, w) for w in rows[:, 0]])
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - T_ref)) < 1e-8
 
     def test_piecewise_profile_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -321,6 +342,33 @@ class TestToyProfile:
         assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o",
                     "--samples", samples]) == 2
         assert "exactly one breakpoint, at 0" in capsys.readouterr().err
+
+
+STEP_14 = {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]}
+
+
+class TestFreeModelProfile:
+    """The free model is the space of p = 1; any other profile is refused."""
+
+    def test_kernel_rejects_step_profile(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "free", "spectral_set": [[0.0, 1.0]], "profile": STEP_14,
+        })
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error: model 'free'")
+        assert not (tmp_path / "o" / "kernel_grid.csv").exists()
+
+    def test_reconstruct_rejects_step_profile(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "free", "spectral_set": [[0.0, 1.0]], "profile": STEP_14,
+            "window": [-10.0, 10.0],
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.0, 9.0, 40), np.zeros(40))
+        assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o",
+                    "--samples", samples]) == 2
+        assert capsys.readouterr().err.startswith("error: model 'free'")
+        assert not (tmp_path / "o" / "reconstruction.csv").exists()
 
 
 class TestErrors:

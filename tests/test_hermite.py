@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from varband import profile, schrodinger, sturm
-from varband.profile import CubicHermite, blend_profile, toy_profile
+from varband import profile, schrodinger
+from varband.profile import CubicHermite, blend_profile
 from varband.schrodinger import ScatteringSweep
-from varband.sturm import solve_eigen
 
 
 class ScipyHermite:
@@ -23,9 +22,6 @@ class ScipyHermite:
 
     def __call__(self, t):
         return self._spline(t)
-
-    def derivative(self, t):
-        return self._spline.derivative()(t)
 
     def antiderivative(self, t):
         return self._spline.antiderivative()(t)
@@ -68,14 +64,6 @@ class TestAgainstScipy:
         assert rel_dev(CubicHermite(x, y, dydx)(t), CubicHermiteSpline(x, y, dydx)(t)) < 1e-13
 
     @pytest.mark.parametrize("trailing,dtype", CASES, ids=lambda c: str(c))
-    def test_derivative(self, trailing, dtype):
-        rng = np.random.default_rng(12)
-        x, y, dydx = uneven_data(rng, 60, trailing, dtype)
-        t = probes(rng, x)
-        want = CubicHermiteSpline(x, y, dydx).derivative()(t)
-        assert rel_dev(CubicHermite(x, y, dydx).derivative(t), want) < 1e-13
-
-    @pytest.mark.parametrize("trailing,dtype", CASES, ids=lambda c: str(c))
     def test_antiderivative(self, trailing, dtype):
         rng = np.random.default_rng(15)
         x, y, dydx = uneven_data(rng, 60, trailing, dtype)
@@ -90,7 +78,6 @@ class TestAgainstScipy:
         # each knot but the last starts its interval, where s = 0 leaves the constant term
         assert np.array_equal(sp(x[:-1]), y[:-1])
         assert rel_dev(sp(x), y) < 1e-13
-        assert rel_dev(sp.derivative(x), dydx) < 1e-9
 
     def test_point_shapes(self):
         rng = np.random.default_rng(14)
@@ -132,17 +119,3 @@ class TestCallSites:
         xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
         assert rel_dev(sweep.phi(xs), ref.phi(xs)) < 1e-12
         assert rel_dev(sweep.antiderivative(xs), ref.antiderivative(xs)) < 1e-12
-
-    @pytest.mark.parametrize("prof", [toy_profile(1.0, 4.0), blend_profile(1.0, 2.0, R=1.0)],
-                             ids=["step", "smooth"])
-    def test_eigen_solution(self, monkeypatch, prof):
-        def solve():
-            return solve_eigen(prof, 1.7, (1.0, 0.5j), 0.3, (-2.0, 2.5), step=1e-2)
-
-        with monkeypatch.context() as m:
-            m.setattr(sturm, "CubicHermite", ScipyHermite)
-            ref = solve()
-        sol = solve()
-        xs = np.concatenate((np.linspace(-2.0, 2.5, 451), [0.0, 0.3]))
-        assert rel_dev(sol.phi(xs), ref.phi(xs)) < 1e-12
-        assert rel_dev(sol.pdphi(xs), ref.pdphi(xs)) < 1e-12

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 
-from varband.kernel import SchrodingerModel
+from varband.cli import _model
+from varband.kernel import LiouvilleModel, SchrodingerModel
 from varband.paleywiener import transform
-from varband.profile import blend_profile
+from varband.profile import CubicHermite, blend_profile, profile_from_config
 from varband.schrodinger import (
     MatchingError,
     ScatteringSweep,
     scattering_coeffs,
 )
 from varband.spectral import SpectralQuadrature, SpectralSet
+from varband.sturm import rk4_linear
 
 
 def square_well_T(q0, a, omega):
@@ -19,6 +22,70 @@ def square_well_T(q0, a, omega):
     num = 2j * k * kap * np.exp(-2j * k * a)
     den = 2j * k * kap * np.cos(2 * kap * a) + (k**2 + kap**2) * np.sin(2 * kap * a)
     return num / den
+
+
+def reference_transmission(prof, omega):
+    """T(omega) of a smooth blend, solved without the Liouville warp.
+
+    DOP853 integrates -(p u')' = omega^2 u in x from the right plateau, where
+    psi = p^(1/4) u is the pure transmitted wave e^(i omega s), to the left
+    one, and reads off the incoming amplitude there; s = zeta(x) enters only
+    through the warped length of [-R, R]. Shares no code with the warps, the
+    Liouville potential or the RK4 sweep.
+    """
+    R, pm, pp = prof.R, prof.p_minus, prof.p_plus
+
+    def p(x):
+        return float(prof.p_func(x))
+
+    length = quad(lambda x: p(x) ** -0.5, -R, R, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    y0 = np.array([pp**-0.25, 1j * omega * pp**0.25])  # (u, p u') at x = R
+    sol = solve_ivp(lambda x, y: np.array([y[1] / p(x), -omega**2 * y[0]]), (R, -R), y0,
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    u, v = sol.y[:, -1]
+    psi, dpsi = pm**0.25 * u, pm**-0.25 * v
+    alpha = 0.5 * (psi + dpsi / (1j * omega)) * np.exp(1j * omega * length)
+    return 1.0 / alpha
+
+
+class TwoPassSweep:
+    """The two-pass sweep: one RK4 pass per direction, each normalised on its own.
+
+    Phi1 = u / alpha from the wave e^{i omega x} right of the support, run
+    leftward; Phi2 = z / gamma from e^{-i omega x} left of it, run rightward.
+    Same step rule and breakpoints as `ScatteringSweep`.
+    """
+
+    def __init__(self, q, a, omegas, breakpoints):
+        w = np.asarray(omegas, dtype=float)
+        h = min(1e-3, 2 * np.pi / (50.0 * np.max(w)))
+        qa = lambda x: q(np.clip(x, -a, a))
+        e = np.exp(1j * w * a)
+        g1, s1 = rk4_linear(np.ones_like, qa, w**2, a, -a, np.stack([e, 1j * w * e]), h,
+                            breakpoints, path=True)
+        g2, s2 = rk4_linear(np.ones_like, qa, w**2, -a, a, np.stack([e, -1j * w * e]), h,
+                            breakpoints, path=True)
+        (y, dy), (z, dz) = s1[-1], s2[-1]
+        alpha = 0.5 * (y + dy / (1j * w)) * e
+        beta = 0.5 * (y - dy / (1j * w)) * e.conj()
+        gamma = 0.5 * (z - dz / (1j * w)) * e
+        delta = 0.5 * (z + dz / (1j * w)) * e.conj()
+        self.T, self.R1, self.R2 = 1.0 / alpha, beta / alpha, delta / gamma
+        self.norm = np.stack([alpha, gamma])[:, :, None]
+        self.splines = (CubicHermite(g1[::-1], s1[::-1, 0], s1[::-1, 1]),
+                        CubicHermite(g2, s2[:, 0], s2[:, 1]))
+
+    def phi(self, x):
+        return np.stack([sp(x).T for sp in self.splines]) / self.norm
+
+    def antiderivative(self, x):
+        return np.stack([sp.antiderivative(x).T for sp in self.splines]) / self.norm
+
+
+def rel_dev(got, want):
+    """Largest deviation along the last axis relative to the largest entry there."""
+    return np.max(np.max(np.abs(got - want), axis=-1) / np.max(np.abs(want), axis=-1))
 
 
 class TestFreeCase:
@@ -109,20 +176,69 @@ class TestSmoothPotential:
             lean.phi(0.3)
 
 
+def quintic_blend_case():
+    prof = blend_profile(1.0, 4.0, R=1.5, kind="quintic")
+    return (prof.potential_q_warped, prof.warped_support_radius, np.linspace(0.05, 5.0, 7),
+            prof.zeta([-prof.R, prof.R]))
+
+
+def square_barrier_case():
+    # min |T| is 3.8e-3 here, so Phi2 inside is a difference of two large solutions
+    return lambda x: np.full(np.shape(x), 6.0), 1.0, np.array([0.3, 1.0, 3.0]), ()
+
+
+class TestOnePass:
+    """The one-pass sweep against the two-pass sweep, same step rule and breakpoints."""
+
+    @pytest.mark.parametrize("case", [quintic_blend_case, square_barrier_case],
+                             ids=["quintic_blend", "square_barrier"])
+    def test_matches_two_passes(self, case):
+        q, a, omegas, breakpoints = case()
+        sweep = ScatteringSweep(q, a, omegas, breakpoints=breakpoints)
+        ref = TwoPassSweep(q, a, omegas, breakpoints)
+        for got, want in ((sweep.T, ref.T), (sweep.R1, ref.R1), (sweep.R2, ref.R2)):
+            assert rel_dev(got, want) < 1e-12
+        xs = np.linspace(-a, a, 401)
+        assert rel_dev(sweep.phi(xs), ref.phi(xs)) < 1e-12
+        assert rel_dev(sweep.antiderivative(xs), ref.antiderivative(xs)) < 1e-12
+
+
+BLENDS = [(1.0, 4.0, 1.5, "cubic"), (1.0, 2.0, 1.0, "cubic"), (2.0, 3.0, 0.8, "cubic"),
+          (1.0, 4.0, 1.5, "quintic")]
+
+
+class TestBlendTransmission:
+    @pytest.mark.parametrize("blend", BLENDS, ids=lambda b: "{}-{}-{}-{}".format(*b))
+    def test_matches_reference_solver(self, blend):
+        # the support [zeta(-R), zeta(R)] is not symmetric: the sweep must
+        # break its RK4 steps where q jumps (cubic) or kinks (quintic)
+        pm, pp, R, kind = blend
+        prof_cfg = {"kind": "smooth_blend", "p_minus": pm, "p_plus": pp, "R": R, "blend": kind}
+        prof = profile_from_config(prof_cfg)
+        omegas = np.array([0.05, 0.5, 2.0, 5.0])
+        sset = SpectralSet([(0.0, 25.0)])
+        quad = SpectralQuadrature(sset, omegas, np.ones(4), 1, 4.0)
+        T_ref = np.array([reference_transmission(prof, w) for w in omegas])
+        cfg = {"model": "schrodinger", "profile": prof_cfg, "spectral_set": [[0.0, 25.0]]}
+        for model in (LiouvilleModel(prof, sset, quad=quad).inner, _model(cfg, quad=quad)):
+            assert np.max(np.abs(model.sweep.T - T_ref)) < 1e-8
+
+
 class TestSweepCost:
     @pytest.mark.parametrize("store_interior", [True, False])
-    def test_potential_tabulated_per_direction(self, store_interior):
-        calls = []
+    def test_potential_tabulated_per_segment(self, store_interior):
+        for breakpoints in [(), (0.3,)]:
+            calls = []
 
-        def q(x):
-            calls.append(np.size(x))
-            return np.exp(-4.0 * np.asarray(x, float) ** 2)
+            def q(x):
+                calls.append(np.size(x))
+                return np.exp(-4.0 * np.asarray(x, float) ** 2)
 
-        sweep = ScatteringSweep(q, 1.0, np.linspace(0.1, 5.0, 50),
-                                store_interior=store_interior)
-        # at most two array calls per direction, never one per RK4 stage
-        assert len(calls) <= 4
-        assert sum(calls) >= 3 * sweep.n_steps
+            sweep = ScatteringSweep(q, 1.0, np.linspace(0.1, 5.0, 50), breakpoints=breakpoints,
+                                    store_interior=store_interior)
+            # one array call per RK4 segment of the one pass, never one per stage
+            assert len(calls) == len(breakpoints) + 1
+            assert sum(calls) == 3 * sweep.n_steps
 
 
 class TestLiouvilleConsistency:
@@ -154,10 +270,10 @@ class TestSpectralTransform:
             ScatteringSweep(None, 0.0, [0.0, 1.0])
 
     def test_wronskian_relation(self):
-        # 1/alpha and 1/gamma both equal T
+        # Phi2 is continuous across -a, where its tail is T e^{-i omega x}
         q = lambda x: np.sin(np.asarray(x, float)) ** 2 * (np.abs(x) <= 1)
         sweep = ScatteringSweep(q, 1.0, [2.2])
-        assert abs(1.0 / sweep._gamma[0] - sweep.T[0]) < 1e-9
+        assert abs(sweep.phi(-1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
 
     def test_phi_at_scalar_point(self):
         v = ScatteringSweep(None, 0.0, [1.0]).phi(0.5)

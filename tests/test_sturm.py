@@ -1,17 +1,33 @@
 import numpy as np
 import pytest
 
-from varband.profile import constant_profile, toy_profile
 from varband.sturm import (
     IntegrationError,
     SpectralDensityError,
     rk4_linear,
-    solve_eigen,
     toy_fundamental,
     toy_spectral_density,
     toy_wronskian_value,
-    wronskian,
 )
+
+
+def step_path(pm, pp, lam, x0, x1, y0):
+    """(grid, states) of (phi, p phi') for the step profile, jump at 0, from x0 to x1.
+
+    The system u0' = u1 / p, u1' = -lam u0 is rk4_linear's with a = 1/p, b = 0
+    and c = lam; the jump is a breakpoint.
+    """
+    def inv_p(x):
+        return np.where(np.asarray(x) < 0, 1.0 / pm, 1.0 / pp)
+
+    return rk4_linear(inv_p, np.zeros_like, lam, x0, x1, np.asarray(y0, dtype=complex), 1e-3,
+                      breakpoints=(0.0,), path=True)
+
+
+def at(grid, states, xs):
+    """States of a path at the grid points nearest xs, and those points."""
+    i = np.abs(grid[None, :] - np.asarray(xs)[:, None]).argmin(axis=1)
+    return grid[i], states[i]
 
 
 class TestClosedForms:
@@ -36,63 +52,30 @@ class TestClosedForms:
     def test_matches_ode_integration(self):
         # integrate the pure transmitted branch from the right plateau back
         pm, pp, lam = 1.0, 4.0, 1.0
-        prof = toy_profile(pm, pp)
-        x0 = 1.0
+        x0 = 2.0
         phi0, _ = toy_fundamental(pm, pp, lam, x0)
         kp = np.sqrt(lam / pp)
-        init = (phi0, pp * 1j * kp * phi0)
-        sol = solve_eigen(prof, lam, init, x0, (-2.0, 2.0), step=1e-3)
-        xs = np.linspace(-2, 2, 37)
+        grid, states = step_path(pm, pp, lam, x0, -2.0, (phi0, pp * 1j * kp * phi0))
+        xs, st = at(grid, states, np.linspace(-2, 2, 37))
         ref = toy_fundamental(pm, pp, lam, xs)[0]
-        assert np.max(np.abs(sol.phi(xs) - ref)) < 1e-7
-
-
-class TestSolveEigen:
-    def test_cosine(self):
-        prof = constant_profile(1.0)
-        sol = solve_eigen(prof, 1.0, (1.0, 0.0), 0.0, (0.0, 10.0), step=1e-3)
-        xs = np.linspace(0, 10, 101)
-        assert np.max(np.abs(sol.phi(xs) - np.cos(xs))) < 1e-8
-
-    def test_lambda_zero_constant(self):
-        prof = toy_profile(1.0, 4.0)
-        sol = solve_eigen(prof, 0.0, (1.0, 0.0), 0.0, (-3.0, 3.0), step=1e-2)
-        xs = np.linspace(-3, 3, 25)
-        assert np.max(np.abs(sol.phi(xs) - 1.0)) < 1e-12
-
-    def test_bad_span(self):
-        with pytest.raises(IntegrationError):
-            solve_eigen(constant_profile(1.0), 1.0, (1.0, 0.0), 5.0, (0.0, 1.0))
-
-    def test_state_continuous_across_jump(self):
-        prof = toy_profile(1.0, 4.0)
-        sol = solve_eigen(prof, 2.0, (1.0, 0.5), 0.0, (-1.0, 1.0), step=1e-3)
-        eps = 1e-6
-        assert abs(sol.phi(-eps) - sol.phi(eps)) < 1e-5
-        assert abs(sol.pdphi(-eps) - sol.pdphi(eps)) < 1e-4
-
-    def test_csv_export(self, tmp_path):
-        prof = constant_profile(1.0)
-        sol = solve_eigen(prof, 1.0, (1.0, 0.0), 0.0, (0.0, 1.0), step=1e-2)
-        path = tmp_path / "sol.csv"
-        sol.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x,re_phi,im_phi,re_pdphi,im_pdphi"
+        assert np.max(np.abs(st[:, 0] - ref)) < 1e-7
 
 
 class TestWronskian:
     def test_constant_along_solutions(self):
+        # the pure transmitted branches, each integrated across [-3, 3]
         pm, pp, lam = 2.0, 3.0, 1.3
-        prof = toy_profile(pm, pp)
-        span = (-3.0, 3.0)
-        fp0, _ = toy_fundamental(pm, pp, lam, 2.0)
+        fp0, _ = toy_fundamental(pm, pp, lam, 3.0)
         kp = np.sqrt(lam / pp)
-        sol1 = solve_eigen(prof, lam, (fp0, pp * 1j * kp * fp0), 2.0, span, step=1e-3)
-        _, fm0 = toy_fundamental(pm, pp, lam, -2.0)
+        _, fm0 = toy_fundamental(pm, pp, lam, -3.0)
         km = np.sqrt(lam / pm)
-        sol2 = solve_eigen(prof, lam, (fm0, pm * (-1j) * km * fm0), -2.0, span, step=1e-3)
+        # both grids step 1e-3 from an integer, so they share the points of xs
         xs = np.linspace(-2.5, 2.5, 11)
-        w = wronskian(sol1, sol2, xs)
+        x1, st1 = at(*step_path(pm, pp, lam, 3.0, -3.0, (fp0, pp * 1j * kp * fp0)), xs)
+        x2, st2 = at(*step_path(pm, pp, lam, -3.0, 3.0, (fm0, pm * (-1j) * km * fm0)), xs)
+        assert np.max(np.abs(x1 - xs)) < 1e-12 and np.max(np.abs(x2 - xs)) < 1e-12
+        # W_p(phi1, phi2) = (p phi1') phi2 - phi1 (p phi2')
+        w = st1[:, 1] * st2[:, 0] - st1[:, 0] * st2[:, 1]
         expected = toy_wronskian_value(pm, pp, lam)
         assert np.max(np.abs(w - expected)) / abs(expected) < 1e-6
 
@@ -176,6 +159,13 @@ class TestIntegratorCore:
         assert [x.shape for x in seen] == [(3, 10), (3, 10)]
         for x, (lo, hi) in zip(seen, [(0.0, 1.0), (-1.0, 0.0)]):
             assert lo < x.min() and x.max() < hi
+
+    def test_state_continuous_across_jump(self):
+        # from -1 to either side of the jump, one run crossing it and one not
+        eps = 1e-6
+        left, right = (step_path(1.0, 4.0, 2.0, -1.0, x, (1.0, 0.5))[1][-1] for x in (-eps, eps))
+        assert abs(left[0] - right[0]) < 1e-5
+        assert abs(left[1] - right[1]) < 1e-4
 
     def test_step_validation(self):
         with pytest.raises(IntegrationError):
