@@ -22,15 +22,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .density import (beurling_density, gap_density_bound, landau_sweep,
+from .density import (DensityError, beurling_density, gap_density_bound, landau_sweep,
                       quasi_uniform_set, separation)
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                      toy_kernel)
 from .paleywiener import random_smooth_function
 from .profile import (PiecewiseConstantProfile, ProfileError, blend_profile,
                       constant_profile, profile_from_config)
-from .sampling import (frame_bounds_estimate, reconstruct_iterative,
-                       samples_from_csv, shannon_basis_toy)
+from .sampling import (SamplingError, frame_bounds_estimate, reconstruct_iterative,
+                       samples_from_csv, shannon_gram)
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
 
@@ -39,10 +39,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg, key, where="config"):
+def _require(cfg, key):
     if key not in cfg:
-        raise ConfigError(f"missing field {key!r} in {where}")
+        raise ConfigError(f"missing field {key!r} in config")
     return cfg[key]
+
+
+def _count(block, key, default, least, what):
+    """An integer field of a config block, at least ``least``."""
+    n = block.get(key, default)
+    if not (isinstance(n, int) and n >= least):
+        raise ConfigError(f"{what} must be an integer >= {least}, got {n!r}")
+    return n
 
 
 def _sset(cfg):
@@ -81,6 +89,8 @@ def _model(cfg, quad=None):
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
     x_max = cfg.get("x_max", 25.0)
+    if not (isinstance(x_max, (int, float)) and 0 < x_max < np.inf):
+        raise ConfigError(f"x_max must be a positive number, got {x_max!r}")
     if kind == "free":
         if "profile" in cfg and not _is_unit(_profile(cfg)):
             raise ConfigError("model 'free' is the space of p = 1, but the profile is "
@@ -121,7 +131,7 @@ def cmd_kernel(cfg, out_dir, rng):
     t0 = time.time()
     model = _model(cfg)
     g = cfg.get("grid", {})
-    lo, hi, n = g.get("lo", -10.0), g.get("hi", 10.0), g.get("n", 101)
+    lo, hi, n = g.get("lo", -10.0), g.get("hi", 10.0), _count(g, "n", 101, 1, "grid.n")
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs, keep_complex=True)
     with open(Path(out_dir) / "kernel_grid.csv", "w", newline="") as fh:
@@ -193,17 +203,14 @@ def cmd_shannon(cfg, out_dir, rng):
     t0 = time.time()
     pm, pp = _step_values(cfg, "shannon")
     omega_max = _sset(cfg).lambda_max
-    j_max = cfg.get("j_max", 20)
-    nodes, wts = shannon_basis_toy(pm, pp, omega_max, j_max)
-    K = toy_kernel(pm, pp, omega_max, nodes[:, None], nodes[None, :])
-    c = np.sqrt(np.pi * wts / np.sqrt(omega_max))
-    G = c[:, None] * K * c[None, :]
-    dev = np.abs(G - np.eye(nodes.size))
+    j_max = _count(cfg, "j_max", 20, 0, "j_max")
+    G = shannon_gram(pm, pp, omega_max, j_max)
+    dev = np.abs(G - np.eye(G.shape[0]))
     with open(Path(out_dir) / "gram.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "gram", "deviation"])
-        for i in range(nodes.size):
-            for j in range(nodes.size):
+        for i in range(G.shape[0]):
+            for j in range(G.shape[0]):
                 w.writerow([i - j_max, j - j_max, f"{G[i, j]:.15g}", f"{dev[i, j]:.3g}"])
     max_offdiag = float(np.max(dev))
     _write_report(out_dir, cfg, {"subcommand": "shannon",
@@ -249,6 +256,9 @@ def cmd_landau(cfg, out_dir, rng):
     else:
         raise ConfigError("landau needs a 'smooth_blend' profile or the constant "
                           "piecewise profile with value 1.0")
+    if cfg.get("model", kind) != kind:
+        raise ConfigError(f"landau runs model {kind!r} for this profile, not "
+                          f"{cfg['model']!r}")
 
     def builder(wz):
         # quadrature matched to the warped window, as `landau_sweep` requires
@@ -296,12 +306,9 @@ def cmd_selftest(cfg, out_dir, rng):
     check("step_kernel_cross_validation", dev < 1e-6, f"dev={dev:.2e}")
 
     # orthonormal basis
-    nodes, wts = shannon_basis_toy(1.0, 4.0, 1.0, 20)
-    K = toy_kernel(1.0, 4.0, 1.0, nodes[:, None], nodes[None, :])
-    c = np.sqrt(np.pi * wts)
-    G = c[:, None] * K * c[None, :]
+    G = shannon_gram(1.0, 4.0, 1.0, 20)
     check("orthonormal_basis_gram",
-          float(np.max(np.abs(G - np.eye(nodes.size)))) < 1e-8)
+          float(np.max(np.abs(G - np.eye(G.shape[0])))) < 1e-8)
 
     # scattering unitarity
     prof = blend_profile(1.0, 4.0, R=1.0)
@@ -357,12 +364,15 @@ def main(argv=None):
         if args.config is not None:
             with open(args.config) as fh:
                 cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise ConfigError(f"config {args.config} must hold a JSON object, "
+                                  f"not a {type(cfg).__name__}")
         args.out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "reconstruct":
             return cmd_reconstruct(cfg, args.out, rng, samples_path=args.samples)
         return COMMANDS[args.subcommand](cfg, args.out, rng)
-    except (ConfigError, ProfileError, SpectralSetError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ProfileError, SpectralSetError, SamplingError, DensityError,
+            FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,11 +101,13 @@ def separation(profile, X):
     return min_gap, int(n0)
 
 
-def gap_density_bound(profile, X, window=None, r_max=None):
+def gap_density_bound(profile, X, window=None):
     """Max-gap eta and the induced density lower bound.
 
-    Returns (eta, 1/eta, measured D_p^-, holds) where the inequality is
-    checked with the finite-window slack 3 / r_max.
+    Returns (eta, 1/eta, measured D_p^-, holds). D_p^- is counted on windows
+    of mu_p-length r_max, a quarter of the warped window (the span of the
+    points when ``window`` is None), and the inequality is checked with the
+    finite-window slack 3 / r_max.
     """
     pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
     eta = profile.max_gap_delta(pts)
@@ -115,8 +117,7 @@ def gap_density_bound(profile, X, window=None, r_max=None):
     else:
         a, b = _unpack(window)
         wz = (float(profile.zeta(a)), float(profile.zeta(b)))
-    if r_max is None:
-        r_max = (wz[1] - wz[0]) / 4
+    r_max = (wz[1] - wz[0]) / 4
     cmin, _ = sliding_counts(z, wz, r_max)
     d_minus = cmin / r_max
     holds = bool(d_minus >= 1.0 / eta - 3.0 / r_max)

@@ -8,9 +8,10 @@ for a pair of fundamental solutions Phi and a diagonal measure weight rho on
 the frequency nodes.  The models below differ only in how Phi and rho are
 produced: closed forms for the two-plateau step profile, scattering solutions
 for a compactly supported Schrodinger potential, and the warped pullback of
-the latter for smooth eventually constant profiles.  Closed-form kernels
-(step profile, half line, free sinc) are kept as independent evaluation
-paths for cross-validation.
+the latter for smooth eventually constant profiles.  ``kernel_pairs`` and
+``kernel_matrix`` are the one pointwise evaluator of every model; the
+closed-form kernels (step profile, half line, free sinc) are independent
+references for cross-validation.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ class ImaginaryResidueWarning(UserWarning):
     pass
 
 
-def _realize(z, tol=1e-9):
+def _realize(z):
     z = np.asarray(z)
     resid = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    if resid > tol * max(1.0, float(np.max(np.abs(z.real))) if z.size else 1.0):
+    if resid > 1e-9 * max(1.0, float(np.max(np.abs(z.real))) if z.size else 1.0):
         warnings.warn(
             f"kernel evaluation has imaginary residue {resid:g}", ImaginaryResidueWarning
         )
@@ -158,6 +159,14 @@ class SpectralModel:
     def _weights(self):
         return self.quad.weights[None, :] * self.rho
 
+    def synthesis_weights(self):
+        """w rho / transform_prefactor: f = sum of these times F Phi."""
+        return self._weights() / self.transform_prefactor
+
+    def norm_weights(self):
+        """w rho / transform_prefactor**2: ||f||^2 = sum of these times |F|^2."""
+        return self._weights() / self.transform_prefactor**2
+
     def _factors(self, x, y):
         """w rho Phi(x) and conj Phi(y); Phi is evaluated once when y is x."""
         px = self.phi(x)
@@ -271,40 +280,6 @@ class SchrodingerModel(SpectralModel):
 
     def antiderivative(self, x):
         return self.sweep.antiderivative(x)
-
-    # fast evaluation paths from the plane-wave tails -----------------------
-
-    def kernel_tails(self, x, y):
-        """Kernel for |x|, |y| outside the potential support, from (T, R) only."""
-        a = self.support_radius
-        x, y = float(x), float(y)
-        if abs(x) < a or abs(y) < a:
-            raise KernelError("tail formula needs |x|, |y| >= support radius")
-        if x > y:
-            x, y = y, x  # kernel is real symmetric
-        w = self.quad.nodes
-        wt = self.quad.weights
-        if x >= a or y <= -a:
-            R = self.sweep.R2 if x >= a else self.sweep.R1
-            s = 1.0 if x >= a else -1.0
-            val = (1.0 / np.pi) * np.sum(
-                wt * (np.cos(w * (x - y)) + (R * np.exp(1j * s * w * (x + y))).real)
-            )
-            return float(val)
-        if x <= -a and y >= a:
-            T = self.sweep.T
-            val = (1.0 / np.pi) * np.sum(wt * (T * np.exp(-1j * w * (x - y))).real)
-            return float(val)
-        raise KernelError("tail formula needs both points outside the support")
-
-    def diagonal_tail(self, y):
-        """k(y, y) for y > support radius: measure term plus reflection ripple."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(y < self.support_radius):
-            raise KernelError("diagonal tail formula needs y >= support radius")
-        ripple = (np.exp(2j * np.outer(y, self.quad.nodes)) * self.sweep.R2[None, :]
-                  * self.quad.weights[None, :]).real.sum(axis=1)
-        return (self.sset.sqrt_measure + ripple) / np.pi
 
     def diagonal_tail_average(self, lo, hi):
         """Mean of k(y, y) over [lo, hi] right of the support, exact in y.

@@ -35,20 +35,16 @@ class VarBandFunction:
                 f"(2, {len(self.model.quad)})"
             )
 
-    # synthesis weights: w_l * rho / transform_prefactor
-    def _synth(self):
-        return self.model.quad.weights[None, :] * self.model.rho / self.model.transform_prefactor
-
     def evaluate(self, x):
         scalar = not np.ndim(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = (self._synth() * self.F).ravel() @ _as_matrix(self.model.phi(xs))
+        vals = (self.model.synthesis_weights() * self.F).ravel() @ _as_matrix(self.model.phi(xs))
         return complex(vals[0]) if scalar else vals
 
     __call__ = evaluate
 
     def norm(self):
-        w = self.model.quad.weights[None, :] * self.model.rho / self.model.transform_prefactor**2
+        w = self.model.norm_weights()
         return float(np.sqrt(np.sum(w * np.abs(self.F) ** 2).real))
 
     def __add__(self, other):
@@ -180,7 +176,7 @@ def bernstein_ratio(f, k, omega_max):
     functions bandlimited to [0, omega_max]."""
     if k < 0 or int(k) != k:
         raise FunctionError("k must be a nonnegative integer")
-    w = f.model.quad.weights[None, :] * f.model.rho / f.model.transform_prefactor**2
+    w = f.model.norm_weights()
     lam = f.model.quad.nodes[None, :] ** 2
     dens = float(np.sum(w * np.abs(f.F) ** 2).real)
     if dens == 0:
@@ -189,19 +185,20 @@ def bernstein_ratio(f, k, omega_max):
     return float(np.sqrt(num / dens) / omega_max**k)
 
 
-def warped_bandlimited_eval(profile, F, lam_intervals, x, order=10, max_panel=None):
+def warped_bandlimited_eval(profile, F, lam_intervals, x):
     """First-order warped evaluator: classical inverse transform of F at eta^{-1}(x).
 
     f(x) = int_Lambda F(lambda) exp(i lambda eta^{-1}(x)) d lambda, with
-    eta(x) = int_0^x dt / p(t).  F is a callable on the spectral parameter.
+    eta(x) = int_0^x dt / p(t).  F is a callable on the spectral parameter;
+    the integral is a composite 10-point Gauss-Legendre rule with panels no
+    wider than pi / (4 max |eta^{-1}(x)|).
     """
     scalar = not np.ndim(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.atleast_1d(profile.eta_inv(xs))
     tmax = max(float(np.max(np.abs(t))), 1e-9)
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    if max_panel is None:
-        max_panel = np.pi / (4 * tmax)
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    max_panel = np.pi / (4 * tmax)
     out = np.zeros(t.size, dtype=complex)
     for a, b in lam_intervals:
         n_pan = max(1, int(np.ceil((b - a) / max_panel)))

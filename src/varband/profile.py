@@ -29,10 +29,6 @@ class UnsupportedProfileError(ProfileError):
     """Raised when an operation needs derivatives a profile cannot supply."""
 
 
-class QuadratureError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Interval:
     a: float
@@ -130,7 +126,7 @@ class BandwidthProfile:
         return self._warp_inv(t, -1.0)
 
     def mu(self, interval):
-        """mu_p of an `Interval` (or (a, b) pair)."""
+        """mu_p of an `Interval` (or (a, b) pair): zeta(b) - zeta(a), for both families."""
         a, b = _unpack(interval)
         return float(self.zeta(b) - self.zeta(a))
 
@@ -309,28 +305,6 @@ class SmoothProfile(BandwidthProfile):
             np.where(z > zhi, self.R + (z - zhi) / self.p_plus**power, inside),
         )
         return out if out.ndim else float(out)
-
-    def mu(self, interval):
-        """Adaptive-quadrature mu_p (Gauss-Kronrod on the blend region)."""
-        a, b = _unpack(interval)
-        if b <= a:
-            return 0.0
-        total = 0.0
-        lo, hi = max(a, -self.R), min(b, self.R)
-        if a < -self.R:
-            total += (min(b, -self.R) - a) / np.sqrt(self.p_minus)
-        if b > self.R:
-            total += (b - max(a, self.R)) / np.sqrt(self.p_plus)
-        if hi > lo:
-            from scipy import integrate
-
-            val, err = integrate.quad(
-                lambda u: self.eval_p(u) ** -0.5, lo, hi, epsabs=1e-10, epsrel=1e-8, limit=200,
-            )
-            if err > 1e-6 * (1 + abs(val)):
-                raise QuadratureError(f"mu_p quadrature residual {err:g}")
-            total += val
-        return float(total)
 
     def inf_p(self, a, b):
         a, b = _gap_ends(a, b)

@@ -118,9 +118,7 @@ class ReconstructionOperator:
         np.conjugate(self.C, out=self.C)
         self.C *= model.transform_prefactor
         self.phiX = model.phi(self.points)
-        self._synth = (
-            model.quad.weights[None, :] * model.rho / model.transform_prefactor
-        )
+        self._synth = model.synthesis_weights()
 
     def sample(self, f):
         return (self._synth * f.F).ravel() @ _as_matrix(self.phiX)
@@ -198,12 +196,10 @@ def shannon_basis_toy(p_minus, p_plus, omega_max, j_max):
     return nodes, weights
 
 
-def shannon_expand(p_minus, p_plus, omega_max, sample_values, x, j_max=None):
-    """f(x) = (pi / sqrt(Omega)) sum_j w_j f(x_j) k(x_j, x)."""
+def shannon_expand(p_minus, p_plus, omega_max, sample_values, x):
+    """f(x) = (pi / sqrt(Omega)) sum_j w_j f(x_j) k(x_j, x), from the 2 j_max + 1 values f(x_j)."""
     values = np.asarray(sample_values, dtype=complex)
-    if j_max is None:
-        j_max = (values.size - 1) // 2
-    nodes, weights = shannon_basis_toy(p_minus, p_plus, omega_max, j_max)
+    nodes, weights = shannon_basis_toy(p_minus, p_plus, omega_max, (values.size - 1) // 2)
     if values.size != nodes.size:
         raise SamplingError("sample count does not match the node range")
     scalar = not np.ndim(x)
@@ -213,12 +209,24 @@ def shannon_expand(p_minus, p_plus, omega_max, sample_values, x, j_max=None):
     return complex(out[0]) if scalar else out
 
 
+def _shannon_normalized(p_minus, p_plus, omega_max, j_max):
+    """Nodes x_j and the norms sqrt(pi w_j / sqrt(Omega)) that make k(x_j, .) orthonormal."""
+    nodes, weights = shannon_basis_toy(p_minus, p_plus, omega_max, j_max)
+    return nodes, np.sqrt(np.pi * weights / np.sqrt(omega_max))
+
+
 def shannon_basis_function(p_minus, p_plus, omega_max, j, j_max, x):
     """Normalized basis element sqrt(pi w_j / sqrt(Omega)) k(x_j, .)."""
-    nodes, weights = shannon_basis_toy(p_minus, p_plus, omega_max, j_max)
+    nodes, c = _shannon_normalized(p_minus, p_plus, omega_max, j_max)
     idx = j + j_max
-    c = np.sqrt(np.pi * weights[idx] / np.sqrt(omega_max))
-    return c * toy_kernel(p_minus, p_plus, omega_max, nodes[idx], x)
+    return c[idx] * toy_kernel(p_minus, p_plus, omega_max, nodes[idx], x)
+
+
+def shannon_gram(p_minus, p_plus, omega_max, j_max):
+    """Gram matrix c_i k(x_i, x_j) c_j of the normalized basis: the identity if orthonormal."""
+    nodes, c = _shannon_normalized(p_minus, p_plus, omega_max, j_max)
+    K = toy_kernel(p_minus, p_plus, omega_max, nodes[:, None], nodes[None, :])
+    return c[:, None] * K * c[None, :]
 
 
 def halfline_expansion(omega_max, sample_values, x):
@@ -239,31 +247,21 @@ def halfline_expansion(omega_max, sample_values, x):
     return complex(out[0]) if scalar else out
 
 
-def frame_bounds_estimate(model, X, window=None):
+def frame_bounds_estimate(model, X, window):
     """Smallest/largest squared singular values of the sampling map.
 
     Exact frame bounds for the discretized space spanned by the quadrature
     nodes (a finite surrogate for the continuum statement; the estimate is
-    labeled as such in CLI output).  Rows are scaled by the midpoint cell
-    lengths, matching the weighted sample sums.
+    labeled as such in CLI output).  Rows are scaled by the lengths of the
+    midpoint cells of the window.
     """
     pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
     if pts.size == 0:
         raise SamplingError("empty sample set")
     phiX = model.phi(pts)  # (2, n, N)
-    col = np.sqrt(model.quad.weights[None, :] * model.rho)  # (2, n)
+    col = np.sqrt(model._weights())  # (2, n)
     M = (phiX * col[:, :, None]).reshape(-1, pts.size).T  # (N, 2n)
-    if window is not None:
-        w = np.diff(midpoint_partition(pts, window))
-    else:
-        w = np.empty_like(pts)
-        if pts.size > 1:
-            w[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-            w[0] = pts[1] - pts[0]
-            w[-1] = pts[-1] - pts[-2]
-        else:
-            w[:] = 1.0
-    M = M * np.sqrt(w)[:, None]
+    M = M * np.sqrt(np.diff(midpoint_partition(pts, window)))[:, None]
     s = np.linalg.svd(M, compute_uv=False)
     n_dof = M.shape[1]
     smin = s[n_dof - 1] if s.size >= n_dof else 0.0
@@ -282,8 +280,12 @@ def samples_from_csv(path):
     pts, vals = [], []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        next(r)
+        next(r, None)
         for row in r:
-            pts.append(float(row[0]))
-            vals.append(float(row[1]) + 1j * float(row[2]))
+            try:
+                pts.append(float(row[0]))
+                vals.append(float(row[1]) + 1j * float(row[2]))
+            except (ValueError, IndexError) as exc:
+                raise SamplingError(f"malformed samples file {path}, line {r.line_num}: "
+                                    f"{exc}") from None
     return np.asarray(pts), np.asarray(vals)

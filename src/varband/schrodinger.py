@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,19 +27,13 @@ class MatchingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScatteringData:
+    """One frequency of a sweep, with its row of `ScatteringSweep.defects`."""
+
     omega: float
     T: complex
     R1: complex
     R2: complex
-
-    @property
-    def matrix(self):
-        return np.array([[self.T, self.R1], [self.R2, self.T]])
-
-    @property
-    def unitarity_defect(self):
-        S = self.matrix
-        return float(np.max(np.abs(S.conj().T @ S - np.eye(2))))
+    unitarity_defect: float
 
 
 class ScatteringSweep:
@@ -113,16 +108,21 @@ class ScatteringSweep:
 
     def data(self, i):
         return ScatteringData(float(self.omegas[i]), complex(self.T[i]),
-                              complex(self.R1[i]), complex(self.R2[i]))
+                              complex(self.R1[i]), complex(self.R2[i]),
+                              float(self.defects[i]))
 
-    def unitarity_defect(self):
-        """Max over the grid of the scattering-matrix unitarity defect."""
+    @cached_property
+    def defects(self):
+        """max |S^* S - I| of the scattering matrix S = [[T, R1], [R2, T]], per omega."""
         S = np.empty((self.omegas.size, 2, 2), dtype=complex)
         S[:, 0, 0] = S[:, 1, 1] = self.T
         S[:, 0, 1] = self.R1
         S[:, 1, 0] = self.R2
-        G = np.einsum("nji,njk->nik", S.conj(), S)
-        return float(np.max(np.abs(G - np.eye(2))))
+        return np.max(np.abs(S.conj().transpose(0, 2, 1) @ S - np.eye(2)), axis=(1, 2))
+
+    def unitarity_defect(self):
+        """Max of `defects` over the grid."""
+        return float(np.max(self.defects))
 
     def _regions(self, x):
         """Masks left of, inside and right of the support; free: no inside, 0 is right."""

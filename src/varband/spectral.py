@@ -87,7 +87,7 @@ def gauss_legendre_quadrature(sset, x_max=10.0):
     """
     order = 8
     gx, gw = np.polynomial.legendre.leggauss(order)
-    max_panel = np.pi / (8.0 * max(x_max, 1e-9))
+    max_panel = np.pi / (8.0 * x_max)
     nodes, weights = [], []
     for a, b in sset.sqrt_intervals:
         if b <= a:
@@ -98,6 +98,8 @@ def gauss_legendre_quadrature(sset, x_max=10.0):
             half = 0.5 * (hi - lo)
             nodes.append(0.5 * (lo + hi) + half * gx)
             weights.append(half * gw)
+    if not nodes:
+        raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     return SpectralQuadrature(sset, nodes, weights, order, float(weights.sum()))

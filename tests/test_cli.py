@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varband.cli import main
+from varband.cli import COMMANDS, main
 from varband.kernel import LiouvilleModel, ToyModel, free_model
 from varband.paleywiener import random_smooth_function
 from varband.profile import profile_from_config
@@ -147,6 +147,23 @@ class TestScatter:
         prof = profile_from_config(prof_cfg)
         T_ref = np.array([reference_transmission(prof, w) for w in rows[:, 0]])
         assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - T_ref)) < 1e-8
+
+    def test_unitarity_defect_column(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5,
+                        "blend": "cubic"},
+            "omega_grid": {"lo": 0.05, "hi": 5.0, "n": 200},
+        })
+        out = tmp_path / "out"
+        assert run(["scatter", "--config", cfg, "--out", out]) == 0
+        rows = np.loadtxt(out / "scattering.csv", delimiter=",", skiprows=1)
+        T, R1, R2 = (rows[:, k] + 1j * rows[:, k + 1] for k in (1, 3, 5))
+        ref = [np.max(np.abs(S.conj().T @ S - np.eye(2)))
+               for S in (np.array([[t, r1], [r2, t]]) for t, r1, r2 in zip(T, R1, R2))]
+        assert np.max(np.abs(rows[:, 7] - ref)) <= 2 * np.finfo(float).eps
+        # the report's max is the column's max, not a second evaluation of it
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["max_unitarity_defect"] == np.max(rows[:, 7])
 
     def test_piecewise_profile_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -292,6 +309,21 @@ class TestLandau:
         })
         assert run(["landau", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("model, profile", [
+        ("toy", None),
+        ("liouville", None),
+        ("free", {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0}),
+    ])
+    def test_other_model_rejected(self, tmp_path, capsys, model, profile):
+        cfg = {"model": model, "spectral_set": [[0.0, 1.0]],
+               "density_grid": [0.25, 0.35], "window_halfwidths": [30.0, 60.0]}
+        if profile is not None:
+            cfg["profile"] = profile
+        path = write_cfg(tmp_path, "cfg.json", cfg)
+        assert run(["landau", "--config", path, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: landau runs model")
+        assert not (tmp_path / "out" / "landau_sweep.csv").exists()
+
     @pytest.mark.parametrize("profile", [
         {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
         {"kind": "piecewise", "breakpoints": [], "values": [2.0]},
@@ -371,6 +403,40 @@ class TestFreeModelProfile:
         assert not (tmp_path / "o" / "reconstruction.csv").exists()
 
 
+UNIT = {"kind": "piecewise", "breakpoints": [], "values": [1.0]}
+RECONSTRUCT = {"model": "free", "spectral_set": [[0.0, 1.0]], "profile": UNIT,
+               "window": [-10.0, 10.0]}
+SAMPLES_HEADER = "x,re_value,im_value\n"
+
+# subcommand, config, samples CSV text (or None) and a fragment of the error line
+BAD_INPUTS = {
+    "density_r_above_quarter_window": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0]}, None,
+        "largest r exceeds a quarter of the warped window"),
+    "density_zero_target": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "target_density": 0,
+                    "r_values": [1.0]}, None,
+        "window too small for the requested density"),
+    "reconstruct_sample_outside_window": (
+        "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "-11.0,0,0\n0.0,1,0\n5.0,0,1\n",
+        "sample points escape the window"),
+    "reconstruct_samples_not_increasing": (
+        "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "0.0,0,0\n-1.0,1,0\n5.0,0,1\n",
+        "sample points must be strictly increasing"),
+    "reconstruct_non_numeric_sample": (
+        "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "0.0,0,0\n1.0,one,0\n",
+        "samples.csv, line 3"),
+    "kernel_zero_grid": (
+        "kernel", {"model": "free", "spectral_set": [[0.0, 1.0]], "grid": {"n": 0}}, None,
+        "grid.n must be an integer >= 1"),
+    "kernel_empty_spectral_set": (
+        "kernel", {"model": "free", "spectral_set": [[0.0, 0.0]]}, None, "zero measure"),
+    "shannon_negative_j_max": (
+        "shannon", {"profile": STEP_14, "spectral_set": [[0.0, 2.0]], "j_max": -1}, None,
+        "j_max must be an integer >= 0"),
+}
+
+
 class TestErrors:
     def test_bad_config_field(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"model": "free"})
@@ -407,6 +473,33 @@ class TestErrors:
         })
         assert run(["density", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: unknown profile kind 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_max", [-1.0, 0.0])
+    def test_nonpositive_x_max(self, tmp_path, capsys, x_max):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "free", "spectral_set": [[0.0, 1.0]], "x_max": x_max,
+        })
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error: x_max must be a positive number")
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        subcommand, cfg, samples, message = BAD_INPUTS[case]
+        args = [subcommand, "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                "--out", tmp_path / "o"]
+        if samples is not None:
+            (tmp_path / "samples.csv").write_text(samples)
+            args += ["--samples", tmp_path / "samples.csv"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("subcommand", sorted(COMMANDS))
+    def test_config_must_be_object(self, tmp_path, capsys, subcommand):
+        cfg = write_cfg(tmp_path, "cfg.json", [{"model": "free"}])
+        assert run([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "must hold a JSON object, not a list" in capsys.readouterr().err
 
     def test_reversed_spectral_interval(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {

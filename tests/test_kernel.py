@@ -118,33 +118,12 @@ class TestModelInvariants:
 
 
 class TestTailFastPaths:
-    def test_same_side_right(self, barrier_model):
-        for x, y in [(1.5, 2.2), (2.0, 5.0), (1.0, 1.0)]:
-            direct = barrier_model.kernel(x, y)
-            assert barrier_model.kernel_tails(x, y) == pytest.approx(direct, abs=1e-6)
-
-    def test_same_side_left(self, barrier_model):
-        direct = barrier_model.kernel(-2.0, -3.5)
-        assert barrier_model.kernel_tails(-2.0, -3.5) == pytest.approx(direct, abs=1e-6)
-
-    def test_mixed_sides(self, barrier_model):
-        direct = barrier_model.kernel(-2.5, 3.0)
-        assert barrier_model.kernel_tails(-2.5, 3.0) == pytest.approx(direct, abs=1e-6)
-
-    def test_rejects_interior(self, barrier_model):
-        with pytest.raises(KernelError):
-            barrier_model.kernel_tails(0.0, 2.0)
-
-    def test_diagonal_tail(self, barrier_model):
-        ys = np.linspace(1.0, 4.0, 7)
-        direct = barrier_model.diagonal(ys)
-        fast = barrier_model.diagonal_tail(ys)
-        assert np.max(np.abs(direct - fast)) < 1e-8
+    """Averages of the kernel diagonal; the tail closed form against the pointwise `diagonal`."""
 
     def test_diagonal_tail_average(self, barrier_model):
         lo, hi = 1.5, 6.5
         ys = np.linspace(lo, hi, 4001)
-        ref = np.trapezoid(barrier_model.diagonal_tail(ys), ys) / (hi - lo)
+        ref = np.trapezoid(barrier_model.diagonal(ys), ys) / (hi - lo)
         fast = barrier_model.diagonal_tail_average(lo, hi)
         assert fast == pytest.approx(ref, rel=1e-6)
 

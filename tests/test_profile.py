@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,38 @@ class TestMu:
             mu = smooth12.mu((a, b))
             assert mu <= (b - a) / np.sqrt(smooth12.lower) + 1e-12
             assert mu >= (b - a) / np.sqrt(smooth12.upper) - 1e-12
+
+
+    @pytest.mark.parametrize("p_minus, p_plus, R, kind", [
+        (1.0, 2.0, 1.0, "quintic"), (1.0, 2.0, 1.0, "cubic"),
+        (1.0, 4.0, 1.5, "quintic"), (1.0, 4.0, 1.5, "cubic"),
+        (2.0, 3.0, 0.8, "quintic"), (2.0, 3.0, 0.8, "cubic"),
+        (0.5, 50.0, 2.0, "cubic"),
+    ])
+    def test_smooth_matches_quadrature(self, p_minus, p_plus, R, kind):
+        prof = blend_profile(p_minus, p_plus, R=R, kind=kind)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            a = rng.uniform(-3 * R, 2 * R)
+            b = a + rng.uniform(0.05, 4 * R)
+            ref = mu_reference(prof, a, b)
+            assert abs(prof.mu((a, b)) - ref) <= 1e-10 * ref
+
+
+def mu_reference(profile, a, b):
+    """int_a^b p^{-1/2} by adaptive quadrature, split at the blend edges +-R."""
+    from scipy import integrate
+
+    cuts = [a] + [c for c in (-profile.R, profile.R) if a < c < b] + [b]
+    total = 0.0
+    with warnings.catch_warnings():
+        # quad reports roundoff at this tolerance on the steep blend, where
+        # its result still agrees with the warp to 1e-11
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for lo, hi in zip(cuts, cuts[1:]):
+            total += integrate.quad(lambda u: profile.eval_p(u) ** -0.5, lo, hi,
+                                    epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+    return total
 
 
 def p_mu(profile, a, b):

@@ -19,6 +19,7 @@ from varband.sampling import (
     shannon_basis_function,
     shannon_basis_toy,
     shannon_expand,
+    shannon_gram,
     weighted_sample_sum,
 )
 from varband.spectral import SpectralSet, uniform_quadrature
@@ -181,6 +182,7 @@ class TestShannon:
         sw = np.sqrt(weights)
         G = (np.pi / np.sqrt(om)) * sw[:, None] * sw[None, :] * K
         assert np.max(np.abs(G - np.eye(nodes.size))) < 1e-10
+        assert np.max(np.abs(shannon_gram(pm, pp, om, 25) - G)) < 1e-14
 
     def test_interpolation_at_nodes(self):
         rng = np.random.default_rng(2)
@@ -188,6 +190,10 @@ class TestShannon:
         nodes, _ = shannon_basis_toy(1.0, 4.0, 2.0, 20)
         out = shannon_expand(1.0, 4.0, 2.0, values, nodes)
         assert np.max(np.abs(out - values)) < 1e-10
+
+    def test_expansion_needs_odd_sample_count(self):
+        with pytest.raises(SamplingError):
+            shannon_expand(1.0, 4.0, 2.0, np.ones(4), 0.0)
 
     def test_expansion_converges_to_kernel_section(self):
         pm, pp, om = 1.0, 4.0, 2.0
@@ -299,7 +305,7 @@ class TestFrameBounds:
 
     def test_underdetermined_is_zero(self):
         model, X, window = matched_free_setup(4.0, 0.5, 60)
-        A, B = frame_bounds_estimate(model, SampleSet(X[:5]))
+        A, B = frame_bounds_estimate(model, SampleSet(X[:5]), window=window)
         assert A == 0.0
         assert B > 0
 
