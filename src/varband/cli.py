@@ -53,6 +53,24 @@ def _count(block, key, default, least, what):
     return n
 
 
+def _number(x, what):
+    """A finite int or float config value; bools and strings are refused."""
+    if isinstance(x, bool) or not (isinstance(x, (int, float)) and abs(x) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {x!r}")
+    return x
+
+
+def _window(cfg):
+    """The config's window (lo, hi): two finite numbers with lo < hi."""
+    window = _require(cfg, "window")
+    if not (isinstance(window, list) and len(window) == 2):
+        raise ConfigError(f"window must be a list [lo, hi] of two numbers, got {window!r}")
+    lo, hi = (_number(w, "each end of window") for w in window)
+    if not lo < hi:
+        raise ConfigError(f"window needs lo < hi, got {window!r}")
+    return lo, hi
+
+
 def _sset(cfg):
     return SpectralSet(_require(cfg, "spectral_set"))
 
@@ -88,8 +106,8 @@ def _model(cfg, quad=None):
     """The spectral model the config names; ``quad`` replaces its Gauss rule."""
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
-    x_max = cfg.get("x_max", 25.0)
-    if not (isinstance(x_max, (int, float)) and 0 < x_max < np.inf):
+    x_max = _number(cfg.get("x_max", 25.0), "x_max")
+    if not x_max > 0:
         raise ConfigError(f"x_max must be a positive number, got {x_max!r}")
     if kind == "free":
         if "profile" in cfg and not _is_unit(_profile(cfg)):
@@ -131,7 +149,8 @@ def cmd_kernel(cfg, out_dir, rng):
     t0 = time.time()
     model = _model(cfg)
     g = cfg.get("grid", {})
-    lo, hi, n = g.get("lo", -10.0), g.get("hi", 10.0), _count(g, "n", 101, 1, "grid.n")
+    lo, hi = _number(g.get("lo", -10.0), "grid.lo"), _number(g.get("hi", 10.0), "grid.hi")
+    n = _count(g, "n", 101, 1, "grid.n")
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs, keep_complex=True)
     with open(Path(out_dir) / "kernel_grid.csv", "w", newline="") as fh:
@@ -151,7 +170,9 @@ def cmd_scatter(cfg, out_dir, rng):
     t0 = time.time()
     prof = _smooth_profile(cfg, "scatter")
     om = cfg.get("omega_grid", {})
-    lo, hi, n = om.get("lo", 0.05), om.get("hi", 5.0), om.get("n", 200)
+    lo = _number(om.get("lo", 0.05), "omega_grid.lo")
+    hi = _number(om.get("hi", 5.0), "omega_grid.hi")
+    n = om.get("n", 200)
     if not (lo > 0 and hi >= lo and isinstance(n, int) and n >= 1):
         raise ConfigError(f"omega_grid needs 0 < lo <= hi and an integer n >= 1, "
                           f"got lo={lo}, hi={hi}, n={n}")
@@ -178,7 +199,7 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
     prof = _profile(cfg)
     sset = _sset(cfg)
     omega_max = sset.lambda_max
-    window = tuple(_require(cfg, "window"))
+    window = _window(cfg)
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
     model = _model(cfg, quad=uniform_quadrature(sset, np.pi / wz))
     if samples_path:
@@ -187,7 +208,7 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
         raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
     f_rec, report = reconstruct_iterative(
         model, prof, pts, vals, omega_max, window,
-        n_max=cfg.get("n_max", 40), tol=cfg.get("tol", 0.0),
+        n_max=cfg.get("n_max", 40), tol=_number(cfg.get("tol", 0.0), "tol"),
     )
     xs = np.linspace(window[0], window[1], cfg.get("output_points", 801))
     f_rec.dump_csv(Path(out_dir) / "reconstruction.csv", xs)
@@ -221,12 +242,16 @@ def cmd_shannon(cfg, out_dir, rng):
 def cmd_density(cfg, out_dir, rng):
     t0 = time.time()
     prof = _profile(cfg)
-    window = tuple(_require(cfg, "window"))
+    window = _window(cfg)
+    r_list = cfg.get("r_values", [5.0, 10.0, 20.0])
+    if not (isinstance(r_list, list) and r_list
+            and all(_number(r, "each r") > 0 for r in r_list)):
+        raise ConfigError(f"r_values must be a non-empty list of positive numbers, "
+                          f"got {r_list!r}")
     if "points" in cfg:
         pts = np.asarray(cfg["points"], dtype=float)
     else:
         pts = quasi_uniform_set(prof, cfg.get("target_density", 0.5), window)
-    r_list = cfg.get("r_values", [5.0, 10.0, 20.0])
     rep = beurling_density(prof, pts, r_list, window)
     rep.to_csv(Path(out_dir) / "density.csv")
     eta, bound, d_minus, holds = gap_density_bound(prof, pts, window=window)

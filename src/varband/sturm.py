@@ -4,10 +4,12 @@ For -(p phi')' = lambda phi the first-order system is u = (phi, p phi');
 both components are continuous across jumps of p, so carrying the state
 vector through a breakpoint IS the matching condition.  `rk4_linear` is the
 package's one fixed-step RK4 integrator, with mandatory breakpoint nodes and
-coefficients tabulated once per segment; the scattering module runs it on
--psi'' + q psi = omega^2 psi.  The closed forms of the step profile (its
-fundamental pair, Wronskian and spectral density) are the references for
-the quadrature models.
+coefficients tabulated once per segment.  The system is linear, so each RK4
+step is a 2x2 matrix in closed form (its propagator); the driver builds those
+in blocks of steps and applies them in step order.  The scattering module
+runs it on -psi'' + q psi = omega^2 psi.  The closed forms of the step
+profile (its fundamental pair, Wronskian and spectral density) are the
+references for the quadrature models.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ class IntegrationError(RuntimeError):
 
 class SpectralDensityError(ValueError):
     pass
+
+
+_BLOCK = 64  # RK4 steps per table of step propagators
 
 
 def rk4_segments(x0, x1, step, breakpoints=()):
@@ -39,6 +44,48 @@ def rk4_segments(x0, x1, step, breakpoints=()):
             for a, b in zip(edges[:-1], edges[1:])]
 
 
+def _rk4_propagators(A, B, c, h):
+    """The RK4 step maps y <- P y of u0' = a u1, u1' = (b - c) u0, entrywise.
+
+    A and B hold a and b at the stage abscissae of k steps (node, half-step,
+    end-step), shape (3, k).  With a1, a2, a4 and b1, b2, b4 those rows and
+    g = b - c, one classical RK4 step of length h is exactly
+
+        P00 = 1 + h^2/6 (a2 g1 + a2 g2 + a4 g2) + h^4/24 a2 a4 g1 g2
+        P01 = h/6 (a1 + 4 a2 + a4) + h^3/12 a2 g2 (a1 + a4)
+        P10 = h/6 (g1 + 4 g2 + g4) + h^3/12 a2 g2 (g1 + g4)
+        P11 = 1 + h^2/6 (a1 g2 + a2 g2 + a2 g4) + h^4/24 a1 a2 g2 g4.
+
+    Each entry is a polynomial of degree <= 2 in c; its coefficients need
+    only (k,) arrays, and c enters by Horner's rule.  Returns the four
+    entries, each of shape (k, *c.shape).
+    """
+    (a1, a2, a4), (b1, b2, b4) = A, B
+    h2, h3, h4 = h * h / 6, h**3 / 12, h**4 / 24
+    a14, a2a4, a1a2 = a1 + a4, a2 * a4, a1 * a2
+    c = np.asarray(c)
+    col = (-1,) + (1,) * c.ndim
+
+    def poly(*coefs):  # sum of coefs[j] c^j, by Horner's rule in place
+        coefs = [k.reshape(col) for k in coefs]
+        out = coefs[-1] * c
+        for k in coefs[-2:0:-1]:
+            out += k
+            out *= c
+        out += coefs[0]
+        return out
+
+    return (
+        poly(1 + h2 * (a2 * (b1 + b2) + a4 * b2) + h4 * a2a4 * b1 * b2,
+             -(h2 * (2 * a2 + a4) + h4 * a2a4 * (b1 + b2)), h4 * a2a4),
+        poly(h / 6 * (a1 + 4 * a2 + a4) + h3 * a2 * a14 * b2, -h3 * a2 * a14),
+        poly(h / 6 * (b1 + 4 * b2 + b4) + h3 * a2 * b2 * (b1 + b4),
+             -(h + h3 * a2 * (b1 + b4 + 2 * b2)), 2 * h3 * a2),
+        poly(1 + h2 * (b2 * (a1 + a2) + a2 * b4) + h4 * a1a2 * b2 * b4,
+             -(h2 * (a1 + 2 * a2) + h4 * a1a2 * (b2 + b4)), h4 * a1a2),
+    )
+
+
 def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
     """Classical RK4 for u0' = a(x) u1, u1' = (b(x) - c) u0 from x0 to x1.
 
@@ -48,15 +95,23 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
     segment of `rk4_segments`, the coefficients a and b are tabulated at all
     nodes, half-steps and end-steps by one vectorised call each, strictly
     inside the open segment so that stages at a breakpoint never pick the
-    wrong one-sided limit.  Returns the final state, or with ``path=True``
-    (grid, states) with grid in integration order and states of shape
-    (len(grid), 2, ...).
+    wrong one-sided limit.  Since the system is linear, each RK4 step is a
+    2x2 matrix, real for real a, b and c; the matrices are built in closed
+    form `_BLOCK` steps at a time (see `_rk4_propagators`) and applied in
+    step order, which gives the stage recursion's result up to rounding.
+    Returns the final state, or with ``path=True`` (grid, states) with grid
+    in integration order and states of shape (len(grid), 2, ...).
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
     y = np.asarray(y0, dtype=complex)
-    xs, ys = [np.array([x0])], [y[None, ...]]
     if x1 == x0:
-        return (xs[0], ys[0]) if path else y
+        return (np.array([x0]), y[None, ...]) if path else y
+    if path:
+        grid = np.empty(1 + sum(n for _, _, n in segments))
+        states = np.empty(grid.shape + y.shape, dtype=complex)
+        grid[0], states[0] = x0, y
+    done = 0  # steps taken before the current segment
+    u, v = y
     for start, end, n in segments:
         h = (end - start) / n
         nodes = start + h * np.arange(n)
@@ -65,26 +120,18 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
                          min(start, end) + eps, max(start, end) - eps)
         A = np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape)
         B = np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape)
-        out = np.empty((n,) + y.shape, dtype=complex) if path else None
-        u, v = y
-        for i in range(n):
-            a1, a2, a4 = A[0, i], A[1, i], A[2, i]
-            g1, g2, g4 = B[0, i] - c, B[1, i] - c, B[2, i] - c
-            k1u, k1v = a1 * v, g1 * u
-            k2u, k2v = a2 * (v + (h / 2) * k1v), g2 * (u + (h / 2) * k1u)
-            k3u, k3v = a2 * (v + (h / 2) * k2v), g2 * (u + (h / 2) * k2u)
-            k4u, k4v = a4 * (v + h * k3v), g4 * (u + h * k3u)
-            u = u + (h / 6) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if path:
-                out[i, 0], out[i, 1] = u, v
-        y = np.stack([u, v])
+        for s in range(0, n, _BLOCK):
+            P = _rk4_propagators(A[:, s:s + _BLOCK], B[:, s:s + _BLOCK], c, h)
+            for i, (p00, p01, p10, p11) in enumerate(zip(*P), done + s + 1):
+                u, v = p00 * u + p01 * v, p10 * u + p11 * v
+                if path:
+                    states[i, 0], states[i, 1] = u, v
+            del P, p00, p01, p10, p11  # free the tables before the next block's are built
         if path:
-            seg = start + h * np.arange(1, n + 1)
-            seg[-1] = end
-            xs.append(seg)
-            ys.append(out)
-    return (np.concatenate(xs), np.concatenate(ys)) if path else y
+            grid[done + 1:done + n + 1] = start + h * np.arange(1, n + 1)
+            grid[done + n] = end
+        done += n
+    return (grid, states) if path else np.stack([u, v])
 
 
 def toy_fundamental(p_minus, p_plus, lam, x):

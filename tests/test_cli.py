@@ -431,6 +431,28 @@ BAD_INPUTS = {
         "grid.n must be an integer >= 1"),
     "kernel_empty_spectral_set": (
         "kernel", {"model": "free", "spectral_set": [[0.0, 0.0]]}, None, "zero measure"),
+    "density_zero_r": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "r_values": [0]}, None,
+        "r_values must be a non-empty list of positive numbers"),
+    "density_negative_r": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "r_values": [-1]}, None,
+        "r_values must be a non-empty list of positive numbers"),
+    "density_reversed_window": (
+        "density", {"profile": STEP_14, "window": [20.0, -20.0], "r_values": [1.0]}, None,
+        "window needs lo < hi"),
+    "reconstruct_reversed_window": (
+        "reconstruct", dict(RECONSTRUCT, window=[10, -10]),
+        SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n", "window needs lo < hi"),
+    "reconstruct_string_tol": (
+        "reconstruct", dict(RECONSTRUCT, tol="1e-3"),
+        SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n", "tol must be a finite number"),
+    "kernel_string_grid_lo": (
+        "kernel", {"model": "free", "spectral_set": [[0.0, 1.0]], "grid": {"lo": "-1"}}, None,
+        "grid.lo must be a finite number"),
+    "scatter_string_omega_lo": (
+        "scatter", {"profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0},
+                    "omega_grid": {"lo": "0.5"}}, None,
+        "omega_grid.lo must be a finite number"),
     "shannon_negative_j_max": (
         "shannon", {"profile": STEP_14, "spectral_set": [[0.0, 2.0]], "j_max": -1}, None,
         "j_max must be an integer >= 0"),

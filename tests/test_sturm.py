@@ -5,6 +5,7 @@ from varband.sturm import (
     IntegrationError,
     SpectralDensityError,
     rk4_linear,
+    rk4_segments,
     toy_fundamental,
     toy_spectral_density,
     toy_wronskian_value,
@@ -107,9 +108,10 @@ class TestSpectralDensity:
 
 
 def rk4_reference(f, x0, x1, y0, n):
-    """Textbook RK4 for y' = f(x, y), one call of f per stage."""
+    """Textbook RK4 for y' = f(x, y), one call of f per stage; all n + 1 states."""
     h = (x1 - x0) / n
     y = np.asarray(y0, dtype=complex)
+    states = [y]
     for i in range(n):
         x = x0 + i * h
         k1 = f(x, y)
@@ -117,7 +119,21 @@ def rk4_reference(f, x0, x1, y0, n):
         k3 = f(x + h / 2, y + (h / 2) * k2)
         k4 = f(x + h, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+        states.append(y)
+    return np.stack(states)
+
+
+# a and b on either side of a jump at x = 1
+LEFT = (lambda x: 1.0 + 0.5 * np.sin(x), lambda x: np.exp(-np.asarray(x) ** 2))
+RIGHT = (lambda x: 2.0 + 0.3 * np.cos(x), lambda x: 0.5 - 0.2 * np.asarray(x))
+
+
+def jump_at_one(left, right):
+    return lambda x: np.where(np.asarray(x) < 1.0, left(x), right(x))
+
+
+def system(a, b, c):
+    return lambda x, y: np.stack([a(x) * y[1], (b(x) - c) * y[0]])
 
 
 class TestIntegratorCore:
@@ -128,9 +144,31 @@ class TestIntegratorCore:
         cs = np.array([0.3, 2.0, 7.5])
         y0 = np.stack([np.ones(3), 1j * np.sqrt(cs)])
         got = rk4_linear(a, b, cs, 1.5, -1.5, y0, 0.01)
-        ref = rk4_reference(lambda x, y: np.stack([a(x) * y[1], (b(x) - cs) * y[0]]),
-                            1.5, -1.5, y0, 300)
+        ref = rk4_reference(system(a, b, cs), 1.5, -1.5, y0, 300)[-1]
         assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("path", [False, True])
+    @pytest.mark.parametrize("c, y0", [
+        (np.array([0.3, 2.0, 7.5]), np.stack([np.ones(3), 1j * np.sqrt([0.3, 2.0, 7.5])])),
+        (1.7, np.array([1.0, 0.4j])),
+    ], ids=["array_c", "scalar_c"])
+    def test_blocks_match_stagewise_reference(self, path, c, y0):
+        # 100 steps up to the jump, then 150, so the last block of step
+        # propagators is partial; each side's reference sees only its formulas
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        assert [n for *_, n in rk4_segments(0.0, 2.5, 0.01, (1.0,))] == [100, 150]
+        run = rk4_linear(a, b, c, 0.0, 2.5, y0, 0.01, breakpoints=(1.0,), path=path)
+        left = rk4_reference(system(*LEFT, c), 0.0, 1.0, y0, 100)
+        right = rk4_reference(system(*RIGHT, c), 1.0, 2.5, left[-1], 150)
+        ref = np.concatenate([left, right[1:]])
+        if path:
+            grid, got = run
+            assert np.max(np.abs(grid - np.r_[np.linspace(0, 1, 101),
+                                              np.linspace(1, 2.5, 151)[1:]])) < 1e-14
+        else:
+            got, ref = run, ref[-1]
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_path_and_final_agree(self):
         # u'' = -2 u as u0' = u1, u1' = (0 - 2) u0
