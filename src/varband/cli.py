@@ -46,9 +46,9 @@ def _require(cfg, key):
 
 
 def _count(block, key, default, least, what):
-    """An integer field of a config block, at least ``least``."""
+    """An integer field of a config block, at least ``least``; bools are refused."""
     n = block.get(key, default)
-    if not (isinstance(n, int) and n >= least):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= least):
         raise ConfigError(f"{what} must be an integer >= {least}, got {n!r}")
     return n
 
@@ -58,6 +58,16 @@ def _number(x, what):
     if isinstance(x, bool) or not (isinstance(x, (int, float)) and abs(x) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {x!r}")
     return x
+
+
+def _numbers(cfg, key, default, positive=False):
+    """A non-empty list of finite numbers, all positive if ``positive``."""
+    xs = cfg.get(key, default)
+    if not (isinstance(xs, list) and xs
+            and all(_number(x, f"each entry of {key}") > 0 or not positive for x in xs)):
+        kind = "positive" if positive else "finite"
+        raise ConfigError(f"{key} must be a non-empty list of {kind} numbers, got {xs!r}")
+    return xs
 
 
 def _window(cfg):
@@ -173,7 +183,7 @@ def cmd_scatter(cfg, out_dir, rng):
     lo = _number(om.get("lo", 0.05), "omega_grid.lo")
     hi = _number(om.get("hi", 5.0), "omega_grid.hi")
     n = om.get("n", 200)
-    if not (lo > 0 and hi >= lo and isinstance(n, int) and n >= 1):
+    if not (lo > 0 and hi >= lo and isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise ConfigError(f"omega_grid needs 0 < lo <= hi and an integer n >= 1, "
                           f"got lo={lo}, hi={hi}, n={n}")
     omegas = np.linspace(lo, hi, n)
@@ -206,11 +216,11 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
         pts, vals = samples_from_csv(samples_path)
     else:
         raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
-    f_rec, report = reconstruct_iterative(
-        model, prof, pts, vals, omega_max, window,
-        n_max=cfg.get("n_max", 40), tol=_number(cfg.get("tol", 0.0), "tol"),
-    )
-    xs = np.linspace(window[0], window[1], cfg.get("output_points", 801))
+    n_max = _count(cfg, "n_max", 40, 1, "n_max")
+    tol = _number(cfg.get("tol", 0.0), "tol")
+    xs = np.linspace(window[0], window[1], _count(cfg, "output_points", 801, 1, "output_points"))
+    f_rec, report = reconstruct_iterative(model, prof, pts, vals, omega_max, window,
+                                          n_max=n_max, tol=tol)
     f_rec.dump_csv(Path(out_dir) / "reconstruction.csv", xs)
     with open(Path(out_dir) / "reconstruction_report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
@@ -243,15 +253,13 @@ def cmd_density(cfg, out_dir, rng):
     t0 = time.time()
     prof = _profile(cfg)
     window = _window(cfg)
-    r_list = cfg.get("r_values", [5.0, 10.0, 20.0])
-    if not (isinstance(r_list, list) and r_list
-            and all(_number(r, "each r") > 0 for r in r_list)):
-        raise ConfigError(f"r_values must be a non-empty list of positive numbers, "
-                          f"got {r_list!r}")
+    r_list = _numbers(cfg, "r_values", [5.0, 10.0, 20.0], positive=True)
     if "points" in cfg:
-        pts = np.asarray(cfg["points"], dtype=float)
+        pts = np.asarray(_numbers(cfg, "points", None), dtype=float)
     else:
-        pts = quasi_uniform_set(prof, cfg.get("target_density", 0.5), window)
+        # a density <= 0 leaves fewer than two points: quasi_uniform_set refuses it
+        density = _number(cfg.get("target_density", 0.5), "target_density")
+        pts = quasi_uniform_set(prof, density, window)
     rep = beurling_density(prof, pts, r_list, window)
     rep.to_csv(Path(out_dir) / "density.csv")
     eta, bound, d_minus, holds = gap_density_bound(prof, pts, window=window)
@@ -272,8 +280,8 @@ def cmd_landau(cfg, out_dir, rng):
                                                    "values": [1.0]}))
     sset = _sset(cfg)
     crit = sset.sqrt_measure / np.pi
-    grid = cfg.get("density_grid") or list(crit * np.arange(0.65, 1.4, 0.1))
-    windows = cfg.get("window_halfwidths", [40.0, 80.0, 160.0])
+    grid = _numbers(cfg, "density_grid", list(crit * np.arange(0.65, 1.4, 0.1)), positive=True)
+    windows = _numbers(cfg, "window_halfwidths", [40.0, 80.0, 160.0], positive=True)
     if prof.is_smooth:
         kind = "liouville"
     elif _is_unit(prof):

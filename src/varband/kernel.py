@@ -12,6 +12,14 @@ the latter for smooth eventually constant profiles.  ``kernel_pairs`` and
 ``kernel_matrix`` are the one pointwise evaluator of every model; the
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
+
+Every model also writes Phi = mix U for a constant (2, 2) matrix ``mix`` and a
+basis pair U, the identity and Phi itself unless the model has a cheaper pair:
+the step profile's U = (cos theta, sin theta / sqrt(p)) is real.
+``SpectralModel.synthesize`` and ``analyze`` apply the mix, the weights and
+the transform prefactor to (2, n_nodes) coefficients and leave the tables of
+U to ``_contract``, the one product of a vector with a table, which never
+upcasts a real table to complex.
 """
 
 from __future__ import annotations
@@ -54,6 +62,21 @@ def _as_matrix(stack):
     is copied.
     """
     return stack.reshape(stack.shape[0] * stack.shape[1], -1)
+
+
+def _contract(vec, table):
+    """vec @ table for a vector of length m and an (m, k) table, real or complex.
+
+    A real table is not upcast to complex: a complex vector's real and
+    imaginary parts are read, without a copy, as one real (2, m) matrix, so a
+    single real GEMM reads the table once and its (2, k) result holds the
+    real and imaginary parts of the answer.
+    """
+    vec = np.asarray(vec)
+    if np.iscomplexobj(table) or not np.iscomplexobj(vec):
+        return vec @ table
+    parts = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2).T @ table
+    return parts[0] + 1j * parts[1]
 
 
 def _sinc(z):
@@ -128,6 +151,8 @@ class SpectralModel:
     quad: SpectralQuadrature
     rho: np.ndarray
     transform_prefactor: float = 1.0
+    # Phi_c = sum_a mix[c, a] U_a with U = ``basis``
+    mix: np.ndarray = np.eye(2)
 
     @property
     def sset(self):
@@ -153,6 +178,34 @@ class SpectralModel:
         table and one ``np.diff`` give every cell between sorted edges.
         """
         raise NotImplementedError
+
+    def basis(self, x):
+        """The pair U with Phi = mix U, shape (2, n_nodes, n_x); Phi by default."""
+        return self.phi(x)
+
+    def basis_antiderivative(self, x):
+        """int U up to x, anchored as ``antiderivative``; its Phi by default."""
+        return self.antiderivative(x)
+
+    # -- coefficients against basis tables ----------------------------------
+
+    def synthesize(self, F, table):
+        """f = sum over (c, l) of synthesis weights times F Phi, at a table's points.
+
+        ``table`` is U at m points as a (2 n_nodes, m) matrix; the mix and
+        the weights act on the coefficients, mix^T (weights F).
+        """
+        return _contract((self.mix.T @ (self.synthesis_weights() * F)).ravel(), table)
+
+    def analyze(self, values, table):
+        """transform_prefactor sum_i conj(Phi_i) v_i, shape (2, n_nodes).
+
+        ``table`` holds U (or its cell integrals) at m points as a
+        (2 n_nodes, m) matrix. Since conj(Phi) v = conj(mix U conj(v)), the
+        table is never conjugated: only the vector and the coefficients are.
+        """
+        H = _contract(np.conj(np.asarray(values, dtype=complex)), table.T)
+        return self.transform_prefactor * np.conj(self.mix @ H.reshape(2, -1))
 
     # -- kernel evaluation ---------------------------------------------------
 
@@ -227,34 +280,59 @@ class ToyModel(SpectralModel):
         n = len(self.quad)
         self.rho = np.vstack([np.full(n, sm * c), np.full(n, sp * c)])
         self.transform_prefactor = 1.0
+        # Phi_0 = cos + i sqrt(p+) sin / sqrt(p), Phi_1 = cos - i sqrt(p-) sin / sqrt(p):
+        # both keep u and p u' continuous across the jump; _mixed relies on
+        # the first column being 1 and the second imaginary
+        self.mix = np.array([[1.0, 1j * sp], [1.0, -1j * sm]])
 
-    def _waves(self, x):
-        """k = omega / sqrt(p), E = exp(i k x) and v with Phi = Re E + i v Im E.
-
-        p is taken on x's side of the jump. Each Phi_c is a E + b conj(E) with
-        real a, b: v = +-1 for a pure wave, +-(ratio of sqrt(p)) for cos + i v sin.
-        """
+    def _theta(self, x):
+        """theta = (omega / sqrt(p)) x and sqrt(p), with p on x's side of the jump."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
-        right = x > 0
-        k = self.quad.nodes[:, None] / np.where(right, sp, sm)
-        v = np.where(right, [[1.0], [-sm / sp]], [[sp / sm], [-1.0]])
-        return k, np.exp(1j * (k * x)), v[:, None, :]
+        root = np.where(x > 0, np.sqrt(self.p_plus), np.sqrt(self.p_minus))
+        return (self.quad.nodes[:, None] / root) * x, root
+
+    def basis(self, x):
+        """The real pair U = (cos theta, sin theta / sqrt(p)), float64."""
+        theta, root = self._theta(x)
+        out = np.empty((2,) + theta.shape)
+        np.cos(theta, out=out[0])
+        np.sin(theta, out=out[1])
+        out[1] /= root
+        return out
+
+    def basis_antiderivative(self, x):
+        """int_0^x U = (sqrt(p) sin theta / omega, (1 - cos theta) / omega), float64.
+
+        Both entries vanish at 0 from either side, so the table is continuous
+        across the jump.
+        """
+        theta, root = self._theta(x)
+        omega = self.quad.nodes[:, None]
+        out = np.empty((2,) + theta.shape)
+        np.sin(theta, out=out[0])
+        out[0] *= root
+        np.cos(theta, out=out[1])
+        np.subtract(1.0, out[1], out=out[1])
+        out /= omega
+        return out
+
+    def _mixed(self, U):
+        """mix U in a fresh complex array, written through its real and imaginary views.
+
+        The mix's first column is real and its second imaginary, so no
+        complex copy of U is made.
+        """
+        out = np.empty(U.shape, dtype=complex)
+        out.real = U[0]
+        np.multiply(self.mix[:, 1, None, None].imag, U[1], out=out.imag)
+        return out
 
     def phi(self, x):
-        E, v = self._waves(x)[1:]
-        out = np.empty((2,) + E.shape, dtype=complex)
-        out.real = E.real
-        out.imag = v * E.imag
-        return out
+        return self._mixed(self.basis(x))
 
     def antiderivative(self, x):
-        """int_0^x Phi: Im E / k + i v (1 - Re E) / k, in closed form on both sides."""
-        k, E, v = self._waves(x)
-        out = np.empty((2,) + E.shape, dtype=complex)
-        out.real = E.imag / k
-        out.imag = v * ((1.0 - E.real) / k)
-        return out
+        """int_0^x Phi = mix int_0^x U, in closed form on both sides."""
+        return self._mixed(self.basis_antiderivative(x))
 
 
 class SchrodingerModel(SpectralModel):

@@ -38,7 +38,7 @@ class VarBandFunction:
     def evaluate(self, x):
         scalar = not np.ndim(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = (self.model.synthesis_weights() * self.F).ravel() @ _as_matrix(self.model.phi(xs))
+        vals = self.model.synthesize(self.F, _as_matrix(self.model.basis(xs)))
         return complex(vals[0]) if scalar else vals
 
     __call__ = evaluate
@@ -145,13 +145,13 @@ def transform(model, f, window, n_panels=None):
         n_panels = max(8, int(np.ceil((b - a) * wmax / np.pi)) * 2)
     gx, gw = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(a, b, n_panels + 1)
-    F = np.zeros(2 * len(model.quad), dtype=complex)
+    F = np.zeros((2, len(model.quad)), dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         pts = 0.5 * (lo + hi) + half * gx
         fv = np.asarray(f(pts), dtype=complex)
-        F += half * (_as_matrix(model.phi(pts).conj()) @ (fv * gw))
-    return VarBandFunction(model, model.transform_prefactor * F.reshape(2, -1))
+        F += model.analyze(half * (fv * gw), _as_matrix(model.basis(pts)))
+    return VarBandFunction(model, F)
 
 
 def project_step(model, breakpoints, values):
@@ -159,7 +159,7 @@ def project_step(model, breakpoints, values):
 
     breakpoints has one more entry than values; cell i is
     [breakpoints[i], breakpoints[i+1]].  The cell integrals of the
-    fundamental solutions are differences of the model's antiderivative.
+    model's basis are differences of its antiderivative.
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -167,8 +167,8 @@ def project_step(model, breakpoints, values):
         raise FunctionError("need one more breakpoint than cell values")
     if np.any(np.diff(breakpoints) <= 0):
         raise FunctionError("breakpoints must be strictly increasing")
-    F = np.diff(model.antiderivative(breakpoints), axis=-1).conj() @ values
-    return VarBandFunction(model, model.transform_prefactor * F)
+    cells = np.diff(model.basis_antiderivative(breakpoints), axis=-1)
+    return VarBandFunction(model, model.analyze(values, _as_matrix(cells)))
 
 
 def bernstein_ratio(f, k, omega_max):

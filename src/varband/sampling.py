@@ -5,6 +5,12 @@ midpoint cells of the sample set and P the spectral projection; iterating
 h <- (I - R) h sums to the original function with a geometric certificate
 gamma^(n+1) (pi + delta sqrt(Omega)) / (pi - delta sqrt(Omega)) ||f||, where
 gamma = delta sqrt(Omega) / pi and delta is the max gap in local units.
+
+The operator holds two (2 n_nodes, n_samples) tables of the model's basis U
+(Phi = mix U): U at the samples and the integrals of U over the cells. For the
+step profile both are real float64, so every iteration reads real tables; the
+mix, the weights and the transform prefactor act on the (2, n_nodes)
+coefficients.
 """
 
 from __future__ import annotations
@@ -112,20 +118,15 @@ class ReconstructionOperator:
         self.points = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
         self.window = _unpack(window)
         edges = midpoint_partition(self.points, self.window)
-        # C maps sample values to spectral coefficients: (2, n_nodes, n_samples),
-        # the conjugated cell integrals; finished in place to hold one table less
-        self.C = np.diff(model.antiderivative(edges), axis=-1)
-        np.conjugate(self.C, out=self.C)
-        self.C *= model.transform_prefactor
-        self.phiX = model.phi(self.points)
-        self._synth = model.synthesis_weights()
+        # cells first, so their antiderivative table is freed before U is built
+        self.cells = _as_matrix(np.diff(model.basis_antiderivative(edges), axis=-1))
+        self.basis = _as_matrix(model.basis(self.points))
 
     def sample(self, f):
-        return (self._synth * f.F).ravel() @ _as_matrix(self.phiX)
+        return self.model.synthesize(f.F, self.basis)
 
     def from_values(self, values):
-        F = _as_matrix(self.C) @ np.asarray(values, dtype=complex)
-        return VarBandFunction(self.model, F.reshape(self.C.shape[:2]))
+        return VarBandFunction(self.model, self.model.analyze(values, self.cells))
 
     def apply(self, f):
         return self.from_values(self.sample(f))

@@ -174,7 +174,7 @@ class TestScatter:
         assert "error: scatter needs a smooth profile" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", [{"lo": 0.0}, {"lo": -0.5}, {"lo": 2.0, "hi": 1.0},
-                                      {"n": 0}])
+                                      {"n": 0}, {"n": True}])
     def test_bad_omega_grid_rejected(self, tmp_path, capsys, grid):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0},
@@ -456,6 +456,44 @@ BAD_INPUTS = {
     "shannon_negative_j_max": (
         "shannon", {"profile": STEP_14, "spectral_set": [[0.0, 2.0]], "j_max": -1}, None,
         "j_max must be an integer >= 0"),
+    "kernel_bool_grid_n": (
+        "kernel", {"model": "free", "spectral_set": [[0.0, 1.0]], "grid": {"n": True}}, None,
+        "grid.n must be an integer >= 1, got True"),
+    "reconstruct_string_n_max": (
+        "reconstruct", dict(RECONSTRUCT, n_max="5"),
+        SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n", "n_max must be an integer >= 1"),
+    "reconstruct_string_output_points": (
+        "reconstruct", dict(RECONSTRUCT, output_points="801"),
+        SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n",
+        "output_points must be an integer >= 1"),
+    "density_string_target": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "target_density": "1",
+                    "r_values": [1.0]}, None,
+        "target_density must be a finite number"),
+    "density_negative_target": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "target_density": -1.0,
+                    "r_values": [1.0]}, None,
+        "window too small for the requested density"),
+    "density_non_numeric_points": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "points": ["a"],
+                    "r_values": [1.0]}, None,
+        "each entry of points must be a finite number"),
+    "density_empty_points": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "points": [],
+                    "r_values": [1.0]}, None,
+        "points must be a non-empty list of finite numbers"),
+    "landau_negative_density_grid": (
+        "landau", {"spectral_set": [[0.0, 1.0]], "density_grid": [0.25, -0.35]}, None,
+        "density_grid must be a non-empty list of positive numbers"),
+    "landau_string_density_grid": (
+        "landau", {"spectral_set": [[0.0, 1.0]], "density_grid": ["0.25"]}, None,
+        "each entry of density_grid must be a finite number"),
+    "landau_empty_density_grid": (
+        "landau", {"spectral_set": [[0.0, 1.0]], "density_grid": []}, None,
+        "density_grid must be a non-empty list of positive numbers"),
+    "landau_zero_window_halfwidth": (
+        "landau", {"spectral_set": [[0.0, 1.0]], "window_halfwidths": [30.0, 0]}, None,
+        "window_halfwidths must be a non-empty list of positive numbers"),
 }
 
 

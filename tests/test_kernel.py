@@ -6,6 +6,7 @@ from varband.kernel import (
     LiouvilleModel,
     SchrodingerModel,
     ToyModel,
+    _contract,
     diagonal_average,
     free_kernel,
     free_model,
@@ -228,6 +229,60 @@ class TestToyPhi:
             plus, minus = toy_fundamental(pm, pp, w**2, xs)
             assert np.max(np.abs(phi[0, l] - plus)) < 1e-11
             assert np.max(np.abs(phi[1, l] - minus)) < 1e-11
+
+
+class TestToyBasis:
+    """The real pair U = (cos theta, sin theta / sqrt(p)) behind Phi = mix U."""
+
+    xs = np.concatenate(([0.0, -1e-300, 1e-300], np.linspace(-4000.0, 4000.0, 801)))
+
+    @pytest.fixture(scope="class", params=[(1.0, 4.0), (3.0, 0.5)])
+    def model(self, request):
+        return ToyModel(*request.param, SpectralSet([(0.0, 2.0)]), x_max=6.0)
+
+    def test_basis_closed_form(self, model):
+        U = model.basis(self.xs)
+        assert U.dtype == np.float64
+        root = np.sqrt(np.where(self.xs > 0, model.p_plus, model.p_minus))
+        # theta = (omega / sqrt(p)) x, formed as the complex waves exp(i theta) form it
+        waves = np.exp(1j * ((model.quad.nodes[:, None] / root) * self.xs))
+        assert np.max(np.abs(U[0] - waves.real)) < 1e-15
+        assert np.max(np.abs(U[1] * root - waves.imag)) < 1e-15
+
+    def test_phi_is_mix_of_basis(self, model):
+        mixed = np.einsum("ca,alk->clk", model.mix, model.basis(self.xs))
+        assert _close(model.phi(self.xs), mixed)
+
+    def test_antiderivative_is_mix_of_basis_antiderivative(self, model):
+        V = model.basis_antiderivative(self.xs)
+        assert V.dtype == np.float64
+        # 0 at 0 and continuous across the jump
+        assert np.all(V[:, :, 0] == 0.0) and np.max(np.abs(V[:, :, 1:3])) < 1e-299
+        mixed = np.einsum("ca,alk->clk", model.mix, V)
+        assert _close(model.antiderivative(self.xs), mixed)
+
+    def test_pair_diagonalises_the_measure(self, model):
+        # sum_c rho_c M_ca conj(M_cb) is diagonal, so k = sum w D_a U_a(x) U_a(y) is real
+        gram = np.einsum("cl,ca,cb->lab", model.rho, model.mix, model.mix.conj())
+        assert np.max(np.abs(gram[:, 0, 1])) < 1e-15 * np.max(np.abs(gram))
+        assert np.max(np.abs(gram.imag)) < 1e-15 * np.max(np.abs(gram))
+
+
+class TestContract:
+    @pytest.mark.parametrize("vec_dtype", [float, complex])
+    @pytest.mark.parametrize("table_dtype", [float, complex])
+    def test_matches_upcast_product(self, vec_dtype, table_dtype):
+        rng = np.random.default_rng(4)
+        table = rng.standard_normal((14, 9)).astype(table_dtype)
+        if table_dtype is complex:
+            table += 1j * rng.standard_normal(table.shape)
+        vec = rng.standard_normal(14).astype(vec_dtype)
+        if vec_dtype is complex:
+            vec += 1j * rng.standard_normal(14)
+        ref = vec.astype(complex) @ table.astype(complex)
+        assert _close(_contract(vec, table), ref)
+        # a transposed view reads the same table the other way round
+        assert _close(_contract(vec[:9], table.T), vec[:9].astype(complex) @ table.T)
 
 
 # -- the BLAS contractions against the three-operand einsums they replaced --

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from varband.kernel import SchrodingerModel, ToyModel, free_model, halfline_kernel, toy_kernel
-from varband.paleywiener import random_function, random_smooth_function
-from varband.profile import constant_profile, toy_profile
+from varband import sampling
+from varband.kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
+                            halfline_kernel, toy_kernel)
+from varband.paleywiener import VarBandFunction, random_function, random_smooth_function
+from varband.profile import blend_profile, constant_profile, toy_profile
 from varband.sampling import (
     ReconstructionOperator,
     SampleSet,
@@ -261,33 +263,95 @@ class TestHalflineExpansion:
         assert abs(halfline_expansion(1.0, np.ones(20), 0.0)) < 1e-12
 
 
-class TestOperatorContractions:
-    """sample and from_values against the einsums they replaced, to 1e-12 relative."""
+class ComplexTableOperator:
+    """R from complex (2, n_nodes, N) tables of Phi and its conjugated cell integrals.
 
-    @pytest.fixture(scope="class", params=["toy", "schrodinger"])
-    def operator(self, request):
+    The reference formula: sample is sum over (c, l) of synthesis weights F Phi
+    at the samples, from_values the transform prefactor times the conjugated
+    cell integrals of Phi against the values. Same interface as
+    ReconstructionOperator.
+    """
+
+    def __init__(self, model, X, window):
+        self.model = model
+        self.points = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
+        self.window = window
+        edges = midpoint_partition(self.points, window)
+        cells = np.diff(model.antiderivative(edges), axis=-1)
+        self.C = model.transform_prefactor * cells.conj()
+        self.phiX = model.phi(self.points)
+        self.synth = model.synthesis_weights()
+
+    def sample(self, f):
+        return np.einsum("cl,cl,cli->i", self.synth, f.F, self.phiX)
+
+    def from_values(self, values):
+        return VarBandFunction(self.model, np.einsum("cli,i->cl", self.C, values))
+
+    def apply(self, f):
+        return self.from_values(self.sample(f))
+
+
+def _rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestOperatorContractions:
+    """sample and from_values against the complex-table formula, to 1e-12 relative."""
+
+    # both sides of the jump, a sample at 0 whose cell straddles it
+    X = np.concatenate((np.linspace(-5.5, -0.4, 14), [0.0], np.linspace(0.35, 5.5, 16)))
+
+    @pytest.fixture(scope="class", params=["toy", "schrodinger", "free", "liouville"])
+    def operators(self, request):
         sset = SpectralSet([(0.0, 2.0)])
         quad = uniform_quadrature(sset, np.pi / 6.0)
         if request.param == "toy":
             model = ToyModel(1.0, 4.0, sset, quad=quad)
-        else:
+        elif request.param == "schrodinger":
             q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
             model = SchrodingerModel(q, 1.0, sset, quad=quad)
-        X = np.linspace(-5.5, 5.5, 31)
-        return ReconstructionOperator(model, SampleSet(X), (-6.0, 6.0))
+        elif request.param == "free":
+            model = free_model(sset, quad=quad)
+        else:
+            model = LiouvilleModel(blend_profile(1.0, 2.0, R=1.0), sset, quad=quad)
+        window = (-6.0, 6.0)
+        return (ReconstructionOperator(model, SampleSet(self.X), window),
+                ComplexTableOperator(model, self.X, window))
 
-    def test_sample(self, operator):
-        f = random_function(operator.model, rng=8)
-        ref = np.einsum("cl,cl,cli->i", operator._synth, f.F, operator.phiX)
-        got = operator.sample(f)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    def test_sample(self, operators):
+        op, ref = operators
+        f = random_function(op.model, rng=8)
+        assert _rel_dev(op.sample(f), ref.sample(f)) <= 1e-12
 
-    def test_from_values(self, operator):
+    def test_from_values(self, operators):
+        op, ref = operators
         rng = np.random.default_rng(9)
-        v = rng.standard_normal(operator.points.size) + 1j * rng.standard_normal(operator.points.size)
-        ref = np.einsum("cli,i->cl", operator.C, v)
-        got = operator.from_values(v).F
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        v = rng.standard_normal(self.X.size) + 1j * rng.standard_normal(self.X.size)
+        assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
+
+    def test_toy_tables_are_real(self):
+        model, X, window = matched_toy_setup(1.0, 4.0, 2.0, 0.6, 15)
+        op = ReconstructionOperator(model, SampleSet(X), window)
+        tables = (op.basis, op.cells)
+        assert all(t.dtype == np.float64 for t in tables)
+        n, N = len(model.quad), X.size
+        assert sum(t.nbytes for t in tables) == 2 * (2 * n * N * 8)
+
+    def test_iterations_match(self, monkeypatch):
+        model, X, window = matched_toy_setup(1.0, 4.0, 2.0, 0.8, 20)
+        prof = toy_profile(1.0, 4.0)
+        f = random_smooth_function(model, rng=12)
+        samples = ReconstructionOperator(model, SampleSet(X), window).sample(f)
+        runs = []
+        for operator in (ReconstructionOperator, ComplexTableOperator):
+            monkeypatch.setattr(sampling, "ReconstructionOperator", operator)
+            runs.append(reconstruct_iterative(model, prof, X, samples, 2.0, window,
+                                              n_max=40)[1])
+        got, ref = runs
+        assert got.n_iterations == ref.n_iterations == 40
+        assert np.max(np.abs(np.array(got.residuals) / ref.residuals - 1)) <= 1e-10
+        assert np.max(np.abs(np.array(got.certified) / ref.certified - 1)) <= 1e-10
 
 
 class TestFrameBounds:
