@@ -149,7 +149,7 @@ def _write_report(out_dir, cfg, extra, t0):
     }
     payload.update(extra)
     with open(Path(out_dir) / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -162,15 +162,15 @@ def cmd_kernel(cfg, out_dir, rng):
     lo, hi = _number(g.get("lo", -10.0), "grid.lo"), _number(g.get("hi", 10.0), "grid.hi")
     n = _count(g, "n", 101, 1, "grid.n")
     xs = np.linspace(lo, hi, n)
-    K = model.kernel_matrix(xs, xs, keep_complex=True)
+    K = model.kernel_matrix(xs, xs)
     with open(Path(out_dir) / "kernel_grid.csv", "w", newline="") as fh:
         csv.writer(fh).writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
         # the csv module's row format: comma-separated, CRLF line ends
-        np.savetxt(fh, np.column_stack([xs, K.real]), fmt="%.12g", delimiter=",", newline="\r\n")
+        np.savetxt(fh, np.column_stack([xs, K]), fmt="%.12g", delimiter=",", newline="\r\n")
     coarse = xs[:: max(1, n // 20)]
     model.dump_csv(Path(out_dir) / "kernel_pairs.csv", coarse, coarse)
     _write_report(out_dir, cfg, {"subcommand": "kernel",
-                                 "diagonal_max": float(np.max(np.diag(K).real)),
+                                 "diagonal_max": float(np.max(np.diag(K))),
                                  "n_nodes": len(model.quad),
                                  "covered_measure": model.quad.covered_measure}, t0)
     return 0
@@ -223,7 +223,7 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
                                           n_max=n_max, tol=tol)
     f_rec.dump_csv(Path(out_dir) / "reconstruction.csv", xs)
     with open(Path(out_dir) / "reconstruction_report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
+        json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
     _write_report(out_dir, cfg, {"subcommand": "reconstruct",
                                  "delta": report.delta,
                                  "gap_condition_passes": report.passes}, t0)
@@ -299,14 +299,14 @@ def cmd_landau(cfg, out_dir, rng):
 
     res = landau_sweep(builder, prof, sset, grid, windows)
     res.to_csv(Path(out_dir) / "landau_sweep.csv")
-    bracketed = bool(res.threshold_low <= res.critical <= res.threshold_high
-                     if np.isfinite(res.threshold_low) and np.isfinite(res.threshold_high)
-                     else False)
+    # a bracket end that no density reached is NaN: null in the report
+    low, high = (t if np.isfinite(t) else None for t in (res.threshold_low, res.threshold_high))
+    bracketed = bool(low is not None and high is not None and low <= res.critical <= high)
     _write_report(out_dir, cfg, {
         "subcommand": "landau", "finite_window_estimates": True,
         "critical_density": res.critical,
-        "last_degenerating": res.threshold_low,
-        "first_stabilizing": res.threshold_high,
+        "last_degenerating": low,
+        "first_stabilizing": high,
         "brackets_critical": bracketed,
     }, t0)
     return 0 if bracketed else 1

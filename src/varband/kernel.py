@@ -1,31 +1,33 @@
 """Reproducing kernels of the variable-bandwidth Paley-Wiener spaces.
 
-Every kernel has the form
+Every model writes its pair of fundamental solutions as Phi = M(omega) U, a
+per-node complex 2x2 matrix ``mix`` M applied to a real fundamental system
+U = ``basis``, and carries a measure weight rho on the frequency nodes.  The
+kernel
 
     k(x, y) = sum_l w_l sum_c rho[c, l] Phi_c(omega_l, x) conj(Phi_c(omega_l, y))
+            = sum_l U(omega_l, x)^T Sigma_l U(omega_l, y)
 
-for a pair of fundamental solutions Phi and a diagonal measure weight rho on
-the frequency nodes.  The models below differ only in how Phi and rho are
-produced: closed forms for the two-plateau step profile, scattering solutions
-for a compactly supported Schrodinger potential, and the warped pullback of
-the latter for smooth eventually constant profiles.  ``kernel_pairs`` and
+is then one real product through the real symmetric 2x2 density
+Sigma = Re(M^T diag(w rho) conj M) of each node.  The models below differ only
+in how U, M and rho are produced: closed forms for the two-plateau step
+profile, the real and imaginary parts of the scattering solution for a
+compactly supported Schrodinger potential, and the warped pullback of the
+latter for smooth eventually constant profiles.  ``kernel_pairs`` and
 ``kernel_matrix`` are the one pointwise evaluator of every model; the
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
 
-Every model also writes Phi = mix U for a constant (2, 2) matrix ``mix`` and a
-basis pair U, the identity and Phi itself unless the model has a cheaper pair:
-the step profile's U = (cos theta, sin theta / sqrt(p)) is real.
-``SpectralModel.synthesize`` and ``analyze`` apply the mix, the weights and
-the transform prefactor to (2, n_nodes) coefficients and leave the tables of
-U to ``_contract``, the one product of a vector with a table, which never
-upcasts a real table to complex.
+``SpectralModel.synthesize`` and ``analyze`` apply M, the weights and the
+transform prefactor to (2, n_nodes) coefficients and leave the tables of U to
+``_contract``, the one product of a vector with a table, which never upcasts a
+real table to complex.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -36,21 +38,6 @@ from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
 
 class KernelError(RuntimeError):
     pass
-
-
-class ImaginaryResidueWarning(UserWarning):
-    pass
-
-
-def _realize(z):
-    z = np.asarray(z)
-    resid = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(z.real))) if z.size else 1.0):
-        warnings.warn(
-            f"kernel evaluation has imaginary residue {resid:g}", ImaginaryResidueWarning
-        )
-        return z
-    return z.real if z.ndim else float(z.real)
 
 
 def _as_matrix(stack):
@@ -138,10 +125,12 @@ def halfline_kernel(omega_max, x, y):
 
 
 class SpectralModel:
-    """Shared layout: quadrature, fundamental solutions, measure weights.
+    """Shared layout: quadrature, real basis, per-node mix, measure weights.
 
-    Subclasses set ``rho`` with shape (2, n_nodes) (kernel measure factor)
-    and ``transform_prefactor`` so that
+    Subclasses set ``rho`` with shape (2, n_nodes) (kernel measure factor),
+    ``mix`` with shape (2, 2, n_nodes) and ``transform_prefactor``, and define
+    the real pair U = ``basis`` and its antiderivative, so that with
+    Phi_c = sum_a mix[c, a] U_a at each node
 
         transform:  F_c(w_l) = transform_prefactor * int f conj(Phi_c) dx
         synthesis:  f(x) = sum_l w_l sum_c (rho/transform_prefactor) F_c Phi_c
@@ -150,9 +139,8 @@ class SpectralModel:
 
     quad: SpectralQuadrature
     rho: np.ndarray
+    mix: np.ndarray
     transform_prefactor: float = 1.0
-    # Phi_c = sum_a mix[c, a] U_a with U = ``basis``
-    mix: np.ndarray = np.eye(2)
 
     @property
     def sset(self):
@@ -162,16 +150,15 @@ class SpectralModel:
     def omegas(self):
         return self.quad.nodes
 
-    def phi(self, x):
-        """Phi_c(omega_l, x), shape (2, n_nodes, n_x), in a fresh array.
+    def basis(self, x):
+        """The real pair U(omega_l, x), float64 of shape (2, n_nodes, n_x).
 
-        The kernel methods overwrite the result in place, so an override must
-        not return an array it keeps.
+        Returned in a fresh array: ``kernel_pairs`` overwrites it in place.
         """
         raise NotImplementedError
 
-    def antiderivative(self, x):
-        """int Phi_c(omega_l, y) dy up to x, shape (2, n_nodes, n_x).
+    def basis_antiderivative(self, x):
+        """int U(omega_l, y) dy up to x, float64 of shape (2, n_nodes, n_x).
 
         Anchored at a fixed point of the model's choosing, so the integral
         over a cell [lo, hi] is the entry at hi minus the entry at lo: one
@@ -179,13 +166,13 @@ class SpectralModel:
         """
         raise NotImplementedError
 
-    def basis(self, x):
-        """The pair U with Phi = mix U, shape (2, n_nodes, n_x); Phi by default."""
-        return self.phi(x)
+    def phi(self, x):
+        """Phi_c(omega_l, x) = sum_a mix[c, a, l] U_a(omega_l, x), shape (2, n_nodes, n_x)."""
+        return np.einsum("cal,alk->clk", self.mix, self.basis(x))
 
-    def basis_antiderivative(self, x):
-        """int U up to x, anchored as ``antiderivative``; its Phi by default."""
-        return self.antiderivative(x)
+    def antiderivative(self, x):
+        """int Phi up to x = mix times ``basis_antiderivative``, anchored as it is."""
+        return np.einsum("cal,alk->clk", self.mix, self.basis_antiderivative(x))
 
     # -- coefficients against basis tables ----------------------------------
 
@@ -193,9 +180,10 @@ class SpectralModel:
         """f = sum over (c, l) of synthesis weights times F Phi, at a table's points.
 
         ``table`` is U at m points as a (2 n_nodes, m) matrix; the mix and
-        the weights act on the coefficients, mix^T (weights F).
+        the weights act on the coefficients, mix^T (weights F) at each node.
         """
-        return _contract((self.mix.T @ (self.synthesis_weights() * F)).ravel(), table)
+        G = np.einsum("cal,cl->al", self.mix, self.synthesis_weights() * F)
+        return _contract(G.ravel(), table)
 
     def analyze(self, values, table):
         """transform_prefactor sum_i conj(Phi_i) v_i, shape (2, n_nodes).
@@ -204,8 +192,8 @@ class SpectralModel:
         (2 n_nodes, m) matrix. Since conj(Phi) v = conj(mix U conj(v)), the
         table is never conjugated: only the vector and the coefficients are.
         """
-        H = _contract(np.conj(np.asarray(values, dtype=complex)), table.T)
-        return self.transform_prefactor * np.conj(self.mix @ H.reshape(2, -1))
+        H = _contract(np.conj(np.asarray(values, dtype=complex)), table.T).reshape(2, -1)
+        return self.transform_prefactor * np.conj(np.einsum("cal,al->cl", self.mix, H))
 
     # -- kernel evaluation ---------------------------------------------------
 
@@ -220,51 +208,57 @@ class SpectralModel:
         """w rho / transform_prefactor**2: ||f||^2 = sum of these times |F|^2."""
         return self._weights() / self.transform_prefactor**2
 
-    def _factors(self, x, y):
-        """w rho Phi(x) and conj Phi(y); Phi is evaluated once when y is x."""
-        px = self.phi(x)
-        if y is x:
-            py = px.conj()
-        else:
-            py = self.phi(y)
-            np.conjugate(py, out=py)
-        px *= self._weights()[:, :, None]
-        return px, py
+    @cached_property
+    def sigma(self):
+        """Re sum_c w rho_c mix[c, a] conj(mix[c, b]), shape (2, 2, n_nodes).
 
-    def kernel_pairs(self, x, y, keep_complex=False):
+        The kernel is k(x, y) = sum_l U(x)^T sigma U(y). The sum before its
+        real part is taken is Hermitian, and for a real kernel its imaginary
+        part vanishes; for a scattering model what remains is the sweep's
+        unitarity defect.
+        """
+        return np.einsum("cl,cal,cbl->abl", self._weights(), self.mix, self.mix.conj()).real
+
+    def _factors(self, x, y):
+        """U(x) and sigma U(y); U is evaluated once when y is x."""
+        ux = self.basis(x)
+        uy = ux if y is x else self.basis(y)
+        s = self.sigma[:, :, :, None]
+        return ux, s[:, 0] * uy[0] + s[:, 1] * uy[1]
+
+    def kernel_pairs(self, x, y):
         """k(x_i, y_i) elementwise over two equal-length arrays."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        wx, cy = self._factors(x, y)
-        wx *= cy
-        vals = wx.sum(axis=(0, 1))
-        return vals if keep_complex else _realize(vals)
+        ux, sy = self._factors(x, y)
+        ux *= sy
+        return ux.sum(axis=(0, 1))
 
-    def kernel_matrix(self, xs, ys, keep_complex=False):
-        """k(x_i, y_j) on the grid xs by ys; pass one array twice to evaluate Phi once."""
+    def kernel_matrix(self, xs, ys):
+        """k(x_i, y_j) on the grid xs by ys; pass one array twice to evaluate U once."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        wx, cy = self._factors(xs, ys)
-        vals = _as_matrix(wx).T @ _as_matrix(cy)
-        return vals if keep_complex else _realize(vals)
+        ux, sy = self._factors(xs, ys)
+        return _as_matrix(ux).T @ _as_matrix(sy)
 
     def kernel(self, x, y):
         if np.ndim(x) or np.ndim(y):
             xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
             return self.kernel_pairs(xb.ravel(), yb.ravel()).reshape(xb.shape)
-        return float(np.atleast_1d(self.kernel_pairs([x], [y]))[0])
+        return float(self.kernel_pairs([x], [y])[0])
 
     def diagonal(self, y):
         return self.kernel_pairs(y, y)
 
     def dump_csv(self, path, xs, ys):
-        K = np.asarray(self.kernel_matrix(xs, ys, keep_complex=True))
+        """k on the grid xs by ys, one row per pair; the kernel is real, so im_k is 0."""
+        K = self.kernel_matrix(xs, ys)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "y", "re_k", "im_k"])
             for i, x in enumerate(np.atleast_1d(xs)):
                 for j, y in enumerate(np.atleast_1d(ys)):
-                    w.writerow([x, y, K[i, j].real, K[i, j].imag])
+                    w.writerow([x, y, K[i, j], 0.0])
 
 
 class ToyModel(SpectralModel):
@@ -281,9 +275,9 @@ class ToyModel(SpectralModel):
         self.rho = np.vstack([np.full(n, sm * c), np.full(n, sp * c)])
         self.transform_prefactor = 1.0
         # Phi_0 = cos + i sqrt(p+) sin / sqrt(p), Phi_1 = cos - i sqrt(p-) sin / sqrt(p):
-        # both keep u and p u' continuous across the jump; _mixed relies on
-        # the first column being 1 and the second imaginary
-        self.mix = np.array([[1.0, 1j * sp], [1.0, -1j * sm]])
+        # both keep u and p u' continuous across the jump; the same mix at every node
+        mix = np.array([[1.0, 1j * sp], [1.0, -1j * sm]])
+        self.mix = np.broadcast_to(mix[:, :, None], (2, 2, n))
 
     def _theta(self, x):
         """theta = (omega / sqrt(p)) x and sqrt(p), with p on x's side of the jump."""
@@ -292,7 +286,7 @@ class ToyModel(SpectralModel):
         return (self.quad.nodes[:, None] / root) * x, root
 
     def basis(self, x):
-        """The real pair U = (cos theta, sin theta / sqrt(p)), float64."""
+        """The real pair U = (cos theta, sin theta / sqrt(p))."""
         theta, root = self._theta(x)
         out = np.empty((2,) + theta.shape)
         np.cos(theta, out=out[0])
@@ -301,7 +295,7 @@ class ToyModel(SpectralModel):
         return out
 
     def basis_antiderivative(self, x):
-        """int_0^x U = (sqrt(p) sin theta / omega, (1 - cos theta) / omega), float64.
+        """int_0^x U = (sqrt(p) sin theta / omega, (1 - cos theta) / omega).
 
         Both entries vanish at 0 from either side, so the table is continuous
         across the jump.
@@ -316,24 +310,6 @@ class ToyModel(SpectralModel):
         out /= omega
         return out
 
-    def _mixed(self, U):
-        """mix U in a fresh complex array, written through its real and imaginary views.
-
-        The mix's first column is real and its second imaginary, so no
-        complex copy of U is made.
-        """
-        out = np.empty(U.shape, dtype=complex)
-        out.real = U[0]
-        np.multiply(self.mix[:, 1, None, None].imag, U[1], out=out.imag)
-        return out
-
-    def phi(self, x):
-        return self._mixed(self.basis(x))
-
-    def antiderivative(self, x):
-        """int_0^x Phi = mix int_0^x U, in closed form on both sides."""
-        return self._mixed(self.basis_antiderivative(x))
-
 
 class SchrodingerModel(SpectralModel):
     """Lebesgue spectral representation of -D^2 + q via scattering solutions."""
@@ -347,17 +323,18 @@ class SchrodingerModel(SpectralModel):
                                      breakpoints=breakpoints, store_interior=store_interior)
         n = len(self.quad)
         self.rho = np.full((2, n), 1.0 / (2 * np.pi))
+        self.mix = self.sweep.mix
         self.transform_prefactor = 1.0 / np.sqrt(2 * np.pi)
 
     @property
     def support_radius(self):
         return self.sweep.a
 
-    def phi(self, x):
-        return self.sweep.phi(x)
+    def basis(self, x):
+        return self.sweep.basis(x)
 
-    def antiderivative(self, x):
-        return self.sweep.antiderivative(x)
+    def basis_antiderivative(self, x):
+        return self.sweep.basis_antiderivative(x)
 
     def diagonal_tail_average(self, lo, hi):
         """Mean of k(y, y) over [lo, hi] right of the support, exact in y.
@@ -401,22 +378,26 @@ class LiouvilleModel(SpectralModel):
             breakpoints=profile.zeta([-profile.R, profile.R]),
         )
         self.rho = self.inner.rho
+        self.mix = self.inner.mix
         self.transform_prefactor = self.inner.transform_prefactor
 
-    def phi(self, x):
+    def basis(self, x):
+        """p^(-1/4) times the scattering pair at zeta(x)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         pref = np.asarray(self.profile.eval_p(x), dtype=float) ** -0.25
-        return self.inner.phi(self.profile.zeta(x)) * pref[None, None, :]
+        out = self.inner.basis(self.profile.zeta(x))
+        out *= pref
+        return out
 
-    def antiderivative(self, x):
-        """int Phi up to x, anchored at the leftmost of x and -R.
+    def basis_antiderivative(self, x):
+        """int U up to x, anchored at the leftmost of x and -R.
 
         No plane-wave closed form exists in the original coordinate: one
         composite 10-point Gauss-Legendre pass runs over panels that break at
-        every x and at the blend edges +-R, where Phi has a kink, and are no
+        every x and at the blend edges +-R, where U has a kink, and are no
         wider than pi / (4 max(omega) sqrt(inf p)); a cumulative sum chains
-        them. Phi is evaluated in blocks of at most 2**18 node-point values
-        (8 MB, plus the interior spline's temporaries), and only the entries
+        them. U is evaluated in blocks of at most 2**18 node-point values
+        (4 MB, plus the interior spline's temporaries), and only the entries
         at x are kept, so memory does not grow with the number of panels.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -432,11 +413,11 @@ class LiouvilleModel(SpectralModel):
         gx, gw = np.polynomial.legendre.leggauss(10)
         pts = 0.5 * (left + edges)[:, None] + half[:, None] * gx
         at = np.searchsorted(edges, x)
-        out = np.empty((2, n, x.size), dtype=complex)
+        out = np.empty((2, n, x.size))
         carry = np.zeros((2, n))
         rows = max(1, 2**18 // (n * gx.size))
         for i in range(0, edges.size, rows):
-            run = self.phi(pts[i:i + rows].ravel()).reshape(2, n, -1, gx.size) @ gw
+            run = self.basis(pts[i:i + rows].ravel()).reshape(2, n, -1, gx.size) @ gw
             run *= half[i:i + rows]
             run[:, :, 0] += carry
             np.cumsum(run, axis=-1, out=run)

@@ -154,23 +154,6 @@ def transform(model, f, window, n_panels=None):
     return VarBandFunction(model, F)
 
 
-def project_step(model, breakpoints, values):
-    """Spectral projection of the step function sum_i values[i] on cell i.
-
-    breakpoints has one more entry than values; cell i is
-    [breakpoints[i], breakpoints[i+1]].  The cell integrals of the
-    model's basis are differences of its antiderivative.
-    """
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if breakpoints.size != values.size + 1:
-        raise FunctionError("need one more breakpoint than cell values")
-    if np.any(np.diff(breakpoints) <= 0):
-        raise FunctionError("breakpoints must be strictly increasing")
-    cells = np.diff(model.basis_antiderivative(breakpoints), axis=-1)
-    return VarBandFunction(model, model.analyze(values, _as_matrix(cells)))
-
-
 def bernstein_ratio(f, k, omega_max):
     """Spectral estimate of ||A^k f|| / (omega_max^k ||f||); at most 1 for
     functions bandlimited to [0, omega_max]."""

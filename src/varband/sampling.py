@@ -6,11 +6,14 @@ h <- (I - R) h sums to the original function with a geometric certificate
 gamma^(n+1) (pi + delta sqrt(Omega)) / (pi - delta sqrt(Omega)) ||f||, where
 gamma = delta sqrt(Omega) / pi and delta is the max gap in local units.
 
-The operator holds two (2 n_nodes, n_samples) tables of the model's basis U
-(Phi = mix U): U at the samples and the integrals of U over the cells. For the
-step profile both are real float64, so every iteration reads real tables; the
-mix, the weights and the transform prefactor act on the (2, n_nodes)
-coefficients.
+The operator holds two (2 n_nodes, n_samples) tables of the model's real
+basis U (Phi = mix U at each node): U at the samples and the integrals of U
+over the cells. Both are float64 for every model, so every iteration reads
+real tables; the mix, the weights and the transform prefactor act on the
+(2, n_nodes) coefficients.
+
+Where gamma >= 1 no certificate exists: the norm surrogate and the certified
+bounds are then None (null in the JSON report), not infinities.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class ReconstructionReport:
     delta: float
     gamma: float
     passes: bool
-    norm_surrogate: float
+    norm_surrogate: float | None
     residuals: list = field(default_factory=list)
     certified: list = field(default_factory=list)
     errors: list = field(default_factory=list)
@@ -101,7 +104,7 @@ class ReconstructionReport:
             "gap_condition_passes": self.passes,
             "norm_surrogate": self.norm_surrogate,
             "residuals": list(map(float, self.residuals)),
-            "certified_bounds": list(map(float, self.certified)),
+            "certified_bounds": [None if c is None else float(c) for c in self.certified],
             "errors_vs_truth": list(map(float, self.errors)),
             "n_iterations": self.n_iterations,
             "converged": self.converged,
@@ -142,13 +145,16 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     X = X if isinstance(X, SampleSet) else SampleSet(X)
     delta, passes = gap_condition(profile, X, omega_max)
     gamma = delta * np.sqrt(omega_max) / np.pi
-    cert_const = (np.pi + delta * np.sqrt(omega_max)) / max(np.pi - delta * np.sqrt(omega_max), 1e-300)
     R = ReconstructionOperator(model, X, window)
     h = R.from_values(samples)
-    surrogate = h.norm() / (1.0 - gamma) if gamma < 1 else float("inf")
+    certify = gamma < 1
+    surrogate = None
+    if certify:
+        cert_const = (np.pi + delta * np.sqrt(omega_max)) / (np.pi - delta * np.sqrt(omega_max))
+        surrogate = float(h.norm() / (1.0 - gamma))
     report = ReconstructionReport(
         delta=float(delta), gamma=float(gamma), passes=passes,
-        norm_surrogate=float(surrogate), window=R.window,
+        norm_surrogate=surrogate, window=R.window,
     )
     if not passes:
         report.diagnosis = "max-gap condition fails; convergence not certified"
@@ -157,7 +163,7 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     for n in range(n_max):
         resid = h.norm()
         report.residuals.append(resid)
-        report.certified.append(gamma ** (n + 1) * cert_const * surrogate)
+        report.certified.append(gamma ** (n + 1) * cert_const * surrogate if certify else None)
         if ground_truth is not None:
             report.errors.append((f_acc - ground_truth).norm())
         report.n_iterations = n + 1
@@ -172,13 +178,14 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
                 return f_acc, report
         else:
             grow = 0
-        if tol > 0 and report.certified[-1] < tol:
+        if tol > 0 and certify and report.certified[-1] < tol:
             report.converged = True
             break
         h = h - R.apply(h)
         f_acc = f_acc + h
     else:
-        report.converged = bool(tol <= 0 or (report.certified and report.certified[-1] < tol))
+        report.converged = bool(tol <= 0 or (certify and report.certified
+                                             and report.certified[-1] < tol))
     return f_acc, report
 
 

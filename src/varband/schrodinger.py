@@ -48,13 +48,15 @@ class ScatteringSweep:
 
     One RK4 pass runs leftward from +a with the solution u that is e^{i omega x}
     right of the support.  For real q and omega > 0, conj(u) is the solution
-    that is e^{-i omega x} there, so Phi1 = T u and Phi2 = conj(u) + R2 u
-    inside the support, from one stored interpolant of u.  Phi2 is there a
-    difference of two solutions of size 1/|T|, so its relative error grows
-    like 1/|T|^2 times the integrator's; the Liouville potential of an
-    admissible profile keeps |T| bounded below.  ``step`` and ``n_steps``
-    record the largest RK4 step taken and the step count of the pass (0 in
-    the free case).
+    that is e^{-i omega x} there, so Phi1 = T u and Phi2 = conj(u) + R2 u.
+    The sweep reads u out as the real pair U = (Re u, Im u), which is
+    (cos omega x, sin omega x) right of the support and comes from one stored
+    interpolant of u inside it, and ``mix`` is the M with Phi = M U.  Inside
+    the support Phi2 is a difference of two solutions of size 1/|T|, so its
+    relative error grows like 1/|T|^2 times the integrator's; the Liouville
+    potential of an admissible profile keeps |T| bounded below.  ``step`` and
+    ``n_steps`` record the largest RK4 step taken and the step count of the
+    pass (0 in the free case).
     """
 
     def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True):
@@ -124,45 +126,64 @@ class ScatteringSweep:
         """Max of `defects` over the grid."""
         return float(np.max(self.defects))
 
+    @property
+    def mix(self):
+        """M with Phi = M U at each omega, shape (2, 2, n_omega).
+
+        U = (Re u, Im u) for the solution u of the pass, so Phi1 = T u and
+        Phi2 = conj(u) + R2 u give M = [[T, i T], [1 + R2, i (R2 - 1)]].
+        """
+        T, R2 = self.T, self.R2
+        return np.array([[T, 1j * T], [1 + R2, 1j * (R2 - 1)]])
+
     def _regions(self, x):
         """Masks left of, inside and right of the support; free: no inside, 0 is right."""
         mid = (np.abs(x) <= self.a) & (self.q is not None)
         return (x < 0) & ~mid, mid, (x >= 0) & ~mid
 
-    def _tails(self, e, right):
-        """Phi1 and Phi2 on one tail as combinations of e and conj(e).
+    def _waves(self, x, primitive):
+        """(cos omega x, sin omega x), or its primitive (sin, -cos) / omega; shape (2, n, n_x)."""
+        wx = self.omegas[:, None] * x
+        if primitive:
+            return np.stack([np.sin(wx), -np.cos(wx)]) / self.omegas[:, None]
+        return np.stack([np.cos(wx), np.sin(wx)])
 
-        With e = exp(i omega x) this is Phi; with e = exp(i omega x) / (i omega),
-        a primitive of exp(i omega x), it is a primitive of Phi.
+    def _left(self, waves):
+        """U left of the support from (cos, sin) there, or the same map on their primitive.
+
+        u = alpha e^{i omega x} + beta e^{-i omega x} there, with alpha = 1/T and
+        beta = R1/T, so u = (alpha + beta) cos + i (alpha - beta) sin: a real
+        2x2 map of (cos, sin) per omega. Right of the support U = (cos, sin).
         """
-        T, R1, R2 = self.T[:, None], self.R1[:, None], self.R2[:, None]
-        if right:
-            return np.stack([T * e, e.conj() + R2 * e])
-        return np.stack([e + R1 * e.conj(), T * e.conj()])
+        plus, minus = (1 + self.R1) / self.T, (1 - self.R1) / self.T
+        L = np.array([[plus.real, -minus.imag], [plus.imag, minus.real]])[:, :, :, None]
+        return L[:, 0] * waves[0] + L[:, 1] * waves[1]
 
     def _interior(self, x, of):
-        """Phi1 = T v and Phi2 = conj(v) + R2 v for v = of(spline of u)(x)."""
+        """(Re v, Im v) for v = of(spline of u)(x), shape (2, n_omega, n_x)."""
         if self._spline is None:
             raise MatchingError(
                 "interior solutions were not stored; rebuild with store_interior=True"
             )
         v = of(self._spline)(x).T
-        return np.stack([self.T[:, None] * v, v.conj() + self.R2[:, None] * v])
+        return np.stack([v.real, v.imag])
 
-    def phi(self, x):
-        """Phi(omega, x), shape (2, n_omega, n_x)."""
+    def basis(self, x):
+        """U = (Re u, Im u) at x, float64 of shape (2, n_omega, n_x).
+
+        u is e^{i omega x} right of the support, so there U = (cos, sin).
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         left, mid, right = self._regions(x)
-        ex = np.exp(1j * self.omegas[:, None] * x)
-        out = np.empty((2, self.omegas.size, x.size), dtype=complex)
-        out[:, :, left] = self._tails(ex[:, left], right=False)
-        out[:, :, right] = self._tails(ex[:, right], right=True)
+        out = np.empty((2, self.omegas.size, x.size))
+        out[:, :, left] = self._left(self._waves(x[left], False))
+        out[:, :, right] = self._waves(x[right], False)
         if np.any(mid):
             out[:, :, mid] = self._interior(x[mid], lambda spline: spline)
         return out
 
-    def antiderivative(self, x):
-        """int_{-a}^x Phi(omega, y) dy, shape (2, n_omega, n_x).
+    def basis_antiderivative(self, x):
+        """int_{-a}^x U(omega, y) dy, float64 of shape (2, n_omega, n_x).
 
         Plane-wave primitives on the tails; inside the support the exact
         integral of the stored Hermite interpolant, so any point right of -a
@@ -170,21 +191,14 @@ class ScatteringSweep:
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         left, mid, right = self._regions(x)
-        w = self.omegas[:, None]
-
-        def primitive(u):
-            return np.exp(1j * w * u) / (1j * w)
-
-        out = np.empty((2, self.omegas.size, x.size), dtype=complex)
-        out[:, :, left] = (self._tails(primitive(x[left]), right=False)
-                           - self._tails(primitive(-self.a), right=False))
+        out = np.empty((2, self.omegas.size, x.size))
+        out[:, :, left] = self._left(self._waves(x[left], True) - self._waves(-self.a, True))
         across = 0.0
         if self.q is not None and np.any(mid | right):
             # the stored interpolants' first knot is -a, where their antiderivatives start
             inner = self._interior(np.append(x[mid], self.a), lambda spline: spline.antiderivative)
             out[:, :, mid], across = inner[:, :, :-1], inner[:, :, -1:]
-        out[:, :, right] = (self._tails(primitive(x[right]), right=True)
-                            - self._tails(primitive(self.a), right=True) + across)
+        out[:, :, right] = (self._waves(x[right], True) - self._waves(self.a, True)) + across
         return out
 
     def to_csv(self, path):

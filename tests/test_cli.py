@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,14 @@ from test_schrodinger import reference_transmission
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(path):
+    """The JSON file at path, refusing the NaN and Infinity tokens strict parsers refuse."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token} in {path}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -91,13 +100,12 @@ class TestKernel:
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
         xs = np.linspace(-5.0, 5.0, 41)
-        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=6.0).kernel_matrix(
-            xs, xs, keep_complex=True)
+        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=6.0).kernel_matrix(xs, xs)
         ref = io.StringIO(newline="")
         w = csv.writer(ref)
         w.writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
         for i, x in enumerate(xs):
-            w.writerow([f"{x:.12g}"] + [f"{K[i, j].real:.12g}" for j in range(xs.size)])
+            w.writerow([f"{x:.12g}"] + [f"{K[i, j]:.12g}" for j in range(xs.size)])
         assert (out / "kernel_grid.csv").read_bytes() == ref.getvalue().encode()
 
 
@@ -223,6 +231,25 @@ class TestReconstruct:
         assert rep["residuals"][-1] < rep["residuals"][0]
         assert (out / "reconstruction.csv").exists()
 
+    def test_failed_gap_condition_writes_strict_json(self, tmp_path):
+        # three samples 5 apart on [-10, 10]: gamma = 5 / pi > 1, so no certificate exists
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "free", "spectral_set": [[0.0, 1.0]],
+            "profile": {"kind": "piecewise", "breakpoints": [], "values": [1.0]},
+            "window": [-10.0, 10.0],
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, [-5.0, 0.0, 5.0], [1.0, 0.5, -1.0])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["reconstruct", "--config", cfg, "--out", out, "--samples", samples]) == 1
+        rep = strict_json(out / "reconstruction_report.json")
+        assert rep["gamma"] > 1 and not rep["gap_condition_passes"]
+        assert rep["norm_surrogate"] is None
+        assert rep["certified_bounds"] == [None] * rep["n_iterations"]
+        assert strict_json(out / "report.json")["gap_condition_passes"] is False
+
     def test_missing_samples(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": "free", "spectral_set": [[0.0, 1.0]],
@@ -298,6 +325,20 @@ class TestLandau:
         rep = json.loads((out / "report.json").read_text())
         assert rep["brackets_critical"]
         assert rep["last_degenerating"] <= rep["critical_density"] <= rep["first_stabilizing"]
+
+    def test_unreached_bracket_end_is_null(self, tmp_path):
+        # every density above the critical one: none degenerates
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "spectral_set": [[0.0, 1.0]],
+            "density_grid": [1.2 / np.pi, 1.3 / np.pi],
+            "window_halfwidths": [30.0, 60.0],
+        })
+        out = tmp_path / "out"
+        assert run(["landau", "--config", cfg, "--out", out]) == 1
+        rep = strict_json(out / "report.json")
+        assert rep["last_degenerating"] is None
+        assert rep["first_stabilizing"] == pytest.approx(1.2 / np.pi)
+        assert rep["brackets_critical"] is False
 
     def test_constant_piecewise_profile_accepted(self, tmp_path):
         # the default profile, written out

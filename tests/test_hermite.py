@@ -117,5 +117,5 @@ class TestCallSites:
         sweep = ScatteringSweep(*args)
         a = sweep.a
         xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
-        assert rel_dev(sweep.phi(xs), ref.phi(xs)) < 1e-12
-        assert rel_dev(sweep.antiderivative(xs), ref.antiderivative(xs)) < 1e-12
+        assert rel_dev(sweep.basis(xs), ref.basis(xs)) < 1e-12
+        assert rel_dev(sweep.basis_antiderivative(xs), ref.basis_antiderivative(xs)) < 1e-12

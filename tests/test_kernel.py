@@ -250,7 +250,7 @@ class TestToyBasis:
         assert np.max(np.abs(U[1] * root - waves.imag)) < 1e-15
 
     def test_phi_is_mix_of_basis(self, model):
-        mixed = np.einsum("ca,alk->clk", model.mix, model.basis(self.xs))
+        mixed = np.einsum("cal,alk->clk", model.mix, model.basis(self.xs))
         assert _close(model.phi(self.xs), mixed)
 
     def test_antiderivative_is_mix_of_basis_antiderivative(self, model):
@@ -258,12 +258,12 @@ class TestToyBasis:
         assert V.dtype == np.float64
         # 0 at 0 and continuous across the jump
         assert np.all(V[:, :, 0] == 0.0) and np.max(np.abs(V[:, :, 1:3])) < 1e-299
-        mixed = np.einsum("ca,alk->clk", model.mix, V)
+        mixed = np.einsum("cal,alk->clk", model.mix, V)
         assert _close(model.antiderivative(self.xs), mixed)
 
     def test_pair_diagonalises_the_measure(self, model):
         # sum_c rho_c M_ca conj(M_cb) is diagonal, so k = sum w D_a U_a(x) U_a(y) is real
-        gram = np.einsum("cl,ca,cb->lab", model.rho, model.mix, model.mix.conj())
+        gram = np.einsum("cl,cal,cbl->lab", model.rho, model.mix, model.mix.conj())
         assert np.max(np.abs(gram[:, 0, 1])) < 1e-15 * np.max(np.abs(gram))
         assert np.max(np.abs(gram.imag)) < 1e-15 * np.max(np.abs(gram))
 
@@ -336,13 +336,35 @@ def ref_transform(model, f, window, n_panels):
     return model.transform_prefactor * F
 
 
-@pytest.fixture(scope="module", params=["toy", "schrodinger"])
+@pytest.fixture(scope="module", params=["toy", "schrodinger", "free", "liouville"])
 def small_model(request):
     sset = SpectralSet([(0.0, 2.0)])
     if request.param == "toy":
         return ToyModel(1.0, 4.0, sset, x_max=4.0)
+    if request.param == "free":
+        return free_model(sset, x_max=4.0)
+    if request.param == "liouville":
+        return LiouvilleModel(blend_profile(1.0, 4.0, R=1.5), sset, x_max=4.0)
     q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
     return SchrodingerModel(q, 1.0, sset, x_max=4.0)
+
+
+class TestSigma:
+    def test_sigma_is_real(self, small_model):
+        # the Hermitian per-node density before its real part is taken
+        w = small_model.quad.weights[None, :] * small_model.rho
+        full = np.einsum("cl,cal,cbl->abl", w, small_model.mix, small_model.mix.conj())
+        assert np.max(np.abs(full.imag)) <= 1e-12 * np.max(np.abs(full))
+        assert small_model.sigma.dtype == np.float64
+        assert np.all(small_model.sigma == full.real)
+        sigma_t = small_model.sigma.transpose(1, 0, 2)
+        assert np.max(np.abs(small_model.sigma - sigma_t)) <= 1e-15 * np.max(np.abs(full))
+
+    def test_basis_is_real(self, small_model):
+        xs = np.linspace(-3.1, 2.9, 23)
+        for table in (small_model.basis(xs), small_model.basis_antiderivative(xs)):
+            assert table.dtype == np.float64
+            assert table.shape == (2, len(small_model.quad), xs.size)
 
 
 class TestBlasContractions:
@@ -351,30 +373,38 @@ class TestBlasContractions:
     ys = np.linspace(-2.4, 3.3, 17)
 
     def test_kernel_matrix_distinct(self, small_model):
-        got = small_model.kernel_matrix(self.xs, self.ys, keep_complex=True)
+        got = small_model.kernel_matrix(self.xs, self.ys)
+        assert got.dtype == np.float64
         assert _close(got, ref_kernel_matrix(small_model, self.xs, self.ys))
 
     def test_kernel_matrix_same_grid(self, small_model):
-        got = small_model.kernel_matrix(self.xs, self.xs, keep_complex=True)
+        got = small_model.kernel_matrix(self.xs, self.xs)
+        assert got.dtype == np.float64
         assert _close(got, ref_kernel_matrix(small_model, self.xs, self.xs))
 
-    def test_kernel_matrix_evaluates_phi_once(self, small_model, monkeypatch):
+    def test_kernel_matrix_evaluates_basis_once(self, small_model, monkeypatch):
         calls = []
 
-        def counting_phi(x):
+        def counting_basis(x):
             calls.append(np.size(x))
-            return type(small_model).phi(small_model, x)
+            return type(small_model).basis(small_model, x)
 
-        monkeypatch.setattr(small_model, "phi", counting_phi)
+        def no_phi(x):
+            raise AssertionError("kernels read the real basis, not phi")
+
+        monkeypatch.setattr(small_model, "basis", counting_basis)
+        monkeypatch.setattr(small_model, "phi", no_phi)
         small_model.kernel_matrix(self.xs, self.xs)
-        assert calls == [self.xs.size]
+        small_model.kernel_pairs(self.xs, self.xs)
+        assert calls == [self.xs.size, self.xs.size]
 
     def test_kernel_pairs(self, small_model):
         y = self.ys[: self.xs.size - 6]
         x = self.xs[: y.size]
-        got = small_model.kernel_pairs(x, y, keep_complex=True)
+        got = small_model.kernel_pairs(x, y)
+        assert got.dtype == np.float64
         assert _close(got, ref_kernel_pairs(small_model, x, y))
-        diag = small_model.kernel_pairs(x, x, keep_complex=True)
+        diag = small_model.kernel_pairs(x, x)
         assert _close(diag, ref_kernel_pairs(small_model, x, x))
 
     def test_evaluate(self, small_model):

@@ -6,7 +6,6 @@ from varband.paleywiener import (
     FunctionError,
     VarBandFunction,
     bernstein_ratio,
-    project_step,
     random_function,
     random_smooth_function,
     reproducing_function,
@@ -15,6 +14,7 @@ from varband.paleywiener import (
     zero_function,
 )
 from varband.profile import PiecewiseConstantProfile, constant_profile
+from varband.sampling import ReconstructionOperator
 from varband.spectral import SpectralSet
 
 
@@ -102,16 +102,18 @@ class TestReproducing:
 
 class TestTransform:
     def test_box_function_free(self, fmodel):
-        # unit box on [-1, 1]: coefficients are (2 pi)^{-1/2} 2 sin(omega)/omega
-        f = project_step(fmodel, [-1.0, 1.0], [1.0])
+        # unit box on [-1, 1], the one cell of a sample at 0: coefficients are
+        # (2 pi)^{-1/2} 2 sin(omega)/omega
+        f = ReconstructionOperator(fmodel, [0.0], (-1.0, 1.0)).from_values([1.0])
         w = fmodel.quad.nodes
         expected = 2 * np.sin(w) / w / np.sqrt(2 * np.pi)
         assert np.max(np.abs(f.F[0] - expected)) < 1e-12
         assert np.max(np.abs(f.F[1] - expected)) < 1e-12
 
     def test_steps_free(self, fmodel):
-        # two cells, off-centre so the integrals are complex, with complex values
-        f = project_step(fmodel, [-1.0, 0.5, 2.0], [1.0, -2j])
+        # two cells [-1, 0.5] and [0.5, 2] of samples at 0 and 1, off-centre so
+        # the integrals are complex, with complex values
+        f = ReconstructionOperator(fmodel, [0.0, 1.0], (-1.0, 2.0)).from_values([1.0, -2j])
         w = fmodel.quad.nodes
 
         def box(lo, hi):
@@ -134,12 +136,6 @@ class TestTransform:
         g = transform(fmodel, lambda x: f(x), (-40.0, 40.0))
         xs = np.linspace(-2, 2, 9)
         assert np.max(np.abs(g(xs) - f(xs))) < 1e-3
-
-    def test_step_validation(self, fmodel):
-        with pytest.raises(FunctionError):
-            project_step(fmodel, [0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(FunctionError):
-            project_step(fmodel, [1.0, 0.0], [1.0])
 
 
 class TestBernstein:

@@ -330,12 +330,11 @@ class TestOperatorContractions:
         v = rng.standard_normal(self.X.size) + 1j * rng.standard_normal(self.X.size)
         assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
 
-    def test_toy_tables_are_real(self):
-        model, X, window = matched_toy_setup(1.0, 4.0, 2.0, 0.6, 15)
-        op = ReconstructionOperator(model, SampleSet(X), window)
+    def test_tables_are_real(self, operators):
+        op, _ = operators
         tables = (op.basis, op.cells)
         assert all(t.dtype == np.float64 for t in tables)
-        n, N = len(model.quad), X.size
+        n, N = len(op.model.quad), self.X.size
         assert sum(t.nbytes for t in tables) == 2 * (2 * n * N * 8)
 
     def test_iterations_match(self, monkeypatch):

@@ -83,6 +83,15 @@ class TwoPassSweep:
         return np.stack([sp.antiderivative(x).T for sp in self.splines]) / self.norm
 
 
+def sweep_phi(sweep, x):
+    """Phi = M U from the sweep's real pair and its mix."""
+    return np.einsum("cal,alk->clk", sweep.mix, sweep.basis(x))
+
+
+def sweep_antiderivative(sweep, x):
+    return np.einsum("cal,alk->clk", sweep.mix, sweep.basis_antiderivative(x))
+
+
 def rel_dev(got, want):
     """Largest deviation along the last axis relative to the largest entry there."""
     return np.max(np.max(np.abs(got - want), axis=-1) / np.max(np.abs(want), axis=-1))
@@ -99,9 +108,12 @@ class TestFreeCase:
     def test_plane_waves(self):
         sweep = ScatteringSweep(None, 0.0, [2.0])
         xs = np.linspace(-3, 3, 11)
-        out = sweep.phi(xs)
+        out = sweep_phi(sweep, xs)
         assert np.allclose(out[0, 0], np.exp(2j * xs))
         assert np.allclose(out[1, 0], np.exp(-2j * xs))
+        U = sweep.basis(xs)
+        assert U.dtype == np.float64
+        assert np.allclose(U[:, 0], [np.cos(2 * xs), np.sin(2 * xs)])
 
 
 class TestSquareWell:
@@ -135,9 +147,24 @@ class TestSmoothPotential:
     def test_continuity_at_support_edge(self, sweep):
         eps = 1e-7
         for edge in (-1.0, 1.0):
-            inner = sweep.phi(edge - np.sign(edge) * eps)
-            outer = sweep.phi(edge + np.sign(edge) * eps)
+            inner = sweep_phi(sweep, edge - np.sign(edge) * eps)
+            outer = sweep_phi(sweep, edge + np.sign(edge) * eps)
             assert np.max(np.abs(inner - outer)) < 1e-5
+
+    def test_tails_are_the_scattering_waves(self, sweep):
+        # U = (cos, sin) right of the support; through the mix, Phi1 is
+        # e + R1 conj(e) left of it and T e right of it, Phi2 mirrored
+        xs = np.array([-9.0, -2.5, -1.0001, 1.0001, 3.7, 12.0])
+        left, right = xs < 0, xs > 0
+        e = np.exp(1j * sweep.omegas[:, None] * xs)
+        T, R1, R2 = (c[:, None] for c in (sweep.T, sweep.R1, sweep.R2))
+        U = sweep.basis(xs)
+        assert U.dtype == np.float64
+        assert np.max(np.abs(U[0][:, right] - e[:, right].real)) < 1e-14
+        assert np.max(np.abs(U[1][:, right] - e[:, right].imag)) < 1e-14
+        phi = sweep_phi(sweep, xs)
+        want = np.where(left, [e + R1 * e.conj(), T * e.conj()], [T * e, e.conj() + R2 * e])
+        assert np.max(np.abs(phi - want)) < 1e-12
 
     def test_high_frequency_transparency(self):
         q = lambda x: np.exp(-np.asarray(x, float) ** 2 * 8) * (np.abs(x) <= 1)
@@ -149,16 +176,16 @@ class TestSmoothPotential:
     def test_cell_integral_matches_quadrature(self, sweep):
         # cells on each tail, across each support edge and inside the support
         edges = np.array([-3.0, -2.0, -0.6, 0.4, 1.5, 2.5])
-        cells = np.diff(sweep.antiderivative(edges), axis=-1)
+        cells = np.diff(sweep_antiderivative(sweep, edges), axis=-1)
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             xs = np.linspace(lo, hi, 4001)
-            ref = np.trapezoid(sweep.phi(xs), xs, axis=2)
+            ref = np.trapezoid(sweep_phi(sweep, xs), xs, axis=2)
             assert np.max(np.abs(cells[:, :, i] - ref)) < 1e-5
 
     def test_antiderivative_free_plane_waves(self):
         sweep = ScatteringSweep(None, 0.0, [0.5, 2.0])
         lo, hi = -1.5, 2.5
-        cells = np.diff(sweep.antiderivative([lo, hi]), axis=-1)[:, :, 0]
+        cells = np.diff(sweep_antiderivative(sweep, [lo, hi]), axis=-1)[:, :, 0]
         w = sweep.omegas
         expected = (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
         assert np.max(np.abs(cells[0] - expected)) < 1e-14
@@ -171,9 +198,9 @@ class TestSmoothPotential:
         assert abs(full.T[0] - lean.T[0]) < 1e-13
         assert abs(full.R2[0] - lean.R2[0]) < 1e-13
         # tails still evaluate, interior raises
-        assert np.allclose(lean.phi(2.0), full.phi(2.0))
+        assert np.allclose(lean.basis(2.0), full.basis(2.0))
         with pytest.raises(MatchingError):
-            lean.phi(0.3)
+            lean.basis(0.3)
 
 
 def quintic_blend_case():
@@ -199,8 +226,8 @@ class TestOnePass:
         for got, want in ((sweep.T, ref.T), (sweep.R1, ref.R1), (sweep.R2, ref.R2)):
             assert rel_dev(got, want) < 1e-12
         xs = np.linspace(-a, a, 401)
-        assert rel_dev(sweep.phi(xs), ref.phi(xs)) < 1e-12
-        assert rel_dev(sweep.antiderivative(xs), ref.antiderivative(xs)) < 1e-12
+        assert rel_dev(sweep_phi(sweep, xs), ref.phi(xs)) < 1e-12
+        assert rel_dev(sweep_antiderivative(sweep, xs), ref.antiderivative(xs)) < 1e-12
 
 
 BLENDS = [(1.0, 4.0, 1.5, "cubic"), (1.0, 2.0, 1.0, "cubic"), (2.0, 3.0, 0.8, "cubic"),
@@ -273,10 +300,10 @@ class TestSpectralTransform:
         # Phi2 is continuous across -a, where its tail is T e^{-i omega x}
         q = lambda x: np.sin(np.asarray(x, float)) ** 2 * (np.abs(x) <= 1)
         sweep = ScatteringSweep(q, 1.0, [2.2])
-        assert abs(sweep.phi(-1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
+        assert abs(sweep_phi(sweep, -1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
 
     def test_phi_at_scalar_point(self):
-        v = ScatteringSweep(None, 0.0, [1.0]).phi(0.5)
+        v = sweep_phi(ScatteringSweep(None, 0.0, [1.0]), 0.5)
         assert v.shape == (2, 1, 1)
         assert abs(v[0, 0, 0] - np.exp(0.5j)) < 1e-14
         assert abs(v[1, 0, 0] - np.exp(-0.5j)) < 1e-14
