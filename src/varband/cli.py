@@ -11,7 +11,6 @@ output, apart from the ``timings`` entry of ``report.json``.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -26,11 +25,10 @@ from .density import (DensityError, beurling_density, gap_density_bound, landau_
                       quasi_uniform_set, separation)
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                      toy_kernel)
-from .paleywiener import random_smooth_function
 from .profile import (PiecewiseConstantProfile, ProfileError, blend_profile,
                       constant_profile, profile_from_config)
-from .sampling import (SamplingError, frame_bounds_estimate, reconstruct_iterative,
-                       samples_from_csv, shannon_gram)
+from .sampling import (SamplingError, _write_csv, frame_bounds_estimate,
+                       reconstruct_iterative, samples_from_csv, shannon_gram)
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
 
@@ -163,12 +161,14 @@ def cmd_kernel(cfg, out_dir, rng):
     n = _count(g, "n", 101, 1, "grid.n")
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs)
-    with open(Path(out_dir) / "kernel_grid.csv", "w", newline="") as fh:
-        csv.writer(fh).writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
-        # the csv module's row format: comma-separated, CRLF line ends
-        np.savetxt(fh, np.column_stack([xs, K]), fmt="%.12g", delimiter=",", newline="\r\n")
+    _write_csv(Path(out_dir) / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],
+               np.column_stack([xs, K]), fmt="%.12g")
+    # one row per pair of the coarse grid; the kernel is real, so im_k is 0
     coarse = xs[:: max(1, n // 20)]
-    model.dump_csv(Path(out_dir) / "kernel_pairs.csv", coarse, coarse)
+    Kc = model.kernel_matrix(coarse, coarse)
+    _write_csv(Path(out_dir) / "kernel_pairs.csv", ["x", "y", "re_k", "im_k"],
+               np.column_stack([np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size),
+                                Kc.ravel(), np.zeros(Kc.size)]))
     _write_report(out_dir, cfg, {"subcommand": "kernel",
                                  "diagonal_max": float(np.max(np.diag(K))),
                                  "n_nodes": len(model.quad),
@@ -190,7 +190,10 @@ def cmd_scatter(cfg, out_dir, rng):
     sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
                             omegas, breakpoints=prof.zeta([-prof.R, prof.R]),
                             store_interior=False)
-    sweep.to_csv(Path(out_dir) / "scattering.csv")
+    _write_csv(Path(out_dir) / "scattering.csv",
+               ["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2", "unitarity_defect"],
+               np.column_stack([sweep.omegas, sweep.T.real, sweep.T.imag, sweep.R1.real,
+                                sweep.R1.imag, sweep.R2.real, sweep.R2.imag, sweep.defects]))
     defect = sweep.unitarity_defect()
     _write_report(out_dir, cfg, {"subcommand": "scatter",
                                  "max_unitarity_defect": defect,
@@ -206,22 +209,23 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
         # its Phi lives in the warped coordinate, not in the samples' x
         raise ConfigError("reconstruct supports model kinds 'toy', 'free' and 'liouville', "
                           "not 'schrodinger'")
+    if not samples_path:
+        raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
+    pts, vals = samples_from_csv(samples_path)
     prof = _profile(cfg)
     sset = _sset(cfg)
     omega_max = sset.lambda_max
     window = _window(cfg)
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
     model = _model(cfg, quad=uniform_quadrature(sset, np.pi / wz))
-    if samples_path:
-        pts, vals = samples_from_csv(samples_path)
-    else:
-        raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
     n_max = _count(cfg, "n_max", 40, 1, "n_max")
     tol = _number(cfg.get("tol", 0.0), "tol")
     xs = np.linspace(window[0], window[1], _count(cfg, "output_points", 801, 1, "output_points"))
     f_rec, report = reconstruct_iterative(model, prof, pts, vals, omega_max, window,
                                           n_max=n_max, tol=tol)
-    f_rec.dump_csv(Path(out_dir) / "reconstruction.csv", xs)
+    fx = f_rec.evaluate(xs)
+    _write_csv(Path(out_dir) / "reconstruction.csv", ["x", "re_f", "im_f"],
+               np.column_stack([xs, fx.real, fx.imag]))
     with open(Path(out_dir) / "reconstruction_report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
     _write_report(out_dir, cfg, {"subcommand": "reconstruct",
@@ -237,12 +241,11 @@ def cmd_shannon(cfg, out_dir, rng):
     j_max = _count(cfg, "j_max", 20, 0, "j_max")
     G = shannon_gram(pm, pp, omega_max, j_max)
     dev = np.abs(G - np.eye(G.shape[0]))
-    with open(Path(out_dir) / "gram.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "gram", "deviation"])
-        for i in range(G.shape[0]):
-            for j in range(G.shape[0]):
-                w.writerow([i - j_max, j - j_max, f"{G[i, j]:.15g}", f"{dev[i, j]:.3g}"])
+    ij = np.arange(-j_max, j_max + 1)
+    _write_csv(Path(out_dir) / "gram.csv", ["i", "j", "gram", "deviation"],
+               np.column_stack([np.repeat(ij, ij.size), np.tile(ij, ij.size),
+                                G.ravel(), dev.ravel()]),
+               fmt=["%d", "%d", "%.15g", "%.3g"])
     max_offdiag = float(np.max(dev))
     _write_report(out_dir, cfg, {"subcommand": "shannon",
                                  "max_gram_deviation": max_offdiag}, t0)
@@ -261,7 +264,8 @@ def cmd_density(cfg, out_dir, rng):
         density = _number(cfg.get("target_density", 0.5), "target_density")
         pts = quasi_uniform_set(prof, density, window)
     rep = beurling_density(prof, pts, r_list, window)
-    rep.to_csv(Path(out_dir) / "density.csv")
+    _write_csv(Path(out_dir) / "density.csv", ["r", "inf_count_over_r", "sup_count_over_r"],
+               np.column_stack([rep.r_values, rep.lower, rep.upper]))
     eta, bound, d_minus, holds = gap_density_bound(prof, pts, window=window)
     gap, n0 = separation(prof, pts)
     _write_report(out_dir, cfg, {
@@ -298,7 +302,12 @@ def cmd_landau(cfg, out_dir, rng):
         return _model(dict(cfg, model=kind), quad=uniform_quadrature(sset, np.pi / wz))
 
     res = landau_sweep(builder, prof, sset, grid, windows)
-    res.to_csv(Path(out_dir) / "landau_sweep.csv")
+    nd, nw = len(res.densities), len(res.windows)
+    _write_csv(Path(out_dir) / "landau_sweep.csv",
+               ["density", "window_halfwidth", "A_est", "B_est", "gram_min"],
+               np.column_stack([np.repeat(res.densities, nw), np.tile(res.windows, nd),
+                                res.a_table.ravel(), res.b_table.ravel(),
+                                res.gram_min_table.ravel()]))
     # a bracket end that no density reached is NaN: null in the report
     low, high = (t if np.isfinite(t) else None for t in (res.threshold_low, res.threshold_high))
     bracketed = bool(low is not None and high is not None and low <= res.critical <= high)

@@ -8,13 +8,12 @@ the scanned r values and never claim the true limit.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .profile import _unpack
-from .sampling import SampleSet, frame_bounds_estimate
+from .sampling import _points, frame_bounds_estimate
 from .spectral import SpectralSet, uniform_quadrature
 
 
@@ -38,17 +37,9 @@ class DensityReport:
     def d_plus(self):
         return self.upper[-1]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "inf_count_over_r", "sup_count_over_r"])
-            for r, lo, hi in zip(self.r_values, self.lower, self.upper):
-                w.writerow([r, lo, hi])
-
 
 def _warped_points(profile, X):
-    pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
-    return np.sort(np.atleast_1d(profile.zeta(pts)))
+    return np.sort(np.atleast_1d(profile.zeta(_points(X))))
 
 
 def sliding_counts(z, window_z, r):
@@ -109,8 +100,7 @@ def gap_density_bound(profile, X, window=None):
     points when ``window`` is None), and the inequality is checked with the
     finite-window slack 3 / r_max.
     """
-    pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
-    eta = profile.max_gap_delta(pts)
+    eta = profile.max_gap_delta(_points(X))
     z = _warped_points(profile, X)
     if window is None:
         wz = (float(z[0]), float(z[-1]))
@@ -145,15 +135,6 @@ class LandauSweepResult:
     threshold_low: float
     threshold_high: float
     critical: float
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["density", "window_halfwidth", "A_est", "B_est", "gram_min"])
-            for i, d in enumerate(self.densities):
-                for j, win in enumerate(self.windows):
-                    w.writerow([d, win, self.a_table[i, j], self.b_table[i, j],
-                                self.gram_min_table[i, j]])
 
 
 def landau_sweep(model_builder, profile, sset, density_grid, window_halfwidths):

@@ -26,12 +26,11 @@ real table to complex.
 
 from __future__ import annotations
 
-import csv
 from functools import cached_property
 
 import numpy as np
 
-from .profile import SmoothProfile, _unpack
+from .profile import SmoothProfile
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
 
@@ -250,16 +249,6 @@ class SpectralModel:
     def diagonal(self, y):
         return self.kernel_pairs(y, y)
 
-    def dump_csv(self, path, xs, ys):
-        """k on the grid xs by ys, one row per pair; the kernel is real, so im_k is 0."""
-        K = self.kernel_matrix(xs, ys)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "re_k", "im_k"])
-            for i, x in enumerate(np.atleast_1d(xs)):
-                for j, y in enumerate(np.atleast_1d(ys)):
-                    w.writerow([x, y, K[i, j], 0.0])
-
 
 class ToyModel(SpectralModel):
     """Step-profile spectral representation from the closed-form solutions."""
@@ -425,36 +414,3 @@ class LiouvilleModel(SpectralModel):
             out[:, :, mine], carry = run[:, :, at[mine] - i], run[:, :, -1]
         return out
 
-
-# ---------------------------------------------------------------------------
-# spatial averages
-
-
-def kernel_tail_mass(kernel_fn, x, b, window, n=4001):
-    """int over {|y - x| > b} within `window` of |k(x, y)|^2, composite Simpson."""
-    from scipy.integrate import simpson
-
-    a0, a1 = _unpack(window)
-    total = 0.0
-    for lo, hi in ((a0, x - b), (x + b, a1)):
-        if hi <= lo:
-            continue
-        ys = np.linspace(lo, hi, n)
-        vals = np.abs(np.asarray(kernel_fn(np.full(ys.shape, x), ys))) ** 2
-        total += float(simpson(vals, x=ys))
-    return total
-
-
-def diagonal_average(model, interval, n=2001):
-    """Mean of k(y, y) over an interval, composite Simpson.
-
-    Right of a Schrodinger potential's support, `diagonal_tail_average` is
-    exact and cheaper.
-    """
-    from scipy.integrate import simpson
-
-    a, b = _unpack(interval)
-    if b <= a:
-        raise KernelError("empty interval")
-    ys = np.linspace(a, b, n)
-    return float(simpson(np.asarray(model.diagonal(ys)), x=ys) / (b - a))

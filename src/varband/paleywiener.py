@@ -9,7 +9,6 @@ on a well-defined finite model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,33 +63,6 @@ class VarBandFunction:
         if other.model is not self.model:
             raise FunctionError("functions live on different models")
 
-    def spatial_norm(self, window, n=4001):
-        """L2 norm by Simpson quadrature on a window (Parseval cross-check)."""
-        from scipy.integrate import simpson
-
-        xs = np.linspace(*_unpack(window), n)
-        vals = np.abs(self.evaluate(xs)) ** 2
-        return float(np.sqrt(simpson(vals, x=xs)))
-
-    def dump_csv(self, path, xs):
-        vals = self.evaluate(np.asarray(xs, dtype=float))
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "re_f", "im_f"])
-            for x, v in zip(np.atleast_1d(xs), np.atleast_1d(vals)):
-                w.writerow([x, v.real, v.imag])
-
-    def dump_coefficients_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["omega", "re_F1", "im_F1", "re_F2", "im_F2"])
-            for om, f1, f2 in zip(self.model.quad.nodes, self.F[0], self.F[1]):
-                w.writerow([om, f1.real, f1.imag, f2.real, f2.imag])
-
-
-def zero_function(model):
-    return VarBandFunction(model, np.zeros((2, len(model.quad)), dtype=complex))
-
 
 def _unit(model, F):
     f = VarBandFunction(model, F)
@@ -131,12 +103,6 @@ def random_smooth_function(model, rng=None):
     return _unit(model, F)
 
 
-def reproducing_function(model, x0):
-    """The kernel section k(x0, .) as a VarBandFunction."""
-    phi0 = model.phi(np.array([float(x0)]))[:, :, 0]
-    return VarBandFunction(model, model.transform_prefactor * phi0.conj())
-
-
 def transform(model, f, window, n_panels=None):
     """Spectral coefficients of a spatial callable by windowed quadrature."""
     a, b = _unpack(window)
@@ -167,28 +133,3 @@ def bernstein_ratio(f, k, omega_max):
     num = float(np.sum(w * lam ** (2 * k) * np.abs(f.F) ** 2).real)
     return float(np.sqrt(num / dens) / omega_max**k)
 
-
-def warped_bandlimited_eval(profile, F, lam_intervals, x):
-    """First-order warped evaluator: classical inverse transform of F at eta^{-1}(x).
-
-    f(x) = int_Lambda F(lambda) exp(i lambda eta^{-1}(x)) d lambda, with
-    eta(x) = int_0^x dt / p(t).  F is a callable on the spectral parameter;
-    the integral is a composite 10-point Gauss-Legendre rule with panels no
-    wider than pi / (4 max |eta^{-1}(x)|).
-    """
-    scalar = not np.ndim(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.atleast_1d(profile.eta_inv(xs))
-    tmax = max(float(np.max(np.abs(t))), 1e-9)
-    gx, gw = np.polynomial.legendre.leggauss(10)
-    max_panel = np.pi / (4 * tmax)
-    out = np.zeros(t.size, dtype=complex)
-    for a, b in lam_intervals:
-        n_pan = max(1, int(np.ceil((b - a) / max_panel)))
-        edges = np.linspace(a, b, n_pan + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            lam = 0.5 * (lo + hi) + half * gx
-            Fv = np.asarray(F(lam), dtype=complex)
-            out += half * np.einsum("k,k,jk->j", Fv, gw, np.exp(1j * np.outer(t, lam)))
-    return complex(out[0]) if scalar else out

@@ -2,21 +2,20 @@
 
 A profile knows how to evaluate p, the adapted measure ``mu_p(I) = int_I
 p^{-1/2}``, the warp ``zeta(x) = int_0^x p^{-1/2}`` and its inverse, the
-first-order warp ``eta(x) = int_0^x 1/p``, the Schrodinger potential obtained
-from the Liouville transform, and gap statistics of sample sets measured
-against ``sqrt(p)``.
+Schrodinger potential obtained from the Liouville transform, and gap
+statistics of sample sets measured against ``sqrt(p)``.
 
 Two families are supported: piecewise-constant profiles (all integrals in
 closed form) and smooth eventually-constant profiles given by evaluators for
 (p, p', p'') that are exactly constant outside ``[-R, R]``.
 
-`CubicHermite`, the cubic Hermite interpolant behind the smooth warps, lives
-here so that the scattering and eigen-solution layers can share it.
+`CubicHermite`, the cubic Hermite interpolant behind the smooth warp, lives
+here so that the scattering layer can share it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,28 +26,6 @@ class ProfileError(ValueError):
 
 class UnsupportedProfileError(ProfileError):
     """Raised when an operation needs derivatives a profile cannot supply."""
-
-
-@dataclass(frozen=True)
-class Interval:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.b < self.a:
-            raise ProfileError(f"interval [{self.a}, {self.b}] is reversed")
-
-    @property
-    def length(self):
-        return self.b - self.a
-
-
-@dataclass
-class AdmissibilityReport:
-    passed: bool
-    reasons: list
-    lower: float
-    upper: float
 
 
 class CubicHermite:
@@ -105,28 +82,16 @@ class BandwidthProfile:
 
     # -- warped coordinates -------------------------------------------------
 
-    def _warp(self, x, power):
-        """int_0^x p**power."""
-        raise NotImplementedError
-
-    def _warp_inv(self, z, power):
-        """The x with _warp(x, power) = z."""
-        raise NotImplementedError
-
     def zeta(self, x):
-        return self._warp(x, -0.5)
+        """int_0^x p^{-1/2}."""
+        raise NotImplementedError
 
     def zeta_inv(self, z):
-        return self._warp_inv(z, -0.5)
-
-    def eta(self, x):
-        return self._warp(x, -1.0)
-
-    def eta_inv(self, t):
-        return self._warp_inv(t, -1.0)
+        """The x with zeta(x) = z."""
+        raise NotImplementedError
 
     def mu(self, interval):
-        """mu_p of an `Interval` (or (a, b) pair): zeta(b) - zeta(a), for both families."""
+        """mu_p of an (a, b) pair: zeta(b) - zeta(a), for both families."""
         a, b = _unpack(interval)
         return float(self.zeta(b) - self.zeta(a))
 
@@ -162,18 +127,14 @@ class PiecewiseConstantProfile(BandwidthProfile):
         self.upper = float(self.values.max())
         self.p_minus = float(self.values[0])
         self.p_plus = float(self.values[-1])
-        self.plateau_radius = float(np.abs(self.breakpoints).max()) if self.breakpoints.size else 0.0
-        # knot table of the warps: int_0^k p**power at each knot k, so that
-        # zeta = int p^{-1/2} and eta = int 1/p are its linear interpolants
-        self._knots = np.union1d(self.breakpoints, [0.0])
-        self._warp_at_knots = {power: self._integrals(power) for power in (-0.5, -1.0)}
-
-    def _integrals(self, power):
-        k = self._knots
-        piece = np.diff(k) * self.eval_p(k[:-1]) ** power
+        # knot table of the warp: zeta(k) = int_0^k p^{-1/2} at each knot k,
+        # so that zeta is its linear interpolant; summed outward from 0, so
+        # every entry keeps its relative precision
+        k = self._knots = np.union1d(self.breakpoints, [0.0])
+        piece = np.diff(k) * self.eval_p(k[:-1]) ** -0.5
         i0 = np.searchsorted(k, 0.0)
-        # summed outward from 0, so every entry keeps its relative precision
-        return np.concatenate((-np.cumsum(piece[:i0][::-1])[::-1], [0.0], np.cumsum(piece[i0:])))
+        self._zeta_at_knots = np.concatenate(
+            (-np.cumsum(piece[:i0][::-1])[::-1], [0.0], np.cumsum(piece[i0:])))
 
     def eval_p(self, x):
         x = np.asarray(x, dtype=float)
@@ -181,11 +142,11 @@ class PiecewiseConstantProfile(BandwidthProfile):
         out = self.values[idx]
         return out if out.ndim else float(out)
 
-    def _warp(self, x, power):
-        return _extended_interp(x, self._knots, self._warp_at_knots[power], self.values[[0, -1]] ** power)
+    def zeta(self, x):
+        return _extended_interp(x, self._knots, self._zeta_at_knots, self.values[[0, -1]] ** -0.5)
 
-    def _warp_inv(self, z, power):
-        return _extended_interp(z, self._warp_at_knots[power], self._knots, self.values[[0, -1]] ** -power)
+    def zeta_inv(self, z):
+        return _extended_interp(z, self._zeta_at_knots, self._knots, self.values[[0, -1]] ** 0.5)
 
     def inf_p(self, a, b):
         a, b = _gap_ends(a, b)
@@ -222,7 +183,6 @@ class SmoothProfile(BandwidthProfile):
         self.p_func, self.dp_func, self.ddp_func = p, dp, ddp
         self.R = float(R)
         self.p_minus, self.p_plus = float(p_minus), float(p_plus)
-        self.plateau_radius = self.R
         xs = np.linspace(-self.R, self.R, 2001)
         ps = np.asarray(p(xs), dtype=float)
         if np.any(ps <= 0):
@@ -233,8 +193,6 @@ class SmoothProfile(BandwidthProfile):
                 and np.isclose(p(self.R), p_plus, rtol=1e-10, atol=1e-12)):
             raise ProfileError("p does not attain its plateau values at +-R")
         self._verify_derivatives()
-        self._zeta_spline = None
-        self._eta_spline = None
 
     def _verify_derivatives(self):
         # guard user-supplied derivatives against the evaluator for p
@@ -257,16 +215,18 @@ class SmoothProfile(BandwidthProfile):
         )
         return out if out.ndim else float(out)
 
-    def _build_spline(self, power):
+    @cached_property
+    def _zeta_spline(self):
+        """Forward and inverse splines of zeta on [-R, R] and zeta(-R), zeta(R); built on first use."""
         n = 1601
         edges = np.linspace(-self.R, self.R, n)
-        w = self.eval_p(edges) ** power
-        # cumulative integral of p**power by per-panel Gauss-Legendre
+        w = self.eval_p(edges) ** -0.5
+        # cumulative integral of p^{-1/2} by per-panel Gauss-Legendre
         gx, gw = np.polynomial.legendre.leggauss(10)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         pts = mid[:, None] + half * gx[None, :]
-        vals = self.eval_p(pts.ravel()).reshape(pts.shape) ** power
+        vals = self.eval_p(pts.ravel()).reshape(pts.shape) ** -0.5
         panel = half * vals @ gw
         cum = np.concatenate(([0.0], np.cumsum(panel)))
         # anchor at x = 0
@@ -276,33 +236,27 @@ class SmoothProfile(BandwidthProfile):
         inv = CubicHermite(cum, edges, 1.0 / w)
         return fwd, inv, cum[0], cum[-1]
 
-    def _warp_pair(self, power):
-        attr = "_zeta_spline" if power == -0.5 else "_eta_spline"
-        if getattr(self, attr) is None:
-            setattr(self, attr, self._build_spline(power))
-        return getattr(self, attr)
-
-    def _warp(self, x, power):
-        fwd, _, zlo, zhi = self._warp_pair(power)
+    def zeta(self, x):
+        fwd, _, zlo, zhi = self._zeta_spline
         x = np.asarray(x, dtype=float)
         out = np.where(
-            x < -self.R, zlo + (x + self.R) * self.p_minus**power,
-            np.where(x > self.R, zhi + (x - self.R) * self.p_plus**power, fwd(np.clip(x, -self.R, self.R))),
+            x < -self.R, zlo + (x + self.R) * self.p_minus**-0.5,
+            np.where(x > self.R, zhi + (x - self.R) * self.p_plus**-0.5, fwd(np.clip(x, -self.R, self.R))),
         )
         return out if out.ndim else float(out)
 
-    def _warp_inv(self, z, power):
-        fwd, inv, zlo, zhi = self._warp_pair(power)
+    def zeta_inv(self, z):
+        fwd, inv, zlo, zhi = self._zeta_spline
         z = np.asarray(z, dtype=float)
         inside = inv(np.clip(z, zlo, zhi))
         # two Newton passes against the forward spline tighten the inverse
         for _ in range(2):
-            w = self.eval_p(np.clip(inside, -self.R, self.R)) ** power
+            w = self.eval_p(np.clip(inside, -self.R, self.R)) ** -0.5
             inside = np.clip(inside - (fwd(np.clip(inside, -self.R, self.R)) - np.clip(z, zlo, zhi)) / w,
                              -self.R, self.R)
         out = np.where(
-            z < zlo, -self.R + (z - zlo) / self.p_minus**power,
-            np.where(z > zhi, self.R + (z - zhi) / self.p_plus**power, inside),
+            z < zlo, -self.R + (z - zlo) / self.p_minus**-0.5,
+            np.where(z > zhi, self.R + (z - zhi) / self.p_plus**-0.5, inside),
         )
         return out if out.ndim else float(out)
 
@@ -375,24 +329,6 @@ def constant_profile(value=1.0, R=1.0):
     return blend_profile(value, value, R=R)
 
 
-def admissibility_check(profile):
-    """Report on 0 < c <= p <= C, eventual constancy and divergence of int 1/p."""
-    reasons = []
-    if profile.lower <= 0:
-        reasons.append("not bounded below by a positive constant")
-    if not np.isfinite(profile.upper):
-        reasons.append("not bounded above")
-    R = profile.plateau_radius
-    probe = np.array([-3 * R - 1.0, -2 * R - 1.0, 2 * R + 1.0, 3 * R + 1.0])
-    pv = np.atleast_1d(profile.eval_p(probe))
-    if not (np.allclose(pv[:2], profile.p_minus) and np.allclose(pv[2:], profile.p_plus)):
-        reasons.append("not eventually constant")
-    # P(x) = int_0^x 1/p grows linearly for eventually constant p, hence is
-    # not square integrable at either infinity: the self-adjointness criterion
-    # holds automatically once the checks above pass.
-    return AdmissibilityReport(not reasons, reasons, profile.lower, profile.upper)
-
-
 def profile_from_config(cfg):
     """Build a profile from the experiment-config block.
 
@@ -411,8 +347,6 @@ def profile_from_config(cfg):
 
 
 def _unpack(interval):
-    if isinstance(interval, Interval):
-        return interval.a, interval.b
     a, b = interval
     return float(a), float(b)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import _as_matrix, _sinc, halfline_kernel, toy_kernel
-from .paleywiener import VarBandFunction, zero_function
+from .kernel import _as_matrix, _sinc, toy_kernel
+from .paleywiener import VarBandFunction
 from .profile import _unpack
 
 
@@ -48,29 +48,16 @@ class SampleSet:
         return self.points.size
 
 
+def _points(X):
+    """The points of a `SampleSet`, or any point sequence as a float array."""
+    return X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
+
+
 def gap_condition(profile, X, omega_max):
     """(delta, passes): delta from the profile-weighted max gap, pass iff
     delta < pi / sqrt(omega_max)."""
-    pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
-    delta = profile.max_gap_delta(pts)
+    delta = profile.max_gap_delta(_points(X))
     return delta, bool(delta < np.pi / np.sqrt(omega_max))
-
-
-def sampling_bounds(delta, omega_max):
-    """Frame-type bounds for the midpoint-weighted sample sums."""
-    g = delta * np.sqrt(omega_max) / np.pi
-    return (1.0 - g) ** 2, (1.0 + g) ** 2
-
-
-def weighted_sample_sum(values, points):
-    """sum_i |f(x_i)|^2 (x_{i+1} - x_{i-1}) / 2 with one-sided end weights."""
-    pts = np.asarray(points, dtype=float)
-    v = np.abs(np.asarray(values)) ** 2
-    w = np.empty_like(pts)
-    w[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-    w[0] = pts[1] - pts[0]
-    w[-1] = pts[-1] - pts[-2]
-    return float(np.sum(v * w))
 
 
 def midpoint_partition(points, window):
@@ -118,7 +105,7 @@ class ReconstructionOperator:
 
     def __init__(self, model, X, window):
         self.model = model
-        self.points = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
+        self.points = _points(X)
         self.window = _unpack(window)
         edges = midpoint_partition(self.points, self.window)
         # cells first, so their antiderivative table is freed before U is built
@@ -223,13 +210,6 @@ def _shannon_normalized(p_minus, p_plus, omega_max, j_max):
     return nodes, np.sqrt(np.pi * weights / np.sqrt(omega_max))
 
 
-def shannon_basis_function(p_minus, p_plus, omega_max, j, j_max, x):
-    """Normalized basis element sqrt(pi w_j / sqrt(Omega)) k(x_j, .)."""
-    nodes, c = _shannon_normalized(p_minus, p_plus, omega_max, j_max)
-    idx = j + j_max
-    return c[idx] * toy_kernel(p_minus, p_plus, omega_max, nodes[idx], x)
-
-
 def shannon_gram(p_minus, p_plus, omega_max, j_max):
     """Gram matrix c_i k(x_i, x_j) c_j of the normalized basis: the identity if orthonormal."""
     nodes, c = _shannon_normalized(p_minus, p_plus, omega_max, j_max)
@@ -263,7 +243,7 @@ def frame_bounds_estimate(model, X, window):
     labeled as such in CLI output).  Rows are scaled by the lengths of the
     midpoint cells of the window.
     """
-    pts = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
+    pts = _points(X)
     if pts.size == 0:
         raise SamplingError("empty sample set")
     phiX = model.phi(pts)  # (2, n, N)
@@ -276,12 +256,22 @@ def frame_bounds_estimate(model, X, window):
     return float(smin**2), float(s[0] ** 2)
 
 
-def samples_to_csv(path, points, values):
+def _write_csv(path, header, table, fmt="%s"):
+    """Write a header and the rows of a 2-D table as CSV: comma-separated, CRLF line ends.
+
+    The default ``"%s"`` renders each float64 as its shortest round-trip
+    repr, the text the csv module writes for a float; ``fmt`` may also be
+    one format for every column, or a list of one format per column.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re_value", "im_value"])
-        for x, v in zip(points, np.asarray(values, dtype=complex)):
-            w.writerow([x, v.real, v.imag])
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
+def samples_to_csv(path, points, values):
+    values = np.asarray(values, dtype=complex)
+    _write_csv(path, ["x", "re_value", "im_value"],
+               np.column_stack([points, values.real, values.imag]))
 
 
 def samples_from_csv(path):

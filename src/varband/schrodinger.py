@@ -11,7 +11,6 @@ so pointwise evaluation stays cheap inside kernel quadratures.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -200,16 +199,6 @@ class ScatteringSweep:
             out[:, :, mid], across = inner[:, :, :-1], inner[:, :, -1:]
         out[:, :, right] = (self._waves(x[right], True) - self._waves(self.a, True)) + across
         return out
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["omega", "re_T", "im_T", "re_R1", "im_R1",
-                         "re_R2", "im_R2", "unitarity_defect"])
-            for i in range(len(self)):
-                d = self.data(i)
-                wr.writerow([d.omega, d.T.real, d.T.imag, d.R1.real, d.R1.imag,
-                             d.R2.real, d.R2.imag, d.unitarity_defect])
 
 
 def scattering_coeffs(q, support_radius, omega):

@@ -1,4 +1,4 @@
-"""The RK4 driver for linear 2x2 systems and the two-plateau closed forms.
+"""The RK4 driver for linear 2x2 systems.
 
 For -(p phi')' = lambda phi the first-order system is u = (phi, p phi');
 both components are continuous across jumps of p, so carrying the state
@@ -7,9 +7,7 @@ package's one fixed-step RK4 integrator, with mandatory breakpoint nodes and
 coefficients tabulated once per segment.  The system is linear, so each RK4
 step is a 2x2 matrix in closed form (its propagator); the driver builds those
 in blocks of steps and applies them in step order.  The scattering module
-runs it on -psi'' + q psi = omega^2 psi.  The closed forms of the step
-profile (its fundamental pair, Wronskian and spectral density) are the
-references for the quadrature models.
+runs it on -psi'' + q psi = omega^2 psi.
 """
 
 from __future__ import annotations
@@ -18,10 +16,6 @@ import numpy as np
 
 
 class IntegrationError(RuntimeError):
-    pass
-
-
-class SpectralDensityError(ValueError):
     pass
 
 
@@ -132,44 +126,3 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
             grid[done + n] = end
         done += n
     return (grid, states) if path else np.stack([u, v])
-
-
-def toy_fundamental(p_minus, p_plus, lam, x):
-    """Closed-form fundamental pair (phi_plus, phi_minus) for the step profile.
-
-    phi_plus is the solution that is a pure right-moving wave e^{i kappa_+ x}
-    on the right plateau; phi_minus the mirrored left one.  Vectorized in x.
-    """
-    if lam <= 0:
-        raise SpectralDensityError("closed forms require lambda > 0")
-    x = np.asarray(x, dtype=float)
-    km = np.sqrt(lam / p_minus)
-    kp = np.sqrt(lam / p_plus)
-    right = x > 0
-    phi_p = np.where(
-        right,
-        np.exp(1j * kp * x),
-        np.cos(km * x) + 1j * np.sqrt(p_plus / p_minus) * np.sin(km * x),
-    )
-    phi_m = np.where(
-        right,
-        np.cos(kp * x) - 1j * np.sqrt(p_minus / p_plus) * np.sin(kp * x),
-        np.exp(-1j * km * x),
-    )
-    if x.ndim:
-        return phi_p, phi_m
-    return complex(phi_p), complex(phi_m)
-
-
-def toy_spectral_density(p_minus, p_plus, lam):
-    """Diagonal density of the step-profile spectral measure at lambda > 0."""
-    if lam <= 0:
-        raise SpectralDensityError("spectral density has a 1/sqrt(lambda) endpoint at 0")
-    sm, sp = np.sqrt(p_minus), np.sqrt(p_plus)
-    c = 1.0 / (np.pi * (sm + sp) ** 2 * np.sqrt(lam))
-    return np.diag([sm * c, sp * c])
-
-
-def toy_wronskian_value(p_minus, p_plus, lam):
-    """W_p(phi_plus, phi_minus) of the closed-form pair, constant in x."""
-    return 1j * np.sqrt(lam) * (np.sqrt(p_plus) + np.sqrt(p_minus))

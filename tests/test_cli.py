@@ -9,11 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varband import cli
 from varband.cli import COMMANDS, main
+from varband.density import (beurling_density, landau_sweep, matched_free_model_builder,
+                             quasi_uniform_set)
 from varband.kernel import LiouvilleModel, ToyModel, free_model
 from varband.paleywiener import random_smooth_function
-from varband.profile import profile_from_config
-from varband.sampling import ReconstructionOperator, SampleSet, samples_to_csv
+from varband.profile import constant_profile, profile_from_config
+from varband.sampling import (ReconstructionOperator, SampleSet, reconstruct_iterative,
+                              samples_from_csv, samples_to_csv, shannon_gram)
+from varband.schrodinger import ScatteringSweep
 from varband.spectral import SpectralSet, uniform_quadrature
 from varband.sturm import rk4_segments
 
@@ -107,6 +112,124 @@ class TestKernel:
         for i, x in enumerate(xs):
             w.writerow([f"{x:.12g}"] + [f"{K[i, j]:.12g}" for j in range(xs.size)])
         assert (out / "kernel_grid.csv").read_bytes() == ref.getvalue().encode()
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer renders for a header and rows: the dialect of every table."""
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(header)
+    w.writerows(rows)
+    return ref.getvalue().encode()
+
+
+class TestTableRendering:
+    """Each CSV table against a csv.writer rendering of the same numbers, byte for byte."""
+
+    def test_kernel_pairs(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 6.0,
+            "profile": STEP_14, "grid": {"lo": -5.0, "hi": 5.0, "n": 41},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        coarse = np.linspace(-5.0, 5.0, 41)[::2]
+        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=6.0).kernel_matrix(coarse, coarse)
+        rows = [[x, y, K[i, j], 0.0] for i, x in enumerate(coarse) for j, y in enumerate(coarse)]
+        assert len(rows) == 21 * 21
+        want = csv_writer_bytes(["x", "y", "re_k", "im_k"], rows)
+        assert (out / "kernel_pairs.csv").read_bytes() == want
+
+    def test_scattering(self, tmp_path):
+        prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0}
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": prof_cfg, "omega_grid": {"lo": 0.1, "hi": 3.0, "n": 40},
+        })
+        out = tmp_path / "out"
+        assert run(["scatter", "--config", cfg, "--out", out]) == 0
+        prof = profile_from_config(prof_cfg)
+        sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
+                                np.linspace(0.1, 3.0, 40), breakpoints=prof.zeta([-1.0, 1.0]),
+                                store_interior=False)
+        rows = [[d.omega, d.T.real, d.T.imag, d.R1.real, d.R1.imag, d.R2.real, d.R2.imag,
+                 d.unitarity_defect] for d in map(sweep.data, range(len(sweep)))]
+        want = csv_writer_bytes(["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2",
+                                 "unitarity_defect"], rows)
+        assert (out / "scattering.csv").read_bytes() == want
+
+    def test_reconstruction(self, tmp_path):
+        window, sset = (-10.0, 10.0), SpectralSet([(0.0, 1.0)])
+        X = np.linspace(-9.5, 9.5, 39)
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, X, np.cos(X) + 0.5j * np.sin(2 * X))
+        cfg = write_cfg(tmp_path, "cfg.json", dict(RECONSTRUCT, n_max=5, output_points=61))
+        out = tmp_path / "out"
+        assert run(["reconstruct", "--config", cfg, "--out", out, "--samples", samples]) == 0
+        prof = profile_from_config(UNIT)
+        wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
+        model = free_model(sset, quad=uniform_quadrature(sset, np.pi / wz))
+        pts, vals = samples_from_csv(samples)
+        f, _ = reconstruct_iterative(model, prof, pts, vals, 1.0, window, n_max=5)
+        xs = np.linspace(*window, 61)
+        rows = [[x, v.real, v.imag] for x, v in zip(xs, f.evaluate(xs))]
+        want = csv_writer_bytes(["x", "re_f", "im_f"], rows)
+        assert (out / "reconstruction.csv").read_bytes() == want
+
+    def test_gram(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": STEP_14, "spectral_set": [[0.0, 2.0]], "j_max": 5,
+        })
+        out = tmp_path / "out"
+        assert run(["shannon", "--config", cfg, "--out", out]) == 0
+        G = shannon_gram(1.0, 4.0, 2.0, 5)
+        dev = np.abs(G - np.eye(11))
+        rows = [[i - 5, j - 5, f"{G[i, j]:.15g}", f"{dev[i, j]:.3g}"]
+                for i in range(11) for j in range(11)]
+        want = csv_writer_bytes(["i", "j", "gram", "deviation"], rows)
+        assert (out / "gram.csv").read_bytes() == want
+
+    def test_density(self, tmp_path):
+        window = (-40.0, 40.0)
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": STEP_14, "window": list(window), "target_density": 0.7,
+            "r_values": [8, 2.5, 5.0],
+        })
+        out = tmp_path / "out"
+        assert run(["density", "--config", cfg, "--out", out]) in (0, 1)
+        prof = profile_from_config(STEP_14)
+        rep = beurling_density(prof, quasi_uniform_set(prof, 0.7, window), [8, 2.5, 5.0], window)
+        rows = list(zip(rep.r_values, rep.lower, rep.upper))
+        assert len(rows) == 3
+        want = csv_writer_bytes(["r", "inf_count_over_r", "sup_count_over_r"], rows)
+        assert (out / "density.csv").read_bytes() == want
+
+    def test_landau_sweep(self, tmp_path):
+        sset = SpectralSet([(0.0, 1.0)])
+        grid, windows = [1.2 / np.pi, 0.8 / np.pi], [60.0, 30.0]
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "spectral_set": [[0.0, 1.0]], "density_grid": grid, "window_halfwidths": windows,
+        })
+        out = tmp_path / "out"
+        assert run(["landau", "--config", cfg, "--out", out]) == 0
+        res = landau_sweep(matched_free_model_builder(sset), constant_profile(1.0), sset,
+                           grid, windows)
+        rows = [[d, w, res.a_table[i, j], res.b_table[i, j], res.gram_min_table[i, j]]
+                for i, d in enumerate(res.densities) for j, w in enumerate(res.windows)]
+        assert len(rows) == 4
+        want = csv_writer_bytes(["density", "window_halfwidth", "A_est", "B_est", "gram_min"],
+                                rows)
+        assert (out / "landau_sweep.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("points", [
+        [-1e22, -0.0, 1e-7, 0.1, 2.5, 3e300],
+        np.array([-3.0, -1.0 / 3, 0.0, 5e-324, 7.25, 1e16]),
+    ], ids=["list", "array"])
+    def test_samples(self, tmp_path, points):
+        values = np.array([1 + 2j, -0.5, 0.25j, np.nan, 1e-300 - 1e300j, -0.0 + 0j])
+        p = tmp_path / "samples.csv"
+        samples_to_csv(p, points, values)
+        rows = [[x, v.real, v.imag] for x, v in zip(points, values)]
+        assert p.read_bytes() == csv_writer_bytes(["x", "re_value", "im_value"], rows)
 
 
 class TestScatter:
@@ -250,13 +373,19 @@ class TestReconstruct:
         assert rep["certified_bounds"] == [None] * rep["n_iterations"]
         assert strict_json(out / "report.json")["gap_condition_passes"] is False
 
-    def test_missing_samples(self, tmp_path):
+    def test_missing_samples(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": "free", "spectral_set": [[0.0, 1.0]],
             "profile": {"kind": "piecewise", "breakpoints": [], "values": [1.0]},
             "window": [-10.0, 10.0],
         })
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built before --samples was checked")
+
+        monkeypatch.setattr(cli, "_model", no_model)
         assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "requires --samples" in capsys.readouterr().err
 
     def test_liouville_model(self, tmp_path):
         prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0}

@@ -67,14 +67,6 @@ class TestBeurlingDensity:
         with pytest.raises(DensityError):
             beurling_density(prof, np.arange(10.0), [20.0], (0.0, 10.0))
 
-    def test_csv(self, tmp_path):
-        prof = constant_profile(1.0)
-        rep = beurling_density(prof, np.arange(-50.0, 51.0), [5.0, 10.0],
-                               (-50.0, 50.0))
-        p = tmp_path / "d.csv"
-        rep.to_csv(p)
-        assert p.read_text().splitlines()[0] == "r,inf_count_over_r,sup_count_over_r"
-
 
 class TestSeparation:
     def test_lattice(self):
@@ -168,15 +160,3 @@ class TestLandauSweep:
         assert res.critical == pytest.approx(crit)
         assert res.threshold_low <= crit <= res.threshold_high
         assert res.threshold_high / res.threshold_low <= 1.5
-
-    def test_csv(self, tmp_path):
-        sset = SpectralSet([(0.0, 1.0)])
-        prof = constant_profile(1.0)
-        crit = sset.sqrt_measure / np.pi
-        res = landau_sweep(matched_free_model_builder(sset), prof, sset,
-                           [0.8 * crit, 1.2 * crit], [30.0, 60.0])
-        p = tmp_path / "sweep.csv"
-        res.to_csv(p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "density,window_halfwidth,A_est,B_est,gram_min"
-        assert len(lines) == 5

@@ -7,17 +7,16 @@ from varband.kernel import (
     SchrodingerModel,
     ToyModel,
     _contract,
-    diagonal_average,
     free_kernel,
     free_model,
     halfline_kernel,
-    kernel_tail_mass,
     toy_kernel,
 )
 from varband.paleywiener import random_function, transform
 from varband.profile import blend_profile
 from varband.spectral import SpectralSet
-from varband.sturm import toy_fundamental
+
+from closed_forms import toy_fundamental
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +109,6 @@ class TestModelInvariants:
         assert out.shape == (5,)
         assert np.isscalar(barrier_model.kernel(0.1, 0.2))
 
-    def test_dump_csv(self, barrier_model, tmp_path):
-        p = tmp_path / "k.csv"
-        barrier_model.dump_csv(p, [0.0, 1.0], [0.0, 1.0])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "x,y,re_k,im_k"
-        assert len(lines) == 5
-
 
 class TestTailFastPaths:
     """Averages of the kernel diagonal; the tail closed form against the pointwise `diagonal`."""
@@ -127,19 +119,6 @@ class TestTailFastPaths:
         ref = np.trapezoid(barrier_model.diagonal(ys), ys) / (hi - lo)
         fast = barrier_model.diagonal_tail_average(lo, hi)
         assert fast == pytest.approx(ref, rel=1e-6)
-
-    def test_diagonal_average_free_exact(self):
-        model = free_model(SpectralSet([(0.0, 3.0)]), x_max=6.0)
-        avg = diagonal_average(model, (-2.0, 2.0), n=201)
-        assert avg == pytest.approx(np.sqrt(3.0) / np.pi, rel=1e-12)
-
-
-class TestTailMass:
-    def test_decreasing_in_cutoff(self):
-        fn = lambda xv, yv: free_kernel(1.0, xv, yv)
-        masses = [kernel_tail_mass(fn, 0.0, b, (-60.0, 60.0), n=8001)
-                  for b in (1.0, 4.0, 16.0)]
-        assert masses[0] > masses[1] > masses[2] > 0
 
 
 class TestLiouville:

@@ -15,14 +15,11 @@ from varband.sampling import (
     halfline_expansion,
     midpoint_partition,
     reconstruct_iterative,
-    sampling_bounds,
     samples_from_csv,
     samples_to_csv,
-    shannon_basis_function,
     shannon_basis_toy,
     shannon_expand,
     shannon_gram,
-    weighted_sample_sum,
 )
 from varband.spectral import SpectralSet, uniform_quadrature
 
@@ -71,12 +68,6 @@ class TestGapCondition:
         delta, _ = gap_condition(prof, np.array([0.0, 1.0]), 1.0)
         assert delta == pytest.approx(0.5)
 
-    def test_bounds_arithmetic(self):
-        assert sampling_bounds(0.0, 4.0) == (1.0, 1.0)
-        A, B = sampling_bounds(np.pi / 4, 4.0)
-        assert A == pytest.approx(0.25)
-        assert B == pytest.approx(2.25)
-
 
 class TestPartitionAndSums:
     def test_midpoint_partition(self):
@@ -86,11 +77,6 @@ class TestPartitionAndSums:
     def test_partition_escape(self):
         with pytest.raises(SamplingError):
             midpoint_partition([0.0, 5.0], (-1.0, 4.0))
-
-    def test_weighted_sum_constant(self):
-        pts = np.linspace(0, 10, 11)
-        total = weighted_sample_sum(np.ones(11), pts)
-        assert total == pytest.approx(11.0)
 
     def test_sample_set_validation(self):
         with pytest.raises(SamplingError):
@@ -208,14 +194,6 @@ class TestShannon:
             errs.append(abs(shannon_expand(pm, pp, om, values, xeval) - target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
-
-    def test_basis_function_normalized_at_node(self):
-        nodes, weights = shannon_basis_toy(1.0, 4.0, 2.0, 5)
-        v = shannon_basis_function(1.0, 4.0, 2.0, 2, 5, nodes[2 + 5])
-        # |e_j(x_j)|^2 = k(x_j, x_j) pi w_j / sqrt(om): consistency with Gram
-        expected = np.sqrt(np.pi * weights[7] / np.sqrt(2.0)) * toy_kernel(
-            1.0, 4.0, 2.0, nodes[7], nodes[7])
-        assert v == pytest.approx(expected)
 
 
 class TestHalflineExpansion:

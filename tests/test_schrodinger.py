@@ -307,11 +307,3 @@ class TestSpectralTransform:
         assert v.shape == (2, 1, 1)
         assert abs(v[0, 0, 0] - np.exp(0.5j)) < 1e-14
         assert abs(v[1, 0, 0] - np.exp(-0.5j)) < 1e-14
-
-    def test_csv(self, tmp_path):
-        sweep = ScatteringSweep(None, 0.0, [1.0, 2.0])
-        p = tmp_path / "s.csv"
-        sweep.to_csv(p)
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("omega,re_T")
-        assert len(lines) == 3

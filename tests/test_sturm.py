@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from varband.sturm import (
-    IntegrationError,
-    SpectralDensityError,
-    rk4_linear,
-    rk4_segments,
-    toy_fundamental,
-    toy_spectral_density,
-    toy_wronskian_value,
-)
+from varband.sturm import IntegrationError, rk4_linear, rk4_segments
+
+from closed_forms import (SpectralDensityError, toy_fundamental, toy_spectral_density,
+                          toy_wronskian_value)
 
 
 def step_path(pm, pp, lam, x0, x1, y0):
