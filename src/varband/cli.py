@@ -230,7 +230,9 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
         json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
     _write_report(out_dir, cfg, {"subcommand": "reconstruct",
                                  "delta": report.delta,
-                                 "gap_condition_passes": report.passes}, t0)
+                                 "gap_condition_passes": report.passes,
+                                 "n_nodes": len(model.quad),
+                                 "covered_measure": model.quad.covered_measure}, t0)
     return 0 if report.passes else 1
 
 

@@ -13,7 +13,12 @@ Sigma = Re(M^T diag(w rho) conj M) of each node.  The models below differ only
 in how U, M and rho are produced: closed forms for the two-plateau step
 profile, the real and imaginary parts of the scattering solution for a
 compactly supported Schrodinger potential, and the warped pullback of the
-latter for smooth eventually constant profiles.  ``kernel_pairs`` and
+latter for smooth eventually constant profiles.  The step-profile tables
+are plane waves in t = x / sqrt(p), taken from the quadrature's `waves`:
+each rule records its nodes as sums omega = o + d of non-negative shifts
+and offsets, and angle addition over that factorisation calls sin and cos
+on O(sqrt n) rows instead of n, with every entry within 8u (1 + omega |t|)
+of the exact wave, u = 2**-53.  ``kernel_pairs`` and
 ``kernel_matrix`` are the one pointwise evaluator of every model; the
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
@@ -268,18 +273,21 @@ class ToyModel(SpectralModel):
         mix = np.array([[1.0, 1j * sp], [1.0, -1j * sm]])
         self.mix = np.broadcast_to(mix[:, :, None], (2, 2, n))
 
-    def _theta(self, x):
-        """theta = (omega / sqrt(p)) x and sqrt(p), with p on x's side of the jump."""
+    def _waves(self, x):
+        """(cos theta, sin theta) for theta = omega t, t = x / sqrt(p), and sqrt(p).
+
+        p is taken on x's side of the jump. The table is the quadrature's
+        `waves` at t, built by angle addition over the nodes' factorisation,
+        so each entry is within 8u (1 + omega |t|) of the wave at the float64
+        t, u = 2**-53; the callers finish it in place.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         root = np.where(x > 0, np.sqrt(self.p_plus), np.sqrt(self.p_minus))
-        return (self.quad.nodes[:, None] / root) * x, root
+        return self.quad.waves(x / root), root
 
     def basis(self, x):
         """The real pair U = (cos theta, sin theta / sqrt(p))."""
-        theta, root = self._theta(x)
-        out = np.empty((2,) + theta.shape)
-        np.cos(theta, out=out[0])
-        np.sin(theta, out=out[1])
+        out, root = self._waves(x)
         out[1] /= root
         return out
 
@@ -289,14 +297,15 @@ class ToyModel(SpectralModel):
         Both entries vanish at 0 from either side, so the table is continuous
         across the jump.
         """
-        theta, root = self._theta(x)
-        omega = self.quad.nodes[:, None]
-        out = np.empty((2,) + theta.shape)
-        np.sin(theta, out=out[0])
-        out[0] *= root
-        np.cos(theta, out=out[1])
-        np.subtract(1.0, out[1], out=out[1])
-        out /= omega
+        out, root = self._waves(x)
+        cos, sin = out
+        sin *= root
+        np.subtract(1.0, cos, out=cos)
+        out /= self.quad.nodes[:, None]
+        # the rows hold the two entries in reverse order: swap them in place,
+        # one node at a time, so no second table is formed
+        for first, second in zip(cos, sin):
+            first[:], second[:] = second, first.copy()
         return out
 
 

@@ -3,11 +3,19 @@
 All frequency-domain integrals in this package are performed after the
 substitution lambda = omega**2, i.e. over the set
 ``Lambda^{1/2} = {omega >= 0 : omega**2 in Lambda}``.
+
+Each rule builds its nodes as block sums omega = o_k + d_j of two short
+lists, non-negative shifts o_k and offsets d_j, and records that
+factorisation; the nodes are defined as the sums, so it holds bit for bit.
+`SpectralQuadrature.waves` uses it to tabulate the plane waves
+(cos omega t, sin omega t) by angle addition, with sin and cos evaluated
+only on the rows of shifts and of offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -61,6 +69,11 @@ class SpectralQuadrature:
     excluded); for Gauss rules the weights sum to ``|Lambda^{1/2}|`` up to
     roundoff, for the window-matched uniform rule the covered measure may be
     slightly truncated (see `uniform_quadrature`).
+
+    ``blocks`` factorises the nodes: one ``(shifts, offsets, count)`` triple
+    per run of nodes, whose nodes are the first ``count`` of the sums
+    ``shifts[k] + offsets[j]``, k major, with every shift and offset >= 0.
+    Without it the nodes are their own offsets behind the one shift 0.
     """
 
     sset: SpectralSet
@@ -68,41 +81,97 @@ class SpectralQuadrature:
     weights: np.ndarray
     order: int
     covered_measure: float = field(default=0.0)
+    blocks: tuple = None
 
     def __post_init__(self):
         if self.nodes.size == 0:
             raise SpectralSetError("empty spectral quadrature")
         if np.any(self.weights <= 0):
             raise SpectralSetError("quadrature weights must be positive")
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", ((np.zeros(1), self.nodes, self.nodes.size),))
+        if (any(np.any(o < 0) or np.any(d < 0) for o, d, _ in self.blocks)
+                or not np.array_equal(_block_sums(self.blocks), self.nodes)):
+            raise SpectralSetError("nodes are not the sums of non-negative shifts and offsets")
 
     def __len__(self):
         return self.nodes.size
+
+    def waves(self, t):
+        """(cos omega t, sin omega t) at every node and point, float64 of shape (2, n, m).
+
+        With omega = o + d from ``blocks``, angle addition gives
+
+            cos omega t = cos(o t) cos(d t) - sin(o t) sin(d t)
+            sin omega t = sin(o t) cos(d t) + cos(o t) sin(d t),
+
+        so sin and cos run only on the rows of shifts and offsets (2 ceil(sqrt n)
+        rows for a uniform rule, n/8 + 8 for a Gauss-Legendre rule, instead of
+        n), and each block's products are written straight into the output
+        through one block-sized scratch: no (n, m) temporary is formed.
+
+        Bound: every entry is within 8u (1 + omega |t|) of the exact value at
+        the float64 node and t, u = 2**-53. Since o, d >= 0, the rounding of
+        the two phases o t and d t adds up to at most u omega |t|, as in the
+        one phase of the direct cos(omega t); centred offsets (d < 0) would
+        add u (|o| + |d|) |t| instead, about 30u (1 + omega |t|) at the lowest
+        Gauss nodes.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty((2, self.nodes.size, t.size))
+        cos, sin = out
+        row = 0
+        for shifts, offsets, count in self.blocks:
+            co, so = _cos_sin(shifts, t)
+            ci, si = _cos_sin(offsets, t)
+            scratch = np.empty_like(ci)
+            for k in range(shifts.size):
+                j = min(offsets.size, count - k * offsets.size)
+                c, s, tmp = cos[row:row + j], sin[row:row + j], scratch[:j]
+                np.multiply(ci[:j], co[k], out=c)
+                c -= np.multiply(si[:j], so[k], out=tmp)
+                np.multiply(si[:j], co[k], out=s)
+                s += np.multiply(ci[:j], so[k], out=tmp)
+                row += j
+        return out
+
+
+def _cos_sin(freqs, t):
+    """cos and sin of the outer product freqs t, as two (len(freqs), len(t)) arrays."""
+    phase = np.multiply.outer(freqs, t)
+    return np.cos(phase), np.sin(phase, out=phase)
+
+
+def _block_sums(blocks):
+    """The nodes a factorisation defines: per triple, the first count of shifts[k] + offsets[j]."""
+    return np.concatenate([np.add.outer(o, d).ravel()[:count] for o, d, count in blocks])
 
 
 def gauss_legendre_quadrature(sset, x_max=10.0):
     """Composite 8-point Gauss-Legendre rule on Lambda^{1/2}.
 
     Panel width is capped at ``pi / (8 x_max)`` so that the oscillation of
-    exp(i omega x) is resolved for |x| <= x_max.
+    exp(i omega x) is resolved for |x| <= x_max. The nodes of an interval
+    are its panels' left edges (the shifts) plus the eight offsets
+    h (1 + x_j) (h the half panel width, x_j the Legendre roots), which are
+    non-negative, unlike the centred h x_j.
     """
     order = 8
     gx, gw = np.polynomial.legendre.leggauss(order)
     max_panel = np.pi / (8.0 * x_max)
-    nodes, weights = [], []
+    blocks, weights = [], []
     for a, b in sset.sqrt_intervals:
         if b <= a:
             continue
         n_panels = max(1, int(np.ceil((b - a) / max_panel)))
         edges = np.linspace(a, b, n_panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            nodes.append(0.5 * (lo + hi) + half * gx)
-            weights.append(half * gw)
-    if not nodes:
+        blocks.append((edges[:-1], (0.5 * (b - a) / n_panels) * (1.0 + gx), order * n_panels))
+        weights.append(((0.5 * np.diff(edges))[:, None] * gw).ravel())
+    if not blocks:
         raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
-    nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    return SpectralQuadrature(sset, nodes, weights, order, float(weights.sum()))
+    return SpectralQuadrature(sset, _block_sums(blocks), weights, order,
+                              float(weights.sum()), tuple(blocks))
 
 
 def uniform_quadrature(sset, spacing):
@@ -111,19 +180,23 @@ def uniform_quadrature(sset, spacing):
     With ``spacing = pi / W`` the plane waves exp(+-i omega_l x) attached to the
     nodes are orthogonal over ``[-W, W]``, which makes the discretized sampling
     problem an honest finite model of the window.  A sliver of measure less
-    than ``spacing`` may be dropped at the top of each interval.
+    than ``spacing`` may be dropped at the top of each interval. The n nodes
+    of an interval [a, b] come in blocks of B = ceil(sqrt(n)): offsets
+    a + (j + 1/2) spacing for j < B, shifted by q B spacing.
     """
-    nodes, weights = [], []
+    blocks, weights = [], []
     for a, b in sset.sqrt_intervals:
         n = int(np.floor((b - a) / spacing + 1e-12))
         if n == 0:
             continue
-        nodes.append(a + (np.arange(n) + 0.5) * spacing)
+        size = isqrt(n - 1) + 1
+        blocks.append((np.arange(-(-n // size)) * (size * spacing),
+                       a + (np.arange(size) + 0.5) * spacing, n))
         weights.append(np.full(n, spacing))
-    if not nodes:
+    if not blocks:
         raise SpectralSetError(
             f"spacing {spacing} too coarse for spectral set {sset.intervals}"
         )
-    nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    return SpectralQuadrature(sset, nodes, weights, 1, float(weights.sum()))
+    return SpectralQuadrature(sset, _block_sums(blocks), weights, 1,
+                              float(weights.sum()), tuple(blocks))

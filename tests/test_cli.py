@@ -354,6 +354,22 @@ class TestReconstruct:
         assert rep["residuals"][-1] < rep["residuals"][0]
         assert (out / "reconstruction.csv").exists()
 
+    def test_report_records_quadrature(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
+            "window": [-10.0, 10.0], "n_max": 3, "output_points": 11,
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.5, 9.5, 60), np.zeros(60))
+        out = tmp_path / "out"
+        run(["reconstruct", "--config", cfg, "--out", out, "--samples", samples])
+        rep = strict_json(out / "report.json")
+        # midpoint rule matched to the warped window: spacing pi / half its length
+        spacing = np.pi / (0.5 * (10.0 + 10.0 / 2.0))
+        n = int(np.floor(np.sqrt(2.0) / spacing + 1e-12))
+        assert rep["n_nodes"] == n
+        assert rep["covered_measure"] == pytest.approx(n * spacing, rel=1e-12)
+
     def test_failed_gap_condition_writes_strict_json(self, tmp_path):
         # three samples 5 apart on [-10, 10]: gamma = 5 / pi > 1, so no certificate exists
         cfg = write_cfg(tmp_path, "cfg.json", {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from varband.kernel import (
 )
 from varband.paleywiener import random_function, transform
 from varband.profile import blend_profile
-from varband.spectral import SpectralSet
+from varband.spectral import SpectralSet, uniform_quadrature
 
 from closed_forms import toy_fundamental
 
@@ -219,14 +221,33 @@ class TestToyBasis:
     def model(self, request):
         return ToyModel(*request.param, SpectralSet([(0.0, 2.0)]), x_max=6.0)
 
+    def _truth(self, model):
+        """theta = omega x / sqrt(p) in long double, sqrt(p), and the stated bound.
+
+        The bound is 8u (1 + omega |t|), t = x / sqrt(p), u = 2**-53: the
+        error of the quadrature's plane-wave tables.
+        """
+        assert np.finfo(np.longdouble).precision >= 18
+        ld = np.longdouble
+        root = np.sqrt(np.where(self.xs > 0, ld(model.p_plus), ld(model.p_minus)))
+        theta = model.quad.nodes.astype(ld)[:, None] * (self.xs.astype(ld) / root)
+        bound = 8 * 2.0**-53 * (1.0 + np.abs(theta.astype(float)))
+        return theta, root, bound
+
     def test_basis_closed_form(self, model):
         U = model.basis(self.xs)
         assert U.dtype == np.float64
-        root = np.sqrt(np.where(self.xs > 0, model.p_plus, model.p_minus))
-        # theta = (omega / sqrt(p)) x, formed as the complex waves exp(i theta) form it
-        waves = np.exp(1j * ((model.quad.nodes[:, None] / root) * self.xs))
-        assert np.max(np.abs(U[0] - waves.real)) < 1e-15
-        assert np.max(np.abs(U[1] * root - waves.imag)) < 1e-15
+        theta, root, bound = self._truth(model)
+        assert np.all(np.abs(U[0] - np.cos(theta)) <= bound)
+        assert np.all(np.abs(U[1] - np.sin(theta) / root) <= bound / root.astype(float))
+
+    def test_antiderivative_closed_form(self, model):
+        V = model.basis_antiderivative(self.xs)
+        theta, root, bound = self._truth(model)
+        omega = model.quad.nodes[:, None]
+        root_bound = bound * root.astype(float) / omega
+        assert np.all(np.abs(V[0] - root * np.sin(theta) / omega) <= root_bound)
+        assert np.all(np.abs(V[1] - (1 - np.cos(theta)) / omega) <= bound / omega)
 
     def test_phi_is_mix_of_basis(self, model):
         mixed = np.einsum("cal,alk->clk", model.mix, model.basis(self.xs))
@@ -245,6 +266,24 @@ class TestToyBasis:
         gram = np.einsum("cl,cal,cbl->lab", model.rho, model.mix, model.mix.conj())
         assert np.max(np.abs(gram[:, 0, 1])) < 1e-15 * np.max(np.abs(gram))
         assert np.max(np.abs(gram.imag)) < 1e-15 * np.max(np.abs(gram))
+
+
+class TestToyTableMemory:
+    """The toy tables are built in place: no (n_nodes, n_x) temporary beside the result."""
+
+    @pytest.mark.parametrize("table", ["basis", "basis_antiderivative"])
+    def test_peak_is_the_table(self, table):
+        sset = SpectralSet([(0.0, 6.745**2)])
+        model = ToyModel(1.0, 4.0, sset, quad=uniform_quadrature(sset, 0.01))
+        assert len(model.quad) == 674
+        xs = np.linspace(-30.0, 30.0, 2251)
+        tracemalloc.start()
+        try:
+            out = getattr(model, table)(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * out.nbytes
 
 
 class TestContract:

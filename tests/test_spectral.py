@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from varband.spectral import (
+    SpectralQuadrature,
     SpectralSet,
     SpectralSetError,
     gauss_legendre_quadrature,
     uniform_quadrature,
 )
+
+U = 2.0**-53  # unit roundoff of float64
 
 
 class TestSpectralSet:
@@ -71,3 +74,72 @@ class TestUniform:
     def test_too_coarse(self):
         with pytest.raises(SpectralSetError):
             uniform_quadrature(SpectralSet([(0.0, 0.01)]), 1.0)
+
+
+QUADRATURES = {
+    "gauss_one_interval": lambda: gauss_legendre_quadrature(SpectralSet([(0.0, 2.0)]), x_max=6.0),
+    "gauss_two_intervals": lambda: gauss_legendre_quadrature(
+        SpectralSet([(0.0, 2.0), (3.0, 7.5)]), x_max=9.0),
+    # 44 nodes in blocks of 7: the last block holds 2
+    "uniform_one_interval": lambda: uniform_quadrature(SpectralSet([(0.0, 4.0)]), np.pi / 70.3),
+    "uniform_two_intervals": lambda: uniform_quadrature(
+        SpectralSet([(0.5, 4.0), (6.0, 9.0)]), np.pi / 40.0),
+}
+
+
+class TestWaves:
+    """(cos omega t, sin omega t) by angle addition over the nodes' factorisation."""
+
+    t = np.concatenate(([0.0, 1e-300, -1e-300], np.linspace(-8000.0, 8000.0, 1201),
+                        np.random.default_rng(5).uniform(-8000.0, 8000.0, 400)))
+
+    @pytest.fixture(params=sorted(QUADRATURES))
+    def quad(self, request):
+        return QUADRATURES[request.param]()
+
+    def test_nodes_are_block_sums(self, quad):
+        sums = np.concatenate([(o[:, None] + d).ravel()[:count] for o, d, count in quad.blocks])
+        assert sums.tobytes() == quad.nodes.tobytes()
+        assert sum(count for _, _, count in quad.blocks) == len(quad)
+        for o, d, count in quad.blocks:
+            assert np.all(o >= 0) and np.all(d >= 0)
+            assert (o.size - 1) * d.size < count <= o.size * d.size
+            if quad.order == 1:  # blocks of ceil(sqrt(n)) lattice offsets
+                assert d.size == int(np.ceil(np.sqrt(count)))
+            else:  # one block of eight offsets per panel
+                assert d.size == 8
+
+    def test_uniform_block_size_need_not_divide_node_count(self):
+        (_, d, count), = QUADRATURES["uniform_one_interval"]().blocks
+        assert count % d.size
+
+    def test_against_long_double(self, quad):
+        assert np.finfo(np.longdouble).precision >= 18
+        w = quad.waves(self.t)
+        assert w.dtype == np.float64 and w.shape == (2, len(quad), self.t.size)
+        phase = quad.nodes.astype(np.longdouble)[:, None] * self.t.astype(np.longdouble)
+        bound = 8 * U * (1.0 + np.abs(quad.nodes[:, None] * self.t))
+        assert np.all(np.abs(w[0] - np.cos(phase)) <= bound)
+        assert np.all(np.abs(w[1] - np.sin(phase)) <= bound)
+
+    def test_exact_at_zero(self, quad):
+        w = quad.waves([0.0])
+        assert np.all(w[0] == 1.0) and np.all(w[1] == 0.0)
+
+    def test_unfactored_nodes(self):
+        # nodes given directly are their own offsets behind the one shift 0
+        nodes = np.array([0.3, 1.7, 2.9])
+        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), nodes, np.ones(3), 1, 3.0)
+        w = q.waves(self.t)
+        assert np.array_equal(w[0], np.cos(np.multiply.outer(nodes, self.t)))
+        assert np.array_equal(w[1], np.sin(np.multiply.outer(nodes, self.t)))
+
+    @pytest.mark.parametrize("blocks", [
+        ((np.array([0.0, 1.0]), np.array([0.25, 0.75]), 4),),  # sums are not the nodes
+        ((np.array([1.0]), np.array([-0.75, -0.5, 0.25, 0.5]), 4),),  # negative offsets
+    ])
+    def test_factorisation_checked(self, blocks):
+        nodes = np.array([0.25, 0.5, 1.25, 1.5])
+        with pytest.raises(SpectralSetError):
+            SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), 1, 4.0,
+                               blocks)
