@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .density import (DensityError, beurling_density, gap_density_bound, landau_sweep,
@@ -110,13 +109,18 @@ def _is_unit(prof):
     return prof.lower == prof.upper == 1.0
 
 
-def _model(cfg, quad=None):
-    """The spectral model the config names; ``quad`` replaces its Gauss rule."""
+def _model(cfg, quad=None, reach=0.0):
+    """The spectral model the config names; ``quad`` replaces its Gauss rule.
+
+    The Gauss rule is sized for |x| <= max(x_max, reach), so a caller that
+    evaluates the kernel out to ``reach`` gets it at the rule's accuracy.
+    """
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
     x_max = _number(cfg.get("x_max", 25.0), "x_max")
     if not x_max > 0:
         raise ConfigError(f"x_max must be a positive number, got {x_max!r}")
+    x_max = max(x_max, reach)
     if kind == "free":
         if "profile" in cfg and not _is_unit(_profile(cfg)):
             raise ConfigError("model 'free' is the space of p = 1, but the profile is "
@@ -136,6 +140,8 @@ def _model(cfg, quad=None):
 
 
 def _write_report(out_dir, cfg, extra, t0):
+    import scipy  # for its version only; nothing else in the package loads it
+
     payload = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()
@@ -150,15 +156,21 @@ def _write_report(out_dir, cfg, extra, t0):
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _quadrature_report(model):
+    """Node count, covered measure and the error bound of the model's kernel, if it has one."""
+    return {"n_nodes": len(model.quad), "covered_measure": model.quad.covered_measure,
+            "quad_error_bound": model.error_bound}
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_kernel(cfg, out_dir, rng):
     t0 = time.time()
-    model = _model(cfg)
     g = cfg.get("grid", {})
     lo, hi = _number(g.get("lo", -10.0), "grid.lo"), _number(g.get("hi", 10.0), "grid.hi")
     n = _count(g, "n", 101, 1, "grid.n")
+    model = _model(cfg, reach=max(abs(lo), abs(hi)))
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs)
     _write_csv(Path(out_dir) / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],
@@ -171,8 +183,7 @@ def cmd_kernel(cfg, out_dir, rng):
                                 Kc.ravel(), np.zeros(Kc.size)]))
     _write_report(out_dir, cfg, {"subcommand": "kernel",
                                  "diagonal_max": float(np.max(np.diag(K))),
-                                 "n_nodes": len(model.quad),
-                                 "covered_measure": model.quad.covered_measure}, t0)
+                                 **_quadrature_report(model)}, t0)
     return 0
 
 
@@ -231,8 +242,7 @@ def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
     _write_report(out_dir, cfg, {"subcommand": "reconstruct",
                                  "delta": report.delta,
                                  "gap_condition_passes": report.passes,
-                                 "n_nodes": len(model.quad),
-                                 "covered_measure": model.quad.covered_measure}, t0)
+                                 **_quadrature_report(model)}, t0)
     return 0 if report.passes else 1
 
 

@@ -18,7 +18,17 @@ are plane waves in t = x / sqrt(p), taken from the quadrature's `waves`:
 each rule records its nodes as sums omega = o + d of non-negative shifts
 and offsets, and angle addition over that factorisation calls sin and cos
 on O(sqrt n) rows instead of n, with every entry within 8u (1 + omega |t|)
-of the exact wave, u = 2**-53.  ``kernel_pairs`` and
+of the exact wave, u = 2**-53.  Each model sizes its Gauss-Legendre rule
+from the largest phase t_max its tables reach for |x| <= x_max: x_max for
+the free model, x_max / sqrt(min p) for the step profile, x_max + 2a for a
+potential supported on [-a, a] (its mix carries R2 ~ exp(-2i omega a)), and
+x_max / sqrt(inf p) + 2a for the warped model.  The rule's ``error_bound``
+holds for plane waves of frequency up to 2 t_max: exactly what the free and
+step-profile kernels are made of, so only those models report it as their
+own ``error_bound``.  The scattering tables of a potential have structure in
+omega (resonances, internal reflections) that the phase 2a does not limit,
+so their rule is sized by the same t_max but carries no guarantee; the
+tests check it against finer rules instead.  ``kernel_pairs`` and
 ``kernel_matrix`` are the one pointwise evaluator of every model; the
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
@@ -151,6 +161,14 @@ class SpectralModel:
         return self.quad.sset
 
     @property
+    def error_bound(self):
+        """The rule's remainder where it bounds this model's kernel, else None.
+
+        It holds for |x|, |y| up to the x_max the rule was sized for.
+        """
+        return None
+
+    @property
     def omegas(self):
         return self.quad.nodes
 
@@ -262,7 +280,9 @@ class ToyModel(SpectralModel):
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
         self.p_minus, self.p_plus = float(p_minus), float(p_plus)
-        self.quad = quad or gauss_legendre_quadrature(sset, x_max=x_max)
+        # the tables reach the phase omega t at t = x / sqrt(p), |t| <= x_max / sqrt(min p)
+        t_max = x_max / np.sqrt(min(self.p_minus, self.p_plus))
+        self.quad = quad or gauss_legendre_quadrature(sset, t_max=t_max)
         sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
         c = 2.0 / (np.pi * (sm + sp) ** 2)
         n = len(self.quad)
@@ -272,6 +292,10 @@ class ToyModel(SpectralModel):
         # both keep u and p u' continuous across the jump; the same mix at every node
         mix = np.array([[1.0, 1j * sp], [1.0, -1j * sm]])
         self.mix = np.broadcast_to(mix[:, :, None], (2, 2, n))
+
+    @property
+    def error_bound(self):
+        return self.quad.error_bound
 
     def _waves(self, x):
         """(cos theta, sin theta) for theta = omega t, t = x / sqrt(p), and sqrt(p).
@@ -316,7 +340,9 @@ class SchrodingerModel(SpectralModel):
                  store_interior=True):
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
-        self.quad = quad or gauss_legendre_quadrature(sset, x_max=x_max)
+        # the mix carries R2 ~ exp(-2i omega a) on top of the tables' phase omega x
+        self.quad = quad or gauss_legendre_quadrature(sset, t_max=x_max + 2 * support_radius)
+        self.breakpoints = breakpoints
         self.sweep = ScatteringSweep(q, support_radius, self.quad.nodes,
                                      breakpoints=breakpoints, store_interior=store_interior)
         n = len(self.quad)
@@ -328,6 +354,11 @@ class SchrodingerModel(SpectralModel):
     def support_radius(self):
         return self.sweep.a
 
+    @property
+    def error_bound(self):
+        """The rule's remainder for the free model (plane waves only), else None."""
+        return self.quad.error_bound if self.sweep.q is None else None
+
     def basis(self, x):
         return self.sweep.basis(x)
 
@@ -338,15 +369,23 @@ class SchrodingerModel(SpectralModel):
         """Mean of k(y, y) over [lo, hi] right of the support, exact in y.
 
         The reflection ripple integrates in closed form, leaving a single
-        frequency quadrature; use this on long windows where sampling the
+        frequency integral of R2 (exp(2i omega hi) - exp(2i omega lo)) / (2i omega).
+        Its phase reaches 2 omega hi, beyond what the model's own rule was
+        sized for, so it runs on a Gauss-Legendre rule sized for phase
+        hi + 2a, with R2 from a sweep at that rule's nodes (no interior
+        solutions stored); use this on long windows where sampling the
         diagonal would be wasteful.
         """
         lo, hi = float(lo), float(hi)
-        if lo < self.support_radius or hi <= lo:
+        a = self.support_radius
+        if lo < a or hi <= lo:
             raise KernelError("need a nonempty interval right of the support")
-        w = self.quad.nodes
+        quad = gauss_legendre_quadrature(self.sset, t_max=hi + 2 * a)
+        w = quad.nodes
+        R2 = ScatteringSweep(self.sweep.q, a, w, breakpoints=self.breakpoints,
+                             store_interior=False).R2
         inner = (np.exp(2j * w * hi) - np.exp(2j * w * lo)) / (2j * w)
-        ripple = float(np.sum(self.quad.weights * (self.sweep.R2 * inner).real))
+        ripple = float(np.sum(quad.weights * (R2 * inner).real))
         return (self.sset.sqrt_measure + ripple / (hi - lo)) / np.pi
 
 
@@ -364,10 +403,10 @@ class LiouvilleModel(SpectralModel):
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
         self.profile = profile
-        # x_max in the original coordinate; the warped coordinate shrinks by
-        # at most 1/sqrt(lower), so be conservative for quadrature density
-        warped_x_max = x_max / np.sqrt(profile.lower)
-        self.quad = quad or gauss_legendre_quadrature(sset, x_max=warped_x_max)
+        # |zeta(x)| <= |x| / sqrt(inf p), and the inner mix adds the phase 2a
+        # of the warped support radius a
+        t_max = x_max / np.sqrt(profile.lower) + 2 * profile.warped_support_radius
+        self.quad = quad or gauss_legendre_quadrature(sset, t_max=t_max)
         self.inner = SchrodingerModel(
             profile.potential_q_warped,
             profile.warped_support_radius,

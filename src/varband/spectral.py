@@ -10,12 +10,17 @@ factorisation; the nodes are defined as the sums, so it holds bit for bit.
 `SpectralQuadrature.waves` uses it to tabulate the plane waves
 (cos omega t, sin omega t) by angle addition, with sin and cos evaluated
 only on the rows of shifts and of offsets.
+
+The Gauss-Legendre rule takes no resolution setting: given the largest phase
+its plane waves reach, it uses the widest panels whose classical remainder
+meets u = 2**-53 per unit measure, and records that remainder as
+``error_bound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -61,7 +66,7 @@ class SpectralSet:
         return sum(b - a for a, b in self.sqrt_intervals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralQuadrature:
     """Nodes/weights discretizing ``int_{Lambda^{1/2}} . d omega``.
 
@@ -74,6 +79,11 @@ class SpectralQuadrature:
     per run of nodes, whose nodes are the first ``count`` of the sums
     ``shifts[k] + offsets[j]``, k major, with every shift and offset >= 0.
     Without it the nodes are their own offsets behind the one shift 0.
+
+    ``error_bound`` is the Gauss-Legendre rule's guaranteed remainder for a
+    unit plane wave of the frequencies it was sized for (see
+    `gauss_legendre_quadrature`); it is None for the midpoint rule. Two
+    quadratures compare and hash by identity.
     """
 
     sset: SpectralSet
@@ -82,6 +92,7 @@ class SpectralQuadrature:
     order: int
     covered_measure: float = field(default=0.0)
     blocks: tuple = None
+    error_bound: float = None
 
     def __post_init__(self):
         if self.nodes.size == 0:
@@ -106,7 +117,7 @@ class SpectralQuadrature:
             sin omega t = sin(o t) cos(d t) + cos(o t) sin(d t),
 
         so sin and cos run only on the rows of shifts and offsets (2 ceil(sqrt n)
-        rows for a uniform rule, n/8 + 8 for a Gauss-Legendre rule, instead of
+        rows for a uniform rule, n/16 + 16 for a Gauss-Legendre rule, instead of
         n), and each block's products are written straight into the output
         through one block-sized scratch: no (n, m) temporary is formed.
 
@@ -136,6 +147,13 @@ class SpectralQuadrature:
         return out
 
 
+_GL_ORDER = 16  # points per Gauss-Legendre panel
+_GL_TOLERANCE = 2.0**-53  # remainder allowed per unit measure of Lambda^{1/2}
+_GL_CONSTANT = factorial(_GL_ORDER) ** 4 / ((2 * _GL_ORDER + 1) * factorial(2 * _GL_ORDER) ** 3)
+# the widest panel phase H s whose remainder c_q (H s)^(2q) meets the tolerance
+_GL_PANEL_PHASE = (_GL_TOLERANCE / _GL_CONSTANT) ** (1.0 / (2 * _GL_ORDER))
+
+
 def _cos_sin(freqs, t):
     """cos and sin of the outer product freqs t, as two (len(freqs), len(t)) arrays."""
     phase = np.multiply.outer(freqs, t)
@@ -147,31 +165,41 @@ def _block_sums(blocks):
     return np.concatenate([np.add.outer(o, d).ravel()[:count] for o, d, count in blocks])
 
 
-def gauss_legendre_quadrature(sset, x_max=10.0):
-    """Composite 8-point Gauss-Legendre rule on Lambda^{1/2}.
+def gauss_legendre_quadrature(sset, t_max=10.0):
+    """Composite 16-point Gauss-Legendre rule on Lambda^{1/2}, sized by its error bound.
 
-    Panel width is capped at ``pi / (8 x_max)`` so that the oscillation of
-    exp(i omega x) is resolved for |x| <= x_max. The nodes of an interval
-    are its panels' left edges (the shifts) plus the eight offsets
-    h (1 + x_j) (h the half panel width, x_j the Legendre roots), which are
-    non-negative, unlike the centred h x_j.
+    ``t_max`` is the largest phase |t| of the tables exp(i omega t) the rule
+    integrates, so every kernel, a product of two tables, is a sum of plane
+    waves of frequency at most s = 2 t_max; tables of larger phase are
+    outside the bound, and the rule loses accuracy fast past it. On a panel of width H the
+    q-point rule integrates f with error at most c_q H^(2q+1) max |f^(2q)|,
+    c_q = (q!)^4 / ((2q + 1) ((2q)!)^3) (its Peano kernel has one sign, so
+    this holds for complex f too), which is H c_q (H s)^(2q) for a unit plane
+    wave. Each interval gets the fewest equal panels with
+    c_q (H s)^(2q) <= u = 2**-53, i.e. H s <= (u / c_q)^(1/(2q)), about 16.0
+    at q = 16; ``error_bound`` is the resulting |Lambda^{1/2}| c_q (H s)^(2q),
+    summed over the intervals. The nodes of an interval are its panels' left
+    edges (the shifts) plus the sixteen offsets h (1 + x_j) (h the half panel
+    width, x_j the Legendre roots), which are non-negative, unlike the
+    centred h x_j.
     """
-    order = 8
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    max_panel = np.pi / (8.0 * x_max)
-    blocks, weights = [], []
+    gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
+    s = 2.0 * float(t_max)
+    blocks, weights, bound = [], [], 0.0
     for a, b in sset.sqrt_intervals:
         if b <= a:
             continue
-        n_panels = max(1, int(np.ceil((b - a) / max_panel)))
+        n_panels = max(1, int(np.ceil((b - a) * s / _GL_PANEL_PHASE)))
+        h = 0.5 * (b - a) / n_panels
         edges = np.linspace(a, b, n_panels + 1)
-        blocks.append((edges[:-1], (0.5 * (b - a) / n_panels) * (1.0 + gx), order * n_panels))
+        blocks.append((edges[:-1], h * (1.0 + gx), _GL_ORDER * n_panels))
         weights.append(((0.5 * np.diff(edges))[:, None] * gw).ravel())
+        bound += (b - a) * _GL_CONSTANT * (2.0 * h * s) ** (2 * _GL_ORDER)
     if not blocks:
         raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
     weights = np.concatenate(weights)
-    return SpectralQuadrature(sset, _block_sums(blocks), weights, order,
-                              float(weights.sum()), tuple(blocks))
+    return SpectralQuadrature(sset, _block_sums(blocks), weights, _GL_ORDER,
+                              float(weights.sum()), tuple(blocks), bound)
 
 
 def uniform_quadrature(sset, spacing):

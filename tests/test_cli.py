@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from varband import cli
 from varband.cli import COMMANDS, main
 from varband.density import (beurling_density, landau_sweep, matched_free_model_builder,
                              quasi_uniform_set)
-from varband.kernel import LiouvilleModel, ToyModel, free_model
+from varband.kernel import LiouvilleModel, ToyModel, free_model, toy_kernel
 from varband.paleywiener import random_smooth_function
 from varband.profile import constant_profile, profile_from_config
 from varband.sampling import (ReconstructionOperator, SampleSet, reconstruct_iterative,
@@ -75,9 +76,58 @@ class TestKernel:
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
         rep = json.loads((out / "report.json").read_text())
-        # 8-point Gauss-Legendre panels of width at most pi / (8 x_max) on [0, sqrt 2]
-        assert rep["n_nodes"] == 8 * int(np.ceil(np.sqrt(2.0) / (np.pi / 32.0)))
+        # 16-point Gauss-Legendre panels of width H on [0, sqrt 2] with
+        # c_16 (H s)^32 <= 2**-53, s = 2 x_max / sqrt(min p) = 8
+        c16 = factorial(16) ** 4 / (33 * factorial(32) ** 3)
+        widest = (2.0**-53 / c16) ** (1 / 32) / 8.0
+        assert rep["n_nodes"] == 16 * int(np.ceil(np.sqrt(2.0) / widest))
         assert rep["covered_measure"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    def test_report_records_error_bound(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 25.0,
+            "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
+            "grid": {"lo": -3.0, "hi": 3.0, "n": 7},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        rep = strict_json(out / "report.json")
+        quad = ToyModel(1.0, 4.0, SpectralSet([(0.0, 2.0)]), x_max=25.0).quad
+        assert rep["n_nodes"] == len(quad) == 80
+        assert rep["quad_error_bound"] == quad.error_bound
+        assert 0.0 < rep["quad_error_bound"] <= 2.0**-53 * np.sqrt(2.0)
+
+    def test_grid_wider_than_x_max_sizes_the_rule(self, tmp_path):
+        # the grid reaches 60 against the default x_max of 25: the rule covers the grid
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
+            "grid": {"lo": -60.0, "hi": 45.0, "n": 36},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        table = np.loadtxt(out / "kernel_grid.csv", delimiter=",", skiprows=1)
+        xs, K = table[:, 0], table[:, 1:]
+        ref = toy_kernel(1.0, 4.0, 2.0, xs[:, None], xs[None, :])
+        # the CSV's 12 significant digits round values below 1 by at most 5e-13
+        assert np.max(np.abs(K - ref)) <= 1e-12
+        rep = strict_json(out / "report.json")
+        quad = ToyModel(1.0, 4.0, SpectralSet([(0.0, 2.0)]), x_max=60.0).quad
+        assert rep["n_nodes"] == len(quad)
+        assert rep["quad_error_bound"] == quad.error_bound
+
+    @pytest.mark.parametrize("model", ["schrodinger", "liouville"])
+    def test_report_records_no_bound_for_a_potential(self, tmp_path, model):
+        # the bound covers plane waves; scattering tables have their own structure
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": model, "spectral_set": [[0.0, 2.0]],
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.0},
+            "grid": {"lo": -3.0, "hi": 3.0, "n": 7},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        rep = strict_json(out / "report.json")
+        assert rep["n_nodes"] > 0
+        assert "quad_error_bound" in rep and rep["quad_error_bound"] is None
 
     def test_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -369,6 +419,19 @@ class TestReconstruct:
         n = int(np.floor(np.sqrt(2.0) / spacing + 1e-12))
         assert rep["n_nodes"] == n
         assert rep["covered_measure"] == pytest.approx(n * spacing, rel=1e-12)
+
+    def test_report_records_no_error_bound(self, tmp_path):
+        # the window-matched midpoint rule carries no Gauss-Legendre bound: null
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
+            "window": [-10.0, 10.0], "n_max": 3, "output_points": 11,
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.5, 9.5, 60), np.zeros(60))
+        out = tmp_path / "out"
+        run(["reconstruct", "--config", cfg, "--out", out, "--samples", samples])
+        rep = strict_json(out / "report.json")
+        assert "quad_error_bound" in rep and rep["quad_error_bound"] is None
 
     def test_failed_gap_condition_writes_strict_json(self, tmp_path):
         # three samples 5 apart on [-10, 10]: gamma = 5 / pi > 1, so no certificate exists

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Import hygiene: every name a module of the package imports is used, and
+`import varband.cli` does not load scipy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,13 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_name():
     source = "import csv\nfrom numpy import pi, e\n\nprint(pi)\n"
     assert unused_imports(source) == [(1, "csv"), (2, "e")]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy only supplies its version to report.json, imported when a report is written
+    code = (f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\nimport varband.cli\n"
+            "print('scipy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -16,7 +16,7 @@ from varband.kernel import (
 )
 from varband.paleywiener import random_function, transform
 from varband.profile import blend_profile
-from varband.spectral import SpectralSet, uniform_quadrature
+from varband.spectral import SpectralSet, gauss_legendre_quadrature, uniform_quadrature
 
 from closed_forms import toy_fundamental
 
@@ -79,6 +79,14 @@ class TestToyQuadratureAgreement:
         assert isinstance(v, float)
         assert v == pytest.approx(toy_kernel(1.0, 4.0, 1.0, 0.5, -0.5), abs=1e-12)
 
+    def test_narrow_plateau_sizes_the_rule(self):
+        # p- = 1/4 doubles the phase the tables reach, to omega x_max / sqrt(p-)
+        x_max = 10.0
+        model = ToyModel(0.25, 1.0, SpectralSet([(0.0, 2.0)]), x_max=x_max)
+        xs = np.linspace(-x_max, x_max, 201)
+        ref = toy_kernel(0.25, 1.0, 2.0, xs[:, None], xs[None, :])
+        assert np.max(np.abs(model.kernel_matrix(xs, xs) - ref)) < 1e-14
+
     def test_multi_band(self):
         # kernel of a two-band spectral set is the difference of band kernels
         sset = SpectralSet([(0.0, 1.0), (2.0, 3.0)])
@@ -111,6 +119,13 @@ class TestModelInvariants:
         assert out.shape == (5,)
         assert np.isscalar(barrier_model.kernel(0.1, 0.2))
 
+    def test_error_bound_only_for_plane_wave_kernels(self, barrier_model):
+        # the rule's remainder bounds sums of plane waves, not scattering tables
+        sset = SpectralSet([(0.0, 2.0)])
+        for model in (free_model(sset, x_max=10.0), ToyModel(1.0, 4.0, sset, x_max=10.0)):
+            assert model.error_bound == model.quad.error_bound > 0
+        assert barrier_model.quad.error_bound > 0 and barrier_model.error_bound is None
+
 
 class TestTailFastPaths:
     """Averages of the kernel diagonal; the tail closed form against the pointwise `diagonal`."""
@@ -121,6 +136,23 @@ class TestTailFastPaths:
         ref = np.trapezoid(barrier_model.diagonal(ys), ys) / (hi - lo)
         fast = barrier_model.diagonal_tail_average(lo, hi)
         assert fast == pytest.approx(ref, rel=1e-6)
+
+    def test_long_window_resolves_its_own_phase(self):
+        # the ripple's phase 2 omega hi far exceeds what x_max = 2 sized the model for
+        prof = blend_profile(1.0, 4.0, R=1.0, kind="quintic")
+        a, kinks = prof.warped_support_radius, prof.zeta([-prof.R, prof.R])
+        sset = SpectralSet([(0.0, 1.0)])
+        model = SchrodingerModel(prof.potential_q_warped, a, sset, x_max=2.0,
+                                 breakpoints=kinks, store_interior=False)
+        lo, hi = 2 * a, 2 * a + 160 * a
+        # reference: the same closed form on a rule four times finer than needed
+        fine = SchrodingerModel(prof.potential_q_warped, a, sset, x_max=4 * (hi + 2 * a),
+                                breakpoints=kinks, store_interior=False)
+        w = fine.quad.nodes
+        inner = (np.exp(2j * w * hi) - np.exp(2j * w * lo)) / (2j * w)
+        ripple = np.sum(fine.quad.weights * (fine.sweep.R2 * inner).real)
+        ref = (sset.sqrt_measure + ripple / (hi - lo)) / np.pi
+        assert model.diagonal_tail_average(lo, hi) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 class TestLiouville:
@@ -142,6 +174,32 @@ class TestLiouville:
         inner = model.inner.kernel_matrix(prof.zeta(xs), prof.zeta(xs))
         pref = np.asarray(prof.eval_p(xs), float) ** -0.25
         assert np.max(np.abs(K - pref[:, None] * pref[None, :] * inner)) < 1e-10
+
+    @pytest.mark.parametrize("p_minus,p_plus", [(1.0, 100.0), (0.01, 1.0)])
+    def test_reflective_blend_matches_a_finer_rule(self, p_minus, p_plus):
+        # a narrow C^1 blend across a 100-fold jump: strong reflection over 2a,
+        # which sizes the rule but does not bound it. Both kernels, at the rule
+        # each model builds, against rules for four times the phase, to the
+        # 12 significant digits the kernel CSV carries. Lambda starts at 1/4:
+        # near omega = 0 the sweep's own error in T and R2 grows like 1/omega
+        # and differs between rules by far more than the quadrature does.
+        prof = blend_profile(p_minus, p_plus, R=0.1, kind="cubic")
+        a, kinks = prof.warped_support_radius, prof.zeta([-prof.R, prof.R])
+        sset, x_max = SpectralSet([(0.25, 16.0)]), 10.0
+        xs = np.linspace(-x_max, x_max, 101)
+        schrodinger = SchrodingerModel(prof.potential_q_warped, a, sset, x_max=x_max,
+                                       breakpoints=kinks)
+        liouville = LiouvilleModel(prof, sset, x_max=x_max)
+        for model, t_max, fine in (
+                (schrodinger, x_max + 2 * a,
+                 lambda quad: SchrodingerModel(prof.potential_q_warped, a, sset, quad=quad,
+                                               breakpoints=kinks)),
+                (liouville, x_max / np.sqrt(prof.lower) + 2 * a,
+                 lambda quad: LiouvilleModel(prof, sset, quad=quad))):
+            assert model.error_bound is None
+            ref = fine(gauss_legendre_quadrature(sset, t_max=4 * t_max)).kernel_matrix(xs, xs)
+            assert len(model.quad) == len(gauss_legendre_quadrature(sset, t_max=t_max))
+            assert np.max(np.abs(model.kernel_matrix(xs, xs) - ref)) <= 5e-13 * np.max(np.abs(ref))
 
     def test_requires_smooth_profile(self):
         from varband.profile import toy_profile

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -35,23 +37,70 @@ class TestSpectralSet:
 class TestGaussLegendre:
     def test_weight_sum(self):
         s = SpectralSet([(0.0, 4.0), (9.0, 16.0)])
-        q = gauss_legendre_quadrature(s, x_max=20.0)
+        q = gauss_legendre_quadrature(s, t_max=20.0)
         assert q.weights.sum() == pytest.approx(s.sqrt_measure, rel=1e-12)
 
     def test_oscillatory_exactness(self):
         # integral of exp(i omega x) over [0, u] for the largest resolved x
         s = SpectralSet([(0.0, 4.0)])
         x = 15.0
-        q = gauss_legendre_quadrature(s, x_max=x)
+        q = gauss_legendre_quadrature(s, t_max=x)
         got = np.sum(q.weights * np.exp(1j * q.nodes * x))
         ref = (np.exp(2j * x) - 1.0) / (1j * x)
         assert abs(got - ref) < 1e-12
 
     def test_nodes_inside(self):
         s = SpectralSet([(0.0, 1.0)])
-        q = gauss_legendre_quadrature(s, x_max=5.0)
+        q = gauss_legendre_quadrature(s, t_max=5.0)
         assert np.all(q.nodes > 0)
         assert np.all(q.nodes < 1)
+
+    @pytest.mark.parametrize("intervals,t_max", [([(0.0, 2.0)], 25.0),
+                                                  ([(0.0, 2.0), (3.0, 7.5)], 9.0)])
+    def test_plane_waves_within_error_bound(self, intervals, t_max):
+        # every plane wave exp(i omega s) with |s| <= 2 t_max, against its exact
+        # integral over the float64 intervals of Lambda^{1/2} in long double
+        assert np.finfo(np.longdouble).precision >= 18
+        sset = SpectralSet(intervals)
+        q = gauss_legendre_quadrature(sset, t_max=t_max)
+        assert q.error_bound <= U * sset.sqrt_measure
+        s = np.linspace(-2 * t_max, 2 * t_max, 4001)
+        got = np.exp(1j * np.multiply.outer(s, q.nodes)) @ q.weights
+        sl = s.astype(np.longdouble)
+        re, im = np.zeros_like(sl), np.zeros_like(sl)
+        for a, b in sset.sqrt_intervals:
+            a, b = np.longdouble(a), np.longdouble(b)
+            # int_a^b exp(i omega s) = exp(i s (a + b) / 2) 2 sin(s (b - a) / 2) / s
+            amp = np.where(sl == 0, b - a,
+                           2 * np.sin(0.5 * (b - a) * sl) / np.where(sl == 0, 1, sl))
+            re += amp * np.cos(0.5 * (a + b) * sl)
+            im += amp * np.sin(0.5 * (a + b) * sl)
+        err = np.hypot((got.real - re).astype(float), (got.imag - im).astype(float))
+        # float64 phases omega s and the sum of n terms add this much rounding
+        rounding = (len(q) + 2 * t_max * q.nodes.max()) * U * sset.sqrt_measure
+        assert err.max() <= q.error_bound + rounding
+
+    def test_panels_are_the_widest_that_meet_the_bound(self):
+        c16 = factorial(16) ** 4 / (33 * factorial(32) ** 3)
+        sset = SpectralSet([(0.0, 2.0)])
+        q = gauss_legendre_quadrature(sset, t_max=25.0)
+        n_panels = len(q) // 16
+        assert q.order == 16 and len(q) == 80
+        # one panel fewer would break c_16 (H s)^32 <= u per unit measure, s = 2 t_max
+        for n, meets in ((n_panels, True), (n_panels - 1, False)):
+            assert (c16 * (np.sqrt(2.0) / n * 50.0) ** 32 <= U) == meets
+        width = np.sqrt(2.0) / n_panels
+        assert q.error_bound == pytest.approx(np.sqrt(2.0) * c16 * (width * 50.0) ** 32, rel=1e-12)
+
+
+class TestIdentity:
+    def test_quadratures_compare_and_hash_by_identity(self):
+        # ndarray fields would make a generated __eq__ ambiguous and __hash__ fail
+        q = uniform_quadrature(SpectralSet([(0.0, 1.0)]), 0.1)
+        r = uniform_quadrature(SpectralSet([(0.0, 1.0)]), 0.1)
+        assert q == q and q != r
+        assert len({q, r, q}) == 2
+        assert q.error_bound is None
 
 
 class TestUniform:
@@ -77,9 +126,9 @@ class TestUniform:
 
 
 QUADRATURES = {
-    "gauss_one_interval": lambda: gauss_legendre_quadrature(SpectralSet([(0.0, 2.0)]), x_max=6.0),
+    "gauss_one_interval": lambda: gauss_legendre_quadrature(SpectralSet([(0.0, 2.0)]), t_max=6.0),
     "gauss_two_intervals": lambda: gauss_legendre_quadrature(
-        SpectralSet([(0.0, 2.0), (3.0, 7.5)]), x_max=9.0),
+        SpectralSet([(0.0, 2.0), (3.0, 7.5)]), t_max=9.0),
     # 44 nodes in blocks of 7: the last block holds 2
     "uniform_one_interval": lambda: uniform_quadrature(SpectralSet([(0.0, 4.0)]), np.pi / 70.3),
     "uniform_two_intervals": lambda: uniform_quadrature(
@@ -106,8 +155,8 @@ class TestWaves:
             assert (o.size - 1) * d.size < count <= o.size * d.size
             if quad.order == 1:  # blocks of ceil(sqrt(n)) lattice offsets
                 assert d.size == int(np.ceil(np.sqrt(count)))
-            else:  # one block of eight offsets per panel
-                assert d.size == 8
+            else:  # one block of one offset per Gauss point per panel
+                assert d.size == quad.order
 
     def test_uniform_block_size_need_not_divide_node_count(self):
         (_, d, count), = QUADRATURES["uniform_one_interval"]().blocks
