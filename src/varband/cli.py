@@ -109,18 +109,14 @@ def _is_unit(prof):
     return prof.lower == prof.upper == 1.0
 
 
-def _model(cfg, quad=None, reach=0.0):
+def _model(cfg, quad=None, x_max=25.0):
     """The spectral model the config names; ``quad`` replaces its Gauss rule.
 
-    The Gauss rule is sized for |x| <= max(x_max, reach), so a caller that
-    evaluates the kernel out to ``reach`` gets it at the rule's accuracy.
+    Otherwise the Gauss rule is sized for |x| <= x_max, so a caller that
+    evaluates the kernel out to ``x_max`` gets it at the rule's accuracy.
     """
     kind = cfg.get("model", "free")
     sset = _sset(cfg)
-    x_max = _number(cfg.get("x_max", 25.0), "x_max")
-    if not x_max > 0:
-        raise ConfigError(f"x_max must be a positive number, got {x_max!r}")
-    x_max = max(x_max, reach)
     if kind == "free":
         if "profile" in cfg and not _is_unit(_profile(cfg)):
             raise ConfigError("model 'free' is the space of p = 1, but the profile is "
@@ -170,7 +166,7 @@ def cmd_kernel(cfg, out_dir, rng):
     g = cfg.get("grid", {})
     lo, hi = _number(g.get("lo", -10.0), "grid.lo"), _number(g.get("hi", 10.0), "grid.hi")
     n = _count(g, "n", 101, 1, "grid.n")
-    model = _model(cfg, reach=max(abs(lo), abs(hi)))
+    model = _model(cfg, x_max=max(abs(lo), abs(hi)))
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs)
     _write_csv(Path(out_dir) / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],

@@ -11,21 +11,22 @@ kernel
 is then one real product through the real symmetric 2x2 density
 Sigma = Re(M^T diag(w rho) conj M) of each node.  The models below differ only
 in how U, M and rho are produced: closed forms for the two-plateau step
-profile, the real and imaginary parts of the scattering solution for a
-compactly supported Schrodinger potential, and the warped pullback of the
-latter for smooth eventually constant profiles.  The step-profile tables
+profile (the classical Paley-Wiener space is its case p = 1), the real and
+imaginary parts of the scattering solution for a compactly supported
+Schrodinger potential, and the warped pullback of the latter for smooth
+eventually constant profiles.  The step-profile tables
 are plane waves in t = x / sqrt(p), taken from the quadrature's `waves`:
 each rule records its nodes as sums omega = o + d of non-negative shifts
 and offsets, and angle addition over that factorisation calls sin and cos
 on O(sqrt n) rows instead of n, with every entry within 8u (1 + omega |t|)
 of the exact wave, u = 2**-53.  Each model sizes its Gauss-Legendre rule
-from the largest phase t_max its tables reach for |x| <= x_max: x_max for
-the free model, x_max / sqrt(min p) for the step profile, x_max + 2a for a
-potential supported on [-a, a] (its mix carries R2 ~ exp(-2i omega a)), and
+from the largest phase t_max its tables reach for |x| <= x_max:
+x_max / sqrt(min p) for the step profile, x_max + 2a for a potential
+supported on [-a, a] (its mix carries R2 ~ exp(-2i omega a)), and
 x_max / sqrt(inf p) + 2a for the warped model.  The rule's ``error_bound``
-holds for plane waves of frequency up to 2 t_max: exactly what the free and
-step-profile kernels are made of, so only those models report it as their
-own ``error_bound``.  The scattering tables of a potential have structure in
+holds for plane waves of frequency up to 2 t_max: exactly what the
+step-profile kernels are made of, so only that model reports it as its own
+``error_bound``.  The scattering tables of a potential have structure in
 omega (resonances, internal reflections) that the phase 2a does not limit,
 so their rule is sized by the same t_max but carries no guarantee; the
 tests check it against finer rules instead.  ``kernel_pairs`` and
@@ -33,10 +34,11 @@ tests check it against finer rules instead.  ``kernel_pairs`` and
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
 
-``SpectralModel.synthesize`` and ``analyze`` apply M, the weights and the
-transform prefactor to (2, n_nodes) coefficients and leave the tables of U to
-``_contract``, the one product of a vector with a table, which never upcasts a
-real table to complex.
+Every model uses one coefficient convention, F_c = int f conj(Phi_c), so
+that f = sum w rho F Phi.  ``SpectralModel.synthesize`` and ``analyze`` apply
+M and the weights w rho to (2, n_nodes) coefficients and leave the real
+tables of U to ``_contract``, the one product of a complex vector with a
+table.  Phi itself is never tabulated.
 """
 
 from __future__ import annotations
@@ -66,16 +68,13 @@ def _as_matrix(stack):
 
 
 def _contract(vec, table):
-    """vec @ table for a vector of length m and an (m, k) table, real or complex.
+    """vec @ table for a complex vector of length m and a real (m, k) table.
 
-    A real table is not upcast to complex: a complex vector's real and
-    imaginary parts are read, without a copy, as one real (2, m) matrix, so a
-    single real GEMM reads the table once and its (2, k) result holds the
-    real and imaginary parts of the answer.
+    The table is not upcast to complex: the vector's real and imaginary parts
+    are read, without a copy, as one real (2, m) matrix, so a single real GEMM
+    reads the table once and its (2, k) result holds the real and imaginary
+    parts of the answer.
     """
-    vec = np.asarray(vec)
-    if np.iscomplexobj(table) or not np.iscomplexobj(vec):
-        return vec @ table
     parts = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2).T @ table
     return parts[0] + 1j * parts[1]
 
@@ -141,20 +140,19 @@ def halfline_kernel(omega_max, x, y):
 class SpectralModel:
     """Shared layout: quadrature, real basis, per-node mix, measure weights.
 
-    Subclasses set ``rho`` with shape (2, n_nodes) (kernel measure factor),
-    ``mix`` with shape (2, 2, n_nodes) and ``transform_prefactor``, and define
-    the real pair U = ``basis`` and its antiderivative, so that with
+    Subclasses set ``rho`` with shape (2, n_nodes) (kernel measure factor)
+    and ``mix`` with shape (2, 2, n_nodes), and define the real pair
+    U = ``basis`` and its antiderivative, so that with
     Phi_c = sum_a mix[c, a] U_a at each node
 
-        transform:  F_c(w_l) = transform_prefactor * int f conj(Phi_c) dx
-        synthesis:  f(x) = sum_l w_l sum_c (rho/transform_prefactor) F_c Phi_c
-        norm^2:     sum_l w_l sum_c (rho/transform_prefactor^2) |F_c|^2
+        transform:  F_c(w_l) = int f conj(Phi_c) dx
+        synthesis:  f(x) = sum_l w_l sum_c rho_c F_c Phi_c
+        norm^2:     sum_l w_l sum_c rho_c |F_c|^2
     """
 
     quad: SpectralQuadrature
     rho: np.ndarray
     mix: np.ndarray
-    transform_prefactor: float = 1.0
 
     @property
     def sset(self):
@@ -188,47 +186,35 @@ class SpectralModel:
         """
         raise NotImplementedError
 
-    def phi(self, x):
-        """Phi_c(omega_l, x) = sum_a mix[c, a, l] U_a(omega_l, x), shape (2, n_nodes, n_x)."""
-        return np.einsum("cal,alk->clk", self.mix, self.basis(x))
-
-    def antiderivative(self, x):
-        """int Phi up to x = mix times ``basis_antiderivative``, anchored as it is."""
-        return np.einsum("cal,alk->clk", self.mix, self.basis_antiderivative(x))
-
     # -- coefficients against basis tables ----------------------------------
 
     def synthesize(self, F, table):
-        """f = sum over (c, l) of synthesis weights times F Phi, at a table's points.
+        """f = sum over (c, l) of w rho F Phi, at a table's points.
 
         ``table`` is U at m points as a (2 n_nodes, m) matrix; the mix and
         the weights act on the coefficients, mix^T (weights F) at each node.
         """
-        G = np.einsum("cal,cl->al", self.mix, self.synthesis_weights() * F)
+        G = np.einsum("cal,cl->al", self.mix, self.weights() * F)
         return _contract(G.ravel(), table)
 
     def analyze(self, values, table):
-        """transform_prefactor sum_i conj(Phi_i) v_i, shape (2, n_nodes).
+        """sum_i conj(Phi_i) v_i, shape (2, n_nodes).
 
         ``table`` holds U (or its cell integrals) at m points as a
         (2 n_nodes, m) matrix. Since conj(Phi) v = conj(mix U conj(v)), the
         table is never conjugated: only the vector and the coefficients are.
         """
         H = _contract(np.conj(np.asarray(values, dtype=complex)), table.T).reshape(2, -1)
-        return self.transform_prefactor * np.conj(np.einsum("cal,al->cl", self.mix, H))
+        return np.conj(np.einsum("cal,al->cl", self.mix, H))
 
     # -- kernel evaluation ---------------------------------------------------
 
-    def _weights(self):
+    def weights(self):
+        """w rho, shape (2, n_nodes).
+
+        f is the sum of these times F Phi, and ||f||^2 the sum of these times |F|^2.
+        """
         return self.quad.weights[None, :] * self.rho
-
-    def synthesis_weights(self):
-        """w rho / transform_prefactor: f = sum of these times F Phi."""
-        return self._weights() / self.transform_prefactor
-
-    def norm_weights(self):
-        """w rho / transform_prefactor**2: ||f||^2 = sum of these times |F|^2."""
-        return self._weights() / self.transform_prefactor**2
 
     @cached_property
     def sigma(self):
@@ -239,7 +225,7 @@ class SpectralModel:
         part vanishes; for a scattering model what remains is the sweep's
         unitarity defect.
         """
-        return np.einsum("cl,cal,cbl->abl", self._weights(), self.mix, self.mix.conj()).real
+        return np.einsum("cl,cal,cbl->abl", self.weights(), self.mix, self.mix.conj()).real
 
     def _factors(self, x, y):
         """U(x) and sigma U(y); U is evaluated once when y is x."""
@@ -287,7 +273,6 @@ class ToyModel(SpectralModel):
         c = 2.0 / (np.pi * (sm + sp) ** 2)
         n = len(self.quad)
         self.rho = np.vstack([np.full(n, sm * c), np.full(n, sp * c)])
-        self.transform_prefactor = 1.0
         # Phi_0 = cos + i sqrt(p+) sin / sqrt(p), Phi_1 = cos - i sqrt(p-) sin / sqrt(p):
         # both keep u and p u' continuous across the jump; the same mix at every node
         mix = np.array([[1.0, 1j * sp], [1.0, -1j * sm]])
@@ -348,16 +333,10 @@ class SchrodingerModel(SpectralModel):
         n = len(self.quad)
         self.rho = np.full((2, n), 1.0 / (2 * np.pi))
         self.mix = self.sweep.mix
-        self.transform_prefactor = 1.0 / np.sqrt(2 * np.pi)
 
     @property
     def support_radius(self):
         return self.sweep.a
-
-    @property
-    def error_bound(self):
-        """The rule's remainder for the free model (plane waves only), else None."""
-        return self.quad.error_bound if self.sweep.q is None else None
 
     def basis(self, x):
         return self.sweep.basis(x)
@@ -390,8 +369,8 @@ class SchrodingerModel(SpectralModel):
 
 
 def free_model(sset, quad=None, x_max=25.0):
-    """The classical Paley-Wiener model (q = 0, p = 1)."""
-    return SchrodingerModel(None, 0.0, sset, quad=quad, x_max=x_max)
+    """The classical Paley-Wiener model: the step profile with p- = p+ = 1."""
+    return ToyModel(1.0, 1.0, sset, quad=quad, x_max=x_max)
 
 
 class LiouvilleModel(SpectralModel):
@@ -416,7 +395,6 @@ class LiouvilleModel(SpectralModel):
         )
         self.rho = self.inner.rho
         self.mix = self.inner.mix
-        self.transform_prefactor = self.inner.transform_prefactor
 
     def basis(self, x):
         """p^(-1/4) times the scattering pair at zeta(x)."""

@@ -1,8 +1,10 @@
 """Bandlimited elements as spectral coefficient vectors on quadrature nodes.
 
 The source of truth for a function is always its coefficient array F on the
-model's frequency nodes (two components, one per fundamental solution);
-spatial values are synthesized on demand.  This keeps every function exactly
+model's frequency nodes (two components, one per fundamental solution),
+F_c = int f conj(Phi_c) for every model, so that f = sum w rho F Phi and
+||f||^2 = sum w rho |F|^2 with the model's ``weights()``; spatial values are
+synthesized on demand.  This keeps every function exactly
 inside the discretized space, so projection and reconstruction operators act
 on a well-defined finite model.
 """
@@ -43,7 +45,7 @@ class VarBandFunction:
     __call__ = evaluate
 
     def norm(self):
-        w = self.model.norm_weights()
+        w = self.model.weights()
         return float(np.sqrt(np.sum(w * np.abs(self.F) ** 2).real))
 
     def __add__(self, other):
@@ -125,7 +127,7 @@ def bernstein_ratio(f, k, omega_max):
     functions bandlimited to [0, omega_max]."""
     if k < 0 or int(k) != k:
         raise FunctionError("k must be a nonnegative integer")
-    w = f.model.norm_weights()
+    w = f.model.weights()
     lam = f.model.quad.nodes[None, :] ** 2
     dens = float(np.sum(w * np.abs(f.F) ** 2).real)
     if dens == 0:

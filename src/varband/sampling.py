@@ -9,8 +9,8 @@ gamma = delta sqrt(Omega) / pi and delta is the max gap in local units.
 The operator holds two (2 n_nodes, n_samples) tables of the model's real
 basis U (Phi = mix U at each node): U at the samples and the integrals of U
 over the cells. Both are float64 for every model, so every iteration reads
-real tables; the mix, the weights and the transform prefactor act on the
-(2, n_nodes) coefficients.
+real tables; the mix and the weights act on the (2, n_nodes) coefficients.
+The frame bounds are read off U as well (see `frame_bounds_estimate`).
 
 Where gamma >= 1 no certificate exists: the norm surrogate and the certified
 bounds are then None (null in the JSON report), not infinities.
@@ -240,16 +240,19 @@ def frame_bounds_estimate(model, X, window):
 
     Exact frame bounds for the discretized space spanned by the quadrature
     nodes (a finite surrogate for the continuum statement; the estimate is
-    labeled as such in CLI output).  Rows are scaled by the lengths of the
-    midpoint cells of the window.
+    labeled as such in CLI output).  The real N x 2n matrix
+    sqrt(cell) U(x)^T L, with L the per-node Cholesky factor of the model's
+    ``sigma``, has M M^T = sqrt(cell) k(x_i, x_j) sqrt(cell): the singular
+    values of the complex matrix of sqrt(cell w rho) Phi, up to the sweep's
+    unitarity defect, from a real SVD.  The cells are the midpoint cells of
+    the window.
     """
     pts = _points(X)
     if pts.size == 0:
         raise SamplingError("empty sample set")
-    phiX = model.phi(pts)  # (2, n, N)
-    col = np.sqrt(model._weights())  # (2, n)
-    M = (phiX * col[:, :, None]).reshape(-1, pts.size).T  # (N, 2n)
-    M = M * np.sqrt(np.diff(midpoint_partition(pts, window)))[:, None]
+    L = np.linalg.cholesky(model.sigma.transpose(2, 0, 1))  # (n, 2, 2)
+    M = np.einsum("alk,lab->kbl", model.basis(pts), L).reshape(pts.size, -1)  # (N, 2n)
+    M *= np.sqrt(np.diff(midpoint_partition(pts, window)))[:, None]
     s = np.linalg.svd(M, compute_uv=False)
     n_dof = M.shape[1]
     smin = s[n_dof - 1] if s.size >= n_dof else 0.0

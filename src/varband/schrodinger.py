@@ -6,7 +6,9 @@ reflected amplitudes on the far side.  A whole frequency sweep is integrated
 in one vectorized RK4 pass; since q is real, the conjugate of that solution
 is the mirrored one, so a single pass gives both coefficients and both
 fundamental solutions.  The interior solution is kept as one Hermite spline,
-so pointwise evaluation stays cheap inside kernel quadratures.
+so pointwise evaluation stays cheap inside kernel quadratures.  Every sweep
+has a potential on a support of radius a > 0: the free space q = 0 is not a
+sweep but the step profile at p = 1 (`kernel.free_model`).
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ class ScatteringSweep:
     """Fundamental scattering solutions Phi = (Phi1, Phi2) on a frequency grid.
 
     Phi1 is e^{i omega x} + R1 e^{-i omega x} left of the support and
-    T e^{i omega x} right of it; Phi2 is the mirrored solution.  ``q = None``
-    means the free particle and everything collapses to plane waves.  ``q``
-    must be real and vectorised: it is tabulated once per RK4 segment at every
+    T e^{i omega x} right of it; Phi2 is the mirrored solution.  ``q`` must
+    be real and vectorised: it is tabulated once per RK4 segment at every
     stage abscissa.  ``breakpoints`` are the points of (-a, a) where q is not
     smooth; RK4 steps end there instead of straddling them.
 
@@ -55,7 +56,7 @@ class ScatteringSweep:
     relative error grows like 1/|T|^2 times the integrator's; the Liouville
     potential of an admissible profile keeps |T| bounded below.  ``step`` and
     ``n_steps`` record the largest RK4 step taken and the step count of the
-    pass (0 in the free case).
+    pass.
     """
 
     def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True):
@@ -63,17 +64,10 @@ class ScatteringSweep:
         if np.any(self.omegas <= 0):
             raise MatchingError("scattering requires omega > 0")
         self.a = float(support_radius)
+        if not self.a > 0:
+            raise MatchingError("scattering requires a support radius a > 0")
         self.q = q
-        n = self.omegas.size
         self._spline = None
-        if q is None or self.a == 0.0:
-            self.q = None
-            self.a = 0.0
-            self.T = np.ones(n, dtype=complex)
-            self.R1 = np.zeros(n, dtype=complex)
-            self.R2 = np.zeros(n, dtype=complex)
-            self.step, self.n_steps = 0.0, 0
-            return
         w, a = self.omegas, self.a
         h = min(1e-3, 2 * np.pi / (50.0 * max(np.max(w), 1e-6)))  # 50 steps per wavelength
         segments = rk4_segments(a, -a, h, breakpoints)
@@ -136,8 +130,8 @@ class ScatteringSweep:
         return np.array([[T, 1j * T], [1 + R2, 1j * (R2 - 1)]])
 
     def _regions(self, x):
-        """Masks left of, inside and right of the support; free: no inside, 0 is right."""
-        mid = (np.abs(x) <= self.a) & (self.q is not None)
+        """Masks left of, inside and right of the support."""
+        mid = np.abs(x) <= self.a
         return (x < 0) & ~mid, mid, (x >= 0) & ~mid
 
     def _waves(self, x, primitive):
@@ -193,7 +187,7 @@ class ScatteringSweep:
         out = np.empty((2, self.omegas.size, x.size))
         out[:, :, left] = self._left(self._waves(x[left], True) - self._waves(-self.a, True))
         across = 0.0
-        if self.q is not None and np.any(mid | right):
+        if np.any(mid | right):
             # the stored interpolants' first knot is -a, where their antiderivatives start
             inner = self._interior(np.append(x[mid], self.a), lambda spline: spline.antiderivative)
             out[:, :, mid], across = inner[:, :, :-1], inner[:, :, -1:]

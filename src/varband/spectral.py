@@ -19,7 +19,7 @@ meets u = 2**-53 per unit measure, and records that remainder as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, isqrt
 
 import numpy as np
@@ -71,9 +71,9 @@ class SpectralQuadrature:
     """Nodes/weights discretizing ``int_{Lambda^{1/2}} . d omega``.
 
     Nodes lie strictly inside the omega intervals (omega = 0 is always
-    excluded); for Gauss rules the weights sum to ``|Lambda^{1/2}|`` up to
-    roundoff, for the window-matched uniform rule the covered measure may be
-    slightly truncated (see `uniform_quadrature`).
+    excluded). ``covered_measure`` is the sum of the weights: ``|Lambda^{1/2}|``
+    up to roundoff for Gauss rules, possibly slightly less for the
+    window-matched uniform rule (see `uniform_quadrature`).
 
     ``blocks`` factorises the nodes: one ``(shifts, offsets, count)`` triple
     per run of nodes, whose nodes are the first ``count`` of the sums
@@ -90,7 +90,6 @@ class SpectralQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-    covered_measure: float = field(default=0.0)
     blocks: tuple = None
     error_bound: float = None
 
@@ -107,6 +106,10 @@ class SpectralQuadrature:
 
     def __len__(self):
         return self.nodes.size
+
+    @property
+    def covered_measure(self):
+        return float(self.weights.sum())
 
     def waves(self, t):
         """(cos omega t, sin omega t) at every node and point, float64 of shape (2, n, m).
@@ -197,9 +200,8 @@ def gauss_legendre_quadrature(sset, t_max=10.0):
         bound += (b - a) * _GL_CONSTANT * (2.0 * h * s) ** (2 * _GL_ORDER)
     if not blocks:
         raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
-    weights = np.concatenate(weights)
-    return SpectralQuadrature(sset, _block_sums(blocks), weights, _GL_ORDER,
-                              float(weights.sum()), tuple(blocks), bound)
+    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), _GL_ORDER,
+                              tuple(blocks), bound)
 
 
 def uniform_quadrature(sset, spacing):
@@ -225,6 +227,5 @@ def uniform_quadrature(sset, spacing):
         raise SpectralSetError(
             f"spacing {spacing} too coarse for spectral set {sset.intervals}"
         )
-    weights = np.concatenate(weights)
-    return SpectralQuadrature(sset, _block_sums(blocks), weights, 1,
-                              float(weights.sum()), tuple(blocks))
+    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), 1,
+                              tuple(blocks))

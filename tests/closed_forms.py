@@ -2,9 +2,21 @@
 
 For p = p_minus left of 0 and p_plus right of it: the fundamental pair of
 -(p phi')' = lambda phi, its Wronskian and the diagonal spectral density.
+`phi` forms the complex fundamental pair Phi = M U of any model or sweep
+from its real pair and its mix, for tests that compare against Phi.
 """
 
 import numpy as np
+
+
+def phi(model, x, integrated=False):
+    """Phi = mix U at every node, or its antiderivative mix int U; shape (2, n, n_x).
+
+    ``model`` is anything with ``mix`` and ``basis``; with ``integrated`` the
+    antiderivative is anchored where its ``basis_antiderivative`` is.
+    """
+    table = model.basis_antiderivative(x) if integrated else model.basis(x)
+    return np.einsum("cal,alk->clk", model.mix, table)
 
 
 class SpectralDensityError(ValueError):

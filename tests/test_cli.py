@@ -69,25 +69,26 @@ class TestKernel:
 
     def test_report_records_quadrature(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
-            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 4.0,
+            "model": "toy", "spectral_set": [[0.0, 2.0]],
             "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
-            "grid": {"lo": -3.0, "hi": 3.0, "n": 7},
+            "grid": {"lo": -4.0, "hi": 3.0, "n": 7},
         })
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
         rep = json.loads((out / "report.json").read_text())
         # 16-point Gauss-Legendre panels of width H on [0, sqrt 2] with
-        # c_16 (H s)^32 <= 2**-53, s = 2 x_max / sqrt(min p) = 8
+        # c_16 (H s)^32 <= 2**-53, s = 2 max(|lo|, |hi|) / sqrt(min p) = 8
         c16 = factorial(16) ** 4 / (33 * factorial(32) ** 3)
         widest = (2.0**-53 / c16) ** (1 / 32) / 8.0
         assert rep["n_nodes"] == 16 * int(np.ceil(np.sqrt(2.0) / widest))
         assert rep["covered_measure"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_report_records_error_bound(self, tmp_path):
+        # the rule is sized for the grid's reach, 25
         cfg = write_cfg(tmp_path, "cfg.json", {
-            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 25.0,
+            "model": "toy", "spectral_set": [[0.0, 2.0]],
             "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
-            "grid": {"lo": -3.0, "hi": 3.0, "n": 7},
+            "grid": {"lo": -3.0, "hi": 25.0, "n": 7},
         })
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
@@ -98,7 +99,8 @@ class TestKernel:
         assert 0.0 < rep["quad_error_bound"] <= 2.0**-53 * np.sqrt(2.0)
 
     def test_grid_wider_than_x_max_sizes_the_rule(self, tmp_path):
-        # the grid reaches 60 against the default x_max of 25: the rule covers the grid
+        # the grid reaches 60, past the models' default x_max of 25: the rule
+        # is sized for the grid's reach
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
             "grid": {"lo": -60.0, "hi": 45.0, "n": 36},
@@ -148,14 +150,14 @@ class TestKernel:
 
     def test_grid_matches_csv_writer_rendering(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
-            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 6.0,
+            "model": "toy", "spectral_set": [[0.0, 2.0]],
             "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
             "grid": {"lo": -5.0, "hi": 5.0, "n": 41},
         })
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
         xs = np.linspace(-5.0, 5.0, 41)
-        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=6.0).kernel_matrix(xs, xs)
+        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=5.0).kernel_matrix(xs, xs)
         ref = io.StringIO(newline="")
         w = csv.writer(ref)
         w.writerow(["x\\y"] + [f"{y:.12g}" for y in xs])
@@ -178,13 +180,13 @@ class TestTableRendering:
 
     def test_kernel_pairs(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
-            "model": "toy", "spectral_set": [[0.0, 2.0]], "x_max": 6.0,
+            "model": "toy", "spectral_set": [[0.0, 2.0]],
             "profile": STEP_14, "grid": {"lo": -5.0, "hi": 5.0, "n": 41},
         })
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
         coarse = np.linspace(-5.0, 5.0, 41)[::2]
-        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=6.0).kernel_matrix(coarse, coarse)
+        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=5.0).kernel_matrix(coarse, coarse)
         rows = [[x, y, K[i, j], 0.0] for i, x in enumerate(coarse) for j, y in enumerate(coarse)]
         assert len(rows) == 21 * 21
         want = csv_writer_bytes(["x", "y", "re_k", "im_k"], rows)
@@ -782,14 +784,6 @@ class TestErrors:
         })
         assert run(["density", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: unknown profile kind 'bogus'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("x_max", [-1.0, 0.0])
-    def test_nonpositive_x_max(self, tmp_path, capsys, x_max):
-        cfg = write_cfg(tmp_path, "cfg.json", {
-            "model": "free", "spectral_set": [[0.0, 1.0]], "x_max": x_max,
-        })
-        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
-        assert capsys.readouterr().err.startswith("error: x_max must be a positive number")
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_2(self, tmp_path, capsys, case):

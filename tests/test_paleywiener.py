@@ -13,6 +13,8 @@ from varband.paleywiener import (
 from varband.sampling import ReconstructionOperator
 from varband.spectral import SpectralSet
 
+from closed_forms import phi
+
 
 @pytest.fixture(scope="module")
 def fmodel():
@@ -69,9 +71,8 @@ class TestParseval:
 
 
 def kernel_section(model, x0):
-    """k(x0, .) as a function of the space: coefficients transform_prefactor conj(Phi(x0))."""
-    phi0 = model.phi(np.array([float(x0)]))[:, :, 0]
-    return VarBandFunction(model, model.transform_prefactor * phi0.conj())
+    """k(x0, .) as a function of the space: coefficients conj(Phi(x0))."""
+    return VarBandFunction(model, phi(model, [float(x0)])[:, :, 0].conj())
 
 
 class TestReproducing:
@@ -87,7 +88,7 @@ class TestReproducing:
             f = random_smooth_function(model, rng=3)
             x0 = -1.3
             k = kernel_section(model, x0)
-            w = model.quad.weights[None, :] * model.rho / model.transform_prefactor**2
+            w = model.quad.weights[None, :] * model.rho
             inner = complex(np.sum(w * f.F * k.F.conj()))
             assert inner == pytest.approx(complex(f(x0)), abs=1e-10)
 
@@ -100,10 +101,10 @@ class TestReproducing:
 class TestTransform:
     def test_box_function_free(self, fmodel):
         # unit box on [-1, 1], the one cell of a sample at 0: coefficients are
-        # (2 pi)^{-1/2} 2 sin(omega)/omega
+        # 2 sin(omega)/omega
         f = ReconstructionOperator(fmodel, [0.0], (-1.0, 1.0)).from_values([1.0])
         w = fmodel.quad.nodes
-        expected = 2 * np.sin(w) / w / np.sqrt(2 * np.pi)
+        expected = 2 * np.sin(w) / w
         assert np.max(np.abs(f.F[0] - expected)) < 1e-12
         assert np.max(np.abs(f.F[1] - expected)) < 1e-12
 
@@ -116,10 +117,10 @@ class TestTransform:
         def box(lo, hi):
             return (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
 
-        # F_c = (2 pi)^{-1/2} sum_i v_i conj(int_cell_i Phi_c), Phi = (e^{i w y}, e^{-i w y})
+        # F_c = sum_i v_i conj(int_cell_i Phi_c), Phi = (e^{i w y}, e^{-i w y})
         b1, b2 = box(-1.0, 0.5), box(0.5, 2.0)
-        assert np.max(np.abs(f.F[0] - (b1.conj() - 2j * b2.conj()) / np.sqrt(2 * np.pi))) < 1e-12
-        assert np.max(np.abs(f.F[1] - (b1 - 2j * b2) / np.sqrt(2 * np.pi))) < 1e-12
+        assert np.max(np.abs(f.F[0] - (b1.conj() - 2j * b2.conj()))) < 1e-12
+        assert np.max(np.abs(f.F[1] - (b1 - 2j * b2))) < 1e-12
 
     def test_roundtrip(self, fmodel):
         # window truncation dominates the error; measure it in the space norm

@@ -23,6 +23,8 @@ from varband.sampling import (
 )
 from varband.spectral import SpectralSet, uniform_quadrature
 
+from closed_forms import phi
+
 
 def matched_free_setup(omega_max, gamma, n_samples):
     """Uniform lattice at relative density 1/gamma with a matched quadrature."""
@@ -244,10 +246,9 @@ class TestHalflineExpansion:
 class ComplexTableOperator:
     """R from complex (2, n_nodes, N) tables of Phi and its conjugated cell integrals.
 
-    The reference formula: sample is sum over (c, l) of synthesis weights F Phi
-    at the samples, from_values the transform prefactor times the conjugated
-    cell integrals of Phi against the values. Same interface as
-    ReconstructionOperator.
+    The reference formula: sample is sum over (c, l) of w rho F Phi at the
+    samples, from_values the conjugated cell integrals of Phi against the
+    values. Same interface as ReconstructionOperator.
     """
 
     def __init__(self, model, X, window):
@@ -255,10 +256,9 @@ class ComplexTableOperator:
         self.points = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
         self.window = window
         edges = midpoint_partition(self.points, window)
-        cells = np.diff(model.antiderivative(edges), axis=-1)
-        self.C = model.transform_prefactor * cells.conj()
-        self.phiX = model.phi(self.points)
-        self.synth = model.synthesis_weights()
+        self.C = np.diff(phi(model, edges, integrated=True), axis=-1).conj()
+        self.phiX = phi(model, self.points)
+        self.synth = model.quad.weights[None, :] * model.rho
 
     def sample(self, f):
         return np.einsum("cl,cl,cli->i", self.synth, f.F, self.phiX)
@@ -331,7 +331,41 @@ class TestOperatorContractions:
         assert np.max(np.abs(np.array(got.certified) / ref.certified - 1)) <= 1e-10
 
 
+def complex_frame_bounds(model, X, window):
+    """A and B from the SVD of the complex N x 2n matrix sqrt(cell w rho) Phi(x)."""
+    col = np.sqrt(model.quad.weights[None, :] * model.rho)
+    M = (phi(model, X) * col[:, :, None]).reshape(-1, X.size).T
+    M *= np.sqrt(np.diff(midpoint_partition(X, window)))[:, None]
+    s = np.linalg.svd(M, compute_uv=False)
+    n_dof = M.shape[1]
+    return (s[n_dof - 1] ** 2 if s.size >= n_dof else 0.0), s[0] ** 2
+
+
 class TestFrameBounds:
+    @pytest.mark.parametrize("kind", ["toy", "free", "schrodinger", "liouville"])
+    @pytest.mark.parametrize("stride", [1, 2], ids=["dense", "thinned"])
+    def test_real_basis_matches_complex_phi(self, kind, stride):
+        # U^T L with L L^T = sigma against the complex matrix of Phi, whose
+        # Gram matrices differ only by the kernel's imaginary residue
+        sset, W = SpectralSet([(0.0, 2.0)]), 20.0
+        quad = uniform_quadrature(sset, np.pi / W)
+        if kind == "toy":
+            model = ToyModel(1.0, 4.0, sset, quad=quad)
+        elif kind == "free":
+            model = free_model(sset, quad=quad)
+        elif kind == "schrodinger":
+            q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
+            model = SchrodingerModel(q, 1.0, sset, quad=quad)
+        else:
+            model = LiouvilleModel(blend_profile(1.0, 2.0, R=1.0), sset, quad=quad)
+        X = np.linspace(-W + 0.1, W - 0.2, 61)[::stride]
+        A, B = frame_bounds_estimate(model, SampleSet(X), window=(-W, W))
+        A_ref, B_ref = complex_frame_bounds(model, X, (-W, W))
+        assert A > 0
+        assert abs(A - A_ref) <= 1e-12 * B_ref
+        assert abs(B - B_ref) <= 1e-12 * B_ref
+
+
     def test_tight_on_matched_lattice(self):
         model, X, window = matched_free_setup(4.0, 0.5, 60)
         A, B = frame_bounds_estimate(model, SampleSet(X), window=window)

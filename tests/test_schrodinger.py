@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from varband.cli import _model
-from varband.kernel import LiouvilleModel, SchrodingerModel
+from varband.kernel import LiouvilleModel, free_model
 from varband.paleywiener import transform
 from varband.profile import CubicHermite, blend_profile, profile_from_config
 from varband.schrodinger import (
@@ -13,6 +13,8 @@ from varband.schrodinger import (
 )
 from varband.spectral import SpectralQuadrature, SpectralSet
 from varband.sturm import rk4_linear
+
+from closed_forms import phi
 
 
 def square_well_T(q0, a, omega):
@@ -83,35 +85,32 @@ class TwoPassSweep:
         return np.stack([sp.antiderivative(x).T for sp in self.splines]) / self.norm
 
 
-def sweep_phi(sweep, x):
-    """Phi = M U from the sweep's real pair and its mix."""
-    return np.einsum("cal,alk->clk", sweep.mix, sweep.basis(x))
-
-
-def sweep_antiderivative(sweep, x):
-    return np.einsum("cal,alk->clk", sweep.mix, sweep.basis_antiderivative(x))
-
-
 def rel_dev(got, want):
     """Largest deviation along the last axis relative to the largest entry there."""
     return np.max(np.max(np.abs(got - want), axis=-1) / np.max(np.abs(want), axis=-1))
 
 
+def free_at(omegas):
+    """The free model (the step profile at p = 1) on a rule with the given nodes."""
+    sset, omegas = SpectralSet([(0.0, 25.0)]), np.asarray(omegas, dtype=float)
+    return free_model(sset, quad=SpectralQuadrature(sset, omegas, np.ones(omegas.size), 1))
+
+
 class TestFreeCase:
     def test_trivial_coefficients(self):
-        sweep = ScatteringSweep(None, 0.0, [0.5, 1.0, 2.0])
-        assert np.all(sweep.T == 1.0)
-        assert np.all(sweep.R1 == 0.0)
-        assert np.all(sweep.R2 == 0.0)
-        assert sweep.unitarity_defect() < 1e-15
+        # the scattering data of q = 0, T = 1 and R1 = R2 = 0, in the sweep's
+        # mix [[T, i T], [1 + R2, i (R2 - 1)]] and measure 1 / (2 pi)
+        model = free_at([0.5, 1.0, 2.0])
+        assert np.all(model.mix == np.array([[1.0, 1j], [1.0, -1j]])[:, :, None])
+        assert np.all(model.rho == 1.0 / (2 * np.pi))
 
     def test_plane_waves(self):
-        sweep = ScatteringSweep(None, 0.0, [2.0])
+        model = free_at([2.0])
         xs = np.linspace(-3, 3, 11)
-        out = sweep_phi(sweep, xs)
+        out = phi(model, xs)
         assert np.allclose(out[0, 0], np.exp(2j * xs))
         assert np.allclose(out[1, 0], np.exp(-2j * xs))
-        U = sweep.basis(xs)
+        U = model.basis(xs)
         assert U.dtype == np.float64
         assert np.allclose(U[:, 0], [np.cos(2 * xs), np.sin(2 * xs)])
 
@@ -147,8 +146,8 @@ class TestSmoothPotential:
     def test_continuity_at_support_edge(self, sweep):
         eps = 1e-7
         for edge in (-1.0, 1.0):
-            inner = sweep_phi(sweep, edge - np.sign(edge) * eps)
-            outer = sweep_phi(sweep, edge + np.sign(edge) * eps)
+            inner = phi(sweep, edge - np.sign(edge) * eps)
+            outer = phi(sweep, edge + np.sign(edge) * eps)
             assert np.max(np.abs(inner - outer)) < 1e-5
 
     def test_tails_are_the_scattering_waves(self, sweep):
@@ -162,9 +161,9 @@ class TestSmoothPotential:
         assert U.dtype == np.float64
         assert np.max(np.abs(U[0][:, right] - e[:, right].real)) < 1e-14
         assert np.max(np.abs(U[1][:, right] - e[:, right].imag)) < 1e-14
-        phi = sweep_phi(sweep, xs)
+        Phi = phi(sweep, xs)
         want = np.where(left, [e + R1 * e.conj(), T * e.conj()], [T * e, e.conj() + R2 * e])
-        assert np.max(np.abs(phi - want)) < 1e-12
+        assert np.max(np.abs(Phi - want)) < 1e-12
 
     def test_high_frequency_transparency(self):
         q = lambda x: np.exp(-np.asarray(x, float) ** 2 * 8) * (np.abs(x) <= 1)
@@ -176,17 +175,17 @@ class TestSmoothPotential:
     def test_cell_integral_matches_quadrature(self, sweep):
         # cells on each tail, across each support edge and inside the support
         edges = np.array([-3.0, -2.0, -0.6, 0.4, 1.5, 2.5])
-        cells = np.diff(sweep_antiderivative(sweep, edges), axis=-1)
+        cells = np.diff(phi(sweep, edges, integrated=True), axis=-1)
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             xs = np.linspace(lo, hi, 4001)
-            ref = np.trapezoid(sweep_phi(sweep, xs), xs, axis=2)
+            ref = np.trapezoid(phi(sweep, xs), xs, axis=2)
             assert np.max(np.abs(cells[:, :, i] - ref)) < 1e-5
 
     def test_antiderivative_free_plane_waves(self):
-        sweep = ScatteringSweep(None, 0.0, [0.5, 2.0])
+        model = free_at([0.5, 2.0])
         lo, hi = -1.5, 2.5
-        cells = np.diff(sweep_antiderivative(sweep, [lo, hi]), axis=-1)[:, :, 0]
-        w = sweep.omegas
+        cells = np.diff(phi(model, [lo, hi], integrated=True), axis=-1)[:, :, 0]
+        w = model.omegas
         expected = (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
         assert np.max(np.abs(cells[0] - expected)) < 1e-14
         assert np.max(np.abs(cells[1] - expected.conj())) < 1e-14
@@ -226,8 +225,8 @@ class TestOnePass:
         for got, want in ((sweep.T, ref.T), (sweep.R1, ref.R1), (sweep.R2, ref.R2)):
             assert rel_dev(got, want) < 1e-12
         xs = np.linspace(-a, a, 401)
-        assert rel_dev(sweep_phi(sweep, xs), ref.phi(xs)) < 1e-12
-        assert rel_dev(sweep_antiderivative(sweep, xs), ref.antiderivative(xs)) < 1e-12
+        assert rel_dev(phi(sweep, xs), ref.phi(xs)) < 1e-12
+        assert rel_dev(phi(sweep, xs, integrated=True), ref.antiderivative(xs)) < 1e-12
 
 
 BLENDS = [(1.0, 4.0, 1.5, "cubic"), (1.0, 2.0, 1.0, "cubic"), (2.0, 3.0, 0.8, "cubic"),
@@ -244,7 +243,7 @@ class TestBlendTransmission:
         prof = profile_from_config(prof_cfg)
         omegas = np.array([0.05, 0.5, 2.0, 5.0])
         sset = SpectralSet([(0.0, 25.0)])
-        quad = SpectralQuadrature(sset, omegas, np.ones(4), 1, 4.0)
+        quad = SpectralQuadrature(sset, omegas, np.ones(4), 1)
         T_ref = np.array([reference_transmission(prof, w) for w in omegas])
         cfg = {"model": "schrodinger", "profile": prof_cfg, "spectral_set": [[0.0, 25.0]]}
         for model in (LiouvilleModel(prof, sset, quad=quad).inner, _model(cfg, quad=quad)):
@@ -281,29 +280,37 @@ class TestLiouvilleConsistency:
 
 class TestSpectralTransform:
     def test_free_gaussian(self):
-        # for q = 0 the transform is the ordinary Fourier transform at +-omega
-        sset = SpectralSet([(0.0, 4.0)])
+        # for q = 0, F_c = int f conj(Phi_c) is the Fourier integral at +-omega,
+        # sqrt(2 pi) exp(-omega^2 / 2) for the unit gaussian
         omegas = np.array([0.7, 1.4])
-        quad = SpectralQuadrature(sset, omegas, np.ones(2), 1, 2.0)
-        model = SchrodingerModel(None, 0.0, sset, quad=quad)
         f = lambda x: np.exp(-np.asarray(x, float) ** 2 / 2)
-        F = transform(model, f, (-12.0, 12.0)).F
-        expected = np.exp(-omegas**2 / 2)  # hat of the unit gaussian
+        F = transform(free_at(omegas), f, (-12.0, 12.0)).F
+        expected = np.sqrt(2 * np.pi) * np.exp(-omegas**2 / 2)
         assert np.max(np.abs(F[0] - expected)) < 1e-10
         assert np.max(np.abs(F[1] - expected)) < 1e-10
 
     def test_rejects_nonpositive_omega(self):
+        q = lambda x: np.ones_like(np.asarray(x, float))
         with pytest.raises(MatchingError):
-            ScatteringSweep(None, 0.0, [0.0, 1.0])
+            ScatteringSweep(q, 1.0, [0.0, 1.0])
+
+    def test_rejects_empty_support(self):
+        q = lambda x: np.ones_like(np.asarray(x, float))
+        with pytest.raises(MatchingError, match="support radius"):
+            ScatteringSweep(q, 0.0, [1.0])
 
     def test_wronskian_relation(self):
         # Phi2 is continuous across -a, where its tail is T e^{-i omega x}
         q = lambda x: np.sin(np.asarray(x, float)) ** 2 * (np.abs(x) <= 1)
         sweep = ScatteringSweep(q, 1.0, [2.2])
-        assert abs(sweep_phi(sweep, -1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
+        assert abs(phi(sweep, -1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
 
     def test_phi_at_scalar_point(self):
-        v = sweep_phi(ScatteringSweep(None, 0.0, [1.0]), 0.5)
+        # 0.5 is right of the support [-0.25, 0.25]: Phi = (T e, conj(e) + R2 e)
+        q = lambda x: 2.0 * np.ones_like(np.asarray(x, float))
+        sweep = ScatteringSweep(q, 0.25, [1.0])
+        v = phi(sweep, 0.5)
         assert v.shape == (2, 1, 1)
-        assert abs(v[0, 0, 0] - np.exp(0.5j)) < 1e-14
-        assert abs(v[1, 0, 0] - np.exp(-0.5j)) < 1e-14
+        e = np.exp(0.5j)
+        assert abs(v[0, 0, 0] - sweep.T[0] * e) < 1e-14
+        assert abs(v[1, 0, 0] - (e.conj() + sweep.R2[0] * e)) < 1e-14

@@ -178,7 +178,8 @@ class TestWaves:
     def test_unfactored_nodes(self):
         # nodes given directly are their own offsets behind the one shift 0
         nodes = np.array([0.3, 1.7, 2.9])
-        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), nodes, np.ones(3), 1, 3.0)
+        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), nodes, np.ones(3), 1)
+        assert q.covered_measure == 3.0  # the sum of the weights, on any rule
         w = q.waves(self.t)
         assert np.array_equal(w[0], np.cos(np.multiply.outer(nodes, self.t)))
         assert np.array_equal(w[1], np.sin(np.multiply.outer(nodes, self.t)))
@@ -190,5 +191,4 @@ class TestWaves:
     def test_factorisation_checked(self, blocks):
         nodes = np.array([0.25, 0.5, 1.25, 1.5])
         with pytest.raises(SpectralSetError):
-            SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), 1, 4.0,
-                               blocks)
+            SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), 1, blocks)
