@@ -16,10 +16,12 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .config import REQUIRED, ConfigError, Table, choice, count, number, numbers, window
 from .density import (DensityError, beurling_density, gap_density_bound, landau_sweep,
                       quasi_uniform_set, separation)
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
@@ -32,76 +34,16 @@ from .schrodinger import ScatteringSweep
 from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
 
 
-class ConfigError(ValueError):
-    pass
+def _spectral_set(x, name, error):
+    """Config kind of a spectral set: a non-empty list of [lo, hi] pairs of finite numbers."""
+    if not (isinstance(x, list) and x and all(isinstance(iv, list) and len(iv) == 2 for iv in x)):
+        raise error(f"{name} must be a non-empty list of [lo, hi] pairs, got {x!r}")
+    return SpectralSet([[number(v, f"each end of {name}", error) for v in iv] for iv in x])
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"missing field {key!r} in config")
-    return cfg[key]
-
-
-def _count(block, key, default, least, what):
-    """An integer field of a config block, at least ``least``; bools are refused."""
-    n = block.get(key, default)
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= least):
-        raise ConfigError(f"{what} must be an integer >= {least}, got {n!r}")
-    return n
-
-
-def _number(x, what):
-    """A finite int or float config value; bools and strings are refused."""
-    if isinstance(x, bool) or not (isinstance(x, (int, float)) and abs(x) <= sys.float_info.max):
-        raise ConfigError(f"{what} must be a finite number, got {x!r}")
-    return x
-
-
-def _numbers(cfg, key, default, positive=False):
-    """A non-empty list of finite numbers, all positive if ``positive``."""
-    xs = cfg.get(key, default)
-    if not (isinstance(xs, list) and xs
-            and all(_number(x, f"each entry of {key}") > 0 or not positive for x in xs)):
-        kind = "positive" if positive else "finite"
-        raise ConfigError(f"{key} must be a non-empty list of {kind} numbers, got {xs!r}")
-    return xs
-
-
-def _window(cfg):
-    """The config's window (lo, hi): two finite numbers with lo < hi."""
-    window = _require(cfg, "window")
-    if not (isinstance(window, list) and len(window) == 2):
-        raise ConfigError(f"window must be a list [lo, hi] of two numbers, got {window!r}")
-    lo, hi = (_number(w, "each end of window") for w in window)
-    if not lo < hi:
-        raise ConfigError(f"window needs lo < hi, got {window!r}")
-    return lo, hi
-
-
-def _sset(cfg):
-    return SpectralSet(_require(cfg, "spectral_set"))
-
-
-def _profile(cfg):
-    return profile_from_config(_require(cfg, "profile"))
-
-
-def _smooth_profile(cfg, what):
-    prof = _profile(cfg)
-    if not prof.is_smooth:
-        raise ConfigError(f"{what} needs a smooth profile (kind 'smooth_blend'), "
-                          f"not {cfg['profile'].get('kind')!r}")
-    return prof
-
-
-def _step_values(cfg, what):
-    """(p_minus, p_plus) of a piecewise profile with its one jump at 0."""
-    prof = _profile(cfg)
-    if (not isinstance(prof, PiecewiseConstantProfile)
-            or prof.breakpoints.tolist() != [0.0]):
-        raise ConfigError(f"{what} needs a piecewise profile with exactly one "
-                          f"breakpoint, at 0, and two values")
-    return prof.p_minus, prof.p_plus
+def _profile_block(x, name, error):
+    """Config kind of a profile block; `profile_from_config` owns its format."""
+    return profile_from_config(x)
 
 
 def _is_unit(prof):
@@ -109,30 +51,114 @@ def _is_unit(prof):
     return prof.lower == prof.upper == 1.0
 
 
-def _model(cfg, quad=None, x_max=25.0):
-    """The spectral model the config names; ``quad`` replaces its Gauss rule.
+def _is_step(prof):
+    """Whether p is the toy model's step: two plateaus, one jump, at 0."""
+    return isinstance(prof, PiecewiseConstantProfile) and prof.breakpoints.tolist() == [0.0]
 
-    Otherwise the Gauss rule is sized for |x| <= x_max, so a caller that
-    evaluates the kernel out to ``x_max`` gets it at the rule's accuracy.
+
+def _needs(ok, who, what):
+    if not ok:
+        raise ConfigError(f"{who} needs {what}")
+
+
+_SMOOTH = "a smooth profile (kind 'smooth_blend')"
+_STEP = "a piecewise profile with exactly one breakpoint, at 0, and two values"
+
+
+def _model(kind, prof, sset, quad=None, x_max=25.0):
+    """The spectral model of kind ``kind`` (one of ``_MODELS``) on (prof, sset).
+
+    ``quad`` replaces its Gauss rule. Otherwise the Gauss rule is sized for
+    |x| <= x_max, so a caller that evaluates the kernel out to ``x_max`` gets
+    it at the rule's accuracy.
     """
-    kind = cfg.get("model", "free")
-    sset = _sset(cfg)
     if kind == "free":
-        if "profile" in cfg and not _is_unit(_profile(cfg)):
+        if not _is_unit(prof):
             raise ConfigError("model 'free' is the space of p = 1, but the profile is "
                               "not identically 1")
         return free_model(sset, quad=quad, x_max=x_max)
     if kind == "toy":
-        return ToyModel(*_step_values(cfg, "model 'toy'"), sset, quad=quad, x_max=x_max)
+        _needs(_is_step(prof), "model 'toy'", _STEP)
+        return ToyModel(prof.p_minus, prof.p_plus, sset, quad=quad, x_max=x_max)
+    _needs(prof.is_smooth, f"model {kind!r}", _SMOOTH)
     if kind == "liouville":
-        return LiouvilleModel(_smooth_profile(cfg, "model 'liouville'"), sset, quad=quad,
-                              x_max=x_max)
-    if kind == "schrodinger":
-        prof = _smooth_profile(cfg, "model 'schrodinger'")
-        return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
-                                sset, quad=quad, x_max=x_max,
-                                breakpoints=prof.zeta([-prof.R, prof.R]))
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return LiouvilleModel(prof, sset, quad=quad, x_max=x_max)
+    return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
+                            sset, quad=quad, x_max=x_max,
+                            breakpoints=prof.zeta([-prof.R, prof.R]))
+
+
+def _landau_model(c, block):
+    """landau runs the model its profile implies: liouville for a smooth blend, free for p = 1."""
+    if c.profile.is_smooth:
+        kind = "liouville"
+    elif _is_unit(c.profile):
+        c.profile, kind = constant_profile(1.0), "free"
+    else:
+        raise ConfigError("landau needs a 'smooth_blend' profile or the constant "
+                          "piecewise profile with value 1.0")
+    if c.model not in (None, kind):
+        raise ConfigError(f"landau runs model {kind!r} for this profile, not {c.model!r}")
+    c.model = kind
+
+
+def _omega_order(c, block):
+    if not 0 < c.lo <= c.hi:
+        raise ConfigError(f"{_OMEGA_GRID}, got lo={c.lo}, hi={c.hi}")
+
+
+def _one_point_source(c, block):
+    if "points" in block and "target_density" in block:
+        raise ConfigError("density takes points or target_density, not both")
+
+
+# -- config tables ---------------------------------------------------------
+
+_MODELS = ("free", "toy", "liouville", "schrodinger")
+_OMEGA_GRID = "omega_grid needs 0 < lo <= hi and an integer n >= 1"
+_UNIT = {"kind": "piecewise", "breakpoints": [], "values": [1.0]}  # p = 1
+
+KERNEL = Table({
+    "model": (choice(*_MODELS), "free"),
+    "profile": (_profile_block, _UNIT),
+    "spectral_set": (_spectral_set, REQUIRED),
+    "grid": (Table({"lo": (number, -10.0), "hi": (number, 10.0), "n": (count(1), 101)}), {}),
+})
+SCATTER = Table({
+    "profile": (_profile_block, REQUIRED),
+    "omega_grid": (Table({"lo": (number, 0.05), "hi": (number, 5.0),
+                          "n": (count(1), 200, _OMEGA_GRID)}, check=_omega_order), {}),
+}, check=lambda c, block: _needs(c.profile.is_smooth, "scatter", _SMOOTH))
+RECONSTRUCT = Table({
+    # schrodinger's Phi lives in the warped coordinate, not in the samples' x
+    "model": (choice("free", "toy", "liouville"), "free"),
+    "profile": (_profile_block, REQUIRED),
+    "spectral_set": (_spectral_set, REQUIRED),
+    "window": (window, REQUIRED),
+    "n_max": (count(1), 40),
+    "tol": (number, 0.0),
+    "output_points": (count(1), 801),
+})
+SHANNON = Table({
+    "profile": (_profile_block, REQUIRED),
+    "spectral_set": (_spectral_set, REQUIRED),
+    "j_max": (count(0), 20),
+}, check=lambda c, block: _needs(_is_step(c.profile), "shannon", _STEP))
+DENSITY = Table({
+    "profile": (_profile_block, REQUIRED),
+    "window": (window, REQUIRED),
+    "r_values": (numbers(positive=True), [5.0, 10.0, 20.0]),
+    "points": (numbers(), None),
+    # a density <= 0 leaves fewer than two points: quasi_uniform_set refuses it
+    "target_density": (number, 0.5),
+}, check=_one_point_source)
+LANDAU = Table({
+    "model": (choice(*_MODELS), None),  # the model the profile implies
+    "profile": (_profile_block, _UNIT),
+    "spectral_set": (_spectral_set, REQUIRED),
+    "density_grid": (numbers(positive=True), None),  # critical density x 0.65, 0.75, ..., 1.35
+    "window_halfwidths": (numbers(positive=True), [40.0, 80.0, 160.0]),
+}, check=_landau_model)
 
 
 def _write_report(out_dir, cfg, extra, t0):
@@ -148,7 +174,7 @@ def _write_report(out_dir, cfg, extra, t0):
         "timings": {"elapsed_seconds": round(time.time() - t0, 3)},
     }
     payload.update(extra)
-    with open(Path(out_dir) / "report.json", "w") as fh:
+    with open(out_dir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -161,157 +187,100 @@ def _quadrature_report(model):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_kernel(cfg, out_dir, rng):
-    t0 = time.time()
-    g = cfg.get("grid", {})
-    lo, hi = _number(g.get("lo", -10.0), "grid.lo"), _number(g.get("hi", 10.0), "grid.hi")
-    n = _count(g, "n", 101, 1, "grid.n")
-    model = _model(cfg, x_max=max(abs(lo), abs(hi)))
+def cmd_kernel(c, args):
+    lo, hi, n = c.grid.lo, c.grid.hi, c.grid.n
+    model = _model(c.model, c.profile, c.spectral_set, x_max=max(abs(lo), abs(hi)))
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs)
-    _write_csv(Path(out_dir) / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],
+    _write_csv(args.out / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],
                np.column_stack([xs, K]), fmt="%.12g")
     # one row per pair of the coarse grid; the kernel is real, so im_k is 0
     coarse = xs[:: max(1, n // 20)]
     Kc = model.kernel_matrix(coarse, coarse)
-    _write_csv(Path(out_dir) / "kernel_pairs.csv", ["x", "y", "re_k", "im_k"],
+    _write_csv(args.out / "kernel_pairs.csv", ["x", "y", "re_k", "im_k"],
                np.column_stack([np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size),
                                 Kc.ravel(), np.zeros(Kc.size)]))
-    _write_report(out_dir, cfg, {"subcommand": "kernel",
-                                 "diagonal_max": float(np.max(np.diag(K))),
-                                 **_quadrature_report(model)}, t0)
-    return 0
+    return 0, {"diagonal_max": float(np.max(np.diag(K))), **_quadrature_report(model)}
 
 
-def cmd_scatter(cfg, out_dir, rng):
-    t0 = time.time()
-    prof = _smooth_profile(cfg, "scatter")
-    om = cfg.get("omega_grid", {})
-    lo = _number(om.get("lo", 0.05), "omega_grid.lo")
-    hi = _number(om.get("hi", 5.0), "omega_grid.hi")
-    n = om.get("n", 200)
-    if not (lo > 0 and hi >= lo and isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise ConfigError(f"omega_grid needs 0 < lo <= hi and an integer n >= 1, "
-                          f"got lo={lo}, hi={hi}, n={n}")
-    omegas = np.linspace(lo, hi, n)
+def cmd_scatter(c, args):
+    prof, om = c.profile, c.omega_grid
     sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                            omegas, breakpoints=prof.zeta([-prof.R, prof.R]),
-                            store_interior=False)
-    _write_csv(Path(out_dir) / "scattering.csv",
+                            np.linspace(om.lo, om.hi, om.n),
+                            breakpoints=prof.zeta([-prof.R, prof.R]), store_interior=False)
+    _write_csv(args.out / "scattering.csv",
                ["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2", "unitarity_defect"],
                np.column_stack([sweep.omegas, sweep.T.real, sweep.T.imag, sweep.R1.real,
                                 sweep.R1.imag, sweep.R2.real, sweep.R2.imag, sweep.defects]))
     defect = sweep.unitarity_defect()
-    _write_report(out_dir, cfg, {"subcommand": "scatter",
-                                 "max_unitarity_defect": defect,
-                                 "support_radius": sweep.a,
-                                 "rk4_step": sweep.step,
-                                 "rk4_steps": sweep.n_steps}, t0)
-    return 0 if defect < 1e-7 else 1
+    return (0 if defect < 1e-7 else 1), {"max_unitarity_defect": defect,
+                                         "support_radius": sweep.a,
+                                         "rk4_step": sweep.step,
+                                         "rk4_steps": sweep.n_steps}
 
 
-def cmd_reconstruct(cfg, out_dir, rng, samples_path=None):
-    t0 = time.time()
-    if cfg.get("model") == "schrodinger":
-        # its Phi lives in the warped coordinate, not in the samples' x
-        raise ConfigError("reconstruct supports model kinds 'toy', 'free' and 'liouville', "
-                          "not 'schrodinger'")
-    if not samples_path:
-        raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
-    pts, vals = samples_from_csv(samples_path)
-    prof = _profile(cfg)
-    sset = _sset(cfg)
-    omega_max = sset.lambda_max
-    window = _window(cfg)
+def cmd_reconstruct(c, args):
+    pts, vals = samples_from_csv(args.samples)
+    prof, sset, window = c.profile, c.spectral_set, c.window
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
-    model = _model(cfg, quad=uniform_quadrature(sset, np.pi / wz))
-    n_max = _count(cfg, "n_max", 40, 1, "n_max")
-    tol = _number(cfg.get("tol", 0.0), "tol")
-    xs = np.linspace(window[0], window[1], _count(cfg, "output_points", 801, 1, "output_points"))
-    f_rec, report = reconstruct_iterative(model, prof, pts, vals, omega_max, window,
-                                          n_max=n_max, tol=tol)
+    model = _model(c.model, prof, sset, quad=uniform_quadrature(sset, np.pi / wz))
+    f_rec, report = reconstruct_iterative(model, prof, pts, vals, sset.lambda_max, window,
+                                          n_max=c.n_max, tol=c.tol)
+    xs = np.linspace(window[0], window[1], c.output_points)
     fx = f_rec.evaluate(xs)
-    _write_csv(Path(out_dir) / "reconstruction.csv", ["x", "re_f", "im_f"],
+    _write_csv(args.out / "reconstruction.csv", ["x", "re_f", "im_f"],
                np.column_stack([xs, fx.real, fx.imag]))
-    with open(Path(out_dir) / "reconstruction_report.json", "w") as fh:
+    with open(args.out / "reconstruction_report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
-    _write_report(out_dir, cfg, {"subcommand": "reconstruct",
-                                 "delta": report.delta,
-                                 "gap_condition_passes": report.passes,
-                                 **_quadrature_report(model)}, t0)
-    return 0 if report.passes else 1
+    return (0 if report.passes else 1), {"delta": report.delta,
+                                         "gap_condition_passes": report.passes,
+                                         **_quadrature_report(model)}
 
 
-def cmd_shannon(cfg, out_dir, rng):
-    t0 = time.time()
-    pm, pp = _step_values(cfg, "shannon")
-    omega_max = _sset(cfg).lambda_max
-    j_max = _count(cfg, "j_max", 20, 0, "j_max")
-    G = shannon_gram(pm, pp, omega_max, j_max)
+def cmd_shannon(c, args):
+    j_max = c.j_max
+    G = shannon_gram(c.profile.p_minus, c.profile.p_plus, c.spectral_set.lambda_max, j_max)
     dev = np.abs(G - np.eye(G.shape[0]))
     ij = np.arange(-j_max, j_max + 1)
-    _write_csv(Path(out_dir) / "gram.csv", ["i", "j", "gram", "deviation"],
+    _write_csv(args.out / "gram.csv", ["i", "j", "gram", "deviation"],
                np.column_stack([np.repeat(ij, ij.size), np.tile(ij, ij.size),
                                 G.ravel(), dev.ravel()]),
                fmt=["%d", "%d", "%.15g", "%.3g"])
     max_offdiag = float(np.max(dev))
-    _write_report(out_dir, cfg, {"subcommand": "shannon",
-                                 "max_gram_deviation": max_offdiag}, t0)
-    return 0 if max_offdiag < 1e-8 else 1
+    return (0 if max_offdiag < 1e-8 else 1), {"max_gram_deviation": max_offdiag}
 
 
-def cmd_density(cfg, out_dir, rng):
-    t0 = time.time()
-    prof = _profile(cfg)
-    window = _window(cfg)
-    r_list = _numbers(cfg, "r_values", [5.0, 10.0, 20.0], positive=True)
-    if "points" in cfg:
-        pts = np.asarray(_numbers(cfg, "points", None), dtype=float)
+def cmd_density(c, args):
+    prof, window = c.profile, c.window
+    if c.points is not None:
+        pts = np.asarray(c.points, dtype=float)
     else:
-        # a density <= 0 leaves fewer than two points: quasi_uniform_set refuses it
-        density = _number(cfg.get("target_density", 0.5), "target_density")
-        pts = quasi_uniform_set(prof, density, window)
-    rep = beurling_density(prof, pts, r_list, window)
-    _write_csv(Path(out_dir) / "density.csv", ["r", "inf_count_over_r", "sup_count_over_r"],
+        pts = quasi_uniform_set(prof, c.target_density, window)
+    rep = beurling_density(prof, pts, c.r_values, window)
+    _write_csv(args.out / "density.csv", ["r", "inf_count_over_r", "sup_count_over_r"],
                np.column_stack([rep.r_values, rep.lower, rep.upper]))
     eta, bound, d_minus, holds = gap_density_bound(prof, pts, window=window)
     gap, n0 = separation(prof, pts)
-    _write_report(out_dir, cfg, {
-        "subcommand": "density",
+    return (0 if holds else 1), {
         "finite_window_estimates": True,
         "d_minus": rep.d_minus, "d_plus": rep.d_plus,
         "eta": eta, "gap_bound": bound, "gap_bound_holds": holds,
         "min_mu_gap": gap, "relative_separation": n0,
-    }, t0)
-    return 0 if holds else 1
+    }
 
 
-def cmd_landau(cfg, out_dir, rng):
-    t0 = time.time()
-    prof = profile_from_config(cfg.get("profile", {"kind": "piecewise", "breakpoints": [],
-                                                   "values": [1.0]}))
-    sset = _sset(cfg)
+def cmd_landau(c, args):
+    sset = c.spectral_set
     crit = sset.sqrt_measure / np.pi
-    grid = _numbers(cfg, "density_grid", list(crit * np.arange(0.65, 1.4, 0.1)), positive=True)
-    windows = _numbers(cfg, "window_halfwidths", [40.0, 80.0, 160.0], positive=True)
-    if prof.is_smooth:
-        kind = "liouville"
-    elif _is_unit(prof):
-        prof, kind = constant_profile(1.0), "free"
-    else:
-        raise ConfigError("landau needs a 'smooth_blend' profile or the constant "
-                          "piecewise profile with value 1.0")
-    if cfg.get("model", kind) != kind:
-        raise ConfigError(f"landau runs model {kind!r} for this profile, not "
-                          f"{cfg['model']!r}")
+    grid = c.density_grid or list(crit * np.arange(0.65, 1.4, 0.1))
 
     def builder(wz):
         # quadrature matched to the warped window, as `landau_sweep` requires
-        return _model(dict(cfg, model=kind), quad=uniform_quadrature(sset, np.pi / wz))
+        return _model(c.model, c.profile, sset, quad=uniform_quadrature(sset, np.pi / wz))
 
-    res = landau_sweep(builder, prof, sset, grid, windows)
+    res = landau_sweep(builder, c.profile, sset, grid, c.window_halfwidths)
     nd, nw = len(res.densities), len(res.windows)
-    _write_csv(Path(out_dir) / "landau_sweep.csv",
+    _write_csv(args.out / "landau_sweep.csv",
                ["density", "window_halfwidth", "A_est", "B_est", "gram_min"],
                np.column_stack([np.repeat(res.densities, nw), np.tile(res.windows, nd),
                                 res.a_table.ravel(), res.b_table.ravel(),
@@ -319,18 +288,17 @@ def cmd_landau(cfg, out_dir, rng):
     # a bracket end that no density reached is NaN: null in the report
     low, high = (t if np.isfinite(t) else None for t in (res.threshold_low, res.threshold_high))
     bracketed = bool(low is not None and high is not None and low <= res.critical <= high)
-    _write_report(out_dir, cfg, {
-        "subcommand": "landau", "finite_window_estimates": True,
+    return (0 if bracketed else 1), {
+        "finite_window_estimates": True,
         "critical_density": res.critical,
         "last_degenerating": low,
         "first_stabilizing": high,
         "brackets_critical": bracketed,
-    }, t0)
-    return 0 if bracketed else 1
+    }
 
 
-def cmd_selftest(cfg, out_dir, rng):
-    t0 = time.time()
+def cmd_selftest(c, args):
+    rng = np.random.default_rng(args.seed)
     failures = []
 
     def check(name, ok, detail=""):
@@ -381,20 +349,23 @@ def cmd_selftest(cfg, out_dir, rng):
     a_est, b_est = frame_bounds_estimate(fm2, X, window=(-wz, wz))
     check("tight_frame_on_shannon_grid", abs(a_est / b_est - 1) < 0.05,
           f"A={a_est:.4f} B={b_est:.4f}")
+    return (0 if not failures else 1), {"failures": failures}
 
-    _write_report(out_dir, cfg, {"subcommand": "selftest",
-                                 "failures": failures}, t0)
-    return 0 if not failures else 1
+
+class Command(NamedTuple):
+    run: Callable  # (parsed config, argv namespace) -> (exit code, report entries)
+    table: Table
+    reads_samples: bool = False
 
 
 COMMANDS = {
-    "kernel": cmd_kernel,
-    "scatter": cmd_scatter,
-    "reconstruct": cmd_reconstruct,
-    "shannon": cmd_shannon,
-    "density": cmd_density,
-    "landau": cmd_landau,
-    "selftest": cmd_selftest,
+    "kernel": Command(cmd_kernel, KERNEL),
+    "scatter": Command(cmd_scatter, SCATTER),
+    "reconstruct": Command(cmd_reconstruct, RECONSTRUCT, reads_samples=True),
+    "shannon": Command(cmd_shannon, SHANNON),
+    "density": Command(cmd_density, DENSITY),
+    "landau": Command(cmd_landau, LANDAU),
+    "selftest": Command(cmd_selftest, Table({})),
 }
 
 
@@ -408,21 +379,24 @@ def main(argv=None):
     ap.add_argument("--samples", type=Path, default=None,
                     help="sample CSV for the reconstruct subcommand")
     args = ap.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
+    command = COMMANDS[args.subcommand]
     try:
         cfg = {}
         if args.config is not None:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-            if not isinstance(cfg, dict):
-                raise ConfigError(f"config {args.config} must hold a JSON object, "
-                                  f"not a {type(cfg).__name__}")
+        c = command.table(cfg)
+        if command.reads_samples and args.samples is None:
+            raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
+        if args.samples is not None and not command.reads_samples:
+            raise ConfigError(f"{args.subcommand} reads no --samples; only reconstruct does")
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "reconstruct":
-            return cmd_reconstruct(cfg, args.out, rng, samples_path=args.samples)
-        return COMMANDS[args.subcommand](cfg, args.out, rng)
+        t0 = time.time()
+        code, report = command.run(c, args)
+        _write_report(args.out, cfg, {"subcommand": args.subcommand, **report}, t0)
+        return code
     except (ConfigError, ProfileError, SpectralSetError, SamplingError, DensityError,
-            FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

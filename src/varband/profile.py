@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import REQUIRED, Table, choice, number, numbers
+
 
 class ProfileError(ValueError):
     pass
@@ -329,21 +331,35 @@ def constant_profile(value=1.0, R=1.0):
     return blend_profile(value, value, R=R)
 
 
+# the format of a config's profile block: one table per kind
+PROFILE_FIELDS = {
+    "piecewise": Table({"kind": (choice("piecewise"), REQUIRED),
+                        "breakpoints": (numbers(empty=True), REQUIRED),
+                        "values": (numbers(), REQUIRED)}),
+    "smooth_blend": Table({"kind": (choice("smooth_blend"), REQUIRED),
+                           "p_minus": (number, REQUIRED), "p_plus": (number, REQUIRED),
+                           "R": (number, 1.0), "blend": (choice("cubic", "quintic"), "quintic")}),
+}
+
+
 def profile_from_config(cfg):
-    """Build a profile from the experiment-config block.
+    """Build a profile from a config's profile block, read through `PROFILE_FIELDS`.
 
     Piecewise: {"kind": "piecewise", "breakpoints": [...], "values": [...]}
     Smooth:    {"kind": "smooth_blend", "R": .., "p_minus": .., "p_plus": ..,
                 "blend": "cubic"|"quintic"}
+
+    An unknown, missing or mistyped key raises `ProfileError`.
     """
+    if not isinstance(cfg, dict):
+        raise ProfileError(f"profile must hold a JSON object, not a {type(cfg).__name__}")
     kind = cfg.get("kind")
+    if not (isinstance(kind, str) and kind in PROFILE_FIELDS):
+        raise ProfileError(f"unknown profile kind {kind!r}, not 'piecewise' or 'smooth_blend'")
+    c = PROFILE_FIELDS[kind](cfg, "profile", ProfileError)
     if kind == "piecewise":
-        return PiecewiseConstantProfile(cfg["breakpoints"], cfg["values"])
-    if kind == "smooth_blend":
-        return blend_profile(
-            cfg["p_minus"], cfg["p_plus"], R=cfg.get("R", 1.0), kind=cfg.get("blend", "quintic")
-        )
-    raise ProfileError(f"unknown profile kind {kind!r}")
+        return PiecewiseConstantProfile(c.breakpoints, c.values)
+    return blend_profile(c.p_minus, c.p_plus, R=c.R, kind=c.blend)
 
 
 def _unpack(interval):

@@ -184,7 +184,8 @@ def gauss_legendre_quadrature(sset, t_max=10.0):
     summed over the intervals. The nodes of an interval are its panels' left
     edges (the shifts) plus the sixteen offsets h (1 + x_j) (h the half panel
     width, x_j the Legendre roots), which are non-negative, unlike the
-    centred h x_j.
+    centred h x_j. A rule of more nodes than an array can index raises
+    `SpectralSetError`.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
     s = 2.0 * float(t_max)
@@ -192,7 +193,12 @@ def gauss_legendre_quadrature(sset, t_max=10.0):
     for a, b in sset.sqrt_intervals:
         if b <= a:
             continue
-        n_panels = max(1, int(np.ceil((b - a) * s / _GL_PANEL_PHASE)))
+        panels = float(np.ceil((b - a) * s / _GL_PANEL_PHASE))
+        # checked before anything is allocated; also refuses an infinite phase
+        if not _GL_ORDER * panels <= np.iinfo(np.intp).max:
+            raise SpectralSetError(f"a Gauss-Legendre rule for phases up to {t_max:g} needs "
+                                   f"{_GL_ORDER * panels:g} nodes, more than an array can index")
+        n_panels = max(1, int(panels))
         h = 0.5 * (b - a) / n_panels
         edges = np.linspace(a, b, n_panels + 1)
         blocks.append((edges[:-1], h * (1.0 + gx), _GL_ORDER * n_panels))

@@ -655,6 +655,7 @@ class TestFreeModelProfile:
 
 
 UNIT = {"kind": "piecewise", "breakpoints": [], "values": [1.0]}
+BLEND_12 = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0}
 RECONSTRUCT = {"model": "free", "spectral_set": [[0.0, 1.0]], "profile": UNIT,
                "window": [-10.0, 10.0]}
 SAMPLES_HEADER = "x,re_value,im_value\n"
@@ -745,6 +746,82 @@ BAD_INPUTS = {
     "landau_zero_window_halfwidth": (
         "landau", {"spectral_set": [[0.0, 1.0]], "window_halfwidths": [30.0, 0]}, None,
         "window_halfwidths must be a non-empty list of positive numbers"),
+    "kernel_string_spectral_set": (
+        "kernel", {"spectral_set": "ab"}, None,
+        "spectral_set must be a non-empty list of [lo, hi] pairs, got 'ab'"),
+    "kernel_non_numeric_spectral_end": (
+        "kernel", {"spectral_set": [[0, "x"]]}, None,
+        "each end of spectral_set must be a finite number, got 'x'"),
+    # 1e309 is what a JSON 1e309 reads as: infinity
+    "kernel_infinite_spectral_end": (
+        "kernel", {"spectral_set": [[0, 1e309]]}, None,
+        "each end of spectral_set must be a finite number, got inf"),
+    "kernel_grid_not_object": (
+        "kernel", {"spectral_set": [[0.0, 1.0]], "grid": [1, 2]}, None,
+        "grid must hold a JSON object, not a list"),
+    "density_profile_not_object": (
+        "density", {"profile": "flat", "window": [-20.0, 20.0]}, None,
+        "profile must hold a JSON object, not a str"),
+    "density_non_numeric_plateau": (
+        "density", {"profile": dict(STEP_14, values=["a", 1]), "window": [-20.0, 20.0]}, None,
+        "each entry of profile.values must be a finite number, got 'a'"),
+    "scatter_string_p_plus": (
+        "scatter", {"profile": dict(BLEND_12, p_plus="2")}, None,
+        "profile.p_plus must be a finite number, got '2'"),
+    "scatter_null_R": (
+        "scatter", {"profile": dict(BLEND_12, R=None)}, None,
+        "profile.R must be a finite number, got None"),
+    # a Gauss-Legendre rule for these reaches has more nodes than an array can index
+    "kernel_grid_1e300": (
+        "kernel", {"spectral_set": [[0.0, 1.0]], "grid": {"lo": -1e300, "hi": 1e300, "n": 3}},
+        None, "more than an array can index"),
+    "kernel_grid_1e308": (
+        "kernel", {"spectral_set": [[0.0, 1.0]], "grid": {"lo": -1e308, "hi": 1e308, "n": 3}},
+        None, "more than an array can index"),
+    "density_points_and_target": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "points": [-1.0, 1.0],
+                    "target_density": 0.5, "r_values": [1.0]}, None,
+        "density takes points or target_density, not both"),
+}
+
+# subcommand, config, samples CSV text (or None), the unknown key and its block
+UNKNOWN_KEYS = {
+    # a misspelt grid and the retired x_max: the default grid must not run
+    "kernel_misspelt_grid": (
+        "kernel", {"model": "free", "spectral_set": [[0.0, 1.0]],
+                   "grd": {"lo": -3, "hi": 3, "n": 5}, "x_max": -1}, None, "grd", "config"),
+    "kernel_grid": (
+        "kernel", {"spectral_set": [[0.0, 1.0]], "grid": {"lo": -3.0, "step": 0.5}}, None,
+        "step", "grid"),
+    "scatter_omega_grid": (
+        "scatter", {"profile": BLEND_12, "omega_grid": {"lo": 0.1, "num": 5}}, None,
+        "num", "omega_grid"),
+    "density_profile": (
+        "density", {"profile": dict(BLEND_12, r=2.0), "window": [-20.0, 20.0]}, None,
+        "r", "profile"),
+    "shannon_model": (
+        "shannon", {"model": "toy", "profile": STEP_14, "spectral_set": [[0.0, 2.0]]}, None,
+        "model", "config"),
+    "density_spectral_set": (
+        "density", {"profile": STEP_14, "window": [-20.0, 20.0], "spectral_set": [[0.0, 1.0]]},
+        None, "spectral_set", "config"),
+    "reconstruct_x_max": (
+        "reconstruct", dict(RECONSTRUCT, x_max=6.0),
+        SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n", "x_max", "config"),
+    "landau_window": (
+        "landau", {"spectral_set": [[0.0, 1.0]], "window_halfwidth": [30.0]}, None,
+        "window_halfwidth", "config"),
+    "selftest_any_key": ("selftest", {"seed": 3}, None, "seed", "config"),
+}
+
+# a valid config of each subcommand but reconstruct
+VALID = {
+    "kernel": {"spectral_set": [[0.0, 1.0]], "grid": {"n": 3}},
+    "scatter": {"profile": BLEND_12, "omega_grid": {"n": 2}},
+    "shannon": {"profile": STEP_14, "spectral_set": [[0.0, 2.0]], "j_max": 1},
+    "density": {"profile": STEP_14, "window": [-20.0, 20.0], "r_values": [1.0]},
+    "landau": {"spectral_set": [[0.0, 1.0]], "density_grid": [0.3], "window_halfwidths": [20.0]},
+    "selftest": {},
 }
 
 
@@ -797,6 +874,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+    def test_unknown_key_exits_2(self, tmp_path, capsys, case):
+        subcommand, cfg, samples, key, block = UNKNOWN_KEYS[case]
+        out = tmp_path / "o"
+        args = [subcommand, "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]
+        if samples is not None:
+            (tmp_path / "samples.csv").write_text(samples)
+            args += ["--samples", tmp_path / "samples.csv"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown field {key!r} in {block}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(VALID))
+    def test_samples_outside_reconstruct_exits_2(self, tmp_path, capsys, subcommand):
+        cfg = write_cfg(tmp_path, "cfg.json", VALID[subcommand])
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, [0.0, 1.0], [1.0, 0.0])
+        out = tmp_path / "o"
+        assert run([subcommand, "--config", cfg, "--out", out, "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {subcommand} reads no --samples; only reconstruct does\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", sorted(COMMANDS))
     def test_config_must_be_object(self, tmp_path, capsys, subcommand):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -350,3 +351,23 @@ class TestConfig:
     def test_unknown(self):
         with pytest.raises(ProfileError):
             profile_from_config({"kind": "mystery"})
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"kind": "piecewise", "breakpoints": [], "values": [1.0], "value": 2.0},
+         "unknown field 'value' in profile"),
+        ({"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "radius": 1.0},
+         "unknown field 'radius' in profile"),
+        ({"kind": "piecewise", "values": [1.0]}, "missing field 'breakpoints' in profile"),
+        ({"kind": "smooth_blend", "p_plus": 2.0}, "missing field 'p_minus' in profile"),
+        ({"kind": "smooth_blend", "p_minus": 1.0, "p_plus": True},
+         "profile.p_plus must be a finite number, got True"),
+        ({"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "blend": "linear"},
+         "profile.blend must be one of 'cubic', 'quintic', got 'linear'"),
+        ({"kind": "piecewise", "breakpoints": 0.0, "values": [1.0, 2.0]},
+         "profile.breakpoints must be a list of finite numbers, got 0.0"),
+        ({"kind": ["piecewise"]}, "unknown profile kind ['piecewise']"),
+        ("flat", "profile must hold a JSON object, not a str"),
+    ])
+    def test_strict(self, cfg, message):
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            profile_from_config(cfg)

@@ -1,0 +1,55 @@
+"""The README's CLI field tables and config examples against the parser's tables."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from varband.cli import COMMANDS
+from varband.config import Table
+from varband.profile import PROFILE_FIELDS
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+TABLES = {**{name: command.table for name, command in COMMANDS.items()}, **PROFILE_FIELDS}
+JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.M | re.S)
+
+
+def sections():
+    """README section text under each heading ### `name` that names a table."""
+    found = {}
+    for part in re.split(r"^(?=##)", README, flags=re.M):
+        heading = re.match(r"### `(\w+)`", part)
+        if heading and heading[1] in TABLES:
+            found[heading[1]] = part
+    return found
+
+
+def field_names(table, prefix=""):
+    """The table's fields in order, a nested block's as block.field."""
+    for key, (kind, *_) in table.fields.items():
+        if isinstance(kind, Table):
+            yield from field_names(kind, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_table_has_a_section():
+    assert sorted(sections()) == sorted(TABLES)
+
+
+def test_every_json_example_is_in_a_section():
+    in_sections = sum(len(JSON_BLOCK.findall(text)) for text in sections().values())
+    assert in_sections == len(JSON_BLOCK.findall(README)) >= 7
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_listed_fields_are_the_table(name):
+    listed = re.findall(r"^\| `([\w.]+)` \|", sections()[name], flags=re.M)
+    assert listed == list(field_names(TABLES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_examples_parse(name):
+    for text in JSON_BLOCK.findall(sections()[name]):
+        TABLES[name](json.loads(text))

@@ -245,8 +245,8 @@ class TestBlendTransmission:
         sset = SpectralSet([(0.0, 25.0)])
         quad = SpectralQuadrature(sset, omegas, np.ones(4), 1)
         T_ref = np.array([reference_transmission(prof, w) for w in omegas])
-        cfg = {"model": "schrodinger", "profile": prof_cfg, "spectral_set": [[0.0, 25.0]]}
-        for model in (LiouvilleModel(prof, sset, quad=quad).inner, _model(cfg, quad=quad)):
+        for model in (LiouvilleModel(prof, sset, quad=quad).inner,
+                      _model("schrodinger", prof, sset, quad=quad)):
             assert np.max(np.abs(model.sweep.T - T_ref)) < 1e-8
 
 
