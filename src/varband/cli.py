@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import REQUIRED, ConfigError, Table, choice, count, number, numbers, window
+from .config import (REQUIRED, ConfigError, Table, choice, count, number, numbers, read_text,
+                     window)
 from .density import (DensityError, beurling_density, gap_density_bound, landau_sweep,
                       quasi_uniform_set, separation)
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
@@ -234,7 +235,9 @@ def cmd_reconstruct(c, args):
         json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
     return (0 if report.passes else 1), {"delta": report.delta,
                                          "gap_condition_passes": report.passes,
-                                         **_quadrature_report(model)}
+                                         **_quadrature_report(model),
+                                         "sampling_operator": report.operator,
+                                         "sampling_operator_remainder": report.operator_remainder}
 
 
 def cmd_shannon(c, args):
@@ -383,8 +386,7 @@ def main(argv=None):
     try:
         cfg = {}
         if args.config is not None:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
+            cfg = json.loads(read_text(args.config, "config", ConfigError))
         c = command.table(cfg)
         if command.reads_samples and args.samples is None:
             raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
@@ -396,7 +398,7 @@ def main(argv=None):
         _write_report(args.out, cfg, {"subcommand": args.subcommand, **report}, t0)
         return code
     except (ConfigError, ProfileError, SpectralSetError, SamplingError, DensityError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -108,3 +108,19 @@ def choice(*options):
             raise error(f"{name} must be one of {', '.join(map(repr, options))}, got {x!r}")
         return x
     return kind
+
+
+def read_text(path, what, error):
+    """The UTF-8 text of the file at path; a file that cannot be read raises ``error``.
+
+    A missing file, a directory, a file without read permission and bytes
+    that are not UTF-8 each give one message naming the file as ``what``.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path} is not UTF-8 text: {exc.reason} "
+                    f"at byte {exc.start}") from None

@@ -36,9 +36,12 @@ references for cross-validation.
 
 Every model uses one coefficient convention, F_c = int f conj(Phi_c), so
 that f = sum w rho F Phi.  ``SpectralModel.synthesize`` and ``analyze`` apply
-M and the weights w rho to (2, n_nodes) coefficients and leave the real
-tables of U to ``_contract``, the one product of a complex vector with a
-table.  Phi itself is never tabulated.
+M and the weights w rho to (2, n_nodes) coefficients (``basis_coefficients``
+and ``from_basis_sums``) and leave the real tables of U to ``_contract``,
+the one product of a complex vector with a table; the sampling operator
+shares the two coefficient steps and, for the step profile on a lattice
+rule, replaces the tables by nonuniform FFTs.  Phi itself is never
+tabulated.
 """
 
 from __future__ import annotations
@@ -192,19 +195,27 @@ class SpectralModel:
         """f = sum over (c, l) of w rho F Phi, at a table's points.
 
         ``table`` is U at m points as a (2 n_nodes, m) matrix; the mix and
-        the weights act on the coefficients, mix^T (weights F) at each node.
+        the weights act on the coefficients (see `basis_coefficients`).
         """
-        G = np.einsum("cal,cl->al", self.mix, self.weights() * F)
-        return _contract(G.ravel(), table)
+        return _contract(self.basis_coefficients(F).ravel(), table)
+
+    def basis_coefficients(self, F):
+        """G = mix^T (weights F) at each node, shape (2, n_nodes): f = sum G U."""
+        return np.einsum("cal,cl->al", self.mix, self.weights() * F)
 
     def analyze(self, values, table):
         """sum_i conj(Phi_i) v_i, shape (2, n_nodes).
 
         ``table`` holds U (or its cell integrals) at m points as a
         (2 n_nodes, m) matrix. Since conj(Phi) v = conj(mix U conj(v)), the
-        table is never conjugated: only the vector and the coefficients are.
+        table is never conjugated: only the vector and the coefficients are
+        (see `from_basis_sums`).
         """
         H = _contract(np.conj(np.asarray(values, dtype=complex)), table.T).reshape(2, -1)
+        return self.from_basis_sums(H)
+
+    def from_basis_sums(self, H):
+        """conj(mix H) at each node: the sums of conj(Phi) v from H = sum U conj(v)."""
         return np.conj(np.einsum("cal,al->cl", self.mix, H))
 
     # -- kernel evaluation ---------------------------------------------------

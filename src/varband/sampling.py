@@ -6,11 +6,15 @@ h <- (I - R) h sums to the original function with a geometric certificate
 gamma^(n+1) (pi + delta sqrt(Omega)) / (pi - delta sqrt(Omega)) ||f||, where
 gamma = delta sqrt(Omega) / pi and delta is the max gap in local units.
 
-The operator holds two (2 n_nodes, n_samples) tables of the model's real
-basis U (Phi = mix U at each node): U at the samples and the integrals of U
-over the cells. Both are float64 for every model, so every iteration reads
-real tables; the mix and the weights act on the (2, n_nodes) coefficients.
-The frame bounds are read off U as well (see `frame_bounds_estimate`).
+The operator needs two products with the model's real basis U (Phi = mix U
+at each node): with U at the samples, and with the integrals of U over the
+cells; the mix and the weights act on the (2, n_nodes) coefficients. For the
+step profile (and p = 1) on a window-matched lattice rule, U is plane waves
+in t = x / sqrt(p), so both products are nonuniform FFTs
+(`spectral.LatticeTransform`) on one grid per side of the jump, and no table
+is formed. Every other model and rule holds two float64 (2 n_nodes,
+n_samples) tables of U, and every iteration reads them. The frame bounds are
+read off U as well (see `frame_bounds_estimate`).
 
 Where gamma >= 1 no certificate exists: the norm surrogate and the certified
 bounds are then None (null in the JSON report), not infinities.
@@ -20,10 +24,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from io import StringIO
 
 import numpy as np
 
-from .kernel import _as_matrix, _sinc, toy_kernel
+from .config import read_text
+from .kernel import ToyModel, _as_matrix, _contract, _sinc, toy_kernel
 from .paleywiener import VarBandFunction
 from .profile import _unpack
 
@@ -83,6 +89,8 @@ class ReconstructionReport:
     converged: bool = False
     diagnosis: str = ""
     window: tuple = (0.0, 0.0)
+    operator: str = ""  # how R ran, and its remainder: see ReconstructionOperator
+    operator_remainder: float | None = None
 
     def to_json_dict(self):
         return {
@@ -101,25 +109,88 @@ class ReconstructionReport:
 
 
 class ReconstructionOperator:
-    """Precomputed R for a fixed model, sample set and window."""
+    """Precomputed R for a fixed model, sample set and window.
+
+    ``kind`` names how R runs: "nufft" for the step-profile model on a
+    lattice rule (see `_StepLattice`), "dense" with real tables of U
+    otherwise. ``remainder`` is the stated bound of the nonuniform FFTs
+    (`spectral.LatticeTransform`), None for the tables.
+    """
 
     def __init__(self, model, X, window):
         self.model = model
         self.points = _points(X)
         self.window = _unpack(window)
         edges = midpoint_partition(self.points, self.window)
-        # cells first, so their antiderivative table is freed before U is built
-        self.cells = _as_matrix(np.diff(model.basis_antiderivative(edges), axis=-1))
-        self.basis = _as_matrix(model.basis(self.points))
+        if isinstance(model, ToyModel) and model.quad.lattice is not None:
+            plan = _StepLattice(model, self.points, edges)
+            self.kind, self.remainder = "nufft", plan.remainder
+            self._at_points, self._over_cells = plan.at_points, plan.over_cells
+        else:
+            # cells first, so their antiderivative table is freed before U is built
+            self.cells = _as_matrix(np.diff(model.basis_antiderivative(edges), axis=-1))
+            self.basis = _as_matrix(model.basis(self.points))
+            self.kind, self.remainder = "dense", None
+            self._at_points = lambda G: _contract(G.ravel(), self.basis)
+            self._over_cells = lambda y: _contract(y, self.cells.T).reshape(2, -1)
 
     def sample(self, f):
-        return self.model.synthesize(f.F, self.basis)
+        return self._at_points(self.model.basis_coefficients(f.F))
 
     def from_values(self, values):
-        return VarBandFunction(self.model, self.model.analyze(values, self.cells))
+        sums = self._over_cells(np.conj(np.asarray(values, dtype=complex)))
+        return VarBandFunction(self.model, self.model.from_basis_sums(sums))
 
     def apply(self, f):
         return self.from_values(self.sample(f))
+
+
+class _StepLattice:
+    """The step-profile products of `ReconstructionOperator` as nonuniform FFTs.
+
+    With t = x / sqrt(p) and theta = omega t, U = (cos theta, sin theta / sqrt(p))
+    and its antiderivative is A = (sqrt(p) sin theta / omega,
+    (1 - cos theta) / omega), with p on x's side of the jump. Each side gets
+    its own FFT grid, on which sqrt(p) is one number, so every point and
+    every cell edge is read or written once per apply.
+
+    - At the samples, G_0 cos theta + G_1 sin theta / sqrt(p) is
+      a exp(i theta) + b exp(-i theta) with a, b = (G_0 -+ i G_1 / sqrt(p)) / 2:
+      a type-2 transform.
+    - Over the cells, summation by parts moves the difference of A onto the
+      values: sum_i y_i (A(e_(i+1)) - A(e_i)) = sum_j d_j A(e_j) with
+      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0. Then sum_j d_j = 0, so the
+      constant 1 / omega of A drops out, and what is left is the cosine and
+      sine sums of d, the half sum and half difference of the type-1 sums
+      sum_j d_j exp(+-i omega t_j).
+
+    Both are within ``remainder`` times the l1 norm of the transform's input
+    of the exact sums (see `spectral.LatticeTransform`).
+    """
+
+    def __init__(self, model, points, edges):
+        self.roots = np.sqrt([model.p_minus, model.p_plus])
+        self.omegas = model.quad.nodes
+        self.points = self._transform(model.quad, points)
+        self.edges = self._transform(model.quad, edges)
+        self.remainder = max(self.points.remainder, self.edges.remainder)
+
+    def _transform(self, quad, x):
+        side = (x > 0).astype(np.intp)
+        return quad.lattice_transform(x / self.roots[side], side, 2)
+
+    def at_points(self, G):
+        """sum over (a, l) of G U at the samples, for complex G of shape (2, n_nodes)."""
+        sine = (-0.5j * G[1]) / self.roots[:, None]  # (side, node)
+        return self.points.synthesize(np.stack((0.5 * G[0] + sine, 0.5 * G[0] - sine), axis=1))
+
+    def over_cells(self, y):
+        """sum_i y_i int_(cell i) U, shape (2, n_nodes), for complex y over the samples."""
+        d = -np.diff(y, prepend=0.0, append=0.0)
+        waves = self.edges.analyze(d)  # (side, sign, node)
+        cos = 0.5 * (waves[:, 0] + waves[:, 1]).sum(axis=0)
+        sin = -0.5j * (self.roots @ (waves[:, 0] - waves[:, 1]))
+        return np.stack((sin, -cos)) / self.omegas
 
 
 def reconstruct_iterative(model, profile, X, samples, omega_max, window,
@@ -142,6 +213,7 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     report = ReconstructionReport(
         delta=float(delta), gamma=float(gamma), passes=passes,
         norm_surrogate=surrogate, window=R.window,
+        operator=R.kind, operator_remainder=R.remainder,
     )
     if not passes:
         report.diagnosis = "max-gap condition fails; convergence not certified"
@@ -279,14 +351,16 @@ def samples_to_csv(path, points, values):
 
 def samples_from_csv(path):
     pts, vals = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)
-        for row in r:
-            try:
-                pts.append(float(row[0]))
-                vals.append(float(row[1]) + 1j * float(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise SamplingError(f"malformed samples file {path}, line {r.line_num}: "
-                                    f"{exc}") from None
+    r = csv.reader(StringIO(read_text(path, "samples", SamplingError), newline=""))
+    next(r, None)
+    for row in r:
+        try:
+            x, re, im = (float(v) for v in row[:3])
+            if not np.isfinite([x, re, im]).all():
+                raise ValueError("a value is not finite")
+        except ValueError as exc:
+            raise SamplingError(f"malformed samples file {path}, line {r.line_num}: "
+                                f"{exc}") from None
+        pts.append(x)
+        vals.append(re + 1j * im)
     return np.asarray(pts), np.asarray(vals)

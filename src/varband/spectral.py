@@ -15,6 +15,12 @@ The Gauss-Legendre rule takes no resolution setting: given the largest phase
 its plane waves reach, it uses the widest panels whose classical remainder
 meets u = 2**-53 per unit measure, and records that remainder as
 ``error_bound``.
+
+The uniform (midpoint) rule also records its ``lattice``: each interval's
+nodes are omega_l = first + l spacing. On such a rule the sums
+sum_l c_l exp(i omega_l t_j) at fixed points t_j, and their adjoints, are
+nonuniform FFTs; `LatticeTransform` applies them by Gaussian gridding, in
+O(n log n + m) per apply instead of the O(n m) of a `waves` table.
 """
 
 from __future__ import annotations
@@ -82,7 +88,12 @@ class SpectralQuadrature:
 
     ``error_bound`` is the Gauss-Legendre rule's guaranteed remainder for a
     unit plane wave of the frequencies it was sized for (see
-    `gauss_legendre_quadrature`); it is None for the midpoint rule. Two
+    `gauss_legendre_quadrature`); it is None for the midpoint rule.
+
+    ``lattice`` is the midpoint rule's arithmetic progressions, one
+    ``(first, spacing, count)`` triple per interval in node order: the
+    interval's nodes are first + l spacing, l < count, up to the rounding of
+    their block sums. It is None for a Gauss rule, which has no lattice. Two
     quadratures compare and hash by identity.
     """
 
@@ -92,6 +103,7 @@ class SpectralQuadrature:
     order: int
     blocks: tuple = None
     error_bound: float = None
+    lattice: tuple = None
 
     def __post_init__(self):
         if self.nodes.size == 0:
@@ -103,6 +115,8 @@ class SpectralQuadrature:
         if (any(np.any(o < 0) or np.any(d < 0) for o, d, _ in self.blocks)
                 or not np.array_equal(_block_sums(self.blocks), self.nodes)):
             raise SpectralSetError("nodes are not the sums of non-negative shifts and offsets")
+        if self.lattice is not None and sum(n for _, _, n in self.lattice) != self.nodes.size:
+            raise SpectralSetError("the lattice does not count the nodes")
 
     def __len__(self):
         return self.nodes.size
@@ -148,6 +162,166 @@ class SpectralQuadrature:
                 s += np.multiply(ci[:j], so[k], out=tmp)
                 row += j
         return out
+
+    def lattice_transform(self, t, grid, n_grids):
+        """The rule's plane waves exp(+-i omega t) at fixed points, as a `LatticeTransform`.
+
+        Point j belongs to grid ``grid[j]`` of ``n_grids``, so that
+        coefficients may differ between groups of points. Raises
+        `SpectralSetError` for a rule without a lattice.
+        """
+        if self.lattice is None:
+            raise SpectralSetError("only a rule on a lattice has a nonuniform FFT")
+        return LatticeTransform(self.lattice, np.asarray(t, dtype=float),
+                                np.asarray(grid, dtype=np.intp), n_grids)
+
+
+# Gaussian gridding is sized so that its remainder stays within 8u, the
+# constant term of the per-entry bound of a `waves` table
+_GRID_TOLERANCE = 8 * 2.0**-53
+
+
+def _gaussian_gridding(top):
+    """(half-width w, grid size M, Gaussian variance tau, remainder) for modes |k| <= top.
+
+    The grid has M = max(4 (top + 1), 2w) points x_m = 2 pi m / M, spacing
+    h = 2 pi / M: oversampling 2 over the band |k| <= K = top. Each point
+    reads or writes the 2w grid points nearest to it. With the periodic
+    Gaussian g(x) = sum_k sqrt(tau / pi) exp(-tau k^2) exp(i k x), both
+    transforms are within eps sum |input| of the exact sums, where
+
+        eps = sum_{p != 0} exp(-tau ((K + p M)^2 - K^2))                (aliasing)
+            + sqrt(pi / tau) exp(tau K^2) / M
+              * 2 sum_{j >= w} exp(-(j h)^2 / (4 tau))                  (truncation)
+
+    (Greengard and Lee, SIAM Review 46, 2004: the first sum is the modes the
+    grid aliases onto mode K, the second the kernel beyond the 2w points,
+    amplified by the deconvolution 1 / g_K; both grow with |k|, so the modes
+    near 0 are the most accurate). tau is Greengard and Lee's balance
+    pi w / (M (M - K)), and w is the smallest half-width with eps <= 8u. The
+    sums keep |p| <= 3 and 40 terms of j; the terms left out are below 1e-40
+    of the first. For K >= 16, w = 17 and eps is u to 4.5u; fewer modes need
+    w <= 16.
+    """
+    p = np.array([-3, -2, -1, 1, 2, 3])
+    for width in range(1, 64):
+        size = max(4 * (top + 1), 2 * width)
+        tau = np.pi * width / (size * (size - top))
+        alias = np.exp(-tau * ((top + p * size) ** 2 - top**2)).sum()
+        j = np.arange(width, width + 40)
+        tail = 2 * np.exp(-(j * (2 * np.pi / size)) ** 2 / (4 * tau)).sum()
+        remainder = alias + np.sqrt(np.pi / tau) * np.exp(tau * top**2) * tail / size
+        if remainder <= _GRID_TOLERANCE:
+            return width, size, tau, float(remainder)
+    raise SpectralSetError(f"no Gaussian gridding of modes up to {top} meets "
+                           f"{_GRID_TOLERANCE:.1e}")
+
+
+class LatticeTransform:
+    """The sums of exp(+-i omega_l t_j) over a lattice rule's nodes at fixed points t_j.
+
+    ``synthesize`` (type 2) takes coefficients c of shape (n_grids, 2, n) and
+    returns, at each point j on grid g,
+
+        sum_l c[g, 0, l] exp(i omega_l t_j) + c[g, 1, l] exp(-i omega_l t_j);
+
+    ``analyze`` (type 1) takes values y at the points and returns, of shape
+    (n_grids, 2, n), the sums over each grid's points of y exp(i omega_l t)
+    and of y exp(-i omega_l t).
+
+    On an interval's lattice omega_l = first + l spacing, with theta = spacing t,
+
+        exp(i omega_l t) = exp(i first t) exp(i l theta),
+        exp(-i omega_l t) = conj(exp(i first t)) exp(-i l theta):
+
+    one pointwise pre-phase and its conjugate, and integer modes in theta.
+    These are 2 pi-periodic in theta, so t may lie anywhere, on any window.
+    Where the interval starts at 0 (first = spacing / 2), -omega_l is
+    omega_(-l-1), so both signs share the pre-phase and one FFT grid, on the
+    modes -n .. n - 1; otherwise each sign has its own. The modes are not
+    centred: mode l's phase rounds by about u omega_l |t|, as a `waves`
+    entry does, and the lowest nodes get the gridding's most accurate modes.
+    The plan stores, for every point, its pre-phases and the grid indices and
+    weights of its Gaussian window (see `_gaussian_gridding`); an apply is
+    one FFT per grid and sign plus one gather (type 2) or one ``np.bincount``
+    spread per real part (type 1). Each grid has its own FFT grid, and a
+    point reads or writes only its own.
+
+    Bound: ``remainder`` is eps of `_gaussian_gridding`, so every value of
+    either transform is within eps sum |c| (type 2) or eps sum |y| (type 1)
+    of the exact sum at the float64 points and lattice, in exact arithmetic.
+    A rule of several intervals has one lattice, and one plan, per interval.
+    """
+
+    def __init__(self, lattice, t, grid, n_grids):
+        self.runs = [_Gridding(first, spacing, count, t, grid, n_grids)
+                     for first, spacing, count in lattice]
+        self.bounds = np.cumsum([0] + [count for _, _, count in lattice])
+        self.remainder = max(run.remainder for run in self.runs)
+
+    def synthesize(self, c):
+        out = 0
+        for run, lo, hi in zip(self.runs, self.bounds, self.bounds[1:]):
+            out = out + run.synthesize(c[..., lo:hi])
+        return out
+
+    def analyze(self, y):
+        y = np.asarray(y, dtype=complex)
+        return np.concatenate([run.analyze(y) for run in self.runs], axis=-1)
+
+
+class _Gridding:
+    """One interval's Gaussian-gridding plan at fixed points (see `LatticeTransform`)."""
+
+    def __init__(self, first, spacing, count, t, grid, n_grids):
+        l = np.arange(count)
+        if 2 * first == spacing:  # symmetric: -omega_l = omega_(-l-1), one grid
+            top, signs = count, 1
+            modes = np.stack((l, -1 - l))
+        else:
+            top, signs = count - 1, 2
+            modes = np.stack((l, -l))
+        width, size, tau, self.remainder = _gaussian_gridding(top)
+        self.size, self.n_grids = size, n_grids
+        phase = np.exp(1j * first * t)
+        self.prephase = np.stack((phase, phase.conj()))[:signs]
+        # the FFT grid (row of `padded`) and position of each sign's modes
+        self.rows = np.array([0, signs - 1])
+        self.positions = modes % size
+        self.deconvolve = np.exp(modes * modes * tau) * np.sqrt(np.pi / tau)  # 1 / g_k
+        # theta in units of the grid step, split into the grid point below it
+        # and the fraction past it; the window is that point's -w + 1 .. w
+        steps = (spacing * size / (2 * np.pi)) * t
+        below = np.floor(steps)
+        taps = np.arange(1 - width, width + 1)
+        self.index = grid[:, None] * size + (below.astype(np.intp)[:, None] + taps) % size
+        gap = (steps - below)[:, None] - taps
+        self.weights = np.exp(-(gap * (2 * np.pi / size)) ** 2 / (4 * tau))
+
+    def synthesize(self, c):
+        signs = self.prephase.shape[0]
+        padded = np.zeros((c.shape[0], signs, self.size), dtype=complex)
+        for sign in range(2):
+            padded[:, self.rows[sign], self.positions[sign]] = c[:, sign] * self.deconvolve[sign]
+        # one row of real and imaginary parts per grid point: the gather then
+        # reads whole rows, and the weights act on them as one real product
+        grids = np.fft.ifft(padded, axis=-1).transpose(0, 2, 1).reshape(-1, signs)
+        grids = np.ascontiguousarray(grids).view(float)
+        near = np.take(grids, self.index, axis=0)  # (m, 2w, 2 signs)
+        values = np.matmul(self.weights[:, None, :], near)[:, 0].view(complex)
+        return np.einsum("jr,rj->j", values, self.prephase)
+
+    def analyze(self, y):
+        index = self.index.ravel()
+        length = self.n_grids * self.size
+        spread = np.empty((self.prephase.shape[0], length), dtype=complex)
+        for phase, out in zip(self.prephase, spread):
+            z = y * phase
+            out.real = np.bincount(index, (self.weights * z.real[:, None]).ravel(), length)
+            out.imag = np.bincount(index, (self.weights * z.imag[:, None]).ravel(), length)
+        sums = np.fft.ifft(spread.reshape(-1, self.n_grids, self.size), axis=-1)
+        return np.stack([sums[self.rows[sign]][:, self.positions[sign]] * self.deconvolve[sign]
+                         for sign in range(2)], axis=1)
 
 
 _GL_ORDER = 16  # points per Gauss-Legendre panel
@@ -218,9 +392,10 @@ def uniform_quadrature(sset, spacing):
     problem an honest finite model of the window.  A sliver of measure less
     than ``spacing`` may be dropped at the top of each interval. The n nodes
     of an interval [a, b] come in blocks of B = ceil(sqrt(n)): offsets
-    a + (j + 1/2) spacing for j < B, shifted by q B spacing.
+    a + (j + 1/2) spacing for j < B, shifted by q B spacing; the rule records
+    each interval's lattice (a + spacing / 2, spacing, n).
     """
-    blocks, weights = [], []
+    blocks, weights, lattice = [], [], []
     for a, b in sset.sqrt_intervals:
         n = int(np.floor((b - a) / spacing + 1e-12))
         if n == 0:
@@ -229,9 +404,10 @@ def uniform_quadrature(sset, spacing):
         blocks.append((np.arange(-(-n // size)) * (size * spacing),
                        a + (np.arange(size) + 0.5) * spacing, n))
         weights.append(np.full(n, spacing))
+        lattice.append((a + 0.5 * spacing, spacing, n))
     if not blocks:
         raise SpectralSetError(
             f"spacing {spacing} too coarse for spectral set {sset.intervals}"
         )
     return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), 1,
-                              tuple(blocks))
+                              tuple(blocks), lattice=tuple(lattice))

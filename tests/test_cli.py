@@ -678,6 +678,15 @@ BAD_INPUTS = {
     "reconstruct_non_numeric_sample": (
         "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "0.0,0,0\n1.0,one,0\n",
         "samples.csv, line 3"),
+    "reconstruct_nan_sample_point": (
+        "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "0.0,0,0\nnan,1,0\n5.0,0,1\n",
+        "samples.csv, line 3: a value is not finite"),
+    "reconstruct_infinite_sample_value": (
+        "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "0.0,0,0\n1.0,0,-inf\n",
+        "samples.csv, line 3: a value is not finite"),
+    "reconstruct_short_sample_row": (
+        "reconstruct", RECONSTRUCT, SAMPLES_HEADER + "0.0,0,0\n1.0,1\n",
+        "samples.csv, line 3"),
     "kernel_zero_grid": (
         "kernel", {"model": "free", "spectral_set": [[0.0, 1.0]], "grid": {"n": 0}}, None,
         "grid.n must be an integer >= 1"),
@@ -840,6 +849,26 @@ class TestErrors:
         cfg.write_text("{not json")
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--samples"])
+    @pytest.mark.parametrize("fault", ["directory", "not-utf8"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, flag, fault):
+        bad = tmp_path / "bad.in"
+        if fault == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe{}")
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, [0.0, 1.0], [1.0, 0.0])
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "piecewise", "breakpoints": [], "values": [1.0]},
+            "spectral_set": [[0.0, 1.0]], "window": [-2.0, 2.0]})
+        files = {"--config": cfg, "--samples": samples, flag: bad}
+        args = ["reconstruct", *(a for kv in files.items() for a in kv), "--out", tmp_path / "o"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(bad) in err
 
     def test_schrodinger_model_needs_smooth_profile(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,8 @@ class ComplexTableOperator:
     values. Same interface as ReconstructionOperator.
     """
 
+    kind, remainder = "complex", None
+
     def __init__(self, model, X, window):
         self.model = model
         self.points = X.points if isinstance(X, SampleSet) else np.asarray(X, dtype=float)
@@ -270,6 +275,20 @@ class ComplexTableOperator:
         return self.from_values(self.sample(f))
 
 
+def contraction_model(kind, sset=None, spacing=np.pi / 6.0):
+    """The model of kind ``kind`` on a window-matched midpoint rule."""
+    sset = sset or SpectralSet([(0.0, 2.0)])
+    quad = uniform_quadrature(sset, spacing)
+    if kind == "toy":
+        return ToyModel(1.0, 4.0, sset, quad=quad)
+    if kind == "schrodinger":
+        q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
+        return SchrodingerModel(q, 1.0, sset, quad=quad)
+    if kind == "free":
+        return free_model(sset, quad=quad)
+    return LiouvilleModel(blend_profile(1.0, 2.0, R=1.0), sset, quad=quad)
+
+
 def _rel_dev(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
@@ -282,18 +301,7 @@ class TestOperatorContractions:
 
     @pytest.fixture(scope="class", params=["toy", "schrodinger", "free", "liouville"])
     def operators(self, request):
-        sset = SpectralSet([(0.0, 2.0)])
-        quad = uniform_quadrature(sset, np.pi / 6.0)
-        if request.param == "toy":
-            model = ToyModel(1.0, 4.0, sset, quad=quad)
-        elif request.param == "schrodinger":
-            q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
-            model = SchrodingerModel(q, 1.0, sset, quad=quad)
-        elif request.param == "free":
-            model = free_model(sset, quad=quad)
-        else:
-            model = LiouvilleModel(blend_profile(1.0, 2.0, R=1.0), sset, quad=quad)
-        window = (-6.0, 6.0)
+        model, window = contraction_model(request.param), (-6.0, 6.0)
         return (ReconstructionOperator(model, SampleSet(self.X), window),
                 ComplexTableOperator(model, self.X, window))
 
@@ -308,12 +316,31 @@ class TestOperatorContractions:
         v = rng.standard_normal(self.X.size) + 1j * rng.standard_normal(self.X.size)
         assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
 
-    def test_tables_are_real(self, operators):
-        op, _ = operators
+    @pytest.mark.parametrize("kind", ["schrodinger", "liouville"])
+    def test_tables_are_real(self, kind):
+        op = ReconstructionOperator(contraction_model(kind), SampleSet(self.X), (-6.0, 6.0))
         tables = (op.basis, op.cells)
         assert all(t.dtype == np.float64 for t in tables)
         n, N = len(op.model.quad), self.X.size
         assert sum(t.nbytes for t in tables) == 2 * (2 * n * N * 8)
+
+    @pytest.mark.parametrize("kind", ["toy", "free"])
+    def test_lattice_build_allocates_no_tables(self, kind):
+        # the two dense real tables would take 2 (2 n N 8) bytes: 6.4 MB here
+        sset = SpectralSet([(0.0, 1.0)])
+        W = 200.5 * np.pi
+        quad = uniform_quadrature(sset, np.pi / W)
+        model = ToyModel(1.0, 4.0, sset, quad=quad) if kind == "toy" else free_model(sset, quad=quad)
+        X = np.linspace(-W, 2 * W, 1003)[1:-1]
+        np.fft.ifft(np.zeros(4))  # load numpy.fft's module state before tracing
+        tracemalloc.start()
+        try:
+            op = ReconstructionOperator(model, SampleSet(X), (-W, 2 * W))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.kind == "nufft" and len(quad) == 200
+        assert peak < 2 * (2 * len(quad) * X.size * 8) / 3
 
     def test_iterations_match(self, monkeypatch):
         model, X, window = matched_toy_setup(1.0, 4.0, 2.0, 0.8, 20)
@@ -329,6 +356,82 @@ class TestOperatorContractions:
         assert got.n_iterations == ref.n_iterations == 40
         assert np.max(np.abs(np.array(got.residuals) / ref.residuals - 1)) <= 1e-10
         assert np.max(np.abs(np.array(got.certified) / ref.certified - 1)) <= 1e-10
+
+
+# (kind, spectral set, warped half-width W, window, samples) on the rule of spacing pi / W;
+# the toy model has p- = 1 and p+ = 4, so x = 2 t right of the jump
+LATTICE_CASES = {
+    # intervals off 0 and off each other's lattice: first nodes 0.7856 and 1.4928
+    "two-intervals": ("toy", SpectralSet([(0.5, 3.0), (4.0, 7.0)]), 20.0, (-20.0, 40.0),
+                      np.concatenate((np.linspace(-19.5, -0.6, 40), np.linspace(0.4, 39.0, 41)))),
+    # t in [-3, 4]: theta = pi t / 3.5 is not centred on 0
+    "asymmetric-window": ("toy", None, 3.5, (-3.0, 8.0),
+                          np.concatenate((np.linspace(-2.9, -0.2, 9), np.linspace(0.3, 7.8, 24)))),
+    "sample-at-jump": ("toy", None, 6.0, (-6.0, 12.0),
+                       np.concatenate((np.linspace(-5.5, -0.4, 14), [0.0], np.linspace(0.35, 11.5, 30)))),
+    # the cell of -0.3 is [-0.9, 0.1]
+    "cell-straddles-jump": ("toy", None, 6.0, (-6.0, 12.0),
+                            np.concatenate((np.linspace(-5.5, -0.3, 11), np.linspace(0.5, 11.5, 23)))),
+    # the first and last edges sit at t = -W and t = W, theta = -pi and pi
+    "edges-at-W": ("toy", None, 6.0, (-6.0, 12.0), np.linspace(-5.8, 11.7, 37)),
+    "free-edges-at-W": ("free", None, 6.0, (-6.0, 6.0), np.linspace(-5.9, 5.7, 31)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_lattice_operator_matches_complex_tables(case):
+    kind, sset, W, window, X = LATTICE_CASES[case]
+    model = contraction_model(kind, sset, np.pi / W)
+    op, ref = ReconstructionOperator(model, SampleSet(X), window), ComplexTableOperator(model, X, window)
+    assert op.kind == "nufft"
+    f = random_function(model, rng=21)
+    assert _rel_dev(op.sample(f), ref.sample(f)) <= 1e-12
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(X.size) + 1j * rng.standard_normal(X.size)
+    assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
+
+
+def test_lattice_operator_at_study_size():
+    """NUFFT against the dense tables at 675 nodes and 2251 jittered samples.
+
+    The two differ by at most the two stated bounds: the transforms' remainder
+    eps times the l1 norm of their input, and the tables' 8u (1 + omega |t|)
+    per entry (`SpectralQuadrature.waves`) times the l1 norm of what the
+    tables multiply.
+    """
+    rng = np.random.default_rng(31)
+    pm, pp, n, N = 1.1, 3.2, 675, 2251
+    sm, sp = np.sqrt(pm), np.sqrt(pp)
+    W = (n + 0.5) * np.pi
+    sset = SpectralSet([(0.0, 1.0)])
+    quad = uniform_quadrature(sset, np.pi / W)
+    model = ToyModel(pm, pp, sset, quad=quad)
+    dense_model = ToyModel(pm, pp, sset, quad=replace(quad, lattice=None))
+    k = np.arange(N) - (N - 1) // 2
+    z = (k + rng.uniform(-0.15, 0.15, N)) * (2 * W / (N + 1))
+    z[k == 0] = 0.0
+    X, window = np.where(z < 0, z * sm, z * sp), (-W * sm, W * sp)
+    op = ReconstructionOperator(model, SampleSet(X), window)
+    dense = ReconstructionOperator(dense_model, SampleSet(X), window)
+    assert (op.kind, dense.kind, len(quad)) == ("nufft", "dense", n)
+    u, w = 2.0**-53, quad.nodes
+    waves = 8 * u * (1 + w * W)  # |omega t| <= omega W on this window
+
+    f = random_function(model, rng=rng)
+    G = model.basis_coefficients(f.F)
+    # the coefficients (G_0 -+ i G_1 / sqrt(p)) / 2 of exp(+-i omega t) weigh at most this
+    l1 = np.abs(G[0]).sum() + np.abs(G[1]).sum() / sm
+    bound = (op.remainder + waves.max()) * l1
+    dev = np.abs(op.sample(f) - dense.sample(VarBandFunction(dense_model, f.F)))
+    assert dev.max() <= bound
+
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    got, ref = op.from_values(v).F, dense.from_values(v).F
+    # d = -diff(v) over the edges, and the two ends of every cell, weigh at
+    # most 2 sum |v|; |A| <= max(sqrt(p+), 2) / omega <= 2 sqrt(p+) / omega, and
+    # 1 - cos rounds once more; F = conj(mix H) adds a factor 1 + sqrt(p+)
+    per_node = (op.remainder + waves + 2 * u) * 2 * np.abs(v).sum() * 2 * sp / w
+    assert np.all(np.abs(got - ref) <= (1 + sp) * per_node)
 
 
 def complex_frame_bounds(model, X, window):

@@ -192,3 +192,62 @@ class TestWaves:
         nodes = np.array([0.25, 0.5, 1.25, 1.5])
         with pytest.raises(SpectralSetError):
             SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), 1, blocks)
+
+
+class TestLatticeTransform:
+    """The nonuniform FFTs against the direct sums in extended precision.
+
+    Each value may differ from the exact sum by the stated remainder plus the
+    rounding a `waves` entry is allowed, 8u (1 + omega |t|), both times the
+    l1 norm of the input.
+    """
+
+    # an interval at 0 (both signs on one FFT grid) and one off 0 (a grid per sign)
+    @pytest.fixture(params=[[(0.0, 2.0)], [(0.3, 2.0)], [(0.5, 3.0), (4.0, 7.0)]],
+                    ids=["at-0", "off-0", "two-intervals"])
+    def setup(self, request):
+        W = 20.0
+        quad = uniform_quadrature(SpectralSet(request.param), np.pi / W)
+        rng = np.random.default_rng(4)
+        t = np.sort(rng.uniform(-1.7 * W, 1.2 * W, 90))  # theta beyond +-pi too
+        grid = (t > 0.3 * W).astype(np.intp)
+        L = np.longdouble
+        waves = np.exp(1j * np.outer(t.astype(L), quad.nodes.astype(L)))  # (m, n)
+        allowance = 8 * U * (1 + quad.nodes.max() * np.abs(t).max())
+        return quad, t, grid, waves, allowance
+
+    def test_records_its_lattice(self, setup):
+        quad = setup[0]
+        lo = 0
+        for first, spacing, count in quad.lattice:
+            assert np.allclose(quad.nodes[lo:lo + count], first + spacing * np.arange(count),
+                               rtol=1e-15, atol=0)
+            lo += count
+        assert lo == len(quad)
+
+    def test_synthesize(self, setup):
+        quad, t, grid, waves, allowance = setup
+        T = quad.lattice_transform(t, grid, 2)
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((2, 2, len(quad))) + 1j * rng.standard_normal((2, 2, len(quad)))
+        ref = (np.einsum("jl,jl->j", waves, c[grid, 0])
+               + np.einsum("jl,jl->j", waves.conj(), c[grid, 1])).astype(complex)
+        assert T.remainder <= 8 * U
+        assert np.max(np.abs(T.synthesize(c) - ref)) <= (T.remainder + allowance) * np.abs(c).sum()
+
+    def test_analyze(self, setup):
+        quad, t, grid, waves, allowance = setup
+        T = quad.lattice_transform(t, grid, 2)
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
+        ref = np.stack([np.stack([waves[grid == g].T @ y[grid == g],
+                                  waves[grid == g].T.conj() @ y[grid == g]]) for g in (0, 1)])
+        got = T.analyze(y)
+        assert got.shape == (2, 2, len(quad))
+        assert np.max(np.abs(got - ref.astype(complex))) <= (T.remainder + allowance) * np.abs(y).sum()
+
+    def test_gauss_rule_has_no_lattice(self):
+        quad = gauss_legendre_quadrature(SpectralSet([(0.0, 2.0)]), t_max=5.0)
+        assert quad.lattice is None
+        with pytest.raises(SpectralSetError):
+            quad.lattice_transform([0.0, 1.0], [0, 0], 1)
