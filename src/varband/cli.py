@@ -29,8 +29,9 @@ from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                      toy_kernel)
 from .profile import (PiecewiseConstantProfile, ProfileError, blend_profile,
                       constant_profile, profile_from_config)
-from .sampling import (SamplingError, _write_csv, frame_bounds_estimate,
-                       reconstruct_iterative, samples_from_csv, shannon_gram)
+from .sampling import (SampleSet, SamplingError, _write_csv, frame_bounds_estimate,
+                       midpoint_partition, reconstruct_iterative, samples_from_csv,
+                       shannon_gram)
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
 
@@ -179,10 +180,27 @@ def _write_report(out_dir, cfg, extra, t0):
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _quadrature_report(model):
-    """Node count, covered measure and the error bound of the model's kernel, if it has one."""
-    return {"n_nodes": len(model.quad), "covered_measure": model.quad.covered_measure,
-            "quad_error_bound": model.error_bound}
+def _sweep_report(sweep):
+    """The largest unitarity defect of a scattering sweep, its largest RK4 step and step count."""
+    return {"max_unitarity_defect": sweep.unitarity_defect(), "rk4_step": sweep.step,
+            "rk4_steps": sweep.n_steps}
+
+
+def _model_report(model):
+    """Node count, covered measure, the kernel's error bound if any, and its sweep's figures."""
+    report = {"n_nodes": len(model.quad), "covered_measure": model.quad.covered_measure,
+              "quad_error_bound": model.error_bound}
+    if model.sweep is not None:
+        report.update(_sweep_report(model.sweep))
+    return report
+
+
+def _read_samples(path, window):
+    """The samples of ``--samples`` as (SampleSet, values), refused unless inside ``window``."""
+    pts, vals = samples_from_csv(path)
+    X = SampleSet(pts)
+    midpoint_partition(X.points, window)  # raises for a point outside the window
+    return X, vals
 
 
 # -- subcommands -----------------------------------------------------------
@@ -201,7 +219,7 @@ def cmd_kernel(c, args):
     _write_csv(args.out / "kernel_pairs.csv", ["x", "y", "re_k", "im_k"],
                np.column_stack([np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size),
                                 Kc.ravel(), np.zeros(Kc.size)]))
-    return 0, {"diagonal_max": float(np.max(np.diag(K))), **_quadrature_report(model)}
+    return 0, {"diagonal_max": float(np.max(np.diag(K))), **_model_report(model)}
 
 
 def cmd_scatter(c, args):
@@ -213,19 +231,17 @@ def cmd_scatter(c, args):
                ["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2", "unitarity_defect"],
                np.column_stack([sweep.omegas, sweep.T.real, sweep.T.imag, sweep.R1.real,
                                 sweep.R1.imag, sweep.R2.real, sweep.R2.imag, sweep.defects]))
-    defect = sweep.unitarity_defect()
-    return (0 if defect < 1e-7 else 1), {"max_unitarity_defect": defect,
-                                         "support_radius": sweep.a,
-                                         "rk4_step": sweep.step,
-                                         "rk4_steps": sweep.n_steps}
+    report = _sweep_report(sweep)
+    return (0 if report["max_unitarity_defect"] < 1e-7 else 1), {"support_radius": sweep.a,
+                                                                 **report}
 
 
 def cmd_reconstruct(c, args):
-    pts, vals = samples_from_csv(args.samples)
+    X, vals = args.samples  # read by `main` before --out is made
     prof, sset, window = c.profile, c.spectral_set, c.window
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
     model = _model(c.model, prof, sset, quad=uniform_quadrature(sset, np.pi / wz))
-    f_rec, report = reconstruct_iterative(model, prof, pts, vals, sset.lambda_max, window,
+    f_rec, report = reconstruct_iterative(model, prof, X, vals, sset.lambda_max, window,
                                           n_max=c.n_max, tol=c.tol)
     xs = np.linspace(window[0], window[1], c.output_points)
     fx = f_rec.evaluate(xs)
@@ -235,7 +251,7 @@ def cmd_reconstruct(c, args):
         json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
     return (0 if report.passes else 1), {"delta": report.delta,
                                          "gap_condition_passes": report.passes,
-                                         **_quadrature_report(model),
+                                         **_model_report(model),
                                          "sampling_operator": report.operator,
                                          "sampling_operator_remainder": report.operator_remainder}
 
@@ -392,7 +408,14 @@ def main(argv=None):
             raise ConfigError("reconstruct requires --samples CSV (x, re, im)")
         if args.samples is not None and not command.reads_samples:
             raise ConfigError(f"{args.subcommand} reads no --samples; only reconstruct does")
-        args.out.mkdir(parents=True, exist_ok=True)
+        if command.reads_samples:
+            # a refused samples file leaves no output directory behind
+            args.samples = _read_samples(args.samples, c.window)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory {args.out}: "
+                              f"{exc.strerror}") from None
         t0 = time.time()
         code, report = command.run(c, args)
         _write_report(args.out, cfg, {"subcommand": args.subcommand, **report}, t0)

@@ -156,6 +156,7 @@ class SpectralModel:
     quad: SpectralQuadrature
     rho: np.ndarray
     mix: np.ndarray
+    sweep: ScatteringSweep | None = None  # the RK4 sweep behind U, for a scattering model
 
     @property
     def sset(self):
@@ -406,6 +407,7 @@ class LiouvilleModel(SpectralModel):
         )
         self.rho = self.inner.rho
         self.mix = self.inner.mix
+        self.sweep = self.inner.sweep
 
     def basis(self, x):
         """p^(-1/4) times the scattering pair at zeta(x)."""

@@ -350,8 +350,28 @@ def samples_to_csv(path, points, values):
 
 
 def samples_from_csv(path):
+    """Points and complex values from a samples CSV: a header line, then x, re, im per row.
+
+    The rows are converted in one pass. Only if that fails, or a value is
+    not finite, are they read again row by row, so that the error names the
+    first bad line.
+    """
+    text = read_text(path, "samples", SamplingError)
+    rows = list(csv.reader(StringIO(text, newline="")))[1:]
+    try:
+        table = np.array([row[:3] for row in rows], dtype=float).reshape(len(rows), 3)
+    except ValueError:
+        return _samples_by_row(text, path)
+    if not np.isfinite(table).all():
+        return _samples_by_row(text, path)
+    x, re, im = table.T.copy()
+    return x, re + 1j * im
+
+
+def _samples_by_row(text, path):
+    """`samples_from_csv` row by row: raises at the first row that is not three finite numbers."""
     pts, vals = [], []
-    r = csv.reader(StringIO(read_text(path, "samples", SamplingError), newline=""))
+    r = csv.reader(StringIO(text, newline=""))
     next(r, None)
     for row in r:
         try:

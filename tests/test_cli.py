@@ -506,6 +506,42 @@ class TestReconstruct:
         assert "'toy'" in err and "'free'" in err and repr(kind) in err
 
 
+class TestSweepReport:
+    """kernel and reconstruct report the RK4 sweep behind a scattering model, as scatter does."""
+
+    SWEEP_FIELDS = ("max_unitarity_defect", "rk4_step", "rk4_steps")
+
+    @pytest.mark.parametrize("subcommand, model", [
+        ("kernel", "schrodinger"), ("kernel", "liouville"), ("reconstruct", "liouville"),
+        ("kernel", "toy"), ("reconstruct", "free"),
+    ])
+    def test_report_records_the_sweep(self, tmp_path, subcommand, model):
+        profile = {"toy": STEP_14, "free": UNIT}.get(model, BLEND_12)
+        sset, window = SpectralSet([(0.0, 1.0)]), [-10.0, 10.0]
+        cfg = {"model": model, "spectral_set": [[0.0, 1.0]], "profile": profile}
+        args = [subcommand, "--out", tmp_path / "out"]
+        prof = profile_from_config(profile)
+        if subcommand == "kernel":
+            cfg["grid"] = {"lo": -3.0, "hi": 3.0, "n": 7}
+            built = cli._model(model, prof, sset, x_max=3.0)
+        else:
+            cfg.update(window=window, n_max=2, output_points=11)
+            samples = tmp_path / "samples.csv"
+            samples_to_csv(samples, np.linspace(-9.5, 9.5, 40), np.zeros(40))
+            args += ["--samples", samples]
+            wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
+            built = cli._model(model, prof, sset, quad=uniform_quadrature(sset, np.pi / wz))
+        run(args + ["--config", write_cfg(tmp_path, "cfg.json", cfg)])
+        rep = strict_json(tmp_path / "out" / "report.json")
+        if built.sweep is None:
+            assert not set(self.SWEEP_FIELDS) & set(rep)
+            return
+        sweep = built.sweep
+        assert rep["n_nodes"] == len(sweep) > 0
+        assert rep["rk4_step"] == sweep.step and rep["rk4_steps"] == sweep.n_steps > 0
+        assert rep["max_unitarity_defect"] == sweep.unitarity_defect() < 1e-7
+
+
 class TestDensity:
     def test_quasi_uniform(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -869,6 +905,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(bad) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_is_not_a_directory_exits_2(self, tmp_path, capsys, out):
+        cfg = write_cfg(tmp_path, "cfg.json", VALID["kernel"])
+        (tmp_path / "afile").write_text("kept")
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tmp_path / out) in err
+        assert (tmp_path / "afile").read_text() == "kept"
 
     def test_schrodinger_model_needs_smooth_profile(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -903,6 +950,9 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+        if subcommand == "reconstruct":
+            # config and samples are both refused before --out is made
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
     def test_unknown_key_exits_2(self, tmp_path, capsys, case):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varband.sturm import IntegrationError, rk4_linear, rk4_segments
+from varband.sturm import _BLOCK, IntegrationError, rk4_linear, rk4_segments
 
 from closed_forms import (SpectralDensityError, toy_fundamental, toy_spectral_density,
                           toy_wronskian_value)
@@ -166,12 +166,35 @@ class TestIntegratorCore:
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_path_and_final_agree(self):
-        # u'' = -2 u as u0' = u1, u1' = (0 - 2) u0
+        # u'' = -2 u as u0' = u1, u1' = (0 - 2) u0; the path applies the step
+        # maps one by one, the final state multiplies each block's maps first
         y0 = np.array([1.0, 0.0], dtype=complex)
         _, path = rk4_linear(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3, path=True)
         final = rk4_linear(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3)
-        assert np.max(np.abs(path[-1] - final)) == 0.0
+        assert np.max(np.abs(path[-1] - final)) < 1e-13 * np.max(np.abs(path))
         assert abs(final[0] - np.cos(np.sqrt(2.0) * 3.0)) < 1e-10
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("c, y0", [
+        (np.array([0.3, 2.0, 7.5, 40.0]), np.array([[1.0, 0.5j, -0.2 + 1j, 2.0],
+                                                    [0.3j, 1.0 - 1j, 0.7, -1j]])),
+        (1.7, np.array([1.0 - 0.5j, 0.4j])),
+    ], ids=["array_c", "scalar_c"])
+    @pytest.mark.parametrize("n", [1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
+    def test_composed_blocks_match_step_by_step(self, n, c, y0, backward):
+        # a segment of n steps, then one of 2 * _BLOCK + 5 (full blocks and a
+        # partial one); the path applies every step map in turn
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        h = 2.0**-7  # so the segment lengths are exact multiples of the step
+        x0, x1 = 1.0 - h * n, 1.0 + h * (2 * _BLOCK + 5)
+        if backward:
+            x0, x1 = x1, x0
+        assert sorted(k for *_, k in rk4_segments(x0, x1, h, (1.0,))) == sorted(
+            [n, 2 * _BLOCK + 5])
+        _, path = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,), path=True)
+        final = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
+        assert final.shape == path[-1].shape
+        assert np.max(np.abs(final - path[-1])) < 1e-13 * np.max(np.abs(path[-1]))
 
     def test_breakpoint_nodes_present(self):
         g, _ = rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]),
