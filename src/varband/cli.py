@@ -180,6 +180,11 @@ def _write_report(out_dir, cfg, extra, t0):
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _profile_sweep(prof, omegas):
+    """The scattering data of -(p u')' = omega^2 u for a smooth profile: one pass over [-R, R]."""
+    return ScatteringSweep(np.zeros_like, prof.R, omegas, store_interior=False, profile=prof)
+
+
 def _sweep_report(sweep):
     """The largest unitarity defect of a scattering sweep, its largest RK4 step and step count."""
     return {"max_unitarity_defect": sweep.unitarity_defect(), "rk4_step": sweep.step,
@@ -224,9 +229,7 @@ def cmd_kernel(c, args):
 
 def cmd_scatter(c, args):
     prof, om = c.profile, c.omega_grid
-    sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                            np.linspace(om.lo, om.hi, om.n),
-                            breakpoints=prof.zeta([-prof.R, prof.R]), store_interior=False)
+    sweep = _profile_sweep(prof, np.linspace(om.lo, om.hi, om.n))
     _write_csv(args.out / "scattering.csv",
                ["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2", "unitarity_defect"],
                np.column_stack([sweep.omegas, sweep.T.real, sweep.T.imag, sweep.R1.real,
@@ -348,10 +351,7 @@ def cmd_selftest(c, args):
           float(np.max(np.abs(G - np.eye(G.shape[0])))) < 1e-8)
 
     # scattering unitarity
-    prof = blend_profile(1.0, 4.0, R=1.0)
-    sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                            np.linspace(0.05, 5.0, 50), breakpoints=prof.zeta([-prof.R, prof.R]),
-                            store_interior=False)
+    sweep = _profile_sweep(blend_profile(1.0, 4.0, R=1.0), np.linspace(0.05, 5.0, 50))
     check("scattering_unitarity", sweep.unitarity_defect() < 1e-7)
 
     # density gap bound on a perturbed lattice
@@ -399,6 +399,7 @@ def main(argv=None):
                     help="sample CSV for the reconstruct subcommand")
     args = ap.parse_args(argv)
     command = COMMANDS[args.subcommand]
+    made = False  # whether this run made --out
     try:
         cfg = {}
         if args.config is not None:
@@ -411,6 +412,7 @@ def main(argv=None):
         if command.reads_samples:
             # a refused samples file leaves no output directory behind
             args.samples = _read_samples(args.samples, c.window)
+        made = not args.out.exists()
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -423,6 +425,9 @@ def main(argv=None):
     except (ConfigError, ProfileError, SpectralSetError, SamplingError, DensityError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a refused run leaves no empty output directory of its own behind
+        if made and args.out.is_dir() and not any(args.out.iterdir()):
+            args.out.rmdir()
         return 2
 
 

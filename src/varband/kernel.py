@@ -11,10 +11,10 @@ kernel
 is then one real product through the real symmetric 2x2 density
 Sigma = Re(M^T diag(w rho) conj M) of each node.  The models below differ only
 in how U, M and rho are produced: closed forms for the two-plateau step
-profile (the classical Paley-Wiener space is its case p = 1), the real and
-imaginary parts of the scattering solution for a compactly supported
-Schrodinger potential, and the warped pullback of the latter for smooth
-eventually constant profiles.  The step-profile tables
+profile (the classical Paley-Wiener space is its case p = 1), and the real
+and imaginary parts of a scattering sweep's solution, for a compactly
+supported Schrodinger potential or, solving -(p u')' = omega^2 u itself,
+for a smooth eventually constant profile.  The step-profile tables
 are plane waves in t = x / sqrt(p), taken from the quadrature's `waves`:
 each rule records its nodes as sums omega = o + d of non-negative shifts
 and offsets, and angle addition over that factorisation calls sin and cos
@@ -23,13 +23,14 @@ of the exact wave, u = 2**-53.  Each model sizes its Gauss-Legendre rule
 from the largest phase t_max its tables reach for |x| <= x_max:
 x_max / sqrt(min p) for the step profile, x_max + 2a for a potential
 supported on [-a, a] (its mix carries R2 ~ exp(-2i omega a)), and
-x_max / sqrt(inf p) + 2a for the warped model.  The rule's ``error_bound``
-holds for plane waves of frequency up to 2 t_max: exactly what the
-step-profile kernels are made of, so only that model reports it as its own
-``error_bound``.  The scattering tables of a potential have structure in
-omega (resonances, internal reflections) that the phase 2a does not limit,
-so their rule is sized by the same t_max but carries no guarantee; the
-tests check it against finer rules instead.  ``kernel_pairs`` and
+x_max / sqrt(inf p) + 2a for the Liouville model, a the support radius of
+the warped potential, whose scattering data it shares.  The rule's
+``error_bound`` holds for plane waves of frequency up to 2 t_max: exactly
+what the step-profile kernels are made of, so only that model reports it as
+its own ``error_bound``.  The scattering tables of a potential have
+structure in omega (resonances, internal reflections) that the phase 2a
+does not limit, so their rule is sized by the same t_max but carries no
+guarantee; the tests check it against finer rules instead.  ``kernel_pairs`` and
 ``kernel_matrix`` are the one pointwise evaluator of every model; the
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
@@ -330,31 +331,36 @@ class ToyModel(SpectralModel):
         return out
 
 
-class SchrodingerModel(SpectralModel):
-    """Lebesgue spectral representation of -D^2 + q via scattering solutions."""
+class ScatteringModel(SpectralModel):
+    """U, its antiderivative and the mix M of a scattering sweep, with rho = 1 / (2 pi)."""
 
-    def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, breakpoints=(),
-                 store_interior=True):
-        if not isinstance(sset, SpectralSet):
-            sset = SpectralSet(sset)
-        # the mix carries R2 ~ exp(-2i omega a) on top of the tables' phase omega x
-        self.quad = quad or gauss_legendre_quadrature(sset, t_max=x_max + 2 * support_radius)
-        self.breakpoints = breakpoints
-        self.sweep = ScatteringSweep(q, support_radius, self.quad.nodes,
-                                     breakpoints=breakpoints, store_interior=store_interior)
-        n = len(self.quad)
-        self.rho = np.full((2, n), 1.0 / (2 * np.pi))
-        self.mix = self.sweep.mix
-
-    @property
-    def support_radius(self):
-        return self.sweep.a
+    def __init__(self, quad, sweep):
+        self.quad, self.sweep = quad, sweep
+        self.rho = np.full((2, len(quad)), 1.0 / (2 * np.pi))
+        self.mix = sweep.mix
 
     def basis(self, x):
         return self.sweep.basis(x)
 
     def basis_antiderivative(self, x):
         return self.sweep.basis_antiderivative(x)
+
+
+class SchrodingerModel(ScatteringModel):
+    """Lebesgue spectral representation of -D^2 + q via scattering solutions."""
+
+    def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, breakpoints=()):
+        if not isinstance(sset, SpectralSet):
+            sset = SpectralSet(sset)
+        # the mix carries R2 ~ exp(-2i omega a) on top of the tables' phase omega x
+        quad = quad or gauss_legendre_quadrature(sset, t_max=x_max + 2 * support_radius)
+        self.breakpoints = breakpoints
+        super().__init__(quad, ScatteringSweep(q, support_radius, quad.nodes,
+                                               breakpoints=breakpoints))
+
+    @property
+    def support_radius(self):
+        return self.sweep.a
 
     def diagonal_tail_average(self, lo, hi):
         """Mean of k(y, y) over [lo, hi] right of the support, exact in y.
@@ -385,71 +391,23 @@ def free_model(sset, quad=None, x_max=25.0):
     return ToyModel(1.0, 1.0, sset, quad=quad, x_max=x_max)
 
 
-class LiouvilleModel(SpectralModel):
-    """Warped pullback: kernel of -(p f')' through the scattering kernel of q."""
+class LiouvilleModel(ScatteringModel):
+    """Kernel of -(p f')' for a smooth eventually constant p, from the sweep of that equation.
+
+    The sweep runs over the blend [-R, R] with p and q = 0, so the Liouville
+    transform is never formed; its T, R1 and R2 are those of the warped
+    potential, and the rule is sized as for it.
+    """
 
     def __init__(self, profile, sset, quad=None, x_max=25.0):
         if not isinstance(profile, SmoothProfile):
-            raise KernelError("warped pullback needs a smooth eventually constant profile")
+            raise KernelError("the Liouville model needs a smooth eventually constant profile")
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
         self.profile = profile
-        # |zeta(x)| <= |x| / sqrt(inf p), and the inner mix adds the phase 2a
-        # of the warped support radius a
+        # |zeta(x)| <= |x| / sqrt(inf p), and the mix adds the phase 2a of the
+        # warped support radius a
         t_max = x_max / np.sqrt(profile.lower) + 2 * profile.warped_support_radius
-        self.quad = quad or gauss_legendre_quadrature(sset, t_max=t_max)
-        self.inner = SchrodingerModel(
-            profile.potential_q_warped,
-            profile.warped_support_radius,
-            sset,
-            quad=self.quad,
-            breakpoints=profile.zeta([-profile.R, profile.R]),
-        )
-        self.rho = self.inner.rho
-        self.mix = self.inner.mix
-        self.sweep = self.inner.sweep
-
-    def basis(self, x):
-        """p^(-1/4) times the scattering pair at zeta(x)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pref = np.asarray(self.profile.eval_p(x), dtype=float) ** -0.25
-        out = self.inner.basis(self.profile.zeta(x))
-        out *= pref
-        return out
-
-    def basis_antiderivative(self, x):
-        """int U up to x, anchored at the leftmost of x and -R.
-
-        No plane-wave closed form exists in the original coordinate: one
-        composite 10-point Gauss-Legendre pass runs over panels that break at
-        every x and at the blend edges +-R, where U has a kink, and are no
-        wider than pi / (4 max(omega) sqrt(inf p)); a cumulative sum chains
-        them. U is evaluated in blocks of at most 2**18 node-point values
-        (4 MB, plus the interior spline's temporaries), and only the entries
-        at x are kept, so memory does not grow with the number of panels.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        R, n = self.profile.R, len(self.quad)
-        lo, hi = min(float(x.min()), -R), max(float(x.max()), R)
-        panel = np.pi / (4 * float(np.max(self.quad.nodes)) * np.sqrt(self.profile.lower))
-        grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / panel)) + 1)
-        edges = np.union1d(np.concatenate((x, [-R, R])), grid)
-        # panel k ends at edges[k]; panel 0 has zero width, so the running sum
-        # through panel k is the integral from lo to edges[k]
-        left = np.concatenate(([lo], edges[:-1]))
-        half = 0.5 * (edges - left)
-        gx, gw = np.polynomial.legendre.leggauss(10)
-        pts = 0.5 * (left + edges)[:, None] + half[:, None] * gx
-        at = np.searchsorted(edges, x)
-        out = np.empty((2, n, x.size))
-        carry = np.zeros((2, n))
-        rows = max(1, 2**18 // (n * gx.size))
-        for i in range(0, edges.size, rows):
-            run = self.basis(pts[i:i + rows].ravel()).reshape(2, n, -1, gx.size) @ gw
-            run *= half[i:i + rows]
-            run[:, :, 0] += carry
-            np.cumsum(run, axis=-1, out=run)
-            mine = (at >= i) & (at < i + rows)
-            out[:, :, mine], carry = run[:, :, at[mine] - i], run[:, :, -1]
-        return out
-
+        quad = quad or gauss_legendre_quadrature(sset, t_max=t_max)
+        super().__init__(quad, ScatteringSweep(np.zeros_like, profile.R, quad.nodes,
+                                               profile=profile))

@@ -34,29 +34,44 @@ class CubicHermite:
     """Piecewise cubic through knots x (strictly increasing) with values y and slopes dydx.
 
     y and dydx have shape (len(x), ...); the trailing axes are carried through,
-    so a call at points of shape s returns shape s + y.shape[1:]. Each interval
-    holds power-basis coefficients in (t - x_i); points outside [x_0, x_-1]
-    continue the end pieces.
+    so a call at points of shape s returns shape s + y.shape[1:]. Only the knot
+    data is held, as given (no copy of an array is made): each call forms the
+    power-basis coefficients in (t - x_i) of the pieces its points fall in.
+    Points outside [x_0, x_-1] continue the end pieces.
     """
 
     def __init__(self, x, y, dydx):
         self.x = np.asarray(x, dtype=float)
-        y, dydx = np.asarray(y), np.asarray(dydx)
-        h = np.diff(self.x).reshape((-1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / h
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / h
-        # cubic, quadratic, linear and constant coefficients of each interval
-        self.c = (t / h, (slope - dydx[:-1]) / h - t, dydx[:-1], y[:-1])
+        self.y, self.dydx = np.asarray(y), np.asarray(dydx)
 
     def _local(self, t):
+        """Piece index i, offset s = t - x_i, and the piece's coefficients of s^3, ..., s^0."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
-        s = (t - self.x[i]).reshape(t.shape + (1,) * (self.c[0].ndim - 1))
-        return i, s, [c[i] for c in self.c]
+        col = t.shape + (1,) * (self.y.ndim - 1)
+        s = (t - self.x[i]).reshape(col)
+        h = (self.x[i + 1] - self.x[i]).reshape(col)
+        y0, m0 = self.y[i], self.dydx[i]
+        slope = (self.y[i + 1] - y0) / h
+        c = (m0 + self.dydx[i + 1] - 2 * slope) / h
+        return i, s, (c / h, (slope - m0) / h - c, m0, y0)
 
     def __call__(self, t):
         _, s, (c3, c2, c1, c0) = self._local(t)
         return ((c3 * s + c2) * s + c1) * s + c0
+
+    @cached_property
+    def _at_knots(self):
+        """Integral from the first knot to each knot; a piece adds h (y0 + y1)/2 + h^2 (m0 - m1)/12."""
+        y, m = self.y, self.dydx
+        h = np.diff(self.x).reshape((-1,) + (1,) * (y.ndim - 1))
+        out = np.zeros(y.shape, dtype=np.result_type(y, m, float))
+        np.add(y[:-1], y[1:], out=out[1:])
+        out[1:] *= h / 2
+        ends = m[:-1] - m[1:]
+        ends *= h * h / 12
+        out[1:] += ends
+        return np.cumsum(out, axis=0, out=out)
 
     def antiderivative(self, t):
         """Integral of the interpolant from the first knot to t, exact.
@@ -64,14 +79,8 @@ class CubicHermite:
         Past the ends it integrates the continued end pieces, as the
         evaluation does.
         """
-        def integral(s, c3, c2, c1, c0):  # of one piece, from its knot to knot + s
-            return (((c3 * s / 4 + c2 / 3) * s + c1 / 2) * s + c0) * s
-
-        h = np.diff(self.x).reshape((-1,) + (1,) * (self.c[0].ndim - 1))
-        pieces = integral(h, *self.c)
-        at_knots = np.cumsum(np.concatenate((np.zeros_like(pieces[:1]), pieces)), axis=0)
-        i, s, coeffs = self._local(t)
-        return integral(s, *coeffs) + at_knots[i]
+        i, s, (c3, c2, c1, c0) = self._local(t)
+        return (((c3 * s / 4 + c2 / 3) * s + c1 / 2) * s + c0) * s + self._at_knots[i]
 
 
 class BandwidthProfile:
@@ -131,8 +140,11 @@ class PiecewiseConstantProfile(BandwidthProfile):
         self.p_plus = float(self.values[-1])
         # knot table of the warp: zeta(k) = int_0^k p^{-1/2} at each knot k,
         # so that zeta is its linear interpolant; summed outward from 0, so
-        # every entry keeps its relative precision
-        k = self._knots = np.union1d(self.breakpoints, [0.0])
+        # every entry keeps its relative precision. The breakpoints are sorted
+        # and distinct, so 0 joins them by a sort: np.union1d would load
+        # numpy.ma on import, where `schrodinger` builds the unit profile
+        bp = self.breakpoints
+        k = self._knots = bp if 0.0 in bp else np.sort(np.append(bp, 0.0))
         piece = np.diff(k) * self.eval_p(k[:-1]) ** -0.5
         i0 = np.searchsorted(k, 0.0)
         self._zeta_at_knots = np.concatenate(

@@ -1,14 +1,17 @@
-"""Scattering theory for -psi'' + q psi = omega^2 psi with compactly supported q.
+"""Scattering theory for -(p u')' + q u = omega^2 u, with p constant and q zero off [-a, a].
 
-Transmission/reflection coefficients are obtained by integrating the purely
-transmitted wave across the support [-a, a] and reading off the incoming and
-reflected amplitudes on the far side.  A whole frequency sweep is integrated
-in one vectorized RK4 pass; since q is real, the conjugate of that solution
-is the mirrored one, so a single pass gives both coefficients and both
-fundamental solutions.  The interior solution is kept as one Hermite spline,
-so pointwise evaluation stays cheap inside kernel quadratures.  Every sweep
-has a potential on a support of radius a > 0: the free space q = 0 is not a
-sweep but the step profile at p = 1 (`kernel.free_model`).
+There the solutions are p+-^(-1/4) e^(+-i omega zeta(x)), zeta the warp of
+p, so T, R1 and R2 are those of the Liouville transform, read off without
+forming it: the purely transmitted wave is integrated across the support
+and the incoming and reflected amplitudes read off on the far side.  A
+whole frequency sweep is integrated in one vectorized RK4 pass; since p and
+q are real, the conjugate of that solution is the mirrored one, so a single
+pass gives both coefficients and both fundamental solutions.  The interior
+solution is kept as one Hermite spline, so pointwise evaluation stays cheap
+inside kernel quadratures.  The default p = 1 has zeta(x) = x and makes
+every factor of p exactly 1.  Every sweep has a support of radius a > 0:
+the free space is not a sweep but the step profile at p = 1
+(`kernel.free_model`).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .profile import CubicHermite
+from .profile import CubicHermite, PiecewiseConstantProfile
 from .sturm import rk4_linear, rk4_segments
+
+_UNIT = PiecewiseConstantProfile([], [1.0])  # p = 1, whose zeta(x) = x exactly
 
 
 class MatchingError(RuntimeError):
@@ -40,58 +45,67 @@ class ScatteringData:
 class ScatteringSweep:
     """Fundamental scattering solutions Phi = (Phi1, Phi2) on a frequency grid.
 
-    Phi1 is e^{i omega x} + R1 e^{-i omega x} left of the support and
-    T e^{i omega x} right of it; Phi2 is the mirrored solution.  ``q`` must
-    be real and vectorised: it is tabulated once per RK4 segment at every
-    stage abscissa.  ``breakpoints`` are the points of (-a, a) where q is not
-    smooth; RK4 steps end there instead of straddling them.
+    With e = e^{i omega zeta(x)}, Phi1 is p-^(-1/4) (e + R1 conj(e)) left of
+    the support and p+^(-1/4) T e right of it; Phi2 is the mirrored solution.
+    ``q`` must be real and vectorised: it and 1/p are tabulated once per RK4
+    segment at every stage abscissa.  ``breakpoints`` are the points of
+    (-a, a) where q or p is not smooth; RK4 steps end there instead of
+    straddling them.  ``profile`` must be constant outside [-a, a].
 
-    One RK4 pass runs leftward from +a with the solution u that is e^{i omega x}
-    right of the support.  For real q and omega > 0, conj(u) is the solution
-    that is e^{-i omega x} there, so Phi1 = T u and Phi2 = conj(u) + R2 u.
-    The sweep reads u out as the real pair U = (Re u, Im u), which is
-    (cos omega x, sin omega x) right of the support and comes from one stored
-    interpolant of u inside it, and ``mix`` is the M with Phi = M U.  Inside
-    the support Phi2 is a difference of two solutions of size 1/|T|, so its
-    relative error grows like 1/|T|^2 times the integrator's; the Liouville
-    potential of an admissible profile keeps |T| bounded below.  ``step`` and
-    ``n_steps`` record the largest RK4 step taken and the step count of the
-    pass.
+    One RK4 pass of (u, p u') runs leftward from +a with the solution u that
+    is p+^(-1/4) e right of the support.  For real p, q and omega > 0,
+    conj(u) is the solution that is p+^(-1/4) conj(e) there, so Phi1 = T u
+    and Phi2 = conj(u) + R2 u.  The sweep reads u out as the real pair
+    U = (Re u, Im u), from one stored interpolant of u inside the support,
+    and ``mix`` is the M with Phi = M U.  Inside the support Phi2 is a
+    difference of two solutions of size 1/|T|, so its relative error grows
+    like 1/|T|^2 times the integrator's; an admissible profile keeps |T|
+    bounded below.  The step is at most 1e-3 and 1/50 of the shortest local
+    wavelength 2 pi sqrt(p) / omega; ``step`` and ``n_steps`` record the
+    largest RK4 step taken and the step count of the pass.
     """
 
-    def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True):
+    def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True,
+                 profile=_UNIT):
         self.omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         if np.any(self.omegas <= 0):
             raise MatchingError("scattering requires omega > 0")
         self.a = float(support_radius)
         if not self.a > 0:
             raise MatchingError("scattering requires a support radius a > 0")
-        self.q = q
+        self.q, self.profile = q, profile
         self._spline = None
         w, a = self.omegas, self.a
-        h = min(1e-3, 2 * np.pi / (50.0 * max(np.max(w), 1e-6)))  # 50 steps per wavelength
+        h = min(1e-3, 2 * np.pi * np.sqrt(profile.lower) / (50.0 * max(np.max(w), 1e-6)))
         segments = rk4_segments(a, -a, h, breakpoints)
         self.step = max(abs(end - start) / k for start, end, k in segments)
         self.n_steps = sum(k for _, _, k in segments)
+        # the ends of the support in the warped coordinate, and p-^(1/4), p+^(1/4)
+        self._ends = profile.zeta(np.array([-a, a]))
+        self._roots = np.array([profile.p_minus, profile.p_plus]) ** 0.25
+        (z_left, z_right), (r_left, r_right) = self._ends, self._roots
 
         def q_support(x):
             # clip stage abscissae into the support: rounding can push them an
             # epsilon past +-a where a compactly supported q drops to zero
             return q(np.clip(x, -a, a))
 
-        # u = e^{i omega x} right of the support, integrated leftward
-        y0 = np.stack([np.exp(1j * w * a), 1j * w * np.exp(1j * w * a)])
-        run = rk4_linear(np.ones_like, q_support, w**2, a, -a, y0, h, breakpoints,
-                         path=store_interior)
+        # (u, p u') with u = p+^(-1/4) e right of the support, integrated leftward
+        e = np.exp(1j * w * z_right)
+        y0 = np.stack([e / r_right, 1j * w * r_right * e])
+        run = rk4_linear(lambda x: 1.0 / profile.eval_p(x), q_support, w**2, a, -a, y0, h,
+                         breakpoints, path=store_interior)
         if store_interior:
             grid, states = run
-            y, dy = states[-1]
+            y, dy = np.array(states[-1])  # a copy: p u' is scaled to u' in place below
+            states[:, 1] /= profile.eval_p(grid)[:, None]
             self._spline = CubicHermite(grid[::-1], states[::-1, 0], states[::-1, 1])
         else:
             y, dy = run
-        # u = alpha e^{i omega x} + beta e^{-i omega x} left of the support
-        alpha = 0.5 * (y + dy / (1j * w)) * np.exp(1j * w * a)
-        beta = 0.5 * (y - dy / (1j * w)) * np.exp(-1j * w * a)
+        # u = p-^(-1/4) (alpha e + beta conj(e)) left of the support
+        y, dy = y * r_left, dy / r_left
+        alpha = 0.5 * (y + dy / (1j * w)) * np.exp(-1j * w * z_left)
+        beta = 0.5 * (y - dy / (1j * w)) * np.exp(1j * w * z_left)
         if np.any(np.abs(alpha) < 1e-12):
             raise MatchingError("ill-conditioned matching system (omega too small?)")
         self.T = 1.0 / alpha
@@ -134,19 +148,20 @@ class ScatteringSweep:
         mid = np.abs(x) <= self.a
         return (x < 0) & ~mid, mid, (x >= 0) & ~mid
 
-    def _waves(self, x, primitive):
-        """(cos omega x, sin omega x), or its primitive (sin, -cos) / omega; shape (2, n, n_x)."""
-        wx = self.omegas[:, None] * x
+    def _waves(self, z, primitive):
+        """(cos omega z, sin omega z), or its primitive (sin, -cos) / omega; shape (2, n, n_z)."""
+        wz = self.omegas[:, None] * z
         if primitive:
-            return np.stack([np.sin(wx), -np.cos(wx)]) / self.omegas[:, None]
-        return np.stack([np.cos(wx), np.sin(wx)])
+            return np.stack([np.sin(wz), -np.cos(wz)]) / self.omegas[:, None]
+        return np.stack([np.cos(wz), np.sin(wz)])
 
     def _left(self, waves):
         """U left of the support from (cos, sin) there, or the same map on their primitive.
 
-        u = alpha e^{i omega x} + beta e^{-i omega x} there, with alpha = 1/T and
-        beta = R1/T, so u = (alpha + beta) cos + i (alpha - beta) sin: a real
-        2x2 map of (cos, sin) per omega. Right of the support U = (cos, sin).
+        u = p-^(-1/4) (alpha e + beta conj(e)) there, with alpha = 1/T and
+        beta = R1/T, so p-^(1/4) u = (alpha + beta) cos + i (alpha - beta) sin:
+        a real 2x2 map of (cos, sin) per omega. Right of the support
+        p+^(1/4) U = (cos, sin).
         """
         plus, minus = (1 + self.R1) / self.T, (1 - self.R1) / self.T
         L = np.array([[plus.real, -minus.imag], [plus.imag, minus.real]])[:, :, :, None]
@@ -164,13 +179,14 @@ class ScatteringSweep:
     def basis(self, x):
         """U = (Re u, Im u) at x, float64 of shape (2, n_omega, n_x).
 
-        u is e^{i omega x} right of the support, so there U = (cos, sin).
+        Right of the support U = p+^(-1/4) (cos, sin) of omega zeta(x).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         left, mid, right = self._regions(x)
+        (r_left, r_right), z = self._roots, self.profile.zeta(x)
         out = np.empty((2, self.omegas.size, x.size))
-        out[:, :, left] = self._left(self._waves(x[left], False))
-        out[:, :, right] = self._waves(x[right], False)
+        out[:, :, left] = self._left(self._waves(z[left], False)) / r_left
+        out[:, :, right] = self._waves(z[right], False) / r_right
         if np.any(mid):
             out[:, :, mid] = self._interior(x[mid], lambda spline: spline)
         return out
@@ -178,20 +194,25 @@ class ScatteringSweep:
     def basis_antiderivative(self, x):
         """int_{-a}^x U(omega, y) dy, float64 of shape (2, n_omega, n_x).
 
-        Plane-wave primitives on the tails; inside the support the exact
+        On the tails dx = p+-^(1/2) d zeta, so the primitives are p+-^(1/4)
+        times the plane-wave primitives in zeta; inside the support the exact
         integral of the stored Hermite interpolant, so any point right of -a
         needs ``store_interior=True``.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         left, mid, right = self._regions(x)
+        (z_left, z_right), (r_left, r_right) = self._ends, self._roots
+        z = self.profile.zeta(x)
         out = np.empty((2, self.omegas.size, x.size))
-        out[:, :, left] = self._left(self._waves(x[left], True) - self._waves(-self.a, True))
+        left_primitive = self._waves(z[left], True) - self._waves(z_left, True)
+        out[:, :, left] = self._left(left_primitive) * r_left
         across = 0.0
         if np.any(mid | right):
             # the stored interpolants' first knot is -a, where their antiderivatives start
             inner = self._interior(np.append(x[mid], self.a), lambda spline: spline.antiderivative)
             out[:, :, mid], across = inner[:, :, :-1], inner[:, :, -1:]
-        out[:, :, right] = (self._waves(x[right], True) - self._waves(self.a, True)) + across
+        right_primitive = self._waves(z[right], True) - self._waves(z_right, True)
+        out[:, :, right] = right_primitive * r_right + across
         return out
 
 

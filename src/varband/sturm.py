@@ -10,7 +10,7 @@ in blocks of steps.  A run that stores its path applies them to the state
 one step at a time; a run that returns only the final state first
 multiplies each block's maps into one, pairwise in about log2(block) levels,
 and applies that.  The scattering module runs it on
--psi'' + q psi = omega^2 psi.
+-(p u')' + q u = omega^2 u, with a = 1/p and b = q.
 """
 
 from __future__ import annotations

@@ -196,8 +196,7 @@ def test_06_diagonal_average_limit():
     prof = blend_profile(1.0, 4.0, R=1.0, kind="quintic")
     a = prof.warped_support_radius
     sset = SpectralSet([(0.0, 1.0)])
-    model = SchrodingerModel(prof.potential_q_warped, a, sset,
-                             x_max=8.0, store_interior=False)
+    model = SchrodingerModel(prof.potential_q_warped, a, sset, x_max=8.0)
     limit = sset.sqrt_measure / np.pi
     lengths = np.array([20.0, 40.0, 80.0, 160.0]) * a
     devs = np.array([abs(model.diagonal_tail_average(2 * a, 2 * a + L) - limit)

@@ -20,7 +20,7 @@ from varband.profile import constant_profile, profile_from_config
 from varband.sampling import (ReconstructionOperator, SampleSet, reconstruct_iterative,
                               samples_from_csv, samples_to_csv, shannon_gram)
 from varband.schrodinger import ScatteringSweep
-from varband.spectral import SpectralSet, uniform_quadrature
+from varband.spectral import SpectralQuadrature, SpectralSet, uniform_quadrature
 from varband.sturm import rk4_segments
 
 from test_schrodinger import reference_transmission
@@ -200,9 +200,8 @@ class TestTableRendering:
         out = tmp_path / "out"
         assert run(["scatter", "--config", cfg, "--out", out]) == 0
         prof = profile_from_config(prof_cfg)
-        sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                                np.linspace(0.1, 3.0, 40), breakpoints=prof.zeta([-1.0, 1.0]),
-                                store_interior=False)
+        sweep = ScatteringSweep(np.zeros_like, prof.R, np.linspace(0.1, 3.0, 40),
+                                store_interior=False, profile=prof)
         rows = [[d.omega, d.T.real, d.T.imag, d.R1.real, d.R1.imag, d.R2.real, d.R2.imag,
                  d.unitarity_defect] for d in map(sweep.data, range(len(sweep)))]
         want = csv_writer_bytes(["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2",
@@ -308,12 +307,14 @@ class TestScatter:
         assert run(["scatter", "--config", cfg, "--out", out]) == 0
         rep = json.loads((out / "report.json").read_text())
         a, h, n = rep["support_radius"], rep["rk4_step"], rep["rk4_steps"]
-        # one pass from a to -a, its steps broken at the inner edge of the
-        # blend's warped support
+        # one pass over the blend [-R, R], in one segment: p is smooth inside
+        # it and constant outside, and the step resolves the shortest local
+        # wavelength 2 pi sqrt(p) / omega
         prof = profile_from_config(json.loads(cfg.read_text())["profile"])
-        h_max = min(1e-3, 2 * np.pi / (50.0 * 2.0))
-        segments = rk4_segments(a, -a, h_max, prof.zeta([-0.5, 0.5]))
-        assert len(segments) == 2
+        assert a == prof.R == 0.5
+        h_max = min(1e-3, 2 * np.pi * np.sqrt(prof.lower) / (50.0 * 2.0))
+        segments = rk4_segments(a, -a, h_max)
+        assert len(segments) == 1
         assert n == sum(k for _, _, k in segments)
         assert h == max((start - end) / k for start, end, k in segments)
         assert 0 < h <= h_max
@@ -330,6 +331,31 @@ class TestScatter:
         prof = profile_from_config(prof_cfg)
         T_ref = np.array([reference_transmission(prof, w) for w in rows[:, 0]])
         assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - T_ref)) < 1e-8
+
+    def test_steep_blend_transmission(self, tmp_path):
+        # a 100-fold C^1 blend over R = 0.1: the sweep solves -(p u')' = omega^2 u
+        # in x and never forms the large, jumping Liouville potential, so T
+        # holds down to omega = 1e-3, where the 1/omega of the matching
+        # magnifies every error of the pass
+        prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 100.0, "R": 0.1,
+                    "blend": "cubic"}
+        prof = profile_from_config(prof_cfg)
+        omegas = np.array([1e-3, 1e-2, 0.1, 1.0, 3.0])
+        T_ref = np.array([reference_transmission(prof, w) for w in omegas])
+        scattered = []
+        for i, w in enumerate(omegas):
+            cfg = write_cfg(tmp_path, f"cfg{i}.json", {
+                "profile": prof_cfg, "omega_grid": {"lo": w, "hi": w, "n": 1}})
+            out = tmp_path / f"out{i}"
+            assert run(["scatter", "--config", cfg, "--out", out]) == 0
+            row = np.loadtxt(out / "scattering.csv", delimiter=",", skiprows=1, ndmin=2)[0]
+            scattered.append(row[1] + 1j * row[2])
+        sset = SpectralSet([(0.0, 25.0)])
+        model = LiouvilleModel(prof, sset, quad=SpectralQuadrature(sset, omegas, np.ones(5), 1))
+        assert np.max(np.abs(np.array(scattered) - T_ref)) < 1e-8
+        assert np.max(np.abs(model.sweep.T - T_ref)) < 1e-8
+        # one pass of the same equation: the step is 1e-3 at each of these omegas
+        assert np.max(np.abs(np.array(scattered) - model.sweep.T)) < 1e-13
 
     def test_unitarity_defect_column(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -870,6 +896,29 @@ VALID = {
 }
 
 
+# configs that pass their table but are refused inside the subcommand
+REFUSED_IN_COMMAND = {
+    # the default r_values reach 20, above a quarter of the window's warped length
+    "density_long_r": ("density", {"profile": STEP_14, "window": [-20.0, 20.0]}),
+    "kernel_toy_on_blend": ("kernel", {"model": "toy", "spectral_set": [[0.0, 1.0]],
+                                       "profile": BLEND_12}),
+    "reconstruct_liouville_on_step": ("reconstruct", {
+        "model": "liouville", "spectral_set": [[0.0, 1.0]], "profile": STEP_14,
+        "window": [-10.0, 10.0]}),
+}
+
+
+def refused_in_command(tmp_path, case):
+    """The argument vector of a REFUSED_IN_COMMAND case, without --out."""
+    subcommand, cfg = REFUSED_IN_COMMAND[case]
+    args = [subcommand, "--config", write_cfg(tmp_path, "cfg.json", cfg)]
+    if subcommand == "reconstruct":
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.0, 9.0, 40), np.zeros(40))
+        args += ["--samples", samples]
+    return args
+
+
 class TestErrors:
     def test_bad_config_field(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"model": "free"})
@@ -916,6 +965,22 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(tmp_path / out) in err
         assert (tmp_path / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_IN_COMMAND))
+    def test_refused_run_removes_the_out_it_made(self, tmp_path, capsys, case):
+        # refused inside the subcommand, after --out was made: exit 2, and the
+        # empty directory this run made is gone again
+        args = refused_in_command(tmp_path, case)
+        assert run(args + ["--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_IN_COMMAND))
+    def test_refused_run_keeps_an_out_made_before(self, tmp_path, case):
+        (tmp_path / "o").mkdir()
+        args = refused_in_command(tmp_path, case)
+        assert run(args + ["--out", tmp_path / "o"]) == 2
+        assert (tmp_path / "o").is_dir() and not any((tmp_path / "o").iterdir())
 
     def test_schrodinger_model_needs_smooth_profile(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {

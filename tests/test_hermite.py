@@ -5,6 +5,8 @@ scipy is the reference here only: the package itself interpolates with
 scipy-backed stand-in patched into the module that constructs it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
@@ -118,3 +120,31 @@ class TestCallSites:
         xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
         assert rel_dev(sweep.basis(xs), ref.basis(xs)) < 1e-12
         assert rel_dev(sweep.basis_antiderivative(xs), ref.basis_antiderivative(xs)) < 1e-12
+
+
+class TestStoredTables:
+    """The interior spline of a sweep holds the RK4 states, not tables built from them."""
+
+    def test_spline_holds_two_tables(self):
+        q = lambda x: np.exp(-4.0 * np.asarray(x, float) ** 2)
+        omegas = np.linspace(0.2, 4.0, 64)
+        tracemalloc.start()
+        try:
+            sweep = ScatteringSweep(q, 1.0, omegas)
+            held = tracemalloc.get_traced_memory()[0]
+            sweep.basis_antiderivative(np.linspace(-0.9, 0.9, 5))
+            sweep.basis_antiderivative(np.linspace(-0.8, 0.8, 5))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # one complex knots-by-omegas table each: values and slopes, and after
+        # the first antiderivative its knot-cumulative integrals, kept for the next
+        table = (sweep.n_steps + 1) * omegas.size * np.dtype(complex).itemsize
+        assert 2 * table <= held < 2.1 * table
+        assert 3 * table <= after < 3.1 * table
+
+    def test_knot_data_is_not_copied(self):
+        rng = np.random.default_rng(16)
+        x, y, dydx = uneven_data(rng, 30, (4,), complex)
+        sp = CubicHermite(x, y, dydx)
+        assert sp.y is y and sp.dydx is dydx

@@ -143,11 +143,11 @@ class TestTailFastPaths:
         a, kinks = prof.warped_support_radius, prof.zeta([-prof.R, prof.R])
         sset = SpectralSet([(0.0, 1.0)])
         model = SchrodingerModel(prof.potential_q_warped, a, sset, x_max=2.0,
-                                 breakpoints=kinks, store_interior=False)
+                                 breakpoints=kinks)
         lo, hi = 2 * a, 2 * a + 160 * a
         # reference: the same closed form on a rule four times finer than needed
         fine = SchrodingerModel(prof.potential_q_warped, a, sset, x_max=4 * (hi + 2 * a),
-                                breakpoints=kinks, store_interior=False)
+                                breakpoints=kinks)
         w = fine.quad.nodes
         inner = (np.exp(2j * w * hi) - np.exp(2j * w * lo)) / (2j * w)
         ripple = np.sum(fine.quad.weights * (fine.sweep.R2 * inner).real)
@@ -170,8 +170,12 @@ class TestLiouville:
         K = model.kernel_matrix(xs, xs)
         assert np.max(np.abs(K - K.T)) < 1e-10
         assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() > -1e-8
-        # pullback identity: k(x,y) = p(x)^{-1/4} p(y)^{-1/4} h(zeta x, zeta y)
-        inner = model.inner.kernel_matrix(prof.zeta(xs), prof.zeta(xs))
+        # pullback identity: k(x,y) = p(x)^{-1/4} p(y)^{-1/4} h(zeta x, zeta y), with h
+        # the kernel of the warped potential on the model's rule
+        warped = SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
+                                  model.sset, quad=model.quad,
+                                  breakpoints=prof.zeta([-prof.R, prof.R]))
+        inner = warped.kernel_matrix(prof.zeta(xs), prof.zeta(xs))
         pref = np.asarray(prof.eval_p(xs), float) ** -0.25
         assert np.max(np.abs(K - pref[:, None] * pref[None, :] * inner)) < 1e-10
 
@@ -200,6 +204,10 @@ class TestLiouville:
             ref = fine(gauss_legendre_quadrature(sset, t_max=4 * t_max)).kernel_matrix(xs, xs)
             assert len(model.quad) == len(gauss_legendre_quadrature(sset, t_max=t_max))
             assert np.max(np.abs(model.kernel_matrix(xs, xs) - ref)) <= 5e-13 * np.max(np.abs(ref))
+
+    def test_has_no_tail_average_of_p_one(self):
+        # SchrodingerModel.diagonal_tail_average integrates plane waves of p = 1
+        assert not hasattr(LiouvilleModel, "diagonal_tail_average")
 
     def test_requires_smooth_profile(self):
         from varband.profile import toy_profile

@@ -236,8 +236,10 @@ BLENDS = [(1.0, 4.0, 1.5, "cubic"), (1.0, 2.0, 1.0, "cubic"), (2.0, 3.0, 0.8, "c
 class TestBlendTransmission:
     @pytest.mark.parametrize("blend", BLENDS, ids=lambda b: "{}-{}-{}-{}".format(*b))
     def test_matches_reference_solver(self, blend):
-        # the support [zeta(-R), zeta(R)] is not symmetric: the sweep must
-        # break its RK4 steps where q jumps (cubic) or kinks (quintic)
+        # the Liouville model's sweep of -(p u')' over [-R, R], and the sweep of
+        # the warped potential: its support [zeta(-R), zeta(R)] is not
+        # symmetric, so it must break its RK4 steps where q jumps (cubic) or
+        # kinks (quintic)
         pm, pp, R, kind = blend
         prof_cfg = {"kind": "smooth_blend", "p_minus": pm, "p_plus": pp, "R": R, "blend": kind}
         prof = profile_from_config(prof_cfg)
@@ -245,7 +247,7 @@ class TestBlendTransmission:
         sset = SpectralSet([(0.0, 25.0)])
         quad = SpectralQuadrature(sset, omegas, np.ones(4), 1)
         T_ref = np.array([reference_transmission(prof, w) for w in omegas])
-        for model in (LiouvilleModel(prof, sset, quad=quad).inner,
+        for model in (LiouvilleModel(prof, sset, quad=quad),
                       _model("schrodinger", prof, sset, quad=quad)):
             assert np.max(np.abs(model.sweep.T - T_ref)) < 1e-8
 
