@@ -67,27 +67,28 @@ _SMOOTH = "a smooth profile (kind 'smooth_blend')"
 _STEP = "a piecewise profile with exactly one breakpoint, at 0, and two values"
 
 
-def _model(kind, prof, sset, quad=None, x_max=25.0):
+def _model(kind, prof, sset, quad=None, x_max=25.0, points=1):
     """The spectral model of kind ``kind`` (one of ``_MODELS``) on (prof, sset).
 
     ``quad`` replaces its Gauss rule. Otherwise the Gauss rule is sized for
     |x| <= x_max, so a caller that evaluates the kernel out to ``x_max`` gets
-    it at the rule's accuracy.
+    it at the rule's accuracy, and refused if its tables at ``points``
+    abscissae would not fit in memory.
     """
     if kind == "free":
         if not _is_unit(prof):
             raise ConfigError("model 'free' is the space of p = 1, but the profile is "
                               "not identically 1")
-        return free_model(sset, quad=quad, x_max=x_max)
+        return free_model(sset, quad=quad, x_max=x_max, points=points)
     if kind == "toy":
         _needs(_is_step(prof), "model 'toy'", _STEP)
-        return ToyModel(prof.p_minus, prof.p_plus, sset, quad=quad, x_max=x_max)
+        return ToyModel(prof.p_minus, prof.p_plus, sset, quad=quad, x_max=x_max, points=points)
     _needs(prof.is_smooth, f"model {kind!r}", _SMOOTH)
     if kind == "liouville":
-        return LiouvilleModel(prof, sset, quad=quad, x_max=x_max)
+        return LiouvilleModel(prof, sset, quad=quad, x_max=x_max, points=points)
     return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
                             sset, quad=quad, x_max=x_max,
-                            breakpoints=prof.zeta([-prof.R, prof.R]))
+                            breakpoints=prof.zeta([-prof.R, prof.R]), points=points)
 
 
 def _landau_model(c, block):
@@ -172,8 +173,9 @@ def _write_report(out_dir, cfg, extra, t0):
         ).hexdigest(),
         "versions": {"varband": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        # the only entry that differs between runs of the same config and seed
-        "timings": {"elapsed_seconds": round(time.time() - t0, 3)},
+        # the only entry that differs between runs of the same config and seed; a
+        # subcommand adds its stage timings to it
+        "timings": {"elapsed_seconds": round(time.time() - t0, 3), **extra.pop("timings", {})},
     }
     payload.update(extra)
     with open(out_dir / "report.json", "w") as fh:
@@ -213,18 +215,23 @@ def _read_samples(path, window):
 
 def cmd_kernel(c, args):
     lo, hi, n = c.grid.lo, c.grid.hi, c.grid.n
-    model = _model(c.model, c.profile, c.spectral_set, x_max=max(abs(lo), abs(hi)))
+    start = time.perf_counter()
+    model = _model(c.model, c.profile, c.spectral_set, x_max=max(abs(lo), abs(hi)), points=n)
     xs = np.linspace(lo, hi, n)
     K = model.kernel_matrix(xs, xs)
-    _write_csv(args.out / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],
-               np.column_stack([xs, K]), fmt="%.12g")
     # one row per pair of the coarse grid; the kernel is real, so im_k is 0
     coarse = xs[:: max(1, n // 20)]
     Kc = model.kernel_matrix(coarse, coarse)
+    computed = time.perf_counter()
+    _write_csv(args.out / "kernel_grid.csv", ["x\\y"] + [f"{y:.12g}" for y in xs],
+               np.column_stack([xs, K]), fmt="%.12g")
     _write_csv(args.out / "kernel_pairs.csv", ["x", "y", "re_k", "im_k"],
                np.column_stack([np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size),
                                 Kc.ravel(), np.zeros(Kc.size)]))
-    return 0, {"diagonal_max": float(np.max(np.diag(K))), **_model_report(model)}
+    timings = {"kernel_seconds": round(computed - start, 6),
+               "write_seconds": round(time.perf_counter() - computed, 6)}
+    return 0, {"diagonal_max": float(np.max(np.diag(K))), **_model_report(model),
+               "timings": timings}
 
 
 def cmd_scatter(c, args):

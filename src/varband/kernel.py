@@ -24,7 +24,9 @@ from the largest phase t_max its tables reach for |x| <= x_max:
 x_max / sqrt(min p) for the step profile, x_max + 2a for a potential
 supported on [-a, a] (its mix carries R2 ~ exp(-2i omega a)), and
 x_max / sqrt(inf p) + 2a for the Liouville model, a the support radius of
-the warped potential, whose scattering data it shares.  The rule's
+the warped potential, whose scattering data it shares; ``points``, the
+number of abscissae the caller will tabulate, lets the rule refuse tables
+that would not fit in memory before it is built.  The rule's
 ``error_bound`` holds for plane waves of frequency up to 2 t_max: exactly
 what the step-profile kernels are made of, so only that model reports it as
 its own ``error_bound``.  The scattering tables of a potential have
@@ -275,13 +277,13 @@ class SpectralModel:
 class ToyModel(SpectralModel):
     """Step-profile spectral representation from the closed-form solutions."""
 
-    def __init__(self, p_minus, p_plus, sset, quad=None, x_max=25.0):
+    def __init__(self, p_minus, p_plus, sset, quad=None, x_max=25.0, points=1):
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
         self.p_minus, self.p_plus = float(p_minus), float(p_plus)
         # the tables reach the phase omega t at t = x / sqrt(p), |t| <= x_max / sqrt(min p)
         t_max = x_max / np.sqrt(min(self.p_minus, self.p_plus))
-        self.quad = quad or gauss_legendre_quadrature(sset, t_max=t_max)
+        self.quad = quad or gauss_legendre_quadrature(sset, t_max=t_max, points=points)
         sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
         c = 2.0 / (np.pi * (sm + sp) ** 2)
         n = len(self.quad)
@@ -349,11 +351,13 @@ class ScatteringModel(SpectralModel):
 class SchrodingerModel(ScatteringModel):
     """Lebesgue spectral representation of -D^2 + q via scattering solutions."""
 
-    def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, breakpoints=()):
+    def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, breakpoints=(),
+                 points=1):
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)
         # the mix carries R2 ~ exp(-2i omega a) on top of the tables' phase omega x
-        quad = quad or gauss_legendre_quadrature(sset, t_max=x_max + 2 * support_radius)
+        quad = quad or gauss_legendre_quadrature(sset, t_max=x_max + 2 * support_radius,
+                                                 points=points)
         self.breakpoints = breakpoints
         super().__init__(quad, ScatteringSweep(q, support_radius, quad.nodes,
                                                breakpoints=breakpoints))
@@ -386,9 +390,9 @@ class SchrodingerModel(ScatteringModel):
         return (self.sset.sqrt_measure + ripple / (hi - lo)) / np.pi
 
 
-def free_model(sset, quad=None, x_max=25.0):
+def free_model(sset, quad=None, x_max=25.0, points=1):
     """The classical Paley-Wiener model: the step profile with p- = p+ = 1."""
-    return ToyModel(1.0, 1.0, sset, quad=quad, x_max=x_max)
+    return ToyModel(1.0, 1.0, sset, quad=quad, x_max=x_max, points=points)
 
 
 class LiouvilleModel(ScatteringModel):
@@ -399,7 +403,7 @@ class LiouvilleModel(ScatteringModel):
     potential, and the rule is sized as for it.
     """
 
-    def __init__(self, profile, sset, quad=None, x_max=25.0):
+    def __init__(self, profile, sset, quad=None, x_max=25.0, points=1):
         if not isinstance(profile, SmoothProfile):
             raise KernelError("the Liouville model needs a smooth eventually constant profile")
         if not isinstance(sset, SpectralSet):
@@ -408,6 +412,6 @@ class LiouvilleModel(ScatteringModel):
         # |zeta(x)| <= |x| / sqrt(inf p), and the mix adds the phase 2a of the
         # warped support radius a
         t_max = x_max / np.sqrt(profile.lower) + 2 * profile.warped_support_radius
-        quad = quad or gauss_legendre_quadrature(sset, t_max=t_max)
+        quad = quad or gauss_legendre_quadrature(sset, t_max=t_max, points=points)
         super().__init__(quad, ScatteringSweep(np.zeros_like, profile.R, quad.nodes,
                                                profile=profile))

@@ -331,13 +331,152 @@ def frame_bounds_estimate(model, X, window):
     return float(smin**2), float(s[0] ** 2)
 
 
+_G12_ROWS = 16  # rows per block: under 1 MB of temporaries at 402 columns, which stay in cache
+# [e + 11] for e = -11 ... 33: 10^(11 - e) is _SCALE_UP / _SCALE_DOWN, one of them 1 and
+# the other an exact float64 (10^22 is the largest power of ten that is)
+_SCALE_UP = np.array([10 ** max(11 - e, 0) for e in range(-11, 34)], dtype=np.float64)
+_SCALE_DOWN = np.array([10 ** max(e - 11, 0) for e in range(-11, 34)], dtype=np.float64)
+
+
+def _words(byte_rows):
+    """Each row of 8k bytes as k little-endian uint64 words: byte i is bits 8i to 8i + 7."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8")
+
+
+def _text_words(texts):
+    """One 8-byte word per text of at most 8 bytes, padded with 0 bytes."""
+    return _words(np.array(texts, dtype="S8").view(np.uint8).reshape(-1, 8))[:, 0]
+
+
+def _group_words():
+    """[2 g + tail]: the ASCII of the four digits of g = 0 ... 9999 in the low 32 bits of
+    a word; with tail = 1 its trailing zeros are 0 bytes (all four for g = 0)."""
+    g = np.arange(10**4, dtype=np.int32)
+    words = np.zeros((10**4, 2, 8), dtype=np.uint8)
+    for j in range(4):
+        words[:, 0, j] = g // 10 ** (3 - j) % 10 + ord("0")
+        # a trailing zero: this digit and all after it are 0
+        words[:, 1, j] = np.where(g % 10 ** (4 - j) == 0, 0, words[:, 0, j])
+    return _words(words.reshape(-1, 8))[:, 0]
+
+
+_GROUP_WORDS = _group_words()
+_BYTE = np.arange(16)
+_BELOW = _words(0xFF * (_BYTE < np.arange(17)[:, None]))  # [w]: bytes 0 ... w - 1 of 16
+_POINT = _words(ord(".") * (_BYTE == np.arange(17)[:, None]))  # [w]: '.' at byte w; [16]: none
+_ASCII_ZERO = 0x3030303030303030  # '0' in every byte; OR leaves a digit as it is
+# [2 (e + 11) + 1 if v < 0]: the sign, and '0.' with -e - 1 zeros for -4 <= e < 0
+_PREFIX = _text_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                      for e in range(-11, 35) for sign in (b"\0", b"-")])
+# [2 (e + 11) + 1 if last in its row]: 'e-05' ... 'e+34' outside -4 <= e < 12, then the separator
+_SUFFIX = _text_words([(b"" if -4 <= e < 12 else b"e%+03d" % e).ljust(4, b"\0") + sep
+                      for e in range(-11, 35) for sep in (b",", b"\r\n")])
+
+
+def _g12_digits(x):
+    """The significant digits and exponent of '%.12g' for float64 magnitudes x.
+
+    Returns (m, e, ok): m in [1e11, 1e12) is the value rounded to 12
+    significant digits, as an integer, and e its decimal exponent, so that
+    x rounds to m 10^(e - 11). With e = floor(log10 x) and 10^(11 - e) one
+    of the exact powers 10^0 ... 10^22, s = x 10^(11 - e) is one correctly
+    rounded product (or quotient) of the exact S (Clinger's fast path, PLDI
+    1990). Every k + 1/2 below 2^52 is a float64 and rounding is monotone,
+    so s lies on the same side of k + 1/2 as S unless it equals it: rint(s)
+    is S rounded, unless s is a tie, with no guard band. 999999999999.5 and
+    up carry into the next power of ten. ``ok`` is False where the digits
+    are not decided: zero, inf, nan, s a tie, e outside [-11, 33], where
+    10^(11 - e) is not exact, and the rare x next to a power of ten whose
+    log10 rounds across it; there m and e are placeholders.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmax and fmin map nan, inf and log10(0) = -inf into the table's range
+        e = np.fmin(np.fmax(np.floor(np.log10(x)), -11.0), 33.0).astype(np.intp)
+        s = x * _SCALE_UP[e + 11] / _SCALE_DOWN[e + 11]
+        m = np.rint(s)
+        ok = (s >= 1e11) & (m <= 1e12) & (np.abs(s - m) < 0.5)
+    carry = m == 1e12
+    e += carry
+    return np.where(ok & ~carry, m, 1e11).astype(np.int64), np.where(ok, e, 0), ok
+
+
+def _g12_rows(table):
+    """The bytes of a 2-D table that np.savetxt(fmt="%.12g", delimiter=",",
+    newline="\\r\\n") writes: its `_g12_slots` without their 0 bytes."""
+    slots = _g12_slots(np.ascontiguousarray(table, dtype=np.float64))
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _g12_slots(table):
+    """Four 8-byte words per value of a 2-D table, row by row: '%.12g' % v and its separator.
+
+    The words hold the sign and the '0.' lead of |v| < 1, the 12 digits with
+    the point, the exponent and the separator; a 0 byte marks a column the
+    value does not use. %g writes a value of exponent e in fixed notation
+    for -4 <= e < 12 and in exponent notation otherwise, and drops trailing
+    zeros of the fraction and a bare point. A value whose digits
+    `_g12_digits` does not decide is formatted by Python into its words.
+    """
+    v = table.ravel()
+    m, e, ok = _g12_digits(np.abs(v))
+    out = np.empty((v.size, 4), dtype="<u8")
+    out[:, 1], out[:, 2] = _digit_words(m, e)
+    code = 2 * (e + 11)
+    out[:, 0] = _PREFIX[code + (v < 0)]
+    code.reshape(table.shape)[:, -1] += 1
+    out[:, 3] = _SUFFIX[code]
+    slow = np.flatnonzero(~ok)
+    text = np.array(["%.12g" % x for x in v[slow].tolist()], dtype="S24")
+    out[slow, :3] = text.view("<u8").reshape(-1, 3)
+    return out
+
+
+def _digit_words(m, e):
+    """The 12 digits of m with the point, as bytes 0-12 of two words (lo, hi).
+
+    The digits come in three groups of four, with the trailing zeros of the
+    last nonzero group and of the zero groups after it dropped. Where e >= 0
+    in fixed notation, or in exponent notation, the `whole` digits before the
+    point get back their zeros, and the point goes in before the rest.
+    """
+    high = m // 10**4
+    g0 = high // 10**4
+    g1 = high - g0 * 10**4
+    g2 = m - high * 10**4
+    tail1 = g2 == 0
+    tail0 = tail1 & (g1 == 0)
+    lo = _GROUP_WORDS[2 * g0 + tail0] | _GROUP_WORDS[2 * g1 + tail1] << 32
+    hi = _GROUP_WORDS[2 * g2 + 1]
+    inner = np.flatnonzero((e >= 0) | (e < -4))
+    ei = e[inner]
+    whole = np.where((ei >= 0) & (ei < 12), ei + 1, 1)
+    lo_i, hi_i = lo[inner], hi[inner]
+    below_lo, below_hi = _BELOW[whole, 0], _BELOW[whole, 1]
+    point = np.where(((lo_i & ~below_lo) | (hi_i & ~below_hi)) != 0, whole, 16)
+    lo_i |= below_lo & _ASCII_ZERO
+    hi_i |= below_hi & _ASCII_ZERO
+    moved = lo_i & ~below_lo  # bytes from `whole` on move one up for the point
+    lo[inner] = lo_i & below_lo | moved << 8 | _POINT[point, 0]
+    hi[inner] = hi_i & below_hi | (hi_i & ~below_hi) << 8 | moved >> 56 | _POINT[point, 1]
+    return lo, hi
+
+
 def _write_csv(path, header, table, fmt="%s"):
     """Write a header and the rows of a 2-D table as CSV: comma-separated, CRLF line ends.
 
     The default ``"%s"`` renders each float64 as its shortest round-trip
     repr, the text the csv module writes for a float; ``fmt`` may also be
     one format for every column, or a list of one format per column.
+    ``"%.12g"`` tables are encoded by `_g12_rows`, `_G12_ROWS` rows at a
+    time, into exactly the bytes np.savetxt writes for them, '%.12g' % v
+    for every value; every other format goes through np.savetxt.
     """
+    if fmt == "%.12g":
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for i in range(0, len(table), _G12_ROWS):
+                fh.write(_g12_rows(table[i:i + _G12_ROWS]))
+        return
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
                    header=",".join(header), comments="")

@@ -25,6 +25,7 @@ O(n log n + m) per apply instead of the O(n m) of a `waves` table.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import factorial, isqrt
 
@@ -342,7 +343,7 @@ def _block_sums(blocks):
     return np.concatenate([np.add.outer(o, d).ravel()[:count] for o, d, count in blocks])
 
 
-def gauss_legendre_quadrature(sset, t_max=10.0):
+def gauss_legendre_quadrature(sset, t_max=10.0, points=1):
     """Composite 16-point Gauss-Legendre rule on Lambda^{1/2}, sized by its error bound.
 
     ``t_max`` is the largest phase |t| of the tables exp(i omega t) the rule
@@ -358,30 +359,43 @@ def gauss_legendre_quadrature(sset, t_max=10.0):
     summed over the intervals. The nodes of an interval are its panels' left
     edges (the shifts) plus the sixteen offsets h (1 + x_j) (h the half panel
     width, x_j the Legendre roots), which are non-negative, unlike the
-    centred h x_j. A rule of more nodes than an array can index raises
-    `SpectralSetError`.
+    centred h x_j. Before anything is allocated, a rule of more nodes than an
+    array can index raises `SpectralSetError`, and so does one whose real
+    basis table at ``points`` abscissae, two float64 per node and point,
+    would not fit in physical memory.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
     s = 2.0 * float(t_max)
+    spans = [(a, b) for a, b in sset.sqrt_intervals if b > a]
+    if not spans:
+        raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
+    panels = [float(np.ceil((b - a) * s / _GL_PANEL_PHASE)) for a, b in spans]
+    n_nodes = _GL_ORDER * sum(panels)
+    # also refuses an infinite phase
+    if not n_nodes <= np.iinfo(np.intp).max:
+        raise SpectralSetError(f"a Gauss-Legendre rule for phases up to {t_max:g} needs "
+                               f"{n_nodes:g} nodes, more than an array can index")
+    table_bytes, memory = 16.0 * n_nodes * points, _physical_memory()
+    if table_bytes > memory:
+        raise SpectralSetError(f"a Gauss-Legendre rule for phases up to {t_max:g} needs "
+                               f"{n_nodes:g} nodes, whose tables at {points} points take "
+                               f"{table_bytes:.3g} bytes, more than the {memory:.3g} bytes "
+                               f"of physical memory")
     blocks, weights, bound = [], [], 0.0
-    for a, b in sset.sqrt_intervals:
-        if b <= a:
-            continue
-        panels = float(np.ceil((b - a) * s / _GL_PANEL_PHASE))
-        # checked before anything is allocated; also refuses an infinite phase
-        if not _GL_ORDER * panels <= np.iinfo(np.intp).max:
-            raise SpectralSetError(f"a Gauss-Legendre rule for phases up to {t_max:g} needs "
-                                   f"{_GL_ORDER * panels:g} nodes, more than an array can index")
-        n_panels = max(1, int(panels))
+    for (a, b), n_panels in zip(spans, panels):
+        n_panels = max(1, int(n_panels))
         h = 0.5 * (b - a) / n_panels
         edges = np.linspace(a, b, n_panels + 1)
         blocks.append((edges[:-1], h * (1.0 + gx), _GL_ORDER * n_panels))
         weights.append(((0.5 * np.diff(edges))[:, None] * gw).ravel())
         bound += (b - a) * _GL_CONSTANT * (2.0 * h * s) ** (2 * _GL_ORDER)
-    if not blocks:
-        raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
     return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), _GL_ORDER,
                               tuple(blocks), bound)
+
+
+def _physical_memory():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def uniform_quadrature(sset, spacing):

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from math import factorial
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varband import cli
+from varband import cli, spectral
 from varband.cli import COMMANDS, main
 from varband.density import (beurling_density, landau_sweep, matched_free_model_builder,
                              quasi_uniform_set)
@@ -20,7 +21,8 @@ from varband.profile import constant_profile, profile_from_config
 from varband.sampling import (ReconstructionOperator, SampleSet, reconstruct_iterative,
                               samples_from_csv, samples_to_csv, shannon_gram)
 from varband.schrodinger import ScatteringSweep
-from varband.spectral import SpectralQuadrature, SpectralSet, uniform_quadrature
+from varband.spectral import (_GL_PANEL_PHASE, SpectralQuadrature, SpectralSet,
+                              uniform_quadrature)
 from varband.sturm import rk4_segments
 
 from test_schrodinger import reference_transmission
@@ -143,7 +145,8 @@ class TestKernel:
             assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
         reports = [json.loads((o / "report.json").read_text()) for o in (o1, o2)]
         for rep in reports:
-            assert set(rep.pop("timings")) == {"elapsed_seconds"}
+            assert set(rep.pop("timings")) == {"elapsed_seconds", "kernel_seconds",
+                                               "write_seconds"}
         # with the timings removed, the reports render to the same bytes
         assert json.dumps(reports[0], indent=2, sort_keys=True) == json.dumps(
             reports[1], indent=2, sort_keys=True)
@@ -981,6 +984,38 @@ class TestErrors:
         args = refused_in_command(tmp_path, case)
         assert run(args + ["--out", tmp_path / "o"]) == 2
         assert (tmp_path / "o").is_dir() and not any((tmp_path / "o").iterdir())
+
+    # rules under the np.intp limit whose tables on the grid do not fit in memory
+    @pytest.mark.parametrize("reach, n", [(1e17, 3), (1e7, 100_000)])
+    def test_kernel_tables_past_memory_exit_2_unallocated(self, tmp_path, capsys, reach, n):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "spectral_set": [[0.0, 1.0]], "grid": {"lo": -reach, "hi": reach, "n": n}})
+        tracemalloc.start()
+        try:
+            code = run(["kernel", "--config", cfg, "--out", tmp_path / "o"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        # 16-point panels of phase width _GL_PANEL_PHASE over [0, 1] at s = 2 reach,
+        # and U's two float64 per node at each grid point
+        nodes = 16 * np.ceil(2 * reach / _GL_PANEL_PHASE)
+        assert f"{16.0 * nodes * n:.3g} bytes" in err and "physical memory" in err
+
+    @pytest.mark.parametrize("model", ["free", "toy", "liouville", "schrodinger"])
+    def test_every_model_sizes_its_rule_for_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                     model):
+        # in 64 KB the rule alone fits, but not its tables at 401 grid points
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2**16)
+        profile = {"free": UNIT, "toy": STEP_14}.get(model, BLEND_12)
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": model, "profile": profile, "spectral_set": [[0.0, 1.0]],
+            "grid": {"lo": -5.0, "hi": 5.0, "n": 401}})
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "at 401 points take" in capsys.readouterr().err
 
     def test_schrodinger_model_needs_smooth_profile(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {

@@ -27,13 +27,15 @@ def square_well_T(q0, a, omega):
 
 
 def reference_transmission(prof, omega):
-    """T(omega) of a smooth blend, solved without the Liouville warp.
+    """T(omega) of a smooth blend from an adaptive solver of the sweep's own equation.
 
     DOP853 integrates -(p u')' = omega^2 u in x from the right plateau, where
     psi = p^(1/4) u is the pure transmitted wave e^(i omega s), to the left
     one, and reads off the incoming amplitude there; s = zeta(x) enters only
-    through the warped length of [-R, R]. Shares no code with the warps, the
-    Liouville potential or the RK4 sweep.
+    through the warped length of [-R, R], integrated by quadrature. The
+    package's `ScatteringSweep` solves this same equation, so the reference
+    is independent of it only by its solver (adaptive DOP853 against
+    fixed-step RK4); it shares no code with the warps or the sweep.
     """
     R, pm, pp = prof.R, prof.p_minus, prof.p_plus
 
