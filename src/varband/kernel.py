@@ -41,10 +41,12 @@ Every model uses one coefficient convention, F_c = int f conj(Phi_c), so
 that f = sum w rho F Phi.  ``SpectralModel.synthesize`` and ``analyze`` apply
 M and the weights w rho to (2, n_nodes) coefficients (``basis_coefficients``
 and ``from_basis_sums``) and leave the real tables of U to ``_contract``,
-the one product of a complex vector with a table; the sampling operator
-shares the two coefficient steps and, for the step profile on a lattice
-rule, replaces the tables by nonuniform FFTs.  Phi itself is never
-tabulated.
+the one product of a complex vector with a table.  ``lattice_plan`` is the
+one place that decides whether a model needs no tables at all: for the
+step profile on a lattice rule it returns a `_StepLattice`, which runs
+both products as nonuniform FFTs with the coefficient steps folded in, for
+the sampling operator and for `paleywiener.VarBandFunction.evaluate`.
+Phi itself is never tabulated.
 """
 
 from __future__ import annotations
@@ -193,6 +195,15 @@ class SpectralModel:
         """
         raise NotImplementedError
 
+    def lattice_plan(self, points, edges=None):
+        """U at ``points``, and its sums over the cells between ``edges``, without tables.
+
+        The one place that decides whether a model has such a plan: None here,
+        so the caller tabulates U; the step profile on a lattice rule returns
+        its `_StepLattice`.
+        """
+        return None
+
     # -- coefficients against basis tables ----------------------------------
 
     def synthesize(self, F, table):
@@ -309,6 +320,10 @@ class ToyModel(SpectralModel):
         root = np.where(x > 0, np.sqrt(self.p_plus), np.sqrt(self.p_minus))
         return self.quad.waves(x / root), root
 
+    def lattice_plan(self, points, edges=None):
+        """A `_StepLattice` on a lattice rule; None on a Gauss rule, which has no lattice."""
+        return None if self.quad.lattice is None else _StepLattice(self, points, edges)
+
     def basis(self, x):
         """The real pair U = (cos theta, sin theta / sqrt(p))."""
         out, root = self._waves(x)
@@ -331,6 +346,98 @@ class ToyModel(SpectralModel):
         for first, second in zip(cos, sin):
             first[:], second[:] = second, first.copy()
         return out
+
+
+class _StepLattice:
+    """The step profile's U at fixed points, and its cell sums, as nonuniform FFTs.
+
+    With t = x / sqrt(p) and theta = omega t, U = (cos theta, sin theta / sqrt(p))
+    and its antiderivative is A = (sqrt(p) sin theta / omega,
+    (1 - cos theta) / omega), with p on x's side of the jump. Each side gets
+    its own FFT grid of a `spectral.LatticeTransform` in t, on which sqrt(p)
+    is one number, so every point and every cell edge is read or written
+    once per apply.
+
+    - At the points, f = G_0 cos theta + G_1 sin theta / sqrt(p) summed over
+      the nodes, with G = mix^T (w rho F) (`SpectralModel.basis_coefficients`),
+      is a exp(i theta) + b exp(-i theta) with a, b = (G_0 -+ i G_1 / sqrt(p)) / 2:
+      a type-2 transform.
+    - Over the cells, summation by parts moves the difference of A onto the
+      values: sum_i y_i (A(e_(i+1)) - A(e_i)) = sum_j d_j A(e_j) with
+      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0. Then sum_j d_j = 0, so the
+      constant 1 / omega of A drops out, and what is left is the cosine and
+      sine sums of d, the half sum and half difference of the type-1 sums
+      E+- = sum_j d_j exp(+-i omega t_j). With y = conj(v), F = conj(mix H)
+      of these sums H is what `SpectralModel.from_basis_sums` makes of them.
+
+    Each step between F and the FFT grids is linear and acts node by node,
+    so the plan folds them, once, into two tables of shape (sign, side,
+    component, node): ``into`` holds the weights w rho, the mix, the 1/2 and
+    the -+i / sqrt(p) of a and b, and the Gaussian deconvolution, from F to
+    the grid modes; ``out_of`` the deconvolution, the 1 / omega, the -1/2 and
+    the +-i sqrt(p) of the cosine and sine sums, and the mix, from the modes
+    of E+- back to the sums H that are conjugated into F. An apply fills and
+    reads each interval's grids by slices (`_Gridding.modes`).
+
+    Bound: ``remainder`` is the transforms' (`spectral.LatticeTransform`), so
+    in exact arithmetic the values at the points are within ``remainder``
+    times the l1 norm of the coefficients a, b of the exact sums at the
+    float64 points and the rule's lattice, and the cell sums within
+    ``remainder`` times the l1 norm of d before ``out_of`` scales them;
+    float64 rounding adds about u times the same norms. This holds at any
+    point set: the sample points, the cell edges, or an output grid.
+    """
+
+    def __init__(self, model, points, edges=None):
+        roots = np.sqrt([model.p_minus, model.p_plus])
+        sign = np.array([-1.0, 1.0])[:, None, None, None]  # (sign, side, component, node)
+        root = roots[:, None, None]
+        self.points = self._transform(model.quad, roots, points)
+        self.into = []
+        for run, span in zip(self.points.runs, self.points.spans):
+            mix, deconvolve = model.mix[..., span], run.deconvolve[:, None, None]
+            self.into.append(0.5 * deconvolve * model.weights()[:, span]
+                             * (mix[:, 0] + sign * 1j * mix[:, 1] / root))
+        self.remainder = self.points.remainder
+        if edges is not None:
+            self.edges = self._transform(model.quad, roots, edges)
+            self.omegas, self.out_of = model.omegas, []
+            for run, span in zip(self.edges.runs, self.edges.spans):
+                mix, deconvolve = model.mix[..., span], run.deconvolve[:, None, None]
+                self.out_of.append(-0.5 * deconvolve / self.omegas[span]
+                                   * (mix[:, 1] - sign * 1j * root * mix[:, 0]))
+            self.remainder = max(self.remainder, self.edges.remainder)
+
+    @staticmethod
+    def _transform(quad, roots, x):
+        x = np.asarray(x, dtype=float)
+        side = (x > 0).astype(np.intp)
+        return quad.lattice_transform(x / roots[side], side, 2)
+
+    def at_points(self, F):
+        """f = sum over (c, l) of w rho F Phi at the points, for F of shape (2, n_nodes)."""
+        out = 0
+        for run, span, into in zip(self.points.runs, self.points.spans, self.into):
+            pad = run.pad()
+            for modes, table in zip(run.modes(pad), into):
+                np.multiply(table[:, 0], F[0, span], out=modes)
+                modes += table[:, 1] * F[1, span]
+            out = out + run.values(pad)
+        return out
+
+    def over_cells(self, values):
+        """sum_i v_i int_(cell i) conj(Phi), shape (2, n_nodes), for values v at the points."""
+        v = np.asarray(values, dtype=complex)
+        d = np.zeros(v.size + 1, dtype=complex)
+        d[1:] = v
+        d[:-1] -= v
+        np.conj(d, out=d)
+        F = np.empty((2, len(self.omegas)), dtype=complex)
+        for run, span, (plus, minus) in zip(self.edges.runs, self.edges.spans, self.out_of):
+            modes = run.modes(run.sums(d))
+            F[:, span] = (np.einsum("gcl,gl->cl", plus, modes[0])
+                          + np.einsum("gcl,gl->cl", minus, modes[1]))
+        return np.conj(F, out=F)
 
 
 class ScatteringModel(SpectralModel):

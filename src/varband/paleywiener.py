@@ -4,9 +4,10 @@ The source of truth for a function is always its coefficient array F on the
 model's frequency nodes (two components, one per fundamental solution),
 F_c = int f conj(Phi_c) for every model, so that f = sum w rho F Phi and
 ||f||^2 = sum w rho |F|^2 with the model's ``weights()``; spatial values are
-synthesized on demand.  This keeps every function exactly
-inside the discretized space, so projection and reconstruction operators act
-on a well-defined finite model.
+synthesized on demand, by the model's lattice plan where it has one
+(`kernel.SpectralModel.lattice_plan`) and from a table of U otherwise.
+This keeps every function exactly inside the discretized space, so
+projection and reconstruction operators act on a well-defined finite model.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ class VarBandFunction:
     def evaluate(self, x):
         scalar = not np.ndim(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.model.synthesize(self.F, _as_matrix(self.model.basis(xs)))
+        plan = self.model.lattice_plan(xs)
+        if plan is None:
+            vals = self.model.synthesize(self.F, _as_matrix(self.model.basis(xs)))
+        else:
+            vals = plan.at_points(self.F)
         return complex(vals[0]) if scalar else vals
 
     __call__ = evaluate

@@ -12,7 +12,13 @@ cells; the mix and the weights act on the (2, n_nodes) coefficients. For the
 step profile (and p = 1) on a window-matched lattice rule, U is plane waves
 in t = x / sqrt(p), so both products are nonuniform FFTs
 (`spectral.LatticeTransform`) on one grid per side of the jump, and no table
-is formed. Every other model and rule holds two float64 (2 n_nodes,
+is formed: the model's `lattice_plan` (`kernel._StepLattice`) folds the
+mix, the weights, the 1 / omega and sqrt(p) factors and the Gaussian
+deconvolution into two per-node tables, so an apply goes from the
+coefficients F to the FFT grids and from their modes back to F with no
+step between. The same plan evaluates the reconstruction on an output grid
+(`VarBandFunction.evaluate`), within its remainder times the l1 norm of the
+coefficients of exp(+-i omega t), plus rounding. Every other model and rule holds two float64 (2 n_nodes,
 n_samples) tables of U, and every iteration reads them. The frame bounds are
 read off U as well (see `frame_bounds_estimate`).
 
@@ -23,13 +29,15 @@ bounds are then None (null in the JSON report), not infinities.
 from __future__ import annotations
 
 import csv
+import time
+import warnings
 from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
 
 from .config import read_text
-from .kernel import ToyModel, _as_matrix, _contract, _sinc, toy_kernel
+from .kernel import _as_matrix, _sinc, toy_kernel
 from .paleywiener import VarBandFunction
 from .profile import _unpack
 
@@ -91,6 +99,7 @@ class ReconstructionReport:
     window: tuple = (0.0, 0.0)
     operator: str = ""  # how R ran, and its remainder: see ReconstructionOperator
     operator_remainder: float | None = None
+    operator_seconds: float = 0.0  # time to build R; a timing, left out of the JSON
 
     def to_json_dict(self):
         return {
@@ -111,9 +120,10 @@ class ReconstructionReport:
 class ReconstructionOperator:
     """Precomputed R for a fixed model, sample set and window.
 
-    ``kind`` names how R runs: "nufft" for the step-profile model on a
-    lattice rule (see `_StepLattice`), "dense" with real tables of U
-    otherwise. ``remainder`` is the stated bound of the nonuniform FFTs
+    ``kind`` names how R runs: "nufft" where the model has a lattice plan
+    (`SpectralModel.lattice_plan`: the step profile on a lattice rule, see
+    `kernel._StepLattice`), "dense" with real tables of U otherwise.
+    ``remainder`` is the stated bound of the plan's nonuniform FFTs
     (`spectral.LatticeTransform`), None for the tables.
     """
 
@@ -122,8 +132,8 @@ class ReconstructionOperator:
         self.points = _points(X)
         self.window = _unpack(window)
         edges = midpoint_partition(self.points, self.window)
-        if isinstance(model, ToyModel) and model.quad.lattice is not None:
-            plan = _StepLattice(model, self.points, edges)
+        plan = model.lattice_plan(self.points, edges)
+        if plan is not None:
             self.kind, self.remainder = "nufft", plan.remainder
             self._at_points, self._over_cells = plan.at_points, plan.over_cells
         else:
@@ -131,66 +141,17 @@ class ReconstructionOperator:
             self.cells = _as_matrix(np.diff(model.basis_antiderivative(edges), axis=-1))
             self.basis = _as_matrix(model.basis(self.points))
             self.kind, self.remainder = "dense", None
-            self._at_points = lambda G: _contract(G.ravel(), self.basis)
-            self._over_cells = lambda y: _contract(y, self.cells.T).reshape(2, -1)
+            self._at_points = lambda F: model.synthesize(F, self.basis)
+            self._over_cells = lambda values: model.analyze(values, self.cells)
 
     def sample(self, f):
-        return self._at_points(self.model.basis_coefficients(f.F))
+        return self._at_points(f.F)
 
     def from_values(self, values):
-        sums = self._over_cells(np.conj(np.asarray(values, dtype=complex)))
-        return VarBandFunction(self.model, self.model.from_basis_sums(sums))
+        return VarBandFunction(self.model, self._over_cells(values))
 
     def apply(self, f):
         return self.from_values(self.sample(f))
-
-
-class _StepLattice:
-    """The step-profile products of `ReconstructionOperator` as nonuniform FFTs.
-
-    With t = x / sqrt(p) and theta = omega t, U = (cos theta, sin theta / sqrt(p))
-    and its antiderivative is A = (sqrt(p) sin theta / omega,
-    (1 - cos theta) / omega), with p on x's side of the jump. Each side gets
-    its own FFT grid, on which sqrt(p) is one number, so every point and
-    every cell edge is read or written once per apply.
-
-    - At the samples, G_0 cos theta + G_1 sin theta / sqrt(p) is
-      a exp(i theta) + b exp(-i theta) with a, b = (G_0 -+ i G_1 / sqrt(p)) / 2:
-      a type-2 transform.
-    - Over the cells, summation by parts moves the difference of A onto the
-      values: sum_i y_i (A(e_(i+1)) - A(e_i)) = sum_j d_j A(e_j) with
-      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0. Then sum_j d_j = 0, so the
-      constant 1 / omega of A drops out, and what is left is the cosine and
-      sine sums of d, the half sum and half difference of the type-1 sums
-      sum_j d_j exp(+-i omega t_j).
-
-    Both are within ``remainder`` times the l1 norm of the transform's input
-    of the exact sums (see `spectral.LatticeTransform`).
-    """
-
-    def __init__(self, model, points, edges):
-        self.roots = np.sqrt([model.p_minus, model.p_plus])
-        self.omegas = model.quad.nodes
-        self.points = self._transform(model.quad, points)
-        self.edges = self._transform(model.quad, edges)
-        self.remainder = max(self.points.remainder, self.edges.remainder)
-
-    def _transform(self, quad, x):
-        side = (x > 0).astype(np.intp)
-        return quad.lattice_transform(x / self.roots[side], side, 2)
-
-    def at_points(self, G):
-        """sum over (a, l) of G U at the samples, for complex G of shape (2, n_nodes)."""
-        sine = (-0.5j * G[1]) / self.roots[:, None]  # (side, node)
-        return self.points.synthesize(np.stack((0.5 * G[0] + sine, 0.5 * G[0] - sine), axis=1))
-
-    def over_cells(self, y):
-        """sum_i y_i int_(cell i) U, shape (2, n_nodes), for complex y over the samples."""
-        d = -np.diff(y, prepend=0.0, append=0.0)
-        waves = self.edges.analyze(d)  # (side, sign, node)
-        cos = 0.5 * (waves[:, 0] + waves[:, 1]).sum(axis=0)
-        sin = -0.5j * (self.roots @ (waves[:, 0] - waves[:, 1]))
-        return np.stack((sin, -cos)) / self.omegas
 
 
 def reconstruct_iterative(model, profile, X, samples, omega_max, window,
@@ -203,7 +164,9 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     X = X if isinstance(X, SampleSet) else SampleSet(X)
     delta, passes = gap_condition(profile, X, omega_max)
     gamma = delta * np.sqrt(omega_max) / np.pi
+    start = time.perf_counter()
     R = ReconstructionOperator(model, X, window)
+    built = time.perf_counter() - start
     h = R.from_values(samples)
     certify = gamma < 1
     surrogate = None
@@ -213,7 +176,7 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     report = ReconstructionReport(
         delta=float(delta), gamma=float(gamma), passes=passes,
         norm_surrogate=surrogate, window=R.window,
-        operator=R.kind, operator_remainder=R.remainder,
+        operator=R.kind, operator_remainder=R.remainder, operator_seconds=built,
     )
     if not passes:
         report.diagnosis = "max-gap condition fails; convergence not certified"
@@ -491,17 +454,25 @@ def samples_to_csv(path, points, values):
 def samples_from_csv(path):
     """Points and complex values from a samples CSV: a header line, then x, re, im per row.
 
-    The rows are converted in one pass. Only if that fails, or a value is
-    not finite, are they read again row by row, so that the error names the
-    first bad line.
+    The rows are converted in one pass by numpy's C reader. Only if that
+    fails, if it returns fewer rows than the text has lines after the header
+    (it skips blank lines, which are errors here), or if a value is not
+    finite, are they read again row by row by the csv module, so that the
+    error names the first bad line; that reading also accepts what the C
+    reader does not, such as quoted fields.
     """
     text = read_text(path, "samples", SamplingError)
-    rows = list(csv.reader(StringIO(text, newline="")))[1:]
+    n_rows = len(text.splitlines()) - 1
+    if n_rows < 1:
+        return _samples_by_row(text, path)
     try:
-        table = np.array([row[:3] for row in rows], dtype=float).reshape(len(rows), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data": only blank lines
+            table = np.loadtxt(StringIO(text, newline=""), delimiter=",", skiprows=1,
+                               usecols=(0, 1, 2), comments=None, ndmin=2)
     except ValueError:
         return _samples_by_row(text, path)
-    if not np.isfinite(table).all():
+    if len(table) != n_rows or not np.isfinite(table).all():
         return _samples_by_row(text, path)
     x, re, im = table.T.copy()
     return x, re + 1j * im

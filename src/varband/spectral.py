@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, isqrt
 
 import numpy as np
@@ -182,12 +183,27 @@ class SpectralQuadrature:
 _GRID_TOLERANCE = 8 * 2.0**-53
 
 
+def _five_smooth(n):
+    """The smallest 2^a 3^b 5^c >= n: an FFT length of small prime factors only."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
+@lru_cache(maxsize=64)  # a pure function of top, asked again by every plan on one rule
 def _gaussian_gridding(top):
     """(half-width w, grid size M, Gaussian variance tau, remainder) for modes |k| <= top.
 
-    The grid has M = max(4 (top + 1), 2w) points x_m = 2 pi m / M, spacing
-    h = 2 pi / M: oversampling 2 over the band |k| <= K = top. Each point
-    reads or writes the 2w grid points nearest to it. With the periodic
+    The grid has M points x_m = 2 pi m / M, spacing h = 2 pi / M, with M the
+    smallest 5-smooth number (2^a 3^b 5^c, which FFTs fastest) at or above
+    max(4 (top + 1), 2w): oversampling at least 2 over the band |k| <= K = top.
+    Each point reads or writes the 2w grid points nearest to it. With the periodic
     Gaussian g(x) = sum_k sqrt(tau / pi) exp(-tau k^2) exp(i k x), both
     transforms are within eps sum |input| of the exact sums, where
 
@@ -199,14 +215,14 @@ def _gaussian_gridding(top):
     grid aliases onto mode K, the second the kernel beyond the 2w points,
     amplified by the deconvolution 1 / g_K; both grow with |k|, so the modes
     near 0 are the most accurate). tau is Greengard and Lee's balance
-    pi w / (M (M - K)), and w is the smallest half-width with eps <= 8u. The
-    sums keep |p| <= 3 and 40 terms of j; the terms left out are below 1e-40
-    of the first. For K >= 16, w = 17 and eps is u to 4.5u; fewer modes need
-    w <= 16.
+    pi w / (M (M - K)) at the chosen M, and w is the smallest half-width with
+    eps <= 8u there. The sums keep |p| <= 3 and 40 terms of j; the terms left
+    out are below 1e-40 of the first. For K >= 16, w <= 17 and eps is u to
+    4.5u; fewer modes need w <= 16.
     """
     p = np.array([-3, -2, -1, 1, 2, 3])
     for width in range(1, 64):
-        size = max(4 * (top + 1), 2 * width)
+        size = _five_smooth(max(4 * (top + 1), 2 * width))
         tau = np.pi * width / (size * (size - top))
         alias = np.exp(-tau * ((top + p * size) ** 2 - top**2)).sum()
         j = np.arange(width, width + 40)
@@ -233,13 +249,14 @@ class LatticeTransform:
     On an interval's lattice omega_l = first + l spacing, with theta = spacing t,
 
         exp(i omega_l t) = exp(i first t) exp(i l theta),
-        exp(-i omega_l t) = conj(exp(i first t)) exp(-i l theta):
+        exp(-i omega_l t) = exp(i (spacing - first) t) exp(-i (l + 1) theta):
 
-    one pointwise pre-phase and its conjugate, and integer modes in theta.
-    These are 2 pi-periodic in theta, so t may lie anywhere, on any window.
-    Where the interval starts at 0 (first = spacing / 2), -omega_l is
-    omega_(-l-1), so both signs share the pre-phase and one FFT grid, on the
-    modes -n .. n - 1; otherwise each sign has its own. The modes are not
+    one pointwise pre-phase per sign, and the integer modes l and -(l + 1)
+    in theta, which sit at the two ends of an FFT grid: mode l at position
+    l, mode -(l + 1) at size - 1 - l. These are 2 pi-periodic in theta, so t
+    may lie anywhere, on any window. Where the interval starts at 0
+    (first = spacing / 2), the two pre-phases are one, and both signs share
+    one FFT grid; otherwise each sign has its own. The modes are not
     centred: mode l's phase rounds by about u omega_l |t|, as a `waves`
     entry does, and the lowest nodes get the gridding's most accurate modes.
     The plan stores, for every point, its pre-phases and the grid indices and
@@ -251,45 +268,53 @@ class LatticeTransform:
     Bound: ``remainder`` is eps of `_gaussian_gridding`, so every value of
     either transform is within eps sum |c| (type 2) or eps sum |y| (type 1)
     of the exact sum at the float64 points and lattice, in exact arithmetic.
-    A rule of several intervals has one lattice, and one plan, per interval.
+    A rule of several intervals has one lattice, and one plan, per interval:
+    ``runs``, whose nodes are ``spans``.
     """
 
     def __init__(self, lattice, t, grid, n_grids):
         self.runs = [_Gridding(first, spacing, count, t, grid, n_grids)
                      for first, spacing, count in lattice]
-        self.bounds = np.cumsum([0] + [count for _, _, count in lattice])
+        bounds = np.cumsum([0] + [count for _, _, count in lattice])
+        self.spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         self.remainder = max(run.remainder for run in self.runs)
 
     def synthesize(self, c):
         out = 0
-        for run, lo, hi in zip(self.runs, self.bounds, self.bounds[1:]):
-            out = out + run.synthesize(c[..., lo:hi])
+        for run, span in zip(self.runs, self.spans):
+            pad = run.pad()
+            for sign, modes in enumerate(run.modes(pad)):
+                np.multiply(c[:, sign, span], run.deconvolve[sign], out=modes)
+            out = out + run.values(pad)
         return out
 
     def analyze(self, y):
         y = np.asarray(y, dtype=complex)
-        return np.concatenate([run.analyze(y) for run in self.runs], axis=-1)
+        parts = []
+        for run in self.runs:
+            plus, minus = run.modes(run.sums(y))
+            parts.append(np.stack((plus * run.deconvolve[0], minus * run.deconvolve[1]), axis=1))
+        return np.concatenate(parts, axis=-1)
 
 
 class _Gridding:
-    """One interval's Gaussian-gridding plan at fixed points (see `LatticeTransform`)."""
+    """One interval's Gaussian-gridding plan at fixed points (see `LatticeTransform`).
+
+    Its FFT grids are arrays of shape (rows, n_grids, size), one row per
+    pre-phase; `modes` gives the views of the modes l and -(l + 1) in them,
+    both in node order, and ``deconvolve`` the factors 1 / g_k of those modes.
+    """
 
     def __init__(self, first, spacing, count, t, grid, n_grids):
-        l = np.arange(count)
-        if 2 * first == spacing:  # symmetric: -omega_l = omega_(-l-1), one grid
-            top, signs = count, 1
-            modes = np.stack((l, -1 - l))
-        else:
-            top, signs = count - 1, 2
-            modes = np.stack((l, -l))
-        width, size, tau, self.remainder = _gaussian_gridding(top)
-        self.size, self.n_grids = size, n_grids
+        width, size, tau, self.remainder = _gaussian_gridding(count)
+        self.count, self.size, self.n_grids = count, size, n_grids
         phase = np.exp(1j * first * t)
-        self.prephase = np.stack((phase, phase.conj()))[:signs]
-        # the FFT grid (row of `padded`) and position of each sign's modes
-        self.rows = np.array([0, signs - 1])
-        self.positions = modes % size
-        self.deconvolve = np.exp(modes * modes * tau) * np.sqrt(np.pi / tau)  # 1 / g_k
+        if 2 * first == spacing:  # symmetric: one pre-phase, one FFT grid for both signs
+            self.prephase = phase[None]
+        else:
+            self.prephase = np.stack((phase, np.exp(1j * (spacing - first) * t)))
+        k = np.arange(count) + np.arange(2)[:, None]  # |mode|: l and l + 1
+        self.deconvolve = np.exp(k * k * tau) * np.sqrt(np.pi / tau)  # 1 / g_k
         # theta in units of the grid step, split into the grid point below it
         # and the fraction past it; the window is that point's -w + 1 .. w
         steps = (spacing * size / (2 * np.pi)) * t
@@ -299,20 +324,38 @@ class _Gridding:
         gap = (steps - below)[:, None] - taps
         self.weights = np.exp(-(gap * (2 * np.pi / size)) ** 2 / (4 * tau))
 
-    def synthesize(self, c):
-        signs = self.prephase.shape[0]
-        padded = np.zeros((c.shape[0], signs, self.size), dtype=complex)
-        for sign in range(2):
-            padded[:, self.rows[sign], self.positions[sign]] = c[:, sign] * self.deconvolve[sign]
+    def pad(self):
+        """Zeroed FFT grids, to be filled through `modes`."""
+        return np.zeros((self.prephase.shape[0], self.n_grids, self.size), dtype=complex)
+
+    def modes(self, grids):
+        """The views (n_grids, count) of modes l and -(l + 1) in grids, l = 0 ... count - 1."""
+        return grids[0, :, :self.count], grids[-1, :, :-self.count - 1:-1]
+
+    def values(self, grids):
+        """The type-2 sums at the points from deconvolved FFT grids.
+
+        A point on grid g gets the sum over rows r and modes k of
+        grids[r, g, k] exp(i k theta), times its pre-phase r.
+        """
+        rows = grids.shape[0]
         # one row of real and imaginary parts per grid point: the gather then
         # reads whole rows, and the weights act on them as one real product
-        grids = np.fft.ifft(padded, axis=-1).transpose(0, 2, 1).reshape(-1, signs)
+        grids = np.fft.ifft(grids, axis=-1).transpose(1, 2, 0).reshape(-1, rows)
         grids = np.ascontiguousarray(grids).view(float)
-        near = np.take(grids, self.index, axis=0)  # (m, 2w, 2 signs)
+        near = np.take(grids, self.index, axis=0)  # (m, 2w, 2 rows)
         values = np.matmul(self.weights[:, None, :], near)[:, 0].view(complex)
-        return np.einsum("jr,rj->j", values, self.prephase)
+        out = values[:, 0] * self.prephase[0]
+        if rows == 2:
+            out += values[:, 1] * self.prephase[1]
+        return out
 
-    def analyze(self, y):
+    def sums(self, y):
+        """The type-1 FFT grids of values y at the points, not yet deconvolved.
+
+        Mode k of row r and grid g is the sum over the points j on grid g of
+        y_j exp(i k theta_j) times their pre-phase r.
+        """
         index = self.index.ravel()
         length = self.n_grids * self.size
         spread = np.empty((self.prephase.shape[0], length), dtype=complex)
@@ -320,9 +363,7 @@ class _Gridding:
             z = y * phase
             out.real = np.bincount(index, (self.weights * z.real[:, None]).ravel(), length)
             out.imag = np.bincount(index, (self.weights * z.imag[:, None]).ravel(), length)
-        sums = np.fft.ifft(spread.reshape(-1, self.n_grids, self.size), axis=-1)
-        return np.stack([sums[self.rows[sign]][:, self.positions[sign]] * self.deconvolve[sign]
-                         for sign in range(2)], axis=1)
+        return np.fft.ifft(spread.reshape(-1, self.n_grids, self.size), axis=-1)
 
 
 _GL_ORDER = 16  # points per Gauss-Legendre panel
@@ -370,17 +411,9 @@ def gauss_legendre_quadrature(sset, t_max=10.0, points=1):
     if not spans:
         raise SpectralSetError(f"spectral set {sset.intervals} has zero measure")
     panels = [float(np.ceil((b - a) * s / _GL_PANEL_PHASE)) for a, b in spans]
-    n_nodes = _GL_ORDER * sum(panels)
     # also refuses an infinite phase
-    if not n_nodes <= np.iinfo(np.intp).max:
-        raise SpectralSetError(f"a Gauss-Legendre rule for phases up to {t_max:g} needs "
-                               f"{n_nodes:g} nodes, more than an array can index")
-    table_bytes, memory = 16.0 * n_nodes * points, _physical_memory()
-    if table_bytes > memory:
-        raise SpectralSetError(f"a Gauss-Legendre rule for phases up to {t_max:g} needs "
-                               f"{n_nodes:g} nodes, whose tables at {points} points take "
-                               f"{table_bytes:.3g} bytes, more than the {memory:.3g} bytes "
-                               f"of physical memory")
+    _refuse_past_memory(f"a Gauss-Legendre rule for phases up to {t_max:g}",
+                        _GL_ORDER * sum(panels), points)
     blocks, weights, bound = [], [], 0.0
     for (a, b), n_panels in zip(spans, panels):
         n_panels = max(1, int(n_panels))
@@ -398,7 +431,24 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def uniform_quadrature(sset, spacing):
+def _refuse_past_memory(rule, n_nodes, points):
+    """Raise `SpectralSetError` for a rule of n_nodes nodes that cannot be built.
+
+    That is a rule of more nodes than an array can index (or of an infinite
+    or undefined count), or one whose real basis tables at ``points``
+    abscissae, two float64 per node and point, would not fit in physical
+    memory. It is called before anything of the rule is allocated.
+    """
+    if not n_nodes <= np.iinfo(np.intp).max:
+        raise SpectralSetError(f"{rule} needs {n_nodes:g} nodes, more than an array can index")
+    table_bytes, memory = 16.0 * n_nodes * points, _physical_memory()
+    if table_bytes > memory:
+        raise SpectralSetError(f"{rule} needs {n_nodes:g} nodes, whose tables at {points} "
+                               f"points take {table_bytes:.3g} bytes, more than the "
+                               f"{memory:.3g} bytes of physical memory")
+
+
+def uniform_quadrature(sset, spacing, points=1):
     """Midpoint rule with fixed node spacing, for window-matched discretizations.
 
     With ``spacing = pi / W`` the plane waves exp(+-i omega_l x) attached to the
@@ -407,11 +457,17 @@ def uniform_quadrature(sset, spacing):
     than ``spacing`` may be dropped at the top of each interval. The n nodes
     of an interval [a, b] come in blocks of B = ceil(sqrt(n)): offsets
     a + (j + 1/2) spacing for j < B, shifted by q B spacing; the rule records
-    each interval's lattice (a + spacing / 2, spacing, n).
+    each interval's lattice (a + spacing / 2, spacing, n). As for
+    `gauss_legendre_quadrature`, a rule whose real basis tables at ``points``
+    abscissae would not fit in physical memory raises `SpectralSetError`
+    before anything is allocated.
     """
+    if not spacing > 0:  # pi / W underflows to 0 for an infinite W
+        raise SpectralSetError(f"a uniform rule needs a positive spacing, got {spacing:g}")
+    counts = [np.floor(float(b - a) / spacing + 1e-12) for a, b in sset.sqrt_intervals]
+    _refuse_past_memory(f"a uniform rule of spacing {spacing:g}", sum(counts), points)
     blocks, weights, lattice = [], [], []
-    for a, b in sset.sqrt_intervals:
-        n = int(np.floor((b - a) / spacing + 1e-12))
+    for (a, b), n in zip(sset.sqrt_intervals, map(int, counts)):
         if n == 0:
             continue
         size = isqrt(n - 1) + 1

@@ -435,6 +435,29 @@ class TestReconstruct:
         assert rep["residuals"][-1] < rep["residuals"][0]
         assert (out / "reconstruction.csv").exists()
 
+    def test_deterministic(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
+            "window": [-10.0, 10.0], "n_max": 5, "output_points": 21,
+        })
+        samples = tmp_path / "samples.csv"
+        X = np.linspace(-9.5, 9.5, 60)
+        samples_to_csv(samples, X, np.cos(X) + 0.5j * np.sin(X))
+        o1, o2 = tmp_path / "a", tmp_path / "b"
+        for o in (o1, o2):
+            assert run(["reconstruct", "--config", cfg, "--out", o, "--samples", samples,
+                        "--seed", 7]) == 0
+        for name in ("reconstruction.csv", "reconstruction_report.json"):
+            assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+        reports = [json.loads((o / "report.json").read_text()) for o in (o1, o2)]
+        for rep in reports:
+            timings = rep.pop("timings")
+            assert set(timings) == {"elapsed_seconds", "build_seconds", "iterate_seconds",
+                                    "write_seconds"}
+            assert all(t >= 0 for t in timings.values())
+        assert json.dumps(reports[0], indent=2, sort_keys=True) == json.dumps(
+            reports[1], indent=2, sort_keys=True)
+
     def test_report_records_quadrature(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
@@ -1004,6 +1027,32 @@ class TestErrors:
         # and U's two float64 per node at each grid point
         nodes = 16 * np.ceil(2 * reach / _GL_PANEL_PHASE)
         assert f"{16.0 * nodes * n:.3g} bytes" in err and "physical memory" in err
+
+    # the window-matched uniform rules of both: about 3.2e16 nodes on [0, 1]
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("reconstruct", dict(RECONSTRUCT, window=[-1e17, 1e17])),
+        ("landau", {"spectral_set": [[0.0, 1.0]], "window_halfwidths": [1e17]}),
+    ], ids=["reconstruct", "landau"])
+    def test_uniform_rule_past_memory_exits_2_unallocated(self, tmp_path, capsys, subcommand,
+                                                          cfg):
+        args = [subcommand, "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                "--out", tmp_path / "o"]
+        if subcommand == "reconstruct":
+            samples = tmp_path / "samples.csv"
+            samples_to_csv(samples, [-1.0, 0.0, 1.0], [1.0, 0.5, -1.0])
+            args += ["--samples", samples]
+        tracemalloc.start()
+        try:
+            code = run(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "a uniform rule" in err and "physical memory" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("model", ["free", "toy", "liouville", "schrodinger"])
     def test_every_model_sizes_its_rule_for_the_grid(self, tmp_path, capsys, monkeypatch,

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from dataclasses import replace
 
@@ -434,6 +435,39 @@ def test_lattice_operator_at_study_size():
     assert np.all(np.abs(got - ref) <= (1 + sp) * per_node)
 
 
+def test_lattice_evaluate_at_study_size():
+    """f.evaluate on an 801-point output grid by the lattice plan against the dense tables.
+
+    As for the samples in `test_lattice_operator_at_study_size`: the two differ
+    by at most the plan's remainder plus the tables' 8u (1 + omega |t|), times
+    the l1 norm of the coefficients of exp(+-i omega t).
+    """
+    pm, pp, n = 1.1, 3.2, 675
+    sm, W = np.sqrt(pm), (n + 0.5) * np.pi
+    sset = SpectralSet([(0.0, 1.0)])
+    quad = uniform_quadrature(sset, np.pi / W)
+    model = ToyModel(pm, pp, sset, quad=quad)
+    dense_model = ToyModel(pm, pp, sset, quad=replace(quad, lattice=None))
+    xs = np.linspace(-W * sm, W * np.sqrt(pp), 801)
+    plan = model.lattice_plan(xs)
+    assert dense_model.lattice_plan(xs) is None
+    f = random_function(model, rng=41)
+    G = model.basis_coefficients(f.F)
+    l1 = np.abs(G[0]).sum() + np.abs(G[1]).sum() / sm
+    waves = 8 * 2.0**-53 * (1 + quad.nodes.max() * W)
+    dev = np.abs(f.evaluate(xs) - VarBandFunction(dense_model, f.F).evaluate(xs))
+    assert dev.max() <= (plan.remainder + waves) * l1
+    # a scalar point gets a plan of its own, and the same value
+    assert abs(f.evaluate(xs[400]) - f.evaluate(xs)[400]) <= (plan.remainder + waves) * l1
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "liouville"])
+def test_scattering_models_have_no_lattice_plan(kind):
+    model = contraction_model(kind)
+    assert model.quad.lattice is not None
+    assert model.lattice_plan(TestOperatorContractions.X) is None
+
+
 def complex_frame_bounds(model, X, window):
     """A and B from the SVD of the complex N x 2n matrix sqrt(cell w rho) Phi(x)."""
     col = np.sqrt(model.quad.weights[None, :] * model.rho)
@@ -497,3 +531,60 @@ class TestCsv:
         pts2, vals2 = samples_from_csv(p)
         assert np.allclose(pts, pts2)
         assert np.allclose(vals, vals2)
+
+    # rows after the header line; each is read the same with CRLF and with LF line ends
+    PARITY_ROWS = {
+        "plain": ["0.5,1,-2", "1.5,2.25e-3,4", "3,-0.5,0"],
+        "blank-line": ["0.5,1,-2", "", "3,-0.5,0"],
+        "trailing-blank-line": ["0.5,1,-2", "3,-0.5,0", ""],
+        "comment-line": ["0.5,1,-2", "# a comment", "3,-0.5,0"],
+        "quoted-fields": ['"0.5",1,-2', '1.5,"2",4'],
+        "extra-columns": ["0.5,1,-2,7,x", "1.5,2,4,8,y"],
+        "short-row": ["0.5,1,-2", "1.5,2", "3,-0.5,0"],
+        "nan": ["0.5,nan,-2", "1.5,2,4"],
+        "inf": ["0.5,1,-2", "1.5,2,-inf"],
+        "not-a-number": ["0.5,1,-2", "1.5,two,4"],
+        "header-only": [],
+    }
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("case", sorted(PARITY_ROWS))
+    def test_parse_matches_csv_module(self, tmp_path, case, newline):
+        rows = self.PARITY_ROWS[case]
+        p = tmp_path / "samples.csv"
+        p.write_bytes("".join(line + newline for line in ["x,re_value,im_value", *rows]).encode())
+        want = csv_module_samples(p)
+        if isinstance(want, int):
+            with pytest.raises(SamplingError, match=f"malformed samples file .*, line {want}: "):
+                samples_from_csv(p)
+        else:
+            got = samples_from_csv(p)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_last_line_without_newline(self, tmp_path):
+        p = tmp_path / "samples.csv"
+        p.write_text("x,re_value,im_value\n0.5,1,-2\n1.5,2,4")
+        x, v = samples_from_csv(p)
+        assert np.array_equal(x, [0.5, 1.5]) and np.array_equal(v, [1 - 2j, 2 + 4j])
+
+
+def csv_module_samples(path):
+    """A samples file as the csv module reads it, one row at a time: the reference.
+
+    Returns (points, values), or the number of the first line that is not
+    three finite numbers.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        pts, vals = [], []
+        for row in reader:
+            try:
+                x, re, im = (float(v) for v in row[:3])
+            except ValueError:
+                return reader.line_num
+            if not np.isfinite([x, re, im]).all():
+                return reader.line_num
+            pts.append(x)
+            vals.append(re + 1j * im)
+    return np.array(pts), np.array(vals, dtype=complex)

@@ -1,12 +1,15 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
 
 from varband.spectral import (
+    _GRID_TOLERANCE,
     SpectralQuadrature,
     SpectralSet,
     SpectralSetError,
+    _gaussian_gridding,
     gauss_legendre_quadrature,
     uniform_quadrature,
 )
@@ -123,6 +126,48 @@ class TestUniform:
     def test_too_coarse(self):
         with pytest.raises(SpectralSetError):
             uniform_quadrature(SpectralSet([(0.0, 0.01)]), 1.0)
+
+    @pytest.mark.parametrize("spacing, points", [(1e-17, 1), (1e-8, 10**6), (1e-320, 1)])
+    def test_past_memory_refused_unallocated(self, spacing, points):
+        # 1e17 nodes, or 1e8 nodes at 1e6 points: tables of 1.6e18 and 1.6e15 bytes;
+        # at 1e-320 the count is infinite
+        sset = SpectralSet([(0.0, 1.0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpectralSetError, match="nodes"):
+                uniform_quadrature(sset, spacing, points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan")])
+    def test_spacing_must_be_positive(self, spacing):
+        with pytest.raises(SpectralSetError, match="positive spacing"):
+            uniform_quadrature(SpectralSet([(0.0, 1.0)]), spacing)
+
+    def test_tables_that_fit_are_built(self):
+        q = uniform_quadrature(SpectralSet([(0.0, 1.0)]), np.pi / 1000.0, points=10**4)
+        assert len(q) == 318
+
+
+def five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestGaussianGridding:
+    @pytest.mark.parametrize("top", [*range(1, 40), 100, 199, 675, 676, 1000, 4095, 10007])
+    def test_five_smooth_size_within_tolerance(self, top):
+        width, size, tau, remainder = _gaussian_gridding(top)
+        bound = max(4 * (top + 1), 2 * width)
+        # the smallest 2^a 3^b 5^c at or above the bound, and the remainder there
+        assert size >= bound and five_smooth(size)
+        assert not any(five_smooth(m) for m in range(bound, size))
+        assert tau == np.pi * width / (size * (size - top))
+        assert remainder <= _GRID_TOLERANCE
 
 
 QUADRATURES = {
