@@ -315,8 +315,9 @@ def cmd_landau(c, args):
 
     def builder(wz):
         # quadrature matched to the warped window, as `landau_sweep` requires; U is
-        # tabulated at the densest set, floor(2 wz max density) points
-        quad = uniform_quadrature(sset, np.pi / wz, points=int(2 * wz * max(grid)))
+        # tabulated at the densest set, about 2 wz max density points (a float: it may
+        # overflow to inf, which the rule refuses)
+        quad = uniform_quadrature(sset, np.pi / wz, points=2 * wz * max(grid))
         return _model(c.model, c.profile, sset, quad=quad)
 
     res = landau_sweep(builder, c.profile, sset, grid, c.window_halfwidths)

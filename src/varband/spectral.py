@@ -443,7 +443,7 @@ def _refuse_past_memory(rule, n_nodes, points):
         raise SpectralSetError(f"{rule} needs {n_nodes:g} nodes, more than an array can index")
     table_bytes, memory = 16.0 * n_nodes * points, _physical_memory()
     if table_bytes > memory:
-        raise SpectralSetError(f"{rule} needs {n_nodes:g} nodes, whose tables at {points} "
+        raise SpectralSetError(f"{rule} needs {n_nodes:g} nodes, whose tables at {points:g} "
                                f"points take {table_bytes:.3g} bytes, more than the "
                                f"{memory:.3g} bytes of physical memory")
 

@@ -789,6 +789,10 @@ BAD_INPUTS = {
     "density_reversed_window": (
         "density", {"profile": STEP_14, "window": [20.0, -20.0], "r_values": [1.0]}, None,
         "window needs lo < hi"),
+    # the warped half-width overflows to inf, so the matched spacing pi / W is 0
+    "reconstruct_window_overflows": (
+        "reconstruct", dict(RECONSTRUCT, window=[-1.7e308, 1.7e308]),
+        SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n", "a uniform rule needs a positive spacing"),
     "reconstruct_reversed_window": (
         "reconstruct", dict(RECONSTRUCT, window=[10, -10]),
         SAMPLES_HEADER + "-5.0,0,0\n0.0,1,0\n5.0,0,1\n", "window needs lo < hi"),
@@ -1028,11 +1032,14 @@ class TestErrors:
         nodes = 16 * np.ceil(2 * reach / _GL_PANEL_PHASE)
         assert f"{16.0 * nodes * n:.3g} bytes" in err and "physical memory" in err
 
-    # the window-matched uniform rules of both: about 3.2e16 nodes on [0, 1]
+    # the window-matched uniform rules: about 3.2e16 nodes on [0, 1], or 31 nodes whose
+    # tables at the densest set, 2e308 points, overflow to inf bytes
     @pytest.mark.parametrize("subcommand, cfg", [
         ("reconstruct", dict(RECONSTRUCT, window=[-1e17, 1e17])),
         ("landau", {"spectral_set": [[0.0, 1.0]], "window_halfwidths": [1e17]}),
-    ], ids=["reconstruct", "landau"])
+        ("landau", {"spectral_set": [[0.0, 1.0]], "window_halfwidths": [100.0],
+                    "density_grid": [1e306]}),
+    ], ids=["reconstruct", "landau", "landau-dense"])
     def test_uniform_rule_past_memory_exits_2_unallocated(self, tmp_path, capsys, subcommand,
                                                           cfg):
         args = [subcommand, "--config", write_cfg(tmp_path, "cfg.json", cfg),
