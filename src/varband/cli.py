@@ -188,9 +188,15 @@ def _profile_sweep(prof, omegas):
 
 
 def _sweep_report(sweep):
-    """The largest unitarity defect of a scattering sweep, its largest RK4 step and step count."""
+    """A scattering sweep's largest unitarity defect and its RK4 pass.
+
+    The pass's largest step and step count, the number of omega^2 values it
+    integrated and the accepted tail of its interpolant in omega^2 (0 when
+    none was interpolated).
+    """
     return {"max_unitarity_defect": sweep.unitarity_defect(), "rk4_step": sweep.step,
-            "rk4_steps": sweep.n_steps}
+            "rk4_steps": sweep.n_steps, "rk4_points": sweep.rk4_points,
+            "rk4_interpolation_tail": sweep.interpolation_tail}
 
 
 def _model_report(model):

@@ -430,10 +430,17 @@ def _write_csv(path, header, table, fmt="%s"):
     The default ``"%s"`` renders each float64 as its shortest round-trip
     repr, the text the csv module writes for a float; ``fmt`` may also be
     one format for every column, or a list of one format per column.
-    ``"%.12g"`` tables are encoded by `_g12_rows`, `_G12_ROWS` rows at a
-    time, into exactly the bytes np.savetxt writes for them, '%.12g' % v
-    for every value; every other format goes through np.savetxt.
+    ``"%s"`` tables (of float64 or integers) are written from
+    ``table.tolist()``, and ``"%.12g"`` tables are encoded by `_g12_rows`,
+    `_G12_ROWS` rows at a time: either way exactly the bytes np.savetxt
+    writes for them, without formatting each row through numpy scalars.
+    Every other format goes through np.savetxt.
     """
+    if fmt == "%s":
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join(lines) + "\r\n")
+        return
     if fmt == "%.12g":
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())

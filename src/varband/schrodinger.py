@@ -62,7 +62,12 @@ class ScatteringSweep:
     like 1/|T|^2 times the integrator's; an admissible profile keeps |T|
     bounded below.  The step is at most 1e-3 and 1/50 of the shortest local
     wavelength 2 pi sqrt(p) / omega; ``step`` and ``n_steps`` record the
-    largest RK4 step taken and the step count of the pass.
+    largest RK4 step taken and the step count of the pass.  Without
+    ``store_interior`` the pass returns only its final state, interpolated
+    in omega^2 when the grid has more frequencies than the interpolant
+    needs (see `rk4_linear`); ``rk4_points`` records the number of omega^2
+    values integrated, and ``interpolation_tail`` the interpolant's accepted
+    relative tail, or 0 when nothing was interpolated.
     """
 
     def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True,
@@ -93,8 +98,10 @@ class ScatteringSweep:
         # (u, p u') with u = p+^(-1/4) e right of the support, integrated leftward
         e = np.exp(1j * w * z_right)
         y0 = np.stack([e / r_right, 1j * w * r_right * e])
+        record = {}
         run = rk4_linear(lambda x: 1.0 / profile.eval_p(x), q_support, w**2, a, -a, y0, h,
-                         breakpoints, path=store_interior)
+                         breakpoints, path=store_interior, record=record)
+        self.rk4_points, self.interpolation_tail = record["points"], record["tail"]
         if store_interior:
             grid, states = run
             y, dy = np.array(states[-1])  # a copy: p u' is scaled to u' in place below

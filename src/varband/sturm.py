@@ -5,12 +5,23 @@ both components are continuous across jumps of p, so carrying the state
 vector through a breakpoint IS the matching condition.  `rk4_linear` is the
 package's one fixed-step RK4 integrator, with mandatory breakpoint nodes and
 coefficients tabulated once per segment.  The system is linear, so each RK4
-step is a 2x2 matrix in closed form (its propagator); the driver builds those
-in blocks of steps.  A run that stores its path applies them to the state
-one step at a time; a run that returns only the final state first
-multiplies each block's maps into one, pairwise in about log2(block) levels,
-and applies that.  The scattering module runs it on
--(p u')' + q u = omega^2 u, with a = 1/p and b = q.
+step is a 2x2 matrix in closed form (its propagator) whose entries are
+quadratics in c; the driver builds those in blocks of steps.  A run that
+stores its path applies them to the state one step at a time, 64 steps to a
+block.  A run that returns only the final state multiplies each block's
+maps into one, pairwise in about log2(block) levels, and those into the map
+M(c) of the whole run, a polynomial in c, which it applies to the initial
+state.  When c holds more distinct real values than a Chebyshev interpolant
+of M needs, M is integrated only at Chebyshev points of [min c, max c]: 17,
+then 33, 65, ..., each set containing the last, until the last two
+Chebyshev coefficients of every entry are at most 2^-45 of its largest.
+The barycentric formula then evaluates M at every c, within about
+(1 + L) 2^-45 of each entry's size, L <= 1 + (2 / pi) log n the Lebesgue
+constant of the n points.  Otherwise M is integrated at c's own distinct
+values.  A final-state block is as long as a table of 64 * 200 maps allows
+at the point count, between 64 and 1024 steps.
+The scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p
+and b = q.
 """
 
 from __future__ import annotations
@@ -22,7 +33,10 @@ class IntegrationError(RuntimeError):
     pass
 
 
-_BLOCK = 64  # RK4 steps per table of step propagators
+_BLOCK = 64  # RK4 steps per table of step propagators along a stored path
+_TABLE = 64 * 200  # steps times c values in one table of the final-state run
+_FIRST = 17  # Chebyshev points of the first interpolant of the propagator
+_TAIL = 2.0**-45  # largest accepted last coefficients, relative to an entry's largest
 
 
 def rk4_segments(x0, x1, step, breakpoints=()):
@@ -116,60 +130,200 @@ def _compose(P, work):
     return P[:, :, 0]
 
 
-def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False):
+def _step_table(a, b, start, end, n):
+    """`_step_polynomials` of the n steps of one segment, a and b tabulated by one call each.
+
+    The stage abscissae (nodes, half-steps, end-steps) are clipped strictly
+    inside the open segment, so that stages at a breakpoint never pick the
+    wrong one-sided limit.
+    """
+    h = (end - start) / n
+    nodes = start + h * np.arange(n)
+    eps = 1e-9 * abs(h)
+    stages = np.clip(np.stack([nodes, nodes + h / 2, nodes + h]),
+                     min(start, end) + eps, max(start, end) - eps)
+    A = np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape)
+    B = np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape)
+    return _step_polynomials(A, B, h)
+
+
+def _block_steps(points):
+    """Steps per block of a final-state run at ``points`` values of c.
+
+    As many as fit a table of `_TABLE` maps, so that a block's table never
+    outgrows 64 steps at 200 values; but at least `_BLOCK`, and at most 16
+    times that, where the cost of a block's Python calls is long amortised.
+    """
+    return min(16 * _BLOCK, max(_BLOCK, _TABLE // points))
+
+
+def _propagator(tables, c):
+    """The map of the whole run at each value of the 1-D array c, shape (2, 2, c.size).
+
+    ``tables`` holds each segment's `_step_table`.  Each block of
+    `_block_steps` step maps is multiplied into one map by `_compose`, and
+    that map multiplies the product so far from the left.
+    """
+    block = _block_steps(c.size)
+    width = 4 * (min(block, max(len(polys[0][0]) for polys in tables)) + 1) * c.size
+    work = [np.empty(width, dtype=np.result_type(c, float)) for _ in range(2)]
+    # the rows (M00, M01) and (M10, M11) of the product, from the identity
+    u, v = np.eye(2, dtype=work[0].dtype)[:, :, None].repeat(c.size, axis=2)
+    for polys in tables:
+        for s in range(0, len(polys[0][0]), block):
+            (p00, p01), (p10, p11) = _compose(
+                _rk4_propagators(polys, slice(s, s + block), c, work[0]), work)
+            u, v = p00 * u + p01 * v, p10 * u + p11 * v
+    return np.stack([u, v])
+
+
+def _chebyshev_points(lo, hi, n):
+    """The n Chebyshev points of the second kind on [lo, hi], from hi down to lo.
+
+    The ends are lo and hi exactly, and the points of n are those of 2n - 1
+    at even indices, bit for bit.
+    """
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n) / (n - 1))
+    nodes[0], nodes[-1] = hi, lo
+    return nodes
+
+
+def _chebyshev_tail(M):
+    """The largest relative tail of the entries of M, tabulated at n `_chebyshev_points`.
+
+    M has shape (..., n).  Each entry's Chebyshev coefficients come from the
+    n x n cosine matrix of its values (a type-I discrete cosine transform);
+    its tail is the larger of its last two coefficients over its largest.
+    Not finite when M is not.
+    """
+    n = M.shape[-1]
+    k = np.arange(n)
+    cosines = np.cos(np.pi * np.outer(k, k) / (n - 1))
+    cosines[:, [0, -1]] *= 0.5
+    # the coefficients up to their common factor 2 / (n - 1)
+    coefs = np.abs(M.reshape(-1, n) @ cosines.T)
+    coefs[:, [0, -1]] *= 0.5
+    largest = coefs.max(axis=1)
+    return float(np.max(np.maximum(coefs[:, -1], coefs[:, -2])
+                        / np.where(largest > 0, largest, 1.0)))
+
+
+def _barycentric(nodes, M, x):
+    """The interpolant of M (..., n) through the Chebyshev points ``nodes`` at x, shape (..., x.size).
+
+    The barycentric formula of the second kind, with weights (-1)^j halved
+    at both ends.  At an x equal to a node it returns that node's values,
+    so nothing divides by zero.
+    """
+    n = nodes.size
+    weights = (-1.0) ** np.arange(n)
+    weights[[0, -1]] *= 0.5
+    d = x[:, None] - nodes
+    at_node = d == 0
+    d[at_node] = 1.0
+    k = weights / d
+    table = M.reshape(-1, n)
+    out = (table @ k.T) / k.sum(axis=1)
+    row, node = np.nonzero(at_node)
+    out[:, row] = table[:, node]
+    return out.reshape(M.shape[:-1] + x.shape)
+
+
+def _final_state(tables, c, y, record):
+    """The final state of `rk4_linear` from the tables of its segments; see there."""
+    values, inverse = np.unique(c, return_inverse=True)
+    n, swept, M = _FIRST, 0, None
+    while np.isrealobj(values) and n < values.size:
+        # nested Chebyshev points: only those not swept before are integrated
+        nodes = _chebyshev_points(values[0], values[-1], n)
+        new = slice(None) if M is None else slice(1, None, 2)
+        grown = np.empty((2, 2, n))
+        if M is not None:
+            grown[:, :, ::2] = M
+        grown[:, :, new] = _propagator(tables, nodes[new])
+        swept += nodes[new].size
+        M, tail = grown, _chebyshev_tail(grown)
+        if tail <= _TAIL:
+            M = _barycentric(nodes, M, values)
+            break
+        n = 2 * n - 1
+    else:  # complex c, or no fewer points than c has values: integrate those
+        M, tail = _propagator(tables, values), 0.0
+        swept += values.size
+    if record is not None:
+        record.update(points=swept, tail=tail)
+    (m00, m01), (m10, m11) = M[:, :, inverse.reshape(c.shape)]
+    u, v = y
+    return np.stack([m00 * u + m01 * v, m10 * u + m11 * v])
+
+
+def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=None):
     """Classical RK4 for u0' = a(x) u1, u1' = (b(x) - c) u0 from x0 to x1.
 
     y0 has shape (2, ...) and c broadcasts over the trailing axes, so a whole
     frequency sweep (c = omega^2) or a single eigenvalue (c = lambda)
     integrates in one pass.  The stage abscissae do not depend on c: per
     segment of `rk4_segments`, the coefficients a and b are tabulated at all
-    nodes, half-steps and end-steps by one vectorised call each, strictly
-    inside the open segment so that stages at a breakpoint never pick the
-    wrong one-sided limit.  Since the system is linear, each RK4 step is a
-    2x2 matrix, real for real a, b and c; the matrices are built in closed
-    form `_BLOCK` steps at a time (see `_rk4_propagators`).  With
-    ``path=True`` they are applied to the state in step order, and every
-    state is stored.  Without it, each block's maps are first multiplied
-    into one map (see `_compose`), which is applied to the state once per
-    block.  Either way the result is the stage recursion's up to rounding.
-    Returns the final state, or with ``path=True`` (grid, states) with grid
-    in integration order and states of shape (len(grid), 2, ...).
+    nodes, half-steps and end-steps by one vectorised call each, once per
+    run (see `_step_table`).  Since the system is linear, each RK4 step is a
+    2x2 matrix, real for real a, b and c, whose entries are polynomials of
+    degree 2 in c; the matrices are built in closed form a block of steps at
+    a time (see `_rk4_propagators`).
+
+    With ``path=True`` they are applied to the state in step order,
+    `_BLOCK` steps at a time, and every state is stored.  Returns (grid,
+    states) with grid in integration order and states of shape (len(grid),
+    2, ...).
+
+    Without it, the run's map M(c), the product of all step maps, is formed
+    block by block (see `_compose`) and applied to y0; the final state is
+    returned.  M is a polynomial in c.  If c is real with more distinct
+    values than `_FIRST`, M is integrated at the `_FIRST` Chebyshev points
+    of [min c, max c], and then at 2n - 1 points, which contain the n before
+    them, until the last two Chebyshev coefficients of every entry are at
+    most `_TAIL` = 2^-45 times its largest; the barycentric formula then
+    evaluates M at every c, exactly at the points themselves.  If the
+    coefficients beyond decay like the last two, each interpolated entry is
+    within about (1 + L) 2^-45 times its largest coefficient of the
+    integrated one, where L <= 1 + (2 / pi) log n is the Lebesgue constant
+    of the n points (3.2 at n = 33): about 9e-14 of the entry's size.  The
+    integrated M itself carries rounding of about 1e-14 of its size after a
+    few thousand steps, the floor of its coefficients, so a smaller `_TAIL`
+    would buy doublings that change nothing.  Once the next interpolant
+    would need as many points as c has distinct values, and for complex c,
+    a scalar c or a constant c, M is integrated at c's own distinct values
+    instead, with no interpolation.
+
+    ``record``, if a dict, receives ``points``, the number of c values
+    integrated, and ``tail``, the accepted relative tail of the interpolant
+    (0 when M was not interpolated, and along a stored path).
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
     y = np.asarray(y0, dtype=complex)
     if x1 == x0:
         return (np.array([x0]), y[None, ...]) if path else y
-    if path:
-        grid = np.empty(1 + sum(n for _, _, n in segments))
-        states = np.empty(grid.shape + y.shape, dtype=complex)
-        grid[0], states[0] = x0, y
+    c = np.asarray(c)
+    tables = [_step_table(a, b, *segment) for segment in segments]
+    if not path:
+        return _final_state(tables, c, y, record)
+    if record is not None:
+        record.update(points=c.size, tail=0.0)
+    grid = np.empty(1 + sum(n for _, _, n in segments))
+    states = np.empty(grid.shape + y.shape, dtype=complex)
+    grid[0], states[0] = x0, y
     done = 0  # steps taken before the current segment
     u, v = y
-    c = np.asarray(c)
-    # flat buffers for one block of maps, and for the levels of `_compose`
-    width = 4 * (min(_BLOCK, max(n for *_, n in segments)) + 1) * c.size
-    work = [np.empty(width, dtype=np.result_type(c, float)) for _ in range(1 if path else 2)]
-    for start, end, n in segments:
-        h = (end - start) / n
-        nodes = start + h * np.arange(n)
-        eps = 1e-9 * abs(h)
-        stages = np.clip(np.stack([nodes, nodes + h / 2, nodes + h]),
-                         min(start, end) + eps, max(start, end) - eps)
-        A = np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape)
-        B = np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape)
-        polys = _step_polynomials(A, B, h)
+    # a flat buffer for one block of maps
+    work = np.empty(4 * min(_BLOCK, max(n for *_, n in segments)) * c.size,
+                    dtype=np.result_type(c, float))
+    for (start, end, n), polys in zip(segments, tables):
         for s in range(0, n, _BLOCK):
-            P = _rk4_propagators(polys, slice(s, s + _BLOCK), c, work[0])
-            if path:
-                for i, (p00, p01, p10, p11) in enumerate(zip(*P.reshape((4,) + P.shape[2:])),
-                                                         done + s + 1):
-                    u, v = p00 * u + p01 * v, p10 * u + p11 * v
-                    states[i, 0], states[i, 1] = u, v
-            else:
-                (p00, p01), (p10, p11) = _compose(P, work)
+            P = _rk4_propagators(polys, slice(s, s + _BLOCK), c, work)
+            for i, (p00, p01, p10, p11) in enumerate(zip(*P.reshape((4,) + P.shape[2:])),
+                                                     done + s + 1):
                 u, v = p00 * u + p01 * v, p10 * u + p11 * v
-        if path:
-            grid[done + 1:done + n + 1] = start + h * np.arange(1, n + 1)
-            grid[done + n] = end
+                states[i, 0], states[i, 1] = u, v
+        grid[done + 1:done + n + 1] = start + (end - start) / n * np.arange(1, n + 1)
+        grid[done + n] = end
         done += n
-    return (grid, states) if path else np.stack([u, v])
+    return grid, states

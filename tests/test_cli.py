@@ -23,7 +23,7 @@ from varband.sampling import (ReconstructionOperator, SampleSet, reconstruct_ite
 from varband.schrodinger import ScatteringSweep
 from varband.spectral import (_GL_PANEL_PHASE, SpectralQuadrature, SpectralSet,
                               uniform_quadrature)
-from varband.sturm import rk4_segments
+from varband.sturm import _TAIL, rk4_segments
 
 from test_schrodinger import reference_transmission
 
@@ -321,6 +321,50 @@ class TestScatter:
         assert n == sum(k for _, _, k in segments)
         assert h == max((start - end) / k for start, end, k in segments)
         assert 0 < h <= h_max
+        # four frequencies are fewer than an interpolant in omega^2 needs
+        assert rep["rk4_points"] == 4 and rep["rk4_interpolation_tail"] == 0
+
+    def test_report_records_interpolation(self, tmp_path):
+        prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5}
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": prof_cfg, "omega_grid": {"lo": 0.05, "hi": 5.0, "n": 200},
+        })
+        out = tmp_path / "out"
+        assert run(["scatter", "--config", cfg, "--out", out]) == 0
+        rep = strict_json(out / "report.json")
+        sweep = cli._profile_sweep(profile_from_config(prof_cfg), np.linspace(0.05, 5.0, 200))
+        # the pass ran at the nested Chebyshev points 17, then 33, of omega^2
+        assert rep["rk4_points"] == sweep.rk4_points == 33
+        assert rep["rk4_interpolation_tail"] == sweep.interpolation_tail
+        assert 0 < rep["rk4_interpolation_tail"] <= _TAIL
+
+    BLEND = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5}
+
+    def rows(self, tmp_path, name, lo, hi, n):
+        """The data lines of scattering.csv for the grid (lo, hi, n); no division by zero."""
+        cfg = write_cfg(tmp_path, f"{name}.json", {
+            "profile": self.BLEND, "omega_grid": {"lo": lo, "hi": hi, "n": n},
+        })
+        with np.errstate(divide="raise", invalid="raise"):
+            assert run(["scatter", "--config", cfg, "--out", tmp_path / name]) == 0
+        return (tmp_path / name / "scattering.csv").read_text().splitlines()[1:]
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.7, 0.7, 200), (0.7, 0.7, 1), (0.7, 4.0, 2)],
+                             ids=["equal_ends", "one_omega", "two_omegas"])
+    def test_degenerate_grids(self, tmp_path, lo, hi, n):
+        # every row is the row of a grid of that omega alone (the RK4 step is
+        # 1e-3 for both), and agrees with the sweep that stores its path
+        rows = self.rows(tmp_path, "grid", lo, hi, n)
+        omegas = np.linspace(lo, hi, n)
+        assert len(rows) == n
+        alone = {w: self.rows(tmp_path, f"alone{i}", w, w, 1)[0]
+                 for i, w in enumerate(np.unique(omegas))}
+        assert rows == [alone[w] for w in omegas]
+        full = ScatteringSweep(np.zeros_like, self.BLEND["R"], omegas,
+                               profile=profile_from_config(self.BLEND))
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        for k, coef in ((1, full.T), (3, full.R1), (5, full.R2)):
+            assert np.max(np.abs(table[:, k] + 1j * table[:, k + 1] - coef)) < 1e-12
 
     def test_cubic_blend_transmission(self, tmp_path):
         prof_cfg = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5,
@@ -561,7 +605,8 @@ class TestReconstruct:
 class TestSweepReport:
     """kernel and reconstruct report the RK4 sweep behind a scattering model, as scatter does."""
 
-    SWEEP_FIELDS = ("max_unitarity_defect", "rk4_step", "rk4_steps")
+    SWEEP_FIELDS = ("max_unitarity_defect", "rk4_step", "rk4_steps", "rk4_points",
+                    "rk4_interpolation_tail")
 
     @pytest.mark.parametrize("subcommand, model", [
         ("kernel", "schrodinger"), ("kernel", "liouville"), ("reconstruct", "liouville"),
@@ -591,6 +636,9 @@ class TestSweepReport:
         sweep = built.sweep
         assert rep["n_nodes"] == len(sweep) > 0
         assert rep["rk4_step"] == sweep.step and rep["rk4_steps"] == sweep.n_steps > 0
+        # the stored path integrates every node's omega^2 and interpolates nothing
+        assert rep["rk4_points"] == sweep.rk4_points == len(sweep)
+        assert rep["rk4_interpolation_tail"] == sweep.interpolation_tail == 0
         assert rep["max_unitarity_defect"] == sweep.unitarity_defect() < 1e-7
 
 

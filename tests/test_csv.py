@@ -1,4 +1,4 @@
-"""The '%.12g' table encoder of `sampling._write_csv`, byte for byte against Python's '%.12g'."""
+"""The table writers of `sampling._write_csv`, byte for byte against np.savetxt and Python's '%.12g'."""
 
 import numpy as np
 import pytest
@@ -80,3 +80,41 @@ def test_kernel_grid_rarely_falls_back():
     K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=10.0).kernel_matrix(xs, xs)
     _, _, ok = _g12_digits(np.abs(np.column_stack([xs, K])))
     assert np.mean(~ok) < 0.01
+
+
+def savetxt_bytes(tmp_path, header, table, fmt):
+    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+    return (tmp_path / "savetxt.csv").read_bytes()
+
+
+def repr_tables():
+    """Tables of random bits, specials, values either side of 1e16 and 1e-4, and integers."""
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float).reshape(-1, 8)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                         1.7976931348623157e308, 2.2250738585072014e-308])
+    edges = neighbours([1e16, -1e16, 1e-4, -1e-4, 1e15, 1e-5, 0.1, 1.0, 2.0**53])
+    scaled = 10.0 ** rng.uniform(-6, 18, (2000, 4)) * rng.choice([-1.0, 1.0], (2000, 4))
+    counts = np.arange(-50, 50).reshape(-1, 4)
+    return {
+        "random_bits": bits,
+        "specials": np.concatenate([specials, -specials]).reshape(-1, 2),
+        "edges": edges.reshape(-1, 3),
+        "scaled": scaled,
+        "integer_valued_columns": np.column_stack([counts.astype(float), scaled[:25, :2]]),
+        "integer_dtype": counts,
+        "one_row": bits[:1],
+        "one_column": np.concatenate([specials, edges])[:, None],
+        "one_value": np.array([[-0.0]]),
+        "no_rows": np.empty((0, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(repr_tables()))
+def test_repr_writer_matches_savetxt(tmp_path, name):
+    table = repr_tables()[name]
+    header = [f"c{j}" for j in range(table.shape[1])]
+    _write_csv(tmp_path / "fast.csv", header, table)
+    assert (tmp_path / "fast.csv").read_bytes() == savetxt_bytes(tmp_path, header, table, "%s")

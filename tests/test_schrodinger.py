@@ -271,6 +271,37 @@ class TestSweepCost:
             assert sum(calls) == 3 * sweep.n_steps
 
 
+class TestInterpolatedSweep:
+    """A sweep that keeps only the final state, interpolated in omega^2, against the stored path."""
+
+    @pytest.mark.parametrize("prof, omegas", [
+        (blend_profile(1.0, 4.0, R=1.5, kind="quintic"), np.linspace(0.05, 5.0, 200)),
+        (blend_profile(1.0, 100.0, R=0.1, kind="cubic"), np.linspace(1e-3, 3.0, 200)),
+        (blend_profile(1.0, 100.0, R=0.1, kind="cubic"), np.geomspace(1e-3, 3.0, 200)),
+    ], ids=["quintic_blend", "steep_blend_linear", "steep_blend_geometric"])
+    def test_matches_stored_interior(self, prof, omegas):
+        lean, full = (ScatteringSweep(np.zeros_like, prof.R, omegas, store_interior=store,
+                                      profile=prof) for store in (False, True))
+        assert lean.rk4_points < omegas.size and lean.interpolation_tail > 0
+        assert full.rk4_points == omegas.size and full.interpolation_tail == 0
+        for got, want in ((lean.T, full.T), (lean.R1, full.R1), (lean.R2, full.R2)):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("distinct", [np.array([0.5, 1.0, 3.0]), np.linspace(0.05, 5.0, 60)],
+                             ids=["few", "many"])
+    def test_duplicate_omegas(self, distinct):
+        # each omega's row is that of the sweep without duplicates, bit for bit
+        prof = blend_profile(1.0, 4.0, R=1.5, kind="quintic")
+        omegas = np.repeat(distinct, 3)
+        with np.errstate(divide="raise", invalid="raise"):
+            sweep, alone = (ScatteringSweep(np.zeros_like, prof.R, w, store_interior=False,
+                                            profile=prof) for w in (omegas, distinct))
+        assert sweep.rk4_points == alone.rk4_points
+        for got, want in ((sweep.T, alone.T), (sweep.R1, alone.R1), (sweep.R2, alone.R2),
+                          (sweep.defects, alone.defects)):
+            assert np.array_equal(got, np.repeat(want, 3))
+
+
 class TestLiouvilleConsistency:
     def test_profile_potential_scattering(self):
         # the warped potential of a smooth blend is an admissible q and the

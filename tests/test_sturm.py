@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from varband.sturm import _BLOCK, IntegrationError, rk4_linear, rk4_segments
+from varband.sturm import (_BLOCK, _FIRST, _TAIL, IntegrationError, _barycentric, _block_steps,
+                           _chebyshev_points, rk4_linear, rk4_segments)
 
 from closed_forms import (SpectralDensityError, toy_fundamental, toy_spectral_density,
                           toy_wronskian_value)
@@ -196,6 +197,30 @@ class TestIntegratorCore:
         assert final.shape == path[-1].shape
         assert np.max(np.abs(final - path[-1])) < 1e-13 * np.max(np.abs(path[-1]))
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("c, y0", [
+        (np.array([0.3, 2.0, 7.5, 40.0]), np.array([[1.0, 0.5j, -0.2 + 1j, 2.0],
+                                                    [0.3j, 1.0 - 1j, 0.7, -1j]])),
+        (1.7, np.array([1.0 - 0.5j, 0.4j])),
+    ], ids=["array_c", "scalar_c"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_final_blocks_match_step_by_step(self, offset, c, y0, backward):
+        # the final state's blocks are longer than the path's: a segment of
+        # block + offset steps, then one of two full blocks and a partial one
+        block = _block_steps(np.size(c))
+        assert block > _BLOCK
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        h = 2.0**-7
+        x0, x1 = 1.0 - h * (block + offset), 1.0 + h * (2 * block + 5)
+        if backward:
+            x0, x1 = x1, x0
+        assert sorted(k for *_, k in rk4_segments(x0, x1, h, (1.0,))) == sorted(
+            [block + offset, 2 * block + 5])
+        _, path = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,), path=True)
+        final = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
+        assert final.shape == path[-1].shape
+        assert np.max(np.abs(final - path[-1])) < 1e-13 * np.max(np.abs(path[-1]))
+
     def test_breakpoint_nodes_present(self):
         g, _ = rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]),
                           0.3, breakpoints=(0.5,), path=True)
@@ -226,3 +251,79 @@ class TestIntegratorCore:
     def test_step_validation(self):
         with pytest.raises(IntegrationError):
             rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]), -1.0)
+
+
+class TestInterpolatedFinalState:
+    """The final state at many c from the run's map interpolated in c, against the stored path."""
+
+    @staticmethod
+    def runs(c, backward=False):
+        # b = exp(-x^2) left of the jump at 1, so b != 0 and a breakpoint splits the run
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        x0, x1 = (2.5, -1.5) if backward else (-1.5, 2.5)
+        y0 = np.stack([np.ones(np.shape(c)), 1j * np.sqrt(c) + 0.5])
+        record = {}
+        final = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), record=record)
+        _, path = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), path=True)
+        return final, path[-1], record
+
+    @pytest.mark.parametrize("spacing", [np.linspace, np.geomspace], ids=["linear", "geometric"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_matches_path_columnwise(self, spacing, backward):
+        c = spacing(1e-6, 1e2, 200)
+        final, last, record = self.runs(c, backward)
+        assert final.shape == last.shape == (2, 200)
+        dev = np.max(np.abs(final - last), axis=0) / np.max(np.abs(last), axis=0)
+        assert np.max(dev) < 1e-12
+        # fewer c values were integrated than requested, at an accepted tail
+        assert _FIRST <= record["points"] < c.size
+        assert 0 < record["tail"] <= _TAIL
+
+    def test_few_values_are_integrated_directly(self):
+        c = np.linspace(0.5, 30.0, _FIRST)
+        final, last, record = self.runs(c)
+        assert record == {"points": _FIRST, "tail": 0.0}
+        assert np.max(np.abs(final - last)) < 1e-13 * np.max(np.abs(last))
+
+    @pytest.mark.parametrize("c", [
+        np.repeat(np.linspace(0.5, 30.0, 12), [1, 2, 3] * 4),
+        np.repeat(np.linspace(0.5, 30.0, 100), 2),
+        np.full(200, 7.5),
+    ], ids=["few_distinct", "many_distinct", "constant"])
+    def test_duplicate_values_share_their_state(self, c):
+        # each distinct value is integrated or interpolated once, and its
+        # state is the one a run at the distinct values alone returns
+        values = np.unique(c)
+        with np.errstate(divide="raise", invalid="raise"):
+            final, last, record = self.runs(c)
+            alone, _, record_alone = self.runs(values)
+        assert record == record_alone
+        assert np.max(np.abs(final - last)) < 1e-12 * np.max(np.abs(last))
+        assert np.array_equal(final, alone[:, np.searchsorted(values, c)])
+
+    def test_value_at_a_chebyshev_point(self):
+        # the ends and inner Chebyshev points of every nested point set
+        # among the c values: the interpolant returns the integrated maps there
+        c = np.linspace(1e-6, 1e2, 200)
+        nodes = _chebyshev_points(c[0], c[-1], _FIRST)
+        assert nodes[0] == c[-1] and nodes[-1] == c[0]
+        c[[40, 90, 150]] = nodes[[12, 8, 3]]
+        with np.errstate(divide="raise", invalid="raise"):
+            final, last, record = self.runs(c)
+        assert record["points"] < c.size
+        dev = np.max(np.abs(final - last), axis=0) / np.max(np.abs(last), axis=0)
+        assert np.max(dev) < 1e-12
+
+    def test_barycentric_is_exact_at_the_points(self):
+        nodes = _chebyshev_points(0.25, 9.0, 9)
+        table = np.random.default_rng(3).normal(size=(2, 2, 9))
+        with np.errstate(divide="raise", invalid="raise"):
+            assert np.array_equal(_barycentric(nodes, table, nodes), table)
+            x = np.array([0.25, 1.0, 9.0])
+            inside = _barycentric(nodes, table, x)
+        assert inside.shape == (2, 2, 3)
+        assert np.array_equal(inside[..., [0, 2]], table[..., [-1, 0]])
+        # a polynomial of degree below the point count is reproduced
+        cubic = (x**3 - 2 * x)[None, None, :]
+        through = _barycentric(nodes, (nodes**3 - 2 * nodes)[None, None, :], x)
+        assert np.max(np.abs(through - cubic)) < 1e-13 * np.max(np.abs(cubic))
