@@ -373,11 +373,13 @@ class _StepLattice:
     Each step between F and the FFT grids is linear and acts node by node,
     so the plan folds them, once, into two tables of shape (sign, side,
     component, node): ``into`` holds the weights w rho, the mix, the 1/2 and
-    the -+i / sqrt(p) of a and b, and the Gaussian deconvolution, from F to
-    the grid modes; ``out_of`` the deconvolution, the 1 / omega, the -1/2 and
-    the +-i sqrt(p) of the cosine and sine sums, and the mix, from the modes
-    of E+- back to the sums H that are conjugated into F. An apply fills and
-    reads each interval's grids by slices (`_Gridding.modes`).
+    the -+i / sqrt(p) of a and b, and the deconvolution 1 / psi_k of the
+    transforms' exponential-of-semicircle kernel (`spectral._es_gridding`),
+    from F to the grid modes; ``out_of`` the deconvolution, the 1 / omega,
+    the -1/2 and the +-i sqrt(p) of the cosine and sine sums, and the mix,
+    from the modes of E+- back to the sums H that are conjugated into F. An
+    apply fills and reads each interval's grids by slices
+    (`_Gridding.modes`).
 
     Bound: ``remainder`` is the transforms' (`spectral.LatticeTransform`), so
     in exact arithmetic the values at the points are within ``remainder``
@@ -386,6 +388,8 @@ class _StepLattice:
     ``remainder`` times the l1 norm of d before ``out_of`` scales them;
     float64 rounding adds about u times the same norms. This holds at any
     point set: the sample points, the cell edges, or an output grid.
+    ``taps`` and ``fft_lengths`` are the transforms' (the edges share the
+    points' lattice, and so their gridding).
     """
 
     def __init__(self, model, points, edges=None):
@@ -399,6 +403,7 @@ class _StepLattice:
             self.into.append(0.5 * deconvolve * model.weights()[:, span]
                              * (mix[:, 0] + sign * 1j * mix[:, 1] / root))
         self.remainder = self.points.remainder
+        self.taps, self.fft_lengths = self.points.taps, self.points.fft_lengths
         if edges is not None:
             self.edges = self._transform(model.quad, roots, edges)
             self.omegas, self.out_of = model.omegas, []

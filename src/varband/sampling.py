@@ -13,14 +13,18 @@ step profile (and p = 1) on a window-matched lattice rule, U is plane waves
 in t = x / sqrt(p), so both products are nonuniform FFTs
 (`spectral.LatticeTransform`) on one grid per side of the jump, and no table
 is formed: the model's `lattice_plan` (`kernel._StepLattice`) folds the
-mix, the weights, the 1 / omega and sqrt(p) factors and the Gaussian
-deconvolution into two per-node tables, so an apply goes from the
+mix, the weights, the 1 / omega and sqrt(p) factors and the deconvolution
+of the transforms' exponential-of-semicircle kernel (18 taps per point,
+w = 9, beta = 2.30 (2w)) into two per-node tables, so an apply goes from the
 coefficients F to the FFT grids and from their modes back to F with no
 step between. The same plan evaluates the reconstruction on an output grid
 (`VarBandFunction.evaluate`), within its remainder times the l1 norm of the
-coefficients of exp(+-i omega t), plus rounding. Every other model and rule holds two float64 (2 n_nodes,
-n_samples) tables of U, and every iteration reads them. The frame bounds are
-read off U as well (see `frame_bounds_estimate`).
+coefficients of exp(+-i omega t), plus rounding; the remainder, 2.0e-16, is
+the largest single-mode aliasing error that Poisson summation gives for the
+kernel, at the top mode at oversampling 2 (`spectral._es_gridding`).
+Every other model and rule holds two float64 (2 n_nodes, n_samples) tables
+of U, and every iteration reads them. The frame bounds are read off U as
+well (see `frame_bounds_estimate`).
 
 Where gamma >= 1 no certificate exists: the norm surrogate and the certified
 bounds are then None (null in the JSON report), not infinities.
@@ -97,8 +101,10 @@ class ReconstructionReport:
     converged: bool = False
     diagnosis: str = ""
     window: tuple = (0.0, 0.0)
-    operator: str = ""  # how R ran, and its remainder: see ReconstructionOperator
+    operator: str = ""  # how R ran, its remainder and gridding: see ReconstructionOperator
     operator_remainder: float | None = None
+    operator_taps: int | None = None
+    operator_fft_lengths: list | None = None
     operator_seconds: float = 0.0  # time to build R; a timing, left out of the JSON
 
     def to_json_dict(self):
@@ -124,7 +130,9 @@ class ReconstructionOperator:
     (`SpectralModel.lattice_plan`: the step profile on a lattice rule, see
     `kernel._StepLattice`), "dense" with real tables of U otherwise.
     ``remainder`` is the stated bound of the plan's nonuniform FFTs
-    (`spectral.LatticeTransform`), None for the tables.
+    (`spectral.LatticeTransform`), ``taps`` the grid points each of their
+    points reads or writes and ``fft_lengths`` their FFT length per interval
+    of the rule; all three are None for the tables.
     """
 
     def __init__(self, model, X, window):
@@ -135,12 +143,14 @@ class ReconstructionOperator:
         plan = model.lattice_plan(self.points, edges)
         if plan is not None:
             self.kind, self.remainder = "nufft", plan.remainder
+            self.taps, self.fft_lengths = plan.taps, plan.fft_lengths
             self._at_points, self._over_cells = plan.at_points, plan.over_cells
         else:
             # cells first, so their antiderivative table is freed before U is built
             self.cells = _as_matrix(np.diff(model.basis_antiderivative(edges), axis=-1))
             self.basis = _as_matrix(model.basis(self.points))
             self.kind, self.remainder = "dense", None
+            self.taps = self.fft_lengths = None
             self._at_points = lambda F: model.synthesize(F, self.basis)
             self._over_cells = lambda values: model.analyze(values, self.cells)
 
@@ -176,7 +186,8 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     report = ReconstructionReport(
         delta=float(delta), gamma=float(gamma), passes=passes,
         norm_surrogate=surrogate, window=R.window,
-        operator=R.kind, operator_remainder=R.remainder, operator_seconds=built,
+        operator=R.kind, operator_remainder=R.remainder, operator_taps=R.taps,
+        operator_fft_lengths=R.fft_lengths, operator_seconds=built,
     )
     if not passes:
         report.diagnosis = "max-gap condition fails; convergence not certified"

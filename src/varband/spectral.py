@@ -19,8 +19,13 @@ meets u = 2**-53 per unit measure, and records that remainder as
 The uniform (midpoint) rule also records its ``lattice``: each interval's
 nodes are omega_l = first + l spacing. On such a rule the sums
 sum_l c_l exp(i omega_l t_j) at fixed points t_j, and their adjoints, are
-nonuniform FFTs; `LatticeTransform` applies them by Gaussian gridding, in
-O(n log n + m) per apply instead of the O(n m) of a `waves` table.
+nonuniform FFTs; `LatticeTransform` applies them by gridding with the
+exponential-of-semicircle kernel exp(beta (sqrt(1 - z^2) - 1)), half-width
+w = 9 grid steps and beta = 2.30 (2w), at oversampling at least 2, in
+O(n log n + m) per apply instead of the O(n m) of a `waves` table. Its
+stated remainder, 2.0e-16 within 8u, is the largest aliasing error of one
+mode, which Poisson summation gives and which is largest at the top mode
+at oversampling 2 (see `_es_gridding`).
 """
 
 from __future__ import annotations
@@ -178,9 +183,13 @@ class SpectralQuadrature:
                                 np.asarray(grid, dtype=np.intp), n_grids)
 
 
-# Gaussian gridding is sized so that its remainder stays within 8u, the
-# constant term of the per-entry bound of a `waves` table
+# the gridding's remainder must stay within 8u, the constant term of the
+# per-entry bound of a `waves` table
 _GRID_TOLERANCE = 8 * 2.0**-53
+_ES_WIDTH = 9  # half-width w: each point reads or writes 2w = 18 grid points
+_ES_BETA = 2.30 * 2 * _ES_WIDTH
+_GRID_REMAINDER = 2.0e-16  # derived in `_es_gridding`
+_ES_NODES = 64  # trapezoid nodes per period for the kernel's Fourier transform
 
 
 def _five_smooth(n):
@@ -197,41 +206,86 @@ def _five_smooth(n):
 
 
 @lru_cache(maxsize=64)  # a pure function of top, asked again by every plan on one rule
-def _gaussian_gridding(top):
-    """(half-width w, grid size M, Gaussian variance tau, remainder) for modes |k| <= top.
+def _es_gridding(top):
+    """(grid size M, read-only 1 / psi_k for k = 0 ... top) for modes |k| <= top.
 
     The grid has M points x_m = 2 pi m / M, spacing h = 2 pi / M, with M the
     smallest 5-smooth number (2^a 3^b 5^c, which FFTs fastest) at or above
-    max(4 (top + 1), 2w): oversampling at least 2 over the band |k| <= K = top.
-    Each point reads or writes the 2w grid points nearest to it. With the periodic
-    Gaussian g(x) = sum_k sqrt(tau / pi) exp(-tau k^2) exp(i k x), both
-    transforms are within eps sum |input| of the exact sums, where
+    max(4 (top + 1), 2w): oversampling at least 2 over the band |k| <= top.
+    Each point reads or writes the 2w grid points nearest to it, weighted by
+    the exponential of semicircle (Barnett, Magland and af Klinteberg, SIAM
+    J. Sci. Comput. 41, 2019)
 
-        eps = sum_{p != 0} exp(-tau ((K + p M)^2 - K^2))                (aliasing)
-            + sqrt(pi / tau) exp(tau K^2) / M
-              * 2 sum_{j >= w} exp(-(j h)^2 / (4 tau))                  (truncation)
+        phi(z) = exp(beta (sqrt(1 - z^2) - 1)),   |z| <= 1,  z = gap / w,
 
-    (Greengard and Lee, SIAM Review 46, 2004: the first sum is the modes the
-    grid aliases onto mode K, the second the kernel beyond the 2w points,
-    amplified by the deconvolution 1 / g_K; both grow with |k|, so the modes
-    near 0 are the most accurate). tau is Greengard and Lee's balance
-    pi w / (M (M - K)) at the chosen M, and w is the smallest half-width with
-    eps <= 8u there. The sums keep |p| <= 3 and 40 terms of j; the terms left
-    out are below 1e-40 of the first. For K >= 16, w <= 17 and eps is u to
-    4.5u; fewer modes need w <= 16.
+    with the gap in grid steps, w = 9 and beta = 2.30 (2w); the gridding
+    frame is Greengard and Lee's (SIAM Review 46, 2004). Mode k is then
+    deconvolved by 1 / psi_k, with psi_k = (w h / 2 pi) int phi(z) cos(k w h z) dz
+    (`_es_transform`).
+
+    Remainder. phi vanishes past |z| = 1, so gridding mode k is exact but for
+    the modes the grid aliases onto it: by Poisson summation over the grid,
+    a point at offset delta (in grid steps) past a grid point gets
+    exp(i k x) times 1 + E, with the single-mode error
+
+        E = sum_{p != 0} psi(k + p M) exp(2 pi i p delta) / psi(k).
+
+    Both transforms are sums of single modes (type 1 is the adjoint of type
+    2), so each value is within sup |E| times the l1 norm of the input.
+    psi(k) is (w / M) F(k / M) with F(nu) = int phi(z) cos(2 pi w nu z) dz, so
+    E depends on k and M only through nu = k / M, and every mode of every
+    plan has nu <= top / M < 1/4: one constant bounds them all. F falls on
+    the passband [0, 1/4], while the images nu + p, |p| >= 1, lie at or past
+    3/4, beyond the kernel's cutoff beta / (2 pi w) = 0.73, where |F| is
+    below 1e-17 (F(0) = 0.39) and its envelope shrinks with distance. The
+    nearest image, nu - 1, comes
+    closest to the cutoff as nu grows, so E is largest at the top mode at
+    oversampling 2, nu -> 1/4; a larger grid moves the top mode down the
+    passband and makes it smaller. Computed in 30-digit arithmetic from the
+    2w-tap sums themselves (which also cover the one end value e^-beta the
+    taps leave out at delta = 0), sup E over 64 offsets is 1.1e-18 at nu = 0,
+    3.8e-17 at 0.2, 1.4e-16 at 0.24 and 1.90e-16 at nu = 1/4. Sampling delta
+    bounds the supremum: the image nu - 1 contributes a term of constant
+    modulus, 1.82e-16 at nu = 1/4, and E varies with delta only through the
+    others, whose sum stays below 1.2e-17 at 1024 offsets, so
+    sup E <= 1.82e-16 + 1.2e-17 < 2.0e-16 = ``_GRID_REMAINDER``, within 8u.
+    At w = 8 the same sum reaches 1.6e-14, past 8u. The constant is stated,
+    not computed per plan: float64 stops near 1.5e-14 on this quantity, and
+    long double is float64 on some platforms.
     """
-    p = np.array([-3, -2, -1, 1, 2, 3])
-    for width in range(1, 64):
-        size = _five_smooth(max(4 * (top + 1), 2 * width))
-        tau = np.pi * width / (size * (size - top))
-        alias = np.exp(-tau * ((top + p * size) ** 2 - top**2)).sum()
-        j = np.arange(width, width + 40)
-        tail = 2 * np.exp(-(j * (2 * np.pi / size)) ** 2 / (4 * tau)).sum()
-        remainder = alias + np.sqrt(np.pi / tau) * np.exp(tau * top**2) * tail / size
-        if remainder <= _GRID_TOLERANCE:
-            return width, size, tau, float(remainder)
-    raise SpectralSetError(f"no Gaussian gridding of modes up to {top} meets "
-                           f"{_GRID_TOLERANCE:.1e}")
+    size = _five_smooth(max(4 * (top + 1), 2 * _ES_WIDTH))
+    inverse = 1.0 / _es_transform(np.arange(top + 1), size)
+    inverse.flags.writeable = False
+    return size, inverse
+
+
+def _es_transform(k, size):
+    """psi_k = (w h / 2 pi) int_{-1}^{1} phi(z) cos(k w h z) dz, h = 2 pi / size, |k| <= size / 4.
+
+    With z = sin s the integrand, exp(beta (cos s - 1)) cos(a sin s) cos s
+    for a = k w h < beta, is analytic in s. Moving the path from the real
+    s in [-pi/2, pi/2] up to Im s = eta, tanh eta = a / beta, turns the
+    exponent into R cos s - beta, R = sqrt(beta^2 - a^2), and leaves
+
+        int phi(z) cos(a z) dz = (beta / R) int_{-pi/2}^{pi/2} exp(R cos s - beta) cos s ds:
+
+    a positive integrand instead of one that oscillates. The two end pieces
+    of the path are below e^-beta (cosh eta - 1), and extending the integral
+    to the full period adds below e^-beta 2 / R^2; both are under 1e-17 of
+    the result. The periodic integrand is then summed by the trapezoid rule
+    on 64 nodes centred on s = 0, whose error is below 1e-19 of it at
+    R <= beta. R cos s - beta is formed as -2 R sin(s/2)^2 - a^2 / (R + beta),
+    without cancellation, so psi_k inherits mainly the rounding of a, which
+    the band edge amplifies (d log psi / d log a = -a^2 / R, about -5 at
+    the top mode): it comes out within about 10u.
+    """
+    a = (2 * np.pi * _ES_WIDTH / size) * np.asarray(k, dtype=float)
+    root = np.sqrt((_ES_BETA - a) * (_ES_BETA + a))
+    shift = a * a / (root + _ES_BETA)
+    total = np.zeros_like(a)
+    for s in (2 * np.pi / _ES_NODES) * (np.arange(_ES_NODES) - _ES_NODES // 2):
+        total += np.cos(s) * np.exp(-2 * np.sin(s / 2) ** 2 * root - shift)
+    return (_ES_WIDTH / size) * (_ES_BETA / root) * total * (2 * np.pi / _ES_NODES)
 
 
 class LatticeTransform:
@@ -260,16 +314,20 @@ class LatticeTransform:
     centred: mode l's phase rounds by about u omega_l |t|, as a `waves`
     entry does, and the lowest nodes get the gridding's most accurate modes.
     The plan stores, for every point, its pre-phases and the grid indices and
-    weights of its Gaussian window (see `_gaussian_gridding`); an apply is
+    weights of its 2w = 18-point exponential-of-semicircle window (see
+    `_es_gridding`); an apply is
     one FFT per grid and sign plus one gather (type 2) or one ``np.bincount``
     spread per real part (type 1). Each grid has its own FFT grid, and a
     point reads or writes only its own.
 
-    Bound: ``remainder`` is eps of `_gaussian_gridding`, so every value of
+    Bound: ``remainder`` is eps = `_GRID_REMAINDER`, 2.0e-16 (its derivation
+    is in `_es_gridding`), so every value of
     either transform is within eps sum |c| (type 2) or eps sum |y| (type 1)
     of the exact sum at the float64 points and lattice, in exact arithmetic.
     A rule of several intervals has one lattice, and one plan, per interval:
-    ``runs``, whose nodes are ``spans``.
+    ``runs``, whose nodes are ``spans``. ``taps`` is the number of grid
+    points each point reads or writes, 2w = 18, and ``fft_lengths`` the FFT
+    length of each run.
     """
 
     def __init__(self, lattice, t, grid, n_grids):
@@ -278,6 +336,9 @@ class LatticeTransform:
         bounds = np.cumsum([0] + [count for _, _, count in lattice])
         self.spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         self.remainder = max(run.remainder for run in self.runs)
+        # what an apply reads or writes per point, and the FFT length per interval
+        self.taps = max(run.index.shape[1] for run in self.runs)
+        self.fft_lengths = [run.size for run in self.runs]
 
     def synthesize(self, c):
         out = 0
@@ -298,31 +359,38 @@ class LatticeTransform:
 
 
 class _Gridding:
-    """One interval's Gaussian-gridding plan at fixed points (see `LatticeTransform`).
+    """One interval's gridding plan at fixed points (see `LatticeTransform`).
 
     Its FFT grids are arrays of shape (rows, n_grids, size), one row per
     pre-phase; `modes` gives the views of the modes l and -(l + 1) in them,
-    both in node order, and ``deconvolve`` the factors 1 / g_k of those modes.
+    both in node order, and ``deconvolve`` the factors 1 / psi_k of those
+    modes. ``index`` and ``weights``, of shape (points, 2w), are each point's
+    grid points and its exponential-of-semicircle weights there (see
+    `_es_gridding`), and ``remainder`` is the stated `_GRID_REMAINDER`.
     """
 
+    remainder = _GRID_REMAINDER
+
     def __init__(self, first, spacing, count, t, grid, n_grids):
-        width, size, tau, self.remainder = _gaussian_gridding(count)
+        size, inverse = _es_gridding(count)
         self.count, self.size, self.n_grids = count, size, n_grids
         phase = np.exp(1j * first * t)
         if 2 * first == spacing:  # symmetric: one pre-phase, one FFT grid for both signs
             self.prephase = phase[None]
         else:
             self.prephase = np.stack((phase, np.exp(1j * (spacing - first) * t)))
-        k = np.arange(count) + np.arange(2)[:, None]  # |mode|: l and l + 1
-        self.deconvolve = np.exp(k * k * tau) * np.sqrt(np.pi / tau)  # 1 / g_k
+        self.deconvolve = np.stack((inverse[:-1], inverse[1:]))  # |mode|: l and l + 1
         # theta in units of the grid step, split into the grid point below it
         # and the fraction past it; the window is that point's -w + 1 .. w
         steps = (spacing * size / (2 * np.pi)) * t
         below = np.floor(steps)
-        taps = np.arange(1 - width, width + 1)
+        taps = np.arange(1 - _ES_WIDTH, _ES_WIDTH + 1)
         self.index = grid[:, None] * size + (below.astype(np.intp)[:, None] + taps) % size
-        gap = (steps - below)[:, None] - taps
-        self.weights = np.exp(-(gap * (2 * np.pi / size)) ** 2 / (4 * tau))
+        z = ((steps - below)[:, None] - taps) / _ES_WIDTH  # in [-1, 1]
+        # beta (sqrt(1 - z^2) - 1) without the cancellation of the difference,
+        # which would cost each weight up to beta u = 41u
+        square = z * z
+        self.weights = np.exp(-_ES_BETA * square / (1 + np.sqrt(1 - square)))
 
     def pad(self):
         """Zeroed FFT grids, to be filled through `modes`."""

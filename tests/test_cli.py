@@ -531,6 +531,25 @@ class TestReconstruct:
         rep = strict_json(out / "report.json")
         assert "quad_error_bound" in rep and rep["quad_error_bound"] is None
 
+    def test_report_records_gridding(self, tmp_path):
+        # two intervals: one lattice, and one FFT grid length, per interval
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0], [3.0, 9.0]], "profile": STEP_14,
+            "window": [-10.0, 10.0], "n_max": 3, "output_points": 11,
+        })
+        samples = tmp_path / "samples.csv"
+        samples_to_csv(samples, np.linspace(-9.5, 9.5, 60), np.zeros(60))
+        out = tmp_path / "out"
+        run(["reconstruct", "--config", cfg, "--out", out, "--samples", samples])
+        rep = strict_json(out / "report.json")
+        quad = uniform_quadrature(SpectralSet([(0.0, 2.0), (3.0, 9.0)]), np.pi / 7.5)
+        assert rep["sampling_operator"] == "nufft"
+        assert rep["sampling_operator_taps"] == 18
+        assert rep["sampling_operator_remainder"] == spectral._GRID_REMAINDER
+        assert rep["sampling_operator_fft_lengths"] == [
+            spectral._es_gridding(count)[0] for _, _, count in quad.lattice]
+        assert len(quad.lattice) == 2 and rep["n_nodes"] == len(quad)
+
     def test_failed_gap_condition_writes_strict_json(self, tmp_path):
         # three samples 5 apart on [-10, 10]: gamma = 5 / pi > 1, so no certificate exists
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -584,6 +603,9 @@ class TestReconstruct:
         rep = json.loads((out / "reconstruction_report.json").read_text())
         assert rep["gap_condition_passes"]
         assert rep["residuals"][-1] < 1e-6 * rep["residuals"][0]
+        report = strict_json(out / "report.json")
+        assert report["sampling_operator"] == "dense"
+        assert report["sampling_operator_taps"] is report["sampling_operator_fft_lengths"] is None
         xs, re, im = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1).T
         assert np.max(np.abs(re + 1j * im - f(xs))) < 1e-8 * np.max(np.abs(f(xs)))
 
@@ -656,6 +678,23 @@ class TestDensity:
         assert rep["finite_window_estimates"] is True
         assert rep["d_minus"] == pytest.approx(1.0, abs=0.15)
         assert rep["gap_bound_holds"]
+
+    def test_deterministic(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": STEP_14, "window": [-30.0, 30.0], "target_density": 1.0,
+            "r_values": [2.0, 4.0],
+        })
+        o1, o2 = tmp_path / "a", tmp_path / "b"
+        for o in (o1, o2):
+            assert run(["density", "--config", cfg, "--out", o, "--seed", 7]) == 0
+        assert (o1 / "density.csv").read_bytes() == (o2 / "density.csv").read_bytes()
+        reports = [json.loads((o / "report.json").read_text()) for o in (o1, o2)]
+        for rep in reports:
+            timings = rep.pop("timings")
+            assert set(timings) == {"elapsed_seconds", "build_seconds", "assemble_seconds",
+                                    "write_seconds"}
+            assert all(t >= 0 for t in timings.values())
+        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
 
 class TestLandau:

@@ -4,11 +4,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from varband.cli import COMMANDS
+from varband.cli import COMMANDS, main
 from varband.config import Table
 from varband.profile import PROFILE_FIELDS
+from varband.sampling import samples_to_csv
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 TABLES = {**{name: command.table for name, command in COMMANDS.items()}, **PROFILE_FIELDS}
@@ -53,3 +55,20 @@ def test_listed_fields_are_the_table(name):
 def test_examples_parse(name):
     for text in JSON_BLOCK.findall(sections()[name]):
         TABLES[name](json.loads(text))
+
+
+def test_reconstruct_report_fields_are_listed(tmp_path):
+    """The reconstruct section's field list is the report.json of its own example."""
+    text = sections()["reconstruct"]
+    config = tmp_path / "rec.json"
+    config.write_text(JSON_BLOCK.findall(text)[0])
+    samples = tmp_path / "samples.csv"
+    x = np.linspace(-11.5, 11.5, 47)
+    samples_to_csv(samples, x, np.cos(x))
+    out = tmp_path / "rec"
+    main(["reconstruct", "--config", str(config), "--samples", str(samples), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    listed = re.findall(r"^- `(\w+)`:", text, flags=re.M)
+    assert sorted(listed) == sorted(report)
+    timings = re.search(r"^- `timings`:(.*?)(?=^$)", text, flags=re.M | re.S)[1]
+    assert sorted(re.findall(r"`(\w+)`", timings)) == sorted(report["timings"])

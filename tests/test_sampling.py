@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from varband import sampling
+from varband import sampling, spectral
 from varband.kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                             halfline_kernel, toy_kernel)
 from varband.paleywiener import VarBandFunction, random_function, random_smooth_function
@@ -28,6 +28,7 @@ from varband.sampling import (
 from varband.spectral import SpectralSet, uniform_quadrature
 
 from closed_forms import phi
+from gaussian_gridding import GaussianGridding
 
 
 def matched_free_setup(omega_max, gamma, n_samples):
@@ -255,7 +256,7 @@ class ComplexTableOperator:
     values. Same interface as ReconstructionOperator.
     """
 
-    kind, remainder = "complex", None
+    kind, remainder, taps, fft_lengths = "complex", None, None, None
 
     def __init__(self, model, X, window):
         self.model = model
@@ -392,6 +393,26 @@ def test_lattice_operator_matches_complex_tables(case):
     assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
 
 
+STUDY_P, STUDY_NODES, STUDY_SAMPLES = (1.1, 3.2), 675, 2251
+
+
+def study_size_toy(rng):
+    """The toy model on the 675-node lattice rule of its window, and 2251 jittered samples.
+
+    The window is W = 675.5 pi wide in t = x / sqrt(p) on each side; the
+    samples sit on a uniform grid in t, jittered by up to 0.15 of its step.
+    """
+    (pm, pp), n, N = STUDY_P, STUDY_NODES, STUDY_SAMPLES
+    sm, sp = np.sqrt(pm), np.sqrt(pp)
+    W = (n + 0.5) * np.pi
+    sset = SpectralSet([(0.0, 1.0)])
+    model = ToyModel(pm, pp, sset, quad=uniform_quadrature(sset, np.pi / W))
+    k = np.arange(N) - (N - 1) // 2
+    z = (k + rng.uniform(-0.15, 0.15, N)) * (2 * W / (N + 1))
+    z[k == 0] = 0.0
+    return model, np.where(z < 0, z * sm, z * sp), (-W * sm, W * sp)
+
+
 def test_lattice_operator_at_study_size():
     """NUFFT against the dense tables at 675 nodes and 2251 jittered samples.
 
@@ -401,17 +422,12 @@ def test_lattice_operator_at_study_size():
     tables multiply.
     """
     rng = np.random.default_rng(31)
-    pm, pp, n, N = 1.1, 3.2, 675, 2251
+    model, X, window = study_size_toy(rng)
+    (pm, pp), n, N = STUDY_P, STUDY_NODES, STUDY_SAMPLES
     sm, sp = np.sqrt(pm), np.sqrt(pp)
     W = (n + 0.5) * np.pi
-    sset = SpectralSet([(0.0, 1.0)])
-    quad = uniform_quadrature(sset, np.pi / W)
-    model = ToyModel(pm, pp, sset, quad=quad)
-    dense_model = ToyModel(pm, pp, sset, quad=replace(quad, lattice=None))
-    k = np.arange(N) - (N - 1) // 2
-    z = (k + rng.uniform(-0.15, 0.15, N)) * (2 * W / (N + 1))
-    z[k == 0] = 0.0
-    X, window = np.where(z < 0, z * sm, z * sp), (-W * sm, W * sp)
+    quad = model.quad
+    dense_model = ToyModel(pm, pp, model.sset, quad=replace(quad, lattice=None))
     op = ReconstructionOperator(model, SampleSet(X), window)
     dense = ReconstructionOperator(dense_model, SampleSet(X), window)
     assert (op.kind, dense.kind, len(quad)) == ("nufft", "dense", n)
@@ -459,6 +475,44 @@ def test_lattice_evaluate_at_study_size():
     assert dev.max() <= (plan.remainder + waves) * l1
     # a scalar point gets a plan of its own, and the same value
     assert abs(f.evaluate(xs[400]) - f.evaluate(xs)[400]) <= (plan.remainder + waves) * l1
+
+
+def test_reconstruct_agrees_with_gaussian_gridding(monkeypatch):
+    """The toy reconstruction at study size, gridded by the ES kernel and by the Gaussian.
+
+    Each transform of either plan is within its remainder times the l1 norm
+    of its input of the exact sums at the same float64 points, so the two
+    plans differ by at most 2 eps l1, eps the larger remainder, plus their
+    own rounding: the rounding of the phases, about u omega |t|, is the same
+    in both and cancels, leaving the constant 8u of a `waves` entry. The
+    iteration contracts, so the reconstructed values, l1 the l1 norm of the
+    final coefficients of exp(+-i omega t), stay within the same bound.
+    """
+    rng = np.random.default_rng(37)
+    model, X, window = study_size_toy(rng)
+    f = random_function(model, rng=rng)
+    samples = ReconstructionOperator(model, SampleSet(X), window).sample(f)
+    xs = np.linspace(*window, 801)
+    profile = toy_profile(*STUDY_P)
+
+    def reconstruct():
+        f_rec, report = reconstruct_iterative(model, profile, X, samples, 1.0, window)
+        return f_rec, f_rec.evaluate(xs), report
+
+    f_es, values, report = reconstruct()
+    monkeypatch.setattr(spectral, "_Gridding", GaussianGridding)
+    f_gauss, reference, gauss_report = reconstruct()
+    assert report.n_iterations == gauss_report.n_iterations == 40
+    assert (report.operator_taps, gauss_report.operator_taps) == (18, 34)
+    eps = max(report.operator_remainder, gauss_report.operator_remainder)
+    assert eps == report.operator_remainder <= 8 * 2.0**-53
+    G = model.basis_coefficients(f_es.F)
+    l1 = np.abs(G[0]).sum() + np.abs(G[1]).sum() / np.sqrt(STUDY_P[0])
+    bound = (2 * eps + 8 * 2.0**-53) * l1
+    assert np.max(np.abs(values - reference)) <= bound
+    # the same coefficients evaluated by the Gaussian plan, still substituted
+    assert np.max(np.abs(values - f_es.evaluate(xs))) <= bound
+    assert np.allclose(f_es.F, f_gauss.F, rtol=0, atol=1e-12 * np.abs(f_es.F).max())
 
 
 @pytest.mark.parametrize("kind", ["schrodinger", "liouville"])

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from varband.spectral import (
+    _ES_BETA,
+    _ES_WIDTH,
+    _GRID_REMAINDER,
     _GRID_TOLERANCE,
     SpectralQuadrature,
     SpectralSet,
     SpectralSetError,
-    _gaussian_gridding,
+    _es_gridding,
+    _es_transform,
     gauss_legendre_quadrature,
     uniform_quadrature,
 )
+
+from gaussian_gridding import gaussian_sizing
 
 U = 2.0**-53  # unit roundoff of float64
 
@@ -158,16 +164,110 @@ def five_smooth(n):
     return n == 1
 
 
+L = np.longdouble
+PI = 4 * np.arctan(L(1))
+
+
+def legendre_long(n):
+    """Gauss-Legendre nodes and weights in long double: float64 nodes refined by Newton steps."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(L)
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / slope
+    return x, 2 / ((1 - x * x) * slope * slope)
+
+
+def psi_long(k, size, n=96):
+    """psi_k = (w / size) int phi(z) cos(2 pi w k z / size) dz in long double.
+
+    Gauss-Legendre in s after z = sin s, on the oscillating integrand itself:
+    independent of the contour shift `_es_transform` makes.
+    """
+    x, weights = legendre_long(n)
+    s = x * PI / 2
+    a = 2 * PI * _ES_WIDTH * np.asarray(k, dtype=L) / size
+    kernel = np.exp(-2 * L(_ES_BETA) * np.sin(s / 2) ** 2) * np.cos(s) * weights * PI / 2
+    return _ES_WIDTH / L(size) * (np.cos(np.outer(a, np.sin(s))) @ kernel)
+
+
 class TestGaussianGridding:
+    """The Gaussian reference plan (tests/gaussian_gridding.py) meets 8u at the sizes it picks."""
+
     @pytest.mark.parametrize("top", [*range(1, 40), 100, 199, 675, 676, 1000, 4095, 10007])
     def test_five_smooth_size_within_tolerance(self, top):
-        width, size, tau, remainder = _gaussian_gridding(top)
+        width, size, tau, remainder = gaussian_sizing(top)
         bound = max(4 * (top + 1), 2 * width)
         # the smallest 2^a 3^b 5^c at or above the bound, and the remainder there
         assert size >= bound and five_smooth(size)
         assert not any(five_smooth(m) for m in range(bound, size))
         assert tau == np.pi * width / (size * (size - top))
         assert remainder <= _GRID_TOLERANCE
+        assert width > _ES_WIDTH + 2  # 24 to 34 taps against the 18 of the ES kernel
+
+
+class TestESGridding:
+    @pytest.mark.parametrize("top", [*range(1, 40), 100, 199, 675, 676, 1000, 4095, 10007])
+    def test_five_smooth_size_within_tolerance(self, top):
+        size, inverse = _es_gridding(top)
+        bound = max(4 * (top + 1), 2 * _ES_WIDTH)
+        # the smallest 2^a 3^b 5^c at or above the bound
+        assert size >= bound and five_smooth(size)
+        assert not any(five_smooth(m) for m in range(bound, size))
+        assert 2 * _ES_WIDTH == 18 and _ES_BETA == 2.30 * 18
+        assert _GRID_REMAINDER <= _GRID_TOLERANCE
+        assert inverse.shape == (top + 1,) and not inverse.flags.writeable
+        assert np.array_equal(inverse, 1 / _es_transform(np.arange(top + 1), size))
+
+    def test_plan_tables(self):
+        quad = uniform_quadrature(SpectralSet([(0.0, 2.0)]), np.pi / 20.0)
+        t = np.random.default_rng(8).uniform(-30.0, 30.0, 400)
+        T = quad.lattice_transform(t, np.zeros(t.size, np.intp), 1)
+        (run,) = T.runs
+        assert run.index.shape == run.weights.shape == (400, 18)
+        assert run.deconvolve.shape == (2, len(quad))
+        assert T.remainder == _GRID_REMAINDER
+        # the kernel at the plan's own float64 gaps, in long double; forming
+        # beta (sqrt(1 - z^2) - 1) as a difference would lose up to beta u = 41u
+        ((_, spacing, _),) = quad.lattice
+        steps = (spacing * run.size / (2 * np.pi)) * t
+        gap = (steps - np.floor(steps))[:, None] - np.arange(1 - _ES_WIDTH, _ES_WIDTH + 1)
+        z = gap.astype(L) / _ES_WIDTH
+        phi = np.exp(L(_ES_BETA) * (np.sqrt(1 - z * z) - 1))
+        assert np.max(np.abs(run.weights - phi)) <= 8 * U
+
+    @pytest.mark.parametrize("top", [1, 5, 40, 675])
+    def test_transform_against_long_double(self, top):
+        # psi_k at every mode of the plan and the one past it; at the top mode
+        # psi moves five times as fast as k w h, whose rounding it inherits
+        size, _ = _es_gridding(top)
+        k = np.arange(top + 2)
+        assert np.max(np.abs(_es_transform(k, size) / psi_long(k, size) - 1)) <= 16 * U
+        # the quadrature itself has converged
+        assert np.max(np.abs(psi_long(k, size, 128) / psi_long(k, size) - 1)) <= 1e-17
+
+    @pytest.mark.parametrize("top", [1, 5, 40, 675])
+    def test_single_mode_error_within_remainder(self, top):
+        """Gridding one mode, in long double, against exp(i k x), at 64 offsets per grid step.
+
+        A point delta grid steps past a grid point reads the 2w taps from
+        -w + 1 to w; mode k, deconvolved, gives exp(i k x) times
+        sum_tap phi((delta - tap) / w) exp(-2 pi i k (delta - tap) / M) / (M psi_k).
+        """
+        assert np.finfo(L).precision >= 18
+        size, _ = _es_gridding(top)
+        k = np.arange(top + 2)
+        taps = np.arange(1 - _ES_WIDTH, _ES_WIDTH + 1)
+        gap = np.arange(64, dtype=L)[:, None] / 64 - taps  # (offset, tap)
+        z = gap / _ES_WIDTH
+        phi = np.exp(L(_ES_BETA) * (np.sqrt(1 - z * z) - 1))
+        modes = (np.exp(-2j * PI * np.multiply.outer(k.astype(L) / size, gap)) * phi).sum(-1)
+        error = np.abs(modes / (size * psi_long(k, size))[:, None] - 1)
+        assert error.max() <= _GRID_REMAINDER
+        if 4 * (top + 1) == size:  # the mode past the top sits at oversampling 2
+            assert error.max() > 0.9 * _GRID_REMAINDER
 
 
 QUADRATURES = {
