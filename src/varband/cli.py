@@ -242,14 +242,22 @@ def cmd_kernel(c, args):
 
 def cmd_scatter(c, args):
     prof, om = c.profile, c.omega_grid
+    start = time.perf_counter()
+    warped_radius = prof.warped_support_radius  # from the warp's ends, which the sweep reads
+    warped = time.perf_counter()
     sweep = _profile_sweep(prof, np.linspace(om.lo, om.hi, om.n))
+    swept = time.perf_counter()
     _write_csv(args.out / "scattering.csv",
                ["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2", "unitarity_defect"],
                np.column_stack([sweep.omegas, sweep.T.real, sweep.T.imag, sweep.R1.real,
                                 sweep.R1.imag, sweep.R2.real, sweep.R2.imag, sweep.defects]))
     report = _sweep_report(sweep)
-    return (0 if report["max_unitarity_defect"] < 1e-7 else 1), {"support_radius": sweep.a,
-                                                                 **report}
+    timings = {"profile_seconds": round(warped - start, 6),
+               "sweep_seconds": round(swept - warped, 6),
+               "write_seconds": round(time.perf_counter() - swept, 6)}
+    return (0 if report["max_unitarity_defect"] < 1e-7 else 1), {
+        "support_radius": sweep.a, "warped_support_radius": warped_radius, **report,
+        "timings": timings}
 
 
 def cmd_reconstruct(c, args):
@@ -287,15 +295,20 @@ def cmd_reconstruct(c, args):
 
 def cmd_shannon(c, args):
     j_max = c.j_max
+    start = time.perf_counter()
     G = shannon_gram(c.profile.p_minus, c.profile.p_plus, c.spectral_set.lambda_max, j_max)
     dev = np.abs(G - np.eye(G.shape[0]))
+    computed = time.perf_counter()
     ij = np.arange(-j_max, j_max + 1)
     _write_csv(args.out / "gram.csv", ["i", "j", "gram", "deviation"],
                np.column_stack([np.repeat(ij, ij.size), np.tile(ij, ij.size),
                                 G.ravel(), dev.ravel()]),
                fmt=["%d", "%d", "%.15g", "%.3g"])
     max_offdiag = float(np.max(dev))
-    return (0 if max_offdiag < 1e-8 else 1), {"max_gram_deviation": max_offdiag}
+    timings = {"gram_seconds": round(computed - start, 6),
+               "write_seconds": round(time.perf_counter() - computed, 6)}
+    return (0 if max_offdiag < 1e-8 else 1), {"max_gram_deviation": max_offdiag,
+                                              "timings": timings}
 
 
 def cmd_density(c, args):
@@ -335,7 +348,9 @@ def cmd_landau(c, args):
         quad = uniform_quadrature(sset, np.pi / wz, points=2 * wz * max(grid))
         return _model(c.model, c.profile, sset, quad=quad)
 
+    start = time.perf_counter()
     res = landau_sweep(builder, c.profile, sset, grid, c.window_halfwidths)
+    swept = time.perf_counter()
     nd, nw = len(res.densities), len(res.windows)
     _write_csv(args.out / "landau_sweep.csv",
                ["density", "window_halfwidth", "A_est", "B_est", "gram_min"],
@@ -351,6 +366,8 @@ def cmd_landau(c, args):
         "last_degenerating": low,
         "first_stabilizing": high,
         "brackets_critical": bracketed,
+        "timings": {"sweep_seconds": round(swept - start, 6),
+                    "write_seconds": round(time.perf_counter() - swept, 6)},
     }
 
 

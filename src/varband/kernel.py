@@ -55,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .profile import SmoothProfile
+from .profile import BlendProfile
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
 
@@ -516,7 +516,7 @@ class LiouvilleModel(ScatteringModel):
     """
 
     def __init__(self, profile, sset, quad=None, x_max=25.0, points=1):
-        if not isinstance(profile, SmoothProfile):
+        if not isinstance(profile, BlendProfile):
             raise KernelError("the Liouville model needs a smooth eventually constant profile")
         if not isinstance(sset, SpectralSet):
             sset = SpectralSet(sset)

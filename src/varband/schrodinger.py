@@ -65,9 +65,11 @@ class ScatteringSweep:
     largest RK4 step taken and the step count of the pass.  Without
     ``store_interior`` the pass returns only its final state, interpolated
     in omega^2 when the grid has more frequencies than the interpolant
-    needs (see `rk4_linear`); ``rk4_points`` records the number of omega^2
-    values integrated, and ``interpolation_tail`` the interpolant's accepted
-    relative tail, or 0 when nothing was interpolated.
+    needs, a count set before the pass from its phase (the warped length for
+    q = 0) and the range of omega^2 - q (see `rk4_linear`); ``rk4_points``
+    records the number of omega^2 values integrated, and
+    ``interpolation_tail`` the interpolant's accepted relative tail, or 0
+    when nothing was interpolated.
     """
 
     def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True,

@@ -10,16 +10,10 @@ quadratics in c; the driver builds those in blocks of steps.  A run that
 stores its path applies them to the state one step at a time, 64 steps to a
 block.  A run that returns only the final state multiplies each block's
 maps into one, pairwise in about log2(block) levels, and those into the map
-M(c) of the whole run, a polynomial in c, which it applies to the initial
-state.  When c holds more distinct real values than a Chebyshev interpolant
-of M needs, M is integrated only at Chebyshev points of [min c, max c]: 17,
-then 33, 65, ..., each set containing the last, until the last two
-Chebyshev coefficients of every entry are at most 2^-45 of its largest.
-The barycentric formula then evaluates M at every c, within about
-(1 + L) 2^-45 of each entry's size, L <= 1 + (2 / pi) log n the Lebesgue
-constant of the n points.  Otherwise M is integrated at c's own distinct
-values.  A final-state block is as long as a table of 64 * 200 maps allows
-at the point count, between 64 and 1024 steps.
+M(c) of the whole run, a polynomial in c, integrated at c's distinct values
+or, when fewer suffice by a stated bound, at Chebyshev points, and
+interpolated (see `rk4_linear`).  A final-state block is as long as a table
+of 64 * 200 maps allows at the point count, 64 to 1024 steps.
 The scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p
 and b = q.
 """
@@ -35,7 +29,6 @@ class IntegrationError(RuntimeError):
 
 _BLOCK = 64  # RK4 steps per table of step propagators along a stored path
 _TABLE = 64 * 200  # steps times c values in one table of the final-state run
-_FIRST = 17  # Chebyshev points of the first interpolant of the propagator
 _TAIL = 2.0**-45  # largest accepted last coefficients, relative to an entry's largest
 
 
@@ -135,7 +128,8 @@ def _step_table(a, b, start, end, n):
 
     The stage abscissae (nodes, half-steps, end-steps) are clipped strictly
     inside the open segment, so that stages at a breakpoint never pick the
-    wrong one-sided limit.
+    wrong one-sided limit.  Also returns the segment's phase int sqrt|a| dx
+    (Simpson's rule on each step's stages) and the range of b's stage values.
     """
     h = (end - start) / n
     nodes = start + h * np.arange(n)
@@ -144,7 +138,8 @@ def _step_table(a, b, start, end, n):
                      min(start, end) + eps, max(start, end) - eps)
     A = np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape)
     B = np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape)
-    return _step_polynomials(A, B, h)
+    phase = abs(h) / 6 * float(np.sum(np.sqrt(np.abs(A)) * [[1.0], [4.0], [1.0]]))
+    return _step_polynomials(A, B, h), phase, (float(B.min()), float(B.max()))
 
 
 def _block_steps(points):
@@ -160,7 +155,7 @@ def _block_steps(points):
 def _propagator(tables, c):
     """The map of the whole run at each value of the 1-D array c, shape (2, 2, c.size).
 
-    ``tables`` holds each segment's `_step_table`.  Each block of
+    ``tables`` holds each segment's `_step_polynomials`.  Each block of
     `_block_steps` step maps is multiplied into one map by `_compose`, and
     that map multiplies the product so far from the left.
     """
@@ -229,18 +224,48 @@ def _barycentric(nodes, M, x):
     return out.reshape(M.shape[:-1] + x.shape)
 
 
+def _interpolant_points(phase, lo, hi):
+    """Chebyshev points enough for the run's map M(c), from its phase and the range [lo, hi] of c - b.
+
+    An entry of M bounded by M_rho on the Bernstein ellipse E_rho of
+    [min c, max c] has Chebyshev coefficients |a_k| <= 2 M_rho rho^-k
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 8.1).
+    By WKB the solutions go like exp(+-i int sqrt(a) kappa dx), kappa =
+    sqrt(c - b), and the entries like cos, kappa sin and sin / kappa of it,
+    so on E_rho an entry exceeds its size on the interval by at most G(rho) =
+    exp(L max |Im kappa|) sqrt(max |c - b| / max_real |c - b|), L = ``phase``
+    = int sqrt|a| dx.  The maxima are taken on 33 boundary points of the
+    ellipse of the same rho on [lo, hi] = [min c - b_hi, max c - b_lo], which
+    holds E_rho - b for every b of the run.  a_k is below `_TAIL` of the
+    size for k >= log(2 G(rho) / _TAIL) / log rho, minimised over 31 rho in
+    1 + [1e-2, 1e4], and the last two of n coefficients for n = ceil(k) + 2.
+    """
+    rho = 1.0 + np.geomspace(1e-2, 1e4, 31)[:, None]
+    theta = np.linspace(0.0, np.pi, 33)
+    z = 0.5 * (hi + lo) + 0.25 * (hi - lo) * ((rho + 1 / rho) * np.cos(theta)
+                                              + 1j * (rho - 1 / rho) * np.sin(theta))
+    growth = (phase * np.abs(np.sqrt(z).imag).max(axis=1)
+              + 0.5 * np.log(np.abs(z).max(axis=1) / max(-lo, hi)))
+    return np.ceil(np.min((np.log(2 / _TAIL) + growth) / np.log(rho[:, 0]))) + 2
+
+
 def _final_state(tables, c, y, record):
     """The final state of `rk4_linear` from the tables of its segments; see there."""
     values, inverse = np.unique(c, return_inverse=True)
-    n, swept, M = _FIRST, 0, None
-    while np.isrealobj(values) and n < values.size:
+    polys, phases, ranges = zip(*tables)
+    n, swept, M = values.size, 0, None
+    if np.isrealobj(values) and values.size > 1:
+        b_lo, b_hi = np.min(ranges), np.max(ranges)  # b's range: lo <= hi in each pair
+        n = np.fmin(_interpolant_points(sum(phases), values[0] - b_hi, values[-1] - b_lo),
+                    values.size)
+    while n < values.size:
         # nested Chebyshev points: only those not swept before are integrated
-        nodes = _chebyshev_points(values[0], values[-1], n)
+        nodes = _chebyshev_points(values[0], values[-1], int(n))
         new = slice(None) if M is None else slice(1, None, 2)
-        grown = np.empty((2, 2, n))
+        grown = np.empty((2, 2, nodes.size))
         if M is not None:
             grown[:, :, ::2] = M
-        grown[:, :, new] = _propagator(tables, nodes[new])
+        grown[:, :, new] = _propagator(polys, nodes[new])
         swept += nodes[new].size
         M, tail = grown, _chebyshev_tail(grown)
         if tail <= _TAIL:
@@ -248,7 +273,7 @@ def _final_state(tables, c, y, record):
             break
         n = 2 * n - 1
     else:  # complex c, or no fewer points than c has values: integrate those
-        M, tail = _propagator(tables, values), 0.0
+        M, tail = _propagator(polys, values), 0.0
         swept += values.size
     if record is not None:
         record.update(points=swept, tail=tail)
@@ -278,21 +303,17 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     Without it, the run's map M(c), the product of all step maps, is formed
     block by block (see `_compose`) and applied to y0; the final state is
     returned.  M is a polynomial in c.  If c is real with more distinct
-    values than `_FIRST`, M is integrated at the `_FIRST` Chebyshev points
-    of [min c, max c], and then at 2n - 1 points, which contain the n before
-    them, until the last two Chebyshev coefficients of every entry are at
-    most `_TAIL` = 2^-45 times its largest; the barycentric formula then
-    evaluates M at every c, exactly at the points themselves.  If the
-    coefficients beyond decay like the last two, each interpolated entry is
-    within about (1 + L) 2^-45 times its largest coefficient of the
-    integrated one, where L <= 1 + (2 / pi) log n is the Lebesgue constant
-    of the n points (3.2 at n = 33): about 9e-14 of the entry's size.  The
-    integrated M itself carries rounding of about 1e-14 of its size after a
-    few thousand steps, the floor of its coefficients, so a smaller `_TAIL`
-    would buy doublings that change nothing.  Once the next interpolant
-    would need as many points as c has distinct values, and for complex c,
-    a scalar c or a constant c, M is integrated at c's own distinct values
-    instead, with no interpolation.
+    values than the n that `_interpolant_points` sets before the pass, M is
+    integrated at n Chebyshev points of [min c, max c], and the last two
+    Chebyshev coefficients of every entry are checked to be at most `_TAIL`
+    = 2^-45 of its largest; failing that, at 2n - 1 points (holding the n)
+    until they are.  The barycentric formula then gives M at every c,
+    within about (1 + L) 2^-45 of each entry's size, L <= 1 + (2 / pi) log n
+    the Lebesgue constant (3.0 at n = 22).  The integrated M carries
+    rounding of about 1e-14 of its size after a few thousand steps, so a
+    smaller `_TAIL` would buy nothing.  When n or a doubling reaches c's
+    count of distinct values, and for complex, scalar or constant c, M is
+    integrated at those values.
 
     ``record``, if a dict, receives ``points``, the number of c values
     integrated, and ``tail``, the accepted relative tail of the interpolant
@@ -316,7 +337,7 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     # a flat buffer for one block of maps
     work = np.empty(4 * min(_BLOCK, max(n for *_, n in segments)) * c.size,
                     dtype=np.result_type(c, float))
-    for (start, end, n), polys in zip(segments, tables):
+    for (start, end, n), (polys, *_) in zip(segments, tables):
         for s in range(0, n, _BLOCK):
             P = _rk4_propagators(polys, slice(s, s + _BLOCK), c, work)
             for i, (p00, p01, p10, p11) in enumerate(zip(*P.reshape((4,) + P.shape[2:])),

@@ -97,8 +97,8 @@ class TestKernel:
         rep = strict_json(out / "report.json")
         quad = ToyModel(1.0, 4.0, SpectralSet([(0.0, 2.0)]), x_max=25.0).quad
         assert rep["n_nodes"] == len(quad) == 80
-        assert rep["quad_error_bound"] == quad.error_bound
-        assert 0.0 < rep["quad_error_bound"] <= 2.0**-53 * np.sqrt(2.0)
+        assert rep["quad_error_bound"] == quad.error_bound > quad.remainder
+        assert 0.0 < quad.remainder <= 2.0**-53 * np.sqrt(2.0)
 
     def test_grid_wider_than_x_max_sizes_the_rule(self, tmp_path):
         # the grid reaches 60, past the models' default x_max of 25: the rule
@@ -333,8 +333,9 @@ class TestScatter:
         assert run(["scatter", "--config", cfg, "--out", out]) == 0
         rep = strict_json(out / "report.json")
         sweep = cli._profile_sweep(profile_from_config(prof_cfg), np.linspace(0.05, 5.0, 200))
-        # the pass ran at the nested Chebyshev points 17, then 33, of omega^2
-        assert rep["rk4_points"] == sweep.rk4_points == 33
+        # one pass at the 20 Chebyshev points of omega^2 that the bound sets for
+        # the warped length 2.08 of the blend and omega^2 in [0.0025, 25]
+        assert rep["rk4_points"] == sweep.rk4_points == 20
         assert rep["rk4_interpolation_tail"] == sweep.interpolation_tail
         assert 0 < rep["rk4_interpolation_tail"] <= _TAIL
 
@@ -438,6 +439,26 @@ class TestScatter:
         })
         assert run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: omega_grid needs 0 < lo <= hi" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("blend, message", [
+        ({"R": 0.0}, "plateau radius must be positive and finite, got 0"),
+        ({"R": -1.5}, "plateau radius must be positive and finite, got -1.5"),
+        ({"p_minus": 0.0}, "plateau values must be positive"),
+        ({"p_plus": -4.0}, "plateau values must be positive"),
+        ({"p_minus": 1e-300, "p_plus": 1e300}, "the plateau ratio 1e+300 / 1e-300 overflows"),
+        ({"p_plus": 1e12, "blend": "cubic"}, "the cubic blend from 1 to 1e+12 is too steep"),
+    ], ids=["zero-radius", "negative-radius", "zero-plateau", "negative-plateau",
+            "ratio-overflow", "too-steep"])
+    def test_bad_blend_refused(self, tmp_path, capsys, blend, message):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0, **blend},
+            "omega_grid": {"lo": 0.1, "hi": 3.0, "n": 5},
+        })
+        assert run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestShannon:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from varband.profile import (
+    BlendProfile,
     PiecewiseConstantProfile,
     ProfileError,
-    SmoothProfile,
     UnsupportedProfileError,
     blend_profile,
     constant_profile,
@@ -177,16 +177,6 @@ class TestPotential:
         for s in [a + 0.1, -a - 0.1, 3 * a]:
             assert smooth12.potential_q_warped(s) == 0.0
 
-    def test_derivative_guard(self):
-        with pytest.raises(ProfileError):
-            SmoothProfile(
-                p=lambda x: 1.0 + 0 * np.asarray(x, float),
-                dp=lambda x: 1.0 + 0 * np.asarray(x, float),  # wrong on purpose
-                ddp=lambda x: 0 * np.asarray(x, float),
-                R=1.0, p_minus=1.0, p_plus=1.0,
-            )
-
-
 class TestMaxGap:
     def test_unit_lattice(self):
         p = constant_profile(1.0)
@@ -329,6 +319,78 @@ class TestVectorGaps:
         for prof in (step14, smooth12):
             with pytest.raises(ProfileError):
                 prof.inf_p(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+SMOOTHSTEPS = {"cubic": lambda t: 3 * t**2 - 2 * t**3,
+               "quintic": lambda t: 10 * t**3 - 15 * t**4 + 6 * t**5}
+BLENDS = [(kind, p_minus, p_plus, R) for kind in SMOOTHSTEPS
+          for p_minus, p_plus, R in [(1.0, 4.0, 1.5), (3.0, 1.5, 0.8), (1.0, 100.0, 0.1),
+                                     (0.01, 1.0, 3.0)]]
+
+
+class TestBlendProfile:
+    @pytest.mark.parametrize("kind, p_minus, p_plus, R", BLENDS)
+    def test_p_is_the_smoothstep(self, kind, p_minus, p_plus, R):
+        prof = BlendProfile(p_minus, p_plus, R, kind)
+        x = np.linspace(-2 * R, 2 * R, 401)
+        t = np.clip((x + R) / (2 * R), 0.0, 1.0)
+        want = np.where(x < -R, p_minus, np.where(x > R, p_plus,
+                                                  p_minus + (p_plus - p_minus) * SMOOTHSTEPS[kind](t)))
+        # both sums cancel down to s(1) = 1 from coefficients whose moduli sum to
+        # at most 31, so each is within about 31 eps |p+ - p-| of p
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(prof.eval_p(x), want, rtol=4 * eps,
+                                   atol=64 * eps * abs(p_plus - p_minus))
+        assert prof.p_func is not None and prof.p_func(0.3) == prof.eval_p(0.3)
+
+    @pytest.mark.parametrize("kind, p_minus, p_plus, R", BLENDS)
+    def test_bounds_are_exact(self, kind, p_minus, p_plus, R):
+        prof = BlendProfile(p_minus, p_plus, R, kind)
+        assert (prof.lower, prof.upper) == (min(p_minus, p_plus), max(p_minus, p_plus))
+        # p is monotone, so a gap's infimum is p at one of its ends, and no
+        # sample of p inside the gap is lower
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-2 * R, 2 * R, 50)
+        b = a + rng.uniform(1e-3, 2 * R, 50)
+        inf = prof.inf_p(a, b)
+        assert np.array_equal(inf, np.minimum(prof.eval_p(a), prof.eval_p(b)))
+        inside = prof.eval_p(np.linspace(a, b, 257, axis=-1))
+        assert np.all(inside.min(axis=-1) >= inf)
+
+    @pytest.mark.parametrize("kind, p_minus, p_plus, R", BLENDS)
+    def test_warp_ends_against_quadrature(self, kind, p_minus, p_plus, R):
+        prof = BlendProfile(p_minus, p_plus, R, kind)
+        ends = prof.zeta(np.array([-R, R]))
+        want = np.array([-mu_reference(prof, -R, 0.0), mu_reference(prof, 0.0, R)])
+        np.testing.assert_allclose(ends, want, rtol=4e-15, atol=0)
+        assert prof.warped_support_radius == max(-ends[0], ends[1])
+
+    @pytest.mark.parametrize("kind, p_minus, p_plus, R", BLENDS)
+    def test_warp_inside_against_quadrature(self, kind, p_minus, p_plus, R):
+        # the Gauss-Legendre sum over [0, x] at every x of the blend, and its
+        # inverse by Newton's method, meet the ends and 0 exactly
+        prof = BlendProfile(p_minus, p_plus, R, kind)
+        x = R * np.array([-0.999, -0.7, -0.3, -1e-6, 0.2, 0.55, 0.9])
+        want = [np.sign(v) * mu_reference(prof, *sorted((0.0, v))) for v in x]
+        np.testing.assert_allclose(prof.zeta(x), want, rtol=4e-15, atol=0)
+        assert prof.zeta(0.0) == 0.0 and prof.zeta_inv(0.0) == 0.0
+        near = prof.zeta(np.nextafter([-R, R], 0.0))
+        np.testing.assert_allclose(near, prof.zeta(np.array([-R, R])), rtol=1e-15, atol=0)
+        assert np.max(np.abs(prof.zeta_inv(prof.zeta(x)) - x)) <= 8 * np.finfo(float).eps * R
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 2.0, 0.0), "plateau radius must be positive and finite, got 0"),
+        ((1.0, 2.0, -1.0), "plateau radius must be positive and finite, got -1"),
+        ((1.0, 2.0, np.inf), "plateau radius must be positive and finite, got inf"),
+        ((0.0, 2.0, 1.0), "plateau values must be positive"),
+        ((1.0, -2.0, 1.0), "plateau values must be positive"),
+        ((1e-300, 1e300, 1.0), "the plateau ratio 1e+300 / 1e-300 overflows"),
+        ((1.0, 1e12, 1.0, "cubic"), "the cubic blend from 1 to 1e+12 is too steep"),
+        ((1.0, 2.0, 1.0, "linear"), "unknown blend kind 'linear'"),
+    ])
+    def test_refused(self, args, message):
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            BlendProfile(*args)
 
 
 class TestAdmissibility:

@@ -57,18 +57,27 @@ def test_examples_parse(name):
         TABLES[name](json.loads(text))
 
 
-def test_reconstruct_report_fields_are_listed(tmp_path):
-    """The reconstruct section's field list is the report.json of its own example."""
-    text = sections()["reconstruct"]
-    config = tmp_path / "rec.json"
+def assert_report_fields_are_listed(name, tmp_path, *extra):
+    """The section's field list is the report.json of its own first example."""
+    text = sections()[name]
+    config = tmp_path / f"{name}.json"
     config.write_text(JSON_BLOCK.findall(text)[0])
-    samples = tmp_path / "samples.csv"
-    x = np.linspace(-11.5, 11.5, 47)
-    samples_to_csv(samples, x, np.cos(x))
-    out = tmp_path / "rec"
-    main(["reconstruct", "--config", str(config), "--samples", str(samples), "--out", str(out)])
+    out = tmp_path / name
+    main([name, "--config", str(config), "--out", str(out), *extra])
     report = json.loads((out / "report.json").read_text())
     listed = re.findall(r"^- `(\w+)`:", text, flags=re.M)
     assert sorted(listed) == sorted(report)
     timings = re.search(r"^- `timings`:(.*?)(?=^$)", text, flags=re.M | re.S)[1]
     assert sorted(re.findall(r"`(\w+)`", timings)) == sorted(report["timings"])
+
+
+def test_reconstruct_report_fields_are_listed(tmp_path):
+    samples = tmp_path / "samples.csv"
+    x = np.linspace(-11.5, 11.5, 47)
+    samples_to_csv(samples, x, np.cos(x))
+    assert_report_fields_are_listed("reconstruct", tmp_path, "--samples", str(samples))
+
+
+@pytest.mark.parametrize("name", ["scatter", "shannon", "landau"])
+def test_report_fields_are_listed(name, tmp_path):
+    assert_report_fields_are_listed(name, tmp_path)

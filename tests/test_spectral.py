@@ -72,7 +72,7 @@ class TestGaussLegendre:
         assert np.finfo(np.longdouble).precision >= 18
         sset = SpectralSet(intervals)
         q = gauss_legendre_quadrature(sset, t_max=t_max)
-        assert q.error_bound <= U * sset.sqrt_measure
+        assert q.remainder <= U * sset.sqrt_measure
         s = np.linspace(-2 * t_max, 2 * t_max, 4001)
         got = np.exp(1j * np.multiply.outer(s, q.nodes)) @ q.weights
         sl = s.astype(np.longdouble)
@@ -87,7 +87,7 @@ class TestGaussLegendre:
         err = np.hypot((got.real - re).astype(float), (got.imag - im).astype(float))
         # float64 phases omega s and the sum of n terms add this much rounding
         rounding = (len(q) + 2 * t_max * q.nodes.max()) * U * sset.sqrt_measure
-        assert err.max() <= q.error_bound + rounding
+        assert err.max() <= q.remainder + rounding
 
     def test_panels_are_the_widest_that_meet_the_bound(self):
         c16 = factorial(16) ** 4 / (33 * factorial(32) ** 3)
@@ -99,7 +99,34 @@ class TestGaussLegendre:
         for n, meets in ((n_panels, True), (n_panels - 1, False)):
             assert (c16 * (np.sqrt(2.0) / n * 50.0) ** 32 <= U) == meets
         width = np.sqrt(2.0) / n_panels
-        assert q.error_bound == pytest.approx(np.sqrt(2.0) * c16 * (width * 50.0) ** 32, rel=1e-12)
+        assert q.remainder == pytest.approx(np.sqrt(2.0) * c16 * (width * 50.0) ** 32, rel=1e-12)
+
+    def test_error_bound_covers_the_float64_rule(self):
+        # Lambda = [0, 4] at t_max = 10: three 16-point panels on [0, 2]. The
+        # float64 nodes and weights, summed in long double, miss the integral
+        # of exp(i omega s) by up to 1.2e-15, far past the exact rule's
+        # remainder 6.3e-19; error_bound adds their stated rounding
+        assert np.finfo(np.longdouble).precision >= 18
+        q = gauss_legendre_quadrature(SpectralSet([(0.0, 4.0)]), t_max=10.0)
+        assert len(q) == 48 and q.remainder < 1e-18
+        x, w = legendre_long(16)
+        h = L(2) / 6
+        exact_nodes = (2 * h * np.arange(3, dtype=L)[:, None] + h * (1 + x)).ravel()
+        s = np.linspace(-20.0, 20.0, 801).astype(L)
+
+        def sums(nodes, weights):
+            phase = np.multiply.outer(s, nodes)
+            return np.cos(phase) @ weights, np.sin(phase) @ weights
+
+        got = sums(q.nodes.astype(L), q.weights.astype(L))
+        rule = sums(exact_nodes, np.tile(h * w, 3))
+        amp = np.where(s == 0, L(2), 2 * np.sin(s) / np.where(s == 0, 1, s))
+        exact = amp * np.cos(s), amp * np.sin(s)
+        rounding = np.hypot(*(float_diff(g, r) for g, r in zip(got, rule)))
+        err = np.hypot(*(float_diff(g, e) for g, e in zip(got, exact)))
+        assert err.max() > 1000 * q.remainder
+        assert rounding.max() <= q.error_bound - q.remainder
+        assert err.max() <= q.error_bound
 
 
 class TestIdentity:
@@ -109,7 +136,7 @@ class TestIdentity:
         r = uniform_quadrature(SpectralSet([(0.0, 1.0)]), 0.1)
         assert q == q and q != r
         assert len({q, r, q}) == 2
-        assert q.error_bound is None
+        assert q.error_bound is None and q.remainder is None
 
 
 class TestUniform:
@@ -178,6 +205,11 @@ def legendre_long(n):
         slope = n * (x * p1 - p0) / (x * x - 1)
         x = x - p1 / slope
     return x, 2 / ((1 - x * x) * slope * slope)
+
+
+def float_diff(a, b):
+    """a - b of two long-double arrays, as float64."""
+    return (a - b).astype(float)
 
 
 def psi_long(k, size, n=96):

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from varband.sturm import (_BLOCK, _FIRST, _TAIL, IntegrationError, _barycentric, _block_steps,
-                           _chebyshev_points, rk4_linear, rk4_segments)
+from varband import sturm
+from varband.profile import blend_profile
+from varband.sturm import (_BLOCK, _TAIL, IntegrationError, _barycentric, _block_steps,
+                           _chebyshev_points, _interpolant_points, _step_table, rk4_linear,
+                           rk4_segments)
 
 from closed_forms import (SpectralDensityError, toy_fundamental, toy_spectral_density,
                           toy_wronskian_value)
@@ -253,19 +258,39 @@ class TestIntegratorCore:
             rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]), -1.0)
 
 
+# the one blend sweep of the family below whose check doubles: see its own test
+LONG_PHASE = ("quintic", (1.0, 0.01), 3.0, (0.05, 5.0))
+
+
+def predicted_points(a, b, c, x0, x1, step, breakpoints=()):
+    """The Chebyshev point count `_interpolant_points` sets for a final-state run."""
+    _, phases, ranges = zip(*(_step_table(a, b, *segment)
+                              for segment in rk4_segments(x0, x1, step, breakpoints)))
+    return int(_interpolant_points(sum(phases), np.min(c) - np.max(ranges),
+                                   np.max(c) - np.min(ranges)))
+
+
 class TestInterpolatedFinalState:
     """The final state at many c from the run's map interpolated in c, against the stored path."""
 
     @staticmethod
-    def runs(c, backward=False):
+    def coefficients():
         # b = exp(-x^2) left of the jump at 1, so b != 0 and a breakpoint splits the run
-        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        return jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+
+    @classmethod
+    def runs(cls, c, backward=False):
+        a, b = cls.coefficients()
         x0, x1 = (2.5, -1.5) if backward else (-1.5, 2.5)
         y0 = np.stack([np.ones(np.shape(c)), 1j * np.sqrt(c) + 0.5])
         record = {}
         final = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), record=record)
         _, path = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), path=True)
         return final, path[-1], record
+
+    @classmethod
+    def predicted(cls, c):
+        return predicted_points(*cls.coefficients(), c, -1.5, 2.5, 0.01, (1.0,))
 
     @pytest.mark.parametrize("spacing", [np.linspace, np.geomspace], ids=["linear", "geometric"])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
@@ -275,15 +300,69 @@ class TestInterpolatedFinalState:
         assert final.shape == last.shape == (2, 200)
         dev = np.max(np.abs(final - last), axis=0) / np.max(np.abs(last), axis=0)
         assert np.max(dev) < 1e-12
-        # fewer c values were integrated than requested, at an accepted tail
-        assert _FIRST <= record["points"] < c.size
+        # one pass at the predicted points, fewer than the c values, at an accepted tail
+        assert record["points"] == self.predicted(c) < c.size
         assert 0 < record["tail"] <= _TAIL
 
     def test_few_values_are_integrated_directly(self):
-        c = np.linspace(0.5, 30.0, _FIRST)
+        n = self.predicted(np.array([0.5, 30.0]))
+        c = np.linspace(0.5, 30.0, n)
         final, last, record = self.runs(c)
-        assert record == {"points": _FIRST, "tail": 0.0}
+        assert record == {"points": n, "tail": 0.0}
         assert np.max(np.abs(final - last)) < 1e-13 * np.max(np.abs(last))
+
+    def test_undersized_interpolant_doubles(self, monkeypatch):
+        # five points are far too few: the tail check fails and the points
+        # double, 5, 9, 17, ..., until it holds; nested, so each is swept once
+        monkeypatch.setattr(sturm, "_interpolant_points", lambda phase, lo, hi: 5.0)
+        c = np.linspace(1e-6, 1e2, 200)
+        final, last, record = self.runs(c)
+        assert record["points"] in (9, 17, 33, 65, 129)
+        assert 0 < record["tail"] <= _TAIL
+        dev = np.max(np.abs(final - last), axis=0) / np.max(np.abs(last), axis=0)
+        assert np.max(dev) < 1e-12
+
+    @staticmethod
+    def blend_sweep(kind, p_minus, p_plus, R, omegas):
+        """Final state, stored-path state, record and predicted points of a blend's sweep.
+
+        The sweep of -(p u')' = omega^2 u over [-R, R] at 200 omegas, as
+        `ScatteringSweep` runs it.
+        """
+        prof = blend_profile(p_minus, p_plus, R=R, kind=kind)
+        w = np.linspace(*omegas, 200)
+        step = min(1e-3, 2 * np.pi * np.sqrt(prof.lower) / (50 * w[-1]))
+        a = lambda x: 1.0 / prof.eval_p(x)
+        y0 = np.stack([np.ones(w.size), 1j * w])
+        record = {}
+        final = rk4_linear(a, np.zeros_like, w**2, R, -R, y0, step, record=record)
+        _, path = rk4_linear(a, np.zeros_like, w**2, R, -R, y0, step, path=True)
+        return final, path[-1], record, predicted_points(a, np.zeros_like, w**2, R, -R, step)
+
+    @pytest.mark.parametrize("case", [
+        case for case in itertools.product(
+            ["cubic", "quintic"], [(1.0, 100.0), (1.0, 0.01), (3.0, 1.5), (1.0, 4.0)],
+            [0.1, 1.0, 3.0], [(0.05, 5.0), (1e-3, 3.0), (2.0, 3.0)])
+        if case != LONG_PHASE], ids=lambda c: "{}-{}-{}-R{}-w{}-{}".format(c[0], *c[1], c[2], *c[3]))
+    def test_predicted_points_need_no_doubling(self, case):
+        kind, (p_minus, p_plus), R, omegas = case
+        final, last, record, n = self.blend_sweep(kind, p_minus, p_plus, R, omegas)
+        assert record["points"] == min(n, 200)
+        assert record["tail"] <= _TAIL
+        dev = np.max(np.abs(final - last), axis=0) / np.max(np.abs(last), axis=0)
+        assert np.max(dev) < 1e-12
+
+    def test_long_phase_doubles_at_the_rounding_floor(self):
+        # phase 16 and 6000 steps: the coefficients of the predicted 66-point
+        # interpolant reach 1e-15 by index 64, but the rounding of the
+        # integrated map leaves the last two of one entry near 2^-45 of its
+        # largest, so the check doubles once, to 131 points
+        kind, (p_minus, p_plus), R, omegas = LONG_PHASE
+        final, last, record, n = self.blend_sweep(kind, p_minus, p_plus, R, omegas)
+        assert (n, record["points"]) == (66, 131)
+        assert record["tail"] <= _TAIL
+        dev = np.max(np.abs(final - last), axis=0) / np.max(np.abs(last), axis=0)
+        assert np.max(dev) < 1e-12
 
     @pytest.mark.parametrize("c", [
         np.repeat(np.linspace(0.5, 30.0, 12), [1, 2, 3] * 4),
@@ -305,7 +384,7 @@ class TestInterpolatedFinalState:
         # the ends and inner Chebyshev points of every nested point set
         # among the c values: the interpolant returns the integrated maps there
         c = np.linspace(1e-6, 1e2, 200)
-        nodes = _chebyshev_points(c[0], c[-1], _FIRST)
+        nodes = _chebyshev_points(c[0], c[-1], self.predicted(c))
         assert nodes[0] == c[-1] and nodes[-1] == c[0]
         c[[40, 90, 150]] = nodes[[12, 8, 3]]
         with np.errstate(divide="raise", invalid="raise"):
