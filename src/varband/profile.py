@@ -194,15 +194,14 @@ class BlendProfile(BandwidthProfile):
     by Horner's rule.  s increases from 0 to 1, so p is monotone and its
     bounds are exact: ``lower`` and ``upper`` are the plateaus, and inf p
     over a gap is the smaller of p at its ends, clipped to the plateaus.
-    On [-R, R], zeta(x) is the Gauss-Legendre sum over [0, x] of the size
-    `_warp_points` sets for [-R, 0] and [0, R]: the Bernstein ellipse of a
-    subinterval lies inside theirs, so their bound holds for every x.
-    zeta(+-R) are computed on first use and kept; beyond them zeta is
-    affine.  Its inverse inside is Newton's method on those sums, from the
-    chord through (zeta(-R), -R), (0, 0) and (zeta(R), R).  A radius that is
-    not positive and finite, a plateau that is not positive, a plateau
-    ratio that overflows and a blend whose warp needs more than
-    `_WARP_POINTS_MAX` points raise `ProfileError`.
+    zeta(+-R) are Gauss-Legendre sums over [-R, 0] and [0, R] of the size
+    `_warp_points` sets, computed on first use and kept; beyond them zeta is
+    affine.  Inside, zeta and its inverse are cubic Hermite splines on 1601
+    knots, built only when a point inside is asked for and anchored to
+    those ends; the inverse is tightened by two Newton passes against the
+    forward spline.  A radius that is not positive and finite, a plateau
+    that is not positive, a plateau ratio that overflows and a blend whose
+    warp needs more than `_WARP_POINTS_MAX` points raise `ProfileError`.
     """
 
     is_smooth = True
@@ -243,18 +242,31 @@ class BlendProfile(BandwidthProfile):
     p_func = eval_p  # p on the whole line, by the name independent reference solvers call
 
     @cached_property
-    def _rule(self):
-        return _legendre_rule(self._points)
-
-    def _warp(self, x):
-        """int_0^x p^(-1/2) for x in [-R, R], by the Gauss-Legendre sum over [0, x]."""
-        nodes, weights = self._rule
-        half = 0.5 * np.asarray(x, dtype=float)
-        return half * (self.eval_p(half[..., None] * (1.0 + nodes)) ** -0.5 @ weights)
+    def _ends(self):
+        """zeta(-R) and zeta(R), the `_warp_points`-point Gauss-Legendre sums over [-R, 0] and [0, R]."""
+        nodes, weights = np.polynomial.legendre.leggauss(self._points)
+        half = 0.5 * np.array([-self.R, self.R])
+        return tuple((half * (self.eval_p(half[:, None] * (1.0 + nodes)) ** -0.5 @ weights)).tolist())
 
     @cached_property
-    def _ends(self):
-        return tuple(self._warp(np.array([-self.R, self.R])).tolist())
+    def _zeta_spline(self):
+        """Forward and inverse splines of zeta on [-R, R], anchored to `_ends`; built on first use.
+
+        The 1600 panels between 1601 knots, symmetric about 0, are each
+        integrated by 10-point Gauss-Legendre and summed outward from 0, and
+        each half is scaled to meet its end exactly.
+        """
+        e = np.linspace(0.0, self.R, 801)
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        h, mid = 0.5 * np.diff(e), 0.5 * (e[1:] + e[:-1])
+        halves = []
+        for sign, end in zip((-1.0, 1.0), self._ends):
+            run = np.cumsum(h * (self.eval_p(sign * (mid[:, None] + h[:, None] * gx)) ** -0.5 @ gw))
+            halves.append(run * (end / run[-1]))
+        knots = np.concatenate((-e[:0:-1], e))
+        cum = np.concatenate((halves[0][::-1], [0.0], halves[1]))
+        w = self.eval_p(knots) ** -0.5
+        return CubicHermite(knots, cum, w), CubicHermite(cum, knots, 1.0 / w)
 
     def zeta(self, x):
         x = np.asarray(x, dtype=float)
@@ -262,7 +274,8 @@ class BlendProfile(BandwidthProfile):
         out = np.where(x < 0, zlo + (x + R) * self.p_minus**-0.5,
                        zhi + (x - R) * self.p_plus**-0.5)
         inside = np.abs(x) < R
-        out[inside] = self._warp(x[inside])
+        if inside.any():
+            out[inside] = self._zeta_spline[0](x[inside])
         return out if out.ndim else float(out)
 
     def zeta_inv(self, z):
@@ -271,14 +284,13 @@ class BlendProfile(BandwidthProfile):
         out = np.where(z < 0, -R + (z - zlo) * self.p_minus**0.5,
                        R + (z - zhi) * self.p_plus**0.5)
         inside = (zlo < z) & (z < zhi)
-        target = z[inside]
-        x = target * np.where(target < 0, -R / zlo, R / zhi)
-        for _ in range(64):  # Newton's method; zeta is monotone and convex or concave
-            step = (self._warp(x) - target) * self.eval_p(x) ** 0.5
-            x = np.clip(x - step, -R, R)
-            if not np.max(np.abs(step), initial=0.0) > 4 * np.finfo(float).eps * R:
-                break
-        out[inside] = x
+        if inside.any():
+            fwd, inv = self._zeta_spline
+            target = z[inside]
+            x = inv(target)
+            for _ in range(2):  # two Newton passes against the forward spline tighten the inverse
+                x = np.clip(x - (fwd(x) - target) * self.eval_p(x) ** 0.5, -R, R)
+            out[inside] = x
         return out if out.ndim else float(out)
 
     def inf_p(self, a, b):
@@ -316,17 +328,6 @@ def _horner(coefs, t):
     return out
 
 
-def _legendre_rule(n):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Golub and Welsch: the Jacobi matrix's eigenpairs.
-
-    On cos(pi x / 2) its float64 sums for n = 10 to 400 were within 8u of the
-    integral; numpy's `leggauss` missed by 21u at n = 20 and 240u at 400.
-    """
-    k = np.arange(1.0, n)
-    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
-    return nodes, 2 * vectors[0] ** 2
-
-
 def _warp_points(coefs, p_max):
     """Gauss-Legendre points for int p^(-1/2) over [0, 1/2] and [1/2, 1] to a relative 2^-53.
 
@@ -342,6 +343,9 @@ def _warp_points(coefs, p_max):
     Theory and Approximation Practice, Thm 19.3), and the integral at least
     2 p_max^(-1/2).  Returns the fewest n that meet 2^-53 of it on both
     halves, minimised over 32 rho spread evenly below min(rho_i, 1e3).
+    The sums use numpy's `leggauss`, whose own rounding grows with n: against
+    30-digit quadrature they missed by at most 12u at n <= 45, up to 380u
+    at n = 116 to 159, and 2.8e4 u at n = 541 (a cubic blend of ratio 1e6).
     """
     desc = np.trim_zeros(np.asarray(coefs[::-1], dtype=float), "f")
     tau = 4.0 * (np.roots(desc) - np.array([[0.25], [0.75]]))

@@ -367,16 +367,42 @@ class TestBlendProfile:
 
     @pytest.mark.parametrize("kind, p_minus, p_plus, R", BLENDS)
     def test_warp_inside_against_quadrature(self, kind, p_minus, p_plus, R):
-        # the Gauss-Legendre sum over [0, x] at every x of the blend, and its
-        # inverse by Newton's method, meet the ends and 0 exactly
+        # inside the blend zeta is a cubic Hermite spline on knots H = R / 800
+        # apart, within H^4 / 384 max |(p^(-1/2))'''| of the warp (the third
+        # derivative estimated on a fine grid) plus rounding; its inverse
+        # round-trips, and it meets 0 and the ends
         prof = BlendProfile(p_minus, p_plus, R, kind)
         x = R * np.array([-0.999, -0.7, -0.3, -1e-6, 0.2, 0.55, 0.9])
         want = [np.sign(v) * mu_reference(prof, *sorted((0.0, v))) for v in x]
-        np.testing.assert_allclose(prof.zeta(x), want, rtol=4e-15, atol=0)
+        fine = np.linspace(-R, R, 20001)
+        d3 = prof.eval_p(fine) ** -0.5
+        for _ in range(3):
+            d3 = np.gradient(d3, fine)
+        bound = ((R / 800) ** 4 / 384 * np.max(np.abs(d3[3:-3]))
+                 + 8 * np.finfo(float).eps * prof.warped_support_radius)
+        assert np.max(np.abs(prof.zeta(x) - want)) <= bound
         assert prof.zeta(0.0) == 0.0 and prof.zeta_inv(0.0) == 0.0
         near = prof.zeta(np.nextafter([-R, R], 0.0))
         np.testing.assert_allclose(near, prof.zeta(np.array([-R, R])), rtol=1e-15, atol=0)
         assert np.max(np.abs(prof.zeta_inv(prof.zeta(x)) - x)) <= 8 * np.finfo(float).eps * R
+
+    def test_spline_is_built_only_inside(self):
+        prof = BlendProfile(1.0, 4.0, 1.5)
+        prof.zeta_inv(prof.zeta(np.array([-1.5, 1.5, -4.0, 2.0])))
+        assert "_zeta_spline" not in vars(prof)
+        prof.zeta(0.5)
+        assert "_zeta_spline" in vars(prof)
+
+    @pytest.mark.parametrize("kind, p_minus, p_plus, R", BLENDS)
+    def test_inverse_on_a_stage_sized_array(self, kind, p_minus, p_plus, R):
+        # the warped potential inverts every RK4 stage abscissa of a sweep at
+        # once: about 1e4 points across the blend
+        prof = BlendProfile(p_minus, p_plus, R, kind)
+        zlo, zhi = prof.zeta(np.array([-R, R]))
+        z = np.linspace(zlo, zhi, 12001)
+        x = prof.zeta_inv(z)
+        assert np.all(np.diff(x) > 0) and x[0] == -R and x[-1] == R
+        assert np.max(np.abs(prof.zeta(x) - z)) <= 4 * np.finfo(float).eps * max(-zlo, zhi)
 
     @pytest.mark.parametrize("args, message", [
         ((1.0, 2.0, 0.0), "plateau radius must be positive and finite, got 0"),
