@@ -26,8 +26,6 @@ class DensityReport:
     r_values: list
     lower: list  # inf count / r per r
     upper: list  # sup count / r per r
-    window: tuple
-    monotone_trend: bool = False
 
     @property
     def d_minus(self):
@@ -73,8 +71,7 @@ def beurling_density(profile, X, r_list, window):
         cmin, cmax = sliding_counts(z, wz, r)
         lower.append(cmin / r)
         upper.append(cmax / r)
-    trend = all(x <= y + 1e-12 for x, y in zip(lower, lower[1:]))
-    return DensityReport(r_list, lower, upper, wz, monotone_trend=trend)
+    return DensityReport(r_list, lower, upper)
 
 
 def separation(profile, X):

@@ -9,30 +9,33 @@ kernel
             = sum_l U(omega_l, x)^T Sigma_l U(omega_l, y)
 
 is then one real product through the real symmetric 2x2 density
-Sigma = Re(M^T diag(w rho) conj M) of each node.  The models below differ only
-in how U, M and rho are produced: closed forms for the two-plateau step
-profile (the classical Paley-Wiener space is its case p = 1), and the real
-and imaginary parts of a scattering sweep's solution, for a compactly
+Sigma = Re(M^T diag(w rho) conj M) of each node.  U has one form, evaluated
+in one place, `SpectralModel`: on each plateau of p a function of variable
+bandwidth is bandlimited in the warp z = zeta(x), so on each side of a
+model's interior [-a, a] U is a per-node real 2x2 map of the plane waves
+(cos omega z, sin omega z), z affine in x.  A model states only that map,
+dx/dz, the warp and where its antiderivative is anchored: the two-plateau
+step profile (the classical Paley-Wiener space is its case p = 1), with
+z = x / sqrt(p) and no interior, or a scattering sweep, for a compactly
 supported Schrodinger potential or, solving -(p u')' = omega^2 u itself,
-for a smooth eventually constant profile.  The step-profile tables
-are plane waves in t = x / sqrt(p), taken from the quadrature's `waves`:
-each rule records its nodes as sums omega = o + d of non-negative shifts
-and offsets, and angle addition over that factorisation calls sin and cos
-on O(sqrt n) rows instead of n, with every entry within 8u (1 + omega |t|)
-of the exact wave, u = 2**-53.  Each model sizes its Gauss-Legendre rule
-from the largest phase t_max its tables reach for |x| <= x_max:
-x_max / sqrt(min p) for the step profile, x_max + 2a for a potential
-supported on [-a, a] (its mix carries R2 ~ exp(-2i omega a)), and
-x_max / sqrt(inf p) + 2a for the Liouville model, a the support radius of
-the warped potential, whose scattering data it shares; ``points``, the
-number of abscissae the caller will tabulate, lets the rule refuse tables
-that would not fit in memory before it is built.  The rule's
-``error_bound`` holds for plane waves of frequency up to 2 t_max: exactly
-what the step-profile kernels are made of, so only that model reports it as
-its own ``error_bound``.  The scattering tables of a potential have
-structure in omega (resonances, internal reflections) that the phase 2a
-does not limit, so their rule is sized by the same t_max but carries no
-guarantee; the tests check it against finer rules instead.  ``kernel_pairs`` and
+for a smooth eventually constant profile, with z = zeta(x), the map from T
+and R1 and the sweep's stored interpolant inside the support.  The waves
+are the quadrature's `waves(z)`, by angle addition over the factorisation
+of its nodes, each within 8u (1 + omega |z|) of the exact wave, u = 2**-53.
+
+Each model sizes its Gauss-Legendre rule from the largest phase t_max its
+tables reach for |x| <= x_max: x_max / sqrt(min p) for the step profile,
+x_max + 2a for a potential supported on [-a, a] (its mix carries
+R2 ~ exp(-2i omega a)), and x_max / sqrt(inf p) + 2a for the Liouville
+model, a the support radius of the warped potential, whose scattering data
+it shares; ``points``, the number of abscissae the caller will tabulate,
+lets the rule refuse tables that would not fit in memory before it is
+built.  The rule's ``error_bound`` holds for plane waves of frequency up to
+2 t_max: exactly what the step-profile kernels are made of, so only that
+model reports it as its own ``error_bound``.  The scattering tables of a
+potential have structure in omega (resonances, internal reflections) that
+the phase 2a does not limit, so their rule carries no guarantee; the tests
+check it against finer rules instead.  ``kernel_pairs`` and
 ``kernel_matrix`` are the one pointwise evaluator of every model; the
 closed-form kernels (step profile, half line, free sinc) are independent
 references for cross-validation.
@@ -42,11 +45,11 @@ that f = sum w rho F Phi.  ``SpectralModel.synthesize`` and ``analyze`` apply
 M and the weights w rho to (2, n_nodes) coefficients (``basis_coefficients``
 and ``from_basis_sums``) and leave the real tables of U to ``_contract``,
 the one product of a complex vector with a table.  ``lattice_plan`` is the
-one place that decides whether a model needs no tables at all: for the
-step profile on a lattice rule it returns a `_StepLattice`, which runs
-both products as nonuniform FFTs with the coefficient steps folded in, for
-the sampling operator and for `paleywiener.VarBandFunction.evaluate`.
-Phi itself is never tabulated.
+one place that decides whether a model needs no tables at all: for a model
+without an interior on a lattice rule it returns a `_TailLattice`, which
+runs both products as nonuniform FFTs in z with the maps and the
+coefficient steps folded in, for the sampling operator and for
+`paleywiener.VarBandFunction.evaluate`.  Phi itself is never tabulated.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ import numpy as np
 from .profile import BlendProfile
 from .schrodinger import ScatteringSweep
 from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
+
+
+# entries per temporary while a table is finished: a block of nodes, or of
+# points, whose scratch stays in cache and beside the table stays small
+_BLOCK_ENTRIES = 1 << 14
 
 
 class KernelError(RuntimeError):
@@ -149,18 +157,30 @@ class SpectralModel:
     """Shared layout: quadrature, real basis, per-node mix, measure weights.
 
     Subclasses set ``rho`` with shape (2, n_nodes) (kernel measure factor)
-    and ``mix`` with shape (2, 2, n_nodes), and define the real pair
-    U = ``basis`` and its antiderivative, so that with
+    and ``mix`` with shape (2, 2, n_nodes), so that with
     Phi_c = sum_a mix[c, a] U_a at each node
 
         transform:  F_c(w_l) = int f conj(Phi_c) dx
         synthesis:  f(x) = sum_l w_l sum_c rho_c F_c Phi_c
         norm^2:     sum_l w_l sum_c rho_c |F_c|^2
+
+    and state the real pair U by its plane-wave tails: on side s of the
+    interior [-a, a] (0 for x <= 0, 1 for x > 0; a = ``interior``, None for
+    none), z = ``warp(x)`` is affine with dx/dz = sqrt(p_s), and
+
+        U = L_s (cos omega z, sin omega z),
+        int U = P_s (sin omega z, -cos omega z) / omega + C_s,
+
+    with per-node real maps (L, P) = ``tails`` of shape (side, 2, 2, n_nodes),
+    P_s = sqrt(p_s) L_s, and ``constants`` C_s from ``_anchors()``, a warped
+    point z_s per side where int U is K_s. Inside, U and int U are the
+    stored interpolant of the model's ``sweep``.
     """
 
     quad: SpectralQuadrature
     rho: np.ndarray
     mix: np.ndarray
+    interior = None  # the radius a of the interior [-a, a] where U is no tail, or None
     sweep: ScatteringSweep | None = None  # the RK4 sweep behind U, for a scattering model
 
     @property
@@ -175,16 +195,24 @@ class SpectralModel:
         """
         return None
 
-    @property
-    def omegas(self):
-        return self.quad.nodes
+    @cached_property
+    def _primitive_maps(self):
+        """P J / omega, J = [[0, 1], [-1, 0]]: int U = this map of (cos, sin) plus C."""
+        P = self.tails[1]
+        return np.stack([-P[:, :, 1], P[:, :, 0]], axis=2) / self.quad.nodes
+
+    @cached_property
+    def constants(self):
+        """C_s = K_s - P_s (sin omega z_s, -cos omega z_s) / omega, shape (side, 2, n_nodes)."""
+        z, values = self._anchors()  # waves(z) is (cos/sin, node, side)
+        return values - np.einsum("sakl,kls->sal", self._primitive_maps, self.quad.waves(z))
 
     def basis(self, x):
         """The real pair U(omega_l, x), float64 of shape (2, n_nodes, n_x).
 
         Returned in a fresh array: ``kernel_pairs`` overwrites it in place.
         """
-        raise NotImplementedError
+        return self._table(x, self.tails[0], False)
 
     def basis_antiderivative(self, x):
         """int U(omega_l, y) dy up to x, float64 of shape (2, n_nodes, n_x).
@@ -193,15 +221,45 @@ class SpectralModel:
         over a cell [lo, hi] is the entry at hi minus the entry at lo: one
         table and one ``np.diff`` give every cell between sorted edges.
         """
-        raise NotImplementedError
+        return self._table(x, self._primitive_maps, True)
+
+    def _table(self, x, maps, integrated):
+        """U or int U at x: `waves` at z = warp(x), each side's map and constant applied in place.
+
+        The maps act one block of nodes at a time and the interior overwrites
+        its points one block at a time, so no temporary beside the table
+        holds more than `_BLOCK_ENTRIES` entries.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self.quad.waves(self.warp(x))
+        right, n = x > 0, len(self.quad)
+        rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
+        for lo in range(0, n, rows):
+            span = slice(lo, lo + rows)
+            block = out[:, span]
+            mapped = np.where(right, maps[1, :, :, span, None], maps[0, :, :, span, None])
+            mapped *= block
+            np.add(mapped[:, 0], mapped[:, 1], out=block)
+            if integrated:
+                C = self.constants[:, :, span, None]
+                block += np.where(right, C[1], C[0])
+        if self.interior is not None:
+            inside = np.flatnonzero(np.abs(x) <= self.interior)
+            step = max(1, _BLOCK_ENTRIES // n)
+            for lo in range(0, inside.size, step):
+                cols = inside[lo:lo + step]
+                out[:, :, cols] = self.sweep.solution(x[cols], integrated)
+        return out
 
     def lattice_plan(self, points, edges=None):
-        """U at ``points``, and its sums over the cells between ``edges``, without tables.
+        """U at ``points``, and its sums over the cells between sorted ``edges``, without tables.
 
-        The one place that decides whether a model has such a plan: None here,
-        so the caller tabulates U; the step profile on a lattice rule returns
-        its `_StepLattice`.
+        The one place that decides whether a model has such a plan: a
+        `_TailLattice` where U is tails alone (no interior) on a lattice
+        rule; None otherwise, so the caller tabulates U.
         """
+        if self.interior is None and self.quad.lattice is not None:
+            return _TailLattice(self, points, edges)
         return None
 
     # -- coefficients against basis tables ----------------------------------
@@ -308,78 +366,65 @@ class ToyModel(SpectralModel):
     def error_bound(self):
         return self.quad.error_bound
 
-    def _waves(self, x):
-        """(cos theta, sin theta) for theta = omega t, t = x / sqrt(p), and sqrt(p).
+    def warp(self, x):
+        """t = x / sqrt(p), p on x's side of the jump (p- at 0)."""
+        x = np.asarray(x, dtype=float)
+        return x / np.where(x > 0, np.sqrt(self.p_plus), np.sqrt(self.p_minus))
 
-        p is taken on x's side of the jump. The table is the quadrature's
-        `waves` at t, built by angle addition over the nodes' factorisation,
-        so each entry is within 8u (1 + omega |t|) of the wave at the float64
-        t, u = 2**-53; the callers finish it in place.
+    @cached_property
+    def tails(self):
+        """L = diag(1, 1 / sqrt(p)), P = diag(sqrt(p), 1) on each side, at every node.
+
+        So U = (cos theta, sin theta / sqrt(p)), theta = omega t, and int_0^x U
+        = (sqrt(p) sin theta / omega, (1 - cos theta) / omega).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        root = np.where(x > 0, np.sqrt(self.p_plus), np.sqrt(self.p_minus))
-        return self.quad.waves(x / root), root
+        roots = np.sqrt([self.p_minus, self.p_plus])
+        L = np.array([[[1.0, 0.0], [0.0, 1.0 / r]] for r in roots])[..., None]
+        P = np.array([[[r, 0.0], [0.0, 1.0]] for r in roots])[..., None]
+        shape = (2, 2, 2, len(self.quad))
+        return np.broadcast_to(L, shape), np.broadcast_to(P, shape)
 
-    def lattice_plan(self, points, edges=None):
-        """A `_StepLattice` on a lattice rule; None on a Gauss rule, which has no lattice."""
-        return None if self.quad.lattice is None else _StepLattice(self, points, edges)
-
-    def basis(self, x):
-        """The real pair U = (cos theta, sin theta / sqrt(p))."""
-        out, root = self._waves(x)
-        out[1] /= root
-        return out
-
-    def basis_antiderivative(self, x):
-        """int_0^x U = (sqrt(p) sin theta / omega, (1 - cos theta) / omega).
-
-        Both entries vanish at 0 from either side, so the table is continuous
-        across the jump.
-        """
-        out, root = self._waves(x)
-        cos, sin = out
-        sin *= root
-        np.subtract(1.0, cos, out=cos)
-        out /= self.quad.nodes[:, None]
-        # the rows hold the two entries in reverse order: swap them in place,
-        # one node at a time, so no second table is formed
-        for first, second in zip(cos, sin):
-            first[:], second[:] = second, first.copy()
-        return out
+    def _anchors(self):
+        """int U vanishes at t = 0 from either side, so it is continuous across the jump."""
+        return np.zeros(2), 0.0
 
 
-class _StepLattice:
-    """The step profile's U at fixed points, and its cell sums, as nonuniform FFTs.
+class _TailLattice:
+    """U of a model without an interior at fixed points, and its cell sums, as nonuniform FFTs.
 
-    With t = x / sqrt(p) and theta = omega t, U = (cos theta, sin theta / sqrt(p))
-    and its antiderivative is A = (sqrt(p) sin theta / omega,
-    (1 - cos theta) / omega), with p on x's side of the jump. Each side gets
-    its own FFT grid of a `spectral.LatticeTransform` in t, on which sqrt(p)
-    is one number, so every point and every cell edge is read or written
-    once per apply.
+    On side s (0 for x <= 0, 1 for x > 0), with z = ``warp(x)`` and
+    theta = omega z, U = L_s (cos theta, sin theta) and its antiderivative is
+    A = P_s (sin theta, -cos theta) / omega + C_s (`SpectralModel.tails`,
+    `SpectralModel.constants`). Each side gets its own FFT grid of a
+    `spectral.LatticeTransform` in z, on which L_s and P_s are per-node
+    maps, so every point and every cell edge is read or written once per
+    apply.
 
-    - At the points, f = G_0 cos theta + G_1 sin theta / sqrt(p) summed over
-      the nodes, with G = mix^T (w rho F) (`SpectralModel.basis_coefficients`),
-      is a exp(i theta) + b exp(-i theta) with a, b = (G_0 -+ i G_1 / sqrt(p)) / 2:
+    - At the points, f = sum over the nodes of G^T U, with
+      G = mix^T (w rho F) (`SpectralModel.basis_coefficients`), is
+      g_c cos theta + g_s sin theta with (g_c, g_s) = L_s^T G, that is
+      a exp(i theta) + b exp(-i theta) with a, b = (g_c -+ i g_s) / 2:
       a type-2 transform.
     - Over the cells, summation by parts moves the difference of A onto the
       values: sum_i y_i (A(e_(i+1)) - A(e_i)) = sum_j d_j A(e_j) with
-      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0. Then sum_j d_j = 0, so the
-      constant 1 / omega of A drops out, and what is left is the cosine and
-      sine sums of d, the half sum and half difference of the type-1 sums
-      E+- = sum_j d_j exp(+-i omega t_j). With y = conj(v), F = conj(mix H)
-      of these sums H is what `SpectralModel.from_basis_sums` makes of them.
+      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0. The cosine and sine sums of
+      d on each side are the half sum and half difference of the type-1
+      sums E+- = sum_j d_j exp(+-i omega z_j). The constants add
+      C_0 D_0 + C_1 D_1, D_s the sum of d over side s; for sorted edges, k
+      of them at or left of 0, D_1 = y_(k-1) = -D_0, so that is ``jump``
+      = C_1 - C_0 times y_(k-1): 0 for the step profile. With y = conj(v),
+      F = conj(mix H) of these sums H is what `SpectralModel.from_basis_sums`
+      makes of them.
 
     Each step between F and the FFT grids is linear and acts node by node,
     so the plan folds them, once, into two tables of shape (sign, side,
-    component, node): ``into`` holds the weights w rho, the mix, the 1/2 and
-    the -+i / sqrt(p) of a and b, and the deconvolution 1 / psi_k of the
+    component, node): ``into`` holds the weights w rho, the mix, L_s, the
+    1/2 and -+i of a and b, and the deconvolution 1 / psi_k of the
     transforms' exponential-of-semicircle kernel (`spectral._es_gridding`),
-    from F to the grid modes; ``out_of`` the deconvolution, the 1 / omega,
-    the -1/2 and the +-i sqrt(p) of the cosine and sine sums, and the mix,
-    from the modes of E+- back to the sums H that are conjugated into F. An
-    apply fills and reads each interval's grids by slices
-    (`_Gridding.modes`).
+    from F to the grid modes; ``out_of`` the deconvolution, P_s / omega,
+    the 1/2 and +-i of the cosine and sine sums, and the mix, from the modes
+    of E+- back to the sums H that are conjugated into F. An apply fills
+    and reads each interval's grids by slices (`_Gridding.modes`).
 
     Bound: ``remainder`` is the transforms' (`spectral.LatticeTransform`), so
     in exact arithmetic the values at the points are within ``remainder``
@@ -393,31 +438,30 @@ class _StepLattice:
     """
 
     def __init__(self, model, points, edges=None):
-        roots = np.sqrt([model.p_minus, model.p_plus])
         sign = np.array([-1.0, 1.0])[:, None, None, None]  # (sign, side, component, node)
-        root = roots[:, None, None]
-        self.points = self._transform(model.quad, roots, points)
-        self.into = []
-        for run, span in zip(self.points.runs, self.points.spans):
-            mix, deconvolve = model.mix[..., span], run.deconvolve[:, None, None]
-            self.into.append(0.5 * deconvolve * model.weights()[:, span]
-                             * (mix[:, 0] + sign * 1j * mix[:, 1] / root))
+
+        def fold(maps, transform, scale):
+            mixed = np.einsum("cal,sakl->sckl", model.mix, maps)
+            return [scale[:, span] * run.deconvolve[:, None, None]
+                    * (mixed[:, :, 0, span] + sign * 1j * mixed[:, :, 1, span])
+                    for run, span in zip(transform.runs, transform.spans)]
+
+        self.points = self._transform(model, points)
+        self.into = fold(model.tails[0], self.points, 0.5 * model.weights())
         self.remainder = self.points.remainder
         self.taps, self.fft_lengths = self.points.taps, self.points.fft_lengths
         if edges is not None:
-            self.edges = self._transform(model.quad, roots, edges)
-            self.omegas, self.out_of = model.omegas, []
-            for run, span in zip(self.edges.runs, self.edges.spans):
-                mix, deconvolve = model.mix[..., span], run.deconvolve[:, None, None]
-                self.out_of.append(-0.5 * deconvolve / self.omegas[span]
-                                   * (mix[:, 1] - sign * 1j * root * mix[:, 0]))
+            self.edges = self._transform(model, edges)
+            self.out_of = fold(model._primitive_maps, self.edges,
+                               np.full((1, len(model.quad)), 0.5))
+            self.jump = np.einsum("cal,al->cl", model.mix, model.constants[1] - model.constants[0])
+            self.split = int(np.count_nonzero(np.asarray(edges, dtype=float) <= 0))
             self.remainder = max(self.remainder, self.edges.remainder)
 
     @staticmethod
-    def _transform(quad, roots, x):
+    def _transform(model, x):
         x = np.asarray(x, dtype=float)
-        side = (x > 0).astype(np.intp)
-        return quad.lattice_transform(x / roots[side], side, 2)
+        return model.quad.lattice_transform(model.warp(x), (x > 0).astype(np.intp), 2)
 
     def at_points(self, F):
         """f = sum over (c, l) of w rho F Phi at the points, for F of shape (2, n_nodes)."""
@@ -437,27 +481,48 @@ class _StepLattice:
         d[1:] = v
         d[:-1] -= v
         np.conj(d, out=d)
-        F = np.empty((2, len(self.omegas)), dtype=complex)
+        F = np.empty_like(self.jump)
         for run, span, (plus, minus) in zip(self.edges.runs, self.edges.spans, self.out_of):
             modes = run.modes(run.sums(d))
             F[:, span] = (np.einsum("gcl,gl->cl", plus, modes[0])
                           + np.einsum("gcl,gl->cl", minus, modes[1]))
+        if 0 < self.split <= v.size:
+            F += self.jump * np.conj(v[self.split - 1])
         return np.conj(F, out=F)
 
 
 class ScatteringModel(SpectralModel):
-    """U, its antiderivative and the mix M of a scattering sweep, with rho = 1 / (2 pi)."""
+    """U = (Re u, Im u) of a sweep's solution u, its mix M, and rho = 1 / (2 pi)."""
 
     def __init__(self, quad, sweep):
         self.quad, self.sweep = quad, sweep
         self.rho = np.full((2, len(quad)), 1.0 / (2 * np.pi))
         self.mix = sweep.mix
+        self.interior = sweep.a
 
-    def basis(self, x):
-        return self.sweep.basis(x)
+    def warp(self, x):
+        return self.sweep.profile.zeta(x)
 
-    def basis_antiderivative(self, x):
-        return self.sweep.basis_antiderivative(x)
+    @cached_property
+    def tails(self):
+        """u off the support: p+^(1/4) u = e = exp(i omega zeta) right of it, so
+        p+^(1/4) U = (cos, sin); left of it p-^(1/4) u = alpha e + beta conj(e),
+        alpha = 1/T and beta = R1/T, that is (alpha + beta) cos + i (alpha -
+        beta) sin, a real 2x2 map of (cos, sin). dx/dz = p+-^(1/2) there.
+        """
+        T, R1, prof = self.sweep.T, self.sweep.R1, self.sweep.profile
+        plus, minus = (1 + R1) / T, (1 - R1) / T
+        left = np.array([[plus.real, -minus.imag], [plus.imag, minus.real]])
+        maps = np.stack([left, np.broadcast_to(np.eye(2)[:, :, None], left.shape)])
+        roots = np.array([prof.p_minus, prof.p_plus])[:, None, None, None] ** 0.25
+        return maps / roots, maps * roots
+
+    def _anchors(self):
+        """int U from -a: 0 at -a, the integral over the support at a."""
+        a = self.sweep.a
+        values = np.zeros((2, 2, len(self.quad)))
+        values[1] = self.sweep.solution(np.array([a]), True)[:, :, 0]
+        return self.warp(np.array([-a, a])), values
 
 
 class SchrodingerModel(ScatteringModel):
@@ -474,10 +539,6 @@ class SchrodingerModel(ScatteringModel):
         super().__init__(quad, ScatteringSweep(q, support_radius, quad.nodes,
                                                breakpoints=breakpoints))
 
-    @property
-    def support_radius(self):
-        return self.sweep.a
-
     def diagonal_tail_average(self, lo, hi):
         """Mean of k(y, y) over [lo, hi] right of the support, exact in y.
 
@@ -490,7 +551,7 @@ class SchrodingerModel(ScatteringModel):
         diagonal would be wasteful.
         """
         lo, hi = float(lo), float(hi)
-        a = self.support_radius
+        a = self.interior
         if lo < a or hi <= lo:
             raise KernelError("need a nonempty interval right of the support")
         quad = gauss_legendre_quadrature(self.sset, t_max=hi + 2 * a)

@@ -4,8 +4,9 @@ The source of truth for a function is always its coefficient array F on the
 model's frequency nodes (two components, one per fundamental solution),
 F_c = int f conj(Phi_c) for every model, so that f = sum w rho F Phi and
 ||f||^2 = sum w rho |F|^2 with the model's ``weights()``; spatial values are
-synthesized on demand, by the model's lattice plan where it has one
-(`kernel.SpectralModel.lattice_plan`) and from a table of U otherwise.
+synthesized on demand: by the model's lattice plan where U is plane-wave
+tails alone on a lattice rule (`kernel.SpectralModel.lattice_plan`), and
+from a table of U, tails and interior alike, otherwise.
 This keeps every function exactly inside the discretized space, so
 projection and reconstruction operators act on a well-defined finite model.
 """

@@ -8,23 +8,18 @@ gamma = delta sqrt(Omega) / pi and delta is the max gap in local units.
 
 The operator needs two products with the model's real basis U (Phi = mix U
 at each node): with U at the samples, and with the integrals of U over the
-cells; the mix and the weights act on the (2, n_nodes) coefficients. For the
-step profile (and p = 1) on a window-matched lattice rule, U is plane waves
-in t = x / sqrt(p), so both products are nonuniform FFTs
-(`spectral.LatticeTransform`) on one grid per side of the jump, and no table
-is formed: the model's `lattice_plan` (`kernel._StepLattice`) folds the
-mix, the weights, the 1 / omega and sqrt(p) factors and the deconvolution
-of the transforms' exponential-of-semicircle kernel (18 taps per point,
-w = 9, beta = 2.30 (2w)) into two per-node tables, so an apply goes from the
-coefficients F to the FFT grids and from their modes back to F with no
-step between. The same plan evaluates the reconstruction on an output grid
-(`VarBandFunction.evaluate`), within its remainder times the l1 norm of the
-coefficients of exp(+-i omega t), plus rounding; the remainder, 2.0e-16, is
-the largest single-mode aliasing error that Poisson summation gives for the
-kernel, at the top mode at oversampling 2 (`spectral._es_gridding`).
-Every other model and rule holds two float64 (2 n_nodes, n_samples) tables
-of U, and every iteration reads them. The frame bounds are read off U as
-well (see `frame_bounds_estimate`).
+cells; the mix and the weights act on the (2, n_nodes) coefficients. Where
+U is plane-wave tails alone (the step profile, and p = 1) on a
+window-matched lattice rule, both products are nonuniform FFTs in the warp
+z (`spectral.LatticeTransform`, remainder 2.0e-16) on one grid per side,
+and no table is formed: the model's `lattice_plan` (`kernel._TailLattice`)
+folds the per-side maps, the mix, the weights and the deconvolution into
+two per-node tables, and evaluates the reconstruction on an output grid as
+well (`VarBandFunction.evaluate`), within its remainder times the l1 norm
+of the coefficients of exp(+-i omega z), plus rounding. A model with an
+interior (a sweep), or a Gauss rule, holds two float64 (2 n_nodes,
+n_samples) tables of U, and every iteration reads them. The frame bounds
+are read off U as well (see `frame_bounds_estimate`).
 
 Where gamma >= 1 no certificate exists: the norm surrogate and the certified
 bounds are then None (null in the JSON report), not infinities.
@@ -127,8 +122,8 @@ class ReconstructionOperator:
     """Precomputed R for a fixed model, sample set and window.
 
     ``kind`` names how R runs: "nufft" where the model has a lattice plan
-    (`SpectralModel.lattice_plan`: the step profile on a lattice rule, see
-    `kernel._StepLattice`), "dense" with real tables of U otherwise.
+    (`SpectralModel.lattice_plan`: a model without an interior on a lattice
+    rule, see `kernel._TailLattice`), "dense" with real tables of U otherwise.
     ``remainder`` is the stated bound of the plan's nonuniform FFTs
     (`spectral.LatticeTransform`), ``taps`` the grid points each of their
     points reads or writes and ``fft_lengths`` their FFT length per interval

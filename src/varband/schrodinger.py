@@ -6,12 +6,13 @@ forming it: the purely transmitted wave is integrated across the support
 and the incoming and reflected amplitudes read off on the far side.  A
 whole frequency sweep is integrated in one vectorized RK4 pass; since p and
 q are real, the conjugate of that solution is the mirrored one, so a single
-pass gives both coefficients and both fundamental solutions.  The interior
-solution is kept as one Hermite spline, so pointwise evaluation stays cheap
-inside kernel quadratures.  The default p = 1 has zeta(x) = x and makes
-every factor of p exactly 1.  Every sweep has a support of radius a > 0:
-the free space is not a sweep but the step profile at p = 1
-(`kernel.free_model`).
+pass gives both coefficients and both fundamental solutions.  The sweep
+keeps T, R1, R2, the mix and the interior solution as one Hermite spline
+(`ScatteringSweep.solution`); off the support `kernel.SpectralModel`
+evaluates U, a plane wave in zeta, as for every model.  The default p = 1
+has zeta(x) = x and makes every factor of p exactly 1.  Every sweep has a
+support of radius a > 0: the free space is not a sweep but the step
+profile at p = 1 (`kernel.free_model`).
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class ScatteringSweep:
     One RK4 pass of (u, p u') runs leftward from +a with the solution u that
     is p+^(-1/4) e right of the support.  For real p, q and omega > 0,
     conj(u) is the solution that is p+^(-1/4) conj(e) there, so Phi1 = T u
-    and Phi2 = conj(u) + R2 u.  The sweep reads u out as the real pair
-    U = (Re u, Im u), from one stored interpolant of u inside the support,
-    and ``mix`` is the M with Phi = M U.  Inside the support Phi2 is a
+    and Phi2 = conj(u) + R2 u.  ``mix`` is the M with Phi = M U for the real
+    pair U = (Re u, Im u), which `solution` reads out of one stored
+    interpolant of u inside the support.  Inside the support Phi2 is a
     difference of two solutions of size 1/|T|, so its relative error grows
     like 1/|T|^2 times the integrator's; an admissible profile keeps |T|
     bounded below.  The step is at most 1e-3 and 1/50 of the shortest local
@@ -88,9 +89,8 @@ class ScatteringSweep:
         self.step = max(abs(end - start) / k for start, end, k in segments)
         self.n_steps = sum(k for _, _, k in segments)
         # the ends of the support in the warped coordinate, and p-^(1/4), p+^(1/4)
-        self._ends = profile.zeta(np.array([-a, a]))
-        self._roots = np.array([profile.p_minus, profile.p_plus]) ** 0.25
-        (z_left, z_right), (r_left, r_right) = self._ends, self._roots
+        z_left, z_right = profile.zeta(np.array([-a, a]))
+        r_left, r_right = np.array([profile.p_minus, profile.p_plus]) ** 0.25
 
         def q_support(x):
             # clip stage abscissae into the support: rounding can push them an
@@ -152,77 +152,19 @@ class ScatteringSweep:
         T, R2 = self.T, self.R2
         return np.array([[T, 1j * T], [1 + R2, 1j * (R2 - 1)]])
 
-    def _regions(self, x):
-        """Masks left of, inside and right of the support."""
-        mid = np.abs(x) <= self.a
-        return (x < 0) & ~mid, mid, (x >= 0) & ~mid
+    def solution(self, x, integrated=False):
+        """(Re u, Im u) of the pass's solution inside the support, shape (2, n_omega, n_x).
 
-    def _waves(self, z, primitive):
-        """(cos omega z, sin omega z), or its primitive (sin, -cos) / omega; shape (2, n, n_z)."""
-        wz = self.omegas[:, None] * z
-        if primitive:
-            return np.stack([np.sin(wz), -np.cos(wz)]) / self.omegas[:, None]
-        return np.stack([np.cos(wz), np.sin(wz)])
-
-    def _left(self, waves):
-        """U left of the support from (cos, sin) there, or the same map on their primitive.
-
-        u = p-^(-1/4) (alpha e + beta conj(e)) there, with alpha = 1/T and
-        beta = R1/T, so p-^(1/4) u = (alpha + beta) cos + i (alpha - beta) sin:
-        a real 2x2 map of (cos, sin) per omega. Right of the support
-        p+^(1/4) U = (cos, sin).
+        From the stored Hermite interpolant of u; with ``integrated``, its
+        exact integral from -a, the interpolant's first knot. Raises
+        `MatchingError` for a sweep built without ``store_interior``.
         """
-        plus, minus = (1 + self.R1) / self.T, (1 - self.R1) / self.T
-        L = np.array([[plus.real, -minus.imag], [plus.imag, minus.real]])[:, :, :, None]
-        return L[:, 0] * waves[0] + L[:, 1] * waves[1]
-
-    def _interior(self, x, of):
-        """(Re v, Im v) for v = of(spline of u)(x), shape (2, n_omega, n_x)."""
         if self._spline is None:
             raise MatchingError(
                 "interior solutions were not stored; rebuild with store_interior=True"
             )
-        v = of(self._spline)(x).T
+        v = (self._spline.antiderivative if integrated else self._spline)(x).T
         return np.stack([v.real, v.imag])
-
-    def basis(self, x):
-        """U = (Re u, Im u) at x, float64 of shape (2, n_omega, n_x).
-
-        Right of the support U = p+^(-1/4) (cos, sin) of omega zeta(x).
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        left, mid, right = self._regions(x)
-        (r_left, r_right), z = self._roots, self.profile.zeta(x)
-        out = np.empty((2, self.omegas.size, x.size))
-        out[:, :, left] = self._left(self._waves(z[left], False)) / r_left
-        out[:, :, right] = self._waves(z[right], False) / r_right
-        if np.any(mid):
-            out[:, :, mid] = self._interior(x[mid], lambda spline: spline)
-        return out
-
-    def basis_antiderivative(self, x):
-        """int_{-a}^x U(omega, y) dy, float64 of shape (2, n_omega, n_x).
-
-        On the tails dx = p+-^(1/2) d zeta, so the primitives are p+-^(1/4)
-        times the plane-wave primitives in zeta; inside the support the exact
-        integral of the stored Hermite interpolant, so any point right of -a
-        needs ``store_interior=True``.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        left, mid, right = self._regions(x)
-        (z_left, z_right), (r_left, r_right) = self._ends, self._roots
-        z = self.profile.zeta(x)
-        out = np.empty((2, self.omegas.size, x.size))
-        left_primitive = self._waves(z[left], True) - self._waves(z_left, True)
-        out[:, :, left] = self._left(left_primitive) * r_left
-        across = 0.0
-        if np.any(mid | right):
-            # the stored interpolants' first knot is -a, where their antiderivatives start
-            inner = self._interior(np.append(x[mid], self.a), lambda spline: spline.antiderivative)
-            out[:, :, mid], across = inner[:, :, :-1], inner[:, :, -1:]
-        right_primitive = self._waves(z[right], True) - self._waves(z_right, True)
-        out[:, :, right] = right_primitive * r_right + across
-        return out
 
 
 def scattering_coeffs(q, support_radius, omega):

@@ -2,11 +2,15 @@
 
 For p = p_minus left of 0 and p_plus right of it: the fundamental pair of
 -(p phi')' = lambda phi, its Wronskian and the diagonal spectral density.
-`phi` forms the complex fundamental pair Phi = M U of any model or sweep
-from its real pair and its mix, for tests that compare against Phi.
+`phi` forms the complex fundamental pair Phi = M U of any model from its
+real pair and its mix, for tests that compare against Phi, and
+`sweep_model` puts a bare scattering sweep into a model on its own nodes.
 """
 
 import numpy as np
+
+from varband.kernel import ScatteringModel
+from varband.spectral import SpectralQuadrature, SpectralSet
 
 
 def phi(model, x, integrated=False):
@@ -17,6 +21,17 @@ def phi(model, x, integrated=False):
     """
     table = model.basis_antiderivative(x) if integrated else model.basis(x)
     return np.einsum("cal,alk->clk", model.mix, table)
+
+
+def sweep_model(sweep):
+    """The `ScatteringModel` of a sweep, on a unit-weight rule of the sweep's own frequencies.
+
+    The rule records no block factorisation, so its `waves` are sin and cos
+    of omega z called directly, row by row.
+    """
+    sset = SpectralSet([(0.0, float(np.max(sweep.omegas)) ** 2 + 1.0)])
+    quad = SpectralQuadrature(sset, sweep.omegas, np.ones(len(sweep)), 1)
+    return ScatteringModel(quad, sweep)
 
 
 class SpectralDensityError(ValueError):

@@ -1,5 +1,6 @@
 """Import hygiene: every name a module of the package imports is used, and
-`import varband.cli` loads neither scipy nor numpy.fft."""
+`import varband.cli` loads neither scipy nor numpy.fft; and the real basis
+U has one evaluator, on `SpectralModel`."""
 
 import ast
 import subprocess
@@ -45,3 +46,44 @@ def test_cli_import_leaves_scipy_unloaded():
                          timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False False"
+
+
+TAIL_EVALUATORS = {"basis", "basis_antiderivative", "lattice_plan"}
+
+
+def tail_evaluators(source):
+    """(class or None, name) of every definition or assignment of a tail evaluator name."""
+    found = []
+
+    def scan(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scan(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if not isinstance(node, ast.ClassDef):
+                found.extend((owner, name) for name in names if name in TAIL_EVALUATORS)
+
+    scan(ast.parse(source).body, None)
+    return found
+
+
+def test_tail_evaluators_only_on_spectral_model():
+    # U off the support, its antiderivative and the lattice plan are written once
+    found = sorted((path.name, owner, name) for path in SRC.glob("*.py")
+                   for owner, name in tail_evaluators(path.read_text()))
+    assert found == [("kernel.py", "SpectralModel", name) for name in sorted(TAIL_EVALUATORS)]
+
+
+def test_scan_finds_a_second_tail_evaluator():
+    source = ("class Base:\n    def basis(self, x): pass\n"
+              "class Model(Base):\n    basis_antiderivative = None\n"
+              "    def lattice_plan(self, points): pass\n"
+              "def basis(x): pass\n")
+    assert tail_evaluators(source) == [("Base", "basis"), ("Model", "basis_antiderivative"),
+                                       ("Model", "lattice_plan"), (None, "basis")]

@@ -278,16 +278,33 @@ class TestToyPhi:
             assert np.max(np.abs(Phi[1, l] - minus)) < 1e-11
 
 
-class TestToyBasis:
-    """The real pair U = (cos theta, sin theta / sqrt(p)) behind Phi = mix U."""
+class TestTails:
+    """U and int U off the interior against their closed forms, for every model.
 
-    xs = np.concatenate(([0.0, -1e-300, 1e-300], np.linspace(-4000.0, 4000.0, 801)))
+    Each is the quadrature's `waves` at z = warp(x) through the side's map,
+    so each entry is within the waves bound 8u (1 + omega |z|), u = 2**-53,
+    carried through that map: for the step profile, U = (cos theta,
+    sin theta / sqrt(p)), theta = omega x / sqrt(p); for a sweep,
+    u = p+^(-1/4) e right of the support and p-^(-1/4) (e + R1 conj(e)) / T
+    left of it, e = exp(i omega zeta(x)), with U = (Re u, Im u).
+    """
 
-    @pytest.fixture(scope="class", params=[(1.0, 4.0), (3.0, 0.5)])
+    xs = np.concatenate(([0.0, -1e-300, 1e-300, -2.6, 2.6], np.linspace(-4000.0, 4000.0, 801)))
+
+    @pytest.fixture(scope="class",
+                    params=["toy-1-4", "toy-3-0.5", "free", "schrodinger", "liouville"])
     def model(self, request):
-        return ToyModel(*request.param, SpectralSet([(0.0, 2.0)]), x_max=6.0)
+        sset = SpectralSet([(0.0, 2.0)])
+        if request.param.startswith("toy"):
+            return ToyModel(*map(float, request.param.split("-")[1:]), sset, x_max=6.0)
+        if request.param == "free":
+            return free_model(sset, x_max=6.0)
+        if request.param == "liouville":
+            return LiouvilleModel(blend_profile(1.0, 4.0, R=1.5), sset, x_max=6.0)
+        q = lambda x: 1.5 * np.cos(np.pi * np.asarray(x, float) / 2) ** 2 * (np.abs(x) <= 1)
+        return SchrodingerModel(q, 1.0, sset, x_max=6.0)
 
-    def _truth(self, model):
+    def _step_truth(self, model):
         """theta = omega x / sqrt(p) in long double, sqrt(p), and the stated bound.
 
         The bound is 8u (1 + omega |t|), t = x / sqrt(p), u = 2**-53: the
@@ -300,20 +317,74 @@ class TestToyBasis:
         bound = 8 * 2.0**-53 * (1.0 + np.abs(theta.astype(float)))
         return theta, root, bound
 
+    def _sweep_truth(self, model, integrated):
+        """The tail points, and there (Re, Im) of u or int_(-a) u in long double, and the bound.
+
+        The bound is the waves bound at z through the row sums of the side's
+        map, L for U and P / omega for int U; int U adds the same at the
+        side's anchor zeta(-+a), from its constant, and 8u of the integral K
+        over the support that the right side's constant carries.
+        """
+        assert np.finfo(np.longdouble).precision >= 18
+        ld, sweep, a = np.longdouble, model.sweep, model.interior
+        tail = np.abs(self.xs) > a
+        right = self.xs[tail] > 0
+        w = model.quad.nodes.astype(ld)[:, None]
+        # the points, then the anchors zeta(-a) and zeta(a)
+        theta = w * model.warp(np.append(self.xs[tail], [-a, a])).astype(ld)
+        waves = 8 * 2.0**-53 * (1.0 + np.abs(theta.astype(float)))
+        e, (e_left, e_right) = np.exp(1j * theta[:, :-2]), np.exp(1j * theta[:, -2:]).T[:, :, None]
+        T, R1 = (c.astype(np.clongdouble)[:, None] for c in (sweep.T, sweep.R1))
+        pm, pp = ld(sweep.profile.p_minus), ld(sweep.profile.p_plus)
+        L, P = model.tails
+        if integrated:
+            K = model.basis_antiderivative(np.array([a]))
+            K = K[0] + 1j * K[1].astype(ld)
+            u = np.where(right, K + pp**0.25 * (e - e_right) / (1j * w),
+                         pm**0.25 * (e - e_left - R1 * (e - e_left).conj()) / (1j * w * T))
+            rows = np.abs(P).sum(axis=2) / model.quad.nodes
+            waves = waves[:, :-2] + np.where(right, waves[:, -1:], waves[:, -2:-1])
+        else:
+            u = np.where(right, pp**-0.25 * e, (e + R1 * e.conj()) / (pm**0.25 * T))
+            rows, waves = np.abs(L).sum(axis=2), waves[:, :-2]
+        bound = np.where(right, rows[1][..., None], rows[0][..., None]) * waves
+        if integrated:
+            bound += 8 * 2.0**-53 * np.abs(np.stack([K.real, K.imag]).astype(float))
+        return tail, np.stack([u.real, u.imag]), bound
+
     def test_basis_closed_form(self, model):
         U = model.basis(self.xs)
         assert U.dtype == np.float64
-        theta, root, bound = self._truth(model)
+        if model.interior is not None:
+            tail, want, bound = self._sweep_truth(model, False)
+            assert np.all(np.abs(U[:, :, tail] - want) <= bound)
+            return
+        theta, root, bound = self._step_truth(model)
         assert np.all(np.abs(U[0] - np.cos(theta)) <= bound)
         assert np.all(np.abs(U[1] - np.sin(theta) / root) <= bound / root.astype(float))
 
     def test_antiderivative_closed_form(self, model):
         V = model.basis_antiderivative(self.xs)
-        theta, root, bound = self._truth(model)
+        assert V.dtype == np.float64
+        if model.interior is not None:
+            tail, want, bound = self._sweep_truth(model, True)
+            assert np.all(np.abs(V[:, :, tail] - want) <= bound)
+            return
+        theta, root, bound = self._step_truth(model)
         omega = model.quad.nodes[:, None]
         root_bound = bound * root.astype(float) / omega
         assert np.all(np.abs(V[0] - root * np.sin(theta) / omega) <= root_bound)
         assert np.all(np.abs(V[1] - (1 - np.cos(theta)) / omega) <= bound / omega)
+
+
+class TestToyBasis:
+    """The real pair U = (cos theta, sin theta / sqrt(p)) behind Phi = mix U."""
+
+    xs = TestTails.xs
+
+    @pytest.fixture(scope="class", params=[(1.0, 4.0), (3.0, 0.5)])
+    def model(self, request):
+        return ToyModel(*request.param, SpectralSet([(0.0, 2.0)]), x_max=6.0)
 
     def test_antiderivative_is_mix_of_basis_antiderivative(self, model):
         V = model.basis_antiderivative(self.xs)
@@ -333,15 +404,27 @@ class TestToyBasis:
         assert np.max(np.abs(gram.imag)) < 1e-15 * np.max(np.abs(gram))
 
 
-class TestToyTableMemory:
-    """The toy tables are built in place: no (n_nodes, n_x) temporary beside the result."""
+class TestTableMemory:
+    """U and int U are built in place: no (n_nodes, n_x) temporary beside the result.
+
+    The Liouville model's interior spline and its knot integrals are built
+    once and kept; a first call on one point builds them, and every other
+    cache of the model, before the peak is traced.
+    """
+
+    @pytest.fixture(scope="class", params=["toy", "liouville"])
+    def model(self, request):
+        sset = SpectralSet([(0.0, 6.745**2)])
+        quad = uniform_quadrature(sset, 0.01)
+        if request.param == "toy":
+            return ToyModel(1.0, 4.0, sset, quad=quad)
+        return LiouvilleModel(blend_profile(1.0, 4.0, R=1.5), sset, quad=quad)
 
     @pytest.mark.parametrize("table", ["basis", "basis_antiderivative"])
-    def test_peak_is_the_table(self, table):
-        sset = SpectralSet([(0.0, 6.745**2)])
-        model = ToyModel(1.0, 4.0, sset, quad=uniform_quadrature(sset, 0.01))
+    def test_peak_is_the_table(self, model, table):
         assert len(model.quad) == 674
         xs = np.linspace(-30.0, 30.0, 2251)
+        getattr(model, table)(np.array([0.0]))
         tracemalloc.start()
         try:
             out = getattr(model, table)(xs)

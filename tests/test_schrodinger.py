@@ -14,7 +14,7 @@ from varband.schrodinger import (
 from varband.spectral import SpectralQuadrature, SpectralSet
 from varband.sturm import rk4_linear
 
-from closed_forms import phi
+from closed_forms import phi, sweep_model
 
 
 def square_well_T(q0, a, omega):
@@ -138,6 +138,11 @@ def sweep():
     return ScatteringSweep(q, 1.0, np.linspace(0.4, 4.0, 19))
 
 
+@pytest.fixture(scope="module")
+def model(sweep):
+    return sweep_model(sweep)
+
+
 class TestSmoothPotential:
     def test_unitarity_defect(self, sweep):
         assert sweep.unitarity_defect() < 1e-10
@@ -145,25 +150,25 @@ class TestSmoothPotential:
     def test_reflection_moduli_match(self, sweep):
         assert np.max(np.abs(np.abs(sweep.R1) - np.abs(sweep.R2))) < 1e-10
 
-    def test_continuity_at_support_edge(self, sweep):
+    def test_continuity_at_support_edge(self, model):
         eps = 1e-7
         for edge in (-1.0, 1.0):
-            inner = phi(sweep, edge - np.sign(edge) * eps)
-            outer = phi(sweep, edge + np.sign(edge) * eps)
+            inner = phi(model, edge - np.sign(edge) * eps)
+            outer = phi(model, edge + np.sign(edge) * eps)
             assert np.max(np.abs(inner - outer)) < 1e-5
 
-    def test_tails_are_the_scattering_waves(self, sweep):
+    def test_tails_are_the_scattering_waves(self, sweep, model):
         # U = (cos, sin) right of the support; through the mix, Phi1 is
         # e + R1 conj(e) left of it and T e right of it, Phi2 mirrored
         xs = np.array([-9.0, -2.5, -1.0001, 1.0001, 3.7, 12.0])
         left, right = xs < 0, xs > 0
         e = np.exp(1j * sweep.omegas[:, None] * xs)
         T, R1, R2 = (c[:, None] for c in (sweep.T, sweep.R1, sweep.R2))
-        U = sweep.basis(xs)
+        U = model.basis(xs)
         assert U.dtype == np.float64
         assert np.max(np.abs(U[0][:, right] - e[:, right].real)) < 1e-14
         assert np.max(np.abs(U[1][:, right] - e[:, right].imag)) < 1e-14
-        Phi = phi(sweep, xs)
+        Phi = phi(model, xs)
         want = np.where(left, [e + R1 * e.conj(), T * e.conj()], [T * e, e.conj() + R2 * e])
         assert np.max(np.abs(Phi - want)) < 1e-12
 
@@ -174,20 +179,20 @@ class TestSmoothPotential:
         assert abs(hi.R1) < abs(lo.R1)
         assert abs(abs(hi.T) - 1.0) < 1e-3
 
-    def test_cell_integral_matches_quadrature(self, sweep):
+    def test_cell_integral_matches_quadrature(self, model):
         # cells on each tail, across each support edge and inside the support
         edges = np.array([-3.0, -2.0, -0.6, 0.4, 1.5, 2.5])
-        cells = np.diff(phi(sweep, edges, integrated=True), axis=-1)
+        cells = np.diff(phi(model, edges, integrated=True), axis=-1)
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             xs = np.linspace(lo, hi, 4001)
-            ref = np.trapezoid(phi(sweep, xs), xs, axis=2)
+            ref = np.trapezoid(phi(model, xs), xs, axis=2)
             assert np.max(np.abs(cells[:, :, i] - ref)) < 1e-5
 
     def test_antiderivative_free_plane_waves(self):
         model = free_at([0.5, 2.0])
         lo, hi = -1.5, 2.5
         cells = np.diff(phi(model, [lo, hi], integrated=True), axis=-1)[:, :, 0]
-        w = model.omegas
+        w = model.quad.nodes
         expected = (np.exp(1j * w * hi) - np.exp(1j * w * lo)) / (1j * w)
         assert np.max(np.abs(cells[0] - expected)) < 1e-14
         assert np.max(np.abs(cells[1] - expected.conj())) < 1e-14
@@ -199,9 +204,9 @@ class TestSmoothPotential:
         assert abs(full.T[0] - lean.T[0]) < 1e-13
         assert abs(full.R2[0] - lean.R2[0]) < 1e-13
         # tails still evaluate, interior raises
-        assert np.allclose(lean.basis(2.0), full.basis(2.0))
+        assert np.allclose(sweep_model(lean).basis(2.0), sweep_model(full).basis(2.0))
         with pytest.raises(MatchingError):
-            lean.basis(0.3)
+            sweep_model(lean).basis(0.3)
 
 
 def quintic_blend_case():
@@ -227,8 +232,9 @@ class TestOnePass:
         for got, want in ((sweep.T, ref.T), (sweep.R1, ref.R1), (sweep.R2, ref.R2)):
             assert rel_dev(got, want) < 1e-12
         xs = np.linspace(-a, a, 401)
-        assert rel_dev(phi(sweep, xs), ref.phi(xs)) < 1e-12
-        assert rel_dev(phi(sweep, xs, integrated=True), ref.antiderivative(xs)) < 1e-12
+        model = sweep_model(sweep)
+        assert rel_dev(phi(model, xs), ref.phi(xs)) < 1e-12
+        assert rel_dev(phi(model, xs, integrated=True), ref.antiderivative(xs)) < 1e-12
 
 
 BLENDS = [(1.0, 4.0, 1.5, "cubic"), (1.0, 2.0, 1.0, "cubic"), (2.0, 3.0, 0.8, "cubic"),
@@ -338,13 +344,13 @@ class TestSpectralTransform:
         # Phi2 is continuous across -a, where its tail is T e^{-i omega x}
         q = lambda x: np.sin(np.asarray(x, float)) ** 2 * (np.abs(x) <= 1)
         sweep = ScatteringSweep(q, 1.0, [2.2])
-        assert abs(phi(sweep, -1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
+        assert abs(phi(sweep_model(sweep), -1.0)[1, 0, 0] - sweep.T[0] * np.exp(2.2j)) < 1e-9
 
     def test_phi_at_scalar_point(self):
         # 0.5 is right of the support [-0.25, 0.25]: Phi = (T e, conj(e) + R2 e)
         q = lambda x: 2.0 * np.ones_like(np.asarray(x, float))
         sweep = ScatteringSweep(q, 0.25, [1.0])
-        v = phi(sweep, 0.5)
+        v = phi(sweep_model(sweep), 0.5)
         assert v.shape == (2, 1, 1)
         e = np.exp(0.5j)
         assert abs(v[0, 0, 0] - sweep.T[0] * e) < 1e-14
