@@ -184,7 +184,7 @@ def _write_report(out_dir, cfg, extra, t0):
 
 def _profile_sweep(prof, omegas):
     """The scattering data of -(p u')' = omega^2 u for a smooth profile: one pass over [-R, R]."""
-    return ScatteringSweep(np.zeros_like, prof.R, omegas, store_interior=False, profile=prof)
+    return ScatteringSweep(np.zeros_like, prof.R, omegas, profile=prof)
 
 
 def _sweep_report(sweep):

@@ -19,7 +19,7 @@ step profile (the classical Paley-Wiener space is its case p = 1), with
 z = x / sqrt(p) and no interior, or a scattering sweep, for a compactly
 supported Schrodinger potential or, solving -(p u')' = omega^2 u itself,
 for a smooth eventually constant profile, with z = zeta(x), the map from T
-and R1 and the sweep's stored interpolant inside the support.  The waves
+and R1 and the sweep's interior spline inside the support.  The waves
 are the quadrature's `waves(z)`, by angle addition over the factorisation
 of its nodes, each within 8u (1 + omega |z|) of the exact wave, u = 2**-53.
 
@@ -174,7 +174,7 @@ class SpectralModel:
     with per-node real maps (L, P) = ``tails`` of shape (side, 2, 2, n_nodes),
     P_s = sqrt(p_s) L_s, and ``constants`` C_s from ``_anchors()``, a warped
     point z_s per side where int U is K_s. Inside, U and int U are the
-    stored interpolant of the model's ``sweep``.
+    interior spline of the model's ``sweep``.
     """
 
     quad: SpectralQuadrature
@@ -416,15 +416,13 @@ class _TailLattice:
       F = conj(mix H) of these sums H is what `SpectralModel.from_basis_sums`
       makes of them.
 
-    Each step between F and the FFT grids is linear and acts node by node,
-    so the plan folds them, once, into two tables of shape (sign, side,
-    component, node): ``into`` holds the weights w rho, the mix, L_s, the
-    1/2 and -+i of a and b, and the deconvolution 1 / psi_k of the
-    transforms' exponential-of-semicircle kernel (`spectral._es_gridding`),
-    from F to the grid modes; ``out_of`` the deconvolution, P_s / omega,
-    the 1/2 and +-i of the cosine and sine sums, and the mix, from the modes
-    of E+- back to the sums H that are conjugated into F. An apply fills
-    and reads each interval's grids by slices (`_Gridding.modes`).
+    Each step between F and the transforms' coefficients is linear and acts
+    node by node, so the plan folds them, once, into two tables of shape
+    (side, sign, component, node): ``into`` holds the weights w rho, the
+    mix, L_s and the 1/2 and -+i of a and b, from F to the coefficients of
+    `spectral.LatticeTransform.synthesize`; ``out_of`` P_s / omega, the 1/2
+    and +-i of the cosine and sine sums, and the mix, from the sums E+- of
+    its ``analyze`` back to the sums H that are conjugated into F.
 
     Bound: ``remainder`` is the transforms' (`spectral.LatticeTransform`), so
     in exact arithmetic the values at the points are within ``remainder``
@@ -438,22 +436,19 @@ class _TailLattice:
     """
 
     def __init__(self, model, points, edges=None):
-        sign = np.array([-1.0, 1.0])[:, None, None, None]  # (sign, side, component, node)
+        sign = np.array([-1.0, 1.0])[:, None, None]  # (sign, component, node)
 
-        def fold(maps, transform, scale):
-            mixed = np.einsum("cal,sakl->sckl", model.mix, maps)
-            return [scale[:, span] * run.deconvolve[:, None, None]
-                    * (mixed[:, :, 0, span] + sign * 1j * mixed[:, :, 1, span])
-                    for run, span in zip(transform.runs, transform.spans)]
+        def fold(maps, scale):  # (side, sign, component, node), the transforms' order
+            mixed = np.einsum("cal,sakl->sckl", model.mix, maps)[:, None]
+            return scale * (mixed[..., 0, :] + sign * 1j * mixed[..., 1, :])
 
         self.points = self._transform(model, points)
-        self.into = fold(model.tails[0], self.points, 0.5 * model.weights())
+        self.into = fold(model.tails[0], 0.5 * model.weights())
         self.remainder = self.points.remainder
         self.taps, self.fft_lengths = self.points.taps, self.points.fft_lengths
         if edges is not None:
             self.edges = self._transform(model, edges)
-            self.out_of = fold(model._primitive_maps, self.edges,
-                               np.full((1, len(model.quad)), 0.5))
+            self.out_of = fold(model._primitive_maps, 0.5)
             self.jump = np.einsum("cal,al->cl", model.mix, model.constants[1] - model.constants[0])
             self.split = int(np.count_nonzero(np.asarray(edges, dtype=float) <= 0))
             self.remainder = max(self.remainder, self.edges.remainder)
@@ -465,27 +460,13 @@ class _TailLattice:
 
     def at_points(self, F):
         """f = sum over (c, l) of w rho F Phi at the points, for F of shape (2, n_nodes)."""
-        out = 0
-        for run, span, into in zip(self.points.runs, self.points.spans, self.into):
-            pad = run.pad()
-            for modes, table in zip(run.modes(pad), into):
-                np.multiply(table[:, 0], F[0, span], out=modes)
-                modes += table[:, 1] * F[1, span]
-            out = out + run.values(pad)
-        return out
+        return self.points.synthesize(self.into[:, :, 0] * F[0] + self.into[:, :, 1] * F[1])
 
     def over_cells(self, values):
         """sum_i v_i int_(cell i) conj(Phi), shape (2, n_nodes), for values v at the points."""
         v = np.asarray(values, dtype=complex)
-        d = np.zeros(v.size + 1, dtype=complex)
-        d[1:] = v
-        d[:-1] -= v
-        np.conj(d, out=d)
-        F = np.empty_like(self.jump)
-        for run, span, (plus, minus) in zip(self.edges.runs, self.edges.spans, self.out_of):
-            modes = run.modes(run.sums(d))
-            F[:, span] = (np.einsum("gcl,gl->cl", plus, modes[0])
-                          + np.einsum("gcl,gl->cl", minus, modes[1]))
+        d = np.concatenate(([0], v)) - np.concatenate((v, [0]))  # d_j = v_(j-1) - v_j
+        F = (self.out_of * self.edges.analyze(np.conj(d, out=d))[:, :, None]).sum(axis=(0, 1))
         if 0 < self.split <= v.size:
             F += self.jump * np.conj(v[self.split - 1])
         return np.conj(F, out=F)
@@ -546,8 +527,8 @@ class SchrodingerModel(ScatteringModel):
         frequency integral of R2 (exp(2i omega hi) - exp(2i omega lo)) / (2i omega).
         Its phase reaches 2 omega hi, beyond what the model's own rule was
         sized for, so it runs on a Gauss-Legendre rule sized for phase
-        hi + 2a, with R2 from a sweep at that rule's nodes (no interior
-        solutions stored); use this on long windows where sampling the
+        hi + 2a, with R2 from a sweep at that rule's nodes, whose interior
+        is never asked for; use this on long windows where sampling the
         diagonal would be wasteful.
         """
         lo, hi = float(lo), float(hi)
@@ -556,8 +537,7 @@ class SchrodingerModel(ScatteringModel):
             raise KernelError("need a nonempty interval right of the support")
         quad = gauss_legendre_quadrature(self.sset, t_max=hi + 2 * a)
         w = quad.nodes
-        R2 = ScatteringSweep(self.sweep.q, a, w, breakpoints=self.breakpoints,
-                             store_interior=False).R2
+        R2 = ScatteringSweep(self.sweep.q, a, w, breakpoints=self.breakpoints).R2
         inner = (np.exp(2j * w * hi) - np.exp(2j * w * lo)) / (2j * w)
         ripple = float(np.sum(quad.weights * (R2 * inner).real))
         return (self.sset.sqrt_measure + ripple / (hi - lo)) / np.pi

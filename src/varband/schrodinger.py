@@ -4,12 +4,12 @@ There the solutions are p+-^(-1/4) e^(+-i omega zeta(x)), zeta the warp of
 p, so T, R1 and R2 are those of the Liouville transform, read off without
 forming it: the purely transmitted wave is integrated across the support
 and the incoming and reflected amplitudes read off on the far side.  A
-whole frequency sweep is integrated in one vectorized RK4 pass; since p and
-q are real, the conjugate of that solution is the mirrored one, so a single
-pass gives both coefficients and both fundamental solutions.  The sweep
-keeps T, R1, R2, the mix and the interior solution as one Hermite spline
-(`ScatteringSweep.solution`); off the support `kernel.SpectralModel`
-evaluates U, a plane wave in zeta, as for every model.  The default p = 1
+whole frequency sweep is one RK4 run's map, interpolated in omega^2; since
+p and q are real, the conjugate of that solution is the mirrored one, so
+one pass gives T, R1, R2 and the mix.  Inside the support a second pass at
+the same omega^2, on first use, gives a Hermite spline of the solutions
+(`ScatteringSweep.solution`); off it `kernel.SpectralModel` evaluates U,
+a plane wave in zeta, as for every model.  The default p = 1
 has zeta(x) = x and makes every factor of p exactly 1.  Every sweep has a
 support of radius a > 0: the free space is not a sweep but the step
 profile at p = 1 (`kernel.free_model`).
@@ -18,12 +18,12 @@ profile at p = 1 (`kernel.free_model`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .profile import CubicHermite, PiecewiseConstantProfile
-from .sturm import rk4_linear, rk4_segments
+from .sturm import interpolation, rk4_linear, rk4_segments
 
 _UNIT = PiecewiseConstantProfile([], [1.0])  # p = 1, whose zeta(x) = x exactly
 
@@ -57,24 +57,22 @@ class ScatteringSweep:
     is p+^(-1/4) e right of the support.  For real p, q and omega > 0,
     conj(u) is the solution that is p+^(-1/4) conj(e) there, so Phi1 = T u
     and Phi2 = conj(u) + R2 u.  ``mix`` is the M with Phi = M U for the real
-    pair U = (Re u, Im u), which `solution` reads out of one stored
-    interpolant of u inside the support.  Inside the support Phi2 is a
-    difference of two solutions of size 1/|T|, so its relative error grows
-    like 1/|T|^2 times the integrator's; an admissible profile keeps |T|
-    bounded below.  The step is at most 1e-3 and 1/50 of the shortest local
-    wavelength 2 pi sqrt(p) / omega; ``step`` and ``n_steps`` record the
-    largest RK4 step taken and the step count of the pass.  Without
-    ``store_interior`` the pass returns only its final state, interpolated
-    in omega^2 when the grid has more frequencies than the interpolant
-    needs, a count set before the pass from its phase (the warped length for
-    q = 0) and the range of omega^2 - q (see `rk4_linear`); ``rk4_points``
-    records the number of omega^2 values integrated, and
-    ``interpolation_tail`` the interpolant's accepted relative tail, or 0
-    when nothing was interpolated.
+    pair U = (Re u, Im u).  Inside the support Phi2 is a difference of two
+    solutions of size 1/|T|, so its relative error grows like 1/|T|^2 times
+    the integrator's; an admissible profile keeps |T| bounded below.  The
+    step is at most 1e-3 and 1/50 of the shortest local wavelength
+    2 pi sqrt(p) / omega; ``step`` and ``n_steps`` record the largest RK4
+    step taken and the step count of the pass.  The pass keeps only its
+    map, interpolated in omega^2 when the grid has more frequencies than the
+    interpolant needs, a count set before the pass from its phase (the
+    warped length for q = 0) and the range of omega^2 - q (see
+    `rk4_linear`); ``rk4_points`` records the number of omega^2 values the
+    map is tabulated at, which `solution`'s pass shares, and
+    ``interpolation_tail`` the accepted relative tail, 0 when nothing was
+    interpolated.
     """
 
-    def __init__(self, q, support_radius, omegas, breakpoints=(), store_interior=True,
-                 profile=_UNIT):
+    def __init__(self, q, support_radius, omegas, breakpoints=(), profile=_UNIT):
         self.omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         if np.any(self.omegas <= 0):
             raise MatchingError("scattering requires omega > 0")
@@ -82,7 +80,6 @@ class ScatteringSweep:
         if not self.a > 0:
             raise MatchingError("scattering requires a support radius a > 0")
         self.q, self.profile = q, profile
-        self._spline = None
         w, a = self.omegas, self.a
         h = min(1e-3, 2 * np.pi * np.sqrt(profile.lower) / (50.0 * max(np.max(w), 1e-6)))
         segments = rk4_segments(a, -a, h, breakpoints)
@@ -99,18 +96,12 @@ class ScatteringSweep:
 
         # (u, p u') with u = p+^(-1/4) e right of the support, integrated leftward
         e = np.exp(1j * w * z_right)
-        y0 = np.stack([e / r_right, 1j * w * r_right * e])
+        self._start = np.stack([e / r_right, 1j * w * r_right * e])
+        self._run = partial(rk4_linear, lambda x: 1.0 / profile.eval_p(x), q_support,
+                            x0=a, x1=-a, step=h, breakpoints=breakpoints)
         record = {}
-        run = rk4_linear(lambda x: 1.0 / profile.eval_p(x), q_support, w**2, a, -a, y0, h,
-                         breakpoints, path=store_interior, record=record)
+        y, dy = self._run(w**2, y0=self._start, record=record)
         self.rk4_points, self.interpolation_tail = record["points"], record["tail"]
-        if store_interior:
-            grid, states = run
-            y, dy = np.array(states[-1])  # a copy: p u' is scaled to u' in place below
-            states[:, 1] /= profile.eval_p(grid)[:, None]
-            self._spline = CubicHermite(grid[::-1], states[::-1, 0], states[::-1, 1])
-        else:
-            y, dy = run
         # u = p-^(-1/4) (alpha e + beta conj(e)) left of the support
         y, dy = y * r_left, dy / r_left
         alpha = 0.5 * (y + dy / (1j * w)) * np.exp(-1j * w * z_left)
@@ -152,19 +143,33 @@ class ScatteringSweep:
         T, R2 = self.T, self.R2
         return np.array([[T, 1j * T], [1 + R2, 1j * (R2 - 1)]])
 
+    @cached_property
+    def _interior(self):
+        """A Hermite spline of the solutions from the unit starts, and its map to every omega^2.
+
+        One path pass at the final map's omega^2 values, the starts (1, 0)
+        and (0, 1) of (u, p u') side by side as 2 * ``rk4_points`` columns;
+        the spline's values and slopes are (n_steps + 1, start, point) views
+        of its states, and the map is `interpolation`'s at_c.
+        """
+        nodes, at_omegas = interpolation(self.omegas**2, self.rk4_points)
+        grid, states = self._run(np.tile(nodes, 2), y0=np.repeat(np.eye(2), nodes.size, axis=1),
+                                 path=True)
+        states[:, 1] /= self.profile.eval_p(grid)[:, None]
+        u, du = states[::-1].reshape(grid.size, 2, 2, -1).transpose(1, 0, 2, 3)
+        return CubicHermite(grid[::-1], u, du), at_omegas
+
     def solution(self, x, integrated=False):
         """(Re u, Im u) of the pass's solution inside the support, shape (2, n_omega, n_x).
 
-        From the stored Hermite interpolant of u; with ``integrated``, its
-        exact integral from -a, the interpolant's first knot. Raises
-        `MatchingError` for a sweep built without ``store_interior``.
+        The interior spline at x, or with ``integrated`` its exact integral
+        from -a, the spline's first knot, taken to every omega^2 and then
+        from the unit starts to u's.
         """
-        if self._spline is None:
-            raise MatchingError(
-                "interior solutions were not stored; rebuild with store_interior=True"
-            )
-        v = (self._spline.antiderivative if integrated else self._spline)(x).T
-        return np.stack([v.real, v.imag])
+        spline, at_omegas = self._interior
+        v = at_omegas((spline.antiderivative if integrated else spline)(x))
+        u = np.einsum("sl,...sl->l...", self._start, v)
+        return np.stack([u.real, u.imag])
 
 
 def scattering_coeffs(q, support_radius, omega):

@@ -353,11 +353,11 @@ class LatticeTransform:
 
     def analyze(self, y):
         y = np.asarray(y, dtype=complex)
-        parts = []
-        for run in self.runs:
-            plus, minus = run.modes(run.sums(y))
-            parts.append(np.stack((plus * run.deconvolve[0], minus * run.deconvolve[1]), axis=1))
-        return np.concatenate(parts, axis=-1)
+        out = np.empty((self.runs[0].n_grids, 2, self.spans[-1].stop), dtype=complex)
+        for run, span in zip(self.runs, self.spans):
+            for sign, modes in enumerate(run.modes(run.sums(y))):
+                np.multiply(modes, run.deconvolve[sign], out=out[:, sign, span])
+        return out
 
 
 class _Gridding:

@@ -12,8 +12,9 @@ block.  A run that returns only the final state multiplies each block's
 maps into one, pairwise in about log2(block) levels, and those into the map
 M(c) of the whole run, a polynomial in c, integrated at c's distinct values
 or, when fewer suffice by a stated bound, at Chebyshev points, and
-interpolated (see `rk4_linear`).  A final-state block is as long as a table
-of 64 * 200 maps allows at the point count, 64 to 1024 steps.
+interpolated (see `rk4_linear`); `interpolation` takes any table at those
+points, a path run there too, to every c.  A final-state block is as long
+as a table of 64 * 200 maps allows at the point count, 64 to 1024 steps.
 The scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p
 and b = q.
 """
@@ -249,35 +250,48 @@ def _interpolant_points(phase, lo, hi):
     return np.ceil(np.min((np.log(2 / _TAIL) + growth) / np.log(rho[:, 0]))) + 2
 
 
+def interpolation(c, points):
+    """(nodes, at_c): where a final-state run at c with ``points`` tabulates its map; back to c.
+
+    The nodes are c's distinct values when ``points`` counts them, else the
+    ``points`` `_chebyshev_points` of [min c, max c]; at_c takes any table
+    (..., points) at the nodes, the run's map or its path, to every c, shape
+    (..., *c.shape), by lookup or by the barycentric formula.
+    """
+    values, inverse = np.unique(c, return_inverse=True)
+    index = inverse.reshape(np.shape(c))
+    if points >= values.size:
+        return values, lambda table: table[..., index]
+    nodes = _chebyshev_points(values[0], values[-1], points)
+    return nodes, lambda table: _barycentric(nodes, table, values)[..., index]
+
+
 def _final_state(tables, c, y, record):
     """The final state of `rk4_linear` from the tables of its segments; see there."""
-    values, inverse = np.unique(c, return_inverse=True)
+    values = np.unique(c)
     polys, phases, ranges = zip(*tables)
-    n, swept, M = values.size, 0, None
+    n, M = values.size, None
     if np.isrealobj(values) and values.size > 1:
         b_lo, b_hi = np.min(ranges), np.max(ranges)  # b's range: lo <= hi in each pair
-        n = np.fmin(_interpolant_points(sum(phases), values[0] - b_hi, values[-1] - b_lo),
-                    values.size)
+        n = int(np.fmin(_interpolant_points(sum(phases), values[0] - b_hi, values[-1] - b_lo),
+                        values.size))
     while n < values.size:
         # nested Chebyshev points: only those not swept before are integrated
-        nodes = _chebyshev_points(values[0], values[-1], int(n))
+        nodes = _chebyshev_points(values[0], values[-1], n)
         new = slice(None) if M is None else slice(1, None, 2)
         grown = np.empty((2, 2, nodes.size))
         if M is not None:
             grown[:, :, ::2] = M
         grown[:, :, new] = _propagator(polys, nodes[new])
-        swept += nodes[new].size
         M, tail = grown, _chebyshev_tail(grown)
         if tail <= _TAIL:
-            M = _barycentric(nodes, M, values)
             break
         n = 2 * n - 1
     else:  # complex c, or no fewer points than c has values: integrate those
-        M, tail = _propagator(polys, values), 0.0
-        swept += values.size
+        n, M, tail = values.size, _propagator(polys, values), 0.0
     if record is not None:
-        record.update(points=swept, tail=tail)
-    (m00, m01), (m10, m11) = M[:, :, inverse.reshape(c.shape)]
+        record.update(points=n, tail=tail)
+    (m00, m01), (m10, m11) = interpolation(c, n)[1](M)
     u, v = y
     return np.stack([m00 * u + m01 * v, m10 * u + m11 * v])
 
@@ -298,7 +312,8 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     With ``path=True`` they are applied to the state in step order,
     `_BLOCK` steps at a time, and every state is stored.  Returns (grid,
     states) with grid in integration order and states of shape (len(grid),
-    2, ...).
+    2, ...), real for real y0 and c, at every c given: run it at the nodes
+    of `interpolation` to reach many c.
 
     Without it, the run's map M(c), the product of all step maps, is formed
     block by block (see `_compose`) and applied to y0; the final state is
@@ -315,22 +330,22 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     count of distinct values, and for complex, scalar or constant c, M is
     integrated at those values.
 
-    ``record``, if a dict, receives ``points``, the number of c values
-    integrated, and ``tail``, the accepted relative tail of the interpolant
-    (0 when M was not interpolated, and along a stored path).
+    ``record``, if a dict, receives ``points``, the number of c values the
+    final M is tabulated at, and ``tail``, the accepted relative tail of
+    its interpolant (0 when M was not interpolated); `interpolation` of c
+    and ``points`` gives those values.
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
-    y = np.asarray(y0, dtype=complex)
+    c = np.asarray(c)
+    y = np.asarray(y0)
+    y = y.astype(np.result_type(y, c, float), copy=False)
     if x1 == x0:
         return (np.array([x0]), y[None, ...]) if path else y
-    c = np.asarray(c)
     tables = [_step_table(a, b, *segment) for segment in segments]
     if not path:
         return _final_state(tables, c, y, record)
-    if record is not None:
-        record.update(points=c.size, tail=0.0)
     grid = np.empty(1 + sum(n for _, _, n in segments))
-    states = np.empty(grid.shape + y.shape, dtype=complex)
+    states = np.empty(grid.shape + y.shape, dtype=y.dtype)
     grid[0], states[0] = x0, y
     done = 0  # steps taken before the current segment
     u, v = y

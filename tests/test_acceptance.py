@@ -174,7 +174,7 @@ def test_05_scattering_unitarity():
                             (2.0, 3.0, 0.8, "cubic")]:
         prof = blend_profile(pm, pp, R=R, kind=kind)
         sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
-                                np.linspace(0.05, 5.0, 200), store_interior=False)
+                                np.linspace(0.05, 5.0, 200))
         defect = max(defect, sweep.unitarity_defect())
 
     def square_well_T(q0, a, omega):

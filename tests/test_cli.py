@@ -25,6 +25,7 @@ from varband.spectral import (_GL_PANEL_PHASE, SpectralQuadrature, SpectralSet,
                               uniform_quadrature)
 from varband.sturm import _TAIL, rk4_segments
 
+from closed_forms import PerNodeSweep
 from test_schrodinger import reference_transmission
 
 
@@ -203,8 +204,7 @@ class TestTableRendering:
         out = tmp_path / "out"
         assert run(["scatter", "--config", cfg, "--out", out]) == 0
         prof = profile_from_config(prof_cfg)
-        sweep = ScatteringSweep(np.zeros_like, prof.R, np.linspace(0.1, 3.0, 40),
-                                store_interior=False, profile=prof)
+        sweep = ScatteringSweep(np.zeros_like, prof.R, np.linspace(0.1, 3.0, 40), profile=prof)
         rows = [[d.omega, d.T.real, d.T.imag, d.R1.real, d.R1.imag, d.R2.real, d.R2.imag,
                  d.unitarity_defect] for d in map(sweep.data, range(len(sweep)))]
         want = csv_writer_bytes(["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2",
@@ -354,15 +354,15 @@ class TestScatter:
                              ids=["equal_ends", "one_omega", "two_omegas"])
     def test_degenerate_grids(self, tmp_path, lo, hi, n):
         # every row is the row of a grid of that omega alone (the RK4 step is
-        # 1e-3 for both), and agrees with the sweep that stores its path
+        # 1e-3 for both), and agrees with the sweep's path integrated at every node
         rows = self.rows(tmp_path, "grid", lo, hi, n)
         omegas = np.linspace(lo, hi, n)
         assert len(rows) == n
         alone = {w: self.rows(tmp_path, f"alone{i}", w, w, 1)[0]
                  for i, w in enumerate(np.unique(omegas))}
         assert rows == [alone[w] for w in omegas]
-        full = ScatteringSweep(np.zeros_like, self.BLEND["R"], omegas,
-                               profile=profile_from_config(self.BLEND))
+        full = PerNodeSweep(np.zeros_like, self.BLEND["R"], omegas,
+                            profile=profile_from_config(self.BLEND))
         table = np.array([[float(v) for v in row.split(",")] for row in rows])
         for k, coef in ((1, full.T), (3, full.R1), (5, full.R2)):
             assert np.max(np.abs(table[:, k] + 1j * table[:, k + 1] - coef)) < 1e-12
@@ -679,9 +679,13 @@ class TestSweepReport:
         sweep = built.sweep
         assert rep["n_nodes"] == len(sweep) > 0
         assert rep["rk4_step"] == sweep.step and rep["rk4_steps"] == sweep.n_steps > 0
-        # the stored path integrates every node's omega^2 and interpolates nothing
-        assert rep["rk4_points"] == sweep.rk4_points == len(sweep)
-        assert rep["rk4_interpolation_tail"] == sweep.interpolation_tail == 0
+        # the final map's omega^2 values, which the interior pass uses too
+        assert rep["rk4_points"] == sweep.rk4_points
+        assert rep["rk4_interpolation_tail"] == sweep.interpolation_tail
+        if subcommand == "kernel":  # 16 nodes, more than the interpolant in omega^2 needs
+            assert sweep.rk4_points < len(sweep) and 0 < sweep.interpolation_tail <= _TAIL
+        else:  # 2 nodes, each integrated
+            assert sweep.rk4_points == len(sweep) and sweep.interpolation_tail == 0
         assert rep["max_unitarity_defect"] == sweep.unitarity_defect() < 1e-7
 
 

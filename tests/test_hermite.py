@@ -114,38 +114,44 @@ class TestCallSites:
     def test_scattering_interior(self, monkeypatch):
         prof = blend_profile(1.0, 2.0, R=1.0, kind="quintic")
         args = (prof.potential_q_warped, prof.warped_support_radius, np.linspace(0.2, 4.0, 9))
+        a = prof.warped_support_radius
+        xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
+        # the interior spline is built on first use, so the reference is used inside the patch
         with monkeypatch.context() as m:
             m.setattr(schrodinger, "CubicHermite", ScipyHermite)
-            ref = ScatteringSweep(*args)
-        sweep = ScatteringSweep(*args)
-        a = sweep.a
-        xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
-        model, ref = sweep_model(sweep), sweep_model(ref)
-        assert rel_dev(model.basis(xs), ref.basis(xs)) < 1e-12
-        assert rel_dev(model.basis_antiderivative(xs), ref.basis_antiderivative(xs)) < 1e-12
+            ref = sweep_model(ScatteringSweep(*args))
+            want = ref.basis(xs), ref.basis_antiderivative(xs)
+        assert isinstance(ref.sweep._interior[0], ScipyHermite)
+        model = sweep_model(ScatteringSweep(*args))
+        assert isinstance(model.sweep._interior[0], CubicHermite)
+        assert rel_dev(model.basis(xs), want[0]) < 1e-12
+        assert rel_dev(model.basis_antiderivative(xs), want[1]) < 1e-12
 
 
 class TestStoredTables:
-    """The interior spline of a sweep holds the RK4 states, not tables built from them."""
+    """A sweep's interior spline holds the RK4 states at the final map's points, not tables."""
 
-    def test_spline_holds_two_tables(self):
+    @pytest.mark.parametrize("n_omegas", [64, 640])
+    def test_spline_holds_two_tables(self, n_omegas):
         q = lambda x: np.exp(-4.0 * np.asarray(x, float) ** 2)
-        omegas = np.linspace(0.2, 4.0, 64)
+        sweep = ScatteringSweep(q, 1.0, np.linspace(0.2, 4.0, n_omegas))
+        assert "_interior" not in vars(sweep)
+        # the same Chebyshev points of omega^2 at either node count
+        assert sweep.rk4_points == 18
         tracemalloc.start()
         try:
-            sweep = ScatteringSweep(q, 1.0, omegas)
+            spline = sweep._interior[0]
             held = tracemalloc.get_traced_memory()[0]
-            model = sweep_model(sweep)
-            model.basis_antiderivative(np.linspace(-0.9, 0.9, 5))
-            model.basis_antiderivative(np.linspace(-0.8, 0.8, 5))
-            after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # one complex knots-by-omegas table each: values and slopes, and after
-        # the first antiderivative its knot-cumulative integrals, kept for the next
-        table = (sweep.n_steps + 1) * omegas.size * np.dtype(complex).itemsize
+        # two real knots-by-starts-by-points tables, values and slopes, views of
+        # one array of RK4 states; nothing scales with the node count
+        shape = (sweep.n_steps + 1, 2, sweep.rk4_points)
+        assert spline.y.shape == spline.dydx.shape == shape
+        assert spline.y.dtype == spline.dydx.dtype == np.float64
+        assert np.may_share_memory(spline.y, spline.dydx)
+        table = np.prod(shape) * np.dtype(float).itemsize
         assert 2 * table <= held < 2.1 * table
-        assert 3 * table <= after < 3.1 * table
 
     def test_knot_data_is_not_copied(self):
         rng = np.random.default_rng(16)

@@ -1,20 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from varband import cli, schrodinger
 from varband.cli import _model
 from varband.kernel import LiouvilleModel, free_model
 from varband.paleywiener import transform
 from varband.profile import CubicHermite, blend_profile, profile_from_config
-from varband.schrodinger import (
-    MatchingError,
-    ScatteringSweep,
-    scattering_coeffs,
-)
-from varband.spectral import SpectralQuadrature, SpectralSet
+from varband.schrodinger import MatchingError, ScatteringSweep, scattering_coeffs
+from varband.spectral import SpectralQuadrature, SpectralSet, uniform_quadrature
 from varband.sturm import rk4_linear
 
-from closed_forms import phi, sweep_model
+from closed_forms import PerNodeSweep, phi, sweep_model
 
 
 def square_well_T(q0, a, omega):
@@ -197,18 +196,6 @@ class TestSmoothPotential:
         assert np.max(np.abs(cells[0] - expected)) < 1e-14
         assert np.max(np.abs(cells[1] - expected.conj())) < 1e-14
 
-    def test_store_interior_false(self):
-        q = lambda x: np.cos(np.asarray(x, float)) ** 2 * (np.abs(x) <= 1)
-        full = ScatteringSweep(q, 1.0, [1.5])
-        lean = ScatteringSweep(q, 1.0, [1.5], store_interior=False)
-        assert abs(full.T[0] - lean.T[0]) < 1e-13
-        assert abs(full.R2[0] - lean.R2[0]) < 1e-13
-        # tails still evaluate, interior raises
-        assert np.allclose(sweep_model(lean).basis(2.0), sweep_model(full).basis(2.0))
-        with pytest.raises(MatchingError):
-            sweep_model(lean).basis(0.3)
-
-
 def quintic_blend_case():
     prof = blend_profile(1.0, 4.0, R=1.5, kind="quintic")
     return (prof.potential_q_warped, prof.warped_support_radius, np.linspace(0.05, 5.0, 7),
@@ -261,36 +248,67 @@ class TestBlendTransmission:
 
 
 class TestSweepCost:
-    @pytest.mark.parametrize("store_interior", [True, False])
-    def test_potential_tabulated_per_segment(self, store_interior):
-        for breakpoints in [(), (0.3,)]:
-            calls = []
+    @pytest.mark.parametrize("breakpoints", [(), (0.3,)], ids=["one_segment", "two_segments"])
+    def test_potential_tabulated_per_segment(self, breakpoints):
+        calls = []
 
-            def q(x):
-                calls.append(np.size(x))
-                return np.exp(-4.0 * np.asarray(x, float) ** 2)
+        def q(x):
+            calls.append(np.size(x))
+            return np.exp(-4.0 * np.asarray(x, float) ** 2)
 
-            sweep = ScatteringSweep(q, 1.0, np.linspace(0.1, 5.0, 50), breakpoints=breakpoints,
-                                    store_interior=store_interior)
-            # one array call per RK4 segment of the one pass, never one per stage
-            assert len(calls) == len(breakpoints) + 1
-            assert sum(calls) == 3 * sweep.n_steps
+        sweep = ScatteringSweep(q, 1.0, np.linspace(0.1, 5.0, 50), breakpoints=breakpoints)
+        # one array call per RK4 segment of the one pass, never one per stage,
+        # and no interior spline until the interior is asked for
+        assert len(calls) == len(breakpoints) + 1
+        assert sum(calls) == 3 * sweep.n_steps
+        assert "_interior" not in vars(sweep)
+        # the first interior call runs the path pass, once per segment; the second none
+        model = sweep_model(sweep)
+        model.basis(np.array([0.2]))
+        assert len(calls) == 2 * (len(breakpoints) + 1)
+        assert sum(calls) == 6 * sweep.n_steps
+        model.basis_antiderivative(np.array([-0.4, 0.5]))
+        assert len(calls) == 2 * (len(breakpoints) + 1)
+
+    def test_scatter_builds_no_spline(self, tmp_path, monkeypatch):
+        # the scatter subcommand reads T, R1 and R2 from the final map alone
+        def refuse(*args):
+            raise AssertionError("the interior spline was built")
+
+        monkeypatch.setattr(schrodinger, "CubicHermite", refuse)
+        blend = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": blend}))
+        assert cli.main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        sweep = cli._profile_sweep(profile_from_config(blend), np.linspace(0.05, 5.0, 200))
+        with pytest.raises(AssertionError, match="spline was built"):
+            sweep.solution(np.array([0.0]))
+
+    def test_liouville_model_shares_the_scatter_sweep(self):
+        # a Liouville model's T is the scatter subcommand's, bit for bit, at the same omegas
+        prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
+        sset = SpectralSet([(0.0, 1.0)])
+        model = LiouvilleModel(prof, sset, quad=uniform_quadrature(sset, 0.05))
+        sweep = cli._profile_sweep(prof, model.quad.nodes)
+        for got, want in ((model.sweep.T, sweep.T), (model.sweep.R1, sweep.R1),
+                          (model.sweep.R2, sweep.R2)):
+            assert np.array_equal(got, want)
+        assert model.sweep.rk4_points == sweep.rk4_points < len(model.quad)
 
 
 class TestInterpolatedSweep:
-    """A sweep that keeps only the final state, interpolated in omega^2, against the stored path."""
+    """A sweep's final map and interior interpolated in omega^2, against every node integrated."""
 
     @pytest.mark.parametrize("prof, omegas", [
         (blend_profile(1.0, 4.0, R=1.5, kind="quintic"), np.linspace(0.05, 5.0, 200)),
         (blend_profile(1.0, 100.0, R=0.1, kind="cubic"), np.linspace(1e-3, 3.0, 200)),
         (blend_profile(1.0, 100.0, R=0.1, kind="cubic"), np.geomspace(1e-3, 3.0, 200)),
     ], ids=["quintic_blend", "steep_blend_linear", "steep_blend_geometric"])
-    def test_matches_stored_interior(self, prof, omegas):
-        lean, full = (ScatteringSweep(np.zeros_like, prof.R, omegas, store_interior=store,
-                                      profile=prof) for store in (False, True))
-        assert lean.rk4_points < omegas.size and lean.interpolation_tail > 0
-        assert full.rk4_points == omegas.size and full.interpolation_tail == 0
-        for got, want in ((lean.T, full.T), (lean.R1, full.R1), (lean.R2, full.R2)):
+    def test_matches_per_node_path(self, prof, omegas):
+        sweep = ScatteringSweep(np.zeros_like, prof.R, omegas, profile=prof)
+        ref = PerNodeSweep(np.zeros_like, prof.R, omegas, profile=prof)
+        assert sweep.rk4_points < omegas.size and sweep.interpolation_tail > 0
+        for got, want in ((sweep.T, ref.T), (sweep.R1, ref.R1), (sweep.R2, ref.R2)):
             assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("distinct", [np.array([0.5, 1.0, 3.0]), np.linspace(0.05, 5.0, 60)],
@@ -300,12 +318,54 @@ class TestInterpolatedSweep:
         prof = blend_profile(1.0, 4.0, R=1.5, kind="quintic")
         omegas = np.repeat(distinct, 3)
         with np.errstate(divide="raise", invalid="raise"):
-            sweep, alone = (ScatteringSweep(np.zeros_like, prof.R, w, store_interior=False,
-                                            profile=prof) for w in (omegas, distinct))
+            sweep, alone = (ScatteringSweep(np.zeros_like, prof.R, w, profile=prof)
+                            for w in (omegas, distinct))
+            xs = np.linspace(-prof.R, prof.R, 7)
+            inside, inside_alone = sweep.solution(xs), alone.solution(xs)
         assert sweep.rk4_points == alone.rk4_points
         for got, want in ((sweep.T, alone.T), (sweep.R1, alone.R1), (sweep.R2, alone.R2),
                           (sweep.defects, alone.defects)):
             assert np.array_equal(got, np.repeat(want, 3))
+        assert np.array_equal(inside, np.repeat(inside_alone, 3, axis=1))
+
+
+def blend_sweeps(name, p_minus, p_plus, R, kind, omegas, warped_omegas=None):
+    """A blend's Liouville sweep and its warped potential's sweep, as (q, a, omegas, kw)."""
+    prof = blend_profile(p_minus, p_plus, R=R, kind=kind)
+    return {f"{name}-liouville": (np.zeros_like, prof.R, omegas, {"profile": prof}),
+            f"{name}-warped": (prof.potential_q_warped, prof.warped_support_radius,
+                               omegas if warped_omegas is None else warped_omegas,
+                               {"breakpoints": prof.zeta([-R, R])})}
+
+
+INTERIOR_CASES = {
+    **blend_sweeps("quintic_blend", 1.0, 4.0, 1.5, "quintic", np.linspace(0.05, 5.0, 200)),
+    **blend_sweeps("steep_blend_linear", 1.0, 100.0, 0.1, "cubic", np.linspace(1e-3, 3.0, 200)),
+    **blend_sweeps("steep_blend_geometric", 1.0, 100.0, 0.1, "cubic",
+                   np.geomspace(1e-3, 3.0, 200)),
+    # the Liouville sweep doubles to 131 of 200 points; the warped one takes
+    # 25433 steps and interpolates nothing at 200 frequencies, so 60 keep its
+    # per-node path small
+    **blend_sweeps("long_phase", 1.0, 0.01, 3.0, "quintic", np.linspace(0.05, 5.0, 200),
+                   np.linspace(0.05, 5.0, 60)),
+    # min |T| is 3.8e-3, so u inside is a difference of two large solutions
+    "square_barrier": (lambda x: np.full(np.shape(x), 6.0), 1.0, np.linspace(0.3, 3.0, 200), {}),
+}
+
+
+class TestInterior:
+    """U and int U inside the support against the path integrated at every node."""
+
+    @pytest.mark.parametrize("case", list(INTERIOR_CASES))
+    def test_matches_per_node_path(self, case):
+        q, a, omegas, kw = INTERIOR_CASES[case]
+        sweep = ScatteringSweep(q, a, omegas, **kw)
+        ref = PerNodeSweep(q, a, omegas, **kw)
+        xs = np.linspace(-a, a, 301)
+        for integrated in (False, True):
+            want = ref.solution(xs, integrated)
+            dev = np.max(np.abs(sweep.solution(xs, integrated) - want)) / np.max(np.abs(want))
+            assert dev < 1e-12
 
 
 class TestLiouvilleConsistency:
