@@ -187,6 +187,15 @@ def _profile_sweep(prof, omegas):
     return ScatteringSweep(np.zeros_like, prof.R, omegas, profile=prof)
 
 
+_UNITARITY_LIMIT = 1e-7  # a sweep's max_unitarity_defect at or above this fails its run
+
+
+def _exit_code(ok, *reports):
+    """0 if ok and no report's sweep, where it has one, reaches the unitarity limit; else 1."""
+    return 0 if ok and all(r.get("max_unitarity_defect", 0.0) < _UNITARITY_LIMIT
+                           for r in reports) else 1
+
+
 def _sweep_report(sweep):
     """A scattering sweep's largest unitarity defect and its RK4 pass.
 
@@ -236,8 +245,9 @@ def cmd_kernel(c, args):
                                 Kc.ravel(), np.zeros(Kc.size)]))
     timings = {"kernel_seconds": round(computed - start, 6),
                "write_seconds": round(time.perf_counter() - computed, 6)}
-    return 0, {"diagonal_max": float(np.max(np.diag(K))), **_model_report(model),
-               "timings": timings}
+    report = _model_report(model)
+    return _exit_code(True, report), {"diagonal_max": float(np.max(np.diag(K))), **report,
+                                      "timings": timings}
 
 
 def cmd_scatter(c, args):
@@ -255,8 +265,7 @@ def cmd_scatter(c, args):
     timings = {"profile_seconds": round(warped - start, 6),
                "sweep_seconds": round(swept - warped, 6),
                "write_seconds": round(time.perf_counter() - swept, 6)}
-    return (0 if report["max_unitarity_defect"] < 1e-7 else 1), {
-        "support_radius": sweep.a, **report, "timings": timings}
+    return _exit_code(True, report), {"support_radius": sweep.a, **report, "timings": timings}
 
 
 def cmd_reconstruct(c, args):
@@ -281,15 +290,13 @@ def cmd_reconstruct(c, args):
     timings = {"build_seconds": round(built - start + report.operator_seconds, 6),
                "iterate_seconds": round(iterated - built - report.operator_seconds, 6),
                "write_seconds": round(time.perf_counter() - iterated, 6)}
-    return (0 if report.passes else 1), {"delta": report.delta,
-                                         "gap_condition_passes": report.passes,
-                                         **_model_report(model),
-                                         "sampling_operator": report.operator,
-                                         "sampling_operator_remainder": report.operator_remainder,
-                                         "sampling_operator_taps": report.operator_taps,
-                                         "sampling_operator_fft_lengths":
-                                             report.operator_fft_lengths,
-                                         "timings": timings}
+    model_report = _model_report(model)
+    return _exit_code(report.passes, model_report), {
+        "delta": report.delta, "gap_condition_passes": report.passes, **model_report,
+        "sampling_operator": report.operator,
+        "sampling_operator_remainder": report.operator_remainder,
+        "sampling_operator_taps": report.operator_taps,
+        "sampling_operator_fft_lengths": report.operator_fft_lengths, "timings": timings}
 
 
 def cmd_shannon(c, args):
@@ -339,13 +346,16 @@ def cmd_landau(c, args):
     sset = c.spectral_set
     crit = sset.sqrt_measure / np.pi
     grid = c.density_grid or list(crit * np.arange(0.65, 1.4, 0.1))
+    models = {}  # each window's model report, keyed by its warped half-width
 
     def builder(wz):
         # quadrature matched to the warped window, as `landau_sweep` requires; U is
         # tabulated at the densest set, about 2 wz max density points (a float: it may
         # overflow to inf, which the rule refuses)
         quad = uniform_quadrature(sset, np.pi / wz, points=2 * wz * max(grid))
-        return _model(c.model, c.profile, sset, quad=quad)
+        model = _model(c.model, c.profile, sset, quad=quad)
+        models[str(wz)] = _model_report(model)
+        return model
 
     start = time.perf_counter()
     res = landau_sweep(builder, c.profile, sset, grid, c.window_halfwidths)
@@ -359,12 +369,13 @@ def cmd_landau(c, args):
     # a bracket end that no density reached is NaN: null in the report
     low, high = (t if np.isfinite(t) else None for t in (res.threshold_low, res.threshold_high))
     bracketed = bool(low is not None and high is not None and low <= res.critical <= high)
-    return (0 if bracketed else 1), {
+    return _exit_code(bracketed, *models.values()), {
         "finite_window_estimates": True,
         "critical_density": res.critical,
         "last_degenerating": low,
         "first_stabilizing": high,
         "brackets_critical": bracketed,
+        "models": models,
         "timings": {"sweep_seconds": round(swept - start, 6),
                     "write_seconds": round(time.perf_counter() - swept, 6)},
     }

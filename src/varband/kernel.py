@@ -44,12 +44,13 @@ Every model uses one coefficient convention, F_c = int f conj(Phi_c), so
 that f = sum w rho F Phi.  ``SpectralModel.synthesize`` and ``analyze`` apply
 M and the weights w rho to (2, n_nodes) coefficients (``basis_coefficients``
 and ``from_basis_sums``) and leave the real tables of U to ``_contract``,
-the one product of a complex vector with a table.  ``lattice_plan`` is the
-one place that decides whether a model needs no tables at all: for a model
-without an interior on a lattice rule it returns a `_TailLattice`, which
-runs both products as nonuniform FFTs in z with the maps and the
-coefficient steps folded in, for the sampling operator and for
-`paleywiener.VarBandFunction.evaluate`.  Phi itself is never tabulated.
+the one product of a complex vector with a table.  ``plan`` is the one
+sampling plan of every model, for the sampling operator and for
+`paleywiener.VarBandFunction.evaluate`: a `_Plan`, which on a lattice rule
+runs both products on the tails as nonuniform FFTs in z with the maps and
+the coefficient steps folded in, and takes the rest, the interior [-a, a],
+or every point on a Gauss rule, from real tables of U.  Phi itself is
+never tabulated.
 """
 
 from __future__ import annotations
@@ -251,16 +252,9 @@ class SpectralModel:
                 out[:, :, cols] = self.sweep.solution(x[cols], integrated)
         return out
 
-    def lattice_plan(self, points, edges=None):
-        """U at ``points``, and its sums over the cells between sorted ``edges``, without tables.
-
-        The one place that decides whether a model has such a plan: a
-        `_TailLattice` where U is tails alone (no interior) on a lattice
-        rule; None otherwise, so the caller tabulates U.
-        """
-        if self.interior is None and self.quad.lattice is not None:
-            return _TailLattice(self, points, edges)
-        return None
+    def plan(self, points, edges=None):
+        """U at ``points``, and its sums over the cells between sorted ``edges``: a `_Plan`."""
+        return _Plan(self, points, edges)
 
     # -- coefficients against basis tables ----------------------------------
 
@@ -389,32 +383,40 @@ class ToyModel(SpectralModel):
         return np.zeros(2), 0.0
 
 
-class _TailLattice:
-    """U of a model without an interior at fixed points, and its cell sums, as nonuniform FFTs.
+_ALL, _NONE = slice(None), slice(0)  # every point, and none, as views
 
-    On side s (0 for x <= 0, 1 for x > 0), with z = ``warp(x)`` and
-    theta = omega z, U = L_s (cos theta, sin theta) and its antiderivative is
-    A = P_s (sin theta, -cos theta) / omega + C_s (`SpectralModel.tails`,
-    `SpectralModel.constants`). Each side gets its own FFT grid of a
-    `spectral.LatticeTransform` in z, on which L_s and P_s are per-node
-    maps, so every point and every cell edge is read or written once per
-    apply.
+
+class _Plan:
+    """U at fixed points, and its cell sums: tails as nonuniform FFTs, the rest from tables.
+
+    On a lattice rule, a point off the interior [-a, a] (every point, for a
+    model without one) is a tail: on side s (0 for x <= 0, 1 for x > 0),
+    with z = ``warp(x)`` and theta = omega z, U = L_s (cos theta, sin theta)
+    and its antiderivative is A = P_s (sin theta, -cos theta) / omega + C_s
+    (`SpectralModel.tails`, `SpectralModel.constants`). Each side gets its
+    own FFT grid of a `spectral.LatticeTransform` in z, on which L_s and P_s
+    are per-node maps, so every tail point and edge is read or written once
+    per apply. The other points, |x| <= a, or every point on a Gauss rule,
+    are columns of real tables of U and A (``table``, ``cells``). ``kind`` is
+    "nufft" where the rule has a lattice, "dense" where it has none.
 
     - At the points, f = sum over the nodes of G^T U, with
-      G = mix^T (w rho F) (`SpectralModel.basis_coefficients`), is
-      g_c cos theta + g_s sin theta with (g_c, g_s) = L_s^T G, that is
+      G = mix^T (w rho F) (`SpectralModel.basis_coefficients`), is on the
+      tails g_c cos theta + g_s sin theta with (g_c, g_s) = L_s^T G, that is
       a exp(i theta) + b exp(-i theta) with a, b = (g_c -+ i g_s) / 2:
       a type-2 transform.
     - Over the cells, summation by parts moves the difference of A onto the
       values: sum_i y_i (A(e_(i+1)) - A(e_i)) = sum_j d_j A(e_j) with
-      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0. The cosine and sine sums of
-      d on each side are the half sum and half difference of the type-1
-      sums E+- = sum_j d_j exp(+-i omega z_j). The constants add
-      C_0 D_0 + C_1 D_1, D_s the sum of d over side s; for sorted edges, k
-      of them at or left of 0, D_1 = y_(k-1) = -D_0, so that is ``jump``
-      = C_1 - C_0 times y_(k-1): 0 for the step profile. With y = conj(v),
-      F = conj(mix H) of these sums H is what `SpectralModel.from_basis_sums`
-      makes of them.
+      d_j = y_(j-1) - y_j and y_(-1) = y_N = 0, each edge's A from the part
+      that holds it. On the tails, the cosine and sine sums of d on each side
+      are the half sum and half difference of the type-1 sums
+      E+- = sum_j d_j exp(+-i omega z_j), and the constants add
+      C_0 D_0 + C_1 D_1, D_s the sum of d over side s: for sorted edges, k_0
+      of them left of the interior and k_1 the first right of it, that is
+      C_1 y_(k_1 - 1) - C_0 y_(k_0 - 1), or (C_1 - C_0) y_(k - 1) where
+      k_0 = k_1 = k: 0 for the step profile. With y = conj(v),
+      F = conj(mix H) of these sums H is what
+      `SpectralModel.from_basis_sums` makes of them.
 
     Each step between F and the transforms' coefficients is linear and acts
     node by node, so the plan folds them, once, into two tables of shape
@@ -422,54 +424,96 @@ class _TailLattice:
     mix, L_s and the 1/2 and -+i of a and b, from F to the coefficients of
     `spectral.LatticeTransform.synthesize`; ``out_of`` P_s / omega, the 1/2
     and +-i of the cosine and sine sums, and the mix, from the sums E+- of
-    its ``analyze`` back to the sums H that are conjugated into F.
+    its ``analyze`` back to the sums H that are conjugated into F. Where
+    every point is a tail, an apply is the transforms alone.
 
     Bound: ``remainder`` is the transforms' (`spectral.LatticeTransform`), so
-    in exact arithmetic the values at the points are within ``remainder``
-    times the l1 norm of the coefficients a, b of the exact sums at the
-    float64 points and the rule's lattice, and the cell sums within
-    ``remainder`` times the l1 norm of d before ``out_of`` scales them;
-    float64 rounding adds about u times the same norms. This holds at any
-    point set: the sample points, the cell edges, or an output grid.
-    ``taps`` and ``fft_lengths`` are the transforms' (the edges share the
-    points' lattice, and so their gridding).
+    in exact arithmetic the values at the tail points are within
+    ``remainder`` times the l1 norm of the coefficients a, b of the exact
+    sums at the float64 points and the rule's lattice, and the tails' cell
+    sums within ``remainder`` times the l1 norm of d before ``out_of``
+    scales them; float64 rounding adds about u times the same norms. This
+    holds at any point set: the sample points, the cell edges, or an output
+    grid. ``taps`` and ``fft_lengths`` are the transforms' (the edges share
+    the points' lattice, and so their gridding); all three are None without
+    a lattice.
     """
 
     def __init__(self, model, points, edges=None):
-        sign = np.array([-1.0, 1.0])[:, None, None]  # (sign, component, node)
+        self.model, self.lattice = model, model.quad.lattice is not None
+        self.kind = "nufft" if self.lattice else "dense"
+        self.remainder = self.taps = self.fft_lengths = None
+        x = np.asarray(points, dtype=float)
+        self.tail, self.inside = self._split(x)
+        self.table = self._columns(model.basis, x[self.inside])
+        if self.lattice:
+            sign = np.array([-1.0, 1.0])[:, None, None]  # (sign, component, node)
 
-        def fold(maps, scale):  # (side, sign, component, node), the transforms' order
-            mixed = np.einsum("cal,sakl->sckl", model.mix, maps)[:, None]
-            return scale * (mixed[..., 0, :] + sign * 1j * mixed[..., 1, :])
+            def fold(maps, scale):  # (side, sign, component, node), the transforms' order
+                mixed = np.einsum("cal,sakl->sckl", model.mix, maps)[:, None]
+                return scale * (mixed[..., 0, :] + sign * 1j * mixed[..., 1, :])
 
-        self.points = self._transform(model, points)
-        self.into = fold(model.tails[0], 0.5 * model.weights())
-        self.remainder = self.points.remainder
-        self.taps, self.fft_lengths = self.points.taps, self.points.fft_lengths
+            self.transform = self._transform(x[self.tail])
+            self.into = fold(model.tails[0], 0.5 * model.weights())
+            self.remainder = self.transform.remainder
+            self.taps, self.fft_lengths = self.transform.taps, self.transform.fft_lengths
         if edges is not None:
-            self.edges = self._transform(model, edges)
-            self.out_of = fold(model._primitive_maps, 0.5)
-            self.jump = np.einsum("cal,al->cl", model.mix, model.constants[1] - model.constants[0])
-            self.split = int(np.count_nonzero(np.asarray(edges, dtype=float) <= 0))
-            self.remainder = max(self.remainder, self.edges.remainder)
+            e = np.asarray(edges, dtype=float)
+            self.edge_tail, self.edge_inside = self._split(e)
+            self.cells = self._columns(model.basis_antiderivative, e[self.edge_inside])
+            if self.lattice:
+                tail = e[self.edge_tail]
+                self.edges = self._transform(tail)
+                self.out_of = fold(model._primitive_maps, 0.5)
+                C = np.einsum("cal,sal->scl", model.mix, model.constants)
+                right = int(np.count_nonzero(tail > 0))
+                k0, k1 = tail.size - right, e.size - right
+                self.ends = ([(C[1] - C[0], k0 - 1)] if k0 == k1
+                             else [(C[1], k1 - 1), (-C[0], k0 - 1)])
+                self.remainder = max(self.remainder, self.edges.remainder)
 
-    @staticmethod
-    def _transform(model, x):
-        x = np.asarray(x, dtype=float)
-        return model.quad.lattice_transform(model.warp(x), (x > 0).astype(np.intp), 2)
+    def _split(self, x):
+        """(tails, rest): the indices of x for the transforms and the tables; views if all."""
+        if not self.lattice:
+            return _NONE, _ALL
+        if self.model.interior is None:
+            return _ALL, _NONE
+        inside = np.abs(x) <= self.model.interior
+        return np.flatnonzero(~inside), np.flatnonzero(inside)
+
+    def _columns(self, evaluate, x):
+        """evaluate(x) as a (2 n_nodes, x.size) matrix; None where the transforms hold all."""
+        return _as_matrix(evaluate(x)) if x.size or not self.lattice else None
+
+    def _transform(self, x):
+        return self.model.quad.lattice_transform(self.model.warp(x), (x > 0).astype(np.intp), 2)
 
     def at_points(self, F):
         """f = sum over (c, l) of w rho F Phi at the points, for F of shape (2, n_nodes)."""
-        return self.points.synthesize(self.into[:, :, 0] * F[0] + self.into[:, :, 1] * F[1])
+        rest = None if self.table is None else self.model.synthesize(F, self.table)
+        if not self.lattice:
+            return rest
+        tails = self.transform.synthesize(self.into[:, :, 0] * F[0] + self.into[:, :, 1] * F[1])
+        if rest is None:
+            return tails
+        out = np.empty(tails.size + rest.size, dtype=complex)
+        out[self.tail], out[self.inside] = tails, rest
+        return out
 
     def over_cells(self, values):
         """sum_i v_i int_(cell i) conj(Phi), shape (2, n_nodes), for values v at the points."""
         v = np.asarray(values, dtype=complex)
         d = np.concatenate(([0], v)) - np.concatenate((v, [0]))  # d_j = v_(j-1) - v_j
-        F = (self.out_of * self.edges.analyze(np.conj(d, out=d))[:, :, None]).sum(axis=(0, 1))
-        if 0 < self.split <= v.size:
-            F += self.jump * np.conj(v[self.split - 1])
-        return np.conj(F, out=F)
+        rest = None if self.cells is None else self.model.analyze(d[self.edge_inside], self.cells)
+        if not self.lattice:
+            return rest
+        y = np.conj(d, out=d)[self.edge_tail]
+        F = (self.out_of * self.edges.analyze(y)[:, :, None]).sum(axis=(0, 1))
+        for C, j in self.ends:
+            if 0 <= j < v.size:
+                F += C * np.conj(v[j])
+        F = np.conj(F, out=F)
+        return F if rest is None else F + rest
 
 
 class ScatteringModel(SpectralModel):

@@ -8,18 +8,18 @@ gamma = delta sqrt(Omega) / pi and delta is the max gap in local units.
 
 The operator needs two products with the model's real basis U (Phi = mix U
 at each node): with U at the samples, and with the integrals of U over the
-cells; the mix and the weights act on the (2, n_nodes) coefficients. Where
-U is plane-wave tails alone (the step profile, and p = 1) on a
-window-matched lattice rule, both products are nonuniform FFTs in the warp
-z (`spectral.LatticeTransform`, remainder 2.0e-16) on one grid per side,
-and no table is formed: the model's `lattice_plan` (`kernel._TailLattice`)
-folds the per-side maps, the mix, the weights and the deconvolution into
-two per-node tables, and evaluates the reconstruction on an output grid as
-well (`VarBandFunction.evaluate`), within its remainder times the l1 norm
-of the coefficients of exp(+-i omega z), plus rounding. A model with an
-interior (a sweep), or a Gauss rule, holds two float64 (2 n_nodes,
-n_samples) tables of U, and every iteration reads them. The frame bounds
-are read off U as well (see `frame_bounds_estimate`).
+cells; the mix and the weights act on the (2, n_nodes) coefficients. Both
+run on the model's `plan` (`kernel._Plan`): off the model's interior,
+where U is plane-wave tails (everywhere for the step profile and p = 1),
+on a window-matched lattice rule, as nonuniform FFTs in the warp z
+(`spectral.LatticeTransform`, remainder 2.0e-16) on one grid per side,
+with the per-side maps, the mix, the weights and the deconvolution folded
+into two per-node tables; inside [-a, a], and everywhere on a Gauss rule,
+from float64 tables of U that every iteration reads. The same plan
+evaluates the reconstruction on an output grid (`VarBandFunction.evaluate`),
+on the tails within its remainder times the l1 norm of the coefficients of
+exp(+-i omega z), plus rounding. The frame bounds are read off U as well
+(see `frame_bounds_estimate`).
 
 Where gamma >= 1 no certificate exists: the norm surrogate and the certified
 bounds are then None (null in the JSON report), not infinities.
@@ -36,7 +36,7 @@ from io import StringIO
 import numpy as np
 
 from .config import read_text
-from .kernel import _as_matrix, _sinc, toy_kernel
+from .kernel import _sinc, toy_kernel
 from .paleywiener import VarBandFunction
 from .profile import _unpack
 
@@ -121,39 +121,29 @@ class ReconstructionReport:
 class ReconstructionOperator:
     """Precomputed R for a fixed model, sample set and window.
 
-    ``kind`` names how R runs: "nufft" where the model has a lattice plan
-    (`SpectralModel.lattice_plan`: a model without an interior on a lattice
-    rule, see `kernel._TailLattice`), "dense" with real tables of U otherwise.
-    ``remainder`` is the stated bound of the plan's nonuniform FFTs
-    (`spectral.LatticeTransform`), ``taps`` the grid points each of their
-    points reads or writes and ``fft_lengths`` their FFT length per interval
-    of the rule; all three are None for the tables.
+    R runs on the model's `plan` of the samples and the cell edges
+    (`kernel._Plan`): nonuniform FFTs for U on the tails of a lattice rule,
+    real tables of U elsewhere. ``kind`` is the plan's, "nufft" where the
+    rule has a lattice and "dense" where it has none; ``remainder`` is the
+    stated bound of its nonuniform FFTs (`spectral.LatticeTransform`),
+    ``taps`` the grid points each of their points reads or writes and
+    ``fft_lengths`` their FFT length per interval of the rule, all three
+    None without a lattice.
     """
 
     def __init__(self, model, X, window):
         self.model = model
         self.points = _points(X)
         self.window = _unpack(window)
-        edges = midpoint_partition(self.points, self.window)
-        plan = model.lattice_plan(self.points, edges)
-        if plan is not None:
-            self.kind, self.remainder = "nufft", plan.remainder
-            self.taps, self.fft_lengths = plan.taps, plan.fft_lengths
-            self._at_points, self._over_cells = plan.at_points, plan.over_cells
-        else:
-            # cells first, so their antiderivative table is freed before U is built
-            self.cells = _as_matrix(np.diff(model.basis_antiderivative(edges), axis=-1))
-            self.basis = _as_matrix(model.basis(self.points))
-            self.kind, self.remainder = "dense", None
-            self.taps = self.fft_lengths = None
-            self._at_points = lambda F: model.synthesize(F, self.basis)
-            self._over_cells = lambda values: model.analyze(values, self.cells)
+        self.plan = model.plan(self.points, midpoint_partition(self.points, self.window))
+        self.kind, self.remainder = self.plan.kind, self.plan.remainder
+        self.taps, self.fft_lengths = self.plan.taps, self.plan.fft_lengths
 
     def sample(self, f):
-        return self._at_points(f.F)
+        return self.plan.at_points(f.F)
 
     def from_values(self, values):
-        return VarBandFunction(self.model, self._over_cells(values))
+        return VarBandFunction(self.model, self.plan.over_cells(values))
 
     def apply(self, f):
         return self.from_values(self.sample(f))

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .profile import CubicHermite, PiecewiseConstantProfile
-from .sturm import interpolation, rk4_linear, rk4_segments
+from .sturm import rk4_linear, rk4_segments
 
 _UNIT = PiecewiseConstantProfile([], [1.0])  # p = 1, whose zeta(x) = x exactly
 
@@ -102,6 +102,7 @@ class ScatteringSweep:
         record = {}
         y, dy = self._run(w**2, y0=self._start, record=record)
         self.rk4_points, self.interpolation_tail = record["points"], record["tail"]
+        self._interpolation = record["interpolation"]  # the map's omega^2 nodes, back to omega
         # u = p-^(-1/4) (alpha e + beta conj(e)) left of the support
         y, dy = y * r_left, dy / r_left
         alpha = 0.5 * (y + dy / (1j * w)) * np.exp(-1j * w * z_left)
@@ -150,9 +151,9 @@ class ScatteringSweep:
         One path pass at the final map's omega^2 values, the starts (1, 0)
         and (0, 1) of (u, p u') side by side as 2 * ``rk4_points`` columns;
         the spline's values and slopes are (n_steps + 1, start, point) views
-        of its states, and the map is `interpolation`'s at_c.
+        of its states, and the map is the one the final pass recorded.
         """
-        nodes, at_omegas = interpolation(self.omegas**2, self.rk4_points)
+        nodes, at_omegas = self._interpolation
         grid, states = self._run(np.tile(nodes, 2), y0=np.repeat(np.eye(2), nodes.size, axis=1),
                                  path=True)
         states[:, 1] /= self.profile.eval_p(grid)[:, None]

@@ -12,9 +12,10 @@ block.  A run that returns only the final state multiplies each block's
 maps into one, pairwise in about log2(block) levels, and those into the map
 M(c) of the whole run, a polynomial in c, integrated at c's distinct values
 or, when fewer suffice by a stated bound, at Chebyshev points, and
-interpolated (see `rk4_linear`); `interpolation` takes any table at those
-points, a path run there too, to every c.  A final-state block is as long
-as a table of 64 * 200 maps allows at the point count, 64 to 1024 steps.
+interpolated (see `rk4_linear`); the run records the map that takes any
+table at those points, a path run there too, to every c.  A final-state
+block is as long as a table of 64 * 200 maps allows at the point count, 64
+to 1024 steps.
 The scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p
 and b = q.
 """
@@ -250,25 +251,9 @@ def _interpolant_points(phase, lo, hi):
     return np.ceil(np.min((np.log(2 / _TAIL) + growth) / np.log(rho[:, 0]))) + 2
 
 
-def interpolation(c, points):
-    """(nodes, at_c): where a final-state run at c with ``points`` tabulates its map; back to c.
-
-    The nodes are c's distinct values when ``points`` counts them, else the
-    ``points`` `_chebyshev_points` of [min c, max c]; at_c takes any table
-    (..., points) at the nodes, the run's map or its path, to every c, shape
-    (..., *c.shape), by lookup or by the barycentric formula.
-    """
-    values, inverse = np.unique(c, return_inverse=True)
-    index = inverse.reshape(np.shape(c))
-    if points >= values.size:
-        return values, lambda table: table[..., index]
-    nodes = _chebyshev_points(values[0], values[-1], points)
-    return nodes, lambda table: _barycentric(nodes, table, values)[..., index]
-
-
 def _final_state(tables, c, y, record):
     """The final state of `rk4_linear` from the tables of its segments; see there."""
-    values = np.unique(c)
+    values, inverse = np.unique(c, return_inverse=True)
     polys, phases, ranges = zip(*tables)
     n, M = values.size, None
     if np.isrealobj(values) and values.size > 1:
@@ -288,10 +273,14 @@ def _final_state(tables, c, y, record):
             break
         n = 2 * n - 1
     else:  # complex c, or no fewer points than c has values: integrate those
-        n, M, tail = values.size, _propagator(polys, values), 0.0
+        nodes, M, tail = values, _propagator(polys, values), 0.0
+    # any table at the nodes to every c: by lookup where the nodes are c's values
+    index = inverse.reshape(np.shape(c))
+    at_c = ((lambda table: table[..., index]) if nodes is values
+            else (lambda table: _barycentric(nodes, table, values)[..., index]))
     if record is not None:
-        record.update(points=n, tail=tail)
-    (m00, m01), (m10, m11) = interpolation(c, n)[1](M)
+        record.update(points=nodes.size, tail=tail, interpolation=(nodes, at_c))
+    (m00, m01), (m10, m11) = at_c(M)
     u, v = y
     return np.stack([m00 * u + m01 * v, m10 * u + m11 * v])
 
@@ -313,7 +302,7 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     `_BLOCK` steps at a time, and every state is stored.  Returns (grid,
     states) with grid in integration order and states of shape (len(grid),
     2, ...), real for real y0 and c, at every c given: run it at the nodes
-    of `interpolation` to reach many c.
+    a final-state run records to reach many c.
 
     Without it, the run's map M(c), the product of all step maps, is formed
     block by block (see `_compose`) and applied to y0; the final state is
@@ -331,9 +320,11 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     integrated at those values.
 
     ``record``, if a dict, receives ``points``, the number of c values the
-    final M is tabulated at, and ``tail``, the accepted relative tail of
-    its interpolant (0 when M was not interpolated); `interpolation` of c
-    and ``points`` gives those values.
+    final M is tabulated at, ``tail``, the accepted relative tail of its
+    interpolant (0 when M was not interpolated), and ``interpolation``, the
+    pair (nodes, at_c) of those c values and the function that takes any
+    table (..., points) at them, the run's map or a path run there, to
+    every c, shape (..., *c.shape). c's distinct values are found once.
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
     c = np.asarray(c)

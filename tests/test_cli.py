@@ -625,8 +625,12 @@ class TestReconstruct:
         assert rep["gap_condition_passes"]
         assert rep["residuals"][-1] < 1e-6 * rep["residuals"][0]
         report = strict_json(out / "report.json")
-        assert report["sampling_operator"] == "dense"
-        assert report["sampling_operator_taps"] is report["sampling_operator_fft_lengths"] is None
+        # the tails run on the rule's lattice, the support [-1, 1] from tables
+        assert report["sampling_operator"] == "nufft"
+        assert report["sampling_operator_taps"] == 18
+        assert report["sampling_operator_remainder"] == spectral._GRID_REMAINDER
+        assert report["sampling_operator_fft_lengths"] == [
+            spectral._es_gridding(count)[0] for _, _, count in model.quad.lattice]
         xs, re, im = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1).T
         assert np.max(np.abs(re + 1j * im - f(xs))) < 1e-8 * np.max(np.abs(f(xs)))
 
@@ -688,8 +692,38 @@ class TestSweepReport:
             assert sweep.rk4_points == len(sweep) and sweep.interpolation_tail == 0
         assert rep["max_unitarity_defect"] == sweep.unitarity_defect() < 1e-7
 
+    @pytest.mark.parametrize("model", ["schrodinger", "liouville"])
+    def test_kernel_exits_1_on_a_defective_sweep(self, tmp_path, model):
+        # at omega ~ 100 the step rule leaves about 63 RK4 steps per wavelength:
+        # defects of 2.6e-5 and 1.2e-5, which scatter would refuse too
+        cfg = {"model": model, "profile": BLEND_12, "spectral_set": [[1e4, 10001.0]]}
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]) == 1
+        assert strict_json(out / "report.json")["max_unitarity_defect"] > cli._UNITARITY_LIMIT
 
-class TestDensity:
+    @pytest.mark.parametrize("subcommand", ["kernel", "reconstruct", "landau", "scatter"])
+    def test_every_sweep_report_is_gated(self, tmp_path, monkeypatch, subcommand):
+        # the one limit: a run that passes exits 1 once its sweep's defect reaches it
+        cfg = {"model": "liouville", "spectral_set": [[0.0, 1.0]], "profile": BLEND_12}
+        args = [subcommand, "--out", tmp_path / "out"]
+        if subcommand == "kernel":
+            cfg["grid"] = {"lo": -3.0, "hi": 3.0, "n": 7}
+        elif subcommand == "reconstruct":
+            cfg.update(window=[-10.0, 10.0], n_max=2, output_points=11)
+            samples = tmp_path / "samples.csv"
+            samples_to_csv(samples, np.linspace(-9.5, 9.5, 40), np.zeros(40))
+            args += ["--samples", samples]
+        elif subcommand == "landau":
+            cfg.update(density_grid=[0.2, 0.5], window_halfwidths=[10.0, 20.0])
+        else:
+            cfg = {"profile": BLEND_12}
+        args += ["--config", write_cfg(tmp_path, "cfg.json", cfg)]
+        assert run(args) == 0
+        report = strict_json(tmp_path / "out" / "report.json")
+        sweeps = report["models"].values() if subcommand == "landau" else [report]
+        defect = max(r["max_unitarity_defect"] for r in sweeps)
+        monkeypatch.setattr(cli, "_UNITARITY_LIMIT", defect)
+        assert run(args) == 1
     def test_quasi_uniform(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0,

@@ -48,7 +48,7 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "False False"
 
 
-TAIL_EVALUATORS = {"basis", "basis_antiderivative", "lattice_plan"}
+TAIL_EVALUATORS = {"basis", "basis_antiderivative", "plan"}
 
 
 def tail_evaluators(source):
@@ -74,7 +74,7 @@ def tail_evaluators(source):
 
 
 def test_tail_evaluators_only_on_spectral_model():
-    # U off the support, its antiderivative and the lattice plan are written once
+    # U off the support, its antiderivative and the sampling plan are written once
     found = sorted((path.name, owner, name) for path in SRC.glob("*.py")
                    for owner, name in tail_evaluators(path.read_text()))
     assert found == [("kernel.py", "SpectralModel", name) for name in sorted(TAIL_EVALUATORS)]
@@ -83,7 +83,7 @@ def test_tail_evaluators_only_on_spectral_model():
 def test_scan_finds_a_second_tail_evaluator():
     source = ("class Base:\n    def basis(self, x): pass\n"
               "class Model(Base):\n    basis_antiderivative = None\n"
-              "    def lattice_plan(self, points): pass\n"
+              "    def plan(self, points): pass\n"
               "def basis(x): pass\n")
     assert tail_evaluators(source) == [("Base", "basis"), ("Model", "basis_antiderivative"),
-                                       ("Model", "lattice_plan"), (None, "basis")]
+                                       ("Model", "plan"), (None, "basis")]

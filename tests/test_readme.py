@@ -81,3 +81,19 @@ def test_reconstruct_report_fields_are_listed(tmp_path):
 @pytest.mark.parametrize("name", ["scatter", "shannon", "landau"])
 def test_report_fields_are_listed(name, tmp_path):
     assert_report_fields_are_listed(name, tmp_path)
+
+
+def test_landau_models_are_listed(tmp_path):
+    # one model report per window of the example, each field named in the `models` entry
+    text = sections()["landau"]
+    config = JSON_BLOCK.findall(text)[0]
+    (tmp_path / "landau.json").write_text(config)
+    out = tmp_path / "landau"
+    main(["landau", "--config", str(tmp_path / "landau.json"), "--out", str(out)])
+    models = json.loads((out / "report.json").read_text())["models"]
+    # report.json sorts its keys as text: "120.0" before "30.0"
+    assert sorted(models) == sorted(str(w) for w in json.loads(config)["window_halfwidths"])
+    entry = re.search(r"^- `models`:(.*?)(?=^- )", text, flags=re.M | re.S)[1]
+    named = set(re.findall(r"`(\w+)`", entry))
+    assert all(set(report) <= named for report in models.values())
+    assert {"max_unitarity_defect", "rk4_steps", "rk4_points"} <= named

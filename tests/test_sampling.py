@@ -25,7 +25,7 @@ from varband.sampling import (
     shannon_expand,
     shannon_gram,
 )
-from varband.spectral import SpectralSet, uniform_quadrature
+from varband.spectral import SpectralSet, gauss_legendre_quadrature, uniform_quadrature
 
 from closed_forms import phi
 from gaussian_gridding import GaussianGridding
@@ -277,10 +277,10 @@ class ComplexTableOperator:
         return self.from_values(self.sample(f))
 
 
-def contraction_model(kind, sset=None, spacing=np.pi / 6.0):
-    """The model of kind ``kind`` on a window-matched midpoint rule."""
+def contraction_model(kind, sset=None, spacing=np.pi / 6.0, quad=None):
+    """The model of kind ``kind`` on a window-matched midpoint rule, or on ``quad``."""
     sset = sset or SpectralSet([(0.0, 2.0)])
-    quad = uniform_quadrature(sset, spacing)
+    quad = quad or uniform_quadrature(sset, spacing)
     if kind == "toy":
         return ToyModel(1.0, 4.0, sset, quad=quad)
     if kind == "schrodinger":
@@ -319,12 +319,27 @@ class TestOperatorContractions:
         assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["schrodinger", "liouville"])
-    def test_tables_are_real(self, kind):
-        op = ReconstructionOperator(contraction_model(kind), SampleSet(self.X), (-6.0, 6.0))
-        tables = (op.basis, op.cells)
-        assert all(t.dtype == np.float64 for t in tables)
-        n, N = len(op.model.quad), self.X.size
-        assert sum(t.nbytes for t in tables) == 2 * (2 * n * N * 8)
+    def test_sweep_build_allocates_one_interior_block(self, kind):
+        # the tails run on the lattice; real tables hold only the samples and
+        # edges in the support [-1, 1], where dense tables would take 6.4 MB
+        sset = SpectralSet([(0.0, 1.0)])
+        W = 200.5 * np.pi
+        model = contraction_model(kind, sset, np.pi / W)
+        X = np.linspace(-W, 2 * W, 1003)[1:-1]
+        X[333] = 0.0  # a sample in the support, and the two edges of its cell
+        model.constants  # the sweep's interior pass, run once per model
+        np.fft.ifft(np.zeros(4))  # load numpy.fft's module state before tracing
+        tracemalloc.start()
+        try:
+            op = ReconstructionOperator(model, SampleSet(X), (-W, 2 * W))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, N = len(model.quad), X.size
+        assert op.kind == "nufft" and n == 200
+        assert op.plan.table.dtype == op.plan.cells.dtype == np.float64
+        assert (op.plan.table.shape, op.plan.cells.shape) == ((2 * n, 1), (2 * n, 2))
+        assert peak < 2 * (2 * n * N * 8) / 3
 
     @pytest.mark.parametrize("kind", ["toy", "free"])
     def test_lattice_build_allocates_no_tables(self, kind):
@@ -465,8 +480,8 @@ def test_lattice_evaluate_at_study_size():
     model = ToyModel(pm, pp, sset, quad=quad)
     dense_model = ToyModel(pm, pp, sset, quad=replace(quad, lattice=None))
     xs = np.linspace(-W * sm, W * np.sqrt(pp), 801)
-    plan = model.lattice_plan(xs)
-    assert dense_model.lattice_plan(xs) is None
+    plan = model.plan(xs)
+    assert (plan.kind, dense_model.plan(xs).kind) == ("nufft", "dense")
     f = random_function(model, rng=41)
     G = model.basis_coefficients(f.F)
     l1 = np.abs(G[0]).sum() + np.abs(G[1]).sum() / sm
@@ -516,10 +531,108 @@ def test_reconstruct_agrees_with_gaussian_gridding(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["schrodinger", "liouville"])
-def test_scattering_models_have_no_lattice_plan(kind):
+def test_plan_tables_hold_the_interior(kind):
+    # U at the samples and A at the edges in [-a, a], a = 1; the rest on the lattice
     model = contraction_model(kind)
-    assert model.quad.lattice is not None
-    assert model.lattice_plan(TestOperatorContractions.X) is None
+    X = TestOperatorContractions.X
+    edges = midpoint_partition(X, (-6.0, 6.0))
+    plan = model.plan(X, edges)
+    assert plan.kind == "nufft" and model.interior == 1.0
+    for table, x, transform, evaluate in ((plan.table, X, plan.transform, model.basis),
+                                          (plan.cells, edges, plan.edges,
+                                           model.basis_antiderivative)):
+        inside = np.abs(x) <= model.interior
+        assert 0 < np.count_nonzero(inside) < x.size
+        assert np.array_equal(table, evaluate(x[inside]).reshape(table.shape))
+        assert transform.runs[0].index.shape == (np.count_nonzero(~inside), 18)
+
+
+@pytest.mark.parametrize("kind", ["toy", "liouville"])
+@pytest.mark.parametrize("rule", ["lattice", "gauss"])
+def test_evaluate_at_no_points(kind, rule):
+    sset = SpectralSet([(0.0, 2.0)])
+    model = contraction_model(kind, sset, quad=gauss_legendre_quadrature(sset, t_max=8.0)
+                              if rule == "gauss" else None)
+    values = random_function(model, rng=25).evaluate(np.array([]))
+    assert values.shape == (0,) and values.dtype == complex
+
+
+# (samples, window) at the edge of the interior [-1, 1] of both sweep models
+SPLIT_CASES = {
+    # the midpoint of -1.2 and 3.5 is 1.15: one cell spans the support
+    "no-point-inside": (np.concatenate((np.linspace(-5.5, -1.2, 9), np.linspace(3.5, 5.5, 5))),
+                        (-6.0, 6.0)),
+    # the window is the support: the lattice sets are empty
+    "every-point-inside": (np.linspace(-0.95, 0.95, 12), (-1.0, 1.0)),
+    "samples-at-a": (np.concatenate((np.linspace(-5.5, -1.0, 10), np.linspace(1.0, 5.5, 10))),
+                     (-6.0, 6.0)),
+    # the cells of -0.7 and 0.8 are [-1.1, 0.05] and [0.05, 1.2]
+    "cells-straddle-a": (np.array([-5.0, -3.0, -1.5, -0.7, 0.8, 1.6, 3.0, 5.0]), (-6.0, 6.0)),
+    "gauss-rule": (TestOperatorContractions.X, (-6.0, 6.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+@pytest.mark.parametrize("kind", ["schrodinger", "liouville"])
+def test_split_plan_matches_complex_tables(kind, case):
+    X, window = SPLIT_CASES[case]
+    gauss = case == "gauss-rule"
+    sset = SpectralSet([(0.0, 2.0)])
+    model = contraction_model(kind, sset, quad=gauss_legendre_quadrature(sset, t_max=8.0)
+                              if gauss else None)
+    op, ref = ReconstructionOperator(model, SampleSet(X), window), ComplexTableOperator(model, X, window)
+    assert op.kind == ("dense" if gauss else "nufft")
+    f = random_function(model, rng=23)
+    assert _rel_dev(op.sample(f), ref.sample(f)) <= 1e-12
+    rng = np.random.default_rng(24)
+    v = rng.standard_normal(X.size) + 1j * rng.standard_normal(X.size)
+    assert _rel_dev(op.from_values(v).F, ref.from_values(v).F) <= 1e-12
+
+
+def test_liouville_plan_at_study_size():
+    """The paper's smooth case on the plan against its dense tables, 675 nodes and 2251 samples.
+
+    The cubic blend(1, 3, R = 1.5) on the lattice rule of its warped window
+    W = 675.5 pi, samples on a uniform grid in z = zeta(x) jittered by up to
+    0.15 of its step. The samples and edges in [-R, R] are the same table
+    columns in both; on the tails the two differ by at most the plan's
+    remainder plus the tables' 8u (1 + omega |z|) (`SpectralQuadrature.waves`),
+    times the l1 norm of what the transforms and the tables multiply.
+    """
+    rng = np.random.default_rng(43)
+    n, N = STUDY_NODES, STUDY_SAMPLES
+    prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
+    W = (n + 0.5) * np.pi
+    sset = SpectralSet([(0.0, 1.0)])
+    quad = uniform_quadrature(sset, np.pi / W)
+    model = LiouvilleModel(prof, sset, quad=quad)
+    dense_model = LiouvilleModel(prof, sset, quad=replace(quad, lattice=None))
+    k = np.arange(N) - (N - 1) // 2
+    X = prof.zeta_inv((k + rng.uniform(-0.15, 0.15, N)) * (2 * W / (N + 1)))
+    window = (float(prof.zeta_inv(-W)), float(prof.zeta_inv(W)))
+    op = ReconstructionOperator(model, SampleSet(X), window)
+    dense = ReconstructionOperator(dense_model, SampleSet(X), window)
+    assert (op.kind, dense.kind, len(quad)) == ("nufft", "dense", n)
+    assert op.plan.table.shape == (2 * n, np.count_nonzero(np.abs(X) <= prof.R))
+    u, w = 2.0**-53, quad.nodes
+    waves = 8 * u * (1 + w * W)  # |omega z| <= omega W on this window
+    L, P = model.tails
+
+    f = random_function(model, rng=rng)
+    G = model.basis_coefficients(f.F)
+    # on side s the coefficients of exp(+-i omega z) are (g_c -+ i g_s) / 2, g = L_s^T G
+    l1 = max(np.abs(np.einsum("akl,al->kl", L[s], G)).sum() for s in (0, 1))
+    dev = np.abs(op.sample(f) - dense.sample(VarBandFunction(dense_model, f.F)))
+    assert dev.max() <= (op.remainder + waves.max()) * l1
+
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    got, ref = op.from_values(v).F, dense.from_values(v).F
+    # d weighs at most 2 sum |v|; on side s A = P_s (sin, -cos) / omega + C_s, whose
+    # map, constant and sums round a few times more; F = conj(mix H)
+    primitive = np.abs(P).sum(axis=2).max(axis=0) / w  # (component, node)
+    constant = np.abs(model.constants).max(axis=0)
+    per_node = 2 * np.abs(v).sum() * ((op.remainder + waves + 4 * u) * primitive + 4 * u * constant)
+    assert np.all(np.abs(got - ref) <= np.abs(model.mix).sum(axis=1) * per_node.max(axis=0))
 
 
 def complex_frame_bounds(model, X, window):

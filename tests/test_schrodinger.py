@@ -270,6 +270,21 @@ class TestSweepCost:
         model.basis_antiderivative(np.array([-0.4, 0.5]))
         assert len(calls) == 2 * (len(breakpoints) + 1)
 
+    def test_one_unique_per_sweep(self, monkeypatch):
+        # the final pass finds the distinct omega^2 once; the interior pass reuses its map
+        calls, unique = [], np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
+        sweep = ScatteringSweep(np.zeros_like, prof.R, np.linspace(0.05, 5.0, 200), profile=prof)
+        sweep.solution(np.array([-0.3, 0.4]))
+        sweep.solution(np.array([1.0]), True)
+        assert calls == [200] and sweep.rk4_points < len(sweep)
+
     def test_scatter_builds_no_spline(self, tmp_path, monkeypatch):
         # the scatter subcommand reads T, R1 and R2 from the final map alone
         def refuse(*args):

@@ -308,7 +308,10 @@ class TestInterpolatedFinalState:
         n = self.predicted(np.array([0.5, 30.0]))
         c = np.linspace(0.5, 30.0, n)
         final, last, record = self.runs(c)
+        nodes, at_c = record.pop("interpolation")
         assert record == {"points": n, "tail": 0.0}
+        # the map is tabulated at c's own values, and taken back to c by lookup
+        assert np.array_equal(nodes, c) and np.array_equal(at_c(nodes[::-1]), c[::-1])
         assert np.max(np.abs(final - last)) < 1e-13 * np.max(np.abs(last))
 
     def test_undersized_interpolant_doubles(self, monkeypatch):
@@ -381,7 +384,8 @@ class TestInterpolatedFinalState:
         with np.errstate(divide="raise", invalid="raise"):
             final, last, record = self.runs(c)
             alone, _, record_alone = self.runs(values)
-        assert record == record_alone
+        nodes, alone_nodes = (r.pop("interpolation")[0] for r in (record, record_alone))
+        assert record == record_alone and np.array_equal(nodes, alone_nodes)
         assert np.max(np.abs(final - last)) < 1e-12 * np.max(np.abs(last))
         assert np.array_equal(final, alone[:, np.searchsorted(values, c)])
 
