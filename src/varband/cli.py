@@ -28,11 +28,11 @@ from .density import (DensityError, beurling_density, gap_density_bound, landau_
 from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
                      toy_kernel)
 from .profile import (PiecewiseConstantProfile, ProfileError, blend_profile,
-                      constant_profile, profile_from_config)
+                      constant_profile, profile_from_config, toy_profile)
 from .sampling import (SampleSet, SamplingError, _write_csv, frame_bounds_estimate,
                        midpoint_partition, reconstruct_iterative, samples_from_csv,
                        shannon_gram)
-from .schrodinger import ScatteringSweep
+from .schrodinger import liouville_sweep
 from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
 
 
@@ -67,14 +67,16 @@ _SMOOTH = "a smooth profile (kind 'smooth_blend')"
 _STEP = "a piecewise profile with exactly one breakpoint, at 0, and two values"
 
 
-def _model(kind, prof, sset, quad=None, x_max=25.0, points=1):
+def _model(kind, prof, sset, x_max=25.0, half_width=None, points=1):
     """The spectral model of kind ``kind`` (one of ``_MODELS``) on (prof, sset).
 
-    ``quad`` replaces its Gauss rule. Otherwise the Gauss rule is sized for
-    |x| <= x_max, so a caller that evaluates the kernel out to ``x_max`` gets
-    it at the rule's accuracy, and refused if its tables at ``points``
-    abscissae would not fit in memory.
+    The one place where a config becomes a model. Its rule is the midpoint
+    rule matched to a window of warped ``half_width`` W, of spacing pi / W;
+    without W, a Gauss rule sized for |x| <= x_max, so that the kernel out to
+    ``x_max`` has the rule's accuracy. Either is refused if its tables at
+    ``points`` abscissae would not fit in memory.
     """
+    quad = None if half_width is None else uniform_quadrature(sset, np.pi / half_width, points)
     if kind == "free":
         if not _is_unit(prof):
             raise ConfigError("model 'free' is the space of p = 1, but the profile is "
@@ -165,14 +167,11 @@ LANDAU = Table({
 
 
 def _write_report(out_dir, cfg, extra, t0):
-    import scipy  # for its version only; nothing else in the package loads it
-
     payload = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()
         ).hexdigest(),
-        "versions": {"varband": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"varband": __version__, "numpy": np.__version__},
         # the only entry that differs between runs of the same config and seed; a
         # subcommand adds its stage timings to it
         "timings": {"elapsed_seconds": round(time.time() - t0, 3), **extra.pop("timings", {})},
@@ -180,11 +179,6 @@ def _write_report(out_dir, cfg, extra, t0):
     payload.update(extra)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _profile_sweep(prof, omegas):
-    """The scattering data of -(p u')' = omega^2 u for a smooth profile: one pass over [-R, R]."""
-    return ScatteringSweep(np.zeros_like, prof.R, omegas, profile=prof)
 
 
 _UNITARITY_LIMIT = 1e-7  # a sweep's max_unitarity_defect at or above this fails its run
@@ -255,7 +249,7 @@ def cmd_scatter(c, args):
     start = time.perf_counter()
     prof.zeta(np.array([-prof.R, prof.R]))  # the warp's ends: kept by the profile for the sweep
     warped = time.perf_counter()
-    sweep = _profile_sweep(prof, np.linspace(om.lo, om.hi, om.n))
+    sweep = liouville_sweep(prof, np.linspace(om.lo, om.hi, om.n))
     swept = time.perf_counter()
     _write_csv(args.out / "scattering.csv",
                ["omega", "re_T", "im_T", "re_R1", "im_R1", "re_R2", "im_R2", "unitarity_defect"],
@@ -274,8 +268,7 @@ def cmd_reconstruct(c, args):
     start = time.perf_counter()
     wz = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
     # U is taken at the cell edges, one more than the samples, and at the output grid
-    quad = uniform_quadrature(sset, np.pi / wz, points=max(len(X) + 1, c.output_points))
-    model = _model(c.model, prof, sset, quad=quad)
+    model = _model(c.model, prof, sset, half_width=wz, points=max(len(X) + 1, c.output_points))
     built = time.perf_counter()
     f_rec, report = reconstruct_iterative(model, prof, X, vals, sset.lambda_max, window,
                                           n_max=c.n_max, tol=c.tol)
@@ -293,10 +286,7 @@ def cmd_reconstruct(c, args):
     model_report = _model_report(model)
     return _exit_code(report.passes, model_report), {
         "delta": report.delta, "gap_condition_passes": report.passes, **model_report,
-        "sampling_operator": report.operator,
-        "sampling_operator_remainder": report.operator_remainder,
-        "sampling_operator_taps": report.operator_taps,
-        "sampling_operator_fft_lengths": report.operator_fft_lengths, "timings": timings}
+        **report.operator, "timings": timings}
 
 
 def cmd_shannon(c, args):
@@ -352,8 +342,7 @@ def cmd_landau(c, args):
         # quadrature matched to the warped window, as `landau_sweep` requires; U is
         # tabulated at the densest set, about 2 wz max density points (a float: it may
         # overflow to inf, which the rule refuses)
-        quad = uniform_quadrature(sset, np.pi / wz, points=2 * wz * max(grid))
-        model = _model(c.model, c.profile, sset, quad=quad)
+        model = _model(c.model, c.profile, sset, half_width=wz, points=2 * wz * max(grid))
         models[str(wz)] = _model_report(model)
         return model
 
@@ -394,16 +383,17 @@ def cmd_selftest(c, args):
     sset = SpectralSet([(0.0, 2.0)])
     xs = rng.uniform(-15, 15, 100)
     ys = rng.uniform(-15, 15, 100)
-    fm = free_model(sset, x_max=16)
+    unit = constant_profile(1.0)
+    fm = _model("free", unit, sset, x_max=16)
     ref = toy_kernel(1.0, 1.0, 2.0, xs, ys)
     check("free_reduction_quadrature",
           float(np.max(np.abs(fm.kernel_pairs(xs, ys) - ref))) < 1e-7)
-    lm = LiouvilleModel(constant_profile(1.0), sset, x_max=16)
+    lm = _model("liouville", unit, sset, x_max=16)
     check("free_reduction_warped",
           float(np.max(np.abs(lm.kernel_pairs(xs, ys) - ref))) < 1e-7)
 
     # step-profile closed form vs quadrature
-    tm = ToyModel(1.0, 4.0, sset, x_max=16)
+    tm = _model("toy", toy_profile(1.0, 4.0), sset, x_max=16)
     dev = float(np.max(np.abs(tm.kernel_pairs(xs, ys) - toy_kernel(1.0, 4.0, 2.0, xs, ys))))
     check("step_kernel_cross_validation", dev < 1e-6, f"dev={dev:.2e}")
 
@@ -413,19 +403,17 @@ def cmd_selftest(c, args):
           float(np.max(np.abs(G - np.eye(G.shape[0])))) < 1e-8)
 
     # scattering unitarity
-    sweep = _profile_sweep(blend_profile(1.0, 4.0, R=1.0), np.linspace(0.05, 5.0, 50))
+    sweep = liouville_sweep(blend_profile(1.0, 4.0, R=1.0), np.linspace(0.05, 5.0, 50))
     check("scattering_unitarity", sweep.unitarity_defect() < 1e-7)
 
     # density gap bound on a perturbed lattice
     pts = np.sort(np.arange(-60, 61) * 1.0 + rng.uniform(-0.2, 0.2, 121))
-    prof1 = constant_profile(1.0)
-    _, _, _, holds = gap_density_bound(prof1, pts)
+    _, _, _, holds = gap_density_bound(unit, pts)
     check("gap_density_bound", holds)
 
     # frame bounds on the critical lattice
     wz = 40 * np.pi
-    fm2 = free_model(SpectralSet([(0.0, 1.0)]),
-                     quad=uniform_quadrature(SpectralSet([(0.0, 1.0)]), np.pi / wz))
+    fm2 = _model("free", unit, SpectralSet([(0.0, 1.0)]), half_width=wz)
     X = np.arange(-wz + np.pi / 2, wz, np.pi)
     a_est, b_est = frame_bounds_estimate(fm2, X, window=(-wz, wz))
     check("tight_frame_on_shannon_grid", abs(a_est / b_est - 1) < 0.05,

@@ -60,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .profile import BlendProfile
-from .schrodinger import ScatteringSweep
+from .schrodinger import ScatteringSweep, liouville_sweep
 from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
 
 
@@ -213,7 +213,7 @@ class SpectralModel:
 
         Returned in a fresh array: ``kernel_pairs`` overwrites it in place.
         """
-        return self._table(x, self.tails[0], False)
+        return self._table(x, False)
 
     def basis_antiderivative(self, x):
         """int U(omega_l, y) dy up to x, float64 of shape (2, n_nodes, n_x).
@@ -222,16 +222,17 @@ class SpectralModel:
         over a cell [lo, hi] is the entry at hi minus the entry at lo: one
         table and one ``np.diff`` give every cell between sorted edges.
         """
-        return self._table(x, self._primitive_maps, True)
+        return self._table(x, True)
 
-    def _table(self, x, maps, integrated):
+    def _table(self, x, integrated):
         """U or int U at x: `waves` at z = warp(x), each side's map and constant applied in place.
 
-        The maps act one block of nodes at a time and the interior overwrites
-        its points one block at a time, so no temporary beside the table
-        holds more than `_BLOCK_ENTRIES` entries.
+        The maps act one block of nodes at a time and `_fill_interior` one
+        block of points, so no temporary beside the table holds more than
+        `_BLOCK_ENTRIES` entries.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        maps = self._primitive_maps if integrated else self.tails[0]
         out = self.quad.waves(self.warp(x))
         right, n = x > 0, len(self.quad)
         rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
@@ -245,11 +246,19 @@ class SpectralModel:
                 C = self.constants[:, :, span, None]
                 block += np.where(right, C[1], C[0])
         if self.interior is not None:
-            inside = np.flatnonzero(np.abs(x) <= self.interior)
-            step = max(1, _BLOCK_ENTRIES // n)
-            for lo in range(0, inside.size, step):
-                cols = inside[lo:lo + step]
-                out[:, :, cols] = self.sweep.solution(x[cols], integrated)
+            self._fill_interior(out, x, np.flatnonzero(np.abs(x) <= self.interior), integrated)
+        return out
+
+    def _fill_interior(self, out, x, cols, integrated):
+        """out[:, :, cols] = U, or int U, at x[cols] in the interior: the sweep's solution.
+
+        One block of points at a time, so no temporary holds more than
+        `_BLOCK_ENTRIES` entries; returns ``out``.
+        """
+        step = max(1, _BLOCK_ENTRIES // len(self.quad))
+        for lo in range(0, cols.size, step):
+            block = cols[lo:lo + step]
+            out[:, :, block] = self.sweep.solution(x[block], integrated)
         return out
 
     def plan(self, points, edges=None):
@@ -445,7 +454,7 @@ class _Plan:
         self.remainder = self.taps = self.fft_lengths = None
         x = np.asarray(points, dtype=float)
         self.tail, self.inside = self._split(x)
-        self.table = self._columns(model.basis, x[self.inside])
+        self.table = self._columns(x[self.inside], False)
         if self.lattice:
             sign = np.array([-1.0, 1.0])[:, None, None]  # (sign, component, node)
 
@@ -460,7 +469,7 @@ class _Plan:
         if edges is not None:
             e = np.asarray(edges, dtype=float)
             self.edge_tail, self.edge_inside = self._split(e)
-            self.cells = self._columns(model.basis_antiderivative, e[self.edge_inside])
+            self.cells = self._columns(e[self.edge_inside], True)
             if self.lattice:
                 tail = e[self.edge_tail]
                 self.edges = self._transform(tail)
@@ -481,9 +490,17 @@ class _Plan:
         inside = np.abs(x) <= self.model.interior
         return np.flatnonzero(~inside), np.flatnonzero(inside)
 
-    def _columns(self, evaluate, x):
-        """evaluate(x) as a (2 n_nodes, x.size) matrix; None where the transforms hold all."""
-        return _as_matrix(evaluate(x)) if x.size or not self.lattice else None
+    def _columns(self, x, integrated):
+        """U, or int U, at x as a (2 n_nodes, x.size) matrix; None where the transforms hold all.
+
+        On a lattice rule x is in the interior: the sweep's solution, and no waves.
+        """
+        if not self.lattice:
+            return _as_matrix(self.model._table(x, integrated))
+        if not x.size:
+            return None
+        out = np.empty((2, len(self.model.quad), x.size))
+        return _as_matrix(self.model._fill_interior(out, x, np.arange(x.size), integrated))
 
     def _transform(self, x):
         return self.model.quad.lattice_transform(self.model.warp(x), (x > 0).astype(np.intp), 2)
@@ -610,5 +627,4 @@ class LiouvilleModel(ScatteringModel):
         # warped support radius a
         t_max = x_max / np.sqrt(profile.lower) + 2 * profile.warped_support_radius
         quad = quad or gauss_legendre_quadrature(sset, t_max=t_max, points=points)
-        super().__init__(quad, ScatteringSweep(np.zeros_like, profile.R, quad.nodes,
-                                               profile=profile))
+        super().__init__(quad, liouville_sweep(profile, quad.nodes))

@@ -96,10 +96,8 @@ class ReconstructionReport:
     converged: bool = False
     diagnosis: str = ""
     window: tuple = (0.0, 0.0)
-    operator: str = ""  # how R ran, its remainder and gridding: see ReconstructionOperator
-    operator_remainder: float | None = None
-    operator_taps: int | None = None
-    operator_fft_lengths: list | None = None
+    # how R ran: its plan's kind, remainder, taps and FFT lengths, under report.json's names
+    operator: dict = field(default_factory=dict)
     operator_seconds: float = 0.0  # time to build R; a timing, left out of the JSON
 
     def to_json_dict(self):
@@ -123,12 +121,8 @@ class ReconstructionOperator:
 
     R runs on the model's `plan` of the samples and the cell edges
     (`kernel._Plan`): nonuniform FFTs for U on the tails of a lattice rule,
-    real tables of U elsewhere. ``kind`` is the plan's, "nufft" where the
-    rule has a lattice and "dense" where it has none; ``remainder`` is the
-    stated bound of its nonuniform FFTs (`spectral.LatticeTransform`),
-    ``taps`` the grid points each of their points reads or writes and
-    ``fft_lengths`` their FFT length per interval of the rule, all three
-    None without a lattice.
+    real tables of U elsewhere. The plan's ``kind``, ``remainder``, ``taps``
+    and ``fft_lengths`` say how; `reconstruct_iterative` reports them.
     """
 
     def __init__(self, model, X, window):
@@ -136,8 +130,6 @@ class ReconstructionOperator:
         self.points = _points(X)
         self.window = _unpack(window)
         self.plan = model.plan(self.points, midpoint_partition(self.points, self.window))
-        self.kind, self.remainder = self.plan.kind, self.plan.remainder
-        self.taps, self.fft_lengths = self.plan.taps, self.plan.fft_lengths
 
     def sample(self, f):
         return self.plan.at_points(f.F)
@@ -171,8 +163,11 @@ def reconstruct_iterative(model, profile, X, samples, omega_max, window,
     report = ReconstructionReport(
         delta=float(delta), gamma=float(gamma), passes=passes,
         norm_surrogate=surrogate, window=R.window,
-        operator=R.kind, operator_remainder=R.remainder, operator_taps=R.taps,
-        operator_fft_lengths=R.fft_lengths, operator_seconds=built,
+        operator={"sampling_operator": R.plan.kind,
+                  "sampling_operator_remainder": R.plan.remainder,
+                  "sampling_operator_taps": R.plan.taps,
+                  "sampling_operator_fft_lengths": R.plan.fft_lengths},
+        operator_seconds=built,
     )
     if not passes:
         report.diagnosis = "max-gap condition fails; convergence not certified"

@@ -49,7 +49,8 @@ class ScatteringSweep:
     With e = e^{i omega zeta(x)}, Phi1 is p-^(-1/4) (e + R1 conj(e)) left of
     the support and p+^(-1/4) T e right of it; Phi2 is the mirrored solution.
     ``q`` must be real and vectorised: it and 1/p are tabulated once per RK4
-    segment at every stage abscissa.  ``breakpoints`` are the points of
+    segment at every stage abscissa, each within [-a, a] (`sturm._step_table`
+    keeps the stages inside their segment).  ``breakpoints`` are the points of
     (-a, a) where q or p is not smooth; RK4 steps end there instead of
     straddling them.  ``profile`` must be constant outside [-a, a].
 
@@ -89,15 +90,10 @@ class ScatteringSweep:
         z_left, z_right = profile.zeta(np.array([-a, a]))
         r_left, r_right = np.array([profile.p_minus, profile.p_plus]) ** 0.25
 
-        def q_support(x):
-            # clip stage abscissae into the support: rounding can push them an
-            # epsilon past +-a where a compactly supported q drops to zero
-            return q(np.clip(x, -a, a))
-
         # (u, p u') with u = p+^(-1/4) e right of the support, integrated leftward
         e = np.exp(1j * w * z_right)
         self._start = np.stack([e / r_right, 1j * w * r_right * e])
-        self._run = partial(rk4_linear, lambda x: 1.0 / profile.eval_p(x), q_support,
+        self._run = partial(rk4_linear, lambda x: 1.0 / profile.eval_p(x), q,
                             x0=a, x1=-a, step=h, breakpoints=breakpoints)
         record = {}
         y, dy = self._run(w**2, y0=self._start, record=record)
@@ -171,6 +167,11 @@ class ScatteringSweep:
         v = at_omegas((spline.antiderivative if integrated else spline)(x))
         u = np.einsum("sl,...sl->l...", self._start, v)
         return np.stack([u.real, u.imag])
+
+
+def liouville_sweep(profile, omegas):
+    """The sweep of -(p u')' = omega^2 u for a smooth profile p: q = 0, one pass over [-R, R]."""
+    return ScatteringSweep(np.zeros_like, profile.R, omegas, profile=profile)
 
 
 def scattering_coeffs(q, support_radius, omega):

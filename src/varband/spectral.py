@@ -108,7 +108,6 @@ class SpectralQuadrature:
     sset: SpectralSet
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
     blocks: tuple = None
     error_bound: float = None
     lattice: tuple = None
@@ -501,8 +500,8 @@ def gauss_legendre_quadrature(sset, t_max=10.0, points=1):
         weights.append(((0.5 * np.diff(edges))[:, None] * gw).ravel())
         remainder += (b - a) * _GL_CONSTANT * (2.0 * h * s) ** (2 * _GL_ORDER)
         rounding += (b - a) * (_GL_WEIGHT_ROUNDING + 2.0**-53 * (2 + 3 * b / h + 10 * s * b))
-    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), _GL_ORDER,
-                              tuple(blocks), remainder + rounding, remainder=remainder)
+    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), tuple(blocks),
+                              remainder + rounding, remainder=remainder)
 
 
 def _physical_memory():
@@ -558,5 +557,5 @@ def uniform_quadrature(sset, spacing, points=1):
         raise SpectralSetError(
             f"spacing {spacing} too coarse for spectral set {sset.intervals}"
         )
-    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), 1,
-                              tuple(blocks), lattice=tuple(lattice))
+    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), tuple(blocks),
+                              lattice=tuple(lattice))

@@ -33,7 +33,7 @@ def sweep_model(sweep):
     of omega z called directly, row by row.
     """
     sset = SpectralSet([(0.0, float(np.max(sweep.omegas)) ** 2 + 1.0)])
-    quad = SpectralQuadrature(sset, sweep.omegas, np.ones(len(sweep)), 1)
+    quad = SpectralQuadrature(sset, sweep.omegas, np.ones(len(sweep)))
     return ScatteringModel(quad, sweep)
 
 

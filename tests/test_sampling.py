@@ -1,6 +1,7 @@
 import csv
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class ComplexTableOperator:
     values. Same interface as ReconstructionOperator.
     """
 
-    kind, remainder, taps, fft_lengths = "complex", None, None, None
+    plan = SimpleNamespace(kind="complex", remainder=None, taps=None, fft_lengths=None)
 
     def __init__(self, model, X, window):
         self.model = model
@@ -336,7 +337,7 @@ class TestOperatorContractions:
         finally:
             tracemalloc.stop()
         n, N = len(model.quad), X.size
-        assert op.kind == "nufft" and n == 200
+        assert op.plan.kind == "nufft" and n == 200
         assert op.plan.table.dtype == op.plan.cells.dtype == np.float64
         assert (op.plan.table.shape, op.plan.cells.shape) == ((2 * n, 1), (2 * n, 2))
         assert peak < 2 * (2 * n * N * 8) / 3
@@ -356,7 +357,7 @@ class TestOperatorContractions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.kind == "nufft" and len(quad) == 200
+        assert op.plan.kind == "nufft" and len(quad) == 200
         assert peak < 2 * (2 * len(quad) * X.size * 8) / 3
 
     def test_iterations_match(self, monkeypatch):
@@ -400,7 +401,7 @@ def test_lattice_operator_matches_complex_tables(case):
     kind, sset, W, window, X = LATTICE_CASES[case]
     model = contraction_model(kind, sset, np.pi / W)
     op, ref = ReconstructionOperator(model, SampleSet(X), window), ComplexTableOperator(model, X, window)
-    assert op.kind == "nufft"
+    assert op.plan.kind == "nufft"
     f = random_function(model, rng=21)
     assert _rel_dev(op.sample(f), ref.sample(f)) <= 1e-12
     rng = np.random.default_rng(22)
@@ -445,7 +446,7 @@ def test_lattice_operator_at_study_size():
     dense_model = ToyModel(pm, pp, model.sset, quad=replace(quad, lattice=None))
     op = ReconstructionOperator(model, SampleSet(X), window)
     dense = ReconstructionOperator(dense_model, SampleSet(X), window)
-    assert (op.kind, dense.kind, len(quad)) == ("nufft", "dense", n)
+    assert (op.plan.kind, dense.plan.kind, len(quad)) == ("nufft", "dense", n)
     u, w = 2.0**-53, quad.nodes
     waves = 8 * u * (1 + w * W)  # |omega t| <= omega W on this window
 
@@ -453,7 +454,7 @@ def test_lattice_operator_at_study_size():
     G = model.basis_coefficients(f.F)
     # the coefficients (G_0 -+ i G_1 / sqrt(p)) / 2 of exp(+-i omega t) weigh at most this
     l1 = np.abs(G[0]).sum() + np.abs(G[1]).sum() / sm
-    bound = (op.remainder + waves.max()) * l1
+    bound = (op.plan.remainder + waves.max()) * l1
     dev = np.abs(op.sample(f) - dense.sample(VarBandFunction(dense_model, f.F)))
     assert dev.max() <= bound
 
@@ -462,7 +463,7 @@ def test_lattice_operator_at_study_size():
     # d = -diff(v) over the edges, and the two ends of every cell, weigh at
     # most 2 sum |v|; |A| <= max(sqrt(p+), 2) / omega <= 2 sqrt(p+) / omega, and
     # 1 - cos rounds once more; F = conj(mix H) adds a factor 1 + sqrt(p+)
-    per_node = (op.remainder + waves + 2 * u) * 2 * np.abs(v).sum() * 2 * sp / w
+    per_node = (op.plan.remainder + waves + 2 * u) * 2 * np.abs(v).sum() * 2 * sp / w
     assert np.all(np.abs(got - ref) <= (1 + sp) * per_node)
 
 
@@ -518,9 +519,10 @@ def test_reconstruct_agrees_with_gaussian_gridding(monkeypatch):
     monkeypatch.setattr(spectral, "_Gridding", GaussianGridding)
     f_gauss, reference, gauss_report = reconstruct()
     assert report.n_iterations == gauss_report.n_iterations == 40
-    assert (report.operator_taps, gauss_report.operator_taps) == (18, 34)
-    eps = max(report.operator_remainder, gauss_report.operator_remainder)
-    assert eps == report.operator_remainder <= 8 * 2.0**-53
+    taps, remainder = "sampling_operator_taps", "sampling_operator_remainder"
+    assert (report.operator[taps], gauss_report.operator[taps]) == (18, 34)
+    eps = max(report.operator[remainder], gauss_report.operator[remainder])
+    assert eps == report.operator[remainder] <= 8 * 2.0**-53
     G = model.basis_coefficients(f_es.F)
     l1 = np.abs(G[0]).sum() + np.abs(G[1]).sum() / np.sqrt(STUDY_P[0])
     bound = (2 * eps + 8 * 2.0**-53) * l1
@@ -545,6 +547,29 @@ def test_plan_tables_hold_the_interior(kind):
         assert 0 < np.count_nonzero(inside) < x.size
         assert np.array_equal(table, evaluate(x[inside]).reshape(table.shape))
         assert transform.runs[0].index.shape == (np.count_nonzero(~inside), 18)
+
+
+def test_interior_tables_evaluate_no_waves(monkeypatch):
+    # blend(1, 3, R = 1.5) on its matched rule, one sample and two cell edges in
+    # [-R, R]: the interior tables are the sweep's solution alone, so the one call
+    # of `waves` is the anchors', and the zeta spline, which only a warp inside
+    # [-R, R] reads, is never built
+    prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
+    sset, window = SpectralSet([(0.0, 1.0)]), (-30.0, 30.0)
+    W = 0.5 * (prof.zeta(window[1]) - prof.zeta(window[0]))
+    model = LiouvilleModel(prof, sset, quad=uniform_quadrature(sset, np.pi / W))
+    X = np.concatenate((np.linspace(-29.5, -2.0, 30), [0.3], np.linspace(2.0, 29.5, 30)))
+    calls, waves = [], spectral.SpectralQuadrature.waves
+
+    def counted(quad, t):
+        calls.append(np.size(t))
+        return waves(quad, t)
+
+    monkeypatch.setattr(spectral.SpectralQuadrature, "waves", counted)
+    op = ReconstructionOperator(model, SampleSet(X), window)
+    assert (op.plan.table.shape[1], op.plan.cells.shape[1]) == (1, 2)
+    assert calls == [2]
+    assert "_zeta_spline" not in vars(prof)
 
 
 @pytest.mark.parametrize("kind", ["toy", "liouville"])
@@ -581,7 +606,7 @@ def test_split_plan_matches_complex_tables(kind, case):
     model = contraction_model(kind, sset, quad=gauss_legendre_quadrature(sset, t_max=8.0)
                               if gauss else None)
     op, ref = ReconstructionOperator(model, SampleSet(X), window), ComplexTableOperator(model, X, window)
-    assert op.kind == ("dense" if gauss else "nufft")
+    assert op.plan.kind == ("dense" if gauss else "nufft")
     f = random_function(model, rng=23)
     assert _rel_dev(op.sample(f), ref.sample(f)) <= 1e-12
     rng = np.random.default_rng(24)
@@ -612,7 +637,7 @@ def test_liouville_plan_at_study_size():
     window = (float(prof.zeta_inv(-W)), float(prof.zeta_inv(W)))
     op = ReconstructionOperator(model, SampleSet(X), window)
     dense = ReconstructionOperator(dense_model, SampleSet(X), window)
-    assert (op.kind, dense.kind, len(quad)) == ("nufft", "dense", n)
+    assert (op.plan.kind, dense.plan.kind, len(quad)) == ("nufft", "dense", n)
     assert op.plan.table.shape == (2 * n, np.count_nonzero(np.abs(X) <= prof.R))
     u, w = 2.0**-53, quad.nodes
     waves = 8 * u * (1 + w * W)  # |omega z| <= omega W on this window
@@ -623,7 +648,7 @@ def test_liouville_plan_at_study_size():
     # on side s the coefficients of exp(+-i omega z) are (g_c -+ i g_s) / 2, g = L_s^T G
     l1 = max(np.abs(np.einsum("akl,al->kl", L[s], G)).sum() for s in (0, 1))
     dev = np.abs(op.sample(f) - dense.sample(VarBandFunction(dense_model, f.F)))
-    assert dev.max() <= (op.remainder + waves.max()) * l1
+    assert dev.max() <= (op.plan.remainder + waves.max()) * l1
 
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     got, ref = op.from_values(v).F, dense.from_values(v).F
@@ -631,7 +656,8 @@ def test_liouville_plan_at_study_size():
     # map, constant and sums round a few times more; F = conj(mix H)
     primitive = np.abs(P).sum(axis=2).max(axis=0) / w  # (component, node)
     constant = np.abs(model.constants).max(axis=0)
-    per_node = 2 * np.abs(v).sum() * ((op.remainder + waves + 4 * u) * primitive + 4 * u * constant)
+    per_node = 2 * np.abs(v).sum() * ((op.plan.remainder + waves + 4 * u) * primitive
+                                      + 4 * u * constant)
     assert np.all(np.abs(got - ref) <= np.abs(model.mix).sum(axis=1) * per_node.max(axis=0))
 
 

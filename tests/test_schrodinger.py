@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from varband import cli, schrodinger
-from varband.cli import _model
-from varband.kernel import LiouvilleModel, free_model
+from varband.kernel import LiouvilleModel, SchrodingerModel, free_model
 from varband.paleywiener import transform
 from varband.profile import CubicHermite, blend_profile, profile_from_config
-from varband.schrodinger import MatchingError, ScatteringSweep, scattering_coeffs
+from varband.schrodinger import (MatchingError, ScatteringSweep, liouville_sweep,
+                                 scattering_coeffs)
 from varband.spectral import SpectralQuadrature, SpectralSet, uniform_quadrature
 from varband.sturm import rk4_linear
 
@@ -94,7 +94,7 @@ def rel_dev(got, want):
 def free_at(omegas):
     """The free model (the step profile at p = 1) on a rule with the given nodes."""
     sset, omegas = SpectralSet([(0.0, 25.0)]), np.asarray(omegas, dtype=float)
-    return free_model(sset, quad=SpectralQuadrature(sset, omegas, np.ones(omegas.size), 1))
+    return free_model(sset, quad=SpectralQuadrature(sset, omegas, np.ones(omegas.size)))
 
 
 class TestFreeCase:
@@ -240,10 +240,11 @@ class TestBlendTransmission:
         prof = profile_from_config(prof_cfg)
         omegas = np.array([0.05, 0.5, 2.0, 5.0])
         sset = SpectralSet([(0.0, 25.0)])
-        quad = SpectralQuadrature(sset, omegas, np.ones(4), 1)
+        quad = SpectralQuadrature(sset, omegas, np.ones(4))
         T_ref = np.array([reference_transmission(prof, w) for w in omegas])
-        for model in (LiouvilleModel(prof, sset, quad=quad),
-                      _model("schrodinger", prof, sset, quad=quad)):
+        warped = SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius, sset,
+                                  quad=quad, breakpoints=prof.zeta([-prof.R, prof.R]))
+        for model in (LiouvilleModel(prof, sset, quad=quad), warped):
             assert np.max(np.abs(model.sweep.T - T_ref)) < 1e-8
 
 
@@ -270,6 +271,25 @@ class TestSweepCost:
         model.basis_antiderivative(np.array([-0.4, 0.5]))
         assert len(calls) == 2 * (len(breakpoints) + 1)
 
+    def test_potential_is_asked_only_inside_the_support(self):
+        # every stage abscissa lies inside its RK4 segment, and every segment inside
+        # [-a, a]: a warped potential that refuses |s| >= a is never asked there
+        prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
+        a, seen = prof.warped_support_radius, []
+
+        def q(s):
+            s = np.asarray(s, dtype=float)
+            if np.any(np.abs(s) >= a):
+                raise AssertionError("q asked at |s| >= a")
+            seen.append(np.abs(s).max())
+            return prof.potential_q_warped(s)
+
+        sweep = ScatteringSweep(q, a, np.linspace(0.05, 5.0, 50),
+                                breakpoints=prof.zeta([-prof.R, prof.R]))
+        sweep.solution(np.array([0.0]))  # the interior pass too
+        assert a - 1e-9 < max(seen) < a
+        assert sweep.unitarity_defect() < 1e-7
+
     def test_one_unique_per_sweep(self, monkeypatch):
         # the final pass finds the distinct omega^2 once; the interior pass reuses its map
         calls, unique = [], np.unique
@@ -280,7 +300,7 @@ class TestSweepCost:
 
         monkeypatch.setattr(np, "unique", counted)
         prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
-        sweep = ScatteringSweep(np.zeros_like, prof.R, np.linspace(0.05, 5.0, 200), profile=prof)
+        sweep = liouville_sweep(prof, np.linspace(0.05, 5.0, 200))
         sweep.solution(np.array([-0.3, 0.4]))
         sweep.solution(np.array([1.0]), True)
         assert calls == [200] and sweep.rk4_points < len(sweep)
@@ -295,7 +315,7 @@ class TestSweepCost:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"profile": blend}))
         assert cli.main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        sweep = cli._profile_sweep(profile_from_config(blend), np.linspace(0.05, 5.0, 200))
+        sweep = liouville_sweep(profile_from_config(blend), np.linspace(0.05, 5.0, 200))
         with pytest.raises(AssertionError, match="spline was built"):
             sweep.solution(np.array([0.0]))
 
@@ -304,7 +324,7 @@ class TestSweepCost:
         prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
         sset = SpectralSet([(0.0, 1.0)])
         model = LiouvilleModel(prof, sset, quad=uniform_quadrature(sset, 0.05))
-        sweep = cli._profile_sweep(prof, model.quad.nodes)
+        sweep = liouville_sweep(prof, model.quad.nodes)
         for got, want in ((model.sweep.T, sweep.T), (model.sweep.R1, sweep.R1),
                           (model.sweep.R2, sweep.R2)):
             assert np.array_equal(got, want)
@@ -320,7 +340,7 @@ class TestInterpolatedSweep:
         (blend_profile(1.0, 100.0, R=0.1, kind="cubic"), np.geomspace(1e-3, 3.0, 200)),
     ], ids=["quintic_blend", "steep_blend_linear", "steep_blend_geometric"])
     def test_matches_per_node_path(self, prof, omegas):
-        sweep = ScatteringSweep(np.zeros_like, prof.R, omegas, profile=prof)
+        sweep = liouville_sweep(prof, omegas)
         ref = PerNodeSweep(np.zeros_like, prof.R, omegas, profile=prof)
         assert sweep.rk4_points < omegas.size and sweep.interpolation_tail > 0
         for got, want in ((sweep.T, ref.T), (sweep.R1, ref.R1), (sweep.R2, ref.R2)):
@@ -333,8 +353,7 @@ class TestInterpolatedSweep:
         prof = blend_profile(1.0, 4.0, R=1.5, kind="quintic")
         omegas = np.repeat(distinct, 3)
         with np.errstate(divide="raise", invalid="raise"):
-            sweep, alone = (ScatteringSweep(np.zeros_like, prof.R, w, profile=prof)
-                            for w in (omegas, distinct))
+            sweep, alone = (liouville_sweep(prof, w) for w in (omegas, distinct))
             xs = np.linspace(-prof.R, prof.R, 7)
             inside, inside_alone = sweep.solution(xs), alone.solution(xs)
         assert sweep.rk4_points == alone.rk4_points

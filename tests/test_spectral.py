@@ -94,7 +94,7 @@ class TestGaussLegendre:
         sset = SpectralSet([(0.0, 2.0)])
         q = gauss_legendre_quadrature(sset, t_max=25.0)
         n_panels = len(q) // 16
-        assert q.order == 16 and len(q) == 80
+        assert len(q) == 80 and len(q.blocks[0][1]) == 16
         # one panel fewer would break c_16 (H s)^32 <= u per unit measure, s = 2 t_max
         for n, meets in ((n_panels, True), (n_panels - 1, False)):
             assert (c16 * (np.sqrt(2.0) / n * 50.0) ** 32 <= U) == meets
@@ -330,10 +330,10 @@ class TestWaves:
         for o, d, count in quad.blocks:
             assert np.all(o >= 0) and np.all(d >= 0)
             assert (o.size - 1) * d.size < count <= o.size * d.size
-            if quad.order == 1:  # blocks of ceil(sqrt(n)) lattice offsets
+            if quad.lattice is not None:  # blocks of ceil(sqrt(n)) lattice offsets
                 assert d.size == int(np.ceil(np.sqrt(count)))
             else:  # one block of one offset per Gauss point per panel
-                assert d.size == quad.order
+                assert d.size == 16
 
     def test_uniform_block_size_need_not_divide_node_count(self):
         (_, d, count), = QUADRATURES["uniform_one_interval"]().blocks
@@ -355,7 +355,7 @@ class TestWaves:
     def test_unfactored_nodes(self):
         # nodes given directly are their own offsets behind the one shift 0
         nodes = np.array([0.3, 1.7, 2.9])
-        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), nodes, np.ones(3), 1)
+        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), nodes, np.ones(3))
         assert q.covered_measure == 3.0  # the sum of the weights, on any rule
         w = q.waves(self.t)
         assert np.array_equal(w[0], np.cos(np.multiply.outer(nodes, self.t)))
@@ -368,7 +368,7 @@ class TestWaves:
     def test_factorisation_checked(self, blocks):
         nodes = np.array([0.25, 0.5, 1.25, 1.5])
         with pytest.raises(SpectralSetError):
-            SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), 1, blocks)
+            SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), blocks)
 
 
 class TestLatticeTransform:
