@@ -20,8 +20,8 @@ z = x / sqrt(p) and no interior, or a scattering sweep, for a compactly
 supported Schrodinger potential or, solving -(p u')' = omega^2 u itself,
 for a smooth eventually constant profile, with z = zeta(x), the map from T
 and R1 and the sweep's interior spline inside the support.  The waves
-are the quadrature's `waves(z)`, by angle addition over the factorisation
-of its nodes, each within 8u (1 + omega |z|) of the exact wave, u = 2**-53.
+are the quadrature's `waves(z)`, each within 8u (1 + omega |z|) of the
+exact wave, u = 2**-53.
 
 Each model sizes its Gauss-Legendre rule from the largest phase t_max its
 tables reach for |x| <= x_max: x_max / sqrt(min p) for the step profile,
@@ -227,13 +227,18 @@ class SpectralModel:
     def _table(self, x, integrated):
         """U or int U at x: `waves` at z = warp(x), each side's map and constant applied in place.
 
-        The maps act one block of nodes at a time and `_fill_interior` one
-        block of points, so no temporary beside the table holds more than
-        `_BLOCK_ENTRIES` entries.
+        Only the tails are warped: interior columns take z = 0 until
+        `_fill_interior` overwrites them. The maps act one block of nodes at
+        a time and `_fill_interior` one block of points, so no temporary
+        beside the table holds more than `_BLOCK_ENTRIES` entries.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         maps = self._primitive_maps if integrated else self.tails[0]
-        out = self.quad.waves(self.warp(x))
+        inside = (np.abs(x) <= self.interior if self.interior is not None
+                  else np.zeros(x.shape, dtype=bool))
+        z = np.zeros_like(x)
+        z[~inside] = self.warp(x[~inside])
+        out = self.quad.waves(z)
         right, n = x > 0, len(self.quad)
         rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
         for lo in range(0, n, rows):
@@ -245,9 +250,7 @@ class SpectralModel:
             if integrated:
                 C = self.constants[:, :, span, None]
                 block += np.where(right, C[1], C[0])
-        if self.interior is not None:
-            self._fill_interior(out, x, np.flatnonzero(np.abs(x) <= self.interior), integrated)
-        return out
+        return self._fill_interior(out, x, np.flatnonzero(inside), integrated)
 
     def _fill_interior(self, out, x, cols, integrated):
         """out[:, :, cols] = U, or int U, at x[cols] in the interior: the sweep's solution.

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .profile import CubicHermite, PiecewiseConstantProfile
-from .sturm import rk4_linear, rk4_segments
+from .sturm import rk4_linear
 
 _UNIT = PiecewiseConstantProfile([], [1.0])  # p = 1, whose zeta(x) = x exactly
 
@@ -83,9 +83,6 @@ class ScatteringSweep:
         self.q, self.profile = q, profile
         w, a = self.omegas, self.a
         h = min(1e-3, 2 * np.pi * np.sqrt(profile.lower) / (50.0 * max(np.max(w), 1e-6)))
-        segments = rk4_segments(a, -a, h, breakpoints)
-        self.step = max(abs(end - start) / k for start, end, k in segments)
-        self.n_steps = sum(k for _, _, k in segments)
         # the ends of the support in the warped coordinate, and p-^(1/4), p+^(1/4)
         z_left, z_right = profile.zeta(np.array([-a, a]))
         r_left, r_right = np.array([profile.p_minus, profile.p_plus]) ** 0.25
@@ -97,6 +94,7 @@ class ScatteringSweep:
                             x0=a, x1=-a, step=h, breakpoints=breakpoints)
         record = {}
         y, dy = self._run(w**2, y0=self._start, record=record)
+        self.step, self.n_steps = record["step"], record["n_steps"]
         self.rk4_points, self.interpolation_tail = record["points"], record["tail"]
         self._interpolation = record["interpolation"]  # the map's omega^2 nodes, back to omega
         # u = p-^(-1/4) (alpha e + beta conj(e)) left of the support

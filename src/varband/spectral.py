@@ -4,12 +4,8 @@ All frequency-domain integrals in this package are performed after the
 substitution lambda = omega**2, i.e. over the set
 ``Lambda^{1/2} = {omega >= 0 : omega**2 in Lambda}``.
 
-Each rule builds its nodes as block sums omega = o_k + d_j of two short
-lists, non-negative shifts o_k and offsets d_j, and records that
-factorisation; the nodes are defined as the sums, so it holds bit for bit.
-`SpectralQuadrature.waves` uses it to tabulate the plane waves
-(cos omega t, sin omega t) by angle addition, with sin and cos evaluated
-only on the rows of shifts and of offsets.
+`SpectralQuadrature.waves` tabulates the plane waves (cos omega t,
+sin omega t) of a rule's nodes directly, from the float64 phases omega t.
 
 The Gauss-Legendre rule takes no resolution setting: given the largest phase
 its plane waves reach, it uses the widest panels whose classical remainder
@@ -17,12 +13,12 @@ meets u = 2**-53 per unit measure, and records that ``remainder`` and, with
 the stated rounding of its float64 nodes and weights, its ``error_bound``.
 
 The uniform (midpoint) rule also records its ``lattice``: each interval's
-nodes are omega_l = first + l spacing. On such a rule the sums
-sum_l c_l exp(i omega_l t_j) at fixed points t_j, and their adjoints, are
-nonuniform FFTs; `LatticeTransform` applies them by gridding with the
-exponential-of-semicircle kernel exp(beta (sqrt(1 - z^2) - 1)), half-width
-w = 9 grid steps and beta = 2.30 (2w), at oversampling at least 2, in
-O(n log n + m) per apply instead of the O(n m) of a `waves` table. Its
+nodes are omega_l = first + l spacing, computed by that formula. On such a
+rule the sums sum_l c_l exp(i omega_l t_j) at fixed points t_j, and their
+adjoints, are nonuniform FFTs; `LatticeTransform` applies them by gridding
+with the exponential-of-semicircle kernel exp(beta (sqrt(1 - z^2) - 1)),
+half-width w = 9 grid steps and beta = 2.30 (2w), at oversampling at least
+2, in O(n log n + m) per apply instead of the O(n m) of a `waves` table. Its
 stated remainder, 2.0e-16 within 8u, is the largest aliasing error of one
 mode, which Poisson summation gives and which is largest at the top mode
 at oversampling 2 (see `_es_gridding`).
@@ -33,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial
 
 import numpy as np
 
@@ -88,11 +84,6 @@ class SpectralQuadrature:
     up to roundoff for Gauss rules, possibly slightly less for the
     window-matched uniform rule (see `uniform_quadrature`).
 
-    ``blocks`` factorises the nodes: one ``(shifts, offsets, count)`` triple
-    per run of nodes, whose nodes are the first ``count`` of the sums
-    ``shifts[k] + offsets[j]``, k major, with every shift and offset >= 0.
-    Without it the nodes are their own offsets behind the one shift 0.
-
     ``error_bound`` bounds the float64 Gauss-Legendre rule's error for unit
     plane waves of the frequencies it was sized for: the exact rule's
     ``remainder`` plus the rounding of its nodes and weights (see
@@ -100,15 +91,14 @@ class SpectralQuadrature:
 
     ``lattice`` is the midpoint rule's arithmetic progressions, one
     ``(first, spacing, count)`` triple per interval in node order: the
-    interval's nodes are first + l spacing, l < count, up to the rounding of
-    their block sums. It is None for a Gauss rule, which has no lattice. Two
-    quadratures compare and hash by identity.
+    interval's nodes are first + l spacing, l < count, bit for bit. It is
+    None for a Gauss rule, which has no lattice. Two quadratures compare and
+    hash by identity.
     """
 
     sset: SpectralSet
     nodes: np.ndarray
     weights: np.ndarray
-    blocks: tuple = None
     error_bound: float = None
     lattice: tuple = None
     remainder: float = None
@@ -118,11 +108,6 @@ class SpectralQuadrature:
             raise SpectralSetError("empty spectral quadrature")
         if np.any(self.weights <= 0):
             raise SpectralSetError("quadrature weights must be positive")
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", ((np.zeros(1), self.nodes, self.nodes.size),))
-        if (any(np.any(o < 0) or np.any(d < 0) for o, d, _ in self.blocks)
-                or not np.array_equal(_block_sums(self.blocks), self.nodes)):
-            raise SpectralSetError("nodes are not the sums of non-negative shifts and offsets")
         if self.lattice is not None and sum(n for _, _, n in self.lattice) != self.nodes.size:
             raise SpectralSetError("the lattice does not count the nodes")
 
@@ -136,39 +121,18 @@ class SpectralQuadrature:
     def waves(self, t):
         """(cos omega t, sin omega t) at every node and point, float64 of shape (2, n, m).
 
-        With omega = o + d from ``blocks``, angle addition gives
-
-            cos omega t = cos(o t) cos(d t) - sin(o t) sin(d t)
-            sin omega t = sin(o t) cos(d t) + cos(o t) sin(d t),
-
-        so sin and cos run only on the rows of shifts and offsets (2 ceil(sqrt n)
-        rows for a uniform rule, n/16 + 16 for a Gauss-Legendre rule, instead of
-        n), and each block's products are written straight into the output
-        through one block-sized scratch: no (n, m) temporary is formed.
+        The phases omega t are formed in ``out[0]``, sin is taken from them
+        into ``out[1]`` and cos in place, so no (n, m) temporary is made.
 
         Bound: every entry is within 8u (1 + omega |t|) of the exact value at
-        the float64 node and t, u = 2**-53. Since o, d >= 0, the rounding of
-        the two phases o t and d t adds up to at most u omega |t|, as in the
-        one phase of the direct cos(omega t); centred offsets (d < 0) would
-        add u (|o| + |d|) |t| instead, about 30u (1 + omega |t|) at the lowest
-        Gauss nodes.
+        the float64 node and t, u = 2**-53: the phase rounds by at most
+        u omega |t|, and numpy's sin and cos add a few u.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((2, self.nodes.size, t.size))
-        cos, sin = out
-        row = 0
-        for shifts, offsets, count in self.blocks:
-            co, so = _cos_sin(shifts, t)
-            ci, si = _cos_sin(offsets, t)
-            scratch = np.empty_like(ci)
-            for k in range(shifts.size):
-                j = min(offsets.size, count - k * offsets.size)
-                c, s, tmp = cos[row:row + j], sin[row:row + j], scratch[:j]
-                np.multiply(ci[:j], co[k], out=c)
-                c -= np.multiply(si[:j], so[k], out=tmp)
-                np.multiply(si[:j], co[k], out=s)
-                s += np.multiply(ci[:j], so[k], out=tmp)
-                row += j
+        np.multiply.outer(self.nodes, t, out=out[0])
+        np.sin(out[0], out=out[1])
+        np.cos(out[0], out=out[0])
         return out
 
     def lattice_transform(self, t, grid, n_grids):
@@ -444,17 +408,6 @@ _GL_PANEL_PHASE = (_GL_TOLERANCE / _GL_CONSTANT) ** (1.0 / (2 * _GL_ORDER))
 _GL_WEIGHT_ROUNDING = 64 * 2.0**-53
 
 
-def _cos_sin(freqs, t):
-    """cos and sin of the outer product freqs t, as two (len(freqs), len(t)) arrays."""
-    phase = np.multiply.outer(freqs, t)
-    return np.cos(phase), np.sin(phase, out=phase)
-
-
-def _block_sums(blocks):
-    """The nodes a factorisation defines: per triple, the first count of shifts[k] + offsets[j]."""
-    return np.concatenate([np.add.outer(o, d).ravel()[:count] for o, d, count in blocks])
-
-
 def gauss_legendre_quadrature(sset, t_max=10.0, points=1):
     """Composite 16-point Gauss-Legendre rule on Lambda^{1/2}, sized by its error bound.
 
@@ -474,13 +427,12 @@ def gauss_legendre_quadrature(sset, t_max=10.0, points=1):
     from rounded edges), so ``error_bound`` = remainder + (b - a) (66 + 6 b / H
     + 10 s b) u per interval bounds what the rule computes: 1.1e-13 at Lambda
     = [0, 4], t_max = 10, where it misses by 1.2e-15 (remainder 6.3e-19).
-    The nodes of an interval are its panels' left
-    edges (the shifts) plus the sixteen offsets h (1 + x_j) (h the half panel
-    width, x_j the Legendre roots), which are non-negative, unlike the
-    centred h x_j. Before anything is allocated, a rule of more nodes than an
-    array can index raises `SpectralSetError`, and so does one whose real
-    basis table at ``points`` abscissae, two float64 per node and point,
-    would not fit in physical memory.
+    The nodes of an interval are its panels' left edges plus the sixteen
+    offsets h (1 + x_j) (h the half panel width, x_j the Legendre roots).
+    Before anything is allocated, a rule of more nodes than an array can
+    index raises `SpectralSetError`, and so does one whose real basis table
+    at ``points`` abscissae, two float64 per node and point, would not fit
+    in physical memory.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
     s = 2.0 * float(t_max)
@@ -491,16 +443,16 @@ def gauss_legendre_quadrature(sset, t_max=10.0, points=1):
     # also refuses an infinite phase
     _refuse_past_memory(f"a Gauss-Legendre rule for phases up to {t_max:g}",
                         _GL_ORDER * sum(panels), points)
-    blocks, weights, remainder, rounding = [], [], 0.0, 0.0
+    nodes, weights, remainder, rounding = [], [], 0.0, 0.0
     for (a, b), n_panels in zip(spans, panels):
         n_panels = max(1, int(n_panels))
         h = 0.5 * (b - a) / n_panels
         edges = np.linspace(a, b, n_panels + 1)
-        blocks.append((edges[:-1], h * (1.0 + gx), _GL_ORDER * n_panels))
+        nodes.append(np.add.outer(edges[:-1], h * (1.0 + gx)).ravel())
         weights.append(((0.5 * np.diff(edges))[:, None] * gw).ravel())
         remainder += (b - a) * _GL_CONSTANT * (2.0 * h * s) ** (2 * _GL_ORDER)
         rounding += (b - a) * (_GL_WEIGHT_ROUNDING + 2.0**-53 * (2 + 3 * b / h + 10 * s * b))
-    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), tuple(blocks),
+    return SpectralQuadrature(sset, np.concatenate(nodes), np.concatenate(weights),
                               remainder + rounding, remainder=remainder)
 
 
@@ -533,9 +485,9 @@ def uniform_quadrature(sset, spacing, points=1):
     nodes are orthogonal over ``[-W, W]``, which makes the discretized sampling
     problem an honest finite model of the window.  A sliver of measure less
     than ``spacing`` may be dropped at the top of each interval. The n nodes
-    of an interval [a, b] come in blocks of B = ceil(sqrt(n)): offsets
-    a + (j + 1/2) spacing for j < B, shifted by q B spacing; the rule records
-    each interval's lattice (a + spacing / 2, spacing, n). As for
+    of an interval [a, b] are (a + spacing / 2) + l spacing, l < n, the
+    formula of the lattice (a + spacing / 2, spacing, n) that the rule
+    records and its nonuniform FFT assumes. As for
     `gauss_legendre_quadrature`, a rule whose real basis tables at ``points``
     abscissae would not fit in physical memory raises `SpectralSetError`
     before anything is allocated.
@@ -544,18 +496,17 @@ def uniform_quadrature(sset, spacing, points=1):
         raise SpectralSetError(f"a uniform rule needs a positive spacing, got {spacing:g}")
     counts = [np.floor(float(b - a) / spacing + 1e-12) for a, b in sset.sqrt_intervals]
     _refuse_past_memory(f"a uniform rule of spacing {spacing:g}", sum(counts), points)
-    blocks, weights, lattice = [], [], []
+    nodes, weights, lattice = [], [], []
     for (a, b), n in zip(sset.sqrt_intervals, map(int, counts)):
         if n == 0:
             continue
-        size = isqrt(n - 1) + 1
-        blocks.append((np.arange(-(-n // size)) * (size * spacing),
-                       a + (np.arange(size) + 0.5) * spacing, n))
+        first = a + 0.5 * spacing
+        nodes.append(first + np.arange(n) * spacing)
         weights.append(np.full(n, spacing))
-        lattice.append((a + 0.5 * spacing, spacing, n))
-    if not blocks:
+        lattice.append((first, spacing, n))
+    if not nodes:
         raise SpectralSetError(
             f"spacing {spacing} too coarse for spectral set {sset.intervals}"
         )
-    return SpectralQuadrature(sset, _block_sums(blocks), np.concatenate(weights), tuple(blocks),
+    return SpectralQuadrature(sset, np.concatenate(nodes), np.concatenate(weights),
                               lattice=tuple(lattice))

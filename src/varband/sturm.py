@@ -319,7 +319,8 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     count of distinct values, and for complex, scalar or constant c, M is
     integrated at those values.
 
-    ``record``, if a dict, receives ``points``, the number of c values the
+    ``record``, if a dict, receives ``step`` and ``n_steps``, the largest
+    step of the run and its step count, ``points``, the number of c values the
     final M is tabulated at, ``tail``, the accepted relative tail of its
     interpolant (0 when M was not interpolated), and ``interpolation``, the
     pair (nodes, at_c) of those c values and the function that takes any
@@ -327,6 +328,9 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     every c, shape (..., *c.shape). c's distinct values are found once.
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
+    if record is not None:
+        record.update(step=max(abs(end - start) / n for start, end, n in segments),
+                      n_steps=sum(n for *_, n in segments))
     c = np.asarray(c)
     y = np.asarray(y0)
     y = y.astype(np.result_type(y, c, float), copy=False)

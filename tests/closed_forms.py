@@ -27,11 +27,7 @@ def phi(model, x, integrated=False):
 
 
 def sweep_model(sweep):
-    """The `ScatteringModel` of a sweep, on a unit-weight rule of the sweep's own frequencies.
-
-    The rule records no block factorisation, so its `waves` are sin and cos
-    of omega z called directly, row by row.
-    """
+    """The `ScatteringModel` of a sweep, on a unit-weight rule of the sweep's own frequencies."""
     sset = SpectralSet([(0.0, float(np.max(sweep.omegas)) ** 2 + 1.0)])
     quad = SpectralQuadrature(sset, sweep.omegas, np.ones(len(sweep)))
     return ScatteringModel(quad, sweep)

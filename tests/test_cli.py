@@ -150,6 +150,22 @@ class TestKernel:
         assert json.dumps(reports[0], indent=2, sort_keys=True) == json.dumps(
             reports[1], indent=2, sort_keys=True)
 
+    def test_pairs_are_the_grid_values(self, tmp_path):
+        # every 7th point of 141: a kernel matrix of the coarse points alone
+        # differs from these in the last bits
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "toy", "spectral_set": [[0.0, 2.0]], "profile": STEP_14,
+            "grid": {"lo": -8.0, "hi": 8.0, "n": 141},
+        })
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out]) == 0
+        xs = np.linspace(-8.0, 8.0, 141)
+        model = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=8.0, points=141)
+        K = model.kernel_matrix(xs, xs)
+        pairs = np.loadtxt(out / "kernel_pairs.csv", delimiter=",", skiprows=1)
+        assert pairs[:, 2].tobytes() == K[::7, ::7].ravel().tobytes()
+        assert np.all(pairs[:, 3] == 0.0)
+
     def test_grid_matches_csv_writer_rendering(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": "toy", "spectral_set": [[0.0, 2.0]],
@@ -187,8 +203,10 @@ class TestTableRendering:
         })
         out = tmp_path / "out"
         assert run(["kernel", "--config", cfg, "--out", out]) == 0
-        coarse = np.linspace(-5.0, 5.0, 41)[::2]
-        K = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=5.0).kernel_matrix(coarse, coarse)
+        xs = np.linspace(-5.0, 5.0, 41)
+        coarse = xs[::2]
+        model = ToyModel(1.0, 4.0, SpectralSet([[0.0, 2.0]]), x_max=5.0)
+        K = model.kernel_matrix(xs, xs)[::2, ::2]
         rows = [[x, y, K[i, j], 0.0] for i, x in enumerate(coarse) for j, y in enumerate(coarse)]
         assert len(rows) == 21 * 21
         want = csv_writer_bytes(["x", "y", "re_k", "im_k"], rows)

@@ -205,6 +205,22 @@ class TestLiouville:
             assert len(model.quad) == len(gauss_legendre_quadrature(sset, t_max=t_max))
             assert np.max(np.abs(model.kernel_matrix(xs, xs) - ref)) <= 5e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("integrated", [False, True], ids=["basis", "antiderivative"])
+    def test_tables_warp_only_the_tails(self, integrated):
+        # inside [-R, R] a table holds the sweep's solution, so the warp's
+        # interior spline is never built, and building it first changes nothing
+        def table(prof):
+            model = LiouvilleModel(prof, SpectralSet([(0.0, 1.0)]), x_max=3.0)
+            xs = np.linspace(-3.0, 3.0, 7)
+            return model.basis_antiderivative(xs) if integrated else model.basis(xs)
+
+        cold, warm = (blend_profile(1.0, 3.0, R=1.5, kind="cubic") for _ in range(2))
+        first = table(cold)
+        assert "_zeta_spline" not in vars(cold)
+        warm.zeta(0.3)
+        assert "_zeta_spline" in vars(warm)
+        assert table(warm).tobytes() == first.tobytes()
+
     def test_has_no_tail_average_of_p_one(self):
         # SchrodingerModel.diagonal_tail_average integrates plane waves of p = 1
         assert not hasattr(LiouvilleModel, "diagonal_tail_average")

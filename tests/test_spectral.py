@@ -94,7 +94,7 @@ class TestGaussLegendre:
         sset = SpectralSet([(0.0, 2.0)])
         q = gauss_legendre_quadrature(sset, t_max=25.0)
         n_panels = len(q) // 16
-        assert len(q) == 80 and len(q.blocks[0][1]) == 16
+        assert len(q) == 80
         # one panel fewer would break c_16 (H s)^32 <= u per unit measure, s = 2 t_max
         for n, meets in ((n_panels, True), (n_panels - 1, False)):
             assert (c16 * (np.sqrt(2.0) / n * 50.0) ** 32 <= U) == meets
@@ -306,7 +306,6 @@ QUADRATURES = {
     "gauss_one_interval": lambda: gauss_legendre_quadrature(SpectralSet([(0.0, 2.0)]), t_max=6.0),
     "gauss_two_intervals": lambda: gauss_legendre_quadrature(
         SpectralSet([(0.0, 2.0), (3.0, 7.5)]), t_max=9.0),
-    # 44 nodes in blocks of 7: the last block holds 2
     "uniform_one_interval": lambda: uniform_quadrature(SpectralSet([(0.0, 4.0)]), np.pi / 70.3),
     "uniform_two_intervals": lambda: uniform_quadrature(
         SpectralSet([(0.5, 4.0), (6.0, 9.0)]), np.pi / 40.0),
@@ -314,7 +313,7 @@ QUADRATURES = {
 
 
 class TestWaves:
-    """(cos omega t, sin omega t) by angle addition over the nodes' factorisation."""
+    """(cos omega t, sin omega t) of every node at every point, from the phases omega t."""
 
     t = np.concatenate(([0.0, 1e-300, -1e-300], np.linspace(-8000.0, 8000.0, 1201),
                         np.random.default_rng(5).uniform(-8000.0, 8000.0, 400)))
@@ -322,22 +321,6 @@ class TestWaves:
     @pytest.fixture(params=sorted(QUADRATURES))
     def quad(self, request):
         return QUADRATURES[request.param]()
-
-    def test_nodes_are_block_sums(self, quad):
-        sums = np.concatenate([(o[:, None] + d).ravel()[:count] for o, d, count in quad.blocks])
-        assert sums.tobytes() == quad.nodes.tobytes()
-        assert sum(count for _, _, count in quad.blocks) == len(quad)
-        for o, d, count in quad.blocks:
-            assert np.all(o >= 0) and np.all(d >= 0)
-            assert (o.size - 1) * d.size < count <= o.size * d.size
-            if quad.lattice is not None:  # blocks of ceil(sqrt(n)) lattice offsets
-                assert d.size == int(np.ceil(np.sqrt(count)))
-            else:  # one block of one offset per Gauss point per panel
-                assert d.size == 16
-
-    def test_uniform_block_size_need_not_divide_node_count(self):
-        (_, d, count), = QUADRATURES["uniform_one_interval"]().blocks
-        assert count % d.size
 
     def test_against_long_double(self, quad):
         assert np.finfo(np.longdouble).precision >= 18
@@ -352,23 +335,15 @@ class TestWaves:
         w = quad.waves([0.0])
         assert np.all(w[0] == 1.0) and np.all(w[1] == 0.0)
 
-    def test_unfactored_nodes(self):
-        # nodes given directly are their own offsets behind the one shift 0
-        nodes = np.array([0.3, 1.7, 2.9])
-        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), nodes, np.ones(3))
-        assert q.covered_measure == 3.0  # the sum of the weights, on any rule
-        w = q.waves(self.t)
-        assert np.array_equal(w[0], np.cos(np.multiply.outer(nodes, self.t)))
-        assert np.array_equal(w[1], np.sin(np.multiply.outer(nodes, self.t)))
+    def test_direct_phases(self, quad):
+        # the table is cos and sin of the float64 phases, bit for bit
+        phase = np.multiply.outer(quad.nodes, self.t)
+        w = quad.waves(self.t)
+        assert np.array_equal(w[0], np.cos(phase)) and np.array_equal(w[1], np.sin(phase))
 
-    @pytest.mark.parametrize("blocks", [
-        ((np.array([0.0, 1.0]), np.array([0.25, 0.75]), 4),),  # sums are not the nodes
-        ((np.array([1.0]), np.array([-0.75, -0.5, 0.25, 0.5]), 4),),  # negative offsets
-    ])
-    def test_factorisation_checked(self, blocks):
-        nodes = np.array([0.25, 0.5, 1.25, 1.5])
-        with pytest.raises(SpectralSetError):
-            SpectralQuadrature(SpectralSet([(0.0, 4.0)]), nodes, np.ones(4), blocks)
+    def test_covered_measure_is_the_weight_sum(self):
+        q = SpectralQuadrature(SpectralSet([(0.0, 9.0)]), np.array([0.3, 1.7, 2.9]), np.ones(3))
+        assert q.covered_measure == 3.0
 
 
 class TestLatticeTransform:
@@ -394,13 +369,11 @@ class TestLatticeTransform:
         return quad, t, grid, waves, allowance
 
     def test_records_its_lattice(self, setup):
+        # the nodes are the formula the transforms assume, first + l spacing, bit for bit
         quad = setup[0]
-        lo = 0
-        for first, spacing, count in quad.lattice:
-            assert np.allclose(quad.nodes[lo:lo + count], first + spacing * np.arange(count),
-                               rtol=1e-15, atol=0)
-            lo += count
-        assert lo == len(quad)
+        lattice = np.concatenate([first + np.arange(count) * spacing
+                                  for first, spacing, count in quad.lattice])
+        assert lattice.tobytes() == quad.nodes.tobytes()
 
     def test_synthesize(self, setup):
         quad, t, grid, waves, allowance = setup

@@ -309,7 +309,8 @@ class TestInterpolatedFinalState:
         c = np.linspace(0.5, 30.0, n)
         final, last, record = self.runs(c)
         nodes, at_c = record.pop("interpolation")
-        assert record == {"points": n, "tail": 0.0}
+        # 250 steps to the breakpoint at 1 and 150 past it, each 0.01 long
+        assert record == {"step": 0.01, "n_steps": 400, "points": n, "tail": 0.0}
         # the map is tabulated at c's own values, and taken back to c by lookup
         assert np.array_equal(nodes, c) and np.array_equal(at_c(nodes[::-1]), c[::-1])
         assert np.max(np.abs(final - last)) < 1e-13 * np.max(np.abs(last))
