@@ -34,6 +34,7 @@ from .sampling import (SampleSet, SamplingError, _write_csv, frame_bounds_estima
                        shannon_gram)
 from .schrodinger import liouville_sweep
 from .spectral import SpectralSet, SpectralSetError, uniform_quadrature
+from .sturm import IntegrationError
 
 
 def _spectral_set(x, name, error):
@@ -203,8 +204,9 @@ def _sweep_report(sweep):
 
 
 def _model_report(model):
-    """Node count, covered measure, the kernel's error bound if any, and its sweep's figures."""
-    report = {"n_nodes": len(model.quad), "covered_measure": model.quad.covered_measure,
+    """Model class, node count, covered measure, kernel error bound if any, and sweep figures."""
+    report = {"model_class": type(model).__name__, "n_nodes": len(model.quad),
+              "covered_measure": model.quad.covered_measure,
               "quad_error_bound": model.error_bound}
     if model.sweep is not None:
         report.update(_sweep_report(model.sweep))
@@ -472,8 +474,8 @@ def main(argv=None):
         code, report = command.run(c, args)
         _write_report(args.out, cfg, {"subcommand": args.subcommand, **report}, t0)
         return code
-    except (ConfigError, ProfileError, SpectralSetError, SamplingError, DensityError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ProfileError, SpectralSetError, IntegrationError, SamplingError,
+            DensityError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a refused run leaves no empty output directory of its own behind
         if made and args.out.is_dir() and not any(args.out.iterdir()):

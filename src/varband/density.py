@@ -14,7 +14,7 @@ import numpy as np
 
 from .profile import _unpack
 from .sampling import _points, frame_bounds_estimate
-from .spectral import SpectralSet, uniform_quadrature
+from .spectral import SpectralSet, _physical_memory, uniform_quadrature
 
 
 class DensityError(ValueError):
@@ -111,14 +111,27 @@ def gap_density_bound(profile, X, window=None):
     return float(eta), 1.0 / float(eta), float(d_minus), holds
 
 
+# float64 per point of a quasi-uniform set: the lattice, its points and zeta_inv's temporaries
+_POINT_FLOATS = 8
+
+
 def quasi_uniform_set(profile, density, window):
-    """Points with exact mu_p-density: zeta_inv of a uniform lattice."""
+    """Points with exact mu_p-density: zeta_inv of a uniform lattice.
+
+    A set whose tables would not fit in physical memory raises
+    `DensityError` before any of them is allocated.
+    """
     a, b = _unpack(window)
     za, zb = float(profile.zeta(a)), float(profile.zeta(b))
-    n = int(np.floor((zb - za) * density))
-    if n < 2:
+    n = np.floor((zb - za) * density)
+    if not n >= 2:
         raise DensityError("window too small for the requested density")
-    zs = za + (np.arange(n) + 0.5) / density
+    need, memory = 8.0 * _POINT_FLOATS * n, _physical_memory()
+    if need > memory:
+        raise DensityError(f"a set of density {density:g} on the window has {n:.3g} points, "
+                           f"which need {need:.3g} bytes, more than the {memory:.3g} bytes "
+                           "of physical memory")
+    zs = za + (np.arange(int(n)) + 0.5) / density
     return np.asarray(profile.zeta_inv(zs), dtype=float)
 
 

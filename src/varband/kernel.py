@@ -14,7 +14,7 @@ in one place, `SpectralModel`: on each plateau of p a function of variable
 bandwidth is bandlimited in the warp z = zeta(x), so on each side of a
 model's interior [-a, a] U is a per-node real 2x2 map of the plane waves
 (cos omega z, sin omega z), z affine in x.  A model states only that map,
-dx/dz, the warp and where its antiderivative is anchored: the two-plateau
+dx/dz, its profile and where its antiderivative is anchored: the two-plateau
 step profile (the classical Paley-Wiener space is its case p = 1), with
 z = x / sqrt(p) and no interior, or a scattering sweep, for a compactly
 supported Schrodinger potential or, solving -(p u')' = omega^2 u itself,
@@ -23,22 +23,22 @@ and R1 and the sweep's interior spline inside the support.  The waves
 are the quadrature's `waves(z)`, each within 8u (1 + omega |z|) of the
 exact wave, u = 2**-53.
 
-Each model sizes its Gauss-Legendre rule from the largest phase t_max its
-tables reach for |x| <= x_max: x_max / sqrt(min p) for the step profile,
-x_max + 2a for a potential supported on [-a, a] (its mix carries
-R2 ~ exp(-2i omega a)), and x_max / sqrt(inf p) + 2a for the Liouville
-model, a the support radius of the warped potential, whose scattering data
-it shares; ``points``, the number of abscissae the caller will tabulate,
-lets the rule refuse tables that would not fit in memory before it is
-built.  The rule's ``error_bound`` holds for plane waves of frequency up to
-2 t_max: exactly what the step-profile kernels are made of, so only that
-model reports it as its own ``error_bound``.  The scattering tables of a
-potential have structure in omega (resonances, internal reflections) that
-the phase 2a does not limit, so their rule carries no guarantee; the tests
-check it against finer rules instead.  ``kernel_pairs`` and
-``kernel_matrix`` are the one pointwise evaluator of every model; the
-closed-form kernels (step profile, half line, free sinc) are independent
-references for cross-validation.
+Every model holds its ``profile``, and its warp is that profile's zeta. One
+helper sizes every Gauss-Legendre rule from it: the tables reach the phase
+|zeta(x)| for |x| <= x_max, and a model with an interior [-a, a] adds the
+phase 2 zeta(+-a) of a reflection across it (a potential's mix carries
+R2 ~ exp(-2i omega a)), so t_max = max |zeta(+-x_max)| + 2 max |zeta(+-a)|,
+a = 0 for the step profile; ``points``, the number of abscissae the caller
+will tabulate, lets the rule refuse tables that would not fit in memory
+before it is built.  The rule's ``error_bound`` holds for plane waves of
+frequency up to 2 t_max: exactly what the step-profile kernels are made of,
+so only that model reports it as its own ``error_bound``.  The scattering
+tables of a potential have structure in omega (resonances, internal
+reflections) that the phase 2a does not limit, so their rule carries no
+guarantee; the tests check it against finer rules instead.
+``kernel_pairs`` and ``kernel_matrix`` are the one pointwise evaluator of
+every model; the closed-form kernels (step profile, half line, free sinc)
+are independent references for cross-validation.
 
 Every model uses one coefficient convention, F_c = int f conj(Phi_c), so
 that f = sum w rho F Phi.  ``SpectralModel.synthesize`` and ``analyze`` apply
@@ -59,8 +59,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .profile import BlendProfile
-from .schrodinger import ScatteringSweep, liouville_sweep
+from .profile import BandwidthProfile, BlendProfile, toy_profile
+from .schrodinger import _UNIT, ScatteringSweep, liouville_sweep
 from .spectral import SpectralQuadrature, SpectralSet, gauss_legendre_quadrature
 
 
@@ -94,6 +94,17 @@ def _contract(vec, table):
     """
     parts = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2).T @ table
     return parts[0] + 1j * parts[1]
+
+
+def _gauss_rule(profile, sset, x_max, a, points):
+    """The Gauss-Legendre rule for the tables of a model on ``profile`` out to |x| <= x_max.
+
+    Sized for t_max = max |zeta(+-x_max)| + 2 max |zeta(+-a)|, a the radius of
+    the model's interior (0 for none); see the module docstring.
+    """
+    reach = [float(np.max(np.abs(profile.zeta(np.array([-r, r]))))) for r in (x_max, a)]
+    sset = sset if isinstance(sset, SpectralSet) else SpectralSet(sset)
+    return gauss_legendre_quadrature(sset, t_max=reach[0] + 2 * reach[1], points=points)
 
 
 def _sinc(z):
@@ -167,7 +178,8 @@ class SpectralModel:
 
     and state the real pair U by its plane-wave tails: on side s of the
     interior [-a, a] (0 for x <= 0, 1 for x > 0; a = ``interior``, None for
-    none), z = ``warp(x)`` is affine with dx/dz = sqrt(p_s), and
+    none), z = ``warp(x)``, the zeta of the model's ``profile``, is affine
+    with dx/dz = sqrt(p_s), and
 
         U = L_s (cos omega z, sin omega z),
         int U = P_s (sin omega z, -cos omega z) / omega + C_s,
@@ -179,6 +191,7 @@ class SpectralModel:
     """
 
     quad: SpectralQuadrature
+    profile: BandwidthProfile
     rho: np.ndarray
     mix: np.ndarray
     interior = None  # the radius a of the interior [-a, a] where U is no tail, or None
@@ -195,6 +208,10 @@ class SpectralModel:
         It holds for |x|, |y| up to the x_max the rule was sized for.
         """
         return None
+
+    def warp(self, x):
+        """z = zeta(x) of the model's profile."""
+        return self.profile.zeta(x)
 
     @cached_property
     def _primitive_maps(self):
@@ -353,12 +370,9 @@ class ToyModel(SpectralModel):
     """Step-profile spectral representation from the closed-form solutions."""
 
     def __init__(self, p_minus, p_plus, sset, quad=None, x_max=25.0, points=1):
-        if not isinstance(sset, SpectralSet):
-            sset = SpectralSet(sset)
-        self.p_minus, self.p_plus = float(p_minus), float(p_plus)
-        # the tables reach the phase omega t at t = x / sqrt(p), |t| <= x_max / sqrt(min p)
-        t_max = x_max / np.sqrt(min(self.p_minus, self.p_plus))
-        self.quad = quad or gauss_legendre_quadrature(sset, t_max=t_max, points=points)
+        self.profile = toy_profile(p_minus, p_plus)
+        self.p_minus, self.p_plus = self.profile.p_minus, self.profile.p_plus
+        self.quad = quad or _gauss_rule(self.profile, sset, x_max, 0.0, points)
         sm, sp = np.sqrt(self.p_minus), np.sqrt(self.p_plus)
         c = 2.0 / (np.pi * (sm + sp) ** 2)
         n = len(self.quad)
@@ -371,11 +385,6 @@ class ToyModel(SpectralModel):
     @property
     def error_bound(self):
         return self.quad.error_bound
-
-    def warp(self, x):
-        """t = x / sqrt(p), p on x's side of the jump (p- at 0)."""
-        x = np.asarray(x, dtype=float)
-        return x / np.where(x > 0, np.sqrt(self.p_plus), np.sqrt(self.p_minus))
 
     @cached_property
     def tails(self):
@@ -540,13 +549,10 @@ class ScatteringModel(SpectralModel):
     """U = (Re u, Im u) of a sweep's solution u, its mix M, and rho = 1 / (2 pi)."""
 
     def __init__(self, quad, sweep):
-        self.quad, self.sweep = quad, sweep
+        self.quad, self.sweep, self.profile = quad, sweep, sweep.profile
         self.rho = np.full((2, len(quad)), 1.0 / (2 * np.pi))
         self.mix = sweep.mix
         self.interior = sweep.a
-
-    def warp(self, x):
-        return self.sweep.profile.zeta(x)
 
     @cached_property
     def tails(self):
@@ -555,7 +561,7 @@ class ScatteringModel(SpectralModel):
         alpha = 1/T and beta = R1/T, that is (alpha + beta) cos + i (alpha -
         beta) sin, a real 2x2 map of (cos, sin). dx/dz = p+-^(1/2) there.
         """
-        T, R1, prof = self.sweep.T, self.sweep.R1, self.sweep.profile
+        T, R1, prof = self.sweep.T, self.sweep.R1, self.profile
         plus, minus = (1 + R1) / T, (1 - R1) / T
         left = np.array([[plus.real, -minus.imag], [plus.imag, minus.real]])
         maps = np.stack([left, np.broadcast_to(np.eye(2)[:, :, None], left.shape)])
@@ -575,12 +581,7 @@ class SchrodingerModel(ScatteringModel):
 
     def __init__(self, q, support_radius, sset, quad=None, x_max=25.0, breakpoints=(),
                  points=1):
-        if not isinstance(sset, SpectralSet):
-            sset = SpectralSet(sset)
-        # the mix carries R2 ~ exp(-2i omega a) on top of the tables' phase omega x
-        quad = quad or gauss_legendre_quadrature(sset, t_max=x_max + 2 * support_radius,
-                                                 points=points)
-        self.breakpoints = breakpoints
+        quad = quad or _gauss_rule(_UNIT, sset, x_max, support_radius, points)
         super().__init__(quad, ScatteringSweep(q, support_radius, quad.nodes,
                                                breakpoints=breakpoints))
 
@@ -590,18 +591,18 @@ class SchrodingerModel(ScatteringModel):
         The reflection ripple integrates in closed form, leaving a single
         frequency integral of R2 (exp(2i omega hi) - exp(2i omega lo)) / (2i omega).
         Its phase reaches 2 omega hi, beyond what the model's own rule was
-        sized for, so it runs on a Gauss-Legendre rule sized for phase
-        hi + 2a, with R2 from a sweep at that rule's nodes, whose interior
-        is never asked for; use this on long windows where sampling the
-        diagonal would be wasteful.
+        sized for, so it runs on the Gauss-Legendre rule sized for |x| <= hi,
+        with R2 from a sweep at that rule's nodes, whose interior is never
+        asked for; use this on long windows where sampling the diagonal
+        would be wasteful.
         """
         lo, hi = float(lo), float(hi)
         a = self.interior
         if lo < a or hi <= lo:
             raise KernelError("need a nonempty interval right of the support")
-        quad = gauss_legendre_quadrature(self.sset, t_max=hi + 2 * a)
+        quad = _gauss_rule(self.profile, self.sset, hi, a, 1)
         w = quad.nodes
-        R2 = ScatteringSweep(self.sweep.q, a, w, breakpoints=self.breakpoints).R2
+        R2 = ScatteringSweep(self.sweep.q, a, w, breakpoints=self.sweep.breakpoints).R2
         inner = (np.exp(2j * w * hi) - np.exp(2j * w * lo)) / (2j * w)
         ripple = float(np.sum(quad.weights * (R2 * inner).real))
         return (self.sset.sqrt_measure + ripple / (hi - lo)) / np.pi
@@ -617,17 +618,11 @@ class LiouvilleModel(ScatteringModel):
 
     The sweep runs over the blend [-R, R] with p and q = 0, so the Liouville
     transform is never formed; its T, R1 and R2 are those of the warped
-    potential, and the rule is sized as for it.
+    potential, whose support radius is zeta(+-R).
     """
 
     def __init__(self, profile, sset, quad=None, x_max=25.0, points=1):
         if not isinstance(profile, BlendProfile):
             raise KernelError("the Liouville model needs a smooth eventually constant profile")
-        if not isinstance(sset, SpectralSet):
-            sset = SpectralSet(sset)
-        self.profile = profile
-        # |zeta(x)| <= |x| / sqrt(inf p), and the mix adds the phase 2a of the
-        # warped support radius a
-        t_max = x_max / np.sqrt(profile.lower) + 2 * profile.warped_support_radius
-        quad = quad or gauss_legendre_quadrature(sset, t_max=t_max, points=points)
+        quad = quad or _gauss_rule(profile, sset, x_max, profile.R, points)
         super().__init__(quad, liouville_sweep(profile, quad.nodes))

@@ -108,9 +108,16 @@ def random_smooth_function(model, rng=None):
 
 
 def transform(model, f, window, n_panels=None):
-    """Spectral coefficients of a spatial callable by windowed quadrature."""
+    """Spectral coefficients of a spatial callable by windowed quadrature.
+
+    By default the window gets two 10-point panels per half wavelength of
+    the space's fastest wave on it: near x a wave of frequency omega
+    oscillates at omega / sqrt(p(x)) in x, so the fastest is the largest
+    node over sqrt(inf p) on the window. ``n_panels`` sets the count for an
+    f that oscillates faster than the space.
+    """
     a, b = _unpack(window)
-    wmax = float(np.max(model.quad.nodes))
+    wmax = float(np.max(model.quad.nodes)) / np.sqrt(model.profile.inf_p(a, b))
     if n_panels is None:
         n_panels = max(8, int(np.ceil((b - a) * wmax / np.pi)) * 2)
     gx, gw = np.polynomial.legendre.leggauss(10)

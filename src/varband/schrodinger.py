@@ -80,7 +80,7 @@ class ScatteringSweep:
         self.a = float(support_radius)
         if not self.a > 0:
             raise MatchingError("scattering requires a support radius a > 0")
-        self.q, self.profile = q, profile
+        self.q, self.profile, self.breakpoints = q, profile, breakpoints
         w, a = self.omegas, self.a
         h = min(1e-3, 2 * np.pi * np.sqrt(profile.lower) / (50.0 * max(np.max(w), 1e-6)))
         # the ends of the support in the warped coordinate, and p-^(1/4), p+^(1/4)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import _physical_memory
+
 
 class IntegrationError(RuntimeError):
     pass
@@ -32,6 +34,9 @@ class IntegrationError(RuntimeError):
 _BLOCK = 64  # RK4 steps per table of step propagators along a stored path
 _TABLE = 64 * 200  # steps times c values in one table of the final-state run
 _TAIL = 2.0**-45  # largest accepted last coefficients, relative to an entry's largest
+# float64 per step of a run's tables: the step polynomials every segment keeps,
+# and the stage tables of the segment being built
+_STEP_FLOATS = 20
 
 
 def rk4_segments(x0, x1, step, breakpoints=()):
@@ -48,6 +53,23 @@ def rk4_segments(x0, x1, step, breakpoints=()):
     edges = [x0] + (inner if x1 > x0 else inner[::-1]) + [x1]
     return [(a, b, max(1, int(np.ceil(abs(b - a) / step))))
             for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _refuse_past_memory(segments, y, path):
+    """Raise `IntegrationError` for a run whose tables, or stored path, would not fit in memory.
+
+    The tables take about `_STEP_FLOATS` float64 per step, and a path run
+    stores a grid point and a state per step besides. It is called before
+    anything of the run is allocated.
+    """
+    steps = sum(n for *_, n in segments)
+    need = 8.0 * _STEP_FLOATS * steps
+    if path:
+        need += (steps + 1) * (8.0 + y.nbytes)
+    memory = _physical_memory()
+    if need > memory:
+        raise IntegrationError(f"an RK4 run of {steps:g} steps needs {need:.3g} bytes for its "
+                               f"tables, more than the {memory:.3g} bytes of physical memory")
 
 
 def _step_polynomials(A, B, h):
@@ -326,6 +348,9 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     pair (nodes, at_c) of those c values and the function that takes any
     table (..., points) at them, the run's map or a path run there, to
     every c, shape (..., *c.shape). c's distinct values are found once.
+
+    A run whose tables, or stored path, would not fit in physical memory
+    raises `IntegrationError` before any of them is allocated.
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
     if record is not None:
@@ -336,6 +361,7 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     y = y.astype(np.result_type(y, c, float), copy=False)
     if x1 == x0:
         return (np.array([x0]), y[None, ...]) if path else y
+    _refuse_past_memory(segments, y, path)
     tables = [_step_table(a, b, *segment) for segment in segments]
     if not path:
         return _final_state(tables, c, y, record)

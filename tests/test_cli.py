@@ -183,6 +183,17 @@ class TestKernel:
             w.writerow([f"{x:.12g}"] + [f"{K[i, j]:.12g}" for j in range(xs.size)])
         assert (out / "kernel_grid.csv").read_bytes() == ref.getvalue().encode()
 
+    @pytest.mark.parametrize("model, cls", [("free", "ToyModel"), ("toy", "ToyModel"),
+                                            ("liouville", "LiouvilleModel"),
+                                            ("schrodinger", "SchrodingerModel")])
+    def test_report_names_the_model_class(self, tmp_path, model, cls):
+        profile = {"free": UNIT, "toy": STEP_14}.get(model, BLEND_12)
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": model, "profile": profile, "spectral_set": [[0.0, 1.0]],
+            "grid": {"lo": -3.0, "hi": 3.0, "n": 7}})
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert strict_json(tmp_path / "o" / "report.json")["model_class"] == cls
+
 
 def csv_writer_bytes(header, rows):
     """What csv.writer renders for a header and rows: the dialect of every table."""
@@ -906,6 +917,7 @@ class TestFreeModelProfile:
 
 UNIT = {"kind": "piecewise", "breakpoints": [], "values": [1.0]}
 BLEND_12 = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0}
+BLEND_14 = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.0}
 RECONSTRUCT = {"model": "free", "spectral_set": [[0.0, 1.0]], "profile": UNIT,
                "window": [-10.0, 10.0]}
 SAMPLES_HEADER = "x,re_value,im_value\n"
@@ -1222,6 +1234,34 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "a uniform rule" in err and "physical memory" in err
         assert not (tmp_path / "o").exists()
+
+    # RK4 sweeps and density sets whose first array alone would take over 100 TiB:
+    # the largest omega, 1e15 or 1e12, asks for 1.6e16 or 1.6e13 RK4 steps across
+    # [-1, 1], and 1e15 points per unit of mu_p on 120 units for 1.2e17 points
+    @pytest.mark.parametrize("subcommand, cfg, what", [
+        ("scatter", {"profile": BLEND_14, "omega_grid": {"lo": 0.05, "hi": 1e15, "n": 3}},
+         "an RK4 run"),
+        ("kernel", {"model": "liouville", "profile": BLEND_14,
+                    "spectral_set": [[1e24, 1.000000000001e24]],
+                    "grid": {"lo": -0.5, "hi": 0.5, "n": 1}}, "an RK4 run"),
+        ("density", {"profile": UNIT, "window": [-60.0, 60.0], "target_density": 1e15},
+         "a set of density 1e+15"),
+    ], ids=["scatter", "kernel-liouville", "density"])
+    def test_tables_past_memory_exit_2_unallocated(self, tmp_path, capsys, subcommand, cfg,
+                                                   what):
+        args = [subcommand, "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                "--out", tmp_path / "o"]
+        tracemalloc.start()
+        try:
+            code = run(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert what in err and "physical memory" in err
 
     @pytest.mark.parametrize("model", ["free", "toy", "liouville", "schrodinger"])
     def test_every_model_sizes_its_rule_for_the_grid(self, tmp_path, capsys, monkeypatch,

@@ -1,6 +1,7 @@
 """Import hygiene: every name a module of the package imports is used; every
 subcommand runs with scipy blocked, and `import varband.cli` leaves numpy.fft
-unloaded; and the real basis U has one evaluator, on `SpectralModel`."""
+unloaded; and the real basis U has one evaluator, and the warp one definition, on
+`SpectralModel`."""
 
 import ast
 import json
@@ -87,7 +88,7 @@ def test_subcommand_runs_without_scipy(tmp_path, subcommand):
     assert "scipy" not in json.loads((tmp_path / "out" / "report.json").read_text())["versions"]
 
 
-TAIL_EVALUATORS = {"basis", "basis_antiderivative", "plan"}
+TAIL_EVALUATORS = {"basis", "basis_antiderivative", "plan", "warp"}
 
 
 def tail_evaluators(source):
@@ -113,7 +114,7 @@ def tail_evaluators(source):
 
 
 def test_tail_evaluators_only_on_spectral_model():
-    # U off the support, its antiderivative and the sampling plan are written once
+    # U off the support, its antiderivative, the sampling plan and the warp are written once
     found = sorted((path.name, owner, name) for path in SRC.glob("*.py")
                    for owner, name in tail_evaluators(path.read_text()))
     assert found == [("kernel.py", "SpectralModel", name) for name in sorted(TAIL_EVALUATORS)]

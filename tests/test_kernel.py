@@ -15,7 +15,7 @@ from varband.kernel import (
     toy_kernel,
 )
 from varband.paleywiener import random_function, transform
-from varband.profile import blend_profile
+from varband.profile import ProfileError, blend_profile, toy_profile
 from varband.spectral import SpectralSet, gauss_legendre_quadrature, uniform_quadrature
 
 from closed_forms import phi, toy_fundamental
@@ -86,6 +86,15 @@ class TestToyQuadratureAgreement:
         xs = np.linspace(-x_max, x_max, 201)
         ref = toy_kernel(0.25, 1.0, 2.0, xs[:, None], xs[None, :])
         assert np.max(np.abs(model.kernel_matrix(xs, xs) - ref)) < 1e-14
+
+    def test_holds_the_step_profile(self):
+        # the model's warp is its profile's, and a plateau that is not positive
+        # is refused by the profile before any rule is sized
+        model = ToyModel(0.25, 1.0, SpectralSet([(0.0, 2.0)]), x_max=3.0)
+        xs = np.linspace(-3.0, 3.0, 13)
+        assert model.warp(xs).tobytes() == toy_profile(0.25, 1.0).zeta(xs).tobytes()
+        with pytest.raises(ProfileError, match="plateau values must be positive"):
+            ToyModel(0.0, 1.0, SpectralSet([(0.0, 2.0)]))
 
     def test_multi_band(self):
         # kernel of a two-band spectral set is the difference of band kernels
@@ -183,10 +192,12 @@ class TestLiouville:
     def test_reflective_blend_matches_a_finer_rule(self, p_minus, p_plus):
         # a narrow C^1 blend across a 100-fold jump: strong reflection over 2a,
         # which sizes the rule but does not bound it. Both kernels, at the rule
-        # each model builds, against rules for four times the phase, to the
-        # 12 significant digits the kernel CSV carries. Lambda starts at 1/4:
-        # near omega = 0 the sweep's own error in T and R2 grows like 1/omega
-        # and differs between rules by far more than the quadrature does.
+        # each model builds for the reach of its warp (704 nodes for the
+        # Liouville model at p- = 0.01), against rules for four times the
+        # phase, to the 12 significant digits the kernel CSV carries. Lambda
+        # starts at 1/4: near omega = 0 the sweep's own error in T and R2 grows
+        # like 1/omega and differs between rules by far more than the
+        # quadrature does.
         prof = blend_profile(p_minus, p_plus, R=0.1, kind="cubic")
         a, kinks = prof.warped_support_radius, prof.zeta([-prof.R, prof.R])
         sset, x_max = SpectralSet([(0.25, 16.0)]), 10.0
@@ -198,7 +209,7 @@ class TestLiouville:
                 (schrodinger, x_max + 2 * a,
                  lambda quad: SchrodingerModel(prof.potential_q_warped, a, sset, quad=quad,
                                                breakpoints=kinks)),
-                (liouville, x_max / np.sqrt(prof.lower) + 2 * a,
+                (liouville, np.max(np.abs(prof.zeta([-x_max, x_max]))) + 2 * a,
                  lambda quad: LiouvilleModel(prof, sset, quad=quad))):
             assert model.error_bound is None
             ref = fine(gauss_legendre_quadrature(sset, t_max=4 * t_max)).kernel_matrix(xs, xs)
@@ -226,8 +237,6 @@ class TestLiouville:
         assert not hasattr(LiouvilleModel, "diagonal_tail_average")
 
     def test_requires_smooth_profile(self):
-        from varband.profile import toy_profile
-
         with pytest.raises(KernelError):
             LiouvilleModel(toy_profile(1.0, 4.0), SpectralSet([(0.0, 1.0)]))
 

@@ -135,6 +135,19 @@ class TestTransform:
         xs = np.linspace(-2, 2, 9)
         assert np.max(np.abs(g(xs) - f(xs))) < 1e-3
 
+    def test_default_panels_follow_the_local_bandwidth(self):
+        # left of the jump p = 0.01: the space's waves oscillate ten times faster
+        # in x than their frequency, and the default panels resolve them there
+        model = ToyModel(0.01, 1.0, SpectralSet([(0.0, 4.0)]), x_max=12.0)
+        f = random_smooth_function(model, rng=1)
+
+        def g(x):
+            return f(x) * np.exp(-np.asarray(x) ** 2 / 20)
+
+        got = transform(model, g, (-12.0, 12.0)).F
+        ref = transform(model, g, (-12.0, 12.0), n_panels=2000).F
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestBernstein:
     def test_k_zero_is_one(self, fmodel):
