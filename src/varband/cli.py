@@ -25,8 +25,7 @@ from .config import (REQUIRED, ConfigError, Table, choice, count, number, number
                      window)
 from .density import (DensityError, beurling_density, gap_density_bound, landau_sweep,
                       quasi_uniform_set, separation)
-from .kernel import (LiouvilleModel, SchrodingerModel, ToyModel, free_model,
-                     toy_kernel)
+from .kernel import LiouvilleModel, ToyModel, free_model, toy_kernel
 from .profile import (PiecewiseConstantProfile, ProfileError, blend_profile,
                       constant_profile, profile_from_config, toy_profile)
 from .sampling import (SampleSet, SamplingError, _write_csv, frame_bounds_estimate,
@@ -87,11 +86,7 @@ def _model(kind, prof, sset, x_max=25.0, half_width=None, points=1):
         _needs(_is_step(prof), "model 'toy'", _STEP)
         return ToyModel(prof.p_minus, prof.p_plus, sset, quad=quad, x_max=x_max, points=points)
     _needs(prof.is_smooth, f"model {kind!r}", _SMOOTH)
-    if kind == "liouville":
-        return LiouvilleModel(prof, sset, quad=quad, x_max=x_max, points=points)
-    return SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
-                            sset, quad=quad, x_max=x_max,
-                            breakpoints=prof.zeta([-prof.R, prof.R]), points=points)
+    return LiouvilleModel(prof, sset, quad=quad, x_max=x_max, points=points)
 
 
 def _landau_model(c, block):
@@ -120,7 +115,7 @@ def _one_point_source(c, block):
 
 # -- config tables ---------------------------------------------------------
 
-_MODELS = ("free", "toy", "liouville", "schrodinger")
+_MODELS = ("free", "toy", "liouville")
 _OMEGA_GRID = "omega_grid needs 0 < lo <= hi and an integer n >= 1"
 _UNIT = {"kind": "piecewise", "breakpoints": [], "values": [1.0]}  # p = 1
 
@@ -136,8 +131,7 @@ SCATTER = Table({
                           "n": (count(1), 200, _OMEGA_GRID)}, check=_omega_order), {}),
 }, check=lambda c, block: _needs(c.profile.is_smooth, "scatter", _SMOOTH))
 RECONSTRUCT = Table({
-    # schrodinger's Phi lives in the warped coordinate, not in the samples' x
-    "model": (choice("free", "toy", "liouville"), "free"),
+    "model": (choice(*_MODELS), "free"),
     "profile": (_profile_block, REQUIRED),
     "spectral_set": (_spectral_set, REQUIRED),
     "window": (window, REQUIRED),

@@ -19,7 +19,7 @@ step profile (the classical Paley-Wiener space is its case p = 1), with
 z = x / sqrt(p) and no interior, or a scattering sweep, for a compactly
 supported Schrodinger potential or, solving -(p u')' = omega^2 u itself,
 for a smooth eventually constant profile, with z = zeta(x), the map from T
-and R1 and the sweep's interior spline inside the support.  The waves
+and R1 and the sweep's interior path inside the support.  The waves
 are the quadrature's `waves(z)`, each within 8u (1 + omega |z|) of the
 exact wave, u = 2**-53.
 
@@ -186,8 +186,9 @@ class SpectralModel:
 
     with per-node real maps (L, P) = ``tails`` of shape (side, 2, 2, n_nodes),
     P_s = sqrt(p_s) L_s, and ``constants`` C_s from ``_anchors()``, a warped
-    point z_s per side where int U is K_s. Inside, U and int U are the
-    interior spline of the model's ``sweep``.
+    point z_s per side where int U is K_s. Inside, U and int U come from
+    the interior path of the model's ``sweep``: its RK4 solution and
+    integral, kept every 64 steps and stepped to each x.
     """
 
     quad: SpectralQuadrature

@@ -11,7 +11,7 @@ plateaus by a cubic or quintic smoothstep over ``[-R, R]`` (`BlendProfile`),
 whose p, p' and p'' are polynomials in closed form.
 
 `CubicHermite`, the package's one cubic Hermite interpolant, lives here; the
-scattering layer keeps its interior solution in it.
+blend's zeta and its inverse inside [-R, R] are two of them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class CubicHermite:
         self.x = np.asarray(x, dtype=float)
         self.y, self.dydx = np.asarray(y), np.asarray(dydx)
 
-    def _local(self, t):
-        """Piece index i, offset s = t - x_i, and the piece's coefficients of s^3, ..., s^0."""
+    def __call__(self, t):
+        """The piece of each t in powers of its offset s = t - x_i, by Horner's rule."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
         col = t.shape + (1,) * (self.y.ndim - 1)
@@ -55,33 +55,7 @@ class CubicHermite:
         y0, m0 = self.y[i], self.dydx[i]
         slope = (self.y[i + 1] - y0) / h
         c = (m0 + self.dydx[i + 1] - 2 * slope) / h
-        return i, s, (c / h, (slope - m0) / h - c, m0, y0)
-
-    def __call__(self, t):
-        _, s, (c3, c2, c1, c0) = self._local(t)
-        return ((c3 * s + c2) * s + c1) * s + c0
-
-    @cached_property
-    def _at_knots(self):
-        """Integral from the first knot to each knot; a piece adds h (y0 + y1)/2 + h^2 (m0 - m1)/12."""
-        y, m = self.y, self.dydx
-        h = np.diff(self.x).reshape((-1,) + (1,) * (y.ndim - 1))
-        out = np.zeros(y.shape, dtype=np.result_type(y, m, float))
-        np.add(y[:-1], y[1:], out=out[1:])
-        out[1:] *= h / 2
-        ends = m[:-1] - m[1:]
-        ends *= h * h / 12
-        out[1:] += ends
-        return np.cumsum(out, axis=0, out=out)
-
-    def antiderivative(self, t):
-        """Integral of the interpolant from the first knot to t, exact.
-
-        Past the ends it integrates the continued end pieces, as the
-        evaluation does.
-        """
-        i, s, (c3, c2, c1, c0) = self._local(t)
-        return (((c3 * s / 4 + c2 / 3) * s + c1 / 2) * s + c0) * s + self._at_knots[i]
+        return ((c / h * s + ((slope - m0) / h - c)) * s + m0) * s + y0
 
 
 class BandwidthProfile:

@@ -7,9 +7,10 @@ and the incoming and reflected amplitudes read off on the far side.  A
 whole frequency sweep is one RK4 run's map, interpolated in omega^2; since
 p and q are real, the conjugate of that solution is the mirrored one, so
 one pass gives T, R1, R2 and the mix.  Inside the support a second pass at
-the same omega^2, on first use, gives a Hermite spline of the solutions
-(`ScatteringSweep.solution`); off it `kernel.SpectralModel` evaluates U,
-a plane wave in zeta, as for every model.  The default p = 1
+the same omega^2, on first use, keeps the solutions and their integrals
+every 64 steps and reaches any x from there (`ScatteringSweep.solution`);
+off it `kernel.SpectralModel` evaluates U, a plane wave in zeta, as for
+every model.  The default p = 1
 has zeta(x) = x and makes every factor of p exactly 1.  Every sweep has a
 support of radius a > 0: the free space is not a sweep but the step
 profile at p = 1 (`kernel.free_model`).
@@ -22,7 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .profile import CubicHermite, PiecewiseConstantProfile
+from .profile import PiecewiseConstantProfile
 from .sturm import rk4_linear
 
 _UNIT = PiecewiseConstantProfile([], [1.0])  # p = 1, whose zeta(x) = x exactly
@@ -70,7 +71,9 @@ class ScatteringSweep:
     `rk4_linear`); ``rk4_points`` records the number of omega^2 values the
     map is tabulated at, which `solution`'s pass shares, and
     ``interpolation_tail`` the accepted relative tail, 0 when nothing was
-    interpolated.
+    interpolated.  That second pass, the interior path, runs on the first
+    call of `solution` and keeps (u, p u', int u) every 64 RK4 steps, not
+    every step.
     """
 
     def __init__(self, q, support_radius, omegas, breakpoints=(), profile=_UNIT):
@@ -140,30 +143,27 @@ class ScatteringSweep:
 
     @cached_property
     def _interior(self):
-        """A Hermite spline of the solutions from the unit starts, and its map to every omega^2.
+        """The path of the solutions from the unit starts, and its map to every omega^2.
 
-        One path pass at the final map's omega^2 values, the starts (1, 0)
-        and (0, 1) of (u, p u') side by side as 2 * ``rk4_points`` columns;
-        the spline's values and slopes are (n_steps + 1, start, point) views
-        of its states, and the map is the one the final pass recorded.
+        One path pass (see `sturm.rk4_linear`) at the final map's omega^2
+        values, from the starts (1, 0) and (0, 1) of (u, p u'): it keeps
+        (u, p u', int u) at every 64th step, shape (start, point) each, and
+        the map is the one the final pass recorded.
         """
         nodes, at_omegas = self._interpolation
-        grid, states = self._run(np.tile(nodes, 2), y0=np.repeat(np.eye(2), nodes.size, axis=1),
-                                 path=True)
-        states[:, 1] /= self.profile.eval_p(grid)[:, None]
-        u, du = states[::-1].reshape(grid.size, 2, 2, -1).transpose(1, 0, 2, 3)
-        return CubicHermite(grid[::-1], u, du), at_omegas
+        return self._run(nodes, y0=np.eye(2)[:, :, None], path=True), at_omegas
 
     def solution(self, x, integrated=False):
         """(Re u, Im u) of the pass's solution inside the support, shape (2, n_omega, n_x).
 
-        The interior spline at x, or with ``integrated`` its exact integral
-        from -a, the spline's first knot, taken to every omega^2 and then
-        from the unit starts to u's.
+        The path's u at x, or with ``integrated`` its integral from -a, the
+        end of the pass, taken to every omega^2 and then from the unit starts
+        to u's.
         """
-        spline, at_omegas = self._interior
-        v = at_omegas((spline.antiderivative if integrated else spline)(x))
-        u = np.einsum("sl,...sl->l...", self._start, v)
+        path, at_omegas = self._interior
+        states = path(x)
+        v = states[:, 2] - path.ends[2, -1] if integrated else states[:, 0]
+        u = np.einsum("sl,...sl->l...", self._start, at_omegas(v))
         return np.stack([u.real, u.imag])
 
 

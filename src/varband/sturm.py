@@ -6,16 +6,17 @@ vector through a breakpoint IS the matching condition.  `rk4_linear` is the
 package's one fixed-step RK4 integrator, with mandatory breakpoint nodes and
 coefficients tabulated once per segment.  The system is linear, so each RK4
 step is a 2x2 matrix in closed form (its propagator) whose entries are
-quadratics in c; the driver builds those in blocks of steps.  A run that
-stores its path applies them to the state one step at a time, 64 steps to a
-block.  A run that returns only the final state multiplies each block's
-maps into one, pairwise in about log2(block) levels, and those into the map
-M(c) of the whole run, a polynomial in c, integrated at c's distinct values
-or, when fewer suffice by a stated bound, at Chebyshev points, and
-interpolated (see `rk4_linear`); the run records the map that takes any
-table at those points, a path run there too, to every c.  A final-state
-block is as long as a table of 64 * 200 maps allows at the point count, 64
-to 1024 steps.
+quadratics in c; the driver builds those in blocks of steps and multiplies
+each block's maps into one, pairwise in about log2(block) levels.  A run
+that returns only the final state multiplies those into the map M(c) of the
+whole run, a polynomial in c, integrated at c's distinct values or, when
+fewer suffice by a stated bound, at Chebyshev points, and interpolated (see
+`rk4_linear`); the run records the map that takes any table at those
+points, a path's states there too, to every c.  A final-state block is as
+long as a table of 64 * 200 maps allows at the point count, 64 to 1024
+steps.  A path run carries w, the integral of u0, as a third component,
+keeps the state only at the end of every block of 64 steps, and reaches any
+x from the block end before it (`_Path`).
 The scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p
 and b = q.
 """
@@ -24,19 +25,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import _physical_memory
+from . import spectral
 
 
 class IntegrationError(RuntimeError):
     pass
 
 
-_BLOCK = 64  # RK4 steps per table of step propagators along a stored path
+_BLOCK = 64  # RK4 steps between the states a path keeps
 _TABLE = 64 * 200  # steps times c values in one table of the final-state run
 _TAIL = 2.0**-45  # largest accepted last coefficients, relative to an entry's largest
 # float64 per step of a run's tables: the step polynomials every segment keeps,
 # and the stage tables of the segment being built
 _STEP_FLOATS = 20
+# float64 per step of a path's segment: its stage abscissae, a and b there, and
+# a temporary of their evaluation
+_STAGE_FLOATS = 12
 
 
 def rk4_segments(x0, x1, step, breakpoints=()):
@@ -55,18 +59,25 @@ def rk4_segments(x0, x1, step, breakpoints=()):
             for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _refuse_past_memory(segments, y, path):
-    """Raise `IntegrationError` for a run whose tables, or stored path, would not fit in memory.
+def _refuse_past_memory(segments, y, c, path):
+    """Raise `IntegrationError` for a run whose tables, or a path's states, would not fit in memory.
 
-    The tables take about `_STEP_FLOATS` float64 per step, and a path run
-    stores a grid point and a state per step besides. It is called before
-    anything of the run is allocated.
+    A final-state run's tables take about `_STEP_FLOATS` float64 per step.
+    A path keeps a state (u0, u1, w), each of y's entries and c broadcast, at
+    every block end, tabulates one segment's stages at a time,
+    `_STAGE_FLOATS` float64 per step, and composes a block at a time in two
+    buffers of 6 (`_BLOCK` + 1) maps per c. It is called before anything of
+    the run is allocated.
     """
     steps = sum(n for *_, n in segments)
-    need = 8.0 * _STEP_FLOATS * steps
     if path:
-        need += (steps + 1) * (8.0 + y.nbytes)
-    memory = _physical_memory()
+        state = 3.0 * y.itemsize * np.prod(np.broadcast_shapes(y.shape[1:], c.shape))
+        need = ((steps / _BLOCK + len(segments) + 1) * state
+                + 8.0 * _STAGE_FLOATS * max(n for *_, n in segments)
+                + 2 * 8.0 * 6 * (_BLOCK + 1) * c.size)
+    else:
+        need = 8.0 * _STEP_FLOATS * steps
+    memory = spectral._physical_memory()
     if need > memory:
         raise IntegrationError(f"an RK4 run of {steps:g} steps needs {need:.3g} bytes for its "
                                f"tables, more than the {memory:.3g} bytes of physical memory")
@@ -85,7 +96,8 @@ def _step_polynomials(A, B, h):
         P11 = 1 + h^2/6 (a1 g2 + a2 g2 + a2 g4) + h^4/24 a1 a2 g2 g4.
 
     Each entry is a polynomial of degree <= 2 in c.  Returns, for P00, P01,
-    P10 and P11 in turn, its coefficients of c^0, c^1, ..., each of shape (k,).
+    P10 and P11 in turn, its coefficients of c^0, c^1, ..., each of A's
+    shape past its first axis; h is a number or of that shape.
     """
     (a1, a2, a4), (b1, b2, b4) = A, B
     h2, h3, h4 = h * h / 6, h**3 / 12, h**4 / 24
@@ -101,16 +113,35 @@ def _step_polynomials(A, B, h):
     )
 
 
-def _rk4_propagators(polys, steps, c, out):
-    """The step maps of the steps in the slice ``steps`` at c, shape (2, 2, k, *c.shape).
+def _integral_row(A, B, h):
+    """The row (r0, r1) that a step adds to w, the integral of u0: w <- w + r0 u0 + r1 u1.
 
-    ``polys`` are the coefficients of `_step_polynomials`, and c enters each
-    entry by Horner's rule.  The maps are written into the front of the flat
-    buffer ``out`` and returned as a view of it.
+    RK4 on (u0, u1, w) with w' = u0, at the stages of `_step_polynomials`;
+    with g = b - c,
+
+        r0 = h + h^3/12 a2 (g1 + g2)
+        r1 = h^2/6 (a1 + 2 a2) + h^4/24 a1 a2 g2,
+
+    each of degree 1 in c.  Returns their coefficients as that function does.
+    """
+    (a1, a2, _), (b1, b2, _) = A, B
+    h3a2, h4a1a2 = h**3 / 12 * a2, h**4 / 24 * a1 * a2
+    return ((h + h3a2 * (b1 + b2), -2 * h3a2),
+            (h * h / 6 * (a1 + 2 * a2) + h4a1a2 * b2, -h4a1a2))
+
+
+def _rk4_propagators(polys, steps, c, out):
+    """The step maps of the steps ``steps`` at c, shape (rows, 2, k, *c.shape).
+
+    ``polys`` are the coefficients of `_step_polynomials`, 2 x 2 maps, or
+    those and `_integral_row`'s, 3 x 2 maps, and c enters each entry by
+    Horner's rule.  ``steps`` indexes the first axis of every coefficient.
+    The maps are written into the front of the flat buffer ``out`` and
+    returned as a view of it.
     """
     col = (-1,) + (1,) * c.ndim
     k = len(polys[0][0][steps])
-    P = out[:4 * k * c.size].reshape((4, k) + c.shape)
+    P = out[:len(polys) * k * c.size].reshape((len(polys), k) + c.shape)
     for entry, coefs in zip(P, polys):
         coefs = [q[steps].reshape(col) for q in coefs]
         np.multiply(coefs[-1], c, out=entry)
@@ -118,50 +149,66 @@ def _rk4_propagators(polys, steps, c, out):
             entry += q
             entry *= c
         entry += coefs[0]
-    return P.reshape((2, 2) + P.shape[1:])
+    return P.reshape((-1, 2) + P.shape[1:])
 
 
 def _compose(P, work):
-    """The product P_(k-1) ... P_1 P_0 of the k maps P[:, :, i], shape (2, 2, *P.shape[3:]).
+    """The product P_(k-1) ... P_1 P_0 of the k maps P[:, :, i], shape P.shape[:2] + P.shape[3:].
 
-    Level by level, each even-indexed map is followed by the next one,
-    P_(2i+1) P_(2i), and an odd count carries its last map up unchanged:
-    about log2(k) levels of batched real products in place of k - 1
-    sequential ones.  ``work`` is a pair of flat buffers, each with room for
-    4 (k + 1) entries of shape P.shape[3:], the first holding P.  Each level
-    writes its eight entrywise products into the other buffer and sums them
-    pairwise in place, so nothing is allocated.
+    A map is 2 x 2, or 3 x 2: a third row r makes it the step of (u0, u1,
+    w) that adds r (u0, u1) to w, so that the row of Q P is Q's row times P
+    plus P's row.  Level by level, each even-indexed map is followed by the
+    next one, P_(2i+1) P_(2i), and an odd count carries its last map up
+    unchanged: about log2(k) levels of batched real products in place of k
+    - 1 sequential ones.  ``work`` is a pair of flat buffers, each with room
+    for 2 rows (k + 1) entries of shape P.shape[3:], the first holding P.
+    Each level writes its entrywise products into the other buffer and sums
+    them pairwise in place, so nothing is allocated.
     """
-    k, shape = P.shape[2], P.shape[3:]
+    rows, k, shape = P.shape[0], P.shape[2], P.shape[3:]
     size, spare = P[0, 0, 0].size, 1
     while k > 1:
         pairs, half = k // 2, (k + 1) // 2
-        T = work[spare][:8 * half * size].reshape((2, 2, 2, half) + shape)
+        T = work[spare][:4 * rows * half * size].reshape((rows, 2, 2, half) + shape)
         products = T[:, :, :, :pairs]
         # products[i, l, j] = P_(2m+1)[i, l] P_(2m)[l, j]; its sum over l is their product
-        np.multiply(P[:, :, None, 1:k:2], P[None, :, :, 0:k - 1:2], out=products)
+        np.multiply(P[:, :, None, 1:k:2], P[None, :2, :, 0:k - 1:2], out=products)
         np.add(products[:, 0], products[:, 1], out=products[:, 0])
+        if rows > 2:
+            products[2:, 0] += P[2:, :, 0:k - 1:2]
         if k % 2:
             T[:, 0, :, pairs] = P[:, :, k - 1]
         P, k, spare = T[:, 0], half, 1 - spare
     return P[:, :, 0]
 
 
+def _stage_values(a, b, nodes, h, lo, hi):
+    """a and b at the stages of steps of length h from ``nodes``, each of shape (3, *nodes.shape).
+
+    The stage abscissae (nodes, half-steps, end-steps) are clipped to [lo,
+    hi], a segment's open interval shrunk by `_inside`, so that stages at a
+    breakpoint never pick the wrong one-sided limit.  a and b are called
+    once each.
+    """
+    stages = np.clip(np.stack([nodes, nodes + h / 2, nodes + h]), lo, hi)
+    return (np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape),
+            np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape))
+
+
+def _inside(start, end, h):
+    """The segment from start to end, of step h, less 1e-9 |h| at either end, as (lo, hi)."""
+    eps = 1e-9 * abs(h)
+    return min(start, end) + eps, max(start, end) - eps
+
+
 def _step_table(a, b, start, end, n):
     """`_step_polynomials` of the n steps of one segment, a and b tabulated by one call each.
 
-    The stage abscissae (nodes, half-steps, end-steps) are clipped strictly
-    inside the open segment, so that stages at a breakpoint never pick the
-    wrong one-sided limit.  Also returns the segment's phase int sqrt|a| dx
-    (Simpson's rule on each step's stages) and the range of b's stage values.
+    Also returns the segment's phase int sqrt|a| dx (Simpson's rule on each
+    step's stages) and the range of b's stage values.
     """
     h = (end - start) / n
-    nodes = start + h * np.arange(n)
-    eps = 1e-9 * abs(h)
-    stages = np.clip(np.stack([nodes, nodes + h / 2, nodes + h]),
-                     min(start, end) + eps, max(start, end) - eps)
-    A = np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape)
-    B = np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape)
+    A, B = _stage_values(a, b, start + h * np.arange(n), h, *_inside(start, end, h))
     phase = abs(h) / 6 * float(np.sum(np.sqrt(np.abs(A)) * [[1.0], [4.0], [1.0]]))
     return _step_polynomials(A, B, h), phase, (float(B.min()), float(B.max()))
 
@@ -307,6 +354,89 @@ def _final_state(tables, c, y, record):
     return np.stack([m00 * u + m01 * v, m10 * u + m11 * v])
 
 
+def _advance(Q, y, out, scratch):
+    """out = the state y (u0, u1, w) after the 3 x 2 map Q: (u0, u1) <- Q (u0, u1), w += its row.
+
+    ``scratch`` holds one component; nothing is allocated.
+    """
+    for row in range(3):
+        new = out[row, ...]
+        np.multiply(Q[row, 0], y[0], out=new)
+        if row == 2:
+            new += y[2]
+        new += np.multiply(Q[row, 1], y[1], out=scratch)
+
+
+class _Path:
+    """The states (u0, u1, w) of a run at any x in it, w the integral of u0 from x0.
+
+    One pass keeps ``ends``, the state at every block end, shape (3,
+    n_ends, *state): the start of each segment, every `_BLOCK` steps after
+    it, and x1.  Called at x, a 1-D
+    array within the run, it takes the block end x_b on x0's side of each x
+    and from there m = ceil(|x - x_b| / h) <= `_BLOCK` equal steps to x, h
+    the segment's step, with stages clipped inside the segment.  Padded with
+    zero-length steps, each the identity exactly, every point takes `_BLOCK`
+    steps, so a batch of points shares one table of step polynomials and
+    the state at x is the same, bit for bit, whichever other points are
+    asked for; at the run's own grid points it is its stepwise path.
+    Returns shape (x.size, 3, *state), a state's shape past its first axis
+    being that of y0 and c broadcast.
+    """
+
+    def __init__(self, a, b, c, segments, y):
+        self.a, self.b, self.segments = a, b, segments
+        self.bounds = np.array([_inside(start, end, (end - start) / n)
+                                for start, end, n in segments])
+        # each segment's first block end; its last is the next segment's first
+        self.first = np.cumsum([0] + [-(-n // _BLOCK) for *_, n in segments])
+        # c with an axis for each of the state's, so that maps at c act on states
+        shape = np.broadcast_shapes(y.shape[1:], c.shape)
+        self.c = c.reshape((1,) * (len(shape) - c.ndim) + c.shape)
+        self.ends = np.empty((3, self.first[-1] + 1) + shape, dtype=y.dtype)
+        self.ends[:2, 0], self.ends[2, 0] = y, 0.0
+        k = min(_BLOCK, max(n for *_, n in segments))
+        work = [np.empty(6 * (k + 1) * c.size, dtype=np.result_type(c, float))
+                for _ in range(2)]
+        i, scratch = 0, np.empty_like(self.ends[0, 0, ...])
+        for start, end, n in segments:
+            h = (end - start) / n
+            A, B = _stage_values(a, b, start + h * np.arange(n), h, *_inside(start, end, h))
+            for s in range(0, n, _BLOCK):
+                At, Bt = A[:, s:s + _BLOCK], B[:, s:s + _BLOCK]
+                polys = _step_polynomials(At, Bt, h) + _integral_row(At, Bt, h)
+                Q = _compose(_rk4_propagators(polys, slice(None), self.c, work[0]), work)
+                _advance(Q, self.ends[:, i], self.ends[:, i + 1], scratch)
+                i += 1
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        start, end, n = (np.array(v) for v in zip(*self.segments))
+        x0, x1 = start[0], end[-1]
+        along = (x - x0) / (x1 - x0)
+        if not np.all((along >= 0) & (along <= 1)):
+            raise IntegrationError(f"a path from {x0:g} to {x1:g} has no state at x = "
+                                   f"{x[(along < 0) | ~(along <= 1)][0]:g}")
+        seg = np.searchsorted((start[1:] - x0) / (x1 - x0), along, side="right")
+        start, h, blocks = start[seg], ((end - start) / n)[seg], -(-n[seg] // _BLOCK)
+        j = np.clip(np.floor((x - start) / h / _BLOCK), 0, blocks - 1).astype(np.intp)
+        base = start + h * (_BLOCK * j)
+        m = np.minimum(np.ceil((x - base) / h - 1e-10), _BLOCK)
+        m = np.where(x != base, np.maximum(m, 1), 0)
+        dx = (x - base) / np.maximum(m, 1)
+        steps = np.arange(_BLOCK)[:, None]
+        hs = np.where(steps < m, dx, 0.0)
+        A, B = _stage_values(self.a, self.b, base + dx * steps, hs, *self.bounds[seg].T)
+        polys = _step_polynomials(A, B, hs) + _integral_row(A, B, hs)
+        y = self.ends[:, self.first[seg] + j]
+        out, scratch = np.empty_like(y), np.empty_like(y[0])
+        maps = np.empty(6 * x.size * self.c.size, dtype=np.result_type(self.c, float))
+        for i in range(_BLOCK):
+            _advance(_rk4_propagators(polys, i, self.c, maps), y, out, scratch)
+            y, out = out, y
+        return np.moveaxis(y, 0, 1)
+
+
 def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=None):
     """Classical RK4 for u0' = a(x) u1, u1' = (b(x) - c) u0 from x0 to x1.
 
@@ -320,11 +450,12 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     degree 2 in c; the matrices are built in closed form a block of steps at
     a time (see `_rk4_propagators`).
 
-    With ``path=True`` they are applied to the state in step order,
-    `_BLOCK` steps at a time, and every state is stored.  Returns (grid,
-    states) with grid in integration order and states of shape (len(grid),
-    2, ...), real for real y0 and c, at every c given: run it at the nodes
-    a final-state run records to reach many c.
+    With ``path=True`` the run returns a `_Path`, which gives the states
+    (u0, u1, w) at any x of the run, w the integral of u0 from x0, real for
+    real y0 and c, at every c given: run it at the nodes a final-state run
+    records to reach many c.  Its pass applies each block's map of
+    (u0, u1, w) to the state and keeps only the states at block ends, every
+    `_BLOCK` steps: about 3 * steps / 64 states, not one per step.
 
     Without it, the run's map M(c), the product of all step maps, is formed
     block by block (see `_compose`) and applied to y0; the final state is
@@ -346,10 +477,10 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     final M is tabulated at, ``tail``, the accepted relative tail of its
     interpolant (0 when M was not interpolated), and ``interpolation``, the
     pair (nodes, at_c) of those c values and the function that takes any
-    table (..., points) at them, the run's map or a path run there, to
-    every c, shape (..., *c.shape). c's distinct values are found once.
+    table (..., points) at them, the run's map or a path's states there,
+    to every c, shape (..., *c.shape). c's distinct values are found once.
 
-    A run whose tables, or stored path, would not fit in physical memory
+    A run whose tables, or a path's states, would not fit in physical memory
     raises `IntegrationError` before any of them is allocated.
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
@@ -360,27 +491,10 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     y = np.asarray(y0)
     y = y.astype(np.result_type(y, c, float), copy=False)
     if x1 == x0:
-        return (np.array([x0]), y[None, ...]) if path else y
-    _refuse_past_memory(segments, y, path)
-    tables = [_step_table(a, b, *segment) for segment in segments]
-    if not path:
-        return _final_state(tables, c, y, record)
-    grid = np.empty(1 + sum(n for _, _, n in segments))
-    states = np.empty(grid.shape + y.shape, dtype=y.dtype)
-    grid[0], states[0] = x0, y
-    done = 0  # steps taken before the current segment
-    u, v = y
-    # a flat buffer for one block of maps
-    work = np.empty(4 * min(_BLOCK, max(n for *_, n in segments)) * c.size,
-                    dtype=np.result_type(c, float))
-    for (start, end, n), (polys, *_) in zip(segments, tables):
-        for s in range(0, n, _BLOCK):
-            P = _rk4_propagators(polys, slice(s, s + _BLOCK), c, work)
-            for i, (p00, p01, p10, p11) in enumerate(zip(*P.reshape((4,) + P.shape[2:])),
-                                                     done + s + 1):
-                u, v = p00 * u + p01 * v, p10 * u + p11 * v
-                states[i, 0], states[i, 1] = u, v
-        grid[done + 1:done + n + 1] = start + (end - start) / n * np.arange(1, n + 1)
-        grid[done + n] = end
-        done += n
-    return grid, states
+        if path:
+            raise IntegrationError("a path needs x1 != x0")
+        return y
+    _refuse_past_memory(segments, y, c, path)
+    if path:
+        return _Path(a, b, c, segments, y)
+    return _final_state([_step_table(a, b, *segment) for segment in segments], c, y, record)

@@ -11,7 +11,7 @@ and `PerNodeSweep` is a sweep's pass integrated at every node.
 import numpy as np
 
 from varband.kernel import ScatteringModel
-from varband.profile import CubicHermite, PiecewiseConstantProfile
+from varband.profile import PiecewiseConstantProfile
 from varband.spectral import SpectralQuadrature, SpectralSet
 from varband.sturm import rk4_linear
 
@@ -38,8 +38,8 @@ class PerNodeSweep:
 
     One ``path=True`` run from the start of `ScatteringSweep`'s pass, u =
     p+^(-1/4) e right of the support, at every omega^2 with the sweep's step
-    rule and breakpoints; T, R1 and R2 come from its last state and u inside
-    from a Hermite spline of its states. Nothing is interpolated in omega^2.
+    rule and breakpoints; T, R1 and R2 come from its last state, and u and
+    its integral inside from the path. Nothing is interpolated in omega^2.
     """
 
     def __init__(self, q, a, omegas, breakpoints=(), profile=PiecewiseConstantProfile([], [1.0])):
@@ -48,21 +48,24 @@ class PerNodeSweep:
         r_left, r_right = profile.p_minus ** 0.25, profile.p_plus ** 0.25
         h = min(1e-3, 2 * np.pi * np.sqrt(profile.lower) / (50.0 * np.max(w)))
         e = np.exp(1j * w * z_right)
-        grid, states = rk4_linear(lambda x: 1.0 / profile.eval_p(x),
-                                  lambda x: q(np.clip(x, -a, a)), w**2, a, -a,
-                                  np.stack([e / r_right, 1j * w * r_right * e]), h, breakpoints,
-                                  path=True)
-        y, dy = states[-1, 0] * r_left, states[-1, 1] / r_left
+        self.path = rk4_linear(lambda x: 1.0 / profile.eval_p(x),
+                               lambda x: q(np.clip(x, -a, a)), w**2, a, -a,
+                               np.stack([e / r_right, 1j * w * r_right * e]), h, breakpoints,
+                               path=True)
+        self.end = self.path(np.array([-a]))[0]
+        y, dy = self.end[0] * r_left, self.end[1] / r_left
         alpha = 0.5 * (y + dy / (1j * w)) * np.exp(-1j * w * z_left)
         beta = 0.5 * (y - dy / (1j * w)) * np.exp(1j * w * z_left)
         self.T, self.R1, self.R2 = 1.0 / alpha, beta / alpha, -beta.conj() / alpha
-        self.spline = CubicHermite(grid[::-1], states[::-1, 0],
-                                   states[::-1, 1] / profile.eval_p(grid[::-1])[:, None])
 
-    def solution(self, x, integrated=False):
-        """(Re u, Im u) inside the support, shape (2, n_omega, n_x), as the sweep's `solution`."""
-        u = (self.spline.antiderivative if integrated else self.spline)(x).T
-        return np.stack([u.real, u.imag])
+    def solutions(self, x):
+        """(Re u, Im u) inside the support and its integral from -a, as the sweep's `solution`.
+
+        Both of shape (2, n_omega, n_x), from one evaluation of the path.
+        """
+        states = self.path(x)
+        return tuple(np.stack([v.real, v.imag])
+                     for v in (states[:, 0].T, (states[:, 2] - self.end[2]).T))
 
 
 class SpectralDensityError(ValueError):

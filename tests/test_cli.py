@@ -118,7 +118,7 @@ class TestKernel:
         assert rep["n_nodes"] == len(quad)
         assert rep["quad_error_bound"] == quad.error_bound
 
-    @pytest.mark.parametrize("model", ["schrodinger", "liouville"])
+    @pytest.mark.parametrize("model", ["liouville"])
     def test_report_records_no_bound_for_a_potential(self, tmp_path, model):
         # the bound covers plane waves; scattering tables have their own structure
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -184,8 +184,7 @@ class TestKernel:
         assert (out / "kernel_grid.csv").read_bytes() == ref.getvalue().encode()
 
     @pytest.mark.parametrize("model, cls", [("free", "ToyModel"), ("toy", "ToyModel"),
-                                            ("liouville", "LiouvilleModel"),
-                                            ("schrodinger", "SchrodingerModel")])
+                                            ("liouville", "LiouvilleModel")])
     def test_report_names_the_model_class(self, tmp_path, model, cls):
         profile = {"free": UNIT, "toy": STEP_14}.get(model, BLEND_12)
         cfg = write_cfg(tmp_path, "cfg.json", {
@@ -663,6 +662,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("kind", ["schrodinger"])
     def test_unsupported_model_rejected(self, tmp_path, capsys, kind):
+        # the kind computes the space of liouville in the warped coordinate
         cfg = write_cfg(tmp_path, "cfg.json", {
             "model": kind, "spectral_set": [[0.0, 1.0]],
             "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 2.0, "R": 1.0},
@@ -673,7 +673,8 @@ class TestReconstruct:
         assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o",
                     "--samples", samples]) == 2
         err = capsys.readouterr().err
-        assert "'toy'" in err and "'free'" in err and repr(kind) in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'toy'" in err and "'free'" in err and "'liouville'" in err and repr(kind) in err
 
 
 class TestSweepReport:
@@ -683,7 +684,7 @@ class TestSweepReport:
                     "rk4_interpolation_tail")
 
     @pytest.mark.parametrize("subcommand, model", [
-        ("kernel", "schrodinger"), ("kernel", "liouville"), ("reconstruct", "liouville"),
+        ("kernel", "liouville"), ("reconstruct", "liouville"),
         ("kernel", "toy"), ("reconstruct", "free"),
     ])
     def test_report_records_the_sweep(self, tmp_path, subcommand, model):
@@ -719,10 +720,10 @@ class TestSweepReport:
             assert sweep.rk4_points == len(sweep) and sweep.interpolation_tail == 0
         assert rep["max_unitarity_defect"] == sweep.unitarity_defect() < 1e-7
 
-    @pytest.mark.parametrize("model", ["schrodinger", "liouville"])
+    @pytest.mark.parametrize("model", ["liouville"])
     def test_kernel_exits_1_on_a_defective_sweep(self, tmp_path, model):
         # at omega ~ 100 the step rule leaves about 63 RK4 steps per wavelength:
-        # defects of 2.6e-5 and 1.2e-5, which scatter would refuse too
+        # a defect of 1.2e-5, which scatter would refuse too
         cfg = {"model": model, "profile": BLEND_12, "spectral_set": [[1e4, 10001.0]]}
         out = tmp_path / "out"
         assert run(["kernel", "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]) == 1
@@ -1263,7 +1264,7 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert what in err and "physical memory" in err
 
-    @pytest.mark.parametrize("model", ["free", "toy", "liouville", "schrodinger"])
+    @pytest.mark.parametrize("model", ["free", "toy", "liouville"])
     def test_every_model_sizes_its_rule_for_the_grid(self, tmp_path, capsys, monkeypatch,
                                                      model):
         # in 64 KB the rule alone fits, but not its tables at 401 grid points
@@ -1275,13 +1276,31 @@ class TestErrors:
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "at 401 points take" in capsys.readouterr().err
 
-    def test_schrodinger_model_needs_smooth_profile(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand", ["kernel", "landau"])
+    def test_schrodinger_model_names_liouville(self, tmp_path, capsys, subcommand):
+        # the warped potential's sweep is the space of liouville in the warped
+        # coordinate, and on steep blends it misses liouville's T by 4e-4
         cfg = write_cfg(tmp_path, "cfg.json", {
-            "model": "schrodinger", "spectral_set": [[0.0, 1.0]],
-            "profile": {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 4.0]},
-        })
+            "model": "schrodinger", "spectral_set": [[0.0, 1.0]], "profile": BLEND_12})
+        assert run([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'liouville'" in err and "'schrodinger'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_interior_past_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the blend(1, 4, R = 5) on 368 nodes: its final pass of 10000 RK4
+        # steps fits in 2 MB, but the 158 block ends of its interior path at
+        # 197 values of omega^2, for the grid's points inside [-R, R], do not
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2e6)
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "model": "liouville", "spectral_set": [[0.0, 400.0]],
+            "profile": {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 5.0},
+            "grid": {"lo": -1.0, "hi": 1.0, "n": 3}})
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 2
-        assert "smooth profile" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: an RK4 run of 10000 steps") and err.count("\n") == 1
+        assert "physical memory" in err
 
     def test_unknown_model(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {

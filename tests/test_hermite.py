@@ -5,17 +5,12 @@ scipy is the reference here only: the package itself interpolates with
 scipy-backed stand-in patched into the module that constructs it.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from varband import profile, schrodinger
+from varband import profile
 from varband.profile import CubicHermite, blend_profile
-from varband.schrodinger import ScatteringSweep
-
-from closed_forms import sweep_model
 
 
 class ScipyHermite:
@@ -26,9 +21,6 @@ class ScipyHermite:
 
     def __call__(self, t):
         return self._spline(t)
-
-    def antiderivative(self, t):
-        return self._spline.antiderivative()(t)
 
 
 def rel_dev(got, want):
@@ -67,14 +59,6 @@ class TestAgainstScipy:
         t = probes(rng, x)
         assert rel_dev(CubicHermite(x, y, dydx)(t), CubicHermiteSpline(x, y, dydx)(t)) < 1e-13
 
-    @pytest.mark.parametrize("trailing,dtype", CASES, ids=lambda c: str(c))
-    def test_antiderivative(self, trailing, dtype):
-        rng = np.random.default_rng(15)
-        x, y, dydx = uneven_data(rng, 60, trailing, dtype)
-        t = probes(rng, x)
-        want = CubicHermiteSpline(x, y, dydx).antiderivative()(t)
-        assert rel_dev(CubicHermite(x, y, dydx).antiderivative(t), want) < 1e-13
-
     def test_interpolates_knot_data_exactly(self):
         rng = np.random.default_rng(13)
         x, y, dydx = uneven_data(rng, 40, (4,), complex)
@@ -111,47 +95,9 @@ class TestCallSites:
         assert rel_dev(prof.zeta(xs), ws) < 1e-12
         assert rel_dev(prof.zeta_inv(ws), ref.zeta_inv(ws)) < 1e-12
 
-    def test_scattering_interior(self, monkeypatch):
-        prof = blend_profile(1.0, 2.0, R=1.0, kind="quintic")
-        args = (prof.potential_q_warped, prof.warped_support_radius, np.linspace(0.2, 4.0, 9))
-        a = prof.warped_support_radius
-        xs = np.concatenate((np.linspace(-a, a, 301), [-1.5 * a, 1.5 * a]))
-        # the interior spline is built on first use, so the reference is used inside the patch
-        with monkeypatch.context() as m:
-            m.setattr(schrodinger, "CubicHermite", ScipyHermite)
-            ref = sweep_model(ScatteringSweep(*args))
-            want = ref.basis(xs), ref.basis_antiderivative(xs)
-        assert isinstance(ref.sweep._interior[0], ScipyHermite)
-        model = sweep_model(ScatteringSweep(*args))
-        assert isinstance(model.sweep._interior[0], CubicHermite)
-        assert rel_dev(model.basis(xs), want[0]) < 1e-12
-        assert rel_dev(model.basis_antiderivative(xs), want[1]) < 1e-12
-
 
 class TestStoredTables:
-    """A sweep's interior spline holds the RK4 states at the final map's points, not tables."""
-
-    @pytest.mark.parametrize("n_omegas", [64, 640])
-    def test_spline_holds_two_tables(self, n_omegas):
-        q = lambda x: np.exp(-4.0 * np.asarray(x, float) ** 2)
-        sweep = ScatteringSweep(q, 1.0, np.linspace(0.2, 4.0, n_omegas))
-        assert "_interior" not in vars(sweep)
-        # the same Chebyshev points of omega^2 at either node count
-        assert sweep.rk4_points == 18
-        tracemalloc.start()
-        try:
-            spline = sweep._interior[0]
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        # two real knots-by-starts-by-points tables, values and slopes, views of
-        # one array of RK4 states; nothing scales with the node count
-        shape = (sweep.n_steps + 1, 2, sweep.rk4_points)
-        assert spline.y.shape == spline.dydx.shape == shape
-        assert spline.y.dtype == spline.dydx.dtype == np.float64
-        assert np.may_share_memory(spline.y, spline.dydx)
-        table = np.prod(shape) * np.dtype(float).itemsize
-        assert 2 * table <= held < 2.1 * table
+    """The interpolant holds its knot data as given."""
 
     def test_knot_data_is_not_copied(self):
         rng = np.random.default_rng(16)

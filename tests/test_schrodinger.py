@@ -1,17 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from varband import cli, schrodinger
+from varband import cli, schrodinger, spectral
 from varband.kernel import LiouvilleModel, SchrodingerModel, free_model
 from varband.paleywiener import transform
-from varband.profile import CubicHermite, blend_profile, profile_from_config
+from varband.profile import blend_profile, profile_from_config
 from varband.schrodinger import (MatchingError, ScatteringSweep, liouville_sweep,
                                  scattering_coeffs)
 from varband.spectral import SpectralQuadrature, SpectralSet, uniform_quadrature
-from varband.sturm import rk4_linear
+from varband.sturm import _BLOCK, IntegrationError, rk4_linear
 
 from closed_forms import PerNodeSweep, phi, sweep_model
 
@@ -65,25 +66,26 @@ class TwoPassSweep:
         h = min(1e-3, 2 * np.pi / (50.0 * np.max(w)))
         qa = lambda x: q(np.clip(x, -a, a))
         e = np.exp(1j * w * a)
-        g1, s1 = rk4_linear(np.ones_like, qa, w**2, a, -a, np.stack([e, 1j * w * e]), h,
-                            breakpoints, path=True)
-        g2, s2 = rk4_linear(np.ones_like, qa, w**2, -a, a, np.stack([e, -1j * w * e]), h,
-                            breakpoints, path=True)
-        (y, dy), (z, dz) = s1[-1], s2[-1]
+        self.paths = (rk4_linear(np.ones_like, qa, w**2, a, -a, np.stack([e, 1j * w * e]), h,
+                                 breakpoints, path=True),
+                      rk4_linear(np.ones_like, qa, w**2, -a, a, np.stack([e, -1j * w * e]), h,
+                                 breakpoints, path=True))
+        # the first pass's state at -a, and so its integral from -a
+        self.left = self.paths[0](np.array([-a]))[0]
+        (y, dy, _), (z, dz, _) = self.left, self.paths[1](np.array([a]))[0]
         alpha = 0.5 * (y + dy / (1j * w)) * e
         beta = 0.5 * (y - dy / (1j * w)) * e.conj()
         gamma = 0.5 * (z - dz / (1j * w)) * e
         delta = 0.5 * (z + dz / (1j * w)) * e.conj()
         self.T, self.R1, self.R2 = 1.0 / alpha, beta / alpha, delta / gamma
         self.norm = np.stack([alpha, gamma])[:, :, None]
-        self.splines = (CubicHermite(g1[::-1], s1[::-1, 0], s1[::-1, 1]),
-                        CubicHermite(g2, s2[:, 0], s2[:, 1]))
 
     def phi(self, x):
-        return np.stack([sp(x).T for sp in self.splines]) / self.norm
+        return np.stack([path(x)[:, 0].T for path in self.paths]) / self.norm
 
     def antiderivative(self, x):
-        return np.stack([sp.antiderivative(x).T for sp in self.splines]) / self.norm
+        first, second = (path(x)[:, 2] for path in self.paths)
+        return np.stack([(first - self.left[2]).T, second.T]) / self.norm
 
 
 def rel_dev(got, want):
@@ -248,6 +250,23 @@ class TestBlendTransmission:
             assert np.max(np.abs(model.sweep.T - T_ref)) < 1e-8
 
 
+class TestSteepWarpedPotential:
+    def test_passes_the_unitarity_gate_yet_misses_the_liouville_sweep(self):
+        # the cubic blend(1, 100, R = 0.1) on its 16-node rule for |x| <= 3: the
+        # warped potential's 71-step sweep inverts the blend's zeta spline at
+        # every stage; its defect, 1.8e-9, is far under the CLI's 1e-7 gate, but
+        # its T misses the Liouville sweep's by 3.9e-4. This is why the CLI
+        # builds only the Liouville model of a smooth blend.
+        prof = blend_profile(1.0, 100.0, R=0.1, kind="cubic")
+        model = SchrodingerModel(prof.potential_q_warped, prof.warped_support_radius,
+                                 SpectralSet([(0.0, 4.0)]), x_max=3.0,
+                                 breakpoints=prof.zeta([-prof.R, prof.R]))
+        ref = liouville_sweep(prof, model.quad.nodes)
+        assert (len(model.quad), model.sweep.n_steps) == (16, 71)
+        assert model.sweep.unitarity_defect() < 2e-9 and ref.unitarity_defect() < 1e-14
+        assert 3.8e-4 < np.max(np.abs(model.sweep.T - ref.T)) < 4e-4
+
+
 class TestSweepCost:
     @pytest.mark.parametrize("breakpoints", [(), (0.3,)], ids=["one_segment", "two_segments"])
     def test_potential_tabulated_per_segment(self, breakpoints):
@@ -259,17 +278,21 @@ class TestSweepCost:
 
         sweep = ScatteringSweep(q, 1.0, np.linspace(0.1, 5.0, 50), breakpoints=breakpoints)
         # one array call per RK4 segment of the one pass, never one per stage,
-        # and no interior spline until the interior is asked for
-        assert len(calls) == len(breakpoints) + 1
+        # and no interior path until the interior is asked for
+        passes = len(breakpoints) + 1
+        assert len(calls) == passes
         assert sum(calls) == 3 * sweep.n_steps
         assert "_interior" not in vars(sweep)
-        # the first interior call runs the path pass, once per segment; the second none
+        # the first interior call runs the path pass, once per segment; every
+        # interior call takes one call at the stages of 64 steps per point
         model = sweep_model(sweep)
         model.basis(np.array([0.2]))
-        assert len(calls) == 2 * (len(breakpoints) + 1)
-        assert sum(calls) == 6 * sweep.n_steps
+        assert calls[:passes] == calls[passes:2 * passes]
+        assert calls[2 * passes:] == [3 * _BLOCK]
+        del calls[:]
+        # the integral over the support, then the two points
         model.basis_antiderivative(np.array([-0.4, 0.5]))
-        assert len(calls) == 2 * (len(breakpoints) + 1)
+        assert calls == [3 * _BLOCK, 2 * 3 * _BLOCK]
 
     def test_potential_is_asked_only_inside_the_support(self):
         # every stage abscissa lies inside its RK4 segment, and every segment inside
@@ -305,19 +328,70 @@ class TestSweepCost:
         sweep.solution(np.array([1.0]), True)
         assert calls == [200] and sweep.rk4_points < len(sweep)
 
-    def test_scatter_builds_no_spline(self, tmp_path, monkeypatch):
+    def test_scatter_runs_no_path(self, tmp_path, monkeypatch):
         # the scatter subcommand reads T, R1 and R2 from the final map alone
-        def refuse(*args):
-            raise AssertionError("the interior spline was built")
+        def refuse(*args, path=False, **kwargs):
+            if path:
+                raise AssertionError("the interior path was run")
+            return rk4_linear(*args, **kwargs)
 
-        monkeypatch.setattr(schrodinger, "CubicHermite", refuse)
+        monkeypatch.setattr(schrodinger, "rk4_linear", refuse)
         blend = {"kind": "smooth_blend", "p_minus": 1.0, "p_plus": 4.0, "R": 1.5}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"profile": blend}))
         assert cli.main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         sweep = liouville_sweep(profile_from_config(blend), np.linspace(0.05, 5.0, 200))
-        with pytest.raises(AssertionError, match="spline was built"):
+        with pytest.raises(AssertionError, match="path was run"):
             sweep.solution(np.array([0.0]))
+
+    @pytest.mark.parametrize("n_omegas", [64, 640])
+    def test_interior_holds_its_block_ends(self, n_omegas):
+        q = lambda x: np.exp(-4.0 * np.asarray(x, float) ** 2)
+        sweep = ScatteringSweep(q, 1.0, np.linspace(0.2, 4.0, n_omegas))
+        assert "_interior" not in vars(sweep)
+        # the same Chebyshev points of omega^2 at either node count
+        assert sweep.rk4_points == 18
+        tracemalloc.start()
+        try:
+            path = sweep._interior[0]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # (u, p u', int u) from both starts at every 64th step of 2000 and
+        # the last: nothing scales with the step count alone or the node count
+        assert path.ends.shape == (3, sweep.n_steps // _BLOCK + 2, 2, sweep.rk4_points)
+        assert path.ends.dtype == np.float64
+        assert path.ends.nbytes <= held < 1.25 * path.ends.nbytes
+
+    def test_long_phase_interior_stays_small(self):
+        # the warped sweep of a steep quintic blend: 25433 steps at 200 distinct
+        # omega^2, where a state per step took 155 MiB
+        prof = blend_profile(1.0, 0.01, R=3.0, kind="quintic")
+        sweep = ScatteringSweep(prof.potential_q_warped, prof.warped_support_radius,
+                                np.linspace(0.05, 5.0, 200), breakpoints=prof.zeta([-3.0, 3.0]))
+        assert (sweep.n_steps, sweep.rk4_points) == (25433, 200)
+        tracemalloc.start()
+        try:
+            sweep.solution(np.array([-1.0, 0.0, 2.0]), True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_interior_past_memory_is_refused_unallocated(self, monkeypatch):
+        prof = blend_profile(1.0, 3.0, R=1.5, kind="cubic")
+        sweep = liouville_sweep(prof, np.linspace(0.05, 5.0, 200))
+        # 128 KiB, once the sweep is built: the interior's stage tables alone,
+        # 12 float64 for each of 3000 steps, take 288 KB
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2**17)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrationError, match="physical memory"):
+                sweep.solution(np.array([0.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**15
 
     def test_liouville_model_shares_the_scatter_sweep(self):
         # a Liouville model's T is the scatter subcommand's, bit for bit, at the same omegas
@@ -396,8 +470,7 @@ class TestInterior:
         sweep = ScatteringSweep(q, a, omegas, **kw)
         ref = PerNodeSweep(q, a, omegas, **kw)
         xs = np.linspace(-a, a, 301)
-        for integrated in (False, True):
-            want = ref.solution(xs, integrated)
+        for integrated, want in zip((False, True), ref.solutions(xs)):
             dev = np.max(np.abs(sweep.solution(xs, integrated) - want)) / np.max(np.abs(want))
             assert dev < 1e-12
 

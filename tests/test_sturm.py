@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from varband import sturm
+from varband import spectral, sturm
 from varband.profile import blend_profile
 from varband.sturm import (_BLOCK, _TAIL, IntegrationError, _barycentric, _block_steps,
                            _chebyshev_points, _interpolant_points, _step_table, rk4_linear,
@@ -13,8 +14,8 @@ from closed_forms import (SpectralDensityError, toy_fundamental, toy_spectral_de
                           toy_wronskian_value)
 
 
-def step_path(pm, pp, lam, x0, x1, y0):
-    """(grid, states) of (phi, p phi') for the step profile, jump at 0, from x0 to x1.
+def step_path(pm, pp, lam, x0, x1, y0, xs):
+    """(phi, p phi') at xs for the step profile, jump at 0, on a path from x0 to x1.
 
     The system u0' = u1 / p, u1' = -lam u0 is rk4_linear's with a = 1/p, b = 0
     and c = lam; the jump is a breakpoint.
@@ -22,14 +23,14 @@ def step_path(pm, pp, lam, x0, x1, y0):
     def inv_p(x):
         return np.where(np.asarray(x) < 0, 1.0 / pm, 1.0 / pp)
 
-    return rk4_linear(inv_p, np.zeros_like, lam, x0, x1, np.asarray(y0, dtype=complex), 1e-3,
+    path = rk4_linear(inv_p, np.zeros_like, lam, x0, x1, np.asarray(y0, dtype=complex), 1e-3,
                       breakpoints=(0.0,), path=True)
+    return path(np.atleast_1d(np.asarray(xs, dtype=float)))[:, :2]
 
 
-def at(grid, states, xs):
-    """States of a path at the grid points nearest xs, and those points."""
-    i = np.abs(grid[None, :] - np.asarray(xs)[:, None]).argmin(axis=1)
-    return grid[i], states[i]
+def last_state(*args, **kwargs):
+    """(u0, u1) at the end of rk4_linear's path run with these arguments."""
+    return rk4_linear(*args, path=True, **kwargs)(np.array([args[4]]))[0, :2]
 
 
 class TestClosedForms:
@@ -57,8 +58,8 @@ class TestClosedForms:
         x0 = 2.0
         phi0, _ = toy_fundamental(pm, pp, lam, x0)
         kp = np.sqrt(lam / pp)
-        grid, states = step_path(pm, pp, lam, x0, -2.0, (phi0, pp * 1j * kp * phi0))
-        xs, st = at(grid, states, np.linspace(-2, 2, 37))
+        xs = np.linspace(-2, 2, 37)
+        st = step_path(pm, pp, lam, x0, -2.0, (phi0, pp * 1j * kp * phi0), xs)
         ref = toy_fundamental(pm, pp, lam, xs)[0]
         assert np.max(np.abs(st[:, 0] - ref)) < 1e-7
 
@@ -71,11 +72,9 @@ class TestWronskian:
         kp = np.sqrt(lam / pp)
         _, fm0 = toy_fundamental(pm, pp, lam, -3.0)
         km = np.sqrt(lam / pm)
-        # both grids step 1e-3 from an integer, so they share the points of xs
         xs = np.linspace(-2.5, 2.5, 11)
-        x1, st1 = at(*step_path(pm, pp, lam, 3.0, -3.0, (fp0, pp * 1j * kp * fp0)), xs)
-        x2, st2 = at(*step_path(pm, pp, lam, -3.0, 3.0, (fm0, pm * (-1j) * km * fm0)), xs)
-        assert np.max(np.abs(x1 - xs)) < 1e-12 and np.max(np.abs(x2 - xs)) < 1e-12
+        st1 = step_path(pm, pp, lam, 3.0, -3.0, (fp0, pp * 1j * kp * fp0), xs)
+        st2 = step_path(pm, pp, lam, -3.0, 3.0, (fm0, pm * (-1j) * km * fm0), xs)
         # W_p(phi1, phi2) = (p phi1') phi2 - phi1 (p phi2')
         w = st1[:, 1] * st2[:, 0] - st1[:, 0] * st2[:, 1]
         expected = toy_wronskian_value(pm, pp, lam)
@@ -163,22 +162,74 @@ class TestIntegratorCore:
         right = rk4_reference(system(*RIGHT, c), 1.0, 2.5, left[-1], 150)
         ref = np.concatenate([left, right[1:]])
         if path:
-            grid, got = run
-            assert np.max(np.abs(grid - np.r_[np.linspace(0, 1, 101),
-                                              np.linspace(1, 2.5, 151)[1:]])) < 1e-14
+            got = run(np.r_[np.linspace(0, 1, 101), np.linspace(1, 2.5, 151)[1:]])[:, :2]
         else:
             got, ref = run, ref[-1]
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_path_and_final_agree(self):
-        # u'' = -2 u as u0' = u1, u1' = (0 - 2) u0; the path applies the step
-        # maps one by one, the final state multiplies each block's maps first
+        # u'' = -2 u as u0' = u1, u1' = (0 - 2) u0; the path applies 64-step
+        # blocks to the state, the final state multiplies longer blocks first
         y0 = np.array([1.0, 0.0], dtype=complex)
-        _, path = rk4_linear(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3, path=True)
+        last = last_state(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3)
         final = rk4_linear(np.ones_like, np.zeros_like, 2.0, 0.0, 3.0, y0, 1e-3)
-        assert np.max(np.abs(path[-1] - final)) < 1e-13 * np.max(np.abs(path))
+        assert np.max(np.abs(last - final)) < 1e-13
         assert abs(final[0] - np.cos(np.sqrt(2.0) * 3.0)) < 1e-10
+
+    @staticmethod
+    def path_and_reference(c, y0, backward):
+        """A path over [0, 2.5], jump at 1, and (grid, states) of (u0, u1, w) stage by stage.
+
+        100 steps of 0.01 up to the jump and 150 past it, so both segments
+        end in a partial block; w' = u0 from w = 0 at x0.
+        """
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        x0, x1 = (2.5, 0.0) if backward else (0.0, 2.5)
+        path = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), path=True)
+        grids, states, y = [], [], np.concatenate([y0, np.zeros_like(y0[:1])])
+        for start, end, n in rk4_segments(x0, x1, 0.01, (1.0,)):
+            sa, sb = LEFT if min(start, end) < 1.0 else RIGHT
+            f = lambda x, y: np.stack([sa(x) * y[1], (sb(x) - c) * y[0], y[0]])
+            ref = rk4_reference(f, start, end, y, n)
+            grids.append(np.linspace(start, end, n + 1)[bool(grids):])
+            states.append(ref[bool(states):])
+            y = ref[-1]
+        return path, np.concatenate(grids), np.concatenate(states)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("c, y0", [
+        (np.array([0.3, 2.0, 7.5]), np.stack([np.ones(3), 1j * np.sqrt([0.3, 2.0, 7.5])])),
+        (1.7, np.array([1.0, 0.4j])),
+    ], ids=["array_c", "scalar_c"])
+    def test_path_matches_stagewise_reference(self, c, y0, backward):
+        # at a grid point the path takes whole steps from the block end before it
+        path, grid, ref = self.path_and_reference(c, y0, backward)
+        # the states kept: at x0, after 64 and 100 steps (the jump), and after
+        # 64, 128 and 150 steps past it
+        assert path.ends.shape == (3, 6) + ref.shape[2:]
+        got = path(grid)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_path_point_alone_is_the_point_in_a_batch(self, backward):
+        c = np.array([0.3, 2.0, 7.5])
+        path, grid, _ = self.path_and_reference(c, np.stack([np.ones(3), 1j * np.sqrt(c)]),
+                                                backward)
+        # grid points, points between them, the jump, both ends and the
+        # partial blocks' ends, in no order
+        xs = np.random.default_rng(5).permutation(np.concatenate(
+            (grid[::25], np.linspace(0.0, 2.5, 27)[1:-1] + 1e-3 / 3, [1.0, 0.0, 2.5, 0.64, 2.28])))
+        batch = path(xs)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(path(np.array([x]))[0], row)
+
+    def test_path_is_asked_only_within_the_run(self):
+        path = rk4_linear(np.ones_like, np.zeros_like, 1.0, 0.0, 1.0, np.array([1.0, 0.0]), 0.1,
+                          path=True)
+        with pytest.raises(IntegrationError, match="no state at x = 1.5"):
+            path(np.array([0.5, 1.5]))
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("c, y0", [
@@ -189,7 +240,7 @@ class TestIntegratorCore:
     @pytest.mark.parametrize("n", [1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
     def test_composed_blocks_match_step_by_step(self, n, c, y0, backward):
         # a segment of n steps, then one of 2 * _BLOCK + 5 (full blocks and a
-        # partial one); the path applies every step map in turn
+        # partial one); the path applies 64 steps at a time
         a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
         h = 2.0**-7  # so the segment lengths are exact multiples of the step
         x0, x1 = 1.0 - h * n, 1.0 + h * (2 * _BLOCK + 5)
@@ -197,10 +248,10 @@ class TestIntegratorCore:
             x0, x1 = x1, x0
         assert sorted(k for *_, k in rk4_segments(x0, x1, h, (1.0,))) == sorted(
             [n, 2 * _BLOCK + 5])
-        _, path = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,), path=True)
+        last = last_state(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
         final = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
-        assert final.shape == path[-1].shape
-        assert np.max(np.abs(final - path[-1])) < 1e-13 * np.max(np.abs(path[-1]))
+        assert final.shape == last.shape
+        assert np.max(np.abs(final - last)) < 1e-13 * np.max(np.abs(last))
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("c, y0", [
@@ -210,7 +261,7 @@ class TestIntegratorCore:
     ], ids=["array_c", "scalar_c"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_final_blocks_match_step_by_step(self, offset, c, y0, backward):
-        # the final state's blocks are longer than the path's: a segment of
+        # the final state's blocks are longer than the path's 64: a segment of
         # block + offset steps, then one of two full blocks and a partial one
         block = _block_steps(np.size(c))
         assert block > _BLOCK
@@ -221,15 +272,17 @@ class TestIntegratorCore:
             x0, x1 = x1, x0
         assert sorted(k for *_, k in rk4_segments(x0, x1, h, (1.0,))) == sorted(
             [block + offset, 2 * block + 5])
-        _, path = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,), path=True)
+        last = last_state(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
         final = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
-        assert final.shape == path[-1].shape
-        assert np.max(np.abs(final - path[-1])) < 1e-13 * np.max(np.abs(path[-1]))
+        assert final.shape == last.shape
+        assert np.max(np.abs(final - last)) < 1e-13 * np.max(np.abs(last))
 
-    def test_breakpoint_nodes_present(self):
-        g, _ = rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]),
+    def test_breakpoint_is_a_block_end(self):
+        # two segments of two 0.25 steps: the state at 0.5 is the one kept there
+        path = rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]),
                           0.3, breakpoints=(0.5,), path=True)
-        assert np.min(np.abs(g - 0.5)) < 1e-14
+        assert path.ends.shape == (3, 3)
+        assert np.array_equal(path(np.array([0.5]))[0], path.ends[:, 1])
 
     def test_coefficients_tabulated_once_per_segment(self):
         seen = []
@@ -249,7 +302,7 @@ class TestIntegratorCore:
     def test_state_continuous_across_jump(self):
         # from -1 to either side of the jump, one run crossing it and one not
         eps = 1e-6
-        left, right = (step_path(1.0, 4.0, 2.0, -1.0, x, (1.0, 0.5))[1][-1] for x in (-eps, eps))
+        left, right = (step_path(1.0, 4.0, 2.0, -1.0, x, (1.0, 0.5), x)[0] for x in (-eps, eps))
         assert abs(left[0] - right[0]) < 1e-5
         assert abs(left[1] - right[1]) < 1e-4
 
@@ -271,7 +324,7 @@ def predicted_points(a, b, c, x0, x1, step, breakpoints=()):
 
 
 class TestInterpolatedFinalState:
-    """The final state at many c from the run's map interpolated in c, against the stored path."""
+    """The final state at many c from the run's map interpolated in c, against a path's."""
 
     @staticmethod
     def coefficients():
@@ -285,8 +338,7 @@ class TestInterpolatedFinalState:
         y0 = np.stack([np.ones(np.shape(c)), 1j * np.sqrt(c) + 0.5])
         record = {}
         final = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), record=record)
-        _, path = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), path=True)
-        return final, path[-1], record
+        return final, last_state(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,)), record
 
     @classmethod
     def predicted(cls, c):
@@ -328,7 +380,7 @@ class TestInterpolatedFinalState:
 
     @staticmethod
     def blend_sweep(kind, p_minus, p_plus, R, omegas):
-        """Final state, stored-path state, record and predicted points of a blend's sweep.
+        """Final state, a path's last state, record and predicted points of a blend's sweep.
 
         The sweep of -(p u')' = omega^2 u over [-R, R] at 200 omegas, as
         `ScatteringSweep` runs it.
@@ -340,8 +392,8 @@ class TestInterpolatedFinalState:
         y0 = np.stack([np.ones(w.size), 1j * w])
         record = {}
         final = rk4_linear(a, np.zeros_like, w**2, R, -R, y0, step, record=record)
-        _, path = rk4_linear(a, np.zeros_like, w**2, R, -R, y0, step, path=True)
-        return final, path[-1], record, predicted_points(a, np.zeros_like, w**2, R, -R, step)
+        last = last_state(a, np.zeros_like, w**2, R, -R, y0, step)
+        return final, last, record, predicted_points(a, np.zeros_like, w**2, R, -R, step)
 
     @pytest.mark.parametrize("case", [
         case for case in itertools.product(
@@ -416,3 +468,24 @@ class TestInterpolatedFinalState:
         cubic = (x**3 - 2 * x)[None, None, :]
         through = _barycentric(nodes, (nodes**3 - 2 * nodes)[None, None, :], x)
         assert np.max(np.abs(through - cubic)) < 1e-13 * np.max(np.abs(cubic))
+
+
+class TestPathMemory:
+    """A path's memory estimate against what its pass allocates."""
+
+    @pytest.mark.parametrize("n_c, step", [(4, 2e-4), (400, 1e-3), (1000, 1e-2)])
+    def test_estimate_is_within_2x_of_the_peak(self, monkeypatch, n_c, step):
+        # block-end states dominate at many c, the stage tables at few
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        args = (a, b, np.linspace(0.5, 30.0, n_c), 2.0, -1.0, np.eye(2)[:, :, None], step)
+        tracemalloc.start()
+        try:
+            rk4_linear(*args, breakpoints=(1.0,), path=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2.0 * peak)
+        rk4_linear(*args, breakpoints=(1.0,), path=True)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 0.5 * peak)
+        with pytest.raises(IntegrationError, match="physical memory"):
+            rk4_linear(*args, breakpoints=(1.0,), path=True)
