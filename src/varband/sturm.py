@@ -7,21 +7,24 @@ package's one fixed-step RK4 integrator, with mandatory breakpoint nodes and
 coefficients tabulated once per segment.  The system is linear, so each RK4
 step is a 2x2 matrix in closed form (its propagator) whose entries are
 quadratics in c; the driver builds those in blocks of steps and multiplies
-each block's maps into one, pairwise in about log2(block) levels.  A run
-that returns only the final state multiplies those into the map M(c) of the
-whole run, a polynomial in c, integrated at c's distinct values or, when
-fewer suffice by a stated bound, at Chebyshev points, and interpolated (see
+each block's maps into one, pairwise in about log2(block) levels, with the
+long axis of every table, steps or points, innermost.  A run that returns
+only the final state multiplies those into the map M(c) of the whole run,
+a polynomial in c, integrated at c's distinct values or, when fewer suffice
+by a stated bound, at Chebyshev points, and interpolated (see
 `rk4_linear`); the run records the map that takes any table at those
 points, a path's states there too, to every c.  A final-state block is as
 long as a table of 64 * 200 maps allows at the point count, 64 to 1024
 steps.  A path run carries w, the integral of u0, as a third component,
 keeps the state only at the end of every block of 64 steps, and reaches any
-x from the block end before it (`_Path`).
-The scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p
-and b = q.
+x from the nearer end of its block, at most 32 steps away (`_Path`).  The
+scattering module runs it on -(p u')' + q u = omega^2 u, with a = 1/p and
+b = q.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,16 +38,20 @@ class IntegrationError(RuntimeError):
 _BLOCK = 64  # RK4 steps between the states a path keeps
 _TABLE = 64 * 200  # steps times c values in one table of the final-state run
 _TAIL = 2.0**-45  # largest accepted last coefficients, relative to an entry's largest
-# float64 per step of a run's tables: the step polynomials every segment keeps,
-# and the stage tables of the segment being built
-_STEP_FLOATS = 20
-# float64 per step of a path's segment: its stage abscissae, a and b there, and
-# a temporary of their evaluation
-_STAGE_FLOATS = 12
+# float64 per step of a run's tables: a final-state run keeps every segment's step
+# polynomials and builds one segment's stage tables at a time; a path builds one
+# segment's polynomials, integral rows, stage tables and their temporaries at a time
+_STEP_FLOATS, _PATH_FLOATS = 20, 32
+
+
+# a segment of a run, from start to end in n steps of h: its stages are clipped to
+# [lo, hi], the open segment less 1e-9 |h| at either end, so that none at a breakpoint
+# picks the wrong one-sided limit, and a path numbers its block ends in it from first
+_Segment = namedtuple("_Segment", "start end n h lo hi first")
 
 
 def rk4_segments(x0, x1, step, breakpoints=()):
-    """Segments (start, end, n_steps) of a fixed-step run from x0 to x1.
+    """The `_Segment`s of a fixed-step run from x0 to x1.
 
     Points of `breakpoints` strictly between x0 and x1 become segment edges,
     so no step straddles a coefficient discontinuity; each segment takes the
@@ -55,8 +62,14 @@ def rk4_segments(x0, x1, step, breakpoints=()):
     lo, hi = min(x0, x1), max(x0, x1)
     inner = sorted(b for b in breakpoints if lo < b < hi)
     edges = [x0] + (inner if x1 > x0 else inner[::-1]) + [x1]
-    return [(a, b, max(1, int(np.ceil(abs(b - a) / step))))
-            for a, b in zip(edges[:-1], edges[1:])]
+    segments, first = [], 0
+    for start, end in zip(edges[:-1], edges[1:]):
+        n = max(1, int(np.ceil(abs(end - start) / step)))
+        h = (end - start) / n
+        inside = min(start, end) + 1e-9 * abs(h), max(start, end) - 1e-9 * abs(h)
+        segments.append(_Segment(start, end, n, h, *inside, first))
+        first += -(-n // _BLOCK)
+    return segments
 
 
 def _refuse_past_memory(segments, y, c, path):
@@ -64,16 +77,16 @@ def _refuse_past_memory(segments, y, c, path):
 
     A final-state run's tables take about `_STEP_FLOATS` float64 per step.
     A path keeps a state (u0, u1, w), each of y's entries and c broadcast, at
-    every block end, tabulates one segment's stages at a time,
-    `_STAGE_FLOATS` float64 per step, and composes a block at a time in two
+    every block end, tabulates one segment's steps at a time,
+    `_PATH_FLOATS` float64 per step, and composes a block at a time in two
     buffers of 6 (`_BLOCK` + 1) maps per c. It is called before anything of
     the run is allocated.
     """
-    steps = sum(n for *_, n in segments)
+    steps = sum(seg.n for seg in segments)
     if path:
         state = 3.0 * y.itemsize * np.prod(np.broadcast_shapes(y.shape[1:], c.shape))
         need = ((steps / _BLOCK + len(segments) + 1) * state
-                + 8.0 * _STAGE_FLOATS * max(n for *_, n in segments)
+                + 8.0 * _PATH_FLOATS * max(seg.n for seg in segments)
                 + 2 * 8.0 * 6 * (_BLOCK + 1) * c.size)
     else:
         need = 8.0 * _STEP_FLOATS * steps
@@ -131,19 +144,19 @@ def _integral_row(A, B, h):
 
 
 def _rk4_propagators(polys, steps, c, out):
-    """The step maps of the steps ``steps`` at c, shape (rows, 2, k, *c.shape).
+    """The step maps of the steps ``steps`` at c, shape (rows, 2, *c.shape, k).
 
     ``polys`` are the coefficients of `_step_polynomials`, 2 x 2 maps, or
     those and `_integral_row`'s, 3 x 2 maps, and c enters each entry by
-    Horner's rule.  ``steps`` indexes the first axis of every coefficient.
-    The maps are written into the front of the flat buffer ``out`` and
-    returned as a view of it.
+    Horner's rule.  ``steps`` indexes the first axis of every coefficient,
+    leaving k steps, or a path step's k points, innermost; the maps are
+    written to the front of the flat buffer ``out``, as the view returned.
     """
-    col = (-1,) + (1,) * c.ndim
     k = len(polys[0][0][steps])
-    P = out[:len(polys) * k * c.size].reshape((len(polys), k) + c.shape)
+    P = out[:len(polys) * c.size * k].reshape((len(polys),) + c.shape + (k,))
+    c = c[..., None]
     for entry, coefs in zip(P, polys):
-        coefs = [q[steps].reshape(col) for q in coefs]
+        coefs = [q[steps] for q in coefs]
         np.multiply(coefs[-1], c, out=entry)
         for q in coefs[-2:0:-1]:
             entry += q
@@ -153,64 +166,57 @@ def _rk4_propagators(polys, steps, c, out):
 
 
 def _compose(P, work):
-    """The product P_(k-1) ... P_1 P_0 of the k maps P[:, :, i], shape P.shape[:2] + P.shape[3:].
+    """The product P_(k-1) ... P_1 P_0 of the k maps P[..., i], shape P.shape[:-1].
 
     A map is 2 x 2, or 3 x 2: a third row r makes it the step of (u0, u1,
     w) that adds r (u0, u1) to w, so that the row of Q P is Q's row times P
     plus P's row.  Level by level, each even-indexed map is followed by the
     next one, P_(2i+1) P_(2i), and an odd count carries its last map up
     unchanged: about log2(k) levels of batched real products in place of k
-    - 1 sequential ones.  ``work`` is a pair of flat buffers, each with room
-    for 2 rows (k + 1) entries of shape P.shape[3:], the first holding P.
+    - 1 sequential ones.  P is (rows, 2, *shape, k), the maps innermost, so
+    every product runs along them.  ``work`` is a pair of flat buffers, each
+    with room for 2 rows (k + 1) entries of P's shape, the first holding P.
     Each level writes its entrywise products into the other buffer and sums
     them pairwise in place, so nothing is allocated.
     """
-    rows, k, shape = P.shape[0], P.shape[2], P.shape[3:]
-    size, spare = P[0, 0, 0].size, 1
+    rows, k, shape = P.shape[0], P.shape[-1], P.shape[2:-1]
+    size, spare = P[0, 0, ..., 0].size, 1
     while k > 1:
         pairs, half = k // 2, (k + 1) // 2
-        T = work[spare][:4 * rows * half * size].reshape((rows, 2, 2, half) + shape)
-        products = T[:, :, :, :pairs]
+        T = work[spare][:4 * rows * size * half].reshape((rows, 2, 2) + shape + (half,))
+        products = T[..., :pairs]
         # products[i, l, j] = P_(2m+1)[i, l] P_(2m)[l, j]; its sum over l is their product
-        np.multiply(P[:, :, None, 1:k:2], P[None, :2, :, 0:k - 1:2], out=products)
+        np.multiply(P[:, :, None, ..., 1:k:2], P[None, :2, :, ..., 0:k - 1:2], out=products)
         np.add(products[:, 0], products[:, 1], out=products[:, 0])
         if rows > 2:
-            products[2:, 0] += P[2:, :, 0:k - 1:2]
+            products[2:, 0] += P[2:, ..., 0:k - 1:2]
         if k % 2:
-            T[:, 0, :, pairs] = P[:, :, k - 1]
+            T[:, 0, ..., pairs] = P[..., k - 1]
         P, k, spare = T[:, 0], half, 1 - spare
-    return P[:, :, 0]
+    return P[..., 0]
 
 
 def _stage_values(a, b, nodes, h, lo, hi):
     """a and b at the stages of steps of length h from ``nodes``, each of shape (3, *nodes.shape).
 
     The stage abscissae (nodes, half-steps, end-steps) are clipped to [lo,
-    hi], a segment's open interval shrunk by `_inside`, so that stages at a
-    breakpoint never pick the wrong one-sided limit.  a and b are called
-    once each.
+    hi], a `_Segment`'s.  a and b are called once each.
     """
     stages = np.clip(np.stack([nodes, nodes + h / 2, nodes + h]), lo, hi)
     return (np.broadcast_to(np.asarray(a(stages), dtype=float), stages.shape),
             np.broadcast_to(np.asarray(b(stages), dtype=float), stages.shape))
 
 
-def _inside(start, end, h):
-    """The segment from start to end, of step h, less 1e-9 |h| at either end, as (lo, hi)."""
-    eps = 1e-9 * abs(h)
-    return min(start, end) + eps, max(start, end) - eps
+def _step_table(a, b, seg, path=False):
+    """`_step_polynomials` of a `_Segment`'s steps, and for a ``path`` `_integral_row`'s too.
 
-
-def _step_table(a, b, start, end, n):
-    """`_step_polynomials` of the n steps of one segment, a and b tabulated by one call each.
-
-    Also returns the segment's phase int sqrt|a| dx (Simpson's rule on each
-    step's stages) and the range of b's stage values.
+    Also returns its phase int sqrt|a| dx (Simpson's rule on the stages) and
+    the range of b at the stages; a and b are called once each.
     """
-    h = (end - start) / n
-    A, B = _stage_values(a, b, start + h * np.arange(n), h, *_inside(start, end, h))
-    phase = abs(h) / 6 * float(np.sum(np.sqrt(np.abs(A)) * [[1.0], [4.0], [1.0]]))
-    return _step_polynomials(A, B, h), phase, (float(B.min()), float(B.max()))
+    A, B = _stage_values(a, b, seg.start + seg.h * np.arange(seg.n), seg.h, seg.lo, seg.hi)
+    polys = _step_polynomials(A, B, seg.h) + (_integral_row(A, B, seg.h) if path else ())
+    phase = abs(seg.h) / 6 * float(np.sum(np.sqrt(np.abs(A)) * [[1.0], [4.0], [1.0]]))
+    return polys, phase, (float(B.min()), float(B.max()))
 
 
 def _block_steps(points):
@@ -372,69 +378,63 @@ class _Path:
 
     One pass keeps ``ends``, the state at every block end, shape (3,
     n_ends, *state): the start of each segment, every `_BLOCK` steps after
-    it, and x1.  Called at x, a 1-D
-    array within the run, it takes the block end x_b on x0's side of each x
-    and from there m = ceil(|x - x_b| / h) <= `_BLOCK` equal steps to x, h
-    the segment's step, with stages clipped inside the segment.  Padded with
-    zero-length steps, each the identity exactly, every point takes `_BLOCK`
-    steps, so a batch of points shares one table of step polynomials and
-    the state at x is the same, bit for bit, whichever other points are
-    asked for; at the run's own grid points it is its stepwise path.
-    Returns shape (x.size, 3, *state), a state's shape past its first axis
-    being that of y0 and c broadcast.
+    it, and x1.  Called at x, a 1-D array within the run, it takes the end
+    x_b of x's block nearer to x (the far end being the next block end, or
+    the segment's end) and from there m = ceil(|x - x_b| / h) <= `_BLOCK` / 2
+    equal steps to x, h the segment's step, with stages clipped inside the
+    segment.  Padded with zero-length steps, each the identity exactly,
+    every point takes `_BLOCK` / 2 steps, so a batch of points shares one
+    table of step polynomials and the state at x is the same, bit for bit,
+    whichever other points are asked for.  States and maps are laid out
+    (component, *state, point).  Returns shape (x.size, 3, *state), a
+    state's shape past its first axis being that of y0 and c broadcast.
     """
 
     def __init__(self, a, b, c, segments, y):
-        self.a, self.b, self.segments = a, b, segments
-        self.bounds = np.array([_inside(start, end, (end - start) / n)
-                                for start, end, n in segments])
-        # each segment's first block end; its last is the next segment's first
-        self.first = np.cumsum([0] + [-(-n // _BLOCK) for *_, n in segments])
+        self.a, self.b, self.segments = a, b, np.array(segments, dtype=float)  # _Segment rows
         # c with an axis for each of the state's, so that maps at c act on states
         shape = np.broadcast_shapes(y.shape[1:], c.shape)
         self.c = c.reshape((1,) * (len(shape) - c.ndim) + c.shape)
-        self.ends = np.empty((3, self.first[-1] + 1) + shape, dtype=y.dtype)
+        n_ends = segments[-1].first - (-segments[-1].n // _BLOCK) + 1
+        self.ends = np.empty((3, n_ends) + shape, dtype=y.dtype)
         self.ends[:2, 0], self.ends[2, 0] = y, 0.0
-        k = min(_BLOCK, max(n for *_, n in segments))
+        k = min(_BLOCK, max(seg.n for seg in segments))
         work = [np.empty(6 * (k + 1) * c.size, dtype=np.result_type(c, float))
                 for _ in range(2)]
-        i, scratch = 0, np.empty_like(self.ends[0, 0, ...])
-        for start, end, n in segments:
-            h = (end - start) / n
-            A, B = _stage_values(a, b, start + h * np.arange(n), h, *_inside(start, end, h))
-            for s in range(0, n, _BLOCK):
-                At, Bt = A[:, s:s + _BLOCK], B[:, s:s + _BLOCK]
-                polys = _step_polynomials(At, Bt, h) + _integral_row(At, Bt, h)
-                Q = _compose(_rk4_propagators(polys, slice(None), self.c, work[0]), work)
+        scratch = np.empty_like(self.ends[0, 0, ...])
+        for seg in segments:
+            polys = _step_table(a, b, seg, path=True)[0]
+            for i, s in enumerate(range(0, seg.n, _BLOCK), seg.first):
+                Q = _compose(_rk4_propagators(polys, slice(s, s + _BLOCK), self.c, work[0]), work)
                 _advance(Q, self.ends[:, i], self.ends[:, i + 1], scratch)
-                i += 1
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        start, end, n = (np.array(v) for v in zip(*self.segments))
-        x0, x1 = start[0], end[-1]
+        x0, x1 = self.segments[0, 0], self.segments[-1, 1]
         along = (x - x0) / (x1 - x0)
         if not np.all((along >= 0) & (along <= 1)):
             raise IntegrationError(f"a path from {x0:g} to {x1:g} has no state at x = "
                                    f"{x[(along < 0) | ~(along <= 1)][0]:g}")
-        seg = np.searchsorted((start[1:] - x0) / (x1 - x0), along, side="right")
-        start, h, blocks = start[seg], ((end - start) / n)[seg], -(-n[seg] // _BLOCK)
-        j = np.clip(np.floor((x - start) / h / _BLOCK), 0, blocks - 1).astype(np.intp)
-        base = start + h * (_BLOCK * j)
-        m = np.minimum(np.ceil((x - base) / h - 1e-10), _BLOCK)
+        start, end, n, h, lo, hi, first = self.segments[np.searchsorted(
+            (self.segments[1:, 0] - x0) / (x1 - x0), along, side="right")].T
+        j = np.clip(np.floor((x - start) / h / _BLOCK), 0, np.ceil(n / _BLOCK) - 1)
+        # past the middle of its block, x is reached back from the block's far end
+        j += (x - (start + h * (_BLOCK * j))) / h - 1e-10 > _BLOCK // 2
+        base = np.where(_BLOCK * j < n, start + h * (_BLOCK * j), end)
+        m = np.minimum(np.ceil(np.abs((x - base) / h) - 1e-10), _BLOCK // 2)
         m = np.where(x != base, np.maximum(m, 1), 0)
         dx = (x - base) / np.maximum(m, 1)
-        steps = np.arange(_BLOCK)[:, None]
+        steps = np.arange(_BLOCK // 2)[:, None]
         hs = np.where(steps < m, dx, 0.0)
-        A, B = _stage_values(self.a, self.b, base + dx * steps, hs, *self.bounds[seg].T)
+        A, B = _stage_values(self.a, self.b, base + dx * steps, hs, lo, hi)
         polys = _step_polynomials(A, B, hs) + _integral_row(A, B, hs)
-        y = self.ends[:, self.first[seg] + j]
+        y = np.moveaxis(self.ends[:, (first + j).astype(np.intp)], 1, -1).copy()
         out, scratch = np.empty_like(y), np.empty_like(y[0])
-        maps = np.empty(6 * x.size * self.c.size, dtype=np.result_type(self.c, float))
-        for i in range(_BLOCK):
+        maps = np.empty(6 * self.c.size * x.size, dtype=np.result_type(self.c, float))
+        for i in range(_BLOCK // 2):
             _advance(_rk4_propagators(polys, i, self.c, maps), y, out, scratch)
             y, out = out, y
-        return np.moveaxis(y, 0, 1)
+        return np.moveaxis(y, -1, 0)
 
 
 def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=None):
@@ -448,14 +448,14 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     run (see `_step_table`).  Since the system is linear, each RK4 step is a
     2x2 matrix, real for real a, b and c, whose entries are polynomials of
     degree 2 in c; the matrices are built in closed form a block of steps at
-    a time (see `_rk4_propagators`).
+    a time (see `_rk4_propagators`), laid out (entry, c, step).
 
     With ``path=True`` the run returns a `_Path`, which gives the states
     (u0, u1, w) at any x of the run, w the integral of u0 from x0, real for
     real y0 and c, at every c given: run it at the nodes a final-state run
-    records to reach many c.  Its pass applies each block's map of
-    (u0, u1, w) to the state and keeps only the states at block ends, every
-    `_BLOCK` steps: about 3 * steps / 64 states, not one per step.
+    records to reach many c.  Its pass applies each block's map of (u0, u1,
+    w) to the state and keeps only the states at block ends, every `_BLOCK`
+    steps (about 3 * steps / 64 states), and reaches x from the nearer one.
 
     Without it, the run's map M(c), the product of all step maps, is formed
     block by block (see `_compose`) and applied to y0; the final state is
@@ -485,8 +485,8 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     """
     segments = rk4_segments(x0, x1, step, breakpoints)
     if record is not None:
-        record.update(step=max(abs(end - start) / n for start, end, n in segments),
-                      n_steps=sum(n for *_, n in segments))
+        record.update(step=max(abs(seg.h) for seg in segments),
+                      n_steps=sum(seg.n for seg in segments))
     c = np.asarray(c)
     y = np.asarray(y0)
     y = y.astype(np.result_type(y, c, float), copy=False)
@@ -497,4 +497,4 @@ def rk4_linear(a, b, c, x0, x1, y0, step, breakpoints=(), path=False, record=Non
     _refuse_past_memory(segments, y, c, path)
     if path:
         return _Path(a, b, c, segments, y)
-    return _final_state([_step_table(a, b, *segment) for segment in segments], c, y, record)
+    return _final_state([_step_table(a, b, seg) for seg in segments], c, y, record)

@@ -344,8 +344,8 @@ class TestScatter:
         h_max = min(1e-3, 2 * np.pi * np.sqrt(prof.lower) / (50.0 * 2.0))
         segments = rk4_segments(a, -a, h_max)
         assert len(segments) == 1
-        assert n == sum(k for _, _, k in segments)
-        assert h == max((start - end) / k for start, end, k in segments)
+        assert n == sum(seg.n for seg in segments)
+        assert h == max((seg.start - seg.end) / seg.n for seg in segments)
         assert 0 < h <= h_max
         # four frequencies are fewer than an interpolant in omega^2 needs
         assert rep["rk4_points"] == 4 and rep["rk4_interpolation_tail"] == 0

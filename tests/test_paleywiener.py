@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varband.kernel import ToyModel, free_model, toy_kernel
+from varband.kernel import LiouvilleModel, ToyModel, free_model, toy_kernel
 from varband.paleywiener import (
     FunctionError,
     VarBandFunction,
@@ -10,6 +10,7 @@ from varband.paleywiener import (
     random_smooth_function,
     transform,
 )
+from varband.profile import blend_profile
 from varband.sampling import ReconstructionOperator
 from varband.spectral import SpectralSet
 
@@ -147,6 +148,21 @@ class TestTransform:
         got = transform(model, g, (-12.0, 12.0)).F
         ref = transform(model, g, (-12.0, 12.0), n_panels=2000).F
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_converges_inside_a_smooth_blend(self):
+        # on [-1, 1], inside the blend, U and int U come from the RK4 sweep's
+        # interior: 40 panels meet 200 within 3.5e-13 (it was 3e-12 while U
+        # there was a C1 spline through the sweep's steps)
+        model = LiouvilleModel(blend_profile(0.01, 1.0, R=1.0), SpectralSet([(0.0, 4.0)]),
+                               x_max=3.0)
+        f = random_smooth_function(model, rng=1)
+
+        def g(x):
+            return f(x) * np.exp(-np.asarray(x) ** 2 / 20)
+
+        got = transform(model, g, (-1.0, 1.0), n_panels=40).F
+        ref = transform(model, g, (-1.0, 1.0), n_panels=200).F
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBernstein:

@@ -284,15 +284,15 @@ class TestSweepCost:
         assert sum(calls) == 3 * sweep.n_steps
         assert "_interior" not in vars(sweep)
         # the first interior call runs the path pass, once per segment; every
-        # interior call takes one call at the stages of 64 steps per point
+        # interior call takes one call at the stages of 32 steps per point
         model = sweep_model(sweep)
         model.basis(np.array([0.2]))
         assert calls[:passes] == calls[passes:2 * passes]
-        assert calls[2 * passes:] == [3 * _BLOCK]
+        assert calls[2 * passes:] == [3 * (_BLOCK // 2)]
         del calls[:]
         # the integral over the support, then the two points
         model.basis_antiderivative(np.array([-0.4, 0.5]))
-        assert calls == [3 * _BLOCK, 2 * 3 * _BLOCK]
+        assert calls == [3 * (_BLOCK // 2), 2 * 3 * (_BLOCK // 2)]
 
     def test_potential_is_asked_only_inside_the_support(self):
         # every stage abscissa lies inside its RK4 segment, and every segment inside

@@ -7,8 +7,8 @@ import pytest
 from varband import spectral, sturm
 from varband.profile import blend_profile
 from varband.sturm import (_BLOCK, _TAIL, IntegrationError, _barycentric, _block_steps,
-                           _chebyshev_points, _interpolant_points, _step_table, rk4_linear,
-                           rk4_segments)
+                           _chebyshev_points, _compose, _interpolant_points, _propagator,
+                           _step_table, rk4_linear, rk4_segments)
 
 from closed_forms import (SpectralDensityError, toy_fundamental, toy_spectral_density,
                           toy_wronskian_value)
@@ -123,6 +123,27 @@ def rk4_reference(f, x0, x1, y0, n):
     return np.stack(states)
 
 
+def path_reference(f, start, end, y0, n, xs):
+    """Textbook RK4 states at points xs of a path segment, each reached as a path does; and its last.
+
+    x lies t steps of h = (end - start) / n into its block j of `_BLOCK`
+    steps (the last block may be partial).  For t <= 32 it is reached from
+    the block's start, past that back from its far end, the next block end
+    or the segment's end, by ceil(|x - x_b| / h) equal steps; so a grid
+    point in the first half of a block has its stepwise state.
+    """
+    h = (end - start) / n
+    grid, states = np.linspace(start, end, n + 1), rk4_reference(f, start, end, y0, n)
+    out = []
+    for x in xs:
+        t = (x - start) / h
+        j = min(int(t // _BLOCK), -(-n // _BLOCK) - 1)
+        b = _BLOCK * j if t - _BLOCK * j <= _BLOCK // 2 + 1e-9 else min(_BLOCK * (j + 1), n)
+        m = int(np.ceil(abs((x - grid[b]) / h) - 1e-9))
+        out.append(rk4_reference(f, grid[b], x, states[b], m)[-1] if m else states[b])
+    return np.stack(out), states[-1]
+
+
 # a and b on either side of a jump at x = 1
 LEFT = (lambda x: 1.0 + 0.5 * np.sin(x), lambda x: np.exp(-np.asarray(x) ** 2))
 RIGHT = (lambda x: 2.0 + 0.3 * np.cos(x), lambda x: 0.5 - 0.2 * np.asarray(x))
@@ -156,15 +177,14 @@ class TestIntegratorCore:
         # 100 steps up to the jump, then 150, so the last block of step
         # propagators is partial; each side's reference sees only its formulas
         a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
-        assert [n for *_, n in rk4_segments(0.0, 2.5, 0.01, (1.0,))] == [100, 150]
-        run = rk4_linear(a, b, c, 0.0, 2.5, y0, 0.01, breakpoints=(1.0,), path=path)
-        left = rk4_reference(system(*LEFT, c), 0.0, 1.0, y0, 100)
-        right = rk4_reference(system(*RIGHT, c), 1.0, 2.5, left[-1], 150)
-        ref = np.concatenate([left, right[1:]])
+        assert [seg.n for seg in rk4_segments(0.0, 2.5, 0.01, (1.0,))] == [100, 150]
         if path:
-            got = run(np.r_[np.linspace(0, 1, 101), np.linspace(1, 2.5, 151)[1:]])[:, :2]
+            run, grid, ref = self.path_and_reference(c, y0, False)
+            got, ref = run(grid)[:, :2], ref[:, :2]
         else:
-            got, ref = run, ref[-1]
+            got = rk4_linear(a, b, c, 0.0, 2.5, y0, 0.01, breakpoints=(1.0,))
+            left = rk4_reference(system(*LEFT, c), 0.0, 1.0, y0, 100)
+            ref = rk4_reference(system(*RIGHT, c), 1.0, 2.5, left[-1], 150)[-1]
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -178,24 +198,28 @@ class TestIntegratorCore:
         assert abs(final[0] - np.cos(np.sqrt(2.0) * 3.0)) < 1e-10
 
     @staticmethod
-    def path_and_reference(c, y0, backward):
-        """A path over [0, 2.5], jump at 1, and (grid, states) of (u0, u1, w) stage by stage.
+    def path_and_reference(c, y0, backward, offset=0.0):
+        """A path over [0, 2.5], jump at 1, and (points, states) of (u0, u1, w) stage by stage.
 
         100 steps of 0.01 up to the jump and 150 past it, so both segments
-        end in a partial block; w' = u0 from w = 0 at x0.
+        end in a partial block; w' = u0 from w = 0 at x0.  The points are
+        the grid, or with an ``offset`` each step's point that many steps on
+        from its start; each is reached as a path reaches it (`path_reference`).
         """
         a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
         x0, x1 = (2.5, 0.0) if backward else (0.0, 2.5)
         path = rk4_linear(a, b, c, x0, x1, y0, 0.01, breakpoints=(1.0,), path=True)
-        grids, states, y = [], [], np.concatenate([y0, np.zeros_like(y0[:1])])
-        for start, end, n in rk4_segments(x0, x1, 0.01, (1.0,)):
+        points, states, y = [], [], np.concatenate([y0, np.zeros_like(y0[:1])])
+        for start, end, n, h, *_ in rk4_segments(x0, x1, 0.01, (1.0,)):
             sa, sb = LEFT if min(start, end) < 1.0 else RIGHT
             f = lambda x, y: np.stack([sa(x) * y[1], (sb(x) - c) * y[0], y[0]])
-            ref = rk4_reference(f, start, end, y, n)
-            grids.append(np.linspace(start, end, n + 1)[bool(grids):])
-            states.append(ref[bool(states):])
-            y = ref[-1]
-        return path, np.concatenate(grids), np.concatenate(states)
+            grid = np.linspace(start, end, n + 1)
+            # the grid's first point is the last one of the segment before
+            xs = grid[bool(points):] if offset == 0 else grid[:-1] + offset * h
+            ref, y = path_reference(f, start, end, y, n, xs)
+            points.append(xs)
+            states.append(ref)
+        return path, np.concatenate(points), np.concatenate(states)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("c, y0", [
@@ -203,13 +227,25 @@ class TestIntegratorCore:
         (1.7, np.array([1.0, 0.4j])),
     ], ids=["array_c", "scalar_c"])
     def test_path_matches_stagewise_reference(self, c, y0, backward):
-        # at a grid point the path takes whole steps from the block end before it
+        # at a grid point the path takes whole steps from the nearer end of its
+        # block: in both halves of full and partial blocks, either side of the jump
         path, grid, ref = self.path_and_reference(c, y0, backward)
         # the states kept: at x0, after 64 and 100 steps (the jump), and after
         # 64, 128 and 150 steps past it
         assert path.ends.shape == (3, 6) + ref.shape[2:]
         got = path(grid)
         assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_path_between_grid_points_matches_stagewise_reference(self, backward):
+        # a third of a step past every grid point: steps of (x - x_b) / m, not
+        # h, from the block's start in its first half and from its end past it
+        c = np.array([0.3, 2.0, 7.5])
+        path, points, ref = self.path_and_reference(c, np.stack([np.ones(3), 1j * np.sqrt(c)]),
+                                                    backward, offset=1 / 3)
+        got = path(points)
+        assert got.shape == ref.shape == (250, 3, 3)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
@@ -246,7 +282,7 @@ class TestIntegratorCore:
         x0, x1 = 1.0 - h * n, 1.0 + h * (2 * _BLOCK + 5)
         if backward:
             x0, x1 = x1, x0
-        assert sorted(k for *_, k in rk4_segments(x0, x1, h, (1.0,))) == sorted(
+        assert sorted(seg.n for seg in rk4_segments(x0, x1, h, (1.0,))) == sorted(
             [n, 2 * _BLOCK + 5])
         last = last_state(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
         final = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
@@ -270,7 +306,7 @@ class TestIntegratorCore:
         x0, x1 = 1.0 - h * (block + offset), 1.0 + h * (2 * block + 5)
         if backward:
             x0, x1 = x1, x0
-        assert sorted(k for *_, k in rk4_segments(x0, x1, h, (1.0,))) == sorted(
+        assert sorted(seg.n for seg in rk4_segments(x0, x1, h, (1.0,))) == sorted(
             [block + offset, 2 * block + 5])
         last = last_state(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
         final = rk4_linear(a, b, c, x0, x1, y0, h, breakpoints=(1.0,))
@@ -311,14 +347,78 @@ class TestIntegratorCore:
             rk4_linear(np.ones_like, np.zeros_like, 0.0, 0.0, 1.0, np.array([1.0, 0.0]), -1.0)
 
 
+def times(Q, P):
+    """Q P of two maps, lists of 2 or 3 rows of 2 floats, summed as `_compose` documents.
+
+    A third row r makes a map the step of (u0, u1, w) that adds r (u0, u1)
+    to w, so the product's third row is Q's times P plus P's.
+    """
+    rows = [[Q[i][0] * P[0][j] + Q[i][1] * P[1][j] for j in range(2)] for i in range(2)]
+    if len(Q) == 3:
+        rows.append([Q[2][0] * P[0][j] + Q[2][1] * P[1][j] + P[2][j] for j in range(2)])
+    return rows
+
+
+def pairwise_product(maps):
+    """The product of maps P_0, P_1, ..., taken level by level as `_compose` documents.
+
+    Each level multiplies P_(2i+1) P_(2i); a level with an odd number of
+    maps carries its last map up unchanged.
+    """
+    while len(maps) > 1:
+        maps = [times(maps[i + 1], maps[i]) for i in range(0, len(maps) - 1, 2)] + (
+            maps[-1:] if len(maps) % 2 else [])
+    return maps[0]
+
+
+class TestProductOrder:
+    """The block products bit for bit against plain products in the documented order."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 64, 77])
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)], ids=["c_1d", "c_2d"])
+    @pytest.mark.parametrize("rows", [2, 3], ids=["2x2", "3x2"])
+    def test_compose(self, rows, shape, k):
+        rng = np.random.default_rng(k)
+        P = np.eye(3, 2).reshape((3, 2) + (1,) * (len(shape) + 1))[:rows] + rng.normal(
+            scale=0.3, size=(rows, 2) + shape + (k,))
+        work = [np.empty(2 * rows * (k + 1) * P[0, 0, ..., 0].size) for _ in range(2)]
+        got = _compose(P.copy(), work)
+        assert got.shape == (rows, 2) + shape
+        for at in np.ndindex(shape):
+            maps = [P[(slice(None), slice(None)) + at + (i,)].tolist() for i in range(k)]
+            assert np.array_equal(got[(slice(None), slice(None)) + at], pairwise_product(maps))
+
+    def test_propagator(self):
+        # 200 values of c make blocks of 64 steps: segments of 150 and 70 steps
+        # end in partial blocks, and each block's product multiplies the run's
+        # product so far from the left
+        c = np.linspace(0.5, 30.0, 200)
+        assert _block_steps(c.size) == _BLOCK
+        a, b = jump_at_one(LEFT[0], RIGHT[0]), jump_at_one(LEFT[1], RIGHT[1])
+        segments = rk4_segments(2.5, 0.3, 0.01, (1.0,))
+        assert [seg.n for seg in segments] == [150, 70]
+        tables = [_step_table(a, b, seg)[0] for seg in segments]
+        got = _propagator(tables, c)
+        for col in range(0, c.size, 19):
+            M = [[1.0, 0.0], [0.0, 1.0]]
+            for polys in tables:
+                # each entry's polynomial in c by Horner's rule, highest power first
+                maps = [[[np.polynomial.polynomial.polyval(c[col], [q[i] for q in coefs])
+                          for coefs in polys[2 * r:2 * r + 2]] for r in range(2)]
+                        for i in range(len(polys[0][0]))]
+                for s in range(0, len(maps), _BLOCK):
+                    M = times(pairwise_product(maps[s:s + _BLOCK]), M)
+            assert np.array_equal(got[:, :, col], M)
+
+
 # the one blend sweep of the family below whose check doubles: see its own test
 LONG_PHASE = ("quintic", (1.0, 0.01), 3.0, (0.05, 5.0))
 
 
 def predicted_points(a, b, c, x0, x1, step, breakpoints=()):
     """The Chebyshev point count `_interpolant_points` sets for a final-state run."""
-    _, phases, ranges = zip(*(_step_table(a, b, *segment)
-                              for segment in rk4_segments(x0, x1, step, breakpoints)))
+    _, phases, ranges = zip(*(_step_table(a, b, seg)
+                              for seg in rk4_segments(x0, x1, step, breakpoints)))
     return int(_interpolant_points(sum(phases), np.min(c) - np.max(ranges),
                                    np.max(c) - np.min(ranges)))
 
